@@ -534,15 +534,12 @@ func e15BenchHistories(b *testing.B, prefix, suffix int) (hm, full, pre, suf *hi
 	return hm, full, pre, suf
 }
 
-// BenchmarkE15IncrementalRetry times the two retry amortizations behind
+// BenchmarkE15IncrementalRetry times the retry amortization behind
 // experiment E15. The rebuild/extend pair re-prepares a merge invalidated by
 // an 8-entry base suffix: the rebuild arm pays a from-scratch G(Hm, Hb) over
 // the whole extended history and grows with the prefix, while the extend arm
 // pays only the suffix extension and stays flat (the prefix report it
-// consumes is rebuilt off the clock, since Extend grows it in place). The
-// admission pair reconnects 8 disjoint mobiles concurrently: serial
-// admission pays one critical section per merge, batched admission gates the
-// leader until the fleet has enqueued and admits all 8 in one.
+// consumes is rebuilt off the clock, since Extend grows it in place).
 func BenchmarkE15IncrementalRetry(b *testing.B) {
 	const suffix = 8
 	for _, prefix := range []int{64, 1024} {
@@ -570,49 +567,6 @@ func BenchmarkE15IncrementalRetry(b *testing.B) {
 			}
 		})
 	}
-
-	const mobiles = 8
-	origin := model.State{}
-	for i := 0; i < mobiles; i++ {
-		origin.Set(model.Item(fmt.Sprintf("a%d", i)), 100)
-	}
-	hms := make([]*history.Augmented, mobiles)
-	for i := range hms {
-		h := &history.History{}
-		for k := 0; k < 3; k++ {
-			it := model.Item(fmt.Sprintf("a%d", i))
-			h.Append(workload.Deposit(fmt.Sprintf("T%d.%d", i, k), tx.Tentative, it, 5))
-		}
-		a, err := history.Run(h, origin)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hms[i] = a
-	}
-	runFleet := func(b *testing.B, serial bool) {
-		b.ReportAllocs()
-		for n := 0; n < b.N; n++ {
-			cluster := replica.NewBaseCluster(origin, replica.Config{SerialAdmission: serial})
-			if !serial {
-				cluster.SetAdmitGate(func(queued int) bool { return queued == mobiles })
-			}
-			var wg sync.WaitGroup
-			wg.Add(mobiles)
-			for i := 0; i < mobiles; i++ {
-				go func(i int) {
-					defer wg.Done()
-					ck := replica.Checkout{MobileID: fmt.Sprintf("m%d", i), WindowID: 1, Origin: origin}
-					if _, err := cluster.Merge(ck, hms[i]); err != nil {
-						b.Error(err)
-					}
-				}(i)
-			}
-			wg.Wait()
-		}
-		b.ReportMetric(float64(b.N*mobiles)/b.Elapsed().Seconds(), "merges/s")
-	}
-	b.Run(fmt.Sprintf("serialAdmit/mobiles=%d", mobiles), func(b *testing.B) { runFleet(b, true) })
-	b.Run(fmt.Sprintf("batchedAdmit/mobiles=%d", mobiles), func(b *testing.B) { runFleet(b, false) })
 }
 
 // BenchmarkE16ShardedFleet measures the sharded base tier: a 64-mobile

@@ -150,11 +150,11 @@ base tx TB1 { y := y * 2 }
 	// Output: B: [B1] saved: [G2]
 }
 
-// ExampleServeBase reconciles a mobile client over the message channel.
-func ExampleServeBase() {
+// ExampleServe reconciles a mobile client over the message channel.
+func ExampleServe() {
 	origin := tiermerge.StateOf(map[tiermerge.Item]tiermerge.Value{"acct": 100})
 	base := tiermerge.NewBaseCluster(origin, tiermerge.ClusterConfig{})
-	srv := tiermerge.ServeBase(base)
+	srv := tiermerge.Serve(base)
 	defer srv.Close()
 
 	c, err := tiermerge.DialBase("m1", srv)

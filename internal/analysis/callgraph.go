@@ -75,7 +75,7 @@ type CallEdge struct {
 	Pos    token.Pos
 }
 
-// Name renders a short human identity ("(*ShardedBase).crossAdmit",
+// Name renders a short human identity ("(*clusterSet).admit",
 // "lockClusters", "func literal shard.go:42") for diagnostics.
 func (n *FuncNode) Name() string {
 	if n.Obj != nil {

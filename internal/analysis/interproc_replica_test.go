@@ -21,11 +21,11 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestReplicaTwoPhaseAdmitClean is the acceptance gate for the real code:
-// the sharded two-phase admit (internal/replica/shard.go) and the rest of
-// the replica package must pass the interprocedural analyzers with zero
+// the cluster-set merge path (internal/replica/clusterset.go) and the rest
+// of the replica package must pass the interprocedural analyzers with zero
 // findings — the ascending lockClusters discipline, the buffered serial
-// merge paths, and the item-locks-before-shard-mutexes ordering all check
-// out by inference.
+// round, and the item-locks-before-cluster-mutexes ordering all check out
+// by inference.
 func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")
@@ -53,10 +53,10 @@ func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 
 // TestInferenceCoversRemovedAnnotation pins the tentpole property: the
 // locks(...)/blocking annotations are no longer the only source of truth.
-// A shadow copy of internal/replica with admitPrepared's annotations
-// stripped, plus a seeded caller that invokes it under the cluster mutex,
+// A shadow copy of internal/replica with the admission step's annotations
+// stripped, plus a seeded caller that invokes it under a member's mutex,
 // must still be reported — the summary engine infers both the blocking
-// receive and the mutex re-acquisition with no annotation on the chain.
+// lock wait and the mutex re-acquisition with no annotation on the chain.
 func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")
@@ -83,11 +83,11 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name == "admission.go" {
-			const annotated = "//tiermerge:locks(none)\n//tiermerge:blocking\nfunc (b *BaseCluster) admitPrepared("
-			const bare = "func (b *BaseCluster) admitPrepared("
+		if name == "clusterset.go" {
+			const annotated = "//tiermerge:locks(none)\n//tiermerge:blocking\nfunc (cs *clusterSet) admit("
+			const bare = "func (cs *clusterSet) admit("
 			if !strings.Contains(string(data), annotated) {
-				t.Fatalf("admission.go no longer carries the expected annotations on admitPrepared")
+				t.Fatalf("clusterset.go no longer carries the expected annotations on admit")
 			}
 			data = []byte(strings.Replace(string(data), annotated, bare, 1))
 			stripped = true
@@ -97,17 +97,17 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 		}
 	}
 	if !stripped {
-		t.Fatal("did not strip the admitPrepared annotations")
+		t.Fatal("did not strip the admit annotations")
 	}
 	probe := `package replica
 
 import "tiermerge/internal/history"
 
-// lintProbeBadCall admits while holding the cluster mutex — the violation
+// lintProbeBadCall admits while holding a member's mutex — the violation
 // the stripped annotations used to be the only defense against.
-func lintProbeBadCall(b *BaseCluster, ck Checkout, hm *history.Augmented, p *preparedMerge) {
+func lintProbeBadCall(cs *clusterSet, b *BaseCluster, hm *history.Augmented, p *preparedMerge, parts []shardPart) {
 	b.mu.Lock()
-	b.admitPrepared(ck, hm, p)
+	cs.admit("m", hm, p, parts)
 	b.mu.Unlock()
 }
 `

@@ -175,7 +175,8 @@ func (l *Loader) loadDir(path, dir string) (*Package, error) {
 
 // LoadModulePackages loads every package of the module (the ./... set):
 // each directory under the module root holding non-test .go files,
-// skipping testdata and hidden directories.
+// skipping testdata, hidden directories and nested modules (a directory
+// with its own go.mod — bench/ — is outside ./..., as for the go tool).
 func (l *Loader) LoadModulePackages() ([]*Package, error) {
 	if l.ModuleDir == "" {
 		return nil, fmt.Errorf("analysis: loader has no module root")
@@ -190,6 +191,9 @@ func (l *Loader) LoadModulePackages() ([]*Package, error) {
 		}
 		name := d.Name()
 		if p != l.ModuleDir && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && p != l.ModuleDir {
 			return filepath.SkipDir
 		}
 		if hasGoFiles(p) {

@@ -1,14 +1,14 @@
 package analysis
 
-// LockOrder machine-checks the deadlock-freedom argument of the sharded
-// two-phase admit (DESIGN.md §11), which prose alone promised before the
+// LockOrder machine-checks the deadlock-freedom argument of the cluster-set
+// admit (DESIGN.md §7, §11), which prose alone promised before the
 // interprocedural engine existed:
 //
 //   - item locks before shard mutexes: the lock manager's Acquire blocks
 //     (it parks on a waiter channel), so the engine's transitive-blocking
 //     check forbids reaching it while any shard or cluster mutex is held —
-//     every path must take item locks first, exactly as acquireAcross and
-//     admitBatch do;
+//     every path must take item locks first, exactly as the cluster set's
+//     admit and execBaseCross do;
 //   - distinct mutexes of one class (the per-shard BaseCluster.mu) are
 //     acquired in strictly ascending index order: a constant-index
 //     acquisition at or below a held index, or an indexed acquisition

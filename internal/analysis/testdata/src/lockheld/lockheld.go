@@ -159,12 +159,12 @@ func (s *shardedTier) sliceLocked(k string) {
 	}
 }
 
-// crossAdmit acquires through the helper; calling a locks(shard) function
+// admitAcross acquires through the helper; calling a locks(shard) function
 // with no lint-visible mutex is deliberately not flagged (the acquisition
 // ran through lockShards, which the linear scan cannot attribute).
 //
 //tiermerge:locks(none)
-func (s *shardedTier) crossAdmit(k string) {
+func (s *shardedTier) admitAcross(k string) {
 	lockShards(s.shards)
 	s.installAcrossLocked(k)
 	unlockShards(s.shards)

@@ -123,13 +123,16 @@ type Counts struct {
 	// MergeRetries counts re-prepare attempts after a failed admission
 	// validation (incremental graph extensions and full re-prepares alike).
 	MergeRetries int64
-	// AdmitBatches counts batched-admission critical sections; dividing
-	// MergesPerformed by it gives the mean admission batch size.
+	// AdmitBatches counts admission critical sections entered — one per
+	// validate-and-install attempt of a merge, failed validations and the
+	// serial round included, for every cluster-set size. MergesPerformed
+	// divided by it is 1.0 on retry-free traffic and lower with retries.
+	// (The name dates from batched admission; the Prometheus series and
+	// the benchmark's replica.admit_batch_size keep it.)
 	AdmitBatches int64
 	// CrossShardMerges counts merges whose footprint spanned more than one
-	// shard of a sharded base tier and therefore ran the two-phase
-	// cross-shard admit instead of a single shard's pipeline. Always zero
-	// on an unsharded cluster.
+	// shard of a sharded base tier (a cluster set of several members).
+	// Always zero on an unsharded cluster.
 	CrossShardMerges int64
 	// DeltaFolded counts tentative pure-delta writes that associative
 	// folding collapsed into net forwarded increments: for each forwarded

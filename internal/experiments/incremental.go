@@ -3,45 +3,30 @@ package experiments
 import (
 	"fmt"
 	"reflect"
-	"sync"
-	"time"
 
-	"tiermerge/internal/cost"
 	"tiermerge/internal/history"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
-	"tiermerge/internal/replica"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
 
-// E15IncrementalRetry measures the two retry amortizations of the merge
-// pipeline.
-//
-// Part 1 — incremental re-prepare: a merge prepared against a base prefix
-// of N entries is invalidated by S newly committed entries. A naive retry
+// E15IncrementalRetry measures the retry amortization of the merge path,
+// incremental re-prepare: a merge prepared against a base prefix of N
+// entries is invalidated by S newly committed entries. A naive retry
 // rebuilds G(Hm, Hb) over all N+S entries; the incremental retry extends
 // the carried graph with just the S-entry suffix (merge.Extend). The table
 // sweeps N with S fixed and records both costs: the full rebuild grows
 // with the prefix, the extension stays flat — and the extended report is
-// checked field-for-field against the from-scratch merge.
-//
-// Part 2 — batched admission: 8 mobiles with disjoint footprints reconnect
-// simultaneously, once with per-merge admission critical sections
-// (Config.SerialAdmission) and once through the admission queue, gated so
-// the whole fleet lands in one batch. The batched fleet pays one critical
-// section for all 8 merges; final states must agree.
+// checked field-for-field against the from-scratch merge. (Part 2, batched
+// admission, is retired with the mechanism — see EXPERIMENTS.md.)
 func E15IncrementalRetry() *Table {
 	t := &Table{
-		ID:    "E15",
-		Title: "Incremental re-prepare and batched admission",
-		Header: []string{
-			"case", "N(prefix)", "S(suffix)", "rebuild ops", "extend ops",
-			"merges", "admit sections", "mean batch", "ms",
-		},
+		ID:     "E15",
+		Title:  "Incremental re-prepare",
+		Header: []string{"case", "N(prefix)", "S(suffix)", "rebuild ops", "extend ops"},
 	}
 
-	// Part 1: suffix scaling.
 	const suffix = 8
 	prefixes := []int{64, 256, 1024}
 	reportsEqual := true
@@ -64,7 +49,7 @@ func E15IncrementalRetry() *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			"extend", fmt.Sprint(prefix), fmt.Sprint(suffix),
-			fmt.Sprint(full), fmt.Sprint(ext), "-", "-", "-", "-",
+			fmt.Sprint(full), fmt.Sprint(ext),
 		})
 	}
 	flat := true
@@ -82,35 +67,12 @@ func E15IncrementalRetry() *Table {
 		}
 	}
 
-	// Part 2: batched vs serial admission at 8 mobiles.
-	const mobiles = 8
-	serMaster, serCounts, serDur := runE15Fleet(mobiles, true)
-	batMaster, batCounts, batDur := runE15Fleet(mobiles, false)
-	statesEqual := serMaster.Equal(batMaster)
-	meanBatch := func(c cost.Counts) string {
-		if c.AdmitBatches == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1f", float64(c.MergesPerformed)/float64(c.AdmitBatches))
-	}
-	t.Rows = append(t.Rows,
-		[]string{"serial admission", "-", "-", "-", "-",
-			fmt.Sprint(serCounts.MergesPerformed), fmt.Sprint(serCounts.MergesPerformed),
-			"1.0", fmt.Sprintf("%.2f", float64(serDur)/float64(time.Millisecond))},
-		[]string{"batched admission", "-", "-", "-", "-",
-			fmt.Sprint(batCounts.MergesPerformed), fmt.Sprint(batCounts.AdmitBatches),
-			meanBatch(batCounts), fmt.Sprintf("%.2f", float64(batDur)/float64(time.Millisecond))},
-	)
-
 	t.Checks = append(t.Checks,
 		Check{Name: "extended report equals from-scratch merge over the longer prefix", OK: reportsEqual},
 		Check{Name: "extension cost tracks the suffix, not the prefix", OK: flat,
 			Note: fmt.Sprintf("extend ops %v for prefixes %v", extendOps, prefixes)},
 		Check{Name: "full rebuild cost grows with the prefix", OK: growing,
 			Note: fmt.Sprintf("rebuild ops %v", rebuildOps)},
-		Check{Name: "batched fleet admits all merges in one critical section", OK: batCounts.AdmitBatches == 1 &&
-			batCounts.MergesPerformed == mobiles},
-		Check{Name: "serial and batched admission land on identical masters", OK: statesEqual},
 	)
 	return t
 }
@@ -186,43 +148,4 @@ func sameReportOutcome(a, b *merge.Report) bool {
 	return reflect.DeepEqual(a.BadIDs, b.BadIDs) &&
 		reflect.DeepEqual(a.SavedIDs, b.SavedIDs) &&
 		reflect.DeepEqual(a.ForwardUpdates, b.ForwardUpdates)
-}
-
-// runE15Fleet reconnects n disjoint mobiles concurrently, with admission
-// either per-merge (serial=true) or through the gated batched queue, and
-// returns the final master, counters and reconnect wall time.
-func runE15Fleet(n int, serial bool) (model.State, cost.Counts, time.Duration) {
-	st := model.State{}
-	for i := 0; i < n; i++ {
-		st.Set(model.Item(fmt.Sprintf("a%d", i)), 100)
-	}
-	b := replica.NewBaseCluster(st, replica.Config{SerialAdmission: serial})
-	if !serial {
-		// Gate the admission leader until the whole fleet has enqueued, so
-		// the batch forms deterministically regardless of GOMAXPROCS.
-		b.SetAdmitGate(func(queued int) bool { return queued == n })
-	}
-	nodes := make([]*replica.MobileNode, n)
-	for i := range nodes {
-		nodes[i] = replica.NewMobileNode(fmt.Sprintf("m%d", i), b)
-		it := model.Item(fmt.Sprintf("a%d", i))
-		for k := 0; k < 3; k++ {
-			if err := nodes[i].Run(workload.Deposit(fmt.Sprintf("T%d.%d", i, k), tx.Tentative, it, 5)); err != nil {
-				panic(err)
-			}
-		}
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range nodes {
-		go func(i int) {
-			defer wg.Done()
-			if _, err := nodes[i].ConnectMerge(); err != nil {
-				panic(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return b.Master(), b.Counters().Snapshot(), time.Since(start)
 }

@@ -37,13 +37,7 @@ const (
 	MetricDroppedTail  = "tiermerge_wal_dropped_tail_txns_total" // counter
 	MetricTornTails    = "tiermerge_wal_torn_tails_total"        // counter
 	MetricIncremental  = "tiermerge_merge_incremental_total"     // counter
-	MetricAdmitBatch   = "tiermerge_admit_batch_size"            // histogram
 )
-
-// admitBatchBuckets are the batch-size histogram bounds: the observed value
-// is a merge count, not a latency, so the default (seconds-scaled) buckets
-// do not apply.
-var admitBatchBuckets = []float64{1, 2, 4, 8, 16, 32}
 
 // Observe folds one event into the registry.
 func (m *Metrics) Observe(ev Event) {
@@ -56,9 +50,6 @@ func (m *Metrics) Observe(ev Event) {
 	case PhaseAdmit:
 		if ev.Cause == CauseNone {
 			m.reg.Counter(MetricAdmits).Inc()
-			if ev.Batch > 0 {
-				m.reg.Histogram(MetricAdmitBatch, admitBatchBuckets).Observe(float64(ev.Batch))
-			}
 		} else {
 			m.reg.Counter(Label(MetricAdmitRetries, "cause", string(ev.Cause))).Inc()
 		}

@@ -148,13 +148,9 @@ type Event struct {
 	// NewVertices and NewEdges size an incremental graph extension
 	// (graph-extend only).
 	NewVertices, NewEdges int
-	// Batch is the number of merges admitted in the same admission critical
-	// section (admit events of an installed merge under batched admission;
-	// 0 when the attempt failed validation or batching is disabled).
-	Batch int
 	// Shard is the 1-based shard that emitted the event under a sharded
 	// base tier (replica.ShardedBase). 0 means the event came from an
-	// unsharded cluster or from the cross-shard coordination path, whose
+	// unsharded cluster or from a merge spanning several shards, whose
 	// events carry Detail "cross-shard" instead.
 	Shard int
 	// Err is the error text when the phase failed.

@@ -198,7 +198,7 @@ func TestMetricsObserve(t *testing.T) {
 	m.Observe(Event{Phase: PhaseMerge, Dur: time.Millisecond, Saved: 2, BackedOut: 1, Reexecuted: 3, Failed: 1})
 	m.Observe(Event{Phase: PhaseReprocess, Reexecuted: 5, Failed: 2})
 	m.Observe(Event{Phase: PhaseExtend, NewVertices: 4, NewEdges: 7})
-	m.Observe(Event{Phase: PhaseAdmit, Batch: 3})
+	m.Observe(Event{Phase: PhaseAdmit})
 	s := m.Registry().Snapshot()
 	for name, want := range map[string]int64{
 		Label(MetricAdmitRetries, "cause", string(CauseStructChanged)): 1,
@@ -219,8 +219,5 @@ func TestMetricsObserve(t *testing.T) {
 	}
 	if got := s.Histograms[MetricReconnectSec].Count; got != 1 {
 		t.Errorf("reconnect histogram count = %d, want 1", got)
-	}
-	if h := s.Histograms[MetricAdmitBatch]; h.Count != 1 || h.Sum != 3 {
-		t.Errorf("admit batch histogram = count %d sum %.0f, want 1/3", h.Count, h.Sum)
 	}
 }

@@ -106,34 +106,15 @@ type BaseCluster struct {
 	// carries the same sequence number so tracers can group them.
 	mergeSeq atomic.Int64
 
-	// Batched-admission queue (see admission.go). admitMu guards only the
-	// queue and the leader flag — never held across lock acquisition, the
-	// cluster mutex, or channel operations.
-	admitMu     sync.Mutex
-	admitQ      []*admitRequest
-	admitActive bool
+	// solo is the one-shard partition over this cluster alone: the item
+	// map its reconnects run against (see set). Set at construction.
+	solo *partition
 
 	// hookAfterPrepare, when non-nil, runs between a merge attempt's
 	// prepare and admit phases. Tests use it to commit base transactions at
 	// exactly that point, forcing admission-validation failures (and hence
 	// retry attempts) deterministically.
 	hookAfterPrepare func(attempt int)
-	// admitGate, when non-nil, is consulted by the admission leader with
-	// the current queue depth before it drains; the leader yields and
-	// re-asks until the gate opens. See SetAdmitGate.
-	admitGate func(queued int) bool
-}
-
-// SetAdmitGate installs a gate the admission leader consults with the
-// current queue depth before draining, yielding the processor until the
-// gate reports true. Tests, experiments and benchmarks use it to form
-// deterministic admission batches (e.g. "wait until the whole fleet has
-// enqueued") regardless of GOMAXPROCS; production configurations leave it
-// unset. Install it before any reconnect starts — the field is read without
-// synchronization. A gate that never opens for a depth that stops growing
-// deadlocks admission; gates must eventually return true.
-func (b *BaseCluster) SetAdmitGate(fn func(queued int) bool) {
-	b.admitGate = fn
 }
 
 // emit delivers one event to the configured observer. It must never be
@@ -208,8 +189,15 @@ func NewBaseCluster(initial model.State, cfg Config) *BaseCluster {
 		// every later watermark resolves through it.
 		b.store.Set(b.windowID, 0, b.master)
 	}
+	b.solo = &partition{router: newShardRouter(1, nil), shards: []*BaseCluster{b}}
 	b.initFollowers()
 	return b
+}
+
+// set forms the one-member cluster set every reconnect against this cluster
+// runs through (clusterset.go).
+func (b *BaseCluster) set() *clusterSet {
+	return b.solo.set(b.cfg, []int{0}, b.hookAfterPrepare)
 }
 
 // Counters exposes the cluster's cost counters.
@@ -562,48 +550,14 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 	return body
 }
 
-// reprocessOne re-executes one tentative transaction as a base transaction:
-// transform, execute on master, validate against the acceptance criterion,
-// append to the base history, charge costs, and report the result back to
-// the mobile user. Caller holds b.mu. Failed re-executions — the
-// transaction is not defined on the current master state, or its base
-// outcome violates the acceptance criterion — are reported, not committed.
-// tentEff is the transaction's effect on the mobile replica (nil when
-// unknown), which the acceptance criterion compares against.
+// commitReprocessed commits one re-executed tentative transaction (see
+// clusterSet.reprocessOneLocked): after, the scratch state it executed on,
+// becomes the master; the transaction joins the base history with one
+// forced log write. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bool) {
-	w := b.cfg.Weights
-	// Code + arguments travel mobile -> base; the result travels back.
-	b.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
-	b.counters.Msg(w, w.ResultBytes)
-	base := &tx.Transaction{
-		ID:          t.ID + "@base",
-		Type:        t.Type,
-		Kind:        tx.Base,
-		Params:      t.Params,
-		Body:        t.Body,
-		InverseBody: t.InverseBody,
-	}
-	scratch := b.master.Clone()
-	eff, err := base.ExecInPlace(scratch, nil)
-	nLocks := int64(len(base.StaticReadSet().Union(base.StaticWriteSet())))
-	b.counters.Update(func(c *cost.Counts) {
-		c.BaseTransforms++
-		c.BaseQueries += int64(base.StmtCount())
-		c.BaseLocks += nLocks
-		c.TxnsReprocessed++
-		c.MobileReports++
-	})
-	if err != nil {
-		return false
-	}
-	if b.cfg.Acceptance != nil && tentEff != nil {
-		if err := b.cfg.Acceptance(t, tentEff, eff); err != nil {
-			return false
-		}
-	}
-	b.master = scratch
+func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect, after model.State) {
+	b.master = after
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
 	b.entries = append(b.entries, baseEntry{t: base, eff: eff, after: b.entryAfter()})
 	b.storeCommit(len(b.entries), eff.Writes)
@@ -611,21 +565,6 @@ func (b *BaseCluster) reprocessOne(t *tx.Transaction, tentEff *tx.Effect) (ok bo
 	if err := b.logCommit(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
-	return true
-}
-
-// applyForwarded installs a merge's forwarded write-back (repaired values
-// plus net deltas) as one base transaction with a single forced log write
-// (Section 7.1: "all the updates need be forced to durable logs only
-// once"). Caller holds b.mu. Returns the entry index of the installed
-// transaction, or -1 when there was nothing to forward.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) applyForwarded(mobileID string, values, deltas map[model.Item]model.Value) int {
-	if len(values)+len(deltas) == 0 {
-		return -1
-	}
-	return b.applyForwardTxn(b.forwardTxn(mobileID, values, deltas), len(values)+len(deltas), nil)
 }
 
 // applyForwardTxn appends one forwarded-updates transaction of nUpd update
@@ -663,21 +602,12 @@ func (b *BaseCluster) applyForwardTxn(ft *tx.Transaction, nUpd int, g *crossTxn)
 // rewrite and pruning — runs in a lock-free prepare phase against an
 // immutable snapshot of the base prefix, so many reconnecting mobiles
 // merge concurrently; only a short admission critical section touches the
-// cluster. See pipeline.go for the phases and the snapshot-validation
+// cluster. See clusterset.go for the phases and the snapshot-validation
 // rule.
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	out, err := b.mergePipelined(ck, hm)
-	if err != nil {
-		return nil, err
-	}
-	// Force the installed forwarded updates and re-executions before the
-	// mobile node treats its tentative work as saved.
-	if err := b.syncJournal(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return b.set().merge(ck.MobileID, []Checkout{ck}, hm)
 }
 
 // installForwarded installs the forwarded write-back at the given history
@@ -760,39 +690,7 @@ func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g 
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) Reprocess(hm *history.Augmented) *ConnectOutcome {
-	start := b.spanStart()
-	b.mu.Lock()
-	out := b.fallbackReprocess(hm, FallbackNone)
-	b.mu.Unlock()
-	if err := b.syncJournal(); err != nil {
-		panic(fmt.Sprintf("replica: base journal failed: %v", err))
-	}
-	b.emit(obs.Event{
-		Phase:      obs.PhaseReprocess,
-		Dur:        sinceSpan(start),
-		Reexecuted: out.Reprocessed,
-		Failed:     out.Failed,
-	})
-	return out
-}
-
-// fallbackReprocess re-executes every transaction of hm at the base tier.
-// Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) fallbackReprocess(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
-	out := &ConnectOutcome{Fallback: reason}
-	if reason != FallbackNone {
-		b.counters.Update(func(c *cost.Counts) { c.MergeFallbacks++ })
-	}
-	for i := 0; i < hm.H.Len(); i++ {
-		if b.reprocessOne(hm.H.Txn(i), hm.Effects[i]) {
-			out.Reprocessed++
-		} else {
-			out.Failed++
-		}
-	}
-	return out
+	return b.set().reprocess(hm)
 }
 
 // Checkout is the token a mobile node receives when it synchronizes its
@@ -840,26 +738,5 @@ func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) Preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
-	// Validate and snapshot under the mutex, then merge outside it: the
-	// augmented view stays valid after release (see windowPrefix), and the
-	// merge is the heavy step — running it locked would stall admissions
-	// and invoke any configured MergeOptions.Observer under the cluster
-	// mutex (a lockorder violation).
-	b.mu.Lock()
-	if ck.WindowID != b.windowID {
-		b.mu.Unlock()
-		return nil, fmt.Errorf("preview: %w (checkout window %d, current %d): everything would be reprocessed",
-			ErrWindowExpired, ck.WindowID, b.windowID)
-	}
-	pos := 0
-	if b.cfg.Origin == Strategy1 {
-		pos = ck.Pos
-		if pos > len(b.entries) || !ck.Origin.Equal(b.stateAt(pos)) {
-			b.mu.Unlock()
-			return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
-		}
-	}
-	hb := b.baseAugmented(pos)
-	b.mu.Unlock()
-	return merge.Merge(hm, hb, b.cfg.MergeOptions)
+	return b.set().preview([]Checkout{ck}, hm)
 }

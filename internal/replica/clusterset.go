@@ -1,0 +1,706 @@
+package replica
+
+import (
+	"errors"
+	"fmt"
+
+	"tiermerge/internal/cost"
+	"tiermerge/internal/history"
+	"tiermerge/internal/lockmgr"
+	"tiermerge/internal/merge"
+	"tiermerge/internal/model"
+	"tiermerge/internal/obs"
+	"tiermerge/internal/tx"
+)
+
+// The one merge path. A reconnect runs against the set of clusters its
+// footprint touches — one for an unsharded base or a shard-local merge,
+// several for a cross-shard merge — and every set size runs the same
+// routine (DESIGN.md §7, §11):
+//
+//  1. snapshot: a short critical section per member captures an immutable
+//     view of its base prefix (window, history position, origin validity,
+//     the cached augmented sub-history). One member's view is the serial
+//     base view as it stands; several interleave into one combined view
+//     (combineParts);
+//  2. prepare: all heavy computation — graph build, back-out, the O(n²)
+//     rewrite, pruning — runs lock-free against the view, charging its
+//     cost into a private delta (pipeline.go);
+//  3. admit: take the merge's item locks across the members' lock managers
+//     in global sorted order (deadlock-victim retry), then the member
+//     mutexes in ascending shard order, revalidate every member — its
+//     window is open, its prefix kept its shape, and every entry committed
+//     since the snapshot is invisible to the merge — and install the
+//     forwarded updates, merge the cost delta and re-execute the backed-out
+//     transactions atomically across the members; then unlock, and force
+//     the members' journals before acknowledging.
+//
+// A failed validation retries from step 1, carrying the prepared merge so a
+// one-member retry extends its graph instead of rebuilding it. After
+// Config.MergeAttempts optimistic rounds the same three steps run once more
+// with every member mutex held from the start, which cannot be invalidated.
+// One global lock order — item locks, then cluster mutexes ascending, with
+// nothing under a mutex ever waiting on a lock — keeps merges, cross-shard
+// base transactions and each other deadlock-free.
+
+// defaultMergeAttempts is the optimistic round budget when
+// Config.MergeAttempts is zero.
+const defaultMergeAttempts = 3
+
+// clusterSet is the set of clusters one reconnect involves: an ordered
+// subset of a partition's clusters plus the partition's item router. A
+// BaseCluster forms the one-member set over itself; a ShardedBase forms the
+// set of the shards a history's footprint touches. Everything a reconnect
+// does — merge, preview, reprocess — is a method of the set, so the
+// unsharded base is simply the set of size one.
+type clusterSet struct {
+	*partition
+	// cfg is the forming tier's configuration. cfg.Observer receives the
+	// set's events: a shard's stamping observer when that shard is the only
+	// member, the tier's own otherwise.
+	cfg Config
+	// involved holds the members' shard indices in ascending order — the
+	// order their mutexes are always acquired in — and members the
+	// clusters themselves. members[0] is home: it numbers the merge and
+	// takes the merge-level charges, so aggregate counters stay
+	// schedule-independent.
+	involved []int
+	members  []*BaseCluster
+	// hook is the forming tier's hookAfterPrepare.
+	hook func(attempt int)
+}
+
+// set forms the cluster set over the given shards of the partition
+// (ascending indices) on behalf of a tier with configuration cfg.
+func (s *partition) set(cfg Config, involved []int, hook func(attempt int)) *clusterSet {
+	return &clusterSet{partition: s, cfg: cfg, involved: involved, members: s.clustersOf(involved), hook: hook}
+}
+
+// shardPart is one member's share of a reconnect: its validated prefix
+// snapshot and, when the set has several members, the cross-shard
+// identities parallel to the snapshot's entries.
+type shardPart struct {
+	idx  int
+	b    *BaseCluster
+	snap prefixSnapshot
+	refs []*crossTxn
+}
+
+// emit delivers one set-level event, tagging reconnects that span several
+// clusters. Never called with a member mutex held.
+func (cs *clusterSet) emit(ev obs.Event) {
+	if o := cs.cfg.Observer; o != nil {
+		if len(cs.members) > 1 {
+			ev.Detail = "cross-shard"
+		}
+		o.Observe(ev)
+	}
+}
+
+// merge runs the merging protocol for one reconnect; tokens[i] is the
+// checkout token of members[i].
+//
+//tiermerge:locks(none)
+func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
+	home := cs.members[0]
+	seq := home.mergeSeq.Add(1)
+	start := home.spanStart()
+	out, err := cs.rounds(mobileID, seq, tokens, hm)
+	if err == nil {
+		// Force the installed forwarded updates and re-executions before
+		// the mobile node treats its tentative work as saved.
+		err = syncShards(cs.members)
+	}
+	// The fallback classification (if any), then the whole-reconnect
+	// summary event.
+	ev := obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseMerge, Dur: sinceSpan(start)}
+	if err != nil {
+		ev.Err = err.Error()
+		cs.emit(ev)
+		return nil, err
+	}
+	if out.Fallback != FallbackNone {
+		cs.emit(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseFallback, Cause: obs.Cause(out.Fallback)})
+	}
+	ev.Saved = out.Saved
+	ev.BackedOut = len(out.BadIDs)
+	ev.Reexecuted = out.Reprocessed
+	ev.Failed = out.Failed
+	cs.emit(ev)
+	return out, nil
+}
+
+// rounds runs the optimistic snapshot → prepare → admit rounds and, once
+// they are exhausted, the serial round. MergeAttempts = -1 runs the
+// optimistic loop zero times: every merge takes the serial round (the
+// benchmark baseline).
+//
+//tiermerge:locks(none)
+func (cs *clusterSet) rounds(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
+	attempts := cs.cfg.MergeAttempts
+	if attempts == 0 {
+		attempts = defaultMergeAttempts
+	}
+	home := cs.members[0]
+	var prev *preparedMerge
+	// Combined views take strictly decreasing synthetic structure versions,
+	// so a several-member retry always rebuilds (per-shard suffixes cannot
+	// be grafted onto a combined graph).
+	var synthVer int64
+	for attempt := 1; attempt <= attempts; attempt++ {
+		snapStart := home.spanStart()
+		parts, fb := cs.snapshot(tokens)
+		if fb != FallbackNone {
+			return cs.fallback(hm, fb), nil
+		}
+		synthVer--
+		snap := combineParts(parts, synthVer)
+		cs.emit(obs.Event{
+			Mobile: mobileID, Seq: seq,
+			Phase: obs.PhaseSnapshot, Attempt: attempt, Dur: sinceSpan(snapStart),
+		})
+		p, err := prepareMerge(cs.cfg, snap, hm, prev, bindMerge(cs.cfg.Observer, mobileID, seq, attempt))
+		if err != nil {
+			return nil, err
+		}
+		if cs.hook != nil {
+			cs.hook(attempt)
+		}
+		admitStart := home.spanStart()
+		out, cause, err := cs.admit(mobileID, hm, p, parts)
+		if err != nil {
+			return nil, err
+		}
+		cs.emit(obs.Event{
+			Mobile: mobileID, Seq: seq,
+			Phase: obs.PhaseAdmit, Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
+		})
+		if out != nil {
+			return out, nil
+		}
+		// Validation failed: a member's history grew a conflicting
+		// extension (or changed shape). Retry against the extended prefix,
+		// carrying the prepared merge so the retry extends instead of
+		// rebuilding and never re-bills the upload.
+		prev = p
+	}
+	// Serial round: the same steps with every member mutex held throughout.
+	// Calling out to a user observer under a mutex is forbidden, so the
+	// prepare sub-phase events are buffered and flushed after unlock.
+	var buf eventBuffer
+	var inner obs.Observer
+	if cs.cfg.Observer != nil {
+		inner = bindMerge(&buf, mobileID, seq, 0)
+	}
+	serialStart := home.spanStart()
+	lockClusters(cs.members)
+	out, err := cs.serialLocked(mobileID, tokens, hm, prev, synthVer-1, inner)
+	unlockClusters(cs.members)
+	for _, ev := range buf.events {
+		cs.cfg.Observer.Observe(ev)
+	}
+	// The serial-degrade mark goes through emit like every other phase, so
+	// trace consumers always see it after the buffered sub-phase flush. It
+	// carries the number of optimistic rounds that ran.
+	cs.emit(obs.Event{
+		Mobile: mobileID, Seq: seq,
+		Phase: obs.PhaseSerial, Attempt: max(attempts, 0), Dur: sinceSpan(serialStart),
+	})
+	return out, err
+}
+
+// snapshot captures every member's part in its own short critical section
+// (no global lock). Inconsistencies between staggered snapshots are caught
+// by the per-member revalidation at admission.
+//
+//tiermerge:locks(none)
+func (cs *clusterSet) snapshot(tokens []Checkout) ([]shardPart, FallbackReason) {
+	parts := make([]shardPart, len(cs.members))
+	for i, b := range cs.members {
+		var fb FallbackReason
+		b.mu.Lock()
+		parts[i], fb = cs.partLocked(i, tokens[i])
+		b.mu.Unlock()
+		if fb != FallbackNone {
+			return nil, fb
+		}
+	}
+	return parts, FallbackNone
+}
+
+// partLocked validates members[i]'s checkout token and captures its part.
+// Caller holds that member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) partLocked(i int, ck Checkout) (shardPart, FallbackReason) {
+	b := cs.members[i]
+	snap, fb := b.snapshotLocked(ck)
+	if fb != FallbackNone {
+		return shardPart{}, fb
+	}
+	part := shardPart{idx: cs.involved[i], b: b, snap: snap}
+	if len(cs.members) > 1 {
+		// Only a combined view deduplicates cross-shard slices.
+		part.refs = b.crossRefsLocked(snap.pos)
+	}
+	return part, FallbackNone
+}
+
+// combineParts turns the members' prefix snapshots into the one serial base
+// view a merge prepares against. A single part is that view already, real
+// structure version included, so a retry can extend its graph (merge.Extend).
+// Several parts interleave: shard-local entries are item-disjoint across
+// shards, so any interleaving preserving each shard's order is a legal
+// serial history; cross-shard slices are deduplicated into their global
+// identity (full transaction, full effect) and emitted at a position
+// consistent with every involved shard — the position every slice has
+// reached, which exists because cross-shard installs append to all their
+// shards atomically and snapshots are taken in ascending shard order. The
+// combined view carries the caller-chosen synthetic structVer.
+func combineParts(parts []shardPart, structVer int64) prefixSnapshot {
+	if len(parts) == 1 {
+		return parts[0].snap
+	}
+	type ref struct{ part, pos int }
+	where := make(map[*crossTxn][]ref)
+	total := 0
+	for pi, p := range parts {
+		total += len(p.refs)
+		for i, g := range p.refs {
+			if g != nil {
+				where[g] = append(where[g], ref{pi, i})
+			}
+		}
+	}
+	entries := make([]history.Entry, 0, total)
+	effects := make([]*tx.Effect, 0, total)
+	ptr := make([]int, len(parts))
+	emitted := make(map[*crossTxn]bool)
+	ready := func(g *crossTxn) bool {
+		for _, r := range where[g] {
+			if ptr[r.part] < r.pos {
+				return false
+			}
+		}
+		return true
+	}
+	emitCross := func(g *crossTxn) {
+		entries = append(entries, history.Entry{T: g.t})
+		effects = append(effects, g.eff)
+		emitted[g] = true
+	}
+	for {
+		progress := false
+		for pi, p := range parts {
+			for ptr[pi] < len(p.refs) {
+				i := ptr[pi]
+				g := p.refs[i]
+				switch {
+				case g == nil:
+					entries = append(entries, p.snap.hb.H.Entries[i])
+					effects = append(effects, p.snap.hb.Effects[i])
+				case emitted[g]:
+					// A sibling slice already emitted the global entry.
+				case ready(g):
+					emitCross(g)
+				default:
+					// Blocked on another shard's pointer; let it advance.
+					goto nextPart
+				}
+				ptr[pi]++
+				progress = true
+			}
+		nextPart:
+		}
+		done := true
+		for pi, p := range parts {
+			if ptr[pi] < len(p.refs) {
+				done = false
+			}
+		}
+		if done {
+			break
+		}
+		if !progress {
+			// Unreachable when snapshots respect the atomic cross-install
+			// order; break the tie deterministically instead of spinning.
+			for pi, p := range parts {
+				if ptr[pi] < len(p.refs) {
+					emitCross(p.refs[ptr[pi]])
+					ptr[pi]++
+					break
+				}
+			}
+		}
+	}
+	hb := &history.Augmented{H: &history.History{Entries: entries}, Effects: effects}
+	return prefixSnapshot{
+		windowID:  parts[0].snap.windowID,
+		structVer: structVer,
+		histLen:   len(entries),
+		pos:       0,
+		hb:        hb,
+	}
+}
+
+// admit is the admission step of an optimistic round. out is nil when
+// validation failed and the caller should re-prepare; cause classifies the
+// retry (struct-changed, extension-conflict) or the in-admission fallback
+// (window-expired).
+//
+//tiermerge:locks(none)
+//tiermerge:blocking
+func (cs *clusterSet) admit(mobileID string, hm *history.Augmented, p *preparedMerge, parts []shardPart) (*ConnectOutcome, obs.Cause, error) {
+	owner, items, writes := p.lockPlan(mobileID)
+	if len(items) > 0 {
+		// Same two-phase pattern as ExecBase: item locks first, then the
+		// mutexes; nothing under a mutex ever waits on a lock, so lock
+		// waits cannot entangle with mutex waits.
+		for attempt := 0; ; attempt++ {
+			err := cs.acquireAcross(owner, items, writes)
+			if err == nil {
+				break
+			}
+			cs.releaseAcross(owner)
+			if !errors.Is(err, lockmgr.ErrDeadlock) || attempt >= 10 {
+				return nil, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", mobileID, err)
+			}
+		}
+		defer cs.releaseAcross(owner)
+	}
+	lockClusters(cs.members)
+	out, cause := cs.admitLocked(mobileID, hm, p, parts)
+	unlockClusters(cs.members)
+	return out, cause, nil
+}
+
+// serialLocked is the serial round: snapshot, prepare and admit under every
+// member's mutex, immune to invalidation by construction. prev (may be nil)
+// is the last optimistic round's prepared merge: the prepare extends it when
+// possible and never re-bills the upload. o must not be a user observer —
+// events would fire under the mutexes — so the caller passes an eventBuffer
+// (or nil) and flushes it after unlocking. Caller holds every member's
+// mutex.
+//
+//tiermerge:locks(shard)
+//tiermerge:buffered-events
+func (cs *clusterSet) serialLocked(mobileID string, tokens []Checkout, hm *history.Augmented, prev *preparedMerge, synthVer int64, o obs.Observer) (*ConnectOutcome, error) {
+	parts := make([]shardPart, len(cs.members))
+	for i := range cs.members {
+		var fb FallbackReason
+		if parts[i], fb = cs.partLocked(i, tokens[i]); fb != FallbackNone {
+			return cs.fallbackLocked(hm, fb), nil
+		}
+	}
+	p, err := prepareMerge(cs.cfg, combineParts(parts, synthVer), hm, prev, o)
+	if err != nil {
+		return nil, err
+	}
+	out, _ := cs.admitLocked(mobileID, hm, p, parts)
+	return out, nil
+}
+
+// admitLocked is the admission critical section every round ends in:
+// validate the prepared merge against the members' live histories and
+// install it, or classify why not. Caller holds every member's mutex (and,
+// on an optimistic round, the merge's item locks).
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) admitLocked(mobileID string, hm *history.Augmented, p *preparedMerge, parts []shardPart) (*ConnectOutcome, obs.Cause) {
+	cs.members[0].counters.Update(func(c *cost.Counts) { c.AdmitBatches++ })
+	cause := p.validateLocked(parts)
+	switch cause {
+	case obs.CauseNone:
+		return cs.installLocked(mobileID, hm, p, parts), cause
+	case obs.CauseWindowExpired:
+		// The window closed between prepare and admit; the prepared work is
+		// unusable under any validation.
+		return cs.fallbackLocked(hm, FallbackWindowExpired), cause
+	default:
+		return nil, cause
+	}
+}
+
+// validateLocked checks a prepared merge against the live history of every
+// member it was prepared from. The base extension must be invisible to the
+// merge: every entry committed since a member's snapshot must touch nothing
+// Hm read or wrote — or overlap only on items both sides access purely as
+// commutative deltas (extensionInvisible). Then G(Hm, Hb) gains no edge
+// incident to Hm, B and the rewrite are unchanged, and appending the
+// forwarded write-back after the extension commutes with it. The check runs
+// against each member's own (restricted) entry effects — exact, because the
+// merge footprint's intersection with a shard's items is precisely what
+// that shard's restricted views carry. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (p *preparedMerge) validateLocked(parts []shardPart) obs.Cause {
+	for _, part := range parts {
+		if part.snap.windowID != part.b.windowID {
+			return obs.CauseWindowExpired
+		}
+	}
+	for _, part := range parts {
+		if part.snap.structVer != part.b.structVer {
+			return obs.CauseStructChanged
+		}
+		for i := part.snap.histLen; i < len(part.b.entries); i++ {
+			if !p.extensionInvisible(part.b.entries[i].eff) {
+				return obs.CauseExtensionConflict
+			}
+		}
+	}
+	return obs.CauseNone
+}
+
+// installLocked commits a validated prepared merge: charge the deltas to
+// home, install the forwarded updates at each member's strategy position,
+// and re-execute the backed-out transactions, comparing each against its
+// tentative effect for acceptance (step 6). Caller holds every member's
+// mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) installLocked(mobileID string, hm *history.Augmented, p *preparedMerge, parts []shardPart) *ConnectOutcome {
+	home := cs.members[0]
+	home.counters.Add(p.deltaPrepare)
+	if p.insertConflict {
+		return cs.fallbackLocked(hm, FallbackInsertConflict)
+	}
+	home.counters.Add(p.deltaCommit)
+	if len(parts) > 1 {
+		home.counters.Update(func(c *cost.Counts) { c.CrossShardMerges++ })
+	}
+	cs.installForwardedLocked(mobileID, p.rep.ForwardUpdates, p.rep.ForwardDeltas, parts)
+	out := &ConnectOutcome{Merged: true, Report: p.rep, BadIDs: p.rep.BadIDs, Saved: len(p.rep.SavedIDs)}
+	for _, t := range p.rep.Reexecute {
+		if cs.reprocessOneLocked(t, p.effByTxn[t]) {
+			out.Reprocessed++
+		} else {
+			out.Failed++
+		}
+	}
+	return out
+}
+
+// installForwardedLocked installs a merge's forwarded write-back (repaired
+// values plus net deltas), each member's share at its strategy position:
+// always the tail under Strategy 2, the checkout position under Strategy 1.
+// Updates confined to one member go through its ordinary installForwarded;
+// updates spanning members become one global forwarded transaction (the
+// "XU" namespace keeps its ID, and its slices' IDs, disjoint from every
+// cluster's own "U<mobile>.<seq>" forward transactions) installed as
+// per-shard slices sharing its identity. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map[model.Item]model.Value, parts []shardPart) {
+	if len(values)+len(deltas) == 0 {
+		return
+	}
+	nUpd := make([]int, len(cs.shards)) // updates landing on each shard
+	for _, src := range [2]map[model.Item]model.Value{values, deltas} {
+		for it := range src {
+			nUpd[cs.router.Shard(it)]++
+		}
+	}
+	hit, sole := 0, 0
+	for i, part := range parts {
+		if nUpd[part.idx] > 0 {
+			hit++
+			sole = i
+		}
+	}
+	insertAt := func(part shardPart) int {
+		if cs.cfg.Origin == Strategy1 {
+			return part.snap.pos
+		}
+		return len(part.b.entries)
+	}
+	if hit == 1 {
+		parts[sole].b.installForwarded(mobileID, values, deltas, insertAt(parts[sole]))
+		return
+	}
+	gt := &tx.Transaction{
+		ID:   fmt.Sprintf("XU%s.%d", mobileID, cs.crossSeq.Add(1)),
+		Type: "forwarded-updates",
+		Kind: tx.Base,
+		Body: forwardBody(values, deltas),
+	}
+	geff, err := gt.ExecInPlace(cs.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
+	if err != nil {
+		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
+	}
+	g := &crossTxn{t: gt, eff: geff}
+	for _, part := range parts {
+		if n := nUpd[part.idx]; n > 0 {
+			part.b.installForwardTxn(cs.sliceTxn(gt, geff, part.idx, deltas), n, insertAt(part), g)
+		}
+	}
+}
+
+// fallback re-executes every transaction of hm as one atomic unit under the
+// members' mutexes — the reprocessing protocol, and what a reconnect
+// degrades to when its checkout token no longer admits a merge.
+//
+//tiermerge:locks(none)
+func (cs *clusterSet) fallback(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
+	lockClusters(cs.members)
+	out := cs.fallbackLocked(hm, reason)
+	unlockClusters(cs.members)
+	return out
+}
+
+// fallbackLocked is fallback's critical section. Caller holds every
+// member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) fallbackLocked(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
+	out := &ConnectOutcome{Fallback: reason}
+	if reason != FallbackNone {
+		cs.members[0].counters.Update(func(c *cost.Counts) { c.MergeFallbacks++ })
+	}
+	for i := 0; i < hm.H.Len(); i++ {
+		if cs.reprocessOneLocked(hm.H.Txn(i), hm.Effects[i]) {
+			out.Reprocessed++
+		} else {
+			out.Failed++
+		}
+	}
+	return out
+}
+
+// memberAt returns the member with shard index k, or nil when shard k is
+// outside the set.
+func (cs *clusterSet) memberAt(k int) *BaseCluster {
+	for i, inv := range cs.involved {
+		if inv == k {
+			return cs.members[i]
+		}
+	}
+	return nil
+}
+
+// execMember picks where a re-executed transaction with the given static
+// footprint runs: the member owning the footprint (home when it names
+// none), or nil when it spans members and the transaction must install as
+// slices. Items the router places outside the set are ignored — their
+// shards' mutexes are not held — exactly as an unsharded base ignores
+// routing.
+func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
+	var sole *BaseCluster
+	for it := range static {
+		b := cs.memberAt(cs.router.Shard(it))
+		if b == nil || b == sole {
+			continue
+		}
+		if sole != nil {
+			return nil
+		}
+		sole = b
+	}
+	if sole == nil {
+		return cs.members[0]
+	}
+	return sole
+}
+
+// reprocessOneLocked re-executes one tentative transaction as a base
+// transaction: transform, execute on master data, validate against the
+// acceptance criterion, commit, charge costs, and report the result back to
+// the mobile user. A transaction local to one member executes on that
+// member's master and commits there; one spanning members executes over a
+// scratch state gathered from their masters and commits as restricted
+// slices sharing one global identity (home takes its charges; the per-shard
+// forced writes land on each shard). Failed re-executions — the transaction
+// is not defined on the current master state, or its base outcome violates
+// the acceptance criterion — are reported, not committed. tentEff is the
+// transaction's effect on the mobile replica (nil when unknown), which the
+// acceptance criterion compares against. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) bool {
+	static := t.StaticReadSet().Union(t.StaticWriteSet())
+	local := cs.execMember(static)
+	charged := local
+	if local == nil {
+		charged = cs.members[0]
+	}
+	w := cs.cfg.Weights
+	// Code + arguments travel mobile -> base; the result travels back.
+	charged.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
+	charged.counters.Msg(w, w.ResultBytes)
+	base := &tx.Transaction{
+		ID:          t.ID + "@base",
+		Type:        t.Type,
+		Kind:        tx.Base,
+		Params:      t.Params,
+		Body:        t.Body,
+		InverseBody: t.InverseBody,
+	}
+	var scratch model.State
+	if local != nil {
+		scratch = local.master.Clone()
+	} else {
+		scratch = cs.gatherLocked(static)
+	}
+	eff, err := base.ExecInPlace(scratch, nil)
+	charged.counters.Update(func(c *cost.Counts) {
+		c.BaseTransforms++
+		c.BaseQueries += int64(base.StmtCount())
+		c.BaseLocks += int64(len(static))
+		c.TxnsReprocessed++
+		c.MobileReports++
+	})
+	if err != nil {
+		return false
+	}
+	if cs.cfg.Acceptance != nil && tentEff != nil {
+		if err := cs.cfg.Acceptance(t, tentEff, eff); err != nil {
+			return false
+		}
+	}
+	if local != nil {
+		local.commitReprocessed(base, eff, scratch)
+	} else {
+		cs.installSlicesLocked(base, eff)
+	}
+	return true
+}
+
+// preview computes the merge report a connect would produce right now —
+// precedence graph, back-out set, saved set, forwarded updates — without
+// committing anything or charging costs.
+//
+//tiermerge:locks(none)
+func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.Report, error) {
+	// Validate and snapshot under the mutexes, then merge outside them: the
+	// augmented views stay valid after release (see windowPrefix), and the
+	// merge is the heavy step — running it locked would stall admissions
+	// and invoke any configured MergeOptions.Observer under a mutex.
+	parts, fb := cs.snapshot(tokens)
+	switch fb {
+	case FallbackNone:
+	case FallbackWindowExpired:
+		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrWindowExpired)
+	default:
+		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
+	}
+	return merge.Merge(hm, combineParts(parts, -1).hb, cs.cfg.MergeOptions)
+}
+
+// reprocess runs the original two-tier protocol for one reconnect: every
+// tentative transaction is shipped to the base tier and re-executed.
+//
+//tiermerge:locks(none)
+func (cs *clusterSet) reprocess(hm *history.Augmented) *ConnectOutcome {
+	start := cs.members[0].spanStart()
+	out := cs.fallback(hm, FallbackNone)
+	if err := syncShards(cs.members); err != nil {
+		panic(fmt.Sprintf("replica: base journal failed: %v", err))
+	}
+	cs.emit(obs.Event{
+		Phase:      obs.PhaseReprocess,
+		Dur:        sinceSpan(start),
+		Reexecuted: out.Reprocessed,
+		Failed:     out.Failed,
+	})
+	return out
+}

@@ -275,7 +275,7 @@ func TestConcurrentMergeUnderBaseTraffic(t *testing.T) {
 func TestServerWorkerPoolConcurrentClients(t *testing.T) {
 	const n = 6
 	b := NewBaseCluster(fleetOrigin(), Config{})
-	srv := ServeBaseWorkers(b, 4)
+	srv := Serve(b, WithWorkers(4))
 	defer srv.Close()
 	clients := make([]*Client, n)
 	for i := range clients {

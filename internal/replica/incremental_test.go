@@ -2,23 +2,20 @@ package replica
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/expr"
-	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
 
-// Tests for the incremental re-prepare and batched admission paths:
-// upload charges billed once per reconnect regardless of retries,
-// retry outcomes identical to a from-scratch merge over the same prefix
-// (both the full-rebuild and the no-mobile-edge fast-retry path), and
-// disjoint merges sharing one admission critical section. The parity test
-// runs under -race in scripts/check.sh.
+// Tests for the incremental re-prepare path: upload charges billed once
+// per reconnect regardless of retries, and retry outcomes identical to a
+// from-scratch merge over the same prefix (both the full-rebuild and the
+// no-mobile-edge fast-retry path). The parity test runs under -race in
+// scripts/check.sh.
 
 // retryingMobile builds a one-mobile cluster whose reconnect is forced
 // through exactly two attempts: hookAfterPrepare commits baseTxn between
@@ -207,97 +204,5 @@ func TestIncrementalRetryMatchesFromScratch(t *testing.T) {
 				validateTrace(t, mt)
 			}
 		})
-	}
-}
-
-// TestBatchedAdmissionDisjointFleet: 8 mobiles with disjoint footprints
-// reconnect simultaneously. The admission leader holds off draining
-// (SetAdmitGate) until every reconnect has enqueued — yielding there hands
-// the processor to the followers, so the test is deterministic even at
-// GOMAXPROCS=1. All 8 merges must then share ONE admission critical
-// section, every merge must admit cleanly, and the final state must carry
-// every deposit.
-func TestBatchedAdmissionDisjointFleet(t *testing.T) {
-	const n = 8
-	var mu sync.Mutex
-	maxBatch := 0
-	o := obs.ObserverFunc(func(ev obs.Event) {
-		if ev.Phase == obs.PhaseAdmit && ev.Batch > 0 {
-			mu.Lock()
-			if ev.Batch > maxBatch {
-				maxBatch = ev.Batch
-			}
-			mu.Unlock()
-		}
-	})
-	b := NewBaseCluster(fleetOrigin(), Config{Observer: o})
-	b.SetAdmitGate(func(queued int) bool { return queued == n })
-	ms := make([]*MobileNode, n)
-	for i := range ms {
-		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
-		it := model.Item(fmt.Sprintf("a%d", i))
-		for k := 0; k < 3; k++ {
-			if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d.%d", i, k), tx.Tentative, it, 5)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	outs := connectAll(b, ms, t)
-	for i, out := range outs {
-		if !out.Merged || out.Saved != 3 {
-			t.Fatalf("mobile %d outcome = %+v, want clean merge saving 3", i, out)
-		}
-	}
-	master := b.Master()
-	for i := 0; i < n; i++ {
-		it := model.Item(fmt.Sprintf("a%d", i))
-		if got := master.Get(it); got != 115 {
-			t.Fatalf("master %s = %d, want 115", it, got)
-		}
-	}
-	c := b.Counters().Snapshot()
-	if c.AdmitBatches != 1 {
-		t.Errorf("AdmitBatches = %d, want 1 (all %d disjoint merges in one critical section)", c.AdmitBatches, n)
-	}
-	if maxBatch != n {
-		t.Errorf("max admitted batch = %d, want %d", maxBatch, n)
-	}
-}
-
-// TestSerialAdmissionDiagnosticSwitch: under Config.SerialAdmission every
-// merge admits in its own critical section — no batch events, no
-// AdmitBatches — but outcomes are unchanged.
-func TestSerialAdmissionDiagnosticSwitch(t *testing.T) {
-	const n = 4
-	var mu sync.Mutex
-	batched := 0
-	o := obs.ObserverFunc(func(ev obs.Event) {
-		if ev.Phase == obs.PhaseAdmit && ev.Batch > 0 {
-			mu.Lock()
-			batched++
-			mu.Unlock()
-		}
-	})
-	b := NewBaseCluster(fleetOrigin(), Config{Observer: o, SerialAdmission: true})
-	ms := make([]*MobileNode, n)
-	for i := range ms {
-		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
-		it := model.Item(fmt.Sprintf("a%d", i))
-		if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d", i), tx.Tentative, it, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	outs := connectAll(b, ms, t)
-	for i, out := range outs {
-		if !out.Merged || out.Saved != 1 {
-			t.Errorf("mobile %d outcome = %+v, want clean merge saving 1", i, out)
-		}
-	}
-	c := b.Counters().Snapshot()
-	if c.AdmitBatches != 0 {
-		t.Errorf("AdmitBatches = %d under SerialAdmission, want 0", c.AdmitBatches)
-	}
-	if batched != 0 {
-		t.Errorf("%d admit events carried a batch size under SerialAdmission, want 0", batched)
 	}
 }

@@ -198,37 +198,65 @@ func TestObserverPhaseOrderConcurrent(t *testing.T) {
 	}
 }
 
+// splitA1 routes a1 to shard 0 and every other item to shard 1, so on a
+// two-shard tier a history touching a1 and anything else is cross-shard.
+func splitA1(it model.Item) int {
+	if it == "a1" {
+		return 0
+	}
+	return 1
+}
+
 // TestObserverSerialDegrade: the always-serial sentinel skips the optimistic
-// pipeline entirely but still emits the prepare sub-phases (buffered under
-// the lock, flushed after) and the serial-degrade mark.
+// rounds entirely but still emits the prepare sub-phases (buffered under
+// the lock, flushed after) and the serial-degrade mark, carrying attempt 0
+// (zero optimistic rounds ran) — on a plain cluster and on a cross-shard
+// merge alike.
 func TestObserverSerialDegrade(t *testing.T) {
-	tr := obs.NewTracer()
-	b := NewBaseCluster(fleetOrigin(), Config{Observer: tr, MergeAttempts: -1})
-	m := NewMobileNode("m1", b)
-	if err := m.Run(workload.Deposit("T1", tx.Tentative, "a1", 5)); err != nil {
-		t.Fatal(err)
-	}
-	out, err := m.ConnectMerge()
-	if err != nil || !out.Merged {
-		t.Fatalf("serial merge = %+v, %v", out, err)
-	}
-	ms := tr.Merges()
-	if len(ms) != 1 {
-		t.Fatalf("got %d merge traces, want 1", len(ms))
-	}
-	validateTrace(t, ms[0])
-	seen := map[obs.Phase]bool{}
-	for _, ev := range ms[0].Events {
-		seen[ev.Phase] = true
-	}
-	if !seen[obs.PhaseSerial] {
-		t.Error("no serial-degrade event")
-	}
-	if seen[obs.PhaseSnapshot] || seen[obs.PhaseAdmit] {
-		t.Error("always-serial merge must not emit optimistic pipeline events")
-	}
-	if !seen[obs.PhaseGraph] || !seen[obs.PhasePrune] {
-		t.Error("serial path must still emit the prepare sub-phases")
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"cluster", 1}, {"cross-shard", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer()
+			s := NewShardedBase(fleetOrigin(), tc.shards, Config{Observer: tr, MergeAttempts: -1, ShardFn: splitA1})
+			m := NewShardedMobileNode("m1", s)
+			for i, it := range []model.Item{"a1", "a2"} {
+				if err := m.Run(workload.Deposit(fmt.Sprintf("T%d", i), tx.Tentative, it, 5)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := m.ConnectMerge()
+			if err != nil || !out.Merged {
+				t.Fatalf("serial merge = %+v, %v", out, err)
+			}
+			if got, want := s.Counters().CrossShardMerges, int64(tc.shards-1); got != want {
+				t.Fatalf("CrossShardMerges = %d, want %d", got, want)
+			}
+			ms := tr.Merges()
+			if len(ms) != 1 {
+				t.Fatalf("got %d merge traces, want 1", len(ms))
+			}
+			validateTrace(t, ms[0])
+			seen := map[obs.Phase]bool{}
+			for _, ev := range ms[0].Events {
+				seen[ev.Phase] = true
+				if ev.Phase == obs.PhaseSerial && ev.Attempt != 0 {
+					t.Errorf("serial-degrade mark carries attempt %d, want 0", ev.Attempt)
+				}
+			}
+			if !seen[obs.PhaseSerial] {
+				t.Error("no serial-degrade event")
+			}
+			if seen[obs.PhaseSnapshot] || seen[obs.PhaseAdmit] {
+				t.Error("always-serial merge must not emit optimistic pipeline events")
+			}
+			for _, want := range []obs.Phase{obs.PhaseGraph, obs.PhaseBackout, obs.PhaseRewrite, obs.PhasePrune} {
+				if !seen[want] {
+					t.Errorf("serial round dropped the %s sub-phase span", want)
+				}
+			}
+		})
 	}
 }
 
@@ -452,7 +480,7 @@ func TestDebugHandler(t *testing.T) {
 	if _, err := m.ConnectMerge(); err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	h := srv.DebugHandler()
 

@@ -7,58 +7,24 @@ import (
 	"tiermerge/internal/cost"
 	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
-	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 )
 
-// Concurrent merge pipeline. The original Merge held the cluster mutex
-// across the entire protocol — graph build, back-out, the O(n²) rewrite,
-// pruning and re-execution — so N reconnecting mobiles queued end-to-end
-// (the degradation E11 measures). The pipeline splits the protocol into:
+// The prepare side of the merge path (clusterset.go): the immutable prefix
+// snapshot a merge prepares against, the lock-free prepare itself, and the
+// tests admission applies to a prepared merge.
 //
-//  1. snapshot: a short critical section captures an immutable view of the
-//     base prefix (window, history position, origin validity, the cached
-//     augmented sub-history);
-//  2. prepare: all heavy computation runs lock-free against the snapshot,
-//     charging its cost into a private delta;
-//  3. admit: a short critical section revalidates the snapshot — the base
-//     history is unchanged, or every extension entry's read/write sets are
-//     disjoint from the merge's footprint (the same test Strategy 1
-//     already applies to forwarded updates) — then installs the forwarded
-//     updates, merges the cost delta, and re-executes the backed-out
-//     transactions.
-//
-// A failed validation retries prepare against the extended prefix; after
-// MergeAttempts tries the merge degrades to running serially under the
-// cluster lock, which always succeeds. Admission additionally acquires the
-// merge's write footprint through the lock manager (sorted, with deadlock
-// retry) before entering the critical section, so merges serialize with
-// concurrent base transactions under the same strict-2PL discipline
-// ExecBase uses.
-//
-// Two amortizations keep retries and contention cheap at scale:
-//
-//   - Incremental re-prepare: a retry carries the previous attempt's
-//     preparedMerge. Base transactions are durable and only append to the
-//     history between structural changes, so the precedence graph is
-//     monotone in the base suffix: prepareMerge extends the prior graph
-//     with just the entries in [prevSnap.histLen, snap.histLen) instead of
-//     rebuilding it, and reruns back-out/rewrite only when the extension
-//     adds an edge incident to Hm (merge.Extend). The mobile's upload (set
-//     entries, local graph edges) is billed once per reconnect, never on a
-//     retry.
-//
-//   - Batched admission: prepared merges funnel through an admission queue
-//     (admission.go); one leader drains it, admitting every queued merge
-//     with a pairwise-disjoint footprint in a single critical section, so
-//     N reconnecting mobiles pay ~1 critical section instead of N.
-
-// defaultMergeAttempts is the optimistic prepare/admit attempt budget when
-// Config.MergeAttempts is zero.
-const defaultMergeAttempts = 3
+// Retries are kept cheap by incremental re-prepare: a retry carries the
+// previous attempt's preparedMerge. Base transactions are durable and only
+// append to the history between structural changes, so the precedence graph
+// is monotone in the base suffix: prepareMerge extends the prior graph with
+// just the entries in [prevSnap.histLen, snap.histLen) instead of rebuilding
+// it, and reruns back-out/rewrite only when the extension adds an edge
+// incident to Hm (merge.Extend). The mobile's upload (set entries, local
+// graph edges) is billed once per reconnect, never on a retry.
 
 // prefixSnapshot is the immutable base-prefix view a merge prepares
 // against.
@@ -130,122 +96,13 @@ func bindMerge(o obs.Observer, mobile string, seq int64, attempt int) obs.Observ
 }
 
 // eventBuffer queues events emitted inside a critical section for delivery
-// after the lock is released. The serial degradation path runs the whole
-// protocol under b.mu, where calling out to a user observer is forbidden;
+// after the lock is released. The serial round runs the whole protocol under
+// the members' mutexes, where calling out to a user observer is forbidden;
 // it buffers here and the caller flushes post-unlock. Single-goroutine use
 // only — no lock needed.
 type eventBuffer struct{ events []obs.Event }
 
 func (eb *eventBuffer) Observe(ev obs.Event) { eb.events = append(eb.events, ev) }
-
-// mergePipelined is the optimistic two-phase Merge entry point.
-//
-//tiermerge:locks(none)
-func (b *BaseCluster) mergePipelined(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	attempts := b.cfg.MergeAttempts
-	if attempts == 0 {
-		attempts = defaultMergeAttempts
-	}
-	seq := b.mergeSeq.Add(1)
-	mergeStart := b.spanStart()
-	// finish emits the fallback classification (if any) and the
-	// whole-reconnect summary event, then passes the result through.
-	finish := func(out *ConnectOutcome, err error) (*ConnectOutcome, error) {
-		if b.cfg.Observer == nil {
-			return out, err
-		}
-		ev := obs.Event{Mobile: ck.MobileID, Seq: seq, Phase: obs.PhaseMerge, Dur: sinceSpan(mergeStart)}
-		if err != nil {
-			ev.Err = err.Error()
-		} else if out != nil {
-			if out.Fallback != FallbackNone {
-				b.emit(obs.Event{
-					Mobile: ck.MobileID, Seq: seq,
-					Phase: obs.PhaseFallback, Cause: obs.Cause(out.Fallback),
-				})
-			}
-			ev.Saved = out.Saved
-			ev.BackedOut = len(out.BadIDs)
-			ev.Reexecuted = out.Reprocessed
-			ev.Failed = out.Failed
-		}
-		b.emit(ev)
-		return out, err
-	}
-	var prev *preparedMerge
-	for attempt := 1; attempt <= attempts; attempt++ {
-		snapStart := b.spanStart()
-		b.mu.Lock()
-		snap, fb := b.snapshotLocked(ck)
-		if fb != FallbackNone {
-			out := b.fallbackReprocess(hm, fb)
-			b.mu.Unlock()
-			return finish(out, nil)
-		}
-		b.mu.Unlock()
-		b.emit(obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseSnapshot, Attempt: attempt, Dur: sinceSpan(snapStart),
-		})
-
-		p, err := prepareMerge(b.cfg, snap, hm, prev, bindMerge(b.cfg.Observer, ck.MobileID, seq, attempt))
-		if err != nil {
-			return finish(nil, err)
-		}
-		if h := b.hookAfterPrepare; h != nil {
-			h(attempt)
-		}
-		admitStart := b.spanStart()
-		out, admitted, cause, batch, err := b.admitPrepared(ck, hm, p)
-		if err != nil {
-			return finish(nil, err)
-		}
-		ev := obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseAdmit, Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
-		}
-		if admitted && cause == obs.CauseNone {
-			ev.Batch = batch
-		}
-		b.emit(ev)
-		if admitted {
-			return finish(out, nil)
-		}
-		// Validation failed: the base history grew a conflicting extension
-		// (or changed shape). Retry prepare against the extended prefix,
-		// carrying the prepared merge so the retry extends instead of
-		// rebuilding.
-		prev = p
-	}
-	// Degrade to the serial path: the whole protocol under the cluster
-	// lock cannot be invalidated. The carried prepared merge still applies:
-	// the serial prepare extends it (or rebuilds without re-billing the
-	// upload). Sub-phase events are buffered and flushed after unlock (see
-	// eventBuffer).
-	var buf *eventBuffer
-	var inner obs.Observer
-	if b.cfg.Observer != nil {
-		buf = &eventBuffer{}
-		inner = bindMerge(buf, ck.MobileID, seq, 0)
-	}
-	serialStart := b.spanStart()
-	b.mu.Lock()
-	out, err := b.mergeSerialLocked(ck, hm, prev, inner)
-	b.mu.Unlock()
-	if buf != nil {
-		for _, ev := range buf.events {
-			b.cfg.Observer.Observe(ev)
-		}
-	}
-	// The serial-degrade mark goes through b.emit like every other phase,
-	// so trace consumers always see the serial attempt (it must not hide
-	// behind the buffered sub-phase flush above).
-	b.emit(obs.Event{
-		Mobile: ck.MobileID, Seq: seq,
-		Phase: obs.PhaseSerial, Attempt: attempts, Dur: sinceSpan(serialStart),
-	})
-	return finish(out, err)
-}
 
 // snapshotLocked validates the checkout token and captures the prefix
 // snapshot. Caller holds b.mu.
@@ -572,117 +429,4 @@ func (p *preparedMerge) lockPlan(mobileID string) (owner string, items []model.I
 		}
 	}
 	return owner, all.Items(), writes
-}
-
-// admitDirect is the unbatched admission critical section: acquire the
-// merge's lock footprint, revalidate the snapshot, and install. It returns
-// admitted=false when validation failed and the caller should re-prepare;
-// cause classifies the retry (struct-changed, extension-conflict) or the
-// in-admission fallback (window-expired).
-//
-//tiermerge:locks(none)
-func (b *BaseCluster) admitDirect(ck Checkout, hm *history.Augmented, p *preparedMerge) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	owner, items, writes := p.lockPlan(ck.MobileID)
-	if len(items) > 0 {
-		// Same two-phase pattern as ExecBase: take item locks first (sorted
-		// order, deadlock-victim retry), then the cluster mutex; nothing
-		// under the mutex ever waits on a lock, so lock waits cannot
-		// entangle with mutex waits.
-		for attempt := 0; ; attempt++ {
-			if lockErr := b.acquireAll(owner, items, writes); lockErr != nil {
-				b.lm.ReleaseAll(owner)
-				if errors.Is(lockErr, lockmgr.ErrDeadlock) && attempt < 10 {
-					continue
-				}
-				return nil, false, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", ck.MobileID, lockErr)
-			}
-			break
-		}
-		defer b.lm.ReleaseAll(owner)
-	}
-
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.admitOneLocked(ck, hm, p)
-}
-
-// admitOneLocked validates one prepared merge against the live base history
-// and installs it on success. Caller holds b.mu (and the merge's item
-// locks).
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) admitOneLocked(ck Checkout, hm *history.Augmented, p *preparedMerge) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	if ck.WindowID != b.windowID {
-		// The window closed between prepare and admit; the prepared work is
-		// unusable under any validation.
-		return b.fallbackReprocess(hm, FallbackWindowExpired), true, obs.CauseWindowExpired, nil
-	}
-	if p.snap.structVer != b.structVer {
-		return nil, false, obs.CauseStructChanged, nil
-	}
-	// The base extension must be invisible to the merge: every entry
-	// committed since the snapshot must touch nothing Hm read or wrote —
-	// or overlap only on items both sides access purely as commutative
-	// deltas (extensionInvisible). Then G(Hm, Hb) gains no edge incident
-	// to Hm, B and the rewrite are unchanged, and appending the forwarded
-	// write-back after the extension commutes with it.
-	for i := p.snap.histLen; i < len(b.entries); i++ {
-		if !p.extensionInvisible(b.entries[i].eff) {
-			return nil, false, obs.CauseExtensionConflict, nil
-		}
-	}
-	out, err = b.installPrepared(ck, hm, p)
-	return out, true, obs.CauseNone, err
-}
-
-// mergeSerialLocked runs the whole protocol under the cluster lock — the
-// degradation path after repeated validation failures, immune to
-// invalidation by construction. Caller holds b.mu. prev (may be nil) is the
-// last optimistic attempt's prepared merge: the serial prepare extends it
-// when possible and never re-bills the upload. o must not be a user
-// observer: events would fire under the mutex. The caller passes an
-// eventBuffer (or nil) and flushes it after unlocking.
-//
-//tiermerge:locks(cluster)
-//tiermerge:buffered-events
-func (b *BaseCluster) mergeSerialLocked(ck Checkout, hm *history.Augmented, prev *preparedMerge, o obs.Observer) (*ConnectOutcome, error) {
-	snap, fb := b.snapshotLocked(ck)
-	if fb != FallbackNone {
-		return b.fallbackReprocess(hm, fb), nil
-	}
-	p, err := prepareMerge(b.cfg, snap, hm, prev, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.installPrepared(ck, hm, p)
-}
-
-// installPrepared commits a validated prepared merge: charge the deltas,
-// install the forwarded updates at the strategy's position, and re-execute
-// the backed-out transactions. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) installPrepared(ck Checkout, hm *history.Augmented, p *preparedMerge) (*ConnectOutcome, error) {
-	b.counters.Add(p.deltaPrepare)
-	if p.insertConflict {
-		return b.fallbackReprocess(hm, FallbackInsertConflict), nil
-	}
-	insertAt := len(b.entries)
-	if b.cfg.Origin == Strategy1 && len(p.rep.ForwardUpdates)+len(p.rep.ForwardDeltas) > 0 {
-		insertAt = p.snap.pos
-	}
-	b.counters.Add(p.deltaCommit)
-	b.installForwarded(ck.MobileID, p.rep.ForwardUpdates, p.rep.ForwardDeltas, insertAt)
-
-	// Step 6: re-execute each backed-out tentative transaction, comparing
-	// against its tentative effect for acceptance.
-	out := &ConnectOutcome{Merged: true, Report: p.rep, BadIDs: p.rep.BadIDs, Saved: len(p.rep.SavedIDs)}
-	for _, t := range p.rep.Reexecute {
-		if b.reprocessOne(t, p.effByTxn[t]) {
-			out.Reprocessed++
-		} else {
-			out.Failed++
-		}
-	}
-	return out, nil
 }

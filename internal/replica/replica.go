@@ -82,25 +82,17 @@ type Config struct {
 	// Acceptance validates re-executed tentative transactions against
 	// their tentative outcomes; nil accepts every successful re-execution.
 	Acceptance Acceptance
-	// MergeAttempts bounds the optimistic prepare/admit attempts of the
-	// concurrent merge pipeline before a merge degrades to running serially
-	// under the cluster lock. 0 means the default (3); -1 disables the
-	// optimistic path entirely and every merge runs serially (the benchmark
-	// baseline). Any other negative value is rejected by Validate.
+	// MergeAttempts bounds the optimistic snapshot/prepare/admit rounds of a
+	// merge before it degrades to one serial round under the cluster lock.
+	// 0 means the default (3); -1 runs zero optimistic rounds, so every
+	// merge runs serially (the benchmark baseline). Any other negative
+	// value is rejected by Validate.
 	MergeAttempts int
 	// ShardFn, when non-nil, overrides the default FNV-hash item router of
 	// a sharded base tier (NewShardedBase): it must map every item to a
 	// stable shard index in [0, shards). Values outside that range are
 	// reduced modulo the shard count. NewBaseCluster ignores it.
 	ShardFn func(model.Item) int
-	// SerialAdmission disables batched admission: each prepared merge
-	// validates and installs in its own admission critical section instead
-	// of joining the admission queue, where one leader admits every queued
-	// merge with a pairwise-disjoint footprint in a single critical section.
-	// The default (false, batched) is strictly more concurrent; the serial
-	// mode exists as the benchmark baseline (BenchmarkE15IncrementalRetry)
-	// and as a diagnostic switch.
-	SerialAdmission bool
 	// Observer receives a span event for every phase of every reconnect —
 	// checkout, disconnect-run, snapshot, the prepare sub-phases (graph
 	// build, back-out, rewrite, prune), each validate-and-admit attempt

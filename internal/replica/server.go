@@ -266,28 +266,6 @@ func Serve(tier BaseTier, opts ...ServeOption) *BaseServer {
 	return s
 }
 
-// ServeBase starts a single-worker server over the cluster — requests are
-// processed strictly in arrival order. Callers must Close it when done.
-//
-// Deprecated: use Serve(b).
-func ServeBase(b *BaseCluster) *BaseServer { return Serve(b) }
-
-// ServeBaseWorkers starts a server with a pool of n request workers.
-//
-// Deprecated: use Serve(b, WithWorkers(n)).
-func ServeBaseWorkers(b *BaseCluster, n int) *BaseServer { return Serve(b, WithWorkers(n)) }
-
-// ServeShardedBase starts a single-worker server over a sharded base tier.
-//
-// Deprecated: use Serve(sh).
-func ServeShardedBase(sh *ShardedBase) *BaseServer { return Serve(sh) }
-
-// ServeShardedBaseWorkers starts a server with n request workers over a
-// sharded base tier.
-//
-// Deprecated: use Serve(sh, WithWorkers(n)).
-func ServeShardedBaseWorkers(sh *ShardedBase, n int) *BaseServer { return Serve(sh, WithWorkers(n)) }
-
 func (s *BaseServer) start(n int) {
 	if n < 1 {
 		n = 1

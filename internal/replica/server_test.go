@@ -17,7 +17,7 @@ import (
 // messages and compares against the direct-call path.
 func TestServerMergeRoundTrip(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	c, err := Dial("m1", srv)
@@ -57,7 +57,7 @@ func TestServerMergeRoundTrip(t *testing.T) {
 // out and re-executed from the shipped code.
 func TestServerConflictOverWire(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	c, err := Dial("m1", srv)
@@ -88,7 +88,7 @@ func TestServerConflictOverWire(t *testing.T) {
 // TestServerReprocessOverWire exercises the two-tier baseline path.
 func TestServerReprocessOverWire(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestServerReprocessOverWire(t *testing.T) {
 // single-goroutine server serializes them and the additive total survives.
 func TestServerConcurrentClients(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	const clients, rounds = 8, 5
@@ -155,7 +155,7 @@ func TestServerConcurrentClients(t *testing.T) {
 // TestServerClosedRejectsCalls: calls after Close fail fast.
 func TestServerClosedRejectsCalls(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	c, err := Dial("m1", srv)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestServerClosedRejectsCalls(t *testing.T) {
 // TestServerShipsBadIDs: the back-out set survives the wire as a summary.
 func TestServerShipsBadIDs(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -195,7 +195,7 @@ func TestServerShipsBadIDs(t *testing.T) {
 // additive total proves no double-merge happened.
 func TestLossyTransportExactlyOnce(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	srv.DropEveryNth(2)
 
@@ -237,7 +237,7 @@ func TestLossyTransportExactlyOnce(t *testing.T) {
 // journal+seq sent twice merges once.
 func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -274,7 +274,7 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 // -race in scripts/check.sh with concurrent duplicate deliveries.
 func TestStaleSeqRejected(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 	ctx := context.Background()
 	c, err := Dial("m1", srv)
@@ -402,7 +402,7 @@ func TestDedupCacheBounded(t *testing.T) {
 // previous instance's higher seq.
 func TestClientRestartNewEpochNotStale(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := ServeBase(b)
+	srv := Serve(b)
 	defer srv.Close()
 
 	first, err := Dial("m1", srv)

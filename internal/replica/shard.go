@@ -21,25 +21,13 @@ import (
 )
 
 // Sharded base tier. A single BaseCluster funnels every merge through one
-// cluster mutex and one admission queue — the scalability ceiling E13/E15
-// measure. ShardedBase partitions the item space across N BaseCluster
-// shards, each with its own mutex, window clock, base history, WAL
-// journal, admission queue and cost counters. A merge whose footprint
-// lives in one partition runs entirely on that shard — prepare, extend,
-// batched admission — with zero cross-shard coordination, so disjoint
-// merges on different shards share nothing at all. The rare cross-shard
-// merge runs a two-phase admit (DESIGN.md §11):
-//
-//  1. snapshot each involved shard's prefix and combine them into one
-//     serial base view, deduplicating previously installed cross-shard
-//     transactions into their global identity (full footprint) so cycles
-//     spanning partitions stay detectable;
-//  2. prepare lock-free against the combined view (the unchanged
-//     prepareMerge machinery);
-//  3. admit: acquire the involved shards' item locks, then their cluster
-//     mutexes in ascending shard order — one global order, so cross-shard
-//     admits can never deadlock each other — revalidate every shard's
-//     prefix, and install atomically across all of them or retry.
+// cluster mutex — the scalability ceiling E13/E16 measure. ShardedBase
+// partitions the item space across N BaseCluster shards, each with its own
+// mutex, window clock, base history, WAL journal, lock manager and cost
+// counters. A reconnect runs against the set of shards its footprint touches
+// (clusterset.go): a shard-local merge involves one shard and shares nothing
+// with merges on the others; a cross-shard merge snapshots, validates and
+// installs across its shards atomically (DESIGN.md §11).
 //
 // Cross-shard installed transactions are stored per shard as restricted
 // slices (this shard's reads and writes only) sharing one *crossTxn
@@ -93,6 +81,19 @@ func (r ShardRouter) shardsOf(set model.ItemSet) []int {
 	return out
 }
 
+// partition is a base tier's item map: its clusters in shard order and the
+// router assigning every item to exactly one of them. A plain BaseCluster
+// is the one-shard partition over itself (BaseCluster.solo).
+type partition struct {
+	router ShardRouter
+	shards []*BaseCluster
+
+	// crossSeq numbers forwarded-update transactions spanning shards; the
+	// "XU" namespace keeps their IDs disjoint from every shard's own
+	// "U<mobile>.<seq>" forward transactions.
+	crossSeq atomic.Int64
+}
+
 // ShardedBase coordinates N BaseCluster shards behind the BaseCluster
 // connect surface (CheckoutReplica / Merge / Reprocess / Preview /
 // ExecBase / AdvanceWindow). With one shard every call delegates straight
@@ -104,9 +105,8 @@ func (r ShardRouter) shardsOf(set model.ItemSet) []int {
 // an individual shard of a multi-shard tier breaks the all-shards-agree
 // window invariant checkouts rely on.
 type ShardedBase struct {
-	cfg    Config
-	router ShardRouter
-	shards []*BaseCluster
+	cfg Config
+	partition
 
 	// windowVer is the window barrier: a seqlock-style version counter,
 	// odd while an advance is sweeping the shards. Checkouts and window
@@ -118,14 +118,8 @@ type ShardedBase struct {
 	// held mutex.
 	windowVer atomic.Int64
 
-	// crossSeq numbers cross-shard forwarded-update transactions; the
-	// "XU" namespace keeps their IDs disjoint from every shard's own
-	// "U<mobile>.<seq>" forward transactions.
-	crossSeq atomic.Int64
-
-	// hookAfterPrepare mirrors BaseCluster.hookAfterPrepare for the
-	// cross-shard pipeline: tests use it to commit base transactions
-	// between a cross-shard attempt's prepare and admit phases.
+	// hookAfterPrepare is BaseCluster.hookAfterPrepare for merges entering
+	// through the sharded tier.
 	hookAfterPrepare func(attempt int)
 }
 
@@ -141,7 +135,7 @@ func NewShardedBase(initial model.State, shards int, cfg Config) *ShardedBase {
 		panic(fmt.Sprintf("replica: NewShardedBase: %d shards (want >= 1)", shards))
 	}
 	cfg = cfg.withDefaults()
-	s := &ShardedBase{cfg: cfg, router: newShardRouter(shards, cfg.ShardFn)}
+	s := &ShardedBase{cfg: cfg, partition: partition{router: newShardRouter(shards, cfg.ShardFn)}}
 	s.shards = make([]*BaseCluster, shards)
 	if shards == 1 {
 		// Byte-for-byte the unsharded behavior: no observer wrapping, no
@@ -185,7 +179,7 @@ func OpenShardedBase(dir string, initial model.State, shards int, cfg Config) (*
 		return nil, nil, fmt.Errorf("%w: %d shards (want >= 1)", ErrBadConfig, shards)
 	}
 	cfg = cfg.withDefaults()
-	s := &ShardedBase{cfg: cfg, router: newShardRouter(shards, cfg.ShardFn)}
+	s := &ShardedBase{cfg: cfg, partition: partition{router: newShardRouter(shards, cfg.ShardFn)}}
 	s.shards = make([]*BaseCluster, shards)
 	parts := make([]model.State, shards)
 	for k := range parts {
@@ -416,7 +410,7 @@ func footprintOf(hm *history.Augmented) model.ItemSet {
 }
 
 // clustersOf maps sorted shard indices to their clusters.
-func (s *ShardedBase) clustersOf(involved []int) []*BaseCluster {
+func (s *partition) clustersOf(involved []int) []*BaseCluster {
 	bs := make([]*BaseCluster, len(involved))
 	for i, k := range involved {
 		bs[i] = s.shards[k]
@@ -424,9 +418,9 @@ func (s *ShardedBase) clustersOf(involved []int) []*BaseCluster {
 	return bs
 }
 
-// lockClusters acquires the given shards' cluster mutexes in ascending
-// shard order — the one global acquisition order every cross-shard path
-// uses, so two cross-shard admits (or an admit and a cross-shard base
+// lockClusters acquires the given clusters' mutexes in ascending shard
+// order — the one global acquisition order every multi-cluster path uses,
+// so two cluster-set admits (or an admit and a cross-shard base
 // transaction) can never deadlock on shard mutexes. Callers must pass the
 // clusters in that order (clustersOf over a sorted shard list).
 //
@@ -450,7 +444,7 @@ func unlockClusters(bs []*BaseCluster) {
 // cluster mutex is held.
 //
 //tiermerge:blocking
-func (s *ShardedBase) acquireAcross(owner string, items []model.Item, writes model.ItemSet) error {
+func (s *partition) acquireAcross(owner string, items []model.Item, writes model.ItemSet) error {
 	for _, it := range items {
 		mode := lockmgr.Shared
 		if writes.Has(it) {
@@ -464,7 +458,7 @@ func (s *ShardedBase) acquireAcross(owner string, items []model.Item, writes mod
 }
 
 // releaseAcross drops the owner's locks on every shard.
-func (s *ShardedBase) releaseAcross(owner string) {
+func (s *partition) releaseAcross(owner string) {
 	for _, b := range s.shards {
 		b.lm.ReleaseAll(owner)
 	}
@@ -567,7 +561,7 @@ func (s *ShardedBase) execBaseCrossLocked(t *tx.Transaction, involved []int) err
 // every involved shard's mutex.
 //
 //tiermerge:locks(shard)
-func (s *ShardedBase) gatherLocked(set model.ItemSet) model.State {
+func (s *partition) gatherLocked(set model.ItemSet) model.State {
 	scratch := model.NewState()
 	for it := range set {
 		scratch.Set(it, s.shards[s.router.Shard(it)].master.Get(it))
@@ -586,7 +580,7 @@ func (s *ShardedBase) gatherLocked(set model.ItemSet) model.State {
 // of spanning partitions. Caller holds every involved shard's mutex.
 //
 //tiermerge:locks(shard)
-func (s *ShardedBase) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
+func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 	g := &crossTxn{t: base, eff: eff}
 	for _, k := range s.router.shardsOf(eff.ReadSet.Union(eff.WriteSet)) {
 		b := s.shards[k]
@@ -614,7 +608,7 @@ func (s *ShardedBase) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) 
 // (x := x + δ) so the installed slice stays delta-pure on them and later
 // delta merges elide their conflict edges against it. The slice's effect
 // equals the full effect restricted to the shard.
-func (s *ShardedBase) sliceTxn(base *tx.Transaction, eff *tx.Effect, k int, deltas map[model.Item]model.Value) *tx.Transaction {
+func (s *partition) sliceTxn(base *tx.Transaction, eff *tx.Effect, k int, deltas map[model.Item]model.Value) *tx.Transaction {
 	var body []tx.Stmt
 	for _, it := range eff.ReadSet.Minus(eff.WriteSet).Items() {
 		if s.router.Shard(it) == k {
@@ -638,30 +632,52 @@ func (s *ShardedBase) sliceTxn(base *tx.Transaction, eff *tx.Effect, k int, delt
 	}
 }
 
-// Merge runs the merging protocol against the sharded tier: a merge whose
-// footprint lives in one shard routes straight to that shard's optimistic
-// pipeline; a cross-shard merge runs the two-phase admit.
+// set forms the cluster set a reconnect carrying hm runs against: the shards
+// hm's footprint touches (shard 0 for an empty history).
+func (s *ShardedBase) set(hm *history.Augmented) *clusterSet {
+	involved := s.router.shardsOf(footprintOf(hm))
+	if len(involved) == 0 {
+		involved = []int{0}
+	}
+	cs := s.partition.set(s.cfg, involved, s.hookAfterPrepare)
+	if len(involved) == 1 {
+		// A shard-local reconnect reports through its shard's observer,
+		// which stamps the shard index on every event.
+		cs.cfg.Observer = cs.members[0].cfg.Observer
+	}
+	return cs
+}
+
+// setWithTokens forms the reconnect's cluster set plus its members'
+// checkout tokens, in member order.
+func (s *ShardedBase) setWithTokens(ck Checkout, hm *history.Augmented) (*clusterSet, []Checkout, error) {
+	if ck.Shards == nil {
+		ck = s.wireTokens(ck)
+	} else if len(ck.Shards) != len(s.shards) {
+		return nil, nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
+			ErrBadConfig, len(ck.Shards), len(s.shards))
+	}
+	cs := s.set(hm)
+	tokens := make([]Checkout, len(cs.involved))
+	for i, k := range cs.involved {
+		tokens[i] = ck.Shards[k]
+	}
+	return cs, tokens, nil
+}
+
+// Merge runs the merging protocol against the sharded tier, over the set of
+// shards the history's footprint touches.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].Merge(ck, hm)
 	}
-	if ck.Shards == nil {
-		ck = s.wireTokens(ck)
-	} else if len(ck.Shards) != len(s.shards) {
-		return nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
-			ErrBadConfig, len(ck.Shards), len(s.shards))
+	cs, tokens, err := s.setWithTokens(ck, hm)
+	if err != nil {
+		return nil, err
 	}
-	involved := s.router.shardsOf(footprintOf(hm))
-	if len(involved) <= 1 {
-		k := 0
-		if len(involved) == 1 {
-			k = involved[0]
-		}
-		return s.shards[k].Merge(ck.Shards[k], hm)
-	}
-	return s.mergeCross(ck, hm, involved)
+	return cs.merge(ck.MobileID, tokens, hm)
 }
 
 // wireTokens synthesizes the per-shard tokens of a checkout that crossed
@@ -688,576 +704,30 @@ func (s *ShardedBase) wireTokens(ck Checkout) Checkout {
 	return ck
 }
 
-// Preview reports what a cross-shard (or routed) merge would do right now
-// without committing anything, like BaseCluster.Preview.
+// Preview reports what a merge would do right now without committing
+// anything, like BaseCluster.Preview.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].Preview(ck, hm)
 	}
-	if ck.Shards == nil {
-		ck = s.wireTokens(ck)
-	} else if len(ck.Shards) != len(s.shards) {
-		return nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
-			ErrBadConfig, len(ck.Shards), len(s.shards))
+	cs, tokens, err := s.setWithTokens(ck, hm)
+	if err != nil {
+		return nil, err
 	}
-	involved := s.router.shardsOf(footprintOf(hm))
-	if len(involved) <= 1 {
-		k := 0
-		if len(involved) == 1 {
-			k = involved[0]
-		}
-		return s.shards[k].Preview(ck.Shards[k], hm)
-	}
-	parts, fb := s.crossSnapshots(ck, involved)
-	switch fb {
-	case FallbackNone:
-	case FallbackWindowExpired:
-		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrWindowExpired)
-	default:
-		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
-	}
-	snap := combineParts(parts, -1)
-	return merge.Merge(hm, snap.hb, s.cfg.MergeOptions)
+	return cs.preview(tokens, hm)
 }
 
 // Reprocess runs the original two-tier protocol against the sharded tier,
-// routing each tentative transaction to its shard (or across shards).
+// re-executing each tentative transaction on its shard (or across shards).
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Reprocess(hm *history.Augmented) *ConnectOutcome {
 	if len(s.shards) == 1 {
 		return s.shards[0].Reprocess(hm)
 	}
-	start := s.spanStart()
-	out := s.reprocessAcross(hm, FallbackNone)
-	s.emit(obs.Event{
-		Phase:      obs.PhaseReprocess,
-		Detail:     "sharded",
-		Dur:        sinceSpan(start),
-		Reexecuted: out.Reprocessed,
-		Failed:     out.Failed,
-	})
-	return out
-}
-
-// reprocessAcross re-executes every transaction of hm, holding every
-// involved shard's mutex for the duration so the fallback installs as one
-// atomic unit, exactly like the unsharded fallbackReprocess under b.mu.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) reprocessAcross(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
-	involved := s.router.shardsOf(footprintOf(hm))
-	if len(involved) == 0 {
-		involved = []int{0}
-	}
-	bs := s.clustersOf(involved)
-	lockClusters(bs)
-	out := s.fallbackReprocessLocked(hm, reason, s.shards[involved[0]])
-	unlockClusters(bs)
-	if err := syncShards(bs); err != nil {
-		panic(fmt.Sprintf("replica: base journal failed: %v", err))
-	}
-	return out
-}
-
-// fallbackReprocessLocked is the sharded fallbackReprocess: every
-// transaction of hm re-executed in order, shard-local ones on their own
-// shard, cross-shard ones through the slice installer. Caller holds the
-// mutex of every shard hm's footprint touches; home takes the
-// merge-level charges.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) fallbackReprocessLocked(hm *history.Augmented, reason FallbackReason, home *BaseCluster) *ConnectOutcome {
-	out := &ConnectOutcome{Fallback: reason}
-	if reason != FallbackNone {
-		home.counters.Update(func(c *cost.Counts) { c.MergeFallbacks++ })
-	}
-	for i := 0; i < hm.H.Len(); i++ {
-		if s.reprocessOneLocked(hm.H.Txn(i), hm.Effects[i], home) {
-			out.Reprocessed++
-		} else {
-			out.Failed++
-		}
-	}
-	return out
-}
-
-// reprocessOneLocked re-executes one tentative transaction: on its own
-// shard when the footprint is shard-local (that shard's mutex is held —
-// the transaction came from a history whose shards are all locked), via
-// the cross-shard path otherwise.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect, home *BaseCluster) bool {
-	shards := s.router.shardsOf(t.StaticReadSet().Union(t.StaticWriteSet()))
-	if len(shards) <= 1 {
-		b := home
-		if len(shards) == 1 {
-			b = s.shards[shards[0]]
-		}
-		return b.reprocessOne(t, tentEff)
-	}
-	return s.crossReprocessOneLocked(t, tentEff, home)
-}
-
-// crossReprocessOneLocked re-executes one cross-shard tentative
-// transaction as a base transaction over the combined owned state and
-// installs it as restricted slices with a shared global identity. Caller
-// holds every involved shard's mutex; home takes the communication and
-// compute charges (the per-shard forced writes land on each shard).
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) crossReprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect, home *BaseCluster) bool {
-	w := s.cfg.Weights
-	home.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
-	home.counters.Msg(w, w.ResultBytes)
-	base := &tx.Transaction{
-		ID:          t.ID + "@base",
-		Type:        t.Type,
-		Kind:        tx.Base,
-		Params:      t.Params,
-		Body:        t.Body,
-		InverseBody: t.InverseBody,
-	}
-	scratch := s.gatherLocked(base.StaticReadSet().Union(base.StaticWriteSet()))
-	eff, err := base.ExecInPlace(scratch, nil)
-	nLocks := int64(len(base.StaticReadSet().Union(base.StaticWriteSet())))
-	home.counters.Update(func(c *cost.Counts) {
-		c.BaseTransforms++
-		c.BaseQueries += int64(base.StmtCount())
-		c.BaseLocks += nLocks
-		c.TxnsReprocessed++
-		c.MobileReports++
-	})
-	if err != nil {
-		return false
-	}
-	if s.cfg.Acceptance != nil && tentEff != nil {
-		if aerr := s.cfg.Acceptance(t, tentEff, eff); aerr != nil {
-			return false
-		}
-	}
-	s.installSlicesLocked(base, eff)
-	return true
-}
-
-// shardPart is one involved shard's view of a cross-shard merge: the
-// shard, its checkout token, its validated prefix snapshot and the
-// cross-shard identities parallel to the snapshot's entries.
-type shardPart struct {
-	idx  int
-	b    *BaseCluster
-	ck   Checkout
-	snap prefixSnapshot
-	refs []*crossTxn
-}
-
-// crossSnapshots captures each involved shard's prefix snapshot (short
-// per-shard critical sections, no global lock). Inconsistencies between
-// the staggered snapshots are caught by the per-shard revalidation at
-// admission, exactly as single-shard prepares are.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) crossSnapshots(ck Checkout, involved []int) ([]*shardPart, FallbackReason) {
-	parts := make([]*shardPart, 0, len(involved))
-	for _, k := range involved {
-		b := s.shards[k]
-		b.mu.Lock()
-		snap, fb := b.snapshotLocked(ck.Shards[k])
-		if fb != FallbackNone {
-			b.mu.Unlock()
-			return nil, fb
-		}
-		refs := b.crossRefsLocked(snap.pos)
-		b.mu.Unlock()
-		parts = append(parts, &shardPart{idx: k, b: b, ck: ck.Shards[k], snap: snap, refs: refs})
-	}
-	return parts, FallbackNone
-}
-
-// combineParts interleaves the involved shards' prefix snapshots into one
-// combined serial base view. Shard-local entries are item-disjoint across
-// shards, so any interleaving preserving each shard's order is a legal
-// serial history; cross-shard slices are deduplicated into their global
-// identity (full transaction, full effect) and emitted at a position
-// consistent with every involved shard — the position every slice has
-// reached, which exists because cross-shard installs append to all their
-// shards atomically and snapshots are taken in ascending shard order.
-// structVer is a caller-chosen synthetic version; cross-shard retries pass
-// strictly decreasing values so prepareMerge always rebuilds (per-shard
-// suffixes cannot be grafted onto a combined graph).
-func combineParts(parts []*shardPart, structVer int64) prefixSnapshot {
-	type ref struct{ part, pos int }
-	where := make(map[*crossTxn][]ref)
-	total := 0
-	for pi, p := range parts {
-		total += len(p.refs)
-		for i, g := range p.refs {
-			if g != nil {
-				where[g] = append(where[g], ref{pi, i})
-			}
-		}
-	}
-	entries := make([]history.Entry, 0, total)
-	effects := make([]*tx.Effect, 0, total)
-	ptr := make([]int, len(parts))
-	emitted := make(map[*crossTxn]bool)
-	ready := func(g *crossTxn) bool {
-		for _, r := range where[g] {
-			if ptr[r.part] < r.pos {
-				return false
-			}
-		}
-		return true
-	}
-	emitCross := func(g *crossTxn) {
-		entries = append(entries, history.Entry{T: g.t})
-		effects = append(effects, g.eff)
-		emitted[g] = true
-	}
-	for {
-		progress := false
-		for pi, p := range parts {
-			for ptr[pi] < len(p.refs) {
-				i := ptr[pi]
-				g := p.refs[i]
-				switch {
-				case g == nil:
-					entries = append(entries, p.snap.hb.H.Entries[i])
-					effects = append(effects, p.snap.hb.Effects[i])
-				case emitted[g]:
-					// A sibling slice already emitted the global entry.
-				case ready(g):
-					emitCross(g)
-				default:
-					// Blocked on another shard's pointer; let it advance.
-					goto nextPart
-				}
-				ptr[pi]++
-				progress = true
-			}
-		nextPart:
-		}
-		done := true
-		for pi, p := range parts {
-			if ptr[pi] < len(p.refs) {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if !progress {
-			// Unreachable when snapshots respect the atomic cross-install
-			// order; break the tie deterministically instead of spinning.
-			for pi, p := range parts {
-				if ptr[pi] < len(p.refs) {
-					emitCross(p.refs[ptr[pi]])
-					ptr[pi]++
-					break
-				}
-			}
-		}
-	}
-	hb := &history.Augmented{H: &history.History{Entries: entries}, Effects: effects}
-	return prefixSnapshot{
-		windowID:  parts[0].snap.windowID,
-		structVer: structVer,
-		histLen:   len(entries),
-		pos:       0,
-		hb:        hb,
-	}
-}
-
-// mergeCross is the two-phase cross-shard merge: optimistic attempts
-// (per-shard snapshots, combined prepare, all-shards validate-and-admit)
-// followed by a serial round holding every involved shard's mutex, which
-// cannot be invalidated. Mirrors mergePipelined's shape and events, with
-// Detail "cross-shard".
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) mergeCross(ck Checkout, hm *history.Augmented, involved []int) (*ConnectOutcome, error) {
-	attempts := s.cfg.MergeAttempts
-	if attempts == 0 {
-		attempts = defaultMergeAttempts
-	}
-	home := s.shards[involved[0]]
-	seq := home.mergeSeq.Add(1)
-	mergeStart := s.spanStart()
-	finish := func(out *ConnectOutcome, err error) (*ConnectOutcome, error) {
-		if s.cfg.Observer == nil {
-			return out, err
-		}
-		ev := obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseMerge, Detail: "cross-shard", Dur: sinceSpan(mergeStart),
-		}
-		if err != nil {
-			ev.Err = err.Error()
-		} else if out != nil {
-			if out.Fallback != FallbackNone {
-				s.emit(obs.Event{
-					Mobile: ck.MobileID, Seq: seq,
-					Phase: obs.PhaseFallback, Detail: "cross-shard",
-					Cause: obs.Cause(out.Fallback),
-				})
-			}
-			ev.Saved = out.Saved
-			ev.BackedOut = len(out.BadIDs)
-			ev.Reexecuted = out.Reprocessed
-			ev.Failed = out.Failed
-		}
-		s.emit(ev)
-		return out, err
-	}
-	var prev *preparedMerge
-	var synthVer int64
-	for attempt := 1; attempt <= attempts; attempt++ {
-		snapStart := s.spanStart()
-		parts, fb := s.crossSnapshots(ck, involved)
-		if fb != FallbackNone {
-			return finish(s.reprocessAcross(hm, fb), nil)
-		}
-		synthVer--
-		snap := combineParts(parts, synthVer)
-		s.emit(obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseSnapshot, Detail: "cross-shard",
-			Attempt: attempt, Dur: sinceSpan(snapStart),
-		})
-		p, err := prepareMerge(s.cfg, snap, hm, prev, bindMerge(s.cfg.Observer, ck.MobileID, seq, attempt))
-		if err != nil {
-			return finish(nil, err)
-		}
-		if h := s.hookAfterPrepare; h != nil {
-			h(attempt)
-		}
-		admitStart := s.spanStart()
-		out, admitted, cause, err := s.crossAdmit(ck, hm, p, parts)
-		if err != nil {
-			return finish(nil, err)
-		}
-		s.emit(obs.Event{
-			Mobile: ck.MobileID, Seq: seq,
-			Phase: obs.PhaseAdmit, Detail: "cross-shard",
-			Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
-		})
-		if admitted {
-			// Force the installed slices before the mobile node treats
-			// its tentative work as saved.
-			if serr := syncShards(s.clustersOf(involved)); serr != nil {
-				return finish(nil, serr)
-			}
-			return finish(out, nil)
-		}
-		prev = p
-	}
-	// Serial round: snapshot, prepare and install under every involved
-	// shard's mutex — immune to invalidation by construction.
-	serialStart := s.spanStart()
-	bs := s.clustersOf(involved)
-	lockClusters(bs)
-	out, err := s.mergeCrossSerialLocked(ck, hm, involved, prev, synthVer-1)
-	unlockClusters(bs)
-	if err == nil {
-		err = syncShards(bs)
-	}
-	if attempts < 0 {
-		attempts = 0
-	}
-	s.emit(obs.Event{
-		Mobile: ck.MobileID, Seq: seq,
-		Phase: obs.PhaseSerial, Detail: "cross-shard",
-		Attempt: attempts, Dur: sinceSpan(serialStart),
-	})
-	return finish(out, err)
-}
-
-// mergeCrossSerialLocked is the serial cross-shard round. Caller holds
-// every involved shard's mutex. The carried prev still applies: the
-// prepare rebuilds (combined views are never grafted) without re-billing
-// the upload. The observer passed down is nil — no user events can fire
-// under the held shard mutexes.
-//
-//tiermerge:locks(shard)
-//tiermerge:buffered-events
-func (s *ShardedBase) mergeCrossSerialLocked(ck Checkout, hm *history.Augmented, involved []int, prev *preparedMerge, synthVer int64) (*ConnectOutcome, error) {
-	home := s.shards[involved[0]]
-	parts := make([]*shardPart, 0, len(involved))
-	for _, k := range involved {
-		b := s.shards[k]
-		snap, fb := b.snapshotLocked(ck.Shards[k])
-		if fb != FallbackNone {
-			return s.fallbackReprocessLocked(hm, fb, home), nil
-		}
-		parts = append(parts, &shardPart{idx: k, b: b, ck: ck.Shards[k], snap: snap, refs: b.crossRefsLocked(snap.pos)})
-	}
-	snap := combineParts(parts, synthVer)
-	p, err := prepareMerge(s.cfg, snap, hm, prev, nil)
-	if err != nil {
-		return nil, err
-	}
-	return s.crossInstallLocked(ck, hm, p, parts)
-}
-
-// crossAdmit is the cross-shard admission: acquire the merge's item locks
-// across the involved shards' lock managers (global sorted order,
-// deadlock retry), then the shard mutexes in ascending order, revalidate
-// every shard and install — or classify the retry.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) crossAdmit(ck Checkout, hm *history.Augmented, p *preparedMerge, parts []*shardPart) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	owner, items, writes := p.lockPlan(ck.MobileID)
-	if len(items) > 0 {
-		for attempt := 0; ; attempt++ {
-			if lockErr := s.acquireAcross(owner, items, writes); lockErr != nil {
-				s.releaseAcross(owner)
-				if errors.Is(lockErr, lockmgr.ErrDeadlock) && attempt < 10 {
-					continue
-				}
-				return nil, false, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", ck.MobileID, lockErr)
-			}
-			break
-		}
-		defer s.releaseAcross(owner)
-	}
-	bs := make([]*BaseCluster, len(parts))
-	for i, part := range parts {
-		bs[i] = part.b
-	}
-	lockClusters(bs)
-	out, admitted, cause, err = s.crossAdmitLocked(ck, hm, p, parts)
-	unlockClusters(bs)
-	return out, admitted, cause, err
-}
-
-// crossAdmitLocked validates the prepared cross-shard merge against every
-// involved shard's live history and installs it on success. Caller holds
-// every involved shard's mutex (and the merge's item locks). The
-// extension check runs against each shard's restricted entry effects —
-// exact, because the merge footprint's intersection with a shard's items
-// is precisely what that shard's restricted views carry.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) crossAdmitLocked(ck Checkout, hm *history.Augmented, p *preparedMerge, parts []*shardPart) (out *ConnectOutcome, admitted bool, cause obs.Cause, err error) {
-	for _, part := range parts {
-		if part.ck.WindowID != part.b.windowID {
-			return s.fallbackReprocessLocked(hm, FallbackWindowExpired, parts[0].b), true, obs.CauseWindowExpired, nil
-		}
-	}
-	for _, part := range parts {
-		if part.snap.structVer != part.b.structVer {
-			return nil, false, obs.CauseStructChanged, nil
-		}
-		for i := part.snap.histLen; i < len(part.b.entries); i++ {
-			if !p.extensionInvisible(part.b.entries[i].eff) {
-				return nil, false, obs.CauseExtensionConflict, nil
-			}
-		}
-	}
-	out, err = s.crossInstallLocked(ck, hm, p, parts)
-	return out, true, obs.CauseNone, err
-}
-
-// crossInstallLocked commits a validated cross-shard merge: charge the
-// deltas to the home shard (the lowest involved index — deterministic, so
-// aggregate counters stay schedule-independent), install the forwarded
-// updates across shards, and re-execute the backed-out transactions.
-// Caller holds every involved shard's mutex.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) crossInstallLocked(ck Checkout, hm *history.Augmented, p *preparedMerge, parts []*shardPart) (*ConnectOutcome, error) {
-	home := parts[0].b
-	home.counters.Add(p.deltaPrepare)
-	if p.insertConflict {
-		return s.fallbackReprocessLocked(hm, FallbackInsertConflict, home), nil
-	}
-	home.counters.Add(p.deltaCommit)
-	home.counters.Update(func(c *cost.Counts) { c.CrossShardMerges++ })
-	s.installForwardedCrossLocked(ck.MobileID, p.rep.ForwardUpdates, p.rep.ForwardDeltas, parts)
-	out := &ConnectOutcome{Merged: true, Report: p.rep, BadIDs: p.rep.BadIDs, Saved: len(p.rep.SavedIDs)}
-	for _, t := range p.rep.Reexecute {
-		if s.reprocessOneLocked(t, p.effByTxn[t], home) {
-			out.Reprocessed++
-		} else {
-			out.Failed++
-		}
-	}
-	return out, nil
-}
-
-// installForwardedCrossLocked installs a cross-shard merge's forwarded
-// write-back (repaired values plus net deltas). Updates confined to one
-// shard go through that shard's ordinary installForwarded; updates
-// spanning shards become one global forwarded transaction (the "XU"
-// namespace) installed as per-shard slices sharing its identity, each at
-// its shard's strategy position. Caller holds every involved shard's
-// mutex.
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) installForwardedCrossLocked(mobileID string, values, deltas map[model.Item]model.Value, parts []*shardPart) {
-	if len(values)+len(deltas) == 0 {
-		return
-	}
-	valsBy := make(map[int]map[model.Item]model.Value)
-	delsBy := make(map[int]map[model.Item]model.Value)
-	hit := make(map[int]int)
-	split := func(by map[int]map[model.Item]model.Value, src map[model.Item]model.Value) {
-		for it, v := range src {
-			k := s.router.Shard(it)
-			if by[k] == nil {
-				by[k] = make(map[model.Item]model.Value)
-			}
-			by[k][it] = v
-			hit[k]++
-		}
-	}
-	split(valsBy, values)
-	split(delsBy, deltas)
-	insertAt := func(part *shardPart, n int) int {
-		if s.cfg.Origin == Strategy1 && n > 0 {
-			return part.snap.pos
-		}
-		return len(part.b.entries)
-	}
-	if len(hit) == 1 {
-		for _, part := range parts {
-			if n := hit[part.idx]; n > 0 {
-				part.b.installForwarded(mobileID, valsBy[part.idx], delsBy[part.idx], insertAt(part, n))
-			}
-		}
-		return
-	}
-	gt := s.crossForwardTxn(mobileID, values, deltas)
-	geff, err := gt.ExecInPlace(s.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
-	if err != nil {
-		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
-	}
-	g := &crossTxn{t: gt, eff: geff}
-	for _, part := range parts {
-		n := hit[part.idx]
-		if n == 0 {
-			continue
-		}
-		slice := s.sliceTxn(gt, geff, part.idx, deltas)
-		slice.Type = "forwarded-updates"
-		part.b.installForwardTxn(slice, n, insertAt(part, n), g)
-	}
-}
-
-// crossForwardTxn builds the global forwarded-updates transaction of a
-// cross-shard merge. Like forwardTxn its read set equals its write set;
-// the "XU" prefix and the tier-wide sequence keep its ID (and its slices'
-// IDs) disjoint from every shard's own forward transactions.
-func (s *ShardedBase) crossForwardTxn(mobileID string, values, deltas map[model.Item]model.Value) *tx.Transaction {
-	return &tx.Transaction{
-		ID:   fmt.Sprintf("XU%s.%d", mobileID, s.crossSeq.Add(1)),
-		Type: "forwarded-updates",
-		Kind: tx.Base,
-		Body: forwardBody(values, deltas),
-	}
+	return s.set(hm).reprocess(hm)
 }
 
 // WritePrometheus renders the aggregated cost counters plus per-shard

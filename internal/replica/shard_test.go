@@ -7,13 +7,14 @@ import (
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/model"
+	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
 
 // Tests for the sharded base tier: routing determinism, N=1 parity with
 // the plain cluster, serial-order equivalence of concurrent sharded
-// reconnects, counter parity across admission modes, cross-shard
+// reconnects, counter parity with the plain cluster, cross-shard
 // two-phase merges against the single-shard baseline, the window
 // barrier, and an all-shards-contended deadlock smoke. The suite runs
 // under -race in scripts/check.sh.
@@ -191,27 +192,47 @@ func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
 	}
 }
 
-// TestShardedCountersMatchSerialAdmission: on the disjoint fleet the
-// batched per-shard admission queues must charge exactly what
-// Config.SerialAdmission charges. The exclusions follow the E13/E15
-// convention: BaseGraphOps/BaseBackoutOps scale with the observed base
-// prefix and MergeRetries/AdmitBatches describe the pipeline's shape,
-// not work the serial baseline performs.
-func TestShardedCountersMatchSerialAdmission(t *testing.T) {
+// TestShardedCountersMatchPlainCluster: on the disjoint fleet a 4-shard
+// tier must charge exactly what a plain NewBaseCluster charges — the
+// shard-local merges run the same one-member routine the unsharded base
+// does. The exclusions follow the E13/E15 convention:
+// BaseGraphOps/BaseBackoutOps scale with the observed base prefix (shorter
+// per shard) and MergeRetries/AdmitBatches describe the schedule's shape,
+// not work the protocol prescribes. The one protocol difference is the
+// checkout download, which a sharded tier ships as one message per shard.
+func TestShardedCountersMatchPlainCluster(t *testing.T) {
 	const n, shards = 8, 4
-	run := func(serial bool) cost.Counts {
-		s, ms := shardedDisjointFleet(t, shards, n, Config{SerialAdmission: serial})
-		connectAllSharded(t, ms)
-		return s.Counters()
+	b := NewBaseCluster(shardFleetOrigin(n), Config{})
+	ms := make([]*MobileNode, n)
+	for i := range ms {
+		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
+		for k := 0; k < 3; k++ {
+			if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d.%d", i, k), tx.Tentative, shardAcct(i), 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	ser := run(true)
-	bat := run(false)
-	ser.BaseGraphOps, bat.BaseGraphOps = 0, 0
-	ser.BaseBackoutOps, bat.BaseBackoutOps = 0, 0
-	ser.MergeRetries, bat.MergeRetries = 0, 0
-	ser.AdmitBatches, bat.AdmitBatches = 0, 0
-	if ser != bat {
-		t.Errorf("counter totals diverged:\nserial  %+v\nbatched %+v", ser, bat)
+	connectAllSharded(t, ms)
+	plain := b.Counters().Snapshot()
+
+	s, ms := shardedDisjointFleet(t, shards, n, Config{})
+	connectAllSharded(t, ms)
+	sharded := s.Counters()
+
+	// Two checkouts per mobile (initial, post-merge), shards-1 extra
+	// messages each.
+	extra := int64(2 * n * (shards - 1))
+	sharded.Messages -= extra
+	sharded.Bytes -= extra * s.Weights().MsgOverheadBytes
+	plain.BaseGraphOps, sharded.BaseGraphOps = 0, 0
+	plain.BaseBackoutOps, sharded.BaseBackoutOps = 0, 0
+	plain.MergeRetries, sharded.MergeRetries = 0, 0
+	plain.AdmitBatches, sharded.AdmitBatches = 0, 0
+	if plain != sharded {
+		t.Errorf("counter totals diverged:\nplain   %+v\nsharded %+v", plain, sharded)
+	}
+	if !b.Master().Equal(s.Master()) {
+		t.Errorf("masters diverged:\nplain   %s\nsharded %s", b.Master(), s.Master())
 	}
 }
 
@@ -475,5 +496,109 @@ func TestCrossShardRetryUploadParity(t *testing.T) {
 	if retried.BaseGraphOps <= single.BaseGraphOps {
 		t.Errorf("BaseGraphOps = %d after a retried rebuild, want > %d (failed attempt's work dropped?)",
 			retried.BaseGraphOps, single.BaseGraphOps)
+	}
+}
+
+// TestSetSizeRetryThenSerialParity drives one scenario — both optimistic
+// rounds invalidated by a base assignment committed between prepare and
+// admit, then the serial round — through a cluster set of size 1 (plain
+// cluster) and size 2 (cross-shard). The one routine must produce the same
+// master, the same outcome and the same phase sequence for both; only the
+// event Detail tag and extend-vs-rebuild (a one-member retry extends its
+// graph, a combined view rebuilds) may tell them apart. It also pins the
+// admission accounting: every admission critical section entered — two
+// failed optimistic ones plus the serial round's — counts, whatever the set
+// size.
+func TestSetSizeRetryThenSerialParity(t *testing.T) {
+	type step struct {
+		phase   obs.Phase
+		attempt int
+		cause   obs.Cause
+	}
+	type result struct {
+		master model.State
+		out    ConnectOutcome
+		steps  []step
+		counts cost.Counts
+	}
+	run := func(t *testing.T, shards int) result {
+		tr := obs.NewTracer()
+		s := NewShardedBase(fleetOrigin(), shards, Config{Observer: tr, MergeAttempts: 2, ShardFn: splitA1})
+		m := NewShardedMobileNode("m0", s)
+		for i, it := range []model.Item{"a1", "a2"} {
+			if err := m.Run(workload.Deposit(fmt.Sprintf("T%d", i), tx.Tentative, it, 5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fired := 0
+		hook := func(attempt int) {
+			fired++
+			if err := s.ExecBase(workload.SetPrice(fmt.Sprintf("B%d", attempt), tx.Base, "a1", model.Value(200+attempt))); err != nil {
+				t.Error(err)
+			}
+		}
+		s.hookAfterPrepare, s.Shard(0).hookAfterPrepare = hook, hook
+		out, err := m.ConnectMerge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fired != 2 {
+			t.Fatalf("hook fired %d times, want once per optimistic round (2)", fired)
+		}
+		traces := tr.Merges()
+		if len(traces) != 1 {
+			t.Fatalf("got %d merge traces, want 1", len(traces))
+		}
+		validateTrace(t, traces[0])
+		res := result{master: s.Master(), out: *out, counts: s.Counters()}
+		res.out.Report = nil
+		wantDetail := ""
+		if shards > 1 {
+			wantDetail = "cross-shard"
+		}
+		for _, ev := range traces[0].Events {
+			switch ev.Phase {
+			case obs.PhaseSnapshot, obs.PhaseAdmit, obs.PhaseSerial, obs.PhaseMerge:
+				if ev.Detail != wantDetail {
+					t.Errorf("%s event carries Detail %q, want %q", ev.Phase, ev.Detail, wantDetail)
+				}
+			}
+			phase := ev.Phase
+			if phase == obs.PhaseExtend {
+				phase = obs.PhaseGraph
+			}
+			res.steps = append(res.steps, step{phase, ev.Attempt, ev.Cause})
+		}
+		return res
+	}
+	one, two := run(t, 1), run(t, 2)
+	if !one.master.Equal(two.master) {
+		t.Errorf("masters diverged:\nsize 1 %s\nsize 2 %s", one.master, two.master)
+	}
+	if fmt.Sprintf("%+v", one.out) != fmt.Sprintf("%+v", two.out) {
+		t.Errorf("outcomes diverged:\nsize 1 %+v\nsize 2 %+v", one.out, two.out)
+	}
+	if fmt.Sprint(one.steps) != fmt.Sprint(two.steps) {
+		t.Errorf("phase sequences diverged:\nsize 1 %v\nsize 2 %v", one.steps, two.steps)
+	}
+	for size, r := range map[int]result{1: one, 2: two} {
+		if r.counts.AdmitBatches != 3 {
+			t.Errorf("size %d: AdmitBatches = %d, want 3 (two failed optimistic admissions + the serial round)", size, r.counts.AdmitBatches)
+		}
+		if r.counts.MergesPerformed != 1 || r.counts.CrossShardMerges != int64(size-1) {
+			t.Errorf("size %d: merges=%d cross=%d, want 1 and %d", size, r.counts.MergesPerformed, r.counts.CrossShardMerges, size-1)
+		}
+	}
+	var serial int
+	for _, st := range one.steps {
+		if st.phase == obs.PhaseSerial {
+			serial++
+			if st.attempt != 2 {
+				t.Errorf("serial-degrade mark carries attempt %d, want the exhausted budget 2", st.attempt)
+			}
+		}
+	}
+	if serial != 1 {
+		t.Errorf("saw %d serial-degrade marks, want 1: %v", serial, one.steps)
 	}
 }

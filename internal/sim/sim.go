@@ -121,10 +121,6 @@ type Scenario struct {
 	// prepare/admit budget before a merge degrades to the serial path
 	// (0 = default; -1 = always serial).
 	MergeAttempts int
-	// SerialAdmission forwards replica.Config.SerialAdmission: admit each
-	// prepared merge in its own critical section instead of batching
-	// queued disjoint merges (the E15 baseline).
-	SerialAdmission bool
 	// Observer forwards replica.Config.Observer: it receives a span event
 	// for every reconnect phase the scenario drives (nil = no
 	// observability overhead beyond a nil check).
@@ -206,14 +202,13 @@ func Run(sc Scenario) (*Result, error) {
 	sc = sc.withDefaults()
 	if sc.Shards > 0 {
 		cfg := replica.Config{
-			BaseNodes:       sc.BaseNodes,
-			Weights:         sc.Weights,
-			Origin:          sc.Origin,
-			MergeOptions:    sc.MergeOptions,
-			Acceptance:      sc.Acceptance,
-			MergeAttempts:   sc.MergeAttempts,
-			SerialAdmission: sc.SerialAdmission,
-			Observer:        sc.Observer,
+			BaseNodes:     sc.BaseNodes,
+			Weights:       sc.Weights,
+			Origin:        sc.Origin,
+			MergeOptions:  sc.MergeOptions,
+			Acceptance:    sc.Acceptance,
+			MergeAttempts: sc.MergeAttempts,
+			Observer:      sc.Observer,
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -229,14 +224,13 @@ func Run(sc Scenario) (*Result, error) {
 	})
 	origin := baseGen.OriginState()
 	cfg := replica.Config{
-		BaseNodes:       sc.BaseNodes,
-		Weights:         sc.Weights,
-		Origin:          sc.Origin,
-		MergeOptions:    sc.MergeOptions,
-		Acceptance:      sc.Acceptance,
-		MergeAttempts:   sc.MergeAttempts,
-		SerialAdmission: sc.SerialAdmission,
-		Observer:        sc.Observer,
+		BaseNodes:     sc.BaseNodes,
+		Weights:       sc.Weights,
+		Origin:        sc.Origin,
+		MergeOptions:  sc.MergeOptions,
+		Acceptance:    sc.Acceptance,
+		MergeAttempts: sc.MergeAttempts,
+		Observer:      sc.Observer,
 	}
 	// Scenarios are built from user input (flags); validate here so
 	// misconfiguration comes back as an error instead of the constructor's

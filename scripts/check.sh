@@ -95,20 +95,26 @@ echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) ==
 # rejection — all under the race detector.
 go test -race -count=1 ./internal/wire/
 
-echo "== race (incremental re-prepare parity + batched admission) =="
+echo "== race (incremental re-prepare parity) =="
 # Explicit gate for the retry-amortization invariants: incremental
-# re-prepare must match a from-scratch prepare (reports and counters),
-# uploads bill once per reconnect, and a disjoint fleet batches its
-# admission — all under the race detector.
-go test -race -count=1 -run 'IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce|BatchedAdmission|SerialAdmissionDiagnosticSwitch' ./internal/replica/
+# re-prepare must match a from-scratch prepare (reports and counters) and
+# uploads bill once per reconnect — under the race detector.
+go test -race -count=1 -run 'IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce' ./internal/replica/
 
 echo "== race (sharded base tier: two-phase cross-shard merges + window barrier) =="
 # Explicit gate for the sharding invariants: N=1 parity with the plain
 # cluster, serial-order equivalence of concurrent sharded reconnects,
-# admission-mode counter parity, cross-shard merges vs the single-shard
-# baseline, the checkout/advance window barrier, and the
+# counter parity with the plain cluster, cross-shard merges vs the
+# single-shard baseline, set-size-1 vs set-size-2 parity of the one merge
+# routine, the checkout/advance window barrier, and the
 # all-shards-contended deadlock smoke — all under the race detector.
-go test -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier' ./internal/replica/
+go test -race -count=1 -run 'TestShard|TestCrossShard|TestSetSize|TestWindowBarrier' ./internal/replica/
+
+echo "== bench module (the benchmark harness compiles against internal/...) =="
+# bench/ is its own module importing tiermerge/internal/...; vet and test it
+# here so an internal API change that breaks the harness fails locally and
+# in CI rather than in the benchmark pipeline.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== experiments (E0..E19) =="
 run_logged benchreport go run ./cmd/benchreport

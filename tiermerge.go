@@ -717,16 +717,6 @@ var (
 	WithObserver = replica.WithObserver
 )
 
-// ServeBase starts a server over a plain cluster.
-//
-// Deprecated: use Serve(b).
-func ServeBase(b *BaseCluster) *BaseServer { return replica.ServeBase(b) }
-
-// ServeShardedBase starts a server over a sharded base tier.
-//
-// Deprecated: use Serve(s).
-func ServeShardedBase(s *ShardedBase) *BaseServer { return replica.ServeShardedBase(s) }
-
 // DialBase checks a mobile client out from the server over its in-process
 // transport.
 func DialBase(id string, srv *BaseServer) (*MobileClient, error) {
