@@ -27,7 +27,6 @@ import (
 	"tiermerge/internal/replica"
 	"tiermerge/internal/rewrite"
 	"tiermerge/internal/sim"
-	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
@@ -770,9 +769,7 @@ func BenchmarkE19DurableStore(b *testing.B) {
 			var logBytes int64
 			for n := 0; n < b.N; n++ {
 				if backend == "mem" {
-					mcfg := cfg
-					mcfg.Store = store.NewMemory()
-					e19Day(b, replica.NewBaseCluster(origin, mcfg), windows, perWindow, 0)
+					e19Day(b, replica.NewBaseCluster(origin, cfg), windows, perWindow, 0)
 					continue
 				}
 				dir, err := os.MkdirTemp("", "tiermerge-e19-bench-")

@@ -22,7 +22,7 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:7600", "TCP listen address for the wire protocol (port 0 picks a free port)")
-		httpAddr = fs.String("http", "", "debug HTTP sidecar address serving /debug/tiermerge and /debug/tiermerge/prometheus (empty = off)")
+		httpAddr = fs.String("http", "", "debug HTTP sidecar address serving /debug/tiermerge, /debug/tiermerge/prometheus and /debug/pprof/ (empty = off)")
 		shards   = fs.Int("shards", 1, "base-tier shard count (1 = plain cluster)")
 		workers  = fs.Int("workers", 4, "server worker goroutines")
 		dropNth  = fs.Int64("drop", 0, "lose every nth mobile-facing response (fault injection; clients retry)")

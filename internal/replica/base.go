@@ -31,11 +31,6 @@ var ErrNotBase = errors.New("replica: transaction is not a base transaction")
 type baseEntry struct {
 	t   *tx.Transaction
 	eff *tx.Effect
-	// after is the state snapshot after this entry — nil when a storage
-	// engine serves per-position states from its version chains instead
-	// (Config.Store); stateAt and windowPrefix then materialize states
-	// from MVCC snapshots.
-	after model.State
 	// global, when non-nil, links a per-shard slice of a cross-shard
 	// transaction to its global identity (shard.go). The slice's t/eff are
 	// restricted to this shard's items — exact for single-shard merges,
@@ -74,11 +69,11 @@ type BaseCluster struct {
 	// structVer is bumped whenever the committed prefix of the current
 	// window changes shape other than by appending — interior inserts
 	// (Strategy 1) and window advances. Prepared merges validate against it
-	// at admission: an unchanged structVer means every base state a
-	// snapshot captured is still the state at that history position.
+	// at admission: an unchanged structVer means every base entry a
+	// snapshot captured is still the entry at that history position.
 	structVer int64
-	// prefix caches the materialized augmented view of the current window
-	// so merges stop rebuilding it from scratch (see windowPrefix).
+	// prefix caches the augmented view of the current window so merges stop
+	// rebuilding it from scratch (see windowPrefix).
 	prefix prefixCache
 
 	counters cost.Counters
@@ -94,11 +89,11 @@ type BaseCluster struct {
 	// deletes — losing acknowledged commits. Nil without a durable store.
 	ckptGate chan struct{}
 
-	// store, when non-nil, receives every committed entry's writes stamped
-	// with its (window, pos) history coordinate; per-position base states
-	// are then served from its MVCC snapshots (Config.Store). disk is the
-	// same engine when it is durable — the checkpoint/rotation target.
-	// Both are set at construction and immutable afterwards.
+	// store receives every committed entry's writes stamped with its
+	// (window, pos) history coordinate — the one per-position representation
+	// of the base state (stateAt). disk is the same engine when it is
+	// durable — the checkpoint/rotation target — and nil otherwise. Both are
+	// set at construction and immutable afterwards.
 	store store.Engine
 	disk  *store.Disk
 
@@ -146,49 +141,49 @@ func sinceSpan(start time.Time) time.Duration {
 	return time.Since(start)
 }
 
-// prefixCache incrementally materializes the current window's base history
-// as parallel entry/state/effect slices. The slices are append-only between
-// structVer bumps, so snapshots hand out capped subslices that stay valid
-// and race-free while the cache keeps growing behind them.
+// prefixCache incrementally builds the current window's base history as
+// parallel entry/effect slices — everything G(Hm, Hb) is built from. The
+// slices are append-only between structVer bumps, so snapshots hand out
+// capped subslices that stay valid and race-free while the cache keeps
+// growing behind them.
 type prefixCache struct {
 	windowID  int
 	structVer int64
 	entries   []history.Entry
-	states    []model.State
 	effects   []*tx.Effect
-	// snap pins the storage engine's version chains at the window origin
-	// while the cache is alive, so compaction cannot drop versions the
-	// cached states were materialized from. nil without a store.
-	snap *store.Snapshot
 }
 
-// NewBaseCluster builds a base cluster over the initial master state. It
-// panics when cfg fails (Config).Validate — misconfiguration is a
-// programming error, caught at construction instead of surfacing
-// mid-merge. Callers assembling configurations from user input should
-// Validate first.
+// NewBaseCluster builds a base cluster over the initial master state,
+// writing through an in-memory storage engine. It panics when cfg fails
+// (Config).Validate — misconfiguration is a programming error, caught at
+// construction instead of surfacing mid-merge. Callers assembling
+// configurations from user input should Validate first.
 func NewBaseCluster(initial model.State, cfg Config) *BaseCluster {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("replica: NewBaseCluster: %v", err))
 	}
-	cfg = cfg.withDefaults()
+	return newBaseCluster(initial, cfg, store.NewMemory())
+}
+
+// newBaseCluster builds a cluster over a validated cfg writing through eng
+// — OpenBase passes the durable engine it recovers from.
+func newBaseCluster(initial model.State, cfg Config, eng store.Engine) *BaseCluster {
+	disk, _ := eng.(*store.Disk)
 	b := &BaseCluster{
-		cfg:          cfg,
+		cfg:          cfg.withDefaults(),
 		lm:           lockmgr.New(),
 		master:       initial.Clone(),
 		windowID:     1,
 		windowOrigin: initial.Clone(),
-		store:        cfg.Store,
+		store:        eng,
+		disk:         disk,
 	}
-	if d, ok := cfg.Store.(*store.Disk); ok {
-		b.disk = d
+	if disk != nil {
 		b.ckptGate = make(chan struct{}, 1)
 	}
-	if b.store != nil {
-		// Seed the chains with the initial state at the first coordinate;
-		// every later watermark resolves through it.
-		b.store.Set(b.windowID, 0, b.master)
-	}
+	// Seed the chains with the initial state at the first coordinate; every
+	// later watermark resolves through it.
+	b.store.Set(b.windowID, 0, b.master)
 	b.solo = &partition{router: newShardRouter(1, nil), shards: []*BaseCluster{b}}
 	b.initFollowers()
 	return b
@@ -247,18 +242,15 @@ func (b *BaseCluster) AdvanceWindow() int {
 	b.windowOrigin = b.master.Clone()
 	b.entries = nil
 	b.structVer++
-	// The prefix cache describes the closed window: drop it and let the
-	// storage engine compact version chains below the new origin
-	// (satellite: the cache previously survived window advances and grew
-	// without bound).
-	b.trimPrefixLocked()
-	if b.store != nil {
-		// No explicit version is written at the new origin: a read at
-		// (windowID, 0) resolves to the newest version of the closed
-		// window, which is exactly the master state that became the
-		// origin. Compaction to that floor keeps one version per item.
-		b.store.Checkpoint(b.windowID, 0)
-	}
+	// The prefix cache describes the closed window: drop it rather than
+	// retain that window's transactions until the next merge, and let the
+	// storage engine compact version chains below the new origin. No
+	// explicit version is written there: a read at (windowID, 0) resolves to
+	// the newest version of the closed window, which is exactly the master
+	// state that became the origin. Compaction to that floor keeps one
+	// version per item.
+	b.prefix = prefixCache{}
+	b.store.Checkpoint(b.windowID, 0)
 	err := b.logWindow()
 	id := b.windowID
 	b.mu.Unlock()
@@ -270,20 +262,6 @@ func (b *BaseCluster) AdvanceWindow() int {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
 	return id
-}
-
-// trimPrefixLocked drops the prefix cache and releases its storage
-// snapshot. Called at window advance and checkpoint so a closed window's
-// materialized view is not retained indefinitely. Outstanding merge views
-// stay valid — they hold capped subslices whose backing arrays and states
-// survive the trim. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) trimPrefixLocked() {
-	if b.prefix.snap != nil {
-		b.prefix.snap.Release()
-	}
-	b.prefix = prefixCache{}
 }
 
 // syncJournal forces the base journal to stable media; every path that
@@ -353,8 +331,7 @@ func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
 	if err != nil {
 		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
 	}
-	b.entries = append(b.entries, baseEntry{t: t, eff: eff, after: b.entryAfter()})
-	b.storeCommit(len(b.entries), eff.Writes)
+	b.appendEntry(baseEntry{t: t, eff: eff})
 	b.chargeBaseExec(t, eff)
 	if err := b.logCommit(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
@@ -362,28 +339,15 @@ func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
 	return nil
 }
 
-// entryAfter returns the after-state to stamp on a committed entry: nil
-// when the storage engine serves per-position states from version chains,
-// a master clone otherwise. Caller holds b.mu.
+// appendEntry appends a committed entry at the history tail and records its
+// writes in the storage engine at its history coordinate (entry index i
+// lives at position i+1; position 0 is the window origin). Caller holds
+// b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) entryAfter() model.State {
-	if b.store != nil {
-		return nil
-	}
-	return b.master.Clone()
-}
-
-// storeCommit records a committed entry's writes in the storage engine at
-// its history coordinate (entry index i lives at position i+1; position 0
-// is the window origin). Caller holds b.mu, having already appended the
-// entry.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) storeCommit(pos int, writes map[model.Item]model.Value) {
-	if b.store != nil {
-		b.store.Set(b.windowID, pos, writes)
-	}
+func (b *BaseCluster) appendEntry(e baseEntry) {
+	b.entries = append(b.entries, e)
+	b.store.Set(b.windowID, len(b.entries), e.eff.Writes)
 }
 
 // acquireAll takes the item locks in the given order, waiting as needed;
@@ -419,22 +383,17 @@ func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 	b.propagate(t.ID, eff.Writes)
 }
 
-// stateAt returns the base state at history position pos of the current
-// window (0 = window origin). Caller holds b.mu.
+// stateAt materializes the base state at history position pos of the
+// current window (0 = window origin) from the storage engine's version
+// chains. It serves the Strategy 1 checkout-token check only — the merge
+// itself consults the base history through read/write sets, never states.
+// Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-//tiermerge:immutable
 func (b *BaseCluster) stateAt(pos int) model.State {
-	if pos == 0 {
-		return b.windowOrigin
-	}
-	if b.store != nil {
-		snap := b.store.SnapshotAt(b.windowID, pos)
-		st := snap.State()
-		snap.Release()
-		return st
-	}
-	return b.entries[pos-1].after
+	snap := b.store.SnapshotAt(b.windowID, pos)
+	defer snap.Release()
+	return snap.State()
 }
 
 // windowPrefix returns the current window's base history as capped views
@@ -443,53 +402,43 @@ func (b *BaseCluster) stateAt(pos int) model.State {
 //
 // The returned slices are safe to read without the lock: between structVer
 // bumps the cache only appends, appends touch indices past every
-// previously returned view's length, and the per-entry states are
-// immutable once stored (commits clone them; interior inserts replace them
-// and bump structVer, forcing a rebuild with fresh backing arrays).
+// previously returned view's length, and the transactions and effects the
+// elements point to are immutable once committed (an interior insert bumps
+// structVer, forcing a rebuild with fresh backing arrays).
 //
 //tiermerge:locks(cluster)
 //tiermerge:immutable
-func (b *BaseCluster) windowPrefix() (entries []history.Entry, states []model.State, effects []*tx.Effect) {
+func (b *BaseCluster) windowPrefix() (entries []history.Entry, effects []*tx.Effect) {
 	n := len(b.entries)
 	c := &b.prefix
-	if c.states == nil || c.windowID != b.windowID || c.structVer != b.structVer || len(c.entries) > n {
-		if c.snap != nil {
-			c.snap.Release()
-		}
-		c.windowID, c.structVer = b.windowID, b.structVer
-		c.entries = make([]history.Entry, 0, n+8)
-		c.states = append(make([]model.State, 0, n+9), b.windowOrigin)
-		c.effects = make([]*tx.Effect, 0, n+8)
-		c.snap = nil
-		if b.store != nil {
-			c.snap = b.store.SnapshotAt(b.windowID, 0)
+	if c.windowID != b.windowID || c.structVer != b.structVer || len(c.entries) > n {
+		*c = prefixCache{
+			windowID:  b.windowID,
+			structVer: b.structVer,
+			entries:   make([]history.Entry, 0, n+8),
+			effects:   make([]*tx.Effect, 0, n+8),
 		}
 	}
-	for i := len(c.entries); i < n; i++ {
-		e := b.entries[i]
+	for _, e := range b.entries[len(c.entries):] {
 		c.entries = append(c.entries, history.Entry{T: e.t})
-		if c.snap != nil {
-			c.states = append(c.states, c.snap.StateAt(i+1))
-		} else {
-			c.states = append(c.states, e.after)
-		}
 		c.effects = append(c.effects, e.eff)
 	}
-	return c.entries[:n:n], c.states[: n+1 : n+1], c.effects[:n:n]
+	return c.entries[:n:n], c.effects[:n:n]
 }
 
-// baseAugmented returns the base sub-history entries[pos:] as an augmented
-// history (the Hb a merge runs against), served from the prefix cache.
-// Caller holds b.mu; the result remains valid to read after the lock is
-// released (see windowPrefix).
+// baseAugmented returns the base sub-history entries[pos:] as the augmented
+// history a merge runs against: transactions and effects, no states — like
+// the combined cross-shard view (combineParts), since G(Hm, Hb) is built
+// from footprints alone. Served from the prefix cache. Caller holds b.mu;
+// the result remains valid to read after the lock is released (see
+// windowPrefix).
 //
 //tiermerge:locks(cluster)
 //tiermerge:immutable
 func (b *BaseCluster) baseAugmented(pos int) *history.Augmented {
-	entries, states, effects := b.windowPrefix()
+	entries, effects := b.windowPrefix()
 	return &history.Augmented{
 		H:       &history.History{Entries: entries[pos:]},
-		States:  states[pos:],
 		Effects: effects[pos:],
 	}
 }
@@ -559,38 +508,11 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect, after model.State) {
 	b.master = after
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
-	b.entries = append(b.entries, baseEntry{t: base, eff: eff, after: b.entryAfter()})
-	b.storeCommit(len(b.entries), eff.Writes)
+	b.appendEntry(baseEntry{t: base, eff: eff})
 	b.propagate(base.ID, eff.Writes)
 	if err := b.logCommit(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
-}
-
-// applyForwardTxn appends one forwarded-updates transaction of nUpd update
-// statements at the history tail, stamping g (may be nil) as its
-// cross-shard identity. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) applyForwardTxn(ft *tx.Transaction, nUpd int, g *crossTxn) int {
-	eff, err := ft.ExecInPlace(b.master, nil)
-	if err != nil {
-		// Constant and additive updates cannot fail; a failure is a
-		// programming error.
-		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
-	}
-	b.entries = append(b.entries, baseEntry{t: ft, eff: eff, after: b.entryAfter(), global: g})
-	b.storeCommit(len(b.entries), eff.Writes)
-	b.counters.Update(func(c *cost.Counts) {
-		c.BaseApplies += int64(nUpd)
-		c.BaseLocks += int64(nUpd)
-		c.BaseForcedWrites++
-	})
-	b.propagate(ft.ID, eff.Writes)
-	if err := b.logCommit(ft, eff); err != nil {
-		panic(fmt.Sprintf("replica: base journal failed: %v", err))
-	}
-	return len(b.entries) - 1
 }
 
 // Merge runs the merging protocol for a connected mobile node. It validates
@@ -612,10 +534,7 @@ func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome
 
 // installForwarded installs the forwarded write-back at the given history
 // position (always the tail under Strategy 2; possibly earlier under
-// Strategy 1, after the conflict check). For an interior insert the stored
-// after-states of later entries are patched — legal because the conflict
-// check guaranteed no later entry touches the forwarded items. Caller holds
-// b.mu.
+// Strategy 1, after the conflict check). Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) installForwarded(mobileID string, values, deltas map[model.Item]model.Value, at int) {
@@ -629,56 +548,44 @@ func (b *BaseCluster) installForwarded(mobileID string, values, deltas map[model
 // transaction of nUpd update statements, stamping g (may be nil) as its
 // cross-shard identity — the sharded coordinator builds per-shard slice
 // transactions itself so their IDs share the global transaction's
-// namespace. Caller holds b.mu.
+// namespace. The transaction executes on the master wherever its entry
+// lands: an interior insert passed the insert-conflict check, so no entry
+// after the insert position touches the forwarded items and their values
+// there equal the live ones — additive (delta) statements included. Caller
+// holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g *crossTxn) {
-	if at >= len(b.entries) {
-		b.applyForwardTxn(ft, nUpd, g)
-		return
-	}
-	st := b.stateAt(at).Clone()
-	eff, err := ft.ExecInPlace(st, nil)
+	eff, err := ft.ExecInPlace(b.master, nil)
 	if err != nil {
+		// Constant and additive updates cannot fail; a failure is a
+		// programming error.
 		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
 	}
-	entry := baseEntry{t: ft, eff: eff, after: st, global: g}
-	if b.store != nil {
-		entry.after = nil
-	}
-	b.entries = append(b.entries, baseEntry{})
-	copy(b.entries[at+1:], b.entries[at:])
-	b.entries[at] = entry
-	// The prefix changed shape in the middle: invalidate every outstanding
-	// snapshot and the cache built over the old arrangement.
-	b.structVer++
-	if b.store != nil {
-		// The engine shifts every version of this window at position
-		// > at up one and lands the writes at the insert position; the
-		// patched per-position states follow from version resolution
-		// (the conflict check guaranteed no later entry touches the
-		// forwarded items).
-		b.store.InsertAt(b.windowID, at+1, eff.Writes)
+	entry := baseEntry{t: ft, eff: eff, global: g}
+	if at >= len(b.entries) {
+		b.appendEntry(entry)
 	} else {
-		// Patch with the executed write images: exact for additive (delta)
-		// statements too, because the conflict check guaranteed no later
-		// entry touches the forwarded items, so the value at the insert
-		// position equals the live one.
-		for i := at + 1; i < len(b.entries); i++ {
-			b.entries[i].after = b.entries[i].after.Clone().Apply(eff.Writes)
-		}
+		b.entries = append(b.entries, baseEntry{})
+		copy(b.entries[at+1:], b.entries[at:])
+		b.entries[at] = entry
+		// The prefix changed shape in the middle: invalidate every outstanding
+		// snapshot and the cache built over the old arrangement. The engine
+		// shifts every version of this window at position > at up one and
+		// lands the writes at the insert position; the per-position states
+		// past it follow from version resolution.
+		b.structVer++
+		b.store.InsertAt(b.windowID, at+1, eff.Writes)
 	}
-	b.master.Apply(eff.Writes)
 	b.counters.Update(func(c *cost.Counts) {
 		c.BaseApplies += int64(nUpd)
 		c.BaseLocks += int64(nUpd)
 		c.BaseForcedWrites++
 	})
 	b.propagate(ft.ID, eff.Writes)
-	// The journal is value-ordered, not position-ordered: replaying the
-	// forwarded transaction last still lands on the same master state
-	// because the insert-conflict check guaranteed no later committed entry
-	// touches these items.
+	// The journal is value-ordered, not position-ordered: replaying an
+	// interior insert last still lands on the same master state, by the same
+	// insert-conflict guarantee.
 	if err := b.logCommit(ft, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}

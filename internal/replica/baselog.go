@@ -6,6 +6,7 @@ import (
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/model"
+	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
 )
@@ -128,8 +129,7 @@ func (b *BaseCluster) replayRecords(recs []wal.Record) (committed int, open bool
 				return committed, false, fmt.Errorf("replica: recover base: %w: %s write-count mismatch",
 					wal.ErrCorrupt, curTxn.ID)
 			}
-			b.entries = append(b.entries, baseEntry{t: curTxn, eff: eff, after: b.entryAfter()})
-			b.storeCommit(len(b.entries), eff.Writes)
+			b.appendEntry(baseEntry{t: curTxn, eff: eff})
 			b.propagate(curTxn.ID, eff.Writes)
 			committed++
 			curTxn, curWrites = nil, nil
@@ -158,45 +158,61 @@ func (b *BaseCluster) replayRecords(recs []wal.Record) (committed int, open bool
 // RecoverBaseCluster rebuilds a base cluster from its journal: the master
 // state, the current window and its origin, and the base history of the
 // current window (so pending mobile merges from that window still find
-// their base sub-histories). Every replayed commit is verified against its
-// logged write images. Like mobile recovery, the only damage tolerated is
-// a torn final line (the commit it belonged to was never acknowledged);
+// their base sub-histories). Like mobile recovery, the only damage tolerated
+// is a torn final line (the commit it belonged to was never acknowledged);
 // interior damage is wal.ErrCorrupt. The returned Recovery reports what
-// was replayed, and the recovery is charged to the recovered cluster's
-// counters and observer.
+// was replayed.
 func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
+	}
 	res, err := wal.Scan(r, wal.Strict)
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
 	}
-	recs := res.Records
-	if len(recs) == 0 || recs[0].Kind != wal.KindCheckout {
+	return recoverCluster(cfg, store.NewMemory(), res)
+}
+
+// recoverCluster rebuilds a cluster writing through eng from scanned
+// journal streams: the first leads with the checkout record — the master
+// snapshot and window the journal starts from — and each later one
+// continues it without a header. Every replayed commit is verified against
+// its logged write images. Only the last stream may end inside an open
+// transaction: that commit tore during the crash and was never
+// acknowledged, so it is dropped — and reported (Recovery.Dropped). The
+// recovery is charged to the recovered cluster's counters and observer.
+func recoverCluster(cfg Config, eng store.Engine, streams ...*wal.ScanResult) (*BaseCluster, *Recovery, error) {
+	head := streams[0].Records
+	if len(head) == 0 || head[0].Kind != wal.KindCheckout {
 		return nil, nil, fmt.Errorf("replica: recover base: %w", wal.ErrCorrupt)
 	}
-	b := NewBaseCluster(model.StateOf(recs[0].Origin), cfg)
+	b := newBaseCluster(model.StateOf(head[0].Origin), cfg, eng)
+	last := streams[len(streams)-1]
+	rec := &Recovery{TornTail: last.Torn, TornLine: last.TornLine, TornOffset: last.TornOffset}
 	// Replay under the cluster mutex; the recovery event is emitted after
 	// the lock is released (events are never emitted under b.mu).
 	b.mu.Lock()
-	b.windowID = recs[0].WindowID
-	committed, open, rerr := b.replayRecords(recs[1:])
+	b.windowID = head[0].WindowID
+	for i, s := range streams {
+		recs := s.Records
+		if i == 0 {
+			recs = recs[1:]
+		}
+		committed, open, err := b.replayRecords(recs)
+		if err == nil && open && s != last {
+			err = fmt.Errorf("replica: recover base: %w: stream %d ends mid-transaction", wal.ErrCorrupt, i)
+		}
+		if err != nil {
+			b.mu.Unlock()
+			return nil, nil, err
+		}
+		rec.Records += len(s.Records)
+		rec.Committed += committed
+		if open {
+			rec.Dropped = 1
+		}
+	}
 	b.mu.Unlock()
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-	// A trailing open transaction tore during the crash: it was never
-	// acknowledged, so it is dropped — and reported.
-	dropped := 0
-	if open {
-		dropped = 1
-	}
-	rec := &Recovery{
-		Records:    len(recs),
-		Committed:  committed,
-		Dropped:    dropped,
-		TornTail:   res.Torn,
-		TornLine:   res.TornLine,
-		TornOffset: res.TornOffset,
-	}
 	b.counters.Update(func(c *cost.Counts) {
 		c.Recoveries++
 		c.WalRecordsReplayed += int64(rec.Records)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/obs"
@@ -189,6 +190,7 @@ func (s *BaseServer) WritePrometheus(w io.Writer) error {
 //
 //	/debug/tiermerge            expvar-style JSON snapshot
 //	/debug/tiermerge/prometheus Prometheus text exposition
+//	/debug/pprof/               the runtime profiles of net/http/pprof
 //
 // Mount it on any mux (it matches the full paths itself, so it can also be
 // passed directly to http.Serve for a debug-only listener).
@@ -206,5 +208,10 @@ func (s *BaseServer) DebugHandler() http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // also serves the named profiles (heap, goroutine, ...)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

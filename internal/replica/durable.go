@@ -21,8 +21,8 @@ import (
 // written since, so recovery replays checkpoint-then-tail instead of the
 // full history since the beginning of time.
 
-// ErrNoDurableStore is returned by Checkpoint on a cluster without a disk
-// engine (plain NewBaseCluster, or Config.Store set to a Memory engine).
+// ErrNoDurableStore is returned by Checkpoint on a cluster whose storage
+// engine is not durable (NewBaseCluster, RecoverBaseCluster).
 var ErrNoDurableStore = errors.New("replica: cluster has no durable store")
 
 // OpenBase opens (or creates) a durable base cluster rooted at dir. A
@@ -31,8 +31,8 @@ var ErrNoDurableStore = errors.New("replica: cluster has no durable store")
 // checkpoint and then the live tail (a torn final tail line is truncated
 // away — the commit it belonged to was never acknowledged). The returned
 // cluster journals through the segment log with sync-before-ack, and its
-// Checkpoint method rotates segments. cfg.Store is overwritten with the
-// disk engine; close the cluster's engine with CloseStore when done.
+// Checkpoint method rotates segments. Close the cluster's engine with
+// CloseStore when done.
 func OpenBase(dir string, initial model.State, cfg Config) (*BaseCluster, *Recovery, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("replica: open base: %w", err)
@@ -44,9 +44,8 @@ func OpenBase(dir string, initial model.State, cfg Config) (*BaseCluster, *Recov
 	if m, ok := cfg.Observer.(*obs.Metrics); ok {
 		d.Registry(m.Registry())
 	}
-	cfg.Store = d
 	if d.Fresh() {
-		b := NewBaseCluster(initial, cfg)
+		b := newBaseCluster(initial, cfg, d)
 		b.mu.Lock()
 		// The tail stream carries no leading checkout record — the
 		// checkpoint segment holds the cluster snapshot.
@@ -80,33 +79,15 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	if err != nil || cres.Torn {
 		return nil, nil, fmt.Errorf("replica: open base: checkpoint segment: %w", wal.ErrCorrupt)
 	}
-	crecs := cres.Records
-	if len(crecs) == 0 || crecs[0].Kind != wal.KindCheckout {
-		return nil, nil, fmt.Errorf("replica: open base: checkpoint segment: %w", wal.ErrCorrupt)
-	}
-	b := NewBaseCluster(model.StateOf(crecs[0].Origin), cfg)
-	b.mu.Lock()
-	b.windowID = crecs[0].WindowID
-	ckptCommitted, open, rerr := b.replayRecords(crecs[1:])
-	b.mu.Unlock()
-	if rerr == nil && open {
-		rerr = fmt.Errorf("replica: open base: checkpoint segment ends mid-transaction: %w", wal.ErrCorrupt)
-	}
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-
 	// The tail is the live continuation: its own record stream (seqs from
 	// 1, no checkout), where only a torn final line is tolerated.
 	tres, err := wal.Scan(bytes.NewReader(tail), wal.Strict)
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: open base: tail segment: %w", err)
 	}
-	b.mu.Lock()
-	tailCommitted, open, rerr := b.replayRecords(tres.Records)
-	b.mu.Unlock()
-	if rerr != nil {
-		return nil, nil, rerr
+	b, rec, err := recoverCluster(cfg, d, cres, tres)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Repair the tail before appends resume. A trailing open transaction
 	// was never acknowledged: its records are dropped from the replay AND
@@ -116,7 +97,7 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	// only its terminating newline is re-terminated so the next append
 	// starts a fresh line.
 	keep := len(tres.Records)
-	if open {
+	if rec.Dropped > 0 {
 		keep = openTxnStart(tres.Records)
 	}
 	tailBounds := lineBounds(tail)
@@ -142,31 +123,12 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	jw.SetSeq(int64(keep))
 	b.journal = jw
 	b.mu.Unlock()
-
-	dropped := 0
-	if open {
-		dropped = 1
-	}
-	rec := &Recovery{
-		Records:    len(crecs) + len(tres.Records),
-		Committed:  ckptCommitted + tailCommitted,
-		Dropped:    dropped,
-		TornTail:   tres.Torn,
-		TornLine:   tres.TornLine,
-		TornOffset: tres.TornOffset,
-	}
-	b.counters.Update(func(c *cost.Counts) {
-		c.Recoveries++
-		c.WalRecordsReplayed += int64(rec.Records)
-		c.WalTailDropped += int64(rec.Dropped)
-	})
-	b.emit(rec.event("base"))
 	return b, rec, nil
 }
 
 // Checkpoint writes the cluster's current window as a fresh checkpoint
 // segment and truncates the journal to the tail written since — the log
-// stops growing with history (ROADMAP item 3). The snapshot is captured
+// stops growing with history. The snapshot is captured
 // and the rotation epoch split under the cluster mutex; the file work
 // (write, fsync, rename, truncate) runs outside it. Concurrent commits are
 // safe: their buffered records land in whichever tail their epoch selects,
@@ -196,9 +158,8 @@ func (b *BaseCluster) Checkpoint() error {
 	origin := b.windowOrigin.Clone()
 	entries := make([]baseEntry, len(b.entries))
 	copy(entries, b.entries)
-	// The checkpoint supersedes everything the prefix cache and the
-	// version chains carry below the current window origin.
-	b.trimPrefixLocked()
+	// The checkpoint supersedes everything the version chains carry below
+	// the current window origin.
 	cs := b.store.Checkpoint(b.windowID, 0)
 	b.disk.BeginRotate()
 	if b.journal != nil {
@@ -262,17 +223,12 @@ func lineBounds(data []byte) []int {
 	return out
 }
 
-// CloseStore flushes and closes the cluster's storage engine, if any. The
-// cluster must be quiescent — no in-flight commits or merges.
+// CloseStore flushes and closes the cluster's storage engine. The cluster
+// must be quiescent — no in-flight commits or merges.
 //
 //tiermerge:locks(none)
 //tiermerge:blocking
-func (b *BaseCluster) CloseStore() error {
-	if b.store == nil {
-		return nil
-	}
-	return b.store.Close()
-}
+func (b *BaseCluster) CloseStore() error { return b.store.Close() }
 
 // LogSize reports the on-disk footprint of the segment log (checkpoint +
 // tail), or 0 without a durable store.

@@ -5,12 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
 	"tiermerge/internal/fault"
+	"tiermerge/internal/history"
 	"tiermerge/internal/model"
-	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
@@ -123,48 +124,55 @@ func TestMobileJournalSyncedBeforeAck(t *testing.T) {
 	}
 }
 
-// --- Satellite: the base-prefix cache must not grow without bound.
+// --- The base-prefix cache and the version chains must not grow without
+// bound, and nothing stays pinned between reconnects.
 
-// TestPrefixCacheTrimmedOnWindowAdvance (white-box): window advance must
-// drop the materialized prefix cache of the closed window and release its
-// storage snapshot so compaction can proceed.
-func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
-	eng := store.NewMemory()
-	b := NewBaseCluster(origin(), Config{Store: eng})
-	if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 1)); err != nil {
+// mergeDeposit reconnects a fresh mobile carrying one tentative deposit and
+// requires the merge to save it.
+func mergeDeposit(t *testing.T, b *BaseCluster, id string, item model.Item) {
+	t.Helper()
+	m := NewMobileNode(id, b)
+	if err := m.Run(workload.Deposit("T"+id, tx.Tentative, item, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Materialize the cache the way merges do.
-	b.mu.Lock()
-	b.baseAugmented(0)
-	cached := b.prefix.states != nil
-	b.mu.Unlock()
-	if !cached {
-		t.Fatal("prefix cache not materialized")
-	}
-	if eng.Stats().Snapshots != 1 {
-		t.Fatalf("snapshots pinned = %d, want 1", eng.Stats().Snapshots)
-	}
-	b.AdvanceWindow()
-	b.mu.Lock()
-	trimmed := b.prefix.states == nil
-	b.mu.Unlock()
-	if !trimmed {
-		t.Error("prefix cache survived window advance")
-	}
-	if n := eng.Stats().Snapshots; n != 0 {
-		t.Errorf("storage snapshots still pinned after window advance: %d", n)
+	if out, err := m.ConnectMerge(); err != nil || !out.Merged || out.Saved != 1 {
+		t.Fatalf("merge %s = %+v, %v; want 1 saved", id, out, err)
 	}
 }
 
-// TestStoreBoundedAcrossWindows (soak): across many windows the version
-// chains must stay bounded — window advance compacts everything below the
-// new origin. Regression: the pinned prefix snapshot was never released,
-// clamping the compaction floor forever, so chains (and the cache) grew
-// with every window.
+// TestPrefixCacheTrimmedOnWindowAdvance (white-box): a merge builds the
+// prefix cache without pinning a storage snapshot, and window advance drops
+// the closed window's cache.
+func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
+	b := NewBaseCluster(origin(), Config{})
+	if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	mergeDeposit(t, b, "m1", "y")
+	b.mu.Lock()
+	cached := len(b.prefix.entries)
+	b.mu.Unlock()
+	if cached == 0 {
+		t.Fatal("prefix cache not built by the merge")
+	}
+	if n := b.store.Stats().Snapshots; n != 0 {
+		t.Errorf("storage snapshots pinned after a merge: %d", n)
+	}
+	b.AdvanceWindow()
+	b.mu.Lock()
+	survived := b.prefix.entries != nil
+	b.mu.Unlock()
+	if survived {
+		t.Error("prefix cache survived window advance")
+	}
+}
+
+// TestStoreBoundedAcrossWindows (soak): across many windows of commits and
+// merges the version chains must stay bounded — window advance compacts
+// everything below the new origin, and no reconnect leaves a snapshot
+// behind to clamp the compaction floor.
 func TestStoreBoundedAcrossWindows(t *testing.T) {
-	eng := store.NewMemory()
-	b := NewBaseCluster(origin(), Config{Store: eng})
+	b := NewBaseCluster(origin(), Config{})
 	const windows, perWindow = 60, 8
 	var after10 int
 	for wnd := 0; wnd < windows; wnd++ {
@@ -174,16 +182,16 @@ func TestStoreBoundedAcrossWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Touch the prefix cache every window, as live merges would.
-		b.mu.Lock()
-		b.baseAugmented(0)
-		b.mu.Unlock()
+		mergeDeposit(t, b, fmt.Sprintf("m%d", wnd), "y")
+		if n := b.store.Stats().Snapshots; n != 0 {
+			t.Fatalf("window %d: storage snapshots pinned after a merge: %d", wnd, n)
+		}
 		b.AdvanceWindow()
 		if wnd == 9 {
-			after10 = eng.Stats().Versions
+			after10 = b.store.Stats().Versions
 		}
 	}
-	final := eng.Stats().Versions
+	final := b.store.Stats().Versions
 	if final > after10 {
 		t.Errorf("version chains grew across windows: %d after 10 windows, %d after %d",
 			after10, final, windows)
@@ -195,72 +203,178 @@ func TestStoreBoundedAcrossWindows(t *testing.T) {
 	}
 }
 
-// --- Tentpole: store-backed clusters behave like legacy ones.
-
-// TestStoreBackedClusterMatchesLegacy drives an identical workload —
-// base commits, a Strategy 1 interior-insert merge, a window advance —
-// through a legacy cluster and a store-backed one, asserting identical
-// masters at every step.
-func TestStoreBackedClusterMatchesLegacy(t *testing.T) {
-	run := func(cfg Config) model.State {
-		b := NewBaseCluster(origin(), cfg)
-		if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 10)); err != nil {
-			t.Fatal(err)
+// TestReconnectAllocIndependentOfItems: a reconnect consults the base
+// history through read/write sets, so what it allocates must not scale with
+// the number of items the cluster holds. Regression: the prefix cache
+// materialized a full base state per history position from the version
+// chains, O(items) per base commit under the cluster mutex.
+func TestReconnectAllocIndependentOfItems(t *testing.T) {
+	reconnectBytes := func(items int) uint64 {
+		initial := model.NewState()
+		for i := 0; i < items; i++ {
+			initial.Set(workload.ItemName(i), 100)
 		}
-		m := NewMobileNode("m1", b) // Strategy 1: checkout at pos 1
-		if err := m.Run(workload.Deposit("Tm1", tx.Tentative, "y", 5)); err != nil {
-			t.Fatal(err)
-		}
-		// A disjoint base commit after the checkout: the forwarded updates
-		// install at the interior checkout position.
-		if err := b.ExecBase(workload.Deposit("Tb2", tx.Base, "z", 3)); err != nil {
-			t.Fatal(err)
-		}
-		out, err := m.ConnectMerge()
+		b, _, err := OpenBase(t.TempDir(), initial, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.Merged || out.Saved != 1 {
-			t.Fatalf("merge outcome = %+v, want 1 saved", out)
+		defer b.CloseStore()
+		for i := 0; i < 64; i++ {
+			it := workload.ItemName(1 + i%63)
+			if err := b.ExecBase(workload.Deposit(fmt.Sprintf("Tb%d", i), tx.Base, it, 1)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		b.AdvanceWindow()
-		if err := b.ExecBase(workload.Deposit("Tb3", tx.Base, "w", 2)); err != nil {
+		// The same tentative history on both clusters: one deposit on an
+		// item no base commit touches, run on a replica of that item alone
+		// so Hm's own states do not grow with the cluster either.
+		it0 := workload.ItemName(0)
+		hm, err := history.Run(history.New(workload.Deposit("Tm1", tx.Tentative, it0, 1)),
+			model.State{it0: initial.Get(it0)})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return b.Master()
+		ck := Checkout{MobileID: "m1", WindowID: b.WindowID()}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, err := b.Merge(ck, hm)
+		runtime.ReadMemStats(&after)
+		if err != nil || !out.Merged || out.Saved != 1 {
+			t.Fatalf("merge on %d items = %+v, %v; want 1 saved", items, out, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	legacy := run(Config{Origin: Strategy1})
-	backed := run(Config{Origin: Strategy1, Store: store.NewMemory()})
-	if !legacy.Equal(backed) {
-		t.Errorf("store-backed master %s != legacy %s", backed, legacy)
+	small, large := reconnectBytes(64), reconnectBytes(4096)
+	t.Logf("reconnect allocated %d B on 64 items, %d B on 4096 items", small, large)
+	if large > 2*small {
+		t.Errorf("reconnect on 4096 items allocated %d B, more than 2x the %d B on 64 items", large, small)
 	}
 }
 
-// TestShardedStoreBackedMatchesLegacy: same equivalence through the
-// sharded tier, including a cross-shard base transaction.
-func TestShardedStoreBackedMatchesLegacy(t *testing.T) {
-	run := func(cfg Config) model.State {
-		s := NewShardedBase(origin(), 2, cfg)
-		if err := s.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 10)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.ExecBase(workload.Transfer("Tb2", tx.Base, "x", "y", 4)); err != nil {
-			t.Fatal(err)
-		}
-		m := NewShardedMobileNode("m1", s)
-		if err := m.Run(workload.Deposit("Tm1", tx.Tentative, "z", 5)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.ConnectMerge(); err != nil {
-			t.Fatal(err)
-		}
-		s.AdvanceWindow()
-		return s.Master()
+// --- Strategy 1 interior inserts land on the state a serial run of the
+// installed history produces, at every position.
+
+// checkStateAtOracle compares the cluster's per-position states and its
+// master against a serial run of its installed entries from the window
+// origin.
+func checkStateAtOracle(t *testing.T, name string, b *BaseCluster) {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	h := history.New()
+	for _, e := range b.entries {
+		h.Append(e.t)
 	}
-	legacy := run(Config{})
-	backed := run(Config{Store: store.NewMemory()})
-	if !legacy.Equal(backed) {
-		t.Errorf("store-backed sharded master %s != legacy %s", backed, legacy)
+	oracle, err := history.Run(h, b.windowOrigin)
+	if err != nil {
+		t.Fatalf("%s: oracle run: %v", name, err)
+	}
+	for p := 0; p <= len(b.entries); p++ {
+		if got := b.stateAt(p); !got.Equal(oracle.States[p]) {
+			t.Errorf("%s: stateAt(%d) = %s, serial run gives %s", name, p, got, oracle.States[p])
+		}
+	}
+	if !b.master.Equal(oracle.Final()) {
+		t.Errorf("%s: master %s != serial run of the installed history %s", name, b.master, oracle.Final())
+	}
+}
+
+// interiorInsertWorkload checks a Strategy 1 mobile out, commits disjoint
+// base transactions behind its back, and merges it: the forwarded write-back
+// — an additive update of y and a constant update of z — installs at the
+// interior checkout position. A second mobile then checks out past the
+// insert and merges against the shifted positions.
+func interiorInsertWorkload(t *testing.T, exec func(*tx.Transaction) error, mobile func(id string) *MobileNode) {
+	t.Helper()
+	mustExec := func(bt *tx.Transaction) {
+		t.Helper()
+		if err := exec(bt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(workload.Deposit("Tb1", tx.Base, "x", 10))
+	mustExec(workload.Deposit("Tb2", tx.Base, "w", 1))
+	m := mobile("m1") // checkout after Tb1, Tb2
+	if err := m.Run(workload.Deposit("Tm1", tx.Tentative, "y", 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(workload.SetPrice("Tm2", tx.Tentative, "z", 7)); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(workload.Deposit("Tb3", tx.Base, "x", 3))
+	mustExec(workload.Deposit("Tb4", tx.Base, "w", 2))
+	out, err := m.ConnectMerge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Merged || out.Saved != 2 {
+		t.Fatalf("merge outcome = %+v, want 2 saved", out)
+	}
+	if _, ok := out.Report.ForwardDeltas["y"]; !ok {
+		t.Errorf("forwarded deltas %v lack the additive update of y", out.Report.ForwardDeltas)
+	}
+	if _, ok := out.Report.ForwardUpdates["z"]; !ok {
+		t.Errorf("forwarded updates %v lack the constant update of z", out.Report.ForwardUpdates)
+	}
+	m2 := mobile("m2")
+	if err := m2.Run(workload.Deposit("Tm3", tx.Tentative, "y", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := m2.ConnectMerge(); err != nil || !out.Merged || out.Saved != 1 {
+		t.Fatalf("merge after the insert = %+v, %v; want 1 saved", out, err)
+	}
+}
+
+// TestInteriorInsertStateAt runs the interior-insert workload on a plain
+// cluster over each storage engine.
+func TestInteriorInsertStateAt(t *testing.T) {
+	cfg := Config{Origin: Strategy1}
+	disk, _, err := OpenBase(t.TempDir(), origin(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.CloseStore()
+	for name, b := range map[string]*BaseCluster{"memory": NewBaseCluster(origin(), cfg), "disk": disk} {
+		interiorInsertWorkload(t, b.ExecBase, func(id string) *MobileNode { return NewMobileNode(id, b) })
+		b.mu.Lock()
+		interior := len(b.entries) == 6 && b.entries[2].t.Type == "forwarded-updates"
+		b.mu.Unlock()
+		if !interior {
+			t.Errorf("%s: forwarded transaction not installed at the checkout position", name)
+		}
+		checkStateAtOracle(t, name, b)
+	}
+}
+
+// TestShardedInteriorInsertStateAt: the same through a two-shard tier whose
+// router splits the forwarded items, so the write-back installs as
+// per-shard slices of one global transaction, each at its shard's interior
+// checkout position.
+func TestShardedInteriorInsertStateAt(t *testing.T) {
+	cfg := Config{Origin: Strategy1, ShardFn: func(it model.Item) int {
+		if it == "x" || it == "y" {
+			return 0
+		}
+		return 1
+	}}
+	disk, _, err := OpenShardedBase(t.TempDir(), origin(), 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.CloseStore()
+	for name, s := range map[string]*ShardedBase{"memory": NewShardedBase(origin(), 2, cfg), "disk": disk} {
+		interiorInsertWorkload(t, s.ExecBase, func(id string) *MobileNode { return NewShardedMobileNode(id, s) })
+		for k := 0; k < 2; k++ {
+			b := s.Shard(k)
+			b.mu.Lock()
+			interior := len(b.entries) >= 3 && b.entries[1].global != nil
+			b.mu.Unlock()
+			if !interior {
+				t.Errorf("%s: shard %d: forwarded slice not installed at the checkout position", name, k)
+			}
+			checkStateAtOracle(t, fmt.Sprintf("%s shard %d", name, k), b)
+		}
 	}
 }
 
@@ -362,7 +476,7 @@ func TestCheckpointTruncatesLogAndRecovers(t *testing.T) {
 // TestCheckpointWithoutDiskStore: Checkpoint is a typed error on clusters
 // without a durable engine.
 func TestCheckpointWithoutDiskStore(t *testing.T) {
-	b := NewBaseCluster(origin(), Config{Store: store.NewMemory()})
+	b := NewBaseCluster(origin(), Config{})
 	if err := b.Checkpoint(); !errors.Is(err, ErrNoDurableStore) {
 		t.Errorf("Checkpoint on memory engine = %v, want ErrNoDurableStore", err)
 	}

@@ -468,8 +468,9 @@ func TestExporterParityE13(t *testing.T) {
 	}
 }
 
-// TestDebugHandler: the HTTP endpoints serve the JSON snapshot and the
-// Prometheus exposition, including server transport counters.
+// TestDebugHandler: the HTTP endpoints serve the JSON snapshot, the
+// Prometheus exposition (server transport counters included) and the
+// runtime profiles.
 func TestDebugHandler(t *testing.T) {
 	metrics := obs.NewMetrics()
 	b := NewBaseCluster(fleetOrigin(), Config{Observer: metrics})
@@ -511,5 +512,11 @@ func TestDebugHandler(t *testing.T) {
 		if !strings.Contains(body, wantSub) {
 			t.Errorf("prometheus endpoint missing %q", wantSub)
 		}
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/heap", nil))
+	if rec.Code != 200 || rec.Body.Len() == 0 {
+		t.Errorf("pprof heap endpoint status %d, %d bytes", rec.Code, rec.Body.Len())
 	}
 }

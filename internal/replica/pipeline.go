@@ -54,8 +54,8 @@ type preparedMerge struct {
 	// forwarded delta composes with the extension's increments — so
 	// admission validation tolerates the overlap instead of retrying.
 	// Empty under DisableDeltas and under Strategy 1 (whose interior
-	// insert patches later after-states, which an overlapping extension
-	// entry would corrupt).
+	// insert is only exact when nothing after the insert position touches
+	// the forwarded items).
 	deltaFoot model.ItemSet
 	effByTxn  map[*tx.Transaction]*tx.Effect
 	// insertConflict records a Strategy 1 insert-position conflict found
@@ -231,7 +231,6 @@ func (p *preparedMerge) extendFrom(cfg Config, snap prefixSnapshot, hm *history.
 	prevElided := prev.rep.Graph.Elided
 	suffix := &history.Augmented{
 		H:       &history.History{Entries: snap.hb.H.Entries[prevBase:]},
-		States:  snap.hb.States[prevBase:],
 		Effects: snap.hb.Effects[prevBase:],
 	}
 	rep, info, err := merge.Extend(prev.rep, hm, suffix, opts)
@@ -307,9 +306,9 @@ func (p *preparedMerge) chargePrepared(cfg Config, hm *history.Augmented, prefix
 // deltaFootprint derives the delta-pure subset of the merge footprint: the
 // items every tentative transaction touching them accessed only as pure
 // commutative increments. Disabled (nil) when delta semantics are off or
-// under Strategy 1 — the interior insert patches later after-states with
-// write images, which is only exact when nothing after the insert position
-// touches the forwarded items, delta-pure or not.
+// under Strategy 1 — the interior insert executes on the live master, which
+// is only exact when nothing after the insert position touches the
+// forwarded items, delta-pure or not.
 func deltaFootprint(cfg Config, hm *history.Augmented, footprint model.ItemSet) model.ItemSet {
 	if cfg.MergeOptions.DisableDeltas || cfg.Origin == Strategy1 {
 		return nil

@@ -20,7 +20,6 @@ import (
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
-	"tiermerge/internal/store"
 )
 
 // Typed sentinel errors of the replication substrate. They are wrapped
@@ -66,7 +65,9 @@ func (s OriginStrategy) String() string {
 	}
 }
 
-// Config parameterizes a base cluster.
+// Config parameterizes a base cluster. The storage engine is not part of
+// it: the constructor chooses (NewBaseCluster and NewShardedBase write
+// through store.Memory, OpenBase and OpenShardedBase through store.Disk).
 type Config struct {
 	// BaseNodes is the number of base-tier replicas (>= 1); lazy
 	// propagation to the other BaseNodes-1 replicas is charged to the
@@ -102,14 +103,6 @@ type Config struct {
 	// is held, but the observer runs inline on the reconnect path: keep it
 	// cheap (obs.Metrics, obs.Tracer) and never call back into the cluster.
 	Observer obs.Observer
-
-	// Store, when non-nil, is the storage engine the base tier writes
-	// committed entries through (DESIGN.md §14). Per-position base states
-	// are then served from MVCC snapshots instead of per-entry full-state
-	// clones, and window advance compacts the version chains. nil keeps
-	// the legacy behavior: every committed entry clones the master.
-	// OpenBase sets it to the durable *store.Disk engine it recovers from.
-	Store store.Engine
 }
 
 func (c Config) withDefaults() Config {

@@ -16,7 +16,6 @@ import (
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
-	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 )
 
@@ -153,13 +152,6 @@ func NewShardedBase(initial model.State, shards int, cfg Config) *ShardedBase {
 	for k := range s.shards {
 		scfg := cfg
 		scfg.Observer = shardObserver(cfg.Observer, k+1)
-		if cfg.Store != nil {
-			// A storage engine materializes full states from its version
-			// chains, so shards cannot share one: each gets its own
-			// in-memory engine over its partition. Durable sharded tiers
-			// open per-shard disk engines through OpenShardedBase.
-			scfg.Store = store.NewMemory()
-		}
 		s.shards[k] = NewBaseCluster(parts[k], scfg)
 	}
 	return s
@@ -591,8 +583,7 @@ func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 			// programming error.
 			panic(fmt.Sprintf("replica: cross-shard slice %s: %v", slice.ID, err))
 		}
-		b.entries = append(b.entries, baseEntry{t: slice, eff: seff, after: b.entryAfter(), global: g})
-		b.storeCommit(len(b.entries), seff.Writes)
+		b.appendEntry(baseEntry{t: slice, eff: seff, global: g})
 		b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
 		b.propagate(slice.ID, seff.Writes)
 		if lerr := b.logCommit(slice, seff); lerr != nil {

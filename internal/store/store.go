@@ -1,9 +1,8 @@
-// Package store is the base tier's storage engine seam. The paper's
-// correctness argument leans on base transactions being durable
-// (Section 2.1); ROADMAP item 3 calls out the in-memory map + append-only
-// journal as the blocker for base state larger than RAM and for logs that
-// stop growing. This package supplies the pluggable engine behind
-// replica.BaseCluster:
+// Package store is the base tier's storage engine. The paper's correctness
+// argument leans on base transactions being durable (Section 2.1), and its
+// Strategy 1 needs the base state at past history positions. This package
+// supplies the engine every replica.BaseCluster writes through — its one
+// representation of per-position base state:
 //
 //   - versioned values: every item carries a chain of versions stamped with
 //     the (windowID, pos) base-history coordinate that wrote them, ordered
@@ -20,10 +19,10 @@
 //     newest version at or below the floor, discarding history no snapshot
 //     can reach.
 //
-// Two engines implement the seam: Memory (chains only — the previous
-// in-memory behavior with bounded per-window state) and Disk (chains plus a
-// segmented durable log: an atomically rotated checkpoint file and a live
-// tail the base journal appends to, see disk.go).
+// Two engines implement it: Memory (chains only — what NewBaseCluster
+// uses) and Disk (chains plus a segmented durable log: an atomically
+// rotated checkpoint file and a live tail the base journal appends to, see
+// disk.go — what OpenBase uses).
 package store
 
 import (
@@ -87,7 +86,7 @@ type Stats struct {
 	// Items is the number of distinct items with at least one version.
 	Items int
 	// Versions is the total version count across all chains — the figure
-	// the satellite soak test bounds across windows.
+	// the soak test bounds across windows.
 	Versions int
 	// Snapshots is the number of live (unreleased) snapshots.
 	Snapshots int
@@ -302,19 +301,14 @@ func (s *Snapshot) Get(it model.Item) (model.Value, bool) {
 }
 
 // State materializes the full base state at the snapshot watermark.
-func (s *Snapshot) State() model.State { return s.StateAt(s.pos) }
-
-// StateAt materializes the full base state at (snapshot window, pos) for
-// pos at or below the watermark — the per-position states the merge
-// protocol's base sub-history view is built from.
 //
 //tiermerge:nonblocking
-func (s *Snapshot) StateAt(pos int) model.State {
+func (s *Snapshot) State() model.State {
 	s.t.mu.RLock()
 	defer s.t.mu.RUnlock()
 	st := make(model.State, len(s.t.chains))
 	for it, ch := range s.t.chains {
-		if v, ok := resolve(ch, s.window, pos); ok {
+		if v, ok := resolve(ch, s.window, s.pos); ok {
 			st[it] = v
 		}
 	}
@@ -336,9 +330,8 @@ func resolve(ch []version, window, pos int) (model.Value, bool) {
 	return ch[i-1].value, true
 }
 
-// Memory is the chains-only engine: the base tier's previous in-memory
-// durability model (none), now with versioned per-window state instead of
-// per-position full clones.
+// Memory is the chains-only engine: versioned per-window state, no
+// durability.
 type Memory struct {
 	table
 }

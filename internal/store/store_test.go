@@ -38,8 +38,10 @@ func TestMemoryVersionResolution(t *testing.T) {
 	if !st.Equal(want) {
 		t.Errorf("State() = %v, want %v", st, want)
 	}
-	if st0 := s.StateAt(0); !st0.Equal(model.State{"x": 10, "y": 20}) {
-		t.Errorf("StateAt(0) = %v", st0)
+	s0 := m.SnapshotAt(1, 0)
+	defer s0.Release()
+	if st0 := s0.State(); !st0.Equal(model.State{"x": 10, "y": 20}) {
+		t.Errorf("State() at (1,0) = %v", st0)
 	}
 }
 
@@ -64,16 +66,17 @@ func TestInsertAtShiftsWindowPositions(t *testing.T) {
 	// later writes on x, as the insert-conflict check guarantees).
 	m.InsertAt(1, 1, map[model.Item]model.Value{"z": 99})
 
-	s := m.SnapshotAt(1, 3)
-	defer s.Release()
-	if st := s.StateAt(1); !st.Equal(model.State{"x": 0, "z": 99}) {
-		t.Errorf("StateAt(1) = %v, want inserted z visible, x at origin", st)
-	}
-	if st := s.StateAt(2); !st.Equal(model.State{"x": 1, "z": 99}) {
-		t.Errorf("StateAt(2) = %v, want shifted x=1", st)
-	}
-	if st := s.StateAt(3); !st.Equal(model.State{"x": 2, "z": 99}) {
-		t.Errorf("StateAt(3) = %v", st)
+	for pos, want := range []model.State{
+		{"x": 0, "z": 0},
+		{"x": 0, "z": 99}, // inserted z visible, x at origin
+		{"x": 1, "z": 99}, // shifted x=1
+		{"x": 2, "z": 99},
+	} {
+		s := m.SnapshotAt(1, pos)
+		if st := s.State(); !st.Equal(want) {
+			t.Errorf("State() at (1,%d) = %v, want %v", pos, st, want)
+		}
+		s.Release()
 	}
 }
 

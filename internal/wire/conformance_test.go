@@ -499,6 +499,11 @@ func TestWireMetrics(t *testing.T) {
 	if _, err := c.ConnectMergeContext(ctx); err != nil {
 		t.Fatal(err)
 	}
+	// The server bills a response after writing it, so the client can hold
+	// the response before the handler has billed it: drain the handler
+	// goroutines (Close waits on them) before reading any counter.
+	tr.Close()
+	ws.Close()
 	snap := metrics.Registry().Snapshot()
 	for _, name := range []string{
 		"tiermerge_wire_bytes_in_total",

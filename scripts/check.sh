@@ -94,6 +94,10 @@ echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) ==
 # duplicated frames, mid-flight server close, and oversized-frame
 # rejection — all under the race detector.
 go test -race -count=1 ./internal/wire/
+# TestWireMetrics read the byte counters while the server handler could
+# still be billing the response it had just written (~1 failure in 6 under
+# -race); repeat it so the flake stays fixed.
+go test -race -count=20 -run TestWireMetrics ./internal/wire/
 
 echo "== race (incremental re-prepare parity) =="
 # Explicit gate for the retry-amortization invariants: incremental
@@ -106,9 +110,11 @@ echo "== race (sharded base tier: two-phase cross-shard merges + window barrier)
 # cluster, serial-order equivalence of concurrent sharded reconnects,
 # counter parity with the plain cluster, cross-shard merges vs the
 # single-shard baseline, set-size-1 vs set-size-2 parity of the one merge
-# routine, the checkout/advance window barrier, and the
-# all-shards-contended deadlock smoke — all under the race detector.
-go test -race -count=1 -run 'TestShard|TestCrossShard|TestSetSize|TestWindowBarrier' ./internal/replica/
+# routine, the checkout/advance window barrier, the
+# all-shards-contended deadlock smoke, and the Strategy 1 interior insert
+# against a serial-run oracle (plain and sliced across shards, memory and
+# disk engines) — all under the race detector.
+go test -race -count=1 -run 'TestShard|TestCrossShard|TestSetSize|TestWindowBarrier|InteriorInsert' ./internal/replica/
 
 echo "== bench module (the benchmark harness compiles against internal/...) =="
 # bench/ is its own module importing tiermerge/internal/...; vet and test it

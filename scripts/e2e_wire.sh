@@ -51,6 +51,8 @@ if command -v curl > /dev/null 2>&1; then
     grep -q '"window_id"' "$WORK/debug.json"
     curl -fsS "http://$HTTP/debug/tiermerge/prometheus" > "$WORK/debug.prom"
     grep -q '^tiermerge_wire_bytes_in_total ' "$WORK/debug.prom"
+    curl -fsS "http://$HTTP/debug/pprof/heap" > "$WORK/heap.pprof"
+    [ -s "$WORK/heap.pprof" ]
 else
     echo "-- debug sidecar check skipped (no curl)"
 fi

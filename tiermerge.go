@@ -330,7 +330,10 @@ const (
 	Strategy1 = replica.Strategy1
 )
 
-// NewBaseCluster builds a base cluster over the initial master state.
+// NewBaseCluster builds a base cluster over the initial master state,
+// writing through the in-memory storage engine; OpenBase is its durable
+// counterpart. The engine is the constructor's choice, not a
+// ClusterConfig field.
 func NewBaseCluster(initial State, cfg ClusterConfig) *BaseCluster {
 	return replica.NewBaseCluster(initial, cfg)
 }
