@@ -1,5 +1,5 @@
 // Benchmarks for the reproduction suite: one bench per experiment kernel
-// (E0..E9, E13..E15; E10-E12 are timed by the ablation benches, see DESIGN.md) plus
+// (E0..E9, E13, E14; E10-E12 are timed by the ablation benches, see DESIGN.md) plus
 // micro-benchmarks for the algorithmic pieces whose asymptotic costs
 // Section 7.1 discusses (graph construction, the O(n^2) rewriting pass,
 // pruning, and the lock manager).
@@ -479,88 +479,6 @@ func BenchmarkE14CrashRecovery(b *testing.B) {
 					Seed: 14, Mobiles: 4, Rounds: 3, TxnsPerRound: 16,
 					Items: 256, PCommutative: 0.7, PCrash: 1.0, Protocol: tc.proto,
 				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// e15BenchHistories mirrors the E15 experiment inputs: a 4-transaction
-// mobile history on private items, and a base history whose prefix churns a
-// fixed 32-item working set while its suffix deposits into fresh items,
-// returned whole and split at the prefix boundary.
-func e15BenchHistories(b *testing.B, prefix, suffix int) (hm, full, pre, suf *history.Augmented) {
-	b.Helper()
-	st := model.State{}
-	st.Set("m0", 100)
-	st.Set("m1", 100)
-	for i := 0; i < 32; i++ {
-		st.Set(model.Item(fmt.Sprintf("x%d", i)), 100)
-	}
-	for i := 0; i < suffix; i++ {
-		st.Set(model.Item(fmt.Sprintf("y%d", i)), 100)
-	}
-	hb := &history.History{}
-	for i := 0; i < prefix; i++ {
-		hb.Append(workload.Deposit(fmt.Sprintf("B%d", i), tx.Base, model.Item(fmt.Sprintf("x%d", i%32)), 1))
-	}
-	for i := 0; i < suffix; i++ {
-		hb.Append(workload.Deposit(fmt.Sprintf("S%d", i), tx.Base, model.Item(fmt.Sprintf("y%d", i)), 1))
-	}
-	full, err := history.Run(hb, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hmH := &history.History{}
-	for i, it := range []model.Item{"m0", "m1", "m0", "m1"} {
-		hmH.Append(workload.Deposit(fmt.Sprintf("T%d", i), tx.Tentative, it, 5))
-	}
-	hm, err = history.Run(hmH, st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pre = &history.Augmented{
-		H:       full.H.Prefix(prefix),
-		States:  full.States[:prefix+1],
-		Effects: full.Effects[:prefix],
-	}
-	suf = &history.Augmented{
-		H:       &history.History{Entries: full.H.Entries[prefix:]},
-		States:  full.States[prefix:],
-		Effects: full.Effects[prefix:],
-	}
-	return hm, full, pre, suf
-}
-
-// BenchmarkE15IncrementalRetry times the retry amortization behind
-// experiment E15. The rebuild/extend pair re-prepares a merge invalidated by
-// an 8-entry base suffix: the rebuild arm pays a from-scratch G(Hm, Hb) over
-// the whole extended history and grows with the prefix, while the extend arm
-// pays only the suffix extension and stays flat (the prefix report it
-// consumes is rebuilt off the clock, since Extend grows it in place).
-func BenchmarkE15IncrementalRetry(b *testing.B) {
-	const suffix = 8
-	for _, prefix := range []int{64, 1024} {
-		hm, fullAug, preAug, sufAug := e15BenchHistories(b, prefix, suffix)
-		b.Run(fmt.Sprintf("rebuild/prefix=%d", prefix), func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				if _, err := merge.Merge(hm, fullAug, merge.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("extend/prefix=%d", prefix), func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				b.StopTimer()
-				repPre, err := merge.Merge(hm, preAug, merge.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, _, err := merge.Extend(repPre, hm, sufAug, merge.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

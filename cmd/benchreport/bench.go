@@ -15,7 +15,7 @@ import (
 
 // Bench-JSON mode: parse `go test -bench` output from stdin and persist
 // one BENCH_<ID>.json per experiment-tagged benchmark (BenchmarkE13...,
-// BenchmarkE15..., BenchmarkE16...) so each PR's perf numbers land in the
+// BenchmarkE16..., BenchmarkE17...) so each PR's perf numbers land in the
 // repo instead of a terminal scrollback. scripts/bench.sh is the driver.
 
 // benchResult is one benchmark line, normalized.

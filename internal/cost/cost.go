@@ -121,7 +121,7 @@ type Counts struct {
 	MergesPerformed int64
 	MergeFallbacks  int64
 	// MergeRetries counts re-prepare attempts after a failed admission
-	// validation (incremental graph extensions and full re-prepares alike).
+	// validation.
 	MergeRetries int64
 	// AdmitBatches counts admission critical sections entered — one per
 	// validate-and-install attempt of a merge, failed validations and the
@@ -139,9 +139,11 @@ type Counts struct {
 	// delta item, every saved write of it beyond the first. Zero when
 	// delta-merge semantics are disabled.
 	DeltaFolded int64
-	// EdgesElided counts precedence-graph conflict pairs that needed no
-	// edge because both endpoints touch the shared item only as pure
-	// commutative deltas (graph work and back-out exposure avoided).
+	// EdgesElided counts precedence-graph conflict pairs with a tentative
+	// endpoint that needed no edge because both endpoints touch the shared
+	// item only as pure commutative deltas (back-out exposure avoided).
+	// Base–base pairs are not counted: the base history is indexed once per
+	// commit, not paired per merge.
 	EdgesElided int64
 
 	// Crash-recovery events (mobile journal replays and base-log replays

@@ -107,7 +107,6 @@ func All() []*Table {
 		E12WireFidelity(),
 		E13ConcurrentMerge(),
 		E14CrashRecovery(),
-		E15IncrementalRetry(),
 		E16ShardedFleet(),
 		E17WireTransport(),
 		E18DeltaMerge(),

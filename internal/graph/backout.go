@@ -27,10 +27,9 @@ type Strategy interface {
 }
 
 // GreedyCost backs out, while cycles remain, the cyclic tentative vertex
-// with the smallest Davidson back-out cost (1 + reads-from closure size),
-// breaking ties by fewer cycle memberships being irrelevant — ties go to the
-// earliest history position. This is the library default: it reproduces the
-// paper's Example 1 choice (Tm3 is the cheapest vertex on the cycle).
+// with the smallest Davidson back-out cost (1 + reads-from closure size);
+// ties go to the earliest history position. It reproduces the paper's
+// Example 1 choice (Tm3 is the cheapest vertex on the cycle).
 type GreedyCost struct{}
 
 // Name implements Strategy.
@@ -306,9 +305,3 @@ func (AllCyclic) ComputeB(g *Graph) ([]int, error) {
 	sort.Ints(b)
 	return b, nil
 }
-
-// kindTentative returns the tentative kind constant; indirection keeps the
-// strategies independent of the tx package's enum values.
-func kindTentative(g *Graph) (k kindOf) { return kindOf(1) }
-
-type kindOf int

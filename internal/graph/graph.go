@@ -18,6 +18,13 @@
 //
 // The graph is acyclic iff Hm and Hb are serializable into a single merged
 // history (Theorem 1).
+//
+// There are two ways to build it. Build is the literal construction over the
+// whole of both histories — the reference. BuildIndexed serves the
+// replication substrate: the base history is indexed once, as it is
+// written (BaseIndex), and a merge builds the graph over Hm and only the
+// base entries that can lie on a cycle through Hm, which yields the same
+// cycles and therefore the same back-out sets (index.go).
 package graph
 
 import (
@@ -49,22 +56,29 @@ type Access struct {
 	Delta model.ItemSet
 }
 
+// AccessOf is the footprint of one executed transaction; deltas selects
+// whether its Delta set is classified (eff.DeltaPure) or left nil.
+func AccessOf(t *tx.Transaction, eff *tx.Effect, deltas bool) Access {
+	a := Access{ID: t.ID, Kind: t.Kind, ReadSet: eff.ReadSet, WriteSet: eff.WriteSet}
+	if deltas {
+		a.Delta = eff.DeltaPure()
+	}
+	return a
+}
+
+func accessesOf(a *history.Augmented, deltas bool) []Access {
+	out := make([]Access, a.H.Len())
+	for i, eff := range a.Effects {
+		out[i] = AccessOf(a.H.Txn(i), eff, deltas)
+	}
+	return out
+}
+
 // AccessesOf extracts the access footprints from an executed history,
 // without delta classification: every conflict gets its precedence edge,
 // the paper's literal Section 2.1 construction. DeltaAccessesOf is the
 // delta-aware variant the merging protocol uses by default.
-func AccessesOf(a *history.Augmented) []Access {
-	out := make([]Access, a.H.Len())
-	for i, eff := range a.Effects {
-		out[i] = Access{
-			ID:       a.H.Txn(i).ID,
-			Kind:     a.H.Txn(i).Kind,
-			ReadSet:  eff.ReadSet,
-			WriteSet: eff.WriteSet,
-		}
-	}
-	return out
-}
+func AccessesOf(a *history.Augmented) []Access { return accessesOf(a, false) }
 
 // DeltaAccessesOf extracts access footprints with delta classification:
 // each access's Delta set carries the items it touched only as pure
@@ -73,13 +87,7 @@ func AccessesOf(a *history.Augmented) []Access {
 // strictly better where delta-delta 2-cycles would otherwise force
 // back-outs; the value-write baseline (merge.Options.DisableDeltas)
 // falls back to AccessesOf.
-func DeltaAccessesOf(a *history.Augmented) []Access {
-	out := AccessesOf(a)
-	for i, eff := range a.Effects {
-		out[i].Delta = eff.DeltaPure()
-	}
-	return out
-}
+func DeltaAccessesOf(a *history.Augmented) []Access { return accessesOf(a, true) }
 
 // Graph is the precedence graph. Vertices 0..MobileLen-1 are the tentative
 // transactions of Hm in order; vertices MobileLen..MobileLen+BaseLen-1 are
@@ -101,17 +109,6 @@ type Graph struct {
 	// 1 + |reads-from closure within Hm|. Strategies minimizing total
 	// back-out cost use it; it is 1 for base vertices (never backed out).
 	cost []int
-}
-
-// Build constructs the precedence graph from the two access sequences.
-// Construction is item-indexed: instead of testing every transaction pair
-// (O(n² · items)), it groups accesses per item and emits conflict pairs
-// only where transactions actually meet — the way a log-parsing
-// implementation would work (Section 7.1 builds the graph "by parsing the
-// log ... only once"). Build delegates to the retained-index builder; use
-// NewIncremental directly when the base tier will be extended later.
-func Build(mobile, base []Access) *Graph {
-	return NewIncremental(mobile, base).Graph()
 }
 
 // BuildFromHistories executes nothing; it builds the graph from two already
@@ -173,15 +170,13 @@ func (g *Graph) Kind(v int) tx.Kind { return g.kind[v] }
 // Cost returns the back-out cost weight of vertex v.
 func (g *Graph) Cost(v int) int { return g.cost[v] }
 
-// Succ returns the successors of v (v must precede them).
-// Succ returns the successor list of v. The slice aliases the graph's
-// internal adjacency storage.
+// Succ returns the successors of v (v must precede them). The slice
+// aliases the graph's internal adjacency storage.
 //
 //tiermerge:immutable
 func (g *Graph) Succ(v int) []int { return g.succ[v] }
 
-// Pred returns the predecessors of v.
-// Pred returns the predecessor list of v. The slice aliases the graph's
+// Pred returns the predecessors of v. The slice aliases the graph's
 // internal adjacency storage.
 //
 //tiermerge:immutable

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -209,36 +211,11 @@ func TestStrategiesOnAcyclicGraph(t *testing.T) {
 // TestStrategiesAlwaysBreakAllCycles fuzzes random access patterns and
 // checks the fundamental postcondition of every strategy.
 func TestStrategiesAlwaysBreakAllCycles(t *testing.T) {
-	e := papertest.NewExample1()
-	_ = e
 	strategies := []Strategy{TwoCycle{}, GreedyCost{}, GreedyDegree{}, Exhaustive{}, AllCyclic{}}
-	items := []model.Item{"a", "b", "c", "d", "e"}
-	// Deterministic pseudo-random pattern enumeration.
-	next := uint64(12345)
-	rnd := func(n int) int {
-		next = next*6364136223846793005 + 1442695040888963407
-		return int(next>>33) % n
-	}
+	r := rand.New(rand.NewSource(12345))
 	for trial := 0; trial < 200; trial++ {
-		mk := func(id string, kind tx.Kind) Access {
-			rs, ws := make(model.ItemSet), make(model.ItemSet)
-			for k := 0; k < 1+rnd(3); k++ {
-				it := items[rnd(len(items))]
-				rs.Add(it)
-				if rnd(2) == 0 {
-					ws.Add(it)
-					rs.Add(it)
-				}
-			}
-			return Access{ID: id, Kind: kind, ReadSet: rs, WriteSet: ws}
-		}
-		var ms, bs []Access
-		for i := 0; i < 2+rnd(5); i++ {
-			ms = append(ms, mk(itoa("Tm", i), tx.Tentative))
-		}
-		for i := 0; i < 1+rnd(4); i++ {
-			bs = append(bs, mk(itoa("Tb", i), tx.Base))
-		}
+		ms := randAccesses(r, "Tm", 2+r.Intn(5), 5, true)
+		bs := randAccesses(r, "Tb", 1+r.Intn(4), 5, true)
 		g := Build(ms, bs)
 		for _, s := range strategies {
 			b, err := s.ComputeB(g)
@@ -263,12 +240,7 @@ func TestStrategiesAlwaysBreakAllCycles(t *testing.T) {
 // TestExhaustiveIsMinimal checks, on fuzzed graphs, that no strategy beats
 // Exhaustive on total back-out cost.
 func TestExhaustiveIsMinimal(t *testing.T) {
-	items := []model.Item{"a", "b", "c"}
-	next := uint64(999)
-	rnd := func(n int) int {
-		next = next*6364136223846793005 + 1442695040888963407
-		return int(next>>33) % n
-	}
+	r := rand.New(rand.NewSource(999))
 	cost := func(g *Graph, b []int) int {
 		c := 0
 		for _, v := range b {
@@ -277,22 +249,8 @@ func TestExhaustiveIsMinimal(t *testing.T) {
 		return c
 	}
 	for trial := 0; trial < 100; trial++ {
-		mk := func(id string, kind tx.Kind) Access {
-			rs, ws := make(model.ItemSet), make(model.ItemSet)
-			it := items[rnd(len(items))]
-			rs.Add(it)
-			ws.Add(it)
-			it2 := items[rnd(len(items))]
-			rs.Add(it2)
-			return Access{ID: id, Kind: kind, ReadSet: rs, WriteSet: ws}
-		}
-		var ms, bs []Access
-		for i := 0; i < 2+rnd(4); i++ {
-			ms = append(ms, mk(itoa("Tm", i), tx.Tentative))
-		}
-		for i := 0; i < 1+rnd(3); i++ {
-			bs = append(bs, mk(itoa("Tb", i), tx.Base))
-		}
+		ms := randAccesses(r, "Tm", 2+r.Intn(4), 3, true)
+		bs := randAccesses(r, "Tb", 1+r.Intn(3), 3, true)
 		g := Build(ms, bs)
 		opt, err := (Exhaustive{}).ComputeB(g)
 		if err != nil {
@@ -383,38 +341,13 @@ func TestTheorem1Direction(t *testing.T) {
 	}
 }
 
-func itoa(prefix string, i int) string {
-	return prefix + string(rune('0'+i))
-}
-
 // TestSCCsAgainstBruteForce validates Tarjan's output against a brute-force
 // mutual-reachability computation on fuzzed graphs.
 func TestSCCsAgainstBruteForce(t *testing.T) {
-	items := []model.Item{"a", "b", "c", "d"}
-	next := uint64(4242)
-	rnd := func(n int) int {
-		next = next*6364136223846793005 + 1442695040888963407
-		return int(next>>33) % n
-	}
+	r := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 150; trial++ {
-		mk := func(id string, kind tx.Kind) Access {
-			rs, ws := make(model.ItemSet), make(model.ItemSet)
-			for k := 0; k < 1+rnd(3); k++ {
-				it := items[rnd(len(items))]
-				rs.Add(it)
-				if rnd(2) == 0 {
-					ws.Add(it)
-				}
-			}
-			return Access{ID: id, Kind: kind, ReadSet: rs, WriteSet: ws}
-		}
-		var ms, bs []Access
-		for i := 0; i < 2+rnd(4); i++ {
-			ms = append(ms, mk(itoa("Tm", i), tx.Tentative))
-		}
-		for i := 0; i < 1+rnd(3); i++ {
-			bs = append(bs, mk(itoa("Tb", i), tx.Base))
-		}
+		ms := randAccesses(r, "Tm", 2+r.Intn(4), 4, true)
+		bs := randAccesses(r, "Tb", 1+r.Intn(3), 4, true)
 		g := Build(ms, bs)
 		n := g.Len()
 		// Brute force: reach[u][v] via repeated relaxation.
@@ -544,46 +477,12 @@ func buildNaive(mobile, base []Access) [][2]string {
 // construction against the pairwise oracle on fuzzed access patterns,
 // including blind writes.
 func TestIndexedBuildMatchesNaive(t *testing.T) {
-	items := []model.Item{"a", "b", "c", "d", "e"}
-	next := uint64(555)
-	rnd := func(n int) int {
-		next = next*6364136223846793005 + 1442695040888963407
-		return int(next>>33) % n
-	}
+	r := rand.New(rand.NewSource(555))
 	for trial := 0; trial < 300; trial++ {
-		mk := func(id string, kind tx.Kind) Access {
-			rs, ws := make(model.ItemSet), make(model.ItemSet)
-			for k := 0; k < 1+rnd(3); k++ {
-				it := items[rnd(len(items))]
-				switch rnd(3) {
-				case 0:
-					rs.Add(it)
-				case 1:
-					rs.Add(it)
-					ws.Add(it)
-				default:
-					ws.Add(it) // blind write
-				}
-			}
-			return Access{ID: id, Kind: kind, ReadSet: rs, WriteSet: ws}
-		}
-		var ms, bs []Access
-		for i := 0; i < 1+rnd(6); i++ {
-			ms = append(ms, mk(itoa("Tm", i), tx.Tentative))
-		}
-		for i := 0; i < 1+rnd(5); i++ {
-			bs = append(bs, mk(itoa("Tb", i), tx.Base))
-		}
-		got := Build(ms, bs).Edges()
-		want := buildNaive(ms, bs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d edges, oracle %d\n got %v\nwant %v",
-				trial, len(got), len(want), got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: edge %d: %v != %v", trial, i, got[i], want[i])
-			}
+		ms := randAccesses(r, "Tm", 1+r.Intn(6), 5, false)
+		bs := randAccesses(r, "Tb", 1+r.Intn(5), 5, false)
+		if got, want := Build(ms, bs).Edges(), buildNaive(ms, bs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: edges diverge\n got %v\nwant %v", trial, got, want)
 		}
 	}
 }

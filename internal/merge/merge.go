@@ -4,6 +4,11 @@
 // transactions that cannot be saved) to the end, prune the rewritten history
 // to obtain the repaired history's effect, and forward only the final values
 // of the items the repaired history wrote.
+//
+// Merge is the literal protocol over an executed base history. MergeIndexed
+// runs the same steps against a view of an indexed base history
+// (graph.BaseView) — what the base tier keeps per window — and decides
+// identically while reading only what the tentative history touches.
 package merge
 
 import (
@@ -158,7 +163,8 @@ func (o Options) withDefaults() Options {
 
 // Report is the outcome of one merge.
 type Report struct {
-	// Graph is the precedence graph G(Hm, Hb).
+	// Graph is the precedence graph G(Hm, Hb) — over the whole of Hb from
+	// Merge, over the base entries that can lie on a cycle from MergeIndexed.
 	Graph *graph.Graph
 	// Conflict reports whether the graph had a cycle (B non-empty).
 	Conflict bool
@@ -203,11 +209,6 @@ type Report struct {
 	PruneMethod string
 	// Options echoes the effective options.
 	Options Options
-
-	// inc is the retained incremental builder backing Graph. Extend uses it
-	// to grow the base tier in place when a merge retries against a longer
-	// base prefix.
-	inc *graph.Incremental
 }
 
 // ApplyForwards installs the merge's forwarded write-back into st in place:
@@ -236,11 +237,9 @@ func Merge(hm, hb *history.Augmented, opts Options) (*Report, error) {
 	rep := &Report{Options: opts}
 	o := opts.Observer // nil observer: every span below is one nil check
 
-	// Step 1: precedence graph, via the retained-index builder so a retry
-	// can later extend it instead of rebuilding (see Extend).
+	// Step 1: precedence graph, the literal construction over all of Hb.
 	start := spanStart(o)
-	rep.inc = graph.NewIncremental(accessesFor(hm, opts), accessesFor(hb, opts))
-	rep.Graph = rep.inc.Graph()
+	rep.Graph = graph.Build(accessesFor(hm, opts), accessesFor(hb, opts))
 	if o != nil {
 		o.Observe(obs.Event{Phase: obs.PhaseGraph, Dur: time.Since(start)})
 	}
@@ -249,6 +248,37 @@ func Merge(hm, hb *history.Augmented, opts Options) (*Report, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// MergeIndexed is Merge against an indexed base history: step 1 builds the
+// graph over Hm and the viewed base entries that can lie on a cycle through
+// Hm (graph.BuildIndexed), steps 2–5 are Merge's own. The outcome — B, the
+// rewrite, the forwards — equals Merge's over the same entries by
+// construction; only Report.Graph is smaller. The view must come from an
+// index in opts' delta mode.
+func MergeIndexed(hm *history.Augmented, view *graph.BaseView, opts Options) (*Report, graph.ViewStats, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, graph.ViewStats{}, err
+	}
+	if view.Deltas() == opts.DisableDeltas {
+		return nil, graph.ViewStats{}, fmt.Errorf("%w: base view indexed with deltas=%v", ErrBadOptions, view.Deltas())
+	}
+	opts = effectiveOptions(hm, opts)
+	rep := &Report{Options: opts}
+	o := opts.Observer
+
+	start := spanStart(o)
+	var st graph.ViewStats
+	rep.Graph, st = graph.BuildIndexed(accessesFor(hm, opts), view)
+	if o != nil {
+		o.Observe(obs.Event{Phase: obs.PhaseGraph, Dur: time.Since(start),
+			BaseViewed: st.Viewed, BaseKept: st.Kept})
+	}
+
+	if err := runFromGraph(rep, hm, opts); err != nil {
+		return nil, st, err
+	}
+	return rep, st, nil
 }
 
 // accessesFor extracts the access footprints for graph construction,
@@ -281,16 +311,10 @@ func effectiveOptions(hm *history.Augmented, opts Options) Options {
 
 // runFromGraph runs protocol steps 2–5 (back-out, rewrite, prune, forward
 // updates) plus optional verification against the graph already stored in
-// rep. It resets every outcome field first, so Extend can rerun it on a
-// report whose graph was grown in place.
+// rep.
 func runFromGraph(rep *Report, hm *history.Augmented, opts Options) error {
 	o := opts.Observer
 	g := rep.Graph
-	rep.Conflict = false
-	rep.BadIDs, rep.AffectedIDs, rep.SavedIDs = nil, nil, nil
-	rep.Reexecute, rep.ForwardUpdates = nil, nil
-	rep.ForwardDeltas, rep.DeltaFolded = nil, 0
-	rep.RewriteResult, rep.Repaired, rep.RepairedState, rep.PruneMethod = nil, nil, nil, ""
 
 	// Step 2: back-out set.
 	start := spanStart(o)

@@ -36,7 +36,8 @@ const (
 	MetricReplayed     = "tiermerge_wal_records_replayed_total"  // counter
 	MetricDroppedTail  = "tiermerge_wal_dropped_tail_txns_total" // counter
 	MetricTornTails    = "tiermerge_wal_torn_tails_total"        // counter
-	MetricIncremental  = "tiermerge_merge_incremental_total"     // counter
+	MetricBaseViewed   = "tiermerge_merge_base_viewed_total"     // counter
+	MetricBaseKept     = "tiermerge_merge_base_kept_total"       // counter
 )
 
 // Observe folds one event into the registry.
@@ -53,8 +54,9 @@ func (m *Metrics) Observe(ev Event) {
 		} else {
 			m.reg.Counter(Label(MetricAdmitRetries, "cause", string(ev.Cause))).Inc()
 		}
-	case PhaseExtend:
-		m.reg.Counter(MetricIncremental).Inc()
+	case PhaseGraph:
+		m.reg.Counter(MetricBaseViewed).Add(int64(ev.BaseViewed))
+		m.reg.Counter(MetricBaseKept).Add(int64(ev.BaseKept))
 	case PhaseSerial:
 		m.reg.Counter(MetricSerial).Inc()
 	case PhaseFallback:

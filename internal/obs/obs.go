@@ -40,15 +40,11 @@ const (
 	// PhaseSnapshot is the short critical section capturing the immutable
 	// base-prefix view a merge prepares against.
 	PhaseSnapshot Phase = "snapshot"
-	// PhaseGraph is precedence-graph construction (step 1).
+	// PhaseGraph is precedence-graph construction (step 1). On the replica
+	// path BaseViewed/BaseKept carry how many base entries the merge's view
+	// held and how many could lie on a cycle through Hm and entered the
+	// graph.
 	PhaseGraph Phase = "graph-build"
-	// PhaseExtend is an incremental re-prepare: instead of rebuilding
-	// G(Hm, Hb) from scratch, a retry attempt extends the previous attempt's
-	// graph with only the base entries committed since its snapshot.
-	// NewVertices/NewEdges carry the extension size; Affected carries the
-	// number of new edges incident to Hm (zero means the prior back-out and
-	// rewrite were reused unchanged).
-	PhaseExtend Phase = "graph-extend"
 	// PhaseBackout is the back-out set computation (step 2).
 	PhaseBackout Phase = "back-out"
 	// PhaseRewrite is the history rewrite (steps 3, Algorithms 1/2/CBT).
@@ -145,9 +141,10 @@ type Event struct {
 	// Replayed and DroppedTail tally a crash recovery (recover): journal
 	// records replayed and trailing uncommitted transactions discarded.
 	Replayed, DroppedTail int
-	// NewVertices and NewEdges size an incremental graph extension
-	// (graph-extend only).
-	NewVertices, NewEdges int
+	// BaseViewed and BaseKept size the base side of an indexed graph build
+	// (graph-build on the replica path): window entries in the merge's view,
+	// and those among them the graph was built over.
+	BaseViewed, BaseKept int
 	// Shard is the 1-based shard that emitted the event under a sharded
 	// base tier (replica.ShardedBase). 0 means the event came from an
 	// unsharded cluster or from a merge spanning several shards, whose

@@ -197,7 +197,8 @@ func TestMetricsObserve(t *testing.T) {
 	m.Observe(Event{Phase: PhaseFallback, Cause: CauseWindowExpired, Reexecuted: 3, Failed: 1})
 	m.Observe(Event{Phase: PhaseMerge, Dur: time.Millisecond, Saved: 2, BackedOut: 1, Reexecuted: 3, Failed: 1})
 	m.Observe(Event{Phase: PhaseReprocess, Reexecuted: 5, Failed: 2})
-	m.Observe(Event{Phase: PhaseExtend, NewVertices: 4, NewEdges: 7})
+	m.Observe(Event{Phase: PhaseGraph, BaseViewed: 40, BaseKept: 7})
+	m.Observe(Event{Phase: PhaseGraph, BaseViewed: 2})
 	m.Observe(Event{Phase: PhaseAdmit})
 	s := m.Registry().Snapshot()
 	for name, want := range map[string]int64{
@@ -205,12 +206,13 @@ func TestMetricsObserve(t *testing.T) {
 		MetricAdmits: 2,
 		MetricSerial: 1,
 		Label(MetricFallbacks, "cause", string(CauseWindowExpired)): 1,
-		MetricMerges:      1,
-		MetricSaved:       2,
-		MetricBackedOut:   1,
-		MetricReexecuted:  8, // 3 (merge summary) + 5 (reprocess); fallback event adds nothing
-		MetricFailed:      3, // 1 + 2
-		MetricIncremental: 1,
+		MetricMerges:     1,
+		MetricSaved:      2,
+		MetricBackedOut:  1,
+		MetricReexecuted: 8, // 3 (merge summary) + 5 (reprocess); fallback event adds nothing
+		MetricFailed:     3, // 1 + 2
+		MetricBaseViewed: 42,
+		MetricBaseKept:   7,
 		Label(MetricEvents, "phase", string(PhaseAdmit)): 3,
 	} {
 		if got := s.Counters[name]; got != want {

@@ -134,6 +134,9 @@ func (mt MergeTrace) Format(w io.Writer) {
 		if ev.Reexecuted+ev.Failed > 0 {
 			fmt.Fprintf(&b, " reexecuted=%d failed=%d", ev.Reexecuted, ev.Failed)
 		}
+		if ev.BaseViewed > 0 {
+			fmt.Fprintf(&b, " base=%d/%d", ev.BaseKept, ev.BaseViewed)
+		}
 		if ev.Phase == PhaseRecover {
 			fmt.Fprintf(&b, " replayed=%d droppedtail=%d", ev.Replayed, ev.DroppedTail)
 		}

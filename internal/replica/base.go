@@ -11,6 +11,7 @@ import (
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/expr"
+	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
 	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
@@ -72,8 +73,8 @@ type BaseCluster struct {
 	// at admission: an unchanged structVer means every base entry a
 	// snapshot captured is still the entry at that history position.
 	structVer int64
-	// prefix caches the augmented view of the current window so merges stop
-	// rebuilding it from scratch (see windowPrefix).
+	// prefix caches the indexed base history of the current window so
+	// merges stop parsing it from scratch (see windowPrefix).
 	prefix prefixCache
 
 	counters cost.Counters
@@ -141,16 +142,15 @@ func sinceSpan(start time.Time) time.Duration {
 	return time.Since(start)
 }
 
-// prefixCache incrementally builds the current window's base history as
-// parallel entry/effect slices — everything G(Hm, Hb) is built from. The
-// slices are append-only between structVer bumps, so snapshots hand out
-// capped subslices that stay valid and race-free while the cache keeps
-// growing behind them.
+// prefixCache holds the current window's base history indexed for merging
+// (graph.BaseIndex): everything G(Hm, Hb) is built from, parsed once per
+// committed entry instead of once per reconnect. The index is append-only
+// between structVer bumps, so snapshots hand out capped views that stay
+// valid and race-free while it keeps growing behind them.
 type prefixCache struct {
 	windowID  int
 	structVer int64
-	entries   []history.Entry
-	effects   []*tx.Effect
+	index     *graph.BaseIndex
 }
 
 // NewBaseCluster builds a base cluster over the initial master state,
@@ -396,56 +396,33 @@ func (b *BaseCluster) stateAt(pos int) model.State {
 	return snap.State()
 }
 
-// windowPrefix returns the current window's base history as capped views
-// into the prefix cache, extending or rebuilding the cache as needed.
-// Caller holds b.mu.
-//
-// The returned slices are safe to read without the lock: between structVer
-// bumps the cache only appends, appends touch indices past every
-// previously returned view's length, and the transactions and effects the
-// elements point to are immutable once committed (an interior insert bumps
-// structVer, forcing a rebuild with fresh backing arrays).
+// windowPrefix returns the index of the current window's base history,
+// extending it with the entries committed since the last call, or rebuilding
+// it when the window advanced or the prefix changed shape (an interior
+// insert bumps structVer; the rebuild gives fresh backing arrays, so views
+// of the old arrangement stay intact). Caller holds b.mu, and must capture
+// its view (BaseIndex.View) before releasing it.
 //
 //tiermerge:locks(cluster)
-//tiermerge:immutable
-func (b *BaseCluster) windowPrefix() (entries []history.Entry, effects []*tx.Effect) {
+func (b *BaseCluster) windowPrefix() *graph.BaseIndex {
 	n := len(b.entries)
 	c := &b.prefix
-	if c.windowID != b.windowID || c.structVer != b.structVer || len(c.entries) > n {
+	if c.index == nil || c.windowID != b.windowID || c.structVer != b.structVer || c.index.Len() > n {
 		*c = prefixCache{
 			windowID:  b.windowID,
 			structVer: b.structVer,
-			entries:   make([]history.Entry, 0, n+8),
-			effects:   make([]*tx.Effect, 0, n+8),
+			index:     graph.NewBaseIndex(!b.cfg.MergeOptions.DisableDeltas, n+8),
 		}
 	}
-	for _, e := range b.entries[len(c.entries):] {
-		c.entries = append(c.entries, history.Entry{T: e.t})
-		c.effects = append(c.effects, e.eff)
+	for _, e := range b.entries[c.index.Len():] {
+		c.index.Append(graph.AccessOf(e.t, e.eff, c.index.Deltas()))
 	}
-	return c.entries[:n:n], c.effects[:n:n]
-}
-
-// baseAugmented returns the base sub-history entries[pos:] as the augmented
-// history a merge runs against: transactions and effects, no states — like
-// the combined cross-shard view (combineParts), since G(Hm, Hb) is built
-// from footprints alone. Served from the prefix cache. Caller holds b.mu;
-// the result remains valid to read after the lock is released (see
-// windowPrefix).
-//
-//tiermerge:locks(cluster)
-//tiermerge:immutable
-func (b *BaseCluster) baseAugmented(pos int) *history.Augmented {
-	entries, effects := b.windowPrefix()
-	return &history.Augmented{
-		H:       &history.History{Entries: entries[pos:]},
-		Effects: effects[pos:],
-	}
+	return c.index
 }
 
 // crossRefsLocked copies the cross-shard identities of entries[pos:],
-// parallel to the augmented view baseAugmented(pos) returns (nil elements
-// for shard-local entries). The copy stays valid after the lock is
+// parallel to the accesses of a view captured from pos (nil elements for
+// shard-local entries). The copy stays valid after the lock is
 // released. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"tiermerge/internal/cost"
+	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
 	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
@@ -20,12 +21,13 @@ import (
 //
 //  1. snapshot: a short critical section per member captures an immutable
 //     view of its base prefix (window, history position, origin validity,
-//     the cached augmented sub-history). One member's view is the serial
-//     base view as it stands; several interleave into one combined view
-//     (combineParts);
-//  2. prepare: all heavy computation — graph build, back-out, the O(n²)
-//     rewrite, pruning — runs lock-free against the view, charging its
-//     cost into a private delta (pipeline.go);
+//     the indexed base history with the posting lists of Hm's footprint).
+//     One member's view is the serial base view as it stands; several
+//     interleave into one combined view (combineParts);
+//  2. prepare: all heavy computation — graph build over the base entries
+//     that can lie on a cycle through Hm, back-out, the O(n²) rewrite,
+//     pruning — runs lock-free against the view, charging its cost into a
+//     private delta (pipeline.go);
 //  3. admit: take the merge's item locks across the members' lock managers
 //     in global sorted order (deadlock-victim retry), then the member
 //     mutexes in ascending shard order, revalidate every member — its
@@ -35,8 +37,8 @@ import (
 //     transactions atomically across the members; then unlock, and force
 //     the members' journals before acknowledging.
 //
-// A failed validation retries from step 1, carrying the prepared merge so a
-// one-member retry extends its graph instead of rebuilding it. After
+// A failed validation retries from step 1 on the newer view, carrying the
+// prepared merge only for its charges. After
 // Config.MergeAttempts optimistic rounds the same three steps run once more
 // with every member mutex held from the start, which cannot be invalidated.
 // One global lock order — item locks, then cluster mutexes ascending, with
@@ -142,24 +144,20 @@ func (cs *clusterSet) rounds(mobileID string, seq int64, tokens []Checkout, hm *
 		attempts = defaultMergeAttempts
 	}
 	home := cs.members[0]
+	footprint := footprintOf(hm)
 	var prev *preparedMerge
-	// Combined views take strictly decreasing synthetic structure versions,
-	// so a several-member retry always rebuilds (per-shard suffixes cannot
-	// be grafted onto a combined graph).
-	var synthVer int64
 	for attempt := 1; attempt <= attempts; attempt++ {
 		snapStart := home.spanStart()
-		parts, fb := cs.snapshot(tokens)
+		parts, fb := cs.snapshot(tokens, footprint)
 		if fb != FallbackNone {
 			return cs.fallback(hm, fb), nil
 		}
-		synthVer--
-		snap := combineParts(parts, synthVer)
+		view := combineParts(parts, footprint)
 		cs.emit(obs.Event{
 			Mobile: mobileID, Seq: seq,
 			Phase: obs.PhaseSnapshot, Attempt: attempt, Dur: sinceSpan(snapStart),
 		})
-		p, err := prepareMerge(cs.cfg, snap, hm, prev, bindMerge(cs.cfg.Observer, mobileID, seq, attempt))
+		p, err := prepareMerge(cs.cfg, view, hm, footprint, prev, bindMerge(cs.cfg.Observer, mobileID, seq, attempt))
 		if err != nil {
 			return nil, err
 		}
@@ -179,9 +177,9 @@ func (cs *clusterSet) rounds(mobileID string, seq int64, tokens []Checkout, hm *
 			return out, nil
 		}
 		// Validation failed: a member's history grew a conflicting
-		// extension (or changed shape). Retry against the extended prefix,
-		// carrying the prepared merge so the retry extends instead of
-		// rebuilding and never re-bills the upload.
+		// extension (or changed shape). Retry against the newer prefix,
+		// carrying the prepared merge so the retry keeps its charges and
+		// never re-bills the upload.
 		prev = p
 	}
 	// Serial round: the same steps with every member mutex held throughout.
@@ -194,7 +192,7 @@ func (cs *clusterSet) rounds(mobileID string, seq int64, tokens []Checkout, hm *
 	}
 	serialStart := home.spanStart()
 	lockClusters(cs.members)
-	out, err := cs.serialLocked(mobileID, tokens, hm, prev, synthVer-1, inner)
+	out, err := cs.serialLocked(mobileID, tokens, hm, footprint, prev, inner)
 	unlockClusters(cs.members)
 	for _, ev := range buf.events {
 		cs.cfg.Observer.Observe(ev)
@@ -214,12 +212,12 @@ func (cs *clusterSet) rounds(mobileID string, seq int64, tokens []Checkout, hm *
 // by the per-member revalidation at admission.
 //
 //tiermerge:locks(none)
-func (cs *clusterSet) snapshot(tokens []Checkout) ([]shardPart, FallbackReason) {
+func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]shardPart, FallbackReason) {
 	parts := make([]shardPart, len(cs.members))
 	for i, b := range cs.members {
 		var fb FallbackReason
 		b.mu.Lock()
-		parts[i], fb = cs.partLocked(i, tokens[i])
+		parts[i], fb = cs.partLocked(i, tokens[i], footprint)
 		b.mu.Unlock()
 		if fb != FallbackNone {
 			return nil, fb
@@ -229,12 +227,17 @@ func (cs *clusterSet) snapshot(tokens []Checkout) ([]shardPart, FallbackReason) 
 }
 
 // partLocked validates members[i]'s checkout token and captures its part.
-// Caller holds that member's mutex.
+// The only member's view is the merge's view and carries the footprint's
+// posting lists; one of several is re-indexed in combined order and carries
+// none. Caller holds that member's mutex.
 //
 //tiermerge:locks(shard)
-func (cs *clusterSet) partLocked(i int, ck Checkout) (shardPart, FallbackReason) {
+func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (shardPart, FallbackReason) {
 	b := cs.members[i]
-	snap, fb := b.snapshotLocked(ck)
+	if len(cs.members) > 1 {
+		footprint = nil
+	}
+	snap, fb := b.snapshotLocked(ck, footprint)
 	if fb != FallbackNone {
 		return shardPart{}, fb
 	}
@@ -247,8 +250,7 @@ func (cs *clusterSet) partLocked(i int, ck Checkout) (shardPart, FallbackReason)
 }
 
 // combineParts turns the members' prefix snapshots into the one serial base
-// view a merge prepares against. A single part is that view already, real
-// structure version included, so a retry can extend its graph (merge.Extend).
+// view a merge prepares against. A single part's view is that view already.
 // Several parts interleave: shard-local entries are item-disjoint across
 // shards, so any interleaving preserving each shard's order is a legal
 // serial history; cross-shard slices are deduplicated into their global
@@ -256,10 +258,11 @@ func (cs *clusterSet) partLocked(i int, ck Checkout) (shardPart, FallbackReason)
 // consistent with every involved shard — the position every slice has
 // reached, which exists because cross-shard installs append to all their
 // shards atomically and snapshots are taken in ascending shard order. The
-// combined view carries the caller-chosen synthetic structVer.
-func combineParts(parts []shardPart, structVer int64) prefixSnapshot {
+// combined history is indexed transiently, in that order, and viewed whole
+// with the footprint's posting lists.
+func combineParts(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 	if len(parts) == 1 {
-		return parts[0].snap
+		return parts[0].snap.view
 	}
 	type ref struct{ part, pos int }
 	where := make(map[*crossTxn][]ref)
@@ -272,8 +275,7 @@ func combineParts(parts []shardPart, structVer int64) prefixSnapshot {
 			}
 		}
 	}
-	entries := make([]history.Entry, 0, total)
-	effects := make([]*tx.Effect, 0, total)
+	ix := graph.NewBaseIndex(parts[0].snap.view.Deltas(), total)
 	ptr := make([]int, len(parts))
 	emitted := make(map[*crossTxn]bool)
 	ready := func(g *crossTxn) bool {
@@ -285,20 +287,19 @@ func combineParts(parts []shardPart, structVer int64) prefixSnapshot {
 		return true
 	}
 	emitCross := func(g *crossTxn) {
-		entries = append(entries, history.Entry{T: g.t})
-		effects = append(effects, g.eff)
+		ix.Append(graph.AccessOf(g.t, g.eff, ix.Deltas()))
 		emitted[g] = true
 	}
 	for {
 		progress := false
 		for pi, p := range parts {
+			local := p.snap.view.Accesses()
 			for ptr[pi] < len(p.refs) {
 				i := ptr[pi]
 				g := p.refs[i]
 				switch {
 				case g == nil:
-					entries = append(entries, p.snap.hb.H.Entries[i])
-					effects = append(effects, p.snap.hb.Effects[i])
+					ix.Append(local[i])
 				case emitted[g]:
 					// A sibling slice already emitted the global entry.
 				case ready(g):
@@ -333,14 +334,7 @@ func combineParts(parts []shardPart, structVer int64) prefixSnapshot {
 			}
 		}
 	}
-	hb := &history.Augmented{H: &history.History{Entries: entries}, Effects: effects}
-	return prefixSnapshot{
-		windowID:  parts[0].snap.windowID,
-		structVer: structVer,
-		histLen:   len(entries),
-		pos:       0,
-		hb:        hb,
-	}
+	return ix.View(0, footprint)
 }
 
 // admit is the admission step of an optimistic round. out is nil when
@@ -376,23 +370,23 @@ func (cs *clusterSet) admit(mobileID string, hm *history.Augmented, p *preparedM
 
 // serialLocked is the serial round: snapshot, prepare and admit under every
 // member's mutex, immune to invalidation by construction. prev (may be nil)
-// is the last optimistic round's prepared merge: the prepare extends it when
-// possible and never re-bills the upload. o must not be a user observer —
+// is the last optimistic round's prepared merge: the prepare keeps its
+// charges and never re-bills the upload. o must not be a user observer —
 // events would fire under the mutexes — so the caller passes an eventBuffer
 // (or nil) and flushes it after unlocking. Caller holds every member's
 // mutex.
 //
 //tiermerge:locks(shard)
 //tiermerge:buffered-events
-func (cs *clusterSet) serialLocked(mobileID string, tokens []Checkout, hm *history.Augmented, prev *preparedMerge, synthVer int64, o obs.Observer) (*ConnectOutcome, error) {
+func (cs *clusterSet) serialLocked(mobileID string, tokens []Checkout, hm *history.Augmented, footprint model.ItemSet, prev *preparedMerge, o obs.Observer) (*ConnectOutcome, error) {
 	parts := make([]shardPart, len(cs.members))
 	for i := range cs.members {
 		var fb FallbackReason
-		if parts[i], fb = cs.partLocked(i, tokens[i]); fb != FallbackNone {
+		if parts[i], fb = cs.partLocked(i, tokens[i], footprint); fb != FallbackNone {
 			return cs.fallbackLocked(hm, fb), nil
 		}
 	}
-	p, err := prepareMerge(cs.cfg, combineParts(parts, synthVer), hm, prev, o)
+	p, err := prepareMerge(cs.cfg, combineParts(parts, footprint), hm, footprint, prev, o)
 	if err != nil {
 		return nil, err
 	}
@@ -671,11 +665,13 @@ func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) 
 //
 //tiermerge:locks(none)
 func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.Report, error) {
-	// Validate and snapshot under the mutexes, then merge outside them: the
-	// augmented views stay valid after release (see windowPrefix), and the
-	// merge is the heavy step — running it locked would stall admissions
-	// and invoke any configured MergeOptions.Observer under a mutex.
-	parts, fb := cs.snapshot(tokens)
+	// Validate and snapshot under the mutexes, then merge outside them — the
+	// same indexed path a reconnect's prepare takes: the views stay valid
+	// after release (see snapshotLocked), and the merge is the heavy step —
+	// running it locked would stall admissions and invoke any configured
+	// MergeOptions.Observer under a mutex.
+	footprint := footprintOf(hm)
+	parts, fb := cs.snapshot(tokens, footprint)
 	switch fb {
 	case FallbackNone:
 	case FallbackWindowExpired:
@@ -683,7 +679,8 @@ func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.
 	default:
 		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
 	}
-	return merge.Merge(hm, combineParts(parts, -1).hb, cs.cfg.MergeOptions)
+	rep, _, err := merge.MergeIndexed(hm, combineParts(parts, footprint), cs.cfg.MergeOptions)
+	return rep, err
 }
 
 // reprocess runs the original two-tier protocol for one reconnect: every

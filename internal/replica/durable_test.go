@@ -150,9 +150,9 @@ func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
 	}
 	mergeDeposit(t, b, "m1", "y")
 	b.mu.Lock()
-	cached := len(b.prefix.entries)
+	cached := b.prefix.index != nil && b.prefix.index.Len() > 0
 	b.mu.Unlock()
-	if cached == 0 {
+	if !cached {
 		t.Fatal("prefix cache not built by the merge")
 	}
 	if n := b.store.Stats().Snapshots; n != 0 {
@@ -160,7 +160,7 @@ func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
 	}
 	b.AdvanceWindow()
 	b.mu.Lock()
-	survived := b.prefix.entries != nil
+	survived := b.prefix.index != nil
 	b.mu.Unlock()
 	if survived {
 		t.Error("prefix cache survived window advance")

@@ -6,16 +6,15 @@ import (
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/expr"
+	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
 
-// Tests for the incremental re-prepare path: upload charges billed once
-// per reconnect regardless of retries, and retry outcomes identical to a
-// from-scratch merge over the same prefix (both the full-rebuild and the
-// no-mobile-edge fast-retry path). The parity test runs under -race in
-// scripts/check.sh.
+// Tests for retried prepares: upload charges billed once per reconnect
+// regardless of retries, and a retried prepare identical to a first prepare
+// over the longer prefix. Both run under -race in scripts/check.sh.
 
 // retryingMobile builds a one-mobile cluster whose reconnect is forced
 // through exactly two attempts: hookAfterPrepare commits baseTxn between
@@ -105,12 +104,11 @@ func TestRetryBillsUploadOnce(t *testing.T) {
 }
 
 // TestIncrementalRetryMatchesFromScratch: a reconnect whose admission races
-// a base commit must land on exactly the outcome of a from-scratch merge
-// against the longer prefix — for both incremental paths: the full rerun
-// (the base commit conflicts with Hm, adding a mobile-incident edge) and
-// the fast retry (a read-only base touch intersects the footprint so
-// admission conservatively fails, but the graph extension adds no
-// mobile-incident edge and the prior report is reused verbatim).
+// a base commit re-prepares on the longer prefix, and that retried prepare
+// must equal a first prepare over the same prefix — report, outcome, master
+// state and the size of the view — whether the commit conflicts with Hm
+// ("rebuild": it rewrites what Hm read) or merely intersects the footprint
+// ("fast-retry": a read-only touch admission conservatively rejects).
 func TestIncrementalRetryMatchesFromScratch(t *testing.T) {
 	// The mobile reads the price p and deposits into a0; footprint {p, a0}.
 	mobileTxn := func(id string) *tx.Transaction {
@@ -122,86 +120,72 @@ func TestIncrementalRetryMatchesFromScratch(t *testing.T) {
 	cases := []struct {
 		name    string
 		baseTxn func() *tx.Transaction
-		wantRer bool // extension must add a mobile-incident edge
 	}{
-		{
-			name:    "rebuild",
-			baseTxn: func() *tx.Transaction { return workload.SetPrice("Bp", tx.Base, "p", 77) },
-			wantRer: true,
-		},
-		{
-			name:    "fast-retry",
-			baseTxn: func() *tx.Transaction { return tx.MustNew("Br", tx.Base, tx.Read("p")) },
-			wantRer: false,
-		},
+		{"rebuild", func() *tx.Transaction { return workload.SetPrice("Bp", tx.Base, "p", 77) }},
+		{"fast-retry", func() *tx.Transaction { return tx.MustNew("Br", tx.Base, tx.Read("p")) }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			// Incremental run: the base transaction commits between attempt
-			// 1's prepare and admit.
-			trA := obs.NewTracer()
-			bA := NewBaseCluster(fleetOrigin(), Config{Observer: trA})
-			mA := NewMobileNode("m0", bA)
-			if err := mA.Run(mobileTxn("Tm")); err != nil {
-				t.Fatal(err)
-			}
-			bA.hookAfterPrepare = func(attempt int) {
+	// run reconnects one mobile; with raced the base transaction commits
+	// between attempt 1's prepare and admit, otherwise before the reconnect
+	// ever snapshots. It returns the outcome, the master and the graph-build
+	// event of the admitted attempt.
+	run := func(t *testing.T, baseTxn func() *tx.Transaction, raced bool) (*ConnectOutcome, model.State, obs.Event) {
+		tr := obs.NewTracer()
+		b := NewBaseCluster(fleetOrigin(), Config{Observer: tr})
+		m := NewMobileNode("m0", b)
+		if err := m.Run(mobileTxn("Tm")); err != nil {
+			t.Fatal(err)
+		}
+		wantAttempt, wantRetries := 1, int64(0)
+		if raced {
+			wantAttempt, wantRetries = 2, 1
+			b.hookAfterPrepare = func(attempt int) {
 				if attempt == 1 {
-					if err := bA.ExecBase(tc.baseTxn()); err != nil {
+					if err := b.ExecBase(baseTxn()); err != nil {
 						t.Errorf("hook ExecBase: %v", err)
 					}
 				}
 			}
-			outA, err := mA.ConnectMerge()
-			if err != nil {
-				t.Fatal(err)
+		} else if err := b.ExecBase(baseTxn()); err != nil {
+			t.Fatal(err)
+		}
+		out, err := m.ConnectMerge()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Counters().Snapshot().MergeRetries; got != wantRetries {
+			t.Fatalf("MergeRetries = %d, want %d", got, wantRetries)
+		}
+		var builds []obs.Event
+		for _, ev := range tr.Events() {
+			if ev.Phase == obs.PhaseGraph {
+				builds = append(builds, ev)
 			}
-
-			// From-scratch run: the base transaction commits before the
-			// reconnect ever snapshots.
-			bB := NewBaseCluster(fleetOrigin(), Config{})
-			mB := NewMobileNode("m0", bB)
-			if err := mB.Run(mobileTxn("Tm")); err != nil {
-				t.Fatal(err)
-			}
-			if err := bB.ExecBase(tc.baseTxn()); err != nil {
-				t.Fatal(err)
-			}
-			outB, err := mB.ConnectMerge()
-			if err != nil {
-				t.Fatal(err)
-			}
-
+		}
+		if len(builds) != wantAttempt || builds[len(builds)-1].Attempt != wantAttempt {
+			t.Fatalf("graph-build events %+v, want one per attempt (%d)", builds, wantAttempt)
+		}
+		for _, mt := range tr.Merges() {
+			validateTrace(t, mt)
+		}
+		return out, b.Master(), builds[len(builds)-1]
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			outA, masterA, buildA := run(t, tc.baseTxn, true)
+			outB, masterB, buildB := run(t, tc.baseTxn, false)
 			if outA.Merged != outB.Merged || outA.Saved != outB.Saved ||
-				outA.Reprocessed != outB.Reprocessed || outA.Failed != outB.Failed ||
-				len(outA.BadIDs) != len(outB.BadIDs) {
-				t.Errorf("outcomes diverged:\nincremental  %+v\nfrom-scratch %+v", outA, outB)
+				outA.Reprocessed != outB.Reprocessed || outA.Failed != outB.Failed {
+				t.Errorf("outcomes diverged:\nretried %+v\nfirst   %+v", outA, outB)
 			}
-			if !bA.Master().Equal(bB.Master()) {
-				t.Errorf("masters diverged:\nincremental  %s\nfrom-scratch %s", bA.Master(), bB.Master())
+			if a, b := reportOutcome(outA.Report), reportOutcome(outB.Report); a != b {
+				t.Errorf("reports diverged:\nretried %s\nfirst   %s", a, b)
 			}
-			cA := bA.Counters().Snapshot()
-			if cA.MergeRetries != 1 {
-				t.Fatalf("MergeRetries = %d, want 1", cA.MergeRetries)
+			if !masterA.Equal(masterB) {
+				t.Errorf("masters diverged:\nretried %s\nfirst   %s", masterA, masterB)
 			}
-			// The retry must have gone through the graph extension, and its
-			// mobile-edge count decides which path it took.
-			var extends int
-			for _, ev := range trA.Events() {
-				if ev.Phase != obs.PhaseExtend {
-					continue
-				}
-				extends++
-				if gotRer := ev.Affected > 0; gotRer != tc.wantRer {
-					t.Errorf("extend event Affected = %d, want mobile-incident edges: %v",
-						ev.Affected, tc.wantRer)
-				}
-			}
-			if extends != 1 {
-				t.Errorf("saw %d graph-extend events, want 1", extends)
-			}
-			for _, mt := range trA.Merges() {
-				validateTrace(t, mt)
+			if buildA.BaseViewed != 1 || buildA.BaseViewed != buildB.BaseViewed || buildA.BaseKept != buildB.BaseKept {
+				t.Errorf("retried build saw base %d/%d, first build %d/%d; want the one raced entry viewed by both",
+					buildA.BaseKept, buildA.BaseViewed, buildB.BaseKept, buildB.BaseViewed)
 			}
 		})
 	}

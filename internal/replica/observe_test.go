@@ -22,13 +22,10 @@ import (
 // path, the variadic connect API, and exporter-versus-counter parity on an
 // E13-style concurrent workload.
 
-// phaseRank orders the phases one optimistic attempt emits. Graph build and
-// graph extend share a rank: an attempt either builds from scratch or
-// extends the carried graph, never both.
+// phaseRank orders the phases one optimistic attempt emits.
 var phaseRank = map[obs.Phase]int{
 	obs.PhaseSnapshot: 0,
 	obs.PhaseGraph:    1,
-	obs.PhaseExtend:   1,
 	obs.PhaseBackout:  2,
 	obs.PhaseRewrite:  3,
 	obs.PhasePrune:    4,
@@ -37,8 +34,8 @@ var phaseRank = map[obs.Phase]int{
 
 // validateTrace checks the invariants every merge trace must satisfy:
 // exactly one summary event in final position, consistent identity on every
-// event, within each attempt the pipeline order snapshot -> graph-build (or
-// extend) -> back-out -> rewrite -> prune -> admit, and — when the merge
+// event, within each attempt the pipeline order snapshot -> graph-build ->
+// back-out -> rewrite -> prune -> admit, and — when the merge
 // degraded to the serial path (attempt-0 sub-phase events) — exactly one
 // serial-degrade mark, ordered after every buffered sub-phase event.
 func validateTrace(t *testing.T, mt obs.MergeTrace) {

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 
 	"tiermerge/internal/cost"
@@ -17,14 +16,13 @@ import (
 // snapshot a merge prepares against, the lock-free prepare itself, and the
 // tests admission applies to a prepared merge.
 //
-// Retries are kept cheap by incremental re-prepare: a retry carries the
-// previous attempt's preparedMerge. Base transactions are durable and only
-// append to the history between structural changes, so the precedence graph
-// is monotone in the base suffix: prepareMerge extends the prior graph with
-// just the entries in [prevSnap.histLen, snap.histLen) instead of rebuilding
-// it, and reruns back-out/rewrite only when the extension adds an edge
-// incident to Hm (merge.Extend). The mobile's upload (set entries, local
-// graph edges) is billed once per reconnect, never on a retry.
+// A prepare costs what touches Hm, not the prefix: the base history is
+// indexed once per committed entry (graph.BaseIndex, grown in windowPrefix)
+// and the prepare reads the posting lists of Hm's footprint and the base
+// entries that can lie on a cycle through Hm. A retry therefore simply
+// re-prepares on the newer view, carrying the previous attempt only for its
+// charges: the mobile's upload (set entries, local graph edges) is billed
+// once per reconnect, never on a retry.
 
 // prefixSnapshot is the immutable base-prefix view a merge prepares
 // against.
@@ -35,13 +33,12 @@ type prefixSnapshot struct {
 	structVer int64
 	histLen   int // committed entries at snapshot time
 	pos       int // validated checkout position (0 under Strategy 2)
-	hb        *history.Augmented
+	view      *graph.BaseView
 }
 
 // preparedMerge is the outcome of the lock-free prepare phase.
 type preparedMerge struct {
-	snap prefixSnapshot
-	rep  *merge.Report
+	rep *merge.Report
 	// footprint is the union of Hm's actual read and write sets — the
 	// items whose base-side history must not have changed for the prepared
 	// report to stay valid.
@@ -66,11 +63,9 @@ type preparedMerge struct {
 	// merge pays. Both merge into the shared counters at admission.
 	//
 	// Across retry attempts deltaPrepare accumulates: each re-prepare
-	// starts from the previous attempt's delta and adds only the new work
-	// (the incremental graph extension, or a full rebuild when the prefix
-	// changed shape), so the admitted attempt bills every piece of compute
-	// the reconnect actually performed — and the mobile→base upload
-	// exactly once.
+	// starts from the previous attempt's delta and adds its own work, so the
+	// admitted attempt bills every piece of compute the reconnect actually
+	// performed — and the mobile→base upload exactly once.
 	deltaPrepare, deltaCommit cost.Counts
 }
 
@@ -104,11 +99,30 @@ type eventBuffer struct{ events []obs.Event }
 
 func (eb *eventBuffer) Observe(ev obs.Event) { eb.events = append(eb.events, ev) }
 
+// footprintOf is the union of Hm's actual read and write sets: what routes a
+// reconnect to its shards, what its view holds postings for, and what
+// admission validates extensions against.
+func footprintOf(hm *history.Augmented) model.ItemSet {
+	fp := make(model.ItemSet)
+	for _, eff := range hm.Effects {
+		for it := range eff.ReadSet {
+			fp.Add(it)
+		}
+		for it := range eff.WriteSet {
+			fp.Add(it)
+		}
+	}
+	return fp
+}
+
 // snapshotLocked validates the checkout token and captures the prefix
-// snapshot. Caller holds b.mu.
+// snapshot: the lock-free view of the indexed base history from the checkout
+// position on, with the posting lists of footprint (nil: none — a
+// cross-shard part, which combineParts re-indexes). No map and no slice
+// header of the index is read after b.mu is released. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) snapshotLocked(ck Checkout) (prefixSnapshot, FallbackReason) {
+func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (prefixSnapshot, FallbackReason) {
 	if ck.WindowID != b.windowID {
 		return prefixSnapshot{}, FallbackWindowExpired
 	}
@@ -124,62 +138,39 @@ func (b *BaseCluster) snapshotLocked(ck Checkout) (prefixSnapshot, FallbackReaso
 		structVer: b.structVer,
 		histLen:   len(b.entries),
 		pos:       pos,
-		hb:        b.baseAugmented(pos),
+		view:      b.windowPrefix().View(pos, footprint),
 	}, FallbackNone
 }
 
 // prepareMerge runs every heavy step of the merging protocol against the
-// snapshot without any cluster lock, accumulating the Section 7.1 charges
-// into private deltas. o (may be nil) receives the prepare sub-phase span
-// events — graph build/extend, back-out, rewrite, prune — already bound to
-// the owning merge.
+// view without any cluster lock, accumulating the Section 7.1 charges into
+// private deltas. footprint is footprintOf(hm), the items the view holds
+// postings for. o (may be nil) receives the prepare sub-phase span events —
+// graph build, back-out, rewrite, prune — already bound to the owning merge.
 //
 // prev, when non-nil, is the previous attempt's prepared merge. Its
-// accumulated charges carry over, and the mobile→base upload (set entries,
-// local graph edges and their message) is never re-billed: the mobile ships
-// Hm once per reconnect. When the new snapshot is an append-only extension
-// of prev's — same window, same structure version, same position, history
-// at least as long — the precedence graph is extended in place
-// (merge.Extend) and only the incremental graph work is charged; otherwise
-// the prepare rebuilds from scratch (charging the rebuild, which is work
-// actually performed).
-func prepareMerge(cfg Config, snap prefixSnapshot, hm *history.Augmented, prev *preparedMerge, o obs.Observer) (*preparedMerge, error) {
+// accumulated charges carry over (failed-attempt compute is work performed;
+// the admitted attempt bills it all), and the mobile→base upload (set
+// entries, local graph edges and their message) is never re-billed: the
+// mobile ships Hm once per reconnect.
+func prepareMerge(cfg Config, view *graph.BaseView, hm *history.Augmented, footprint model.ItemSet, prev *preparedMerge, o obs.Observer) (*preparedMerge, error) {
 	w := cfg.Weights
-	p := &preparedMerge{snap: snap}
+	p := &preparedMerge{footprint: footprint}
 	opts := cfg.MergeOptions
 	opts.Observer = o
 
 	if prev != nil {
-		// A retry: carry the accumulated charges (failed-attempt compute is
-		// work performed; the admitted attempt bills it all) and the
-		// Hm-derived state, which no base change can alter.
 		p.deltaPrepare = prev.deltaPrepare
 		p.deltaPrepare.MergeRetries++
-		p.footprint = prev.footprint
 		p.deltaFoot = prev.deltaFoot
 		p.effByTxn = prev.effByTxn
-		if canExtend(prev.snap, snap) {
-			if done, err := p.extendFrom(cfg, snap, hm, prev, opts); err != nil {
-				return nil, err
-			} else if done {
-				return p, nil
-			}
-			// Not extendable after all: fall through to a full re-prepare.
-		}
 	} else {
 		// First attempt. Communication, mobile -> base: read/write sets of
 		// Hm plus G(Hm) — billed exactly once per reconnect.
 		var setEntries, localEdges int64
 		mobAcc := graph.AccessesOf(hm)
-		p.footprint = make(model.ItemSet)
 		for _, a := range mobAcc {
 			setEntries += int64(len(a.ReadSet) + len(a.WriteSet))
-			for it := range a.ReadSet {
-				p.footprint.Add(it)
-			}
-			for it := range a.WriteSet {
-				p.footprint.Add(it)
-			}
 		}
 		gm := graph.Build(mobAcc, nil)
 		for v := 0; v < gm.Len(); v++ {
@@ -189,7 +180,7 @@ func prepareMerge(cfg Config, snap prefixSnapshot, hm *history.Augmented, prev *
 		p.deltaPrepare.SetEntriesSent += setEntries
 		p.deltaPrepare.GraphEdgesSent += localEdges
 		p.deltaPrepare.MobileGraphOps += int64(gm.Len()) + localEdges
-		p.deltaFoot = deltaFootprint(cfg, hm, p.footprint)
+		p.deltaFoot = deltaFootprint(cfg, hm, footprint)
 
 		p.effByTxn = make(map[*tx.Transaction]*tx.Effect, hm.H.Len())
 		for i := 0; i < hm.H.Len(); i++ {
@@ -197,85 +188,21 @@ func prepareMerge(cfg Config, snap prefixSnapshot, hm *history.Augmented, prev *
 		}
 	}
 
-	rep, err := merge.Merge(hm, snap.hb, opts)
+	rep, st, err := merge.MergeIndexed(hm, view, opts)
 	if err != nil {
 		return nil, fmt.Errorf("replica: merge: %w", err)
 	}
 	p.rep = rep
-	p.chargePrepared(cfg, hm, snap.hb.Effects)
+	p.chargePrepared(cfg, hm, view, st)
 	p.chargeCommit(w)
 	return p, nil
 }
 
-// canExtend reports whether next is an append-only extension of prev: the
-// same window, the same structural shape and checkout position, with a base
-// history at least as long. Exactly then the entries in
-// [prev.histLen, next.histLen) are the only difference, and grafting them
-// onto prev's precedence graph reproduces a from-scratch build.
-func canExtend(prev, next prefixSnapshot) bool {
-	return prev.windowID == next.windowID &&
-		prev.structVer == next.structVer &&
-		prev.pos == next.pos &&
-		next.histLen >= prev.histLen
-}
-
-// extendFrom performs the incremental re-prepare: extend prev's precedence
-// graph with the base entries committed since prev's snapshot, rerun the
-// downstream protocol steps only if the extension added an edge incident to
-// Hm, and charge only the incremental work. Returns done=false (with p
-// untouched beyond the carried fields) when the prior report cannot be
-// extended and the caller must rebuild.
-func (p *preparedMerge) extendFrom(cfg Config, snap prefixSnapshot, hm *history.Augmented, prev *preparedMerge, opts merge.Options) (done bool, err error) {
-	w := cfg.Weights
-	prevBase := prev.rep.Graph.BaseLen
-	prevElided := prev.rep.Graph.Elided
-	suffix := &history.Augmented{
-		H:       &history.History{Entries: snap.hb.H.Entries[prevBase:]},
-		Effects: snap.hb.Effects[prevBase:],
-	}
-	rep, info, err := merge.Extend(prev.rep, hm, suffix, opts)
-	if err != nil {
-		if errors.Is(err, merge.ErrNotExtendable) {
-			return false, nil
-		}
-		return false, fmt.Errorf("replica: merge extend: %w", err)
-	}
-	p.rep = rep
-	// Incremental graph work: vertices and edges actually added, plus the
-	// delta-delta conflict pairs the extension elided instead of adding.
-	p.deltaPrepare.BaseGraphOps += int64(info.NewVertices + info.NewEdges)
-	p.deltaPrepare.EdgesElided += int64(rep.Graph.Elided - prevElided)
-	if info.Reran {
-		// Back-out, rewrite and prune reran on the extended graph; charge
-		// them like a fresh prepare, and the refreshed set B travels
-		// base -> mobile again.
-		var fullEdges int64
-		for v := 0; v < rep.Graph.Len(); v++ {
-			fullEdges += int64(len(rep.Graph.Succ(v)))
-		}
-		rewriteOps := int64(hm.H.Len())
-		if rep.RewriteResult != nil {
-			rewriteOps += int64(rep.RewriteResult.PairChecks)
-		}
-		p.deltaPrepare.BaseBackoutOps += fullEdges + int64(len(rep.BadIDs))*int64(rep.Graph.Len())
-		p.deltaPrepare.MobileRewriteOps += rewriteOps
-		p.deltaPrepare.MobilePruneOps += int64(len(rep.Reexecute) + len(rep.AffectedIDs))
-		p.deltaPrepare.Msg(w, int64(len(rep.BadIDs))*w.SetEntryBytes)
-		p.insertConflict = scanInsertConflict(cfg, snap.hb.Effects, rep.ForwardUpdates, rep.ForwardDeltas)
-	} else {
-		// The report is unchanged; only the new suffix needs the Strategy 1
-		// insert-conflict scan.
-		p.insertConflict = prev.insertConflict ||
-			scanInsertConflict(cfg, suffix.Effects, rep.ForwardUpdates, rep.ForwardDeltas)
-	}
-	p.chargeCommit(w)
-	return true, nil
-}
-
-// chargePrepared records the base- and mobile-side compute of a full
-// (from-scratch) prepare, plus the Strategy 1 insert-conflict scan over the
-// snapshot prefix.
-func (p *preparedMerge) chargePrepared(cfg Config, hm *history.Augmented, prefixEffects []*tx.Effect) {
+// chargePrepared records the base- and mobile-side compute of one prepare —
+// work performed, so the graph bill is the built graph plus the postings
+// scanned and the reachability steps that selected its base vertices — and
+// runs the Strategy 1 insert-conflict test over the view.
+func (p *preparedMerge) chargePrepared(cfg Config, hm *history.Augmented, view *graph.BaseView, st graph.ViewStats) {
 	w := cfg.Weights
 	rep := p.rep
 	// Base computing: building G(Hm, Hb) and computing B.
@@ -287,7 +214,7 @@ func (p *preparedMerge) chargePrepared(cfg Config, hm *history.Augmented, prefix
 	if rep.RewriteResult != nil {
 		rewriteOps += int64(rep.RewriteResult.PairChecks)
 	}
-	p.deltaPrepare.BaseGraphOps += int64(rep.Graph.Len()) + fullEdges
+	p.deltaPrepare.BaseGraphOps += int64(rep.Graph.Len()) + fullEdges + int64(st.Scanned+st.Steps)
 	p.deltaPrepare.EdgesElided += int64(rep.Graph.Elided)
 	p.deltaPrepare.BaseBackoutOps += fullEdges + int64(len(rep.BadIDs))*int64(rep.Graph.Len())
 	// Base -> mobile: the set B.
@@ -298,9 +225,9 @@ func (p *preparedMerge) chargePrepared(cfg Config, hm *history.Augmented, prefix
 	// Strategy 1 serializes the saved work at the checkout position; that
 	// is only possible when no committed base transaction after it
 	// conflicts with the forwarded updates (otherwise durable history
-	// would change). The snapshot prefix covers entries[pos:histLen];
-	// admission's extension check covers everything committed since.
-	p.insertConflict = scanInsertConflict(cfg, prefixEffects, rep.ForwardUpdates, rep.ForwardDeltas)
+	// would change). The view covers entries[pos:histLen]; admission's
+	// extension check covers everything committed since.
+	p.insertConflict = scanInsertConflict(cfg, view, rep.ForwardUpdates, rep.ForwardDeltas)
 }
 
 // deltaFootprint derives the delta-pure subset of the merge footprint: the
@@ -366,22 +293,18 @@ func (p *preparedMerge) extensionInvisible(eff *tx.Effect) bool {
 }
 
 // scanInsertConflict applies the Strategy 1 insert-position test: some
-// committed base transaction in effects touches an item the forwarded
-// write-back (values or deltas) would rewrite at the checkout position.
-func scanInsertConflict(cfg Config, effects []*tx.Effect, values, deltas map[model.Item]model.Value) bool {
-	if cfg.Origin != Strategy1 || len(values)+len(deltas) == 0 {
+// committed base transaction in the view touches an item the forwarded
+// write-back (values or deltas) would rewrite at the checkout position. The
+// forwarded items are Hm writes, so the view holds their posting lists.
+func scanInsertConflict(cfg Config, view *graph.BaseView, values, deltas map[model.Item]model.Value) bool {
+	if cfg.Origin != Strategy1 {
 		return false
 	}
-	updItems := make(model.ItemSet, len(values)+len(deltas))
-	for it := range values {
-		updItems.Add(it)
-	}
-	for it := range deltas {
-		updItems.Add(it)
-	}
-	for _, eff := range effects {
-		if !eff.ReadSet.Disjoint(updItems) || !eff.WriteSet.Disjoint(updItems) {
-			return true
+	for _, src := range [2]map[model.Item]model.Value{values, deltas} {
+		for it := range src {
+			if view.Touches(it) {
+				return true
+			}
 		}
 	}
 	return false

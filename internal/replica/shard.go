@@ -386,21 +386,6 @@ func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 	}
 }
 
-// footprintOf is the union of Hm's actual read and write sets — the same
-// footprint prepareMerge derives.
-func footprintOf(hm *history.Augmented) model.ItemSet {
-	fp := make(model.ItemSet)
-	for _, eff := range hm.Effects {
-		for it := range eff.ReadSet {
-			fp.Add(it)
-		}
-		for it := range eff.WriteSet {
-			fp.Add(it)
-		}
-	}
-	return fp
-}
-
 // clustersOf maps sorted shard indices to their clusters.
 func (s *partition) clustersOf(involved []int) []*BaseCluster {
 	bs := make([]*BaseCluster, len(involved))

@@ -195,7 +195,7 @@ func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
 // TestShardedCountersMatchPlainCluster: on the disjoint fleet a 4-shard
 // tier must charge exactly what a plain NewBaseCluster charges — the
 // shard-local merges run the same one-member routine the unsharded base
-// does. The exclusions follow the E13/E15 convention:
+// does. The exclusions follow the E13 convention:
 // BaseGraphOps/BaseBackoutOps scale with the observed base prefix (shorter
 // per shard) and MergeRetries/AdmitBatches describe the schedule's shape,
 // not work the protocol prescribes. The one protocol difference is the
@@ -563,11 +563,7 @@ func TestSetSizeRetryThenSerialParity(t *testing.T) {
 					t.Errorf("%s event carries Detail %q, want %q", ev.Phase, ev.Detail, wantDetail)
 				}
 			}
-			phase := ev.Phase
-			if phase == obs.PhaseExtend {
-				phase = obs.PhaseGraph
-			}
-			res.steps = append(res.steps, step{phase, ev.Attempt, ev.Cause})
+			res.steps = append(res.steps, step{ev.Phase, ev.Attempt, ev.Cause})
 		}
 		return res
 	}

@@ -99,11 +99,15 @@ go test -race -count=1 ./internal/wire/
 # -race); repeat it so the flake stays fixed.
 go test -race -count=20 -run TestWireMetrics ./internal/wire/
 
-echo "== race (incremental re-prepare parity) =="
-# Explicit gate for the retry-amortization invariants: incremental
-# re-prepare must match a from-scratch prepare (reports and counters) and
-# uploads bill once per reconnect — under the race detector.
-go test -race -count=1 -run 'IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce' ./internal/replica/
+echo "== race (relevant-base parity) =="
+# Explicit gate for the indexed merge path: building G(Hm,Hb) over only the
+# base entries that can lie on a cycle through Hm must decide exactly what
+# the literal build over the whole history decides (the differential), a
+# captured view must stay valid while the history keeps appending, a retried
+# prepare must equal a first prepare over the longer prefix, and uploads
+# bill once per reconnect — under the race detector.
+go test -race -count=1 -run 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredecessors' ./internal/merge/ ./internal/graph/
+go test -race -count=1 -run 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition|IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce' ./internal/replica/
 
 echo "== race (sharded base tier: two-phase cross-shard merges + window barrier) =="
 # Explicit gate for the sharding invariants: N=1 parity with the plain
