@@ -1,5 +1,5 @@
 // Benchmarks for the reproduction suite: one bench per experiment kernel
-// (E0..E9, E13, E14; E10-E12 are timed by the ablation benches, see DESIGN.md) plus
+// (E0..E9, E14; E10-E12 are timed by the ablation benches, see DESIGN.md) plus
 // micro-benchmarks for the algorithmic pieces whose asymptotic costs
 // Section 7.1 discusses (graph construction, the O(n^2) rewriting pass,
 // pruning, and the lock manager).
@@ -359,67 +359,6 @@ func BenchmarkPublicAPIQuickstart(b *testing.B) {
 		if _, err := m.ConnectMerge(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkE13ConcurrentMerge measures reconnect-merge throughput on a
-// low-conflict workload (each mobile touches only its private items). The
-// serial baseline (MergeAttempts < 0) admits every merge under the cluster
-// lock end-to-end; the pipeline overlaps the heavy prepare phases across
-// goroutines and serializes only the short admission section, so on
-// multi-core hosts the 8-mobile concurrent case scales with GOMAXPROCS.
-func BenchmarkE13ConcurrentMerge(b *testing.B) {
-	const txns = 32
-	for _, mobiles := range []int{1, 8} {
-		origin := model.State{}
-		for i := 0; i < mobiles; i++ {
-			for k := 0; k < 4; k++ {
-				origin.Set(model.Item(fmt.Sprintf("m%d.i%d", i, k)), 100)
-			}
-		}
-		hms := make([]*history.Augmented, mobiles)
-		for i := range hms {
-			h := &history.History{}
-			for k := 0; k < txns; k++ {
-				it := model.Item(fmt.Sprintf("m%d.i%d", i, k%4))
-				h.Append(workload.Deposit(fmt.Sprintf("T%d.%d", i, k), tx.Tentative, it, 1))
-			}
-			a, err := history.Run(h, origin)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hms[i] = a
-		}
-		run := func(b *testing.B, attempts int, concurrent bool) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				cluster := replica.NewBaseCluster(origin, replica.Config{MergeAttempts: attempts})
-				if concurrent {
-					var wg sync.WaitGroup
-					wg.Add(mobiles)
-					for i := 0; i < mobiles; i++ {
-						go func(i int) {
-							defer wg.Done()
-							ck := replica.Checkout{MobileID: fmt.Sprintf("m%d", i), WindowID: 1, Origin: origin}
-							if _, err := cluster.Merge(ck, hms[i]); err != nil {
-								b.Error(err)
-							}
-						}(i)
-					}
-					wg.Wait()
-				} else {
-					for i := 0; i < mobiles; i++ {
-						ck := replica.Checkout{MobileID: fmt.Sprintf("m%d", i), WindowID: 1, Origin: origin}
-						if _, err := cluster.Merge(ck, hms[i]); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			b.ReportMetric(float64(b.N*mobiles)/b.Elapsed().Seconds(), "merges/s")
-		}
-		b.Run(fmt.Sprintf("serial/mobiles=%d", mobiles), func(b *testing.B) { run(b, -1, false) })
-		b.Run(fmt.Sprintf("concurrent/mobiles=%d", mobiles), func(b *testing.B) { run(b, 0, true) })
 	}
 }
 

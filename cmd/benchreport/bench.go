@@ -14,8 +14,8 @@ import (
 )
 
 // Bench-JSON mode: parse `go test -bench` output from stdin and persist
-// one BENCH_<ID>.json per experiment-tagged benchmark (BenchmarkE13...,
-// BenchmarkE16..., BenchmarkE17...) so each PR's perf numbers land in the
+// one BENCH_<ID>.json per experiment-tagged benchmark (BenchmarkE16...,
+// BenchmarkE17..., BenchmarkE18...) so each PR's perf numbers land in the
 // repo instead of a terminal scrollback. scripts/bench.sh is the driver.
 
 // benchResult is one benchmark line, normalized.

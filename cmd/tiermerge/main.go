@@ -5,8 +5,8 @@
 //
 // The trace subcommand runs the same scenario under a merge tracer and
 // prints a per-reconnect phase breakdown — where each merge spent its
-// time, how many admission attempts it took and why they retried, and
-// what the merge decided. The -metrics flag (both modes) writes a
+// time, waiting for the cluster mutexes included, and what the merge
+// decided. The -metrics flag (both modes) writes a
 // Prometheus-text metrics snapshot after the run.
 //
 // The serve and client subcommands run the same mobile/base split as

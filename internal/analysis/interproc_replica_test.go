@@ -23,9 +23,9 @@ func repoRoot(t *testing.T) string {
 // TestReplicaTwoPhaseAdmitClean is the acceptance gate for the real code:
 // the cluster-set merge path (internal/replica/clusterset.go) and the rest
 // of the replica package must pass the interprocedural analyzers with zero
-// findings — the ascending lockClusters discipline, the buffered serial
-// round, and the item-locks-before-cluster-mutexes ordering all check out
-// by inference.
+// findings — the ascending lockClusters discipline, the buffered events of
+// the reconnect's one critical section, and ExecBase's
+// item-locks-before-cluster-mutexes ordering all check out by inference.
 func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")
@@ -53,10 +53,11 @@ func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 
 // TestInferenceCoversRemovedAnnotation pins the tentpole property: the
 // locks(...)/blocking annotations are no longer the only source of truth.
-// A shadow copy of internal/replica with the admission step's annotations
-// stripped, plus a seeded caller that invokes it under a member's mutex,
-// must still be reported — the summary engine infers both the blocking
-// lock wait and the mutex re-acquisition with no annotation on the chain.
+// A shadow copy of internal/replica with the annotations of the routine that
+// takes the member mutexes (clusterSet.round) stripped, plus a seeded caller
+// that invokes it under a member's mutex, must still be reported — the
+// summary engine infers both the blocking lock wait and the mutex
+// re-acquisition with no annotation on the chain.
 func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")
@@ -84,10 +85,10 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if name == "clusterset.go" {
-			const annotated = "//tiermerge:locks(none)\n//tiermerge:blocking\nfunc (cs *clusterSet) admit("
-			const bare = "func (cs *clusterSet) admit("
+			const annotated = "//tiermerge:locks(none)\n//tiermerge:blocking\nfunc (cs *clusterSet) round("
+			const bare = "func (cs *clusterSet) round("
 			if !strings.Contains(string(data), annotated) {
-				t.Fatalf("clusterset.go no longer carries the expected annotations on admit")
+				t.Fatalf("clusterset.go no longer carries the expected annotations on round")
 			}
 			data = []byte(strings.Replace(string(data), annotated, bare, 1))
 			stripped = true
@@ -97,17 +98,18 @@ func TestInferenceCoversRemovedAnnotation(t *testing.T) {
 		}
 	}
 	if !stripped {
-		t.Fatal("did not strip the admit annotations")
+		t.Fatal("did not strip the round annotations")
 	}
 	probe := `package replica
 
 import "tiermerge/internal/history"
 
-// lintProbeBadCall admits while holding a member's mutex — the violation
-// the stripped annotations used to be the only defense against.
-func lintProbeBadCall(cs *clusterSet, b *BaseCluster, hm *history.Augmented, p *preparedMerge, parts []shardPart) {
+// lintProbeBadCall runs a reconnect's critical section while holding a
+// member's mutex — the violation the stripped annotations used to be the
+// only defense against.
+func lintProbeBadCall(cs *clusterSet, b *BaseCluster, hm *history.Augmented) {
 	b.mu.Lock()
-	cs.admit("m", hm, p, parts)
+	cs.round("m", 1, nil, hm)
 	b.mu.Unlock()
 }
 `
@@ -146,7 +148,7 @@ func lintProbeBadCall(cs *clusterSet, b *BaseCluster, hm *history.Augmented, p *
 		}
 	}
 	if !blocked {
-		t.Error("inference did not report the blocking admit under the cluster mutex")
+		t.Error("inference did not report the blocking round under the cluster mutex")
 	}
 	if !deadlocked {
 		t.Error("inference did not report the mutex re-acquisition self-deadlock")

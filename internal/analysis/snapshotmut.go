@@ -5,11 +5,10 @@ import (
 	"go/types"
 )
 
-// SnapshotMut enforces the immutability contract the optimistic merge
-// pipeline rests on: the base-prefix snapshot a prepare phase runs
-// against (PR 1's windowPrefix/baseAugmented views, the prefixSnapshot
-// struct) is shared, lock-free data — writing through it from outside the
-// admit critical section corrupts concurrent merges.
+// SnapshotMut enforces the immutability contract the merge path rests on:
+// the base-prefix view a merge prepares against (the windowPrefix index
+// views, the prefixSnapshot struct) is shared data that Preview reads
+// lock-free — writing through it corrupts concurrent merges and previews.
 //
 // Functions annotated //tiermerge:immutable declare that every value they
 // return aliases such shared structure; types annotated

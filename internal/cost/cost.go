@@ -120,15 +120,17 @@ type Counts struct {
 	TxnsBackedOut   int64
 	MergesPerformed int64
 	MergeFallbacks  int64
-	// MergeRetries counts re-prepare attempts after a failed admission
-	// validation.
+	// MergeRetries counted re-prepares after a failed admission validation
+	// under the retired optimistic pipeline (DESIGN.md §7). A merge now
+	// runs in one critical section and never retries, so it stays 0; the
+	// field stays because the benchmark's replica.merge_retries_per_merge
+	// reads it.
 	MergeRetries int64
-	// AdmitBatches counts admission critical sections entered — one per
-	// validate-and-install attempt of a merge, failed validations and the
-	// serial round included, for every cluster-set size. MergesPerformed
-	// divided by it is 1.0 on retry-free traffic and lower with retries.
-	// (The name dates from batched admission; the Prometheus series and
-	// the benchmark's replica.admit_batch_size keep it.)
+	// AdmitBatches counts the critical sections reconnects entered — one
+	// per merge reconnect, merged or fallen back, for every cluster-set
+	// size, so it equals MergesPerformed + MergeFallbacks. (The name dates
+	// from batched admission; the Prometheus series and the benchmark's
+	// replica.admit_batch_size keep it.)
 	AdmitBatches int64
 	// CrossShardMerges counts merges whose footprint spanned more than one
 	// shard of a sharded base tier (a cluster set of several members).

@@ -105,7 +105,6 @@ func All() []*Table {
 		E10Ablations(),
 		E11QueuePosition(),
 		E12WireFidelity(),
-		E13ConcurrentMerge(),
 		E14CrashRecovery(),
 		E16ShardedFleet(),
 		E17WireTransport(),

@@ -18,7 +18,7 @@ import (
 // account on another shard; the transfer targets depend on the partition,
 // so the per-item states legitimately differ, but transfers are zero-sum
 // — the fleet's total balance must still agree across shard counts, and
-// the two-phase cross-shard path must actually fire (CrossShardMerges >
+// the cross-shard merge path must actually fire (CrossShardMerges >
 // 0). A final concurrent pass reconnects the disjoint fleet through
 // goroutines per shard count; BenchmarkE16ShardedFleet measures the
 // speedup this experiment only sanity-checks for completeness.
@@ -111,7 +111,7 @@ func E16ShardedFleet() *Table {
 		Check{Name: "disjoint fleet lands on identical masters across 1/2/4 shards", OK: disjointEqual},
 		Check{Name: "total balance is partition-independent at every cross ratio", OK: balancesAgree},
 		Check{Name: "no cross-shard merges on an all-disjoint fleet", OK: noCrossAtZero},
-		Check{Name: "cross-shard two-phase path fires at positive ratio on 2 and 4 shards", OK: crossFires,
+		Check{Name: "cross-shard merge path fires at positive ratio on 2 and 4 shards", OK: crossFires,
 			Note: fmt.Sprintf("cross-shard merges: 2 shards=%d, 4 shards=%d",
 				results[key{2, 0.25}].Counts.CrossShardMerges,
 				results[key{4, 0.25}].Counts.CrossShardMerges)},

@@ -1,11 +1,11 @@
 package obs
 
 // Metrics is the Observer that folds the reconnect event stream into a
-// Registry: per-phase event counters and latency histograms, admission
-// retry tallies by cause, fallback tallies by reason, serial degradations,
-// and the saved / backed-out / re-executed transaction totals — the
-// statistics protocol comparisons report (saved ratio, reconnect latency
-// distribution, abort causes).
+// Registry: per-phase event counters and latency histograms (lock-wait
+// among them: the contention on the cluster mutexes), admissions, fallback
+// tallies by reason, and the saved / backed-out / re-executed transaction
+// totals — the statistics protocol comparisons report (saved ratio,
+// reconnect latency distribution, abort causes).
 type Metrics struct {
 	reg *Registry
 }
@@ -19,15 +19,13 @@ func (m *Metrics) Registry() *Registry { return m.reg }
 
 // Metric families Metrics maintains.
 const (
-	MetricEvents       = "tiermerge_events_total"        // counter, label phase
-	MetricPhaseSeconds = "tiermerge_phase_seconds"       // histogram, label phase
-	MetricAdmits       = "tiermerge_admits_total"        // counter
-	MetricAdmitRetries = "tiermerge_admit_retries_total" // counter, label cause
-	MetricSerial       = "tiermerge_serial_total"        // counter
-	MetricFallbacks    = "tiermerge_fallbacks_total"     // counter, label cause
-	MetricMerges       = "tiermerge_merges_total"        // counter
-	MetricReconnectSec = "tiermerge_reconnect_seconds"   // histogram
-	MetricSaved        = "tiermerge_txns_saved_total"    // counter
+	MetricEvents       = "tiermerge_events_total"      // counter, label phase
+	MetricPhaseSeconds = "tiermerge_phase_seconds"     // histogram, label phase
+	MetricAdmits       = "tiermerge_admits_total"      // counter
+	MetricFallbacks    = "tiermerge_fallbacks_total"   // counter, label cause
+	MetricMerges       = "tiermerge_merges_total"      // counter
+	MetricReconnectSec = "tiermerge_reconnect_seconds" // histogram
+	MetricSaved        = "tiermerge_txns_saved_total"  // counter
 	MetricBackedOut    = "tiermerge_txns_backed_out_total"
 	MetricReexecuted   = "tiermerge_txns_reexecuted_total"
 	MetricFailed       = "tiermerge_txns_failed_total"
@@ -49,16 +47,10 @@ func (m *Metrics) Observe(ev Event) {
 	}
 	switch ev.Phase {
 	case PhaseAdmit:
-		if ev.Cause == CauseNone {
-			m.reg.Counter(MetricAdmits).Inc()
-		} else {
-			m.reg.Counter(Label(MetricAdmitRetries, "cause", string(ev.Cause))).Inc()
-		}
+		m.reg.Counter(MetricAdmits).Inc()
 	case PhaseGraph:
 		m.reg.Counter(MetricBaseViewed).Add(int64(ev.BaseViewed))
 		m.reg.Counter(MetricBaseKept).Add(int64(ev.BaseKept))
-	case PhaseSerial:
-		m.reg.Counter(MetricSerial).Inc()
 	case PhaseFallback:
 		// Tallies of a fallen-back reconnect ride on its merge summary
 		// event; the fallback event only classifies the cause.

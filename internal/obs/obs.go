@@ -5,15 +5,14 @@
 // path.
 //
 // The protocol code emits one Event per phase span (checkout,
-// disconnect-run, snapshot, graph build, back-out, rewrite, prune,
-// validate-and-admit attempts with their retry cause, serial degradation,
-// fallback, reprocessing, and the whole-merge summary) through a single
-// Observer hook. A nil Observer pays exactly one nil check per would-be
-// event — the cluster's zero-value configuration runs the hot path
-// untouched.
+// disconnect-run, lock wait, snapshot, graph build, back-out, rewrite,
+// prune, admission, fallback, reprocessing, and the whole-merge summary)
+// through a single Observer hook. A nil Observer pays exactly one nil check
+// per would-be event — the cluster's zero-value configuration runs the hot
+// path untouched.
 //
 // Two Observer implementations ship with the package: Metrics folds events
-// into a Registry (counters, retry-cause tallies, per-phase latency
+// into a Registry (counters, fallback-cause tallies, per-phase latency
 // histograms — the statistics Sutra–Shapiro-style protocol comparisons
 // evaluate), and Tracer records raw events for per-merge phase breakdowns
 // (cmd/tiermerge trace). Multi fans one event stream out to several
@@ -25,9 +24,9 @@ import "time"
 // Phase names one stage of the reconnect path. The values map onto the
 // paper's protocol steps (DESIGN.md §9 has the full taxonomy): graph-build
 // is Section 2.1 step 1, back-out step 2, rewrite steps 3 (Algorithms 1/2),
-// prune step 4, reprocess step 6; snapshot, admit and serial-degrade belong
-// to the concurrent pipeline (DESIGN.md §7), which the paper's serial
-// presentation does not need.
+// prune step 4, reprocess step 6; lock-wait, snapshot and admit bracket the
+// reconnect's critical section over the cluster mutexes (DESIGN.md §7),
+// which the paper's serial presentation does not need.
 type Phase string
 
 // Reconnect phases, in the order a fully-merged reconnect emits them.
@@ -37,7 +36,11 @@ const (
 	PhaseCheckout Phase = "checkout"
 	// PhaseRun is one tentative transaction executed while disconnected.
 	PhaseRun Phase = "disconnect-run"
-	// PhaseSnapshot is the short critical section capturing the immutable
+	// PhaseLockWait is the wait to acquire the mutexes of every cluster a
+	// reconnect involves — the contention between simultaneous reconnects
+	// and base transactions.
+	PhaseLockWait Phase = "lock-wait"
+	// PhaseSnapshot is the checkout-token validation and the capture of the
 	// base-prefix view a merge prepares against.
 	PhaseSnapshot Phase = "snapshot"
 	// PhaseGraph is precedence-graph construction (step 1). On the replica
@@ -51,12 +54,9 @@ const (
 	PhaseRewrite Phase = "rewrite"
 	// PhasePrune is pruning of the rewritten tail (step 4).
 	PhasePrune Phase = "prune"
-	// PhaseAdmit is one validate-and-admit attempt of the optimistic
-	// pipeline; Cause carries the retry cause when validation failed.
+	// PhaseAdmit is the installation of a prepared merge: forwarded
+	// updates plus the re-execution of the backed-out transactions.
 	PhaseAdmit Phase = "admit"
-	// PhaseSerial marks a merge degrading to the serial path after
-	// exhausting its optimistic attempts; its span covers the serial run.
-	PhaseSerial Phase = "serial-degrade"
 	// PhaseFallback marks a reconnect falling back to reprocessing; Cause
 	// carries the fallback reason.
 	PhaseFallback Phase = "fallback"
@@ -83,20 +83,14 @@ const (
 	PhaseMerge Phase = "merge"
 )
 
-// Cause classifies why an admission attempt retried or a reconnect fell
-// back to reprocessing.
+// Cause classifies why a reconnect fell back to reprocessing or a recovery
+// dropped a torn tail.
 type Cause string
 
-// Retry and fallback causes.
+// Fallback and recovery causes.
 const (
 	// CauseNone: the phase succeeded.
 	CauseNone Cause = ""
-	// CauseStructChanged: the base prefix changed shape (interior insert or
-	// window advance) between snapshot and admission.
-	CauseStructChanged Cause = "struct-changed"
-	// CauseExtensionConflict: base transactions committed since the
-	// snapshot touch the merge's footprint.
-	CauseExtensionConflict Cause = "extension-conflict"
 	// CauseWindowExpired: the mobile connected after its time window
 	// closed.
 	CauseWindowExpired Cause = "window-expired"
@@ -123,12 +117,9 @@ type Event struct {
 	Seq int64
 	// Phase names the stage.
 	Phase Phase
-	// Attempt is the 1-based validate-and-admit attempt (admit and
-	// prepare-phase events of the optimistic pipeline; 0 elsewhere).
-	Attempt int
 	// Dur is the span duration (0 for instantaneous marks).
 	Dur time.Duration
-	// Cause carries the retry or fallback cause.
+	// Cause carries the fallback or recovery cause.
 	Cause Cause
 	// Detail names the algorithm that ran (rewriter, pruner, back-out
 	// strategy) where one applies.

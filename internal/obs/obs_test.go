@@ -191,9 +191,8 @@ func TestTracerMerges(t *testing.T) {
 // tallies are not double counted against the merge summary.
 func TestMetricsObserve(t *testing.T) {
 	m := NewMetrics()
-	m.Observe(Event{Phase: PhaseAdmit, Attempt: 1, Cause: CauseStructChanged})
-	m.Observe(Event{Phase: PhaseAdmit, Attempt: 2, Dur: time.Millisecond})
-	m.Observe(Event{Phase: PhaseSerial, Dur: time.Millisecond})
+	m.Observe(Event{Phase: PhaseLockWait, Dur: time.Millisecond})
+	m.Observe(Event{Phase: PhaseAdmit, Dur: time.Millisecond})
 	m.Observe(Event{Phase: PhaseFallback, Cause: CauseWindowExpired, Reexecuted: 3, Failed: 1})
 	m.Observe(Event{Phase: PhaseMerge, Dur: time.Millisecond, Saved: 2, BackedOut: 1, Reexecuted: 3, Failed: 1})
 	m.Observe(Event{Phase: PhaseReprocess, Reexecuted: 5, Failed: 2})
@@ -202,9 +201,7 @@ func TestMetricsObserve(t *testing.T) {
 	m.Observe(Event{Phase: PhaseAdmit})
 	s := m.Registry().Snapshot()
 	for name, want := range map[string]int64{
-		Label(MetricAdmitRetries, "cause", string(CauseStructChanged)): 1,
 		MetricAdmits: 2,
-		MetricSerial: 1,
 		Label(MetricFallbacks, "cause", string(CauseWindowExpired)): 1,
 		MetricMerges:     1,
 		MetricSaved:      2,
@@ -213,7 +210,8 @@ func TestMetricsObserve(t *testing.T) {
 		MetricFailed:     3, // 1 + 2
 		MetricBaseViewed: 42,
 		MetricBaseKept:   7,
-		Label(MetricEvents, "phase", string(PhaseAdmit)): 3,
+		Label(MetricEvents, "phase", string(PhaseAdmit)):    2,
+		Label(MetricEvents, "phase", string(PhaseLockWait)): 1,
 	} {
 		if got := s.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
@@ -221,5 +219,8 @@ func TestMetricsObserve(t *testing.T) {
 	}
 	if got := s.Histograms[MetricReconnectSec].Count; got != 1 {
 		t.Errorf("reconnect histogram count = %d, want 1", got)
+	}
+	if got := s.Histograms[Label(MetricPhaseSeconds, "phase", string(PhaseLockWait))].Count; got != 1 {
+		t.Errorf("lock-wait phase histogram count = %d, want 1", got)
 	}
 }

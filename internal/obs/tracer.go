@@ -9,10 +9,9 @@ import (
 )
 
 // Tracer is the Observer that records the raw event stream for per-merge
-// phase breakdowns: where each reconnect spent its time, how many
-// admission attempts it took and why they retried, and what the merge
-// decided. cmd/tiermerge trace replays a scenario under a Tracer and
-// prints the result.
+// phase breakdowns: where each reconnect spent its time — waiting for the
+// cluster mutexes included — and what the merge decided. cmd/tiermerge
+// trace replays a scenario under a Tracer and prints the result.
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event
@@ -113,9 +112,6 @@ func (mt MergeTrace) Format(w io.Writer) {
 	for _, ev := range mt.Events {
 		var b strings.Builder
 		fmt.Fprintf(&b, "  %-14s", ev.Phase)
-		if ev.Attempt > 0 {
-			fmt.Fprintf(&b, " attempt=%d", ev.Attempt)
-		}
 		if ev.Dur > 0 {
 			fmt.Fprintf(&b, " %12v", ev.Dur)
 			if total > 0 && ev.Phase != PhaseMerge {

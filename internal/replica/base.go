@@ -69,9 +69,7 @@ type BaseCluster struct {
 
 	// structVer is bumped whenever the committed prefix of the current
 	// window changes shape other than by appending — interior inserts
-	// (Strategy 1) and window advances. Prepared merges validate against it
-	// at admission: an unchanged structVer means every base entry a
-	// snapshot captured is still the entry at that history position.
+	// (Strategy 1) and window advances — and rebuilds the prefix cache.
 	structVer int64
 	// prefix caches the indexed base history of the current window so
 	// merges stop parsing it from scratch (see windowPrefix).
@@ -105,12 +103,6 @@ type BaseCluster struct {
 	// solo is the one-shard partition over this cluster alone: the item
 	// map its reconnects run against (see set). Set at construction.
 	solo *partition
-
-	// hookAfterPrepare, when non-nil, runs between a merge attempt's
-	// prepare and admit phases. Tests use it to commit base transactions at
-	// exactly that point, forcing admission-validation failures (and hence
-	// retry attempts) deterministically.
-	hookAfterPrepare func(attempt int)
 }
 
 // emit delivers one event to the configured observer. It must never be
@@ -192,7 +184,7 @@ func newBaseCluster(initial model.State, cfg Config, eng store.Engine) *BaseClus
 // set forms the one-member cluster set every reconnect against this cluster
 // runs through (clusterset.go).
 func (b *BaseCluster) set() *clusterSet {
-	return b.solo.set(b.cfg, []int{0}, b.hookAfterPrepare)
+	return b.solo.set(b.cfg, []int{0})
 }
 
 // Counters exposes the cluster's cost counters.
@@ -497,12 +489,10 @@ func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect, af
 // executes the merge, installs forwarded updates, re-executes backed-out
 // transactions, and charges every Section 7.1 cost component.
 //
-// The heavy protocol work — graph construction, back-out, the O(n²)
-// rewrite and pruning — runs in a lock-free prepare phase against an
-// immutable snapshot of the base prefix, so many reconnecting mobiles
-// merge concurrently; only a short admission critical section touches the
-// cluster. See clusterset.go for the phases and the snapshot-validation
-// rule.
+// The whole reconnect runs in one critical section under the cluster
+// mutex; the prepare reads only the base entries that can lie on a cycle
+// through Hm, so its cost follows Hm, not the window. See clusterset.go for
+// the steps.
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {

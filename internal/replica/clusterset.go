@@ -1,13 +1,11 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
-	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
@@ -17,37 +15,27 @@ import (
 // The one merge path. A reconnect runs against the set of clusters its
 // footprint touches — one for an unsharded base or a shard-local merge,
 // several for a cross-shard merge — and every set size runs the same
-// routine (DESIGN.md §7, §11):
+// routine, one critical section over the members (DESIGN.md §7, §11):
 //
-//  1. snapshot: a short critical section per member captures an immutable
-//     view of its base prefix (window, history position, origin validity,
-//     the indexed base history with the posting lists of Hm's footprint).
-//     One member's view is the serial base view as it stands; several
-//     interleave into one combined view (combineParts);
-//  2. prepare: all heavy computation — graph build over the base entries
-//     that can lie on a cycle through Hm, back-out, the O(n²) rewrite,
-//     pruning — runs lock-free against the view, charging its cost into a
-//     private delta (pipeline.go);
-//  3. admit: take the merge's item locks across the members' lock managers
-//     in global sorted order (deadlock-victim retry), then the member
-//     mutexes in ascending shard order, revalidate every member — its
-//     window is open, its prefix kept its shape, and every entry committed
-//     since the snapshot is invisible to the merge — and install the
-//     forwarded updates, merge the cost delta and re-execute the backed-out
-//     transactions atomically across the members; then unlock, and force
-//     the members' journals before acknowledging.
+//  1. take the member mutexes in ascending shard order (lockClusters);
+//  2. validate each member's checkout token and capture its part — the
+//     indexed base history with the posting lists of Hm's footprint; one
+//     member's view is the merge's view, several interleave into one
+//     combined view (combineParts);
+//  3. prepare: graph build over the base entries that can lie on a cycle
+//     through Hm, back-out, the O(n²) rewrite, pruning (pipeline.go), with
+//     its sub-phase events buffered;
+//  4. install the forwarded updates and re-execute the backed-out
+//     transactions across the members — or fall back to reprocessing on a
+//     token the base no longer honours or a Strategy 1 insert conflict;
+//  5. unlock, deliver the buffered events, and force the members' journals
+//     before acknowledging.
 //
-// A failed validation retries from step 1 on the newer view, carrying the
-// prepared merge only for its charges. After
-// Config.MergeAttempts optimistic rounds the same three steps run once more
-// with every member mutex held from the start, which cannot be invalidated.
-// One global lock order — item locks, then cluster mutexes ascending, with
-// nothing under a mutex ever waiting on a lock — keeps merges, cross-shard
-// base transactions and each other deadlock-free.
-
-// defaultMergeAttempts is the optimistic round budget when
-// Config.MergeAttempts is zero.
-const defaultMergeAttempts = 3
+// Nothing commits between capture and install, so a prepared merge needs no
+// revalidation and never retries. One global lock order — item locks
+// (ExecBase only), then cluster mutexes ascending, with nothing under a
+// mutex ever waiting on a lock — keeps merges, cross-shard base transactions
+// and each other deadlock-free.
 
 // clusterSet is the set of clusters one reconnect involves: an ordered
 // subset of a partition's clusters plus the partition's item router. A
@@ -68,19 +56,17 @@ type clusterSet struct {
 	// schedule-independent.
 	involved []int
 	members  []*BaseCluster
-	// hook is the forming tier's hookAfterPrepare.
-	hook func(attempt int)
 }
 
 // set forms the cluster set over the given shards of the partition
 // (ascending indices) on behalf of a tier with configuration cfg.
-func (s *partition) set(cfg Config, involved []int, hook func(attempt int)) *clusterSet {
-	return &clusterSet{partition: s, cfg: cfg, involved: involved, members: s.clustersOf(involved), hook: hook}
+func (s *partition) set(cfg Config, involved []int) *clusterSet {
+	return &clusterSet{partition: s, cfg: cfg, involved: involved, members: s.clustersOf(involved)}
 }
 
-// shardPart is one member's share of a reconnect: its validated prefix
-// snapshot and, when the set has several members, the cross-shard
-// identities parallel to the snapshot's entries.
+// shardPart is one member's share of a reconnect: its prefix snapshot and,
+// when the set has several members, the cross-shard identities parallel to
+// the snapshot's entries.
 type shardPart struct {
 	idx  int
 	b    *BaseCluster
@@ -88,14 +74,19 @@ type shardPart struct {
 	refs []*crossTxn
 }
 
-// emit delivers one set-level event, tagging reconnects that span several
-// clusters. Never called with a member mutex held.
+// tag marks the set-level events of a reconnect that spans several
+// clusters.
+func (cs *clusterSet) tag(ev obs.Event) obs.Event {
+	if len(cs.members) > 1 {
+		ev.Detail = "cross-shard"
+	}
+	return ev
+}
+
+// emit delivers one set-level event. Never called with a member mutex held.
 func (cs *clusterSet) emit(ev obs.Event) {
 	if o := cs.cfg.Observer; o != nil {
-		if len(cs.members) > 1 {
-			ev.Detail = "cross-shard"
-		}
-		o.Observe(ev)
+		o.Observe(cs.tag(ev))
 	}
 }
 
@@ -107,7 +98,7 @@ func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augm
 	home := cs.members[0]
 	seq := home.mergeSeq.Add(1)
 	start := home.spanStart()
-	out, err := cs.rounds(mobileID, seq, tokens, hm)
+	out, err := cs.round(mobileID, seq, tokens, hm)
 	if err == nil {
 		// Force the installed forwarded updates and re-executions before
 		// the mobile node treats its tentative work as saved.
@@ -132,84 +123,64 @@ func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augm
 	return out, nil
 }
 
-// rounds runs the optimistic snapshot → prepare → admit rounds and, once
-// they are exhausted, the serial round. MergeAttempts = -1 runs the
-// optimistic loop zero times: every merge takes the serial round (the
-// benchmark baseline).
+// round is the reconnect's one critical section: take every member's mutex,
+// merge and install under them (roundLocked), release them. A user observer
+// must never run under a mutex, so the section's events are buffered and
+// delivered after unlock, behind the lock-wait span timing the acquisition.
 //
 //tiermerge:locks(none)
-func (cs *clusterSet) rounds(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	attempts := cs.cfg.MergeAttempts
-	if attempts == 0 {
-		attempts = defaultMergeAttempts
-	}
-	home := cs.members[0]
-	footprint := footprintOf(hm)
-	var prev *preparedMerge
-	for attempt := 1; attempt <= attempts; attempt++ {
-		snapStart := home.spanStart()
-		parts, fb := cs.snapshot(tokens, footprint)
-		if fb != FallbackNone {
-			return cs.fallback(hm, fb), nil
-		}
-		view := combineParts(parts, footprint)
-		cs.emit(obs.Event{
-			Mobile: mobileID, Seq: seq,
-			Phase: obs.PhaseSnapshot, Attempt: attempt, Dur: sinceSpan(snapStart),
-		})
-		p, err := prepareMerge(cs.cfg, view, hm, footprint, prev, bindMerge(cs.cfg.Observer, mobileID, seq, attempt))
-		if err != nil {
-			return nil, err
-		}
-		if cs.hook != nil {
-			cs.hook(attempt)
-		}
-		admitStart := home.spanStart()
-		out, cause, err := cs.admit(mobileID, hm, p, parts)
-		if err != nil {
-			return nil, err
-		}
-		cs.emit(obs.Event{
-			Mobile: mobileID, Seq: seq,
-			Phase: obs.PhaseAdmit, Attempt: attempt, Dur: sinceSpan(admitStart), Cause: cause,
-		})
-		if out != nil {
-			return out, nil
-		}
-		// Validation failed: a member's history grew a conflicting
-		// extension (or changed shape). Retry against the newer prefix,
-		// carrying the prepared merge so the retry keeps its charges and
-		// never re-bills the upload.
-		prev = p
-	}
-	// Serial round: the same steps with every member mutex held throughout.
-	// Calling out to a user observer under a mutex is forbidden, so the
-	// prepare sub-phase events are buffered and flushed after unlock.
-	var buf eventBuffer
-	var inner obs.Observer
+//tiermerge:blocking
+func (cs *clusterSet) round(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
+	var buf *eventBuffer
 	if cs.cfg.Observer != nil {
-		inner = bindMerge(&buf, mobileID, seq, 0)
+		buf = &eventBuffer{}
 	}
-	serialStart := home.spanStart()
+	waitStart := cs.members[0].spanStart()
 	lockClusters(cs.members)
-	out, err := cs.serialLocked(mobileID, tokens, hm, footprint, prev, inner)
+	wait := sinceSpan(waitStart)
+	out, err := cs.roundLocked(mobileID, seq, tokens, hm, buf)
 	unlockClusters(cs.members)
-	for _, ev := range buf.events {
-		cs.cfg.Observer.Observe(ev)
-	}
-	// The serial-degrade mark goes through emit like every other phase, so
-	// trace consumers always see it after the buffered sub-phase flush. It
-	// carries the number of optimistic rounds that ran.
-	cs.emit(obs.Event{
-		Mobile: mobileID, Seq: seq,
-		Phase: obs.PhaseSerial, Attempt: max(attempts, 0), Dur: sinceSpan(serialStart),
-	})
+	cs.emit(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseLockWait, Dur: wait})
+	buf.flush(cs.cfg.Observer)
 	return out, err
 }
 
+// roundLocked captures every member's part, prepares the merge against the
+// combined view and installs it — or falls back to reprocessing when a
+// member no longer honours its checkout token. buf (nil without an
+// observer) collects the section's events. Caller holds every member's
+// mutex.
+//
+//tiermerge:locks(shard)
+//tiermerge:buffered-events
+func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented, buf *eventBuffer) (*ConnectOutcome, error) {
+	home := cs.members[0]
+	home.counters.Update(func(c *cost.Counts) { c.AdmitBatches++ })
+	footprint := footprintOf(hm)
+	start := home.spanStart()
+	parts := make([]shardPart, len(cs.members))
+	for i := range cs.members {
+		var fb FallbackReason
+		if parts[i], fb = cs.partLocked(i, tokens[i], footprint); fb != FallbackNone {
+			return cs.fallbackLocked(hm, fb), nil
+		}
+	}
+	view := combineParts(parts, footprint)
+	buf.Observe(cs.tag(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseSnapshot, Dur: sinceSpan(start)}))
+	p, err := prepareMerge(cs.cfg, view, hm, buf.bind(mobileID, seq))
+	if err != nil {
+		return nil, err
+	}
+	start = home.spanStart()
+	out := cs.installLocked(mobileID, hm, p, parts)
+	buf.Observe(cs.tag(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseAdmit, Dur: sinceSpan(start)}))
+	return out, nil
+}
+
 // snapshot captures every member's part in its own short critical section
-// (no global lock). Inconsistencies between staggered snapshots are caught
-// by the per-member revalidation at admission.
+// (no global lock) for Preview, which merges outside the mutexes. A part
+// captured later may include commits an earlier one missed; a preview is
+// advisory, and combineParts orders whatever the parts hold.
 //
 //tiermerge:locks(none)
 func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]shardPart, FallbackReason) {
@@ -337,118 +308,9 @@ func combineParts(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 	return ix.View(0, footprint)
 }
 
-// admit is the admission step of an optimistic round. out is nil when
-// validation failed and the caller should re-prepare; cause classifies the
-// retry (struct-changed, extension-conflict) or the in-admission fallback
-// (window-expired).
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
-func (cs *clusterSet) admit(mobileID string, hm *history.Augmented, p *preparedMerge, parts []shardPart) (*ConnectOutcome, obs.Cause, error) {
-	owner, items, writes := p.lockPlan(mobileID)
-	if len(items) > 0 {
-		// Same two-phase pattern as ExecBase: item locks first, then the
-		// mutexes; nothing under a mutex ever waits on a lock, so lock
-		// waits cannot entangle with mutex waits.
-		for attempt := 0; ; attempt++ {
-			err := cs.acquireAcross(owner, items, writes)
-			if err == nil {
-				break
-			}
-			cs.releaseAcross(owner)
-			if !errors.Is(err, lockmgr.ErrDeadlock) || attempt >= 10 {
-				return nil, obs.CauseNone, fmt.Errorf("replica: merge locks for %s: %w", mobileID, err)
-			}
-		}
-		defer cs.releaseAcross(owner)
-	}
-	lockClusters(cs.members)
-	out, cause := cs.admitLocked(mobileID, hm, p, parts)
-	unlockClusters(cs.members)
-	return out, cause, nil
-}
-
-// serialLocked is the serial round: snapshot, prepare and admit under every
-// member's mutex, immune to invalidation by construction. prev (may be nil)
-// is the last optimistic round's prepared merge: the prepare keeps its
-// charges and never re-bills the upload. o must not be a user observer —
-// events would fire under the mutexes — so the caller passes an eventBuffer
-// (or nil) and flushes it after unlocking. Caller holds every member's
-// mutex.
-//
-//tiermerge:locks(shard)
-//tiermerge:buffered-events
-func (cs *clusterSet) serialLocked(mobileID string, tokens []Checkout, hm *history.Augmented, footprint model.ItemSet, prev *preparedMerge, o obs.Observer) (*ConnectOutcome, error) {
-	parts := make([]shardPart, len(cs.members))
-	for i := range cs.members {
-		var fb FallbackReason
-		if parts[i], fb = cs.partLocked(i, tokens[i], footprint); fb != FallbackNone {
-			return cs.fallbackLocked(hm, fb), nil
-		}
-	}
-	p, err := prepareMerge(cs.cfg, combineParts(parts, footprint), hm, footprint, prev, o)
-	if err != nil {
-		return nil, err
-	}
-	out, _ := cs.admitLocked(mobileID, hm, p, parts)
-	return out, nil
-}
-
-// admitLocked is the admission critical section every round ends in:
-// validate the prepared merge against the members' live histories and
-// install it, or classify why not. Caller holds every member's mutex (and,
-// on an optimistic round, the merge's item locks).
-//
-//tiermerge:locks(shard)
-func (cs *clusterSet) admitLocked(mobileID string, hm *history.Augmented, p *preparedMerge, parts []shardPart) (*ConnectOutcome, obs.Cause) {
-	cs.members[0].counters.Update(func(c *cost.Counts) { c.AdmitBatches++ })
-	cause := p.validateLocked(parts)
-	switch cause {
-	case obs.CauseNone:
-		return cs.installLocked(mobileID, hm, p, parts), cause
-	case obs.CauseWindowExpired:
-		// The window closed between prepare and admit; the prepared work is
-		// unusable under any validation.
-		return cs.fallbackLocked(hm, FallbackWindowExpired), cause
-	default:
-		return nil, cause
-	}
-}
-
-// validateLocked checks a prepared merge against the live history of every
-// member it was prepared from. The base extension must be invisible to the
-// merge: every entry committed since a member's snapshot must touch nothing
-// Hm read or wrote — or overlap only on items both sides access purely as
-// commutative deltas (extensionInvisible). Then G(Hm, Hb) gains no edge
-// incident to Hm, B and the rewrite are unchanged, and appending the
-// forwarded write-back after the extension commutes with it. The check runs
-// against each member's own (restricted) entry effects — exact, because the
-// merge footprint's intersection with a shard's items is precisely what
-// that shard's restricted views carry. Caller holds every member's mutex.
-//
-//tiermerge:locks(shard)
-func (p *preparedMerge) validateLocked(parts []shardPart) obs.Cause {
-	for _, part := range parts {
-		if part.snap.windowID != part.b.windowID {
-			return obs.CauseWindowExpired
-		}
-	}
-	for _, part := range parts {
-		if part.snap.structVer != part.b.structVer {
-			return obs.CauseStructChanged
-		}
-		for i := part.snap.histLen; i < len(part.b.entries); i++ {
-			if !p.extensionInvisible(part.b.entries[i].eff) {
-				return obs.CauseExtensionConflict
-			}
-		}
-	}
-	return obs.CauseNone
-}
-
-// installLocked commits a validated prepared merge: charge the deltas to
-// home, install the forwarded updates at each member's strategy position,
-// and re-execute the backed-out transactions, comparing each against its
+// installLocked commits a prepared merge: charge the deltas to home,
+// install the forwarded updates at each member's strategy position, and
+// re-execute the backed-out transactions, comparing each against its
 // tentative effect for acceptance (step 6). Caller holds every member's
 // mutex.
 //

@@ -11,10 +11,10 @@ import (
 	"tiermerge/internal/workload"
 )
 
-// Tests for the concurrent merge pipeline: simultaneous reconnects must
-// land on a state some serial admission order produces, counter totals must
-// match the serial path, and merges must coexist with live base traffic.
-// The suite runs under -race in scripts/check.sh.
+// Tests for simultaneous reconnects: they must land on a state some serial
+// admission order produces, counter totals must match sequential
+// reconnects, and merges must coexist with live base traffic. The suite
+// runs under -race in scripts/check.sh.
 
 // fleetOrigin is a universe wide enough for a small fleet: a shared priced
 // item p, a shared account s, and per-mobile accounts a0..a7 / base
@@ -31,9 +31,9 @@ func fleetOrigin() model.State {
 // conflictFleet builds a cluster and n mobiles whose tentative histories
 // all conflict on the shared item p (each sets its own price) while also
 // depositing into private accounts.
-func conflictFleet(strategy OriginStrategy, attempts, n int, t *testing.T) (*BaseCluster, []*MobileNode) {
+func conflictFleet(strategy OriginStrategy, n int, t *testing.T) (*BaseCluster, []*MobileNode) {
 	t.Helper()
-	b := NewBaseCluster(fleetOrigin(), Config{Origin: strategy, MergeAttempts: attempts})
+	b := NewBaseCluster(fleetOrigin(), Config{Origin: strategy})
 	ms := make([]*MobileNode, n)
 	for i := range ms {
 		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
@@ -48,11 +48,10 @@ func conflictFleet(strategy OriginStrategy, attempts, n int, t *testing.T) (*Bas
 }
 
 // disjointFleet builds a cluster and n mobiles touching only their private
-// accounts — the low-conflict workload where every merge should admit
-// optimistically.
-func disjointFleet(strategy OriginStrategy, attempts, n int, t *testing.T) (*BaseCluster, []*MobileNode) {
+// accounts — the low-conflict workload where every merge saves everything.
+func disjointFleet(strategy OriginStrategy, n int, t *testing.T) (*BaseCluster, []*MobileNode) {
 	t.Helper()
-	b := NewBaseCluster(fleetOrigin(), Config{Origin: strategy, MergeAttempts: attempts})
+	b := NewBaseCluster(fleetOrigin(), Config{Origin: strategy})
 	ms := make([]*MobileNode, n)
 	for i := range ms {
 		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
@@ -123,10 +122,10 @@ func TestConcurrentMergeMatchesSomeSerialOrder(t *testing.T) {
 	for _, strategy := range []OriginStrategy{Strategy2, Strategy1} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			// Ground truth: the final master for every serial admission
-			// order, produced by the always-serial pipeline configuration.
+			// order, produced by reconnecting the mobiles one at a time.
 			var serialStates []model.State
 			for _, perm := range permutations(n) {
-				b, ms := conflictFleet(strategy, -1, n, t)
+				b, ms := conflictFleet(strategy, n, t)
 				for _, i := range perm {
 					if _, err := ms[i].ConnectMerge(); err != nil {
 						t.Fatal(err)
@@ -135,7 +134,7 @@ func TestConcurrentMergeMatchesSomeSerialOrder(t *testing.T) {
 				serialStates = append(serialStates, b.Master())
 			}
 			for trial := 0; trial < 8; trial++ {
-				b, ms := conflictFleet(strategy, 0, n, t)
+				b, ms := conflictFleet(strategy, n, t)
 				connectAll(b, ms, t)
 				got := b.Master()
 				found := false
@@ -155,12 +154,11 @@ func TestConcurrentMergeMatchesSomeSerialOrder(t *testing.T) {
 }
 
 // TestConcurrentMergeLowConflictNoFallbacks: on a disjoint workload every
-// concurrent merge must admit optimistically — all merged, nothing backed
-// out, no fallbacks, no degradation storms — and the final state must carry
-// every mobile's deposits.
+// concurrent merge must merge cleanly — nothing backed out, no fallbacks —
+// and the final state must carry every mobile's deposits.
 func TestConcurrentMergeLowConflictNoFallbacks(t *testing.T) {
 	const n = 8
-	b, ms := disjointFleet(Strategy2, 0, n, t)
+	b, ms := disjointFleet(Strategy2, n, t)
 	outs := connectAll(b, ms, t)
 	for i, out := range outs {
 		if !out.Merged || out.Saved != 3 || out.Reprocessed != 0 {
@@ -180,20 +178,15 @@ func TestConcurrentMergeLowConflictNoFallbacks(t *testing.T) {
 	}
 }
 
-// TestConcurrentMergeCountersMatchSerial: on the disjoint workload the
-// concurrent pipeline must charge exactly what the serial path charges.
-// BaseGraphOps and BaseBackoutOps are excluded: they scale with the length
-// of the base prefix each merge observed, which legitimately depends on
-// admission interleaving (a concurrently prepared merge can validate
-// against a shorter prefix than any serial schedule would give it).
-// MergeRetries and AdmitBatches are excluded for the same reason: they
-// describe the shape of the pipeline run (how many re-prepares the
-// interleaving forced, how the admissions happened to batch), not work
-// the serial baseline performs at all.
+// TestConcurrentMergeCountersMatchSerial: on the disjoint workload
+// simultaneous reconnects must charge exactly what sequential ones charge.
+// BaseGraphOps and BaseBackoutOps are excluded: they scale with the base
+// entries each merge's view held, which legitimately depends on admission
+// order.
 func TestConcurrentMergeCountersMatchSerial(t *testing.T) {
 	const n = 4
-	run := func(attempts int, concurrent bool) cost.Counts {
-		b, ms := disjointFleet(Strategy2, attempts, n, t)
+	run := func(concurrent bool) cost.Counts {
+		b, ms := disjointFleet(Strategy2, n, t)
 		if concurrent {
 			connectAll(b, ms, t)
 		} else {
@@ -205,12 +198,10 @@ func TestConcurrentMergeCountersMatchSerial(t *testing.T) {
 		}
 		return b.Counters().Snapshot()
 	}
-	serial := run(-1, false)
-	conc := run(0, true)
+	serial := run(false)
+	conc := run(true)
 	serial.BaseGraphOps, conc.BaseGraphOps = 0, 0
 	serial.BaseBackoutOps, conc.BaseBackoutOps = 0, 0
-	serial.MergeRetries, conc.MergeRetries = 0, 0
-	serial.AdmitBatches, conc.AdmitBatches = 0, 0
 	if serial != conc {
 		t.Errorf("counter totals diverged:\nserial    %+v\nconcurrent %+v", serial, conc)
 	}
@@ -218,8 +209,8 @@ func TestConcurrentMergeCountersMatchSerial(t *testing.T) {
 
 // TestConcurrentMergeUnderBaseTraffic: merges race live ExecBase traffic on
 // an overlapping item. Everything is additive, so whatever interleaving the
-// scheduler picks, no deposit may be lost: validation failures must retry
-// or degrade, never drop work.
+// scheduler picks, no deposit may be lost — and every reconnect enters
+// exactly one critical section and never retries.
 func TestConcurrentMergeUnderBaseTraffic(t *testing.T) {
 	const (
 		mobiles  = 4
@@ -267,6 +258,18 @@ func TestConcurrentMergeUnderBaseTraffic(t *testing.T) {
 			t.Errorf("master %s = %d, want 105", it, got)
 		}
 	}
+	checkOneSectionPerMerge(t, b.Counters().Snapshot())
+}
+
+// checkOneSectionPerMerge asserts the one-critical-section accounting:
+// every merge reconnect — merged or fallen back — enters exactly one
+// admission critical section, and nothing re-prepares.
+func checkOneSectionPerMerge(t *testing.T, c cost.Counts) {
+	t.Helper()
+	if c.MergeRetries != 0 || c.AdmitBatches != c.MergesPerformed+c.MergeFallbacks {
+		t.Errorf("MergeRetries = %d, AdmitBatches = %d, want 0 and %d (merges %d + fallbacks %d)",
+			c.MergeRetries, c.AdmitBatches, c.MergesPerformed+c.MergeFallbacks, c.MergesPerformed, c.MergeFallbacks)
+	}
 }
 
 // TestServerWorkerPoolConcurrentClients drives simultaneous reconnects
@@ -305,27 +308,5 @@ func TestServerWorkerPoolConcurrentClients(t *testing.T) {
 	}
 	if got, want := b.Master().Get("s"), model.Value(100+n*5); got != want {
 		t.Errorf("master s = %d, want %d", got, want)
-	}
-}
-
-// TestMergeSerialDegradationPath pins the always-serial configuration
-// (MergeAttempts < 0): outcomes and states must match the optimistic
-// pipeline's on a quiet cluster.
-func TestMergeSerialDegradationPath(t *testing.T) {
-	for _, attempts := range []int{0, -1} {
-		b, ms := conflictFleet(Strategy2, attempts, 3, t)
-		for i, m := range ms {
-			out, err := m.ConnectMerge()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !out.Merged {
-				t.Errorf("attempts=%d mobile %d: outcome = %+v, want merged", attempts, i, out)
-			}
-		}
-		// Last admitted SetPrice survives; every deposit survives.
-		if got := b.Master().Get("p"); got != 100+11*2 {
-			t.Errorf("attempts=%d: master p = %d, want %d", attempts, got, 100+11*2)
-		}
 	}
 }

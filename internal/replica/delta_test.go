@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tiermerge/internal/cost"
-	"tiermerge/internal/expr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
@@ -41,7 +40,7 @@ func counterFleet(t *testing.T, n int, opts merge.Options) (*BaseCluster, []*Mob
 }
 
 // TestDeltaMergeMatchesValueWrites: a contended counter fleet reconnecting
-// concurrently (batched admission) must land on the identical master with
+// concurrently must land on the identical master with
 // and without delta semantics. The delta arm saves every increment with no
 // back-outs and elides the delta-delta conflict edges; the value arm pays
 // for the same outcome with reprocessing.
@@ -82,8 +81,8 @@ func TestDeltaMergeMatchesValueWrites(t *testing.T) {
 }
 
 // TestDeltaShardedMatchesValueWrites: the same equivalence over a 4-shard
-// tier with cross-shard transfers — the two-phase admit must fold and
-// elide deltas exactly like the single-shard pipeline, and partitioning
+// tier with cross-shard transfers — cross-shard merges must fold and
+// elide deltas exactly like shard-local ones, and partitioning
 // must not change the merged outcome in either arm.
 func TestDeltaShardedMatchesValueWrites(t *testing.T) {
 	const n, shards = 6, 4
@@ -121,64 +120,5 @@ func TestDeltaShardedMatchesValueWrites(t *testing.T) {
 	}
 	if deltaCounts.TxnsBackedOut != 0 {
 		t.Errorf("delta arm backed out %d commuting transfers", deltaCounts.TxnsBackedOut)
-	}
-}
-
-// TestDeltaForcedRetryEquivalence: a reconnect forced through a re-prepare
-// (a base assignment to a watched item lands between prepare and admit)
-// must still merge its increments as deltas on the retried attempt, and
-// the final master must match the DisableDeltas arm exactly.
-func TestDeltaForcedRetryEquivalence(t *testing.T) {
-	run := func(disable bool) (model.State, cost.Counts) {
-		b := NewBaseCluster(fleetOrigin(), Config{
-			MergeOptions: merge.Options{DisableDeltas: disable},
-		})
-		m := NewMobileNode("m0", b)
-		// Watch the price, then deposit twice: footprint {p, s}.
-		watchDeposit := func(id string) *tx.Transaction {
-			return tx.MustNew(id, tx.Tentative,
-				tx.Read("p"),
-				tx.Update("s", expr.Add(expr.Var("s"), expr.Const(5))),
-			).WithType("depwatch")
-		}
-		for k := 0; k < 2; k++ {
-			if err := m.Run(watchDeposit(fmt.Sprintf("Td%d", k))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		injected := false
-		b.hookAfterPrepare = func(attempt int) {
-			if !injected {
-				injected = true
-				if err := b.ExecBase(workload.SetPrice("Bp", tx.Base, "p", 77)); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-		out, err := m.ConnectMerge()
-		if err != nil || !out.Merged {
-			t.Fatalf("connect (disable=%v): out=%+v err=%v", disable, out, err)
-		}
-		if !injected {
-			t.Fatal("hookAfterPrepare never fired")
-		}
-		return b.Master(), b.Counters().Snapshot()
-	}
-	valueMaster, valueCounts := run(true)
-	deltaMaster, deltaCounts := run(false)
-
-	if !valueMaster.Equal(deltaMaster) {
-		t.Errorf("masters diverged:\nvalue %s\ndelta %s", valueMaster, deltaMaster)
-	}
-	if valueCounts.MergeRetries == 0 || deltaCounts.MergeRetries == 0 {
-		t.Fatalf("retries = %d/%d, want both arms forced through a re-prepare",
-			valueCounts.MergeRetries, deltaCounts.MergeRetries)
-	}
-	if deltaCounts.EdgesElided == 0 || deltaCounts.DeltaFolded == 0 {
-		t.Errorf("retried delta merge elided %d / folded %d, want both > 0",
-			deltaCounts.EdgesElided, deltaCounts.DeltaFolded)
-	}
-	if got := deltaMaster.Get("s"); got != 110 {
-		t.Errorf("s = %d, want 110 (two deposits of 5)", got)
 	}
 }

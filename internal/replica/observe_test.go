@@ -17,101 +17,65 @@ import (
 )
 
 // Tests for the observability layer wired through the reconnect path: phase
-// coverage and per-attempt ordering (including under concurrent reconnects —
-// the suite runs with -race in scripts/check.sh), the nil-observer fast
-// path, the variadic connect API, and exporter-versus-counter parity on an
-// E13-style concurrent workload.
+// coverage and ordering (including under concurrent reconnects — the suite
+// runs with -race in scripts/check.sh), the nil-observer fast path, the
+// variadic connect API, and exporter-versus-counter parity on a concurrent
+// conflicting fleet.
 
-// phaseRank orders the phases one optimistic attempt emits.
+// phaseRank orders the phases of one reconnect's trace: the lock wait, the
+// buffered spans of the critical section, then the marks emitted after it.
 var phaseRank = map[obs.Phase]int{
-	obs.PhaseSnapshot: 0,
-	obs.PhaseGraph:    1,
-	obs.PhaseBackout:  2,
-	obs.PhaseRewrite:  3,
-	obs.PhasePrune:    4,
-	obs.PhaseAdmit:    5,
+	obs.PhaseLockWait: 0,
+	obs.PhaseSnapshot: 1,
+	obs.PhaseGraph:    2,
+	obs.PhaseBackout:  3,
+	obs.PhaseRewrite:  4,
+	obs.PhasePrune:    5,
+	obs.PhaseAdmit:    6,
+	obs.PhaseFallback: 7,
+	obs.PhaseMerge:    8,
 }
 
 // validateTrace checks the invariants every merge trace must satisfy:
-// exactly one summary event in final position, consistent identity on every
-// event, within each attempt the pipeline order snapshot -> graph-build ->
-// back-out -> rewrite -> prune -> admit, and — when the merge
-// degraded to the serial path (attempt-0 sub-phase events) — exactly one
-// serial-degrade mark, ordered after every buffered sub-phase event.
+// consistent identity on every event, exactly one lock-wait span and exactly
+// one summary event, and the order lock-wait -> snapshot -> graph-build ->
+// back-out -> rewrite -> prune -> admit -> fallback -> merge — the buffered
+// spans of the critical section flushed after the lock wait, never before
+// it and never out of order.
 func validateTrace(t *testing.T, mt obs.MergeTrace) {
 	t.Helper()
 	if len(mt.Events) == 0 {
 		t.Fatalf("merge #%d: empty trace", mt.Seq)
 	}
-	if last := mt.Events[len(mt.Events)-1]; last.Phase != obs.PhaseMerge {
-		t.Errorf("merge #%d: last event is %s, want merge summary", mt.Seq, last.Phase)
-	}
-	summaries := 0
-	curAttempt := -1
+	count := map[obs.Phase]int{}
 	lastRank := -1
-	lastSerialPrep := -1 // index of the last attempt-0 sub-phase event
-	serialMarks, serialIdx := 0, -1
-	for i, ev := range mt.Events {
+	for _, ev := range mt.Events {
 		if ev.Mobile != mt.Mobile || ev.Seq != mt.Seq {
 			t.Errorf("merge #%d: event %s carries identity %s/%d, want %s/%d",
 				mt.Seq, ev.Phase, ev.Mobile, ev.Seq, mt.Mobile, mt.Seq)
-		}
-		switch ev.Phase {
-		case obs.PhaseMerge:
-			summaries++
-			continue
-		case obs.PhaseSerial:
-			serialMarks++
-			serialIdx = i
-			continue
-		case obs.PhaseFallback:
-			continue // marks outside the attempt structure
 		}
 		rank, ok := phaseRank[ev.Phase]
 		if !ok {
 			t.Errorf("merge #%d: unexpected phase %s inside a merge trace", mt.Seq, ev.Phase)
 			continue
 		}
-		if ev.Attempt == 0 {
-			lastSerialPrep = i
-		}
-		if ev.Attempt != curAttempt {
-			// A new attempt: numbered attempts increase and open with their
-			// snapshot; the serial pass (attempt 0) follows the numbered ones.
-			if ev.Attempt != 0 && ev.Attempt <= curAttempt {
-				t.Errorf("merge #%d: attempt went backwards: %d after %d", mt.Seq, ev.Attempt, curAttempt)
-			}
-			if ev.Attempt > 0 && ev.Phase != obs.PhaseSnapshot {
-				t.Errorf("merge #%d: attempt %d opens with %s, want snapshot", mt.Seq, ev.Attempt, ev.Phase)
-			}
-			curAttempt, lastRank = ev.Attempt, rank
-			continue
-		}
 		if rank < lastRank {
-			t.Errorf("merge #%d attempt %d: %s out of order (rank %d after %d)",
-				mt.Seq, curAttempt, ev.Phase, rank, lastRank)
+			t.Errorf("merge #%d: %s out of order (rank %d after %d)", mt.Seq, ev.Phase, rank, lastRank)
 		}
 		lastRank = rank
+		count[ev.Phase]++
 	}
-	if summaries != 1 {
-		t.Errorf("merge #%d: %d summary events, want 1", mt.Seq, summaries)
-	}
-	if lastSerialPrep >= 0 {
-		// The merge ran the serial path; its mark must be present exactly
-		// once and must not hide behind the buffered sub-phase flush.
-		if serialMarks != 1 {
-			t.Errorf("merge #%d: %d serial-degrade marks, want 1 (serial sub-phases present)",
-				mt.Seq, serialMarks)
-		} else if serialIdx < lastSerialPrep {
-			t.Errorf("merge #%d: serial-degrade mark at index %d precedes buffered sub-phase at %d",
-				mt.Seq, serialIdx, lastSerialPrep)
+	for _, p := range []obs.Phase{obs.PhaseLockWait, obs.PhaseMerge} {
+		if count[p] != 1 {
+			t.Errorf("merge #%d: %d %s events, want 1", mt.Seq, count[p], p)
 		}
 	}
 }
 
 // TestObserverPhaseCoverage: a deterministic two-mobile conflict emits every
 // phase of the reconnect path, and the conflicting merge's trace shows the
-// back-out.
+// back-out; a cross-shard reconnect emits the same phases in the same
+// order.
 func TestObserverPhaseCoverage(t *testing.T) {
 	tr := obs.NewTracer()
 	b := NewBaseCluster(fleetOrigin(), Config{Observer: tr})
@@ -138,9 +102,9 @@ func TestObserverPhaseCoverage(t *testing.T) {
 		seen[ev.Phase] = true
 	}
 	for _, want := range []obs.Phase{
-		obs.PhaseCheckout, obs.PhaseRun, obs.PhaseSnapshot, obs.PhaseGraph,
-		obs.PhaseBackout, obs.PhaseRewrite, obs.PhasePrune, obs.PhaseAdmit,
-		obs.PhaseMerge,
+		obs.PhaseCheckout, obs.PhaseRun, obs.PhaseLockWait, obs.PhaseSnapshot,
+		obs.PhaseGraph, obs.PhaseBackout, obs.PhaseRewrite, obs.PhasePrune,
+		obs.PhaseAdmit, obs.PhaseMerge,
 	} {
 		if !seen[want] {
 			t.Errorf("phase %s never observed", want)
@@ -165,11 +129,48 @@ func TestObserverPhaseCoverage(t *testing.T) {
 	if !backedOut {
 		t.Error("second merge should back out the conflicting price update")
 	}
+
+	// A cross-shard reconnect emits the same sequence, its set-level spans
+	// tagged cross-shard.
+	tr = obs.NewTracer()
+	s := NewShardedBase(fleetOrigin(), 2, Config{Observer: tr, ShardFn: splitA1})
+	sm := NewShardedMobileNode("m1", s)
+	for i, it := range []model.Item{"a1", "a2"} {
+		if err := sm.Run(workload.Deposit(fmt.Sprintf("T%d", i), tx.Tentative, it, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out, err := sm.ConnectMerge(); err != nil || !out.Merged {
+		t.Fatalf("cross-shard merge = %+v, %v", out, err)
+	}
+	if got := s.Counters().CrossShardMerges; got != 1 {
+		t.Fatalf("CrossShardMerges = %d, want 1", got)
+	}
+	ms = tr.Merges()
+	if len(ms) != 1 {
+		t.Fatalf("got %d cross-shard merge traces, want 1", len(ms))
+	}
+	validateTrace(t, ms[0])
+	var phases []obs.Phase
+	for _, ev := range ms[0].Events {
+		phases = append(phases, ev.Phase)
+		switch ev.Phase {
+		case obs.PhaseLockWait, obs.PhaseSnapshot, obs.PhaseAdmit, obs.PhaseMerge:
+			if ev.Detail != "cross-shard" {
+				t.Errorf("%s event carries Detail %q, want cross-shard", ev.Phase, ev.Detail)
+			}
+		}
+	}
+	want := []obs.Phase{obs.PhaseLockWait, obs.PhaseSnapshot, obs.PhaseGraph, obs.PhaseBackout,
+		obs.PhaseRewrite, obs.PhasePrune, obs.PhaseAdmit, obs.PhaseMerge}
+	if fmt.Sprint(phases) != fmt.Sprint(want) {
+		t.Errorf("cross-shard phases %v, want %v", phases, want)
+	}
 }
 
 // TestObserverPhaseOrderConcurrent: traces stay well-formed when a
-// conflicting fleet reconnects simultaneously (admission retries and serial
-// degradation included).
+// conflicting fleet reconnects simultaneously and queues on the cluster
+// mutex.
 func TestObserverPhaseOrderConcurrent(t *testing.T) {
 	const n = 6
 	tr := obs.NewTracer()
@@ -202,59 +203,6 @@ func splitA1(it model.Item) int {
 		return 0
 	}
 	return 1
-}
-
-// TestObserverSerialDegrade: the always-serial sentinel skips the optimistic
-// rounds entirely but still emits the prepare sub-phases (buffered under
-// the lock, flushed after) and the serial-degrade mark, carrying attempt 0
-// (zero optimistic rounds ran) — on a plain cluster and on a cross-shard
-// merge alike.
-func TestObserverSerialDegrade(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"cluster", 1}, {"cross-shard", 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.NewTracer()
-			s := NewShardedBase(fleetOrigin(), tc.shards, Config{Observer: tr, MergeAttempts: -1, ShardFn: splitA1})
-			m := NewShardedMobileNode("m1", s)
-			for i, it := range []model.Item{"a1", "a2"} {
-				if err := m.Run(workload.Deposit(fmt.Sprintf("T%d", i), tx.Tentative, it, 5)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			out, err := m.ConnectMerge()
-			if err != nil || !out.Merged {
-				t.Fatalf("serial merge = %+v, %v", out, err)
-			}
-			if got, want := s.Counters().CrossShardMerges, int64(tc.shards-1); got != want {
-				t.Fatalf("CrossShardMerges = %d, want %d", got, want)
-			}
-			ms := tr.Merges()
-			if len(ms) != 1 {
-				t.Fatalf("got %d merge traces, want 1", len(ms))
-			}
-			validateTrace(t, ms[0])
-			seen := map[obs.Phase]bool{}
-			for _, ev := range ms[0].Events {
-				seen[ev.Phase] = true
-				if ev.Phase == obs.PhaseSerial && ev.Attempt != 0 {
-					t.Errorf("serial-degrade mark carries attempt %d, want 0", ev.Attempt)
-				}
-			}
-			if !seen[obs.PhaseSerial] {
-				t.Error("no serial-degrade event")
-			}
-			if seen[obs.PhaseSnapshot] || seen[obs.PhaseAdmit] {
-				t.Error("always-serial merge must not emit optimistic pipeline events")
-			}
-			for _, want := range []obs.Phase{obs.PhaseGraph, obs.PhaseBackout, obs.PhaseRewrite, obs.PhasePrune} {
-				if !seen[want] {
-					t.Errorf("serial round dropped the %s sub-phase span", want)
-				}
-			}
-		})
-	}
 }
 
 // TestNilObserverMerge: the zero-value configuration merges normally, and
@@ -338,8 +286,9 @@ func TestBindAPI(t *testing.T) {
 	}
 }
 
-// TestExporterParityE13 drives an E13-style workload — a conflicting fleet
-// reconnecting concurrently across several rounds with live base traffic —
+// TestExporterParityE13 drives the workload of the retired E13 experiment —
+// a conflicting fleet reconnecting concurrently across several rounds with
+// live base traffic —
 // and checks that every exporter agrees exactly with cost.Counters: the
 // Prometheus tiermerge_cost_* series, the event-folded obs.Metrics
 // registry, and the raw traced event stream.

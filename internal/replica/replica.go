@@ -83,25 +83,20 @@ type Config struct {
 	// Acceptance validates re-executed tentative transactions against
 	// their tentative outcomes; nil accepts every successful re-execution.
 	Acceptance Acceptance
-	// MergeAttempts bounds the optimistic snapshot/prepare/admit rounds of a
-	// merge before it degrades to one serial round under the cluster lock.
-	// 0 means the default (3); -1 runs zero optimistic rounds, so every
-	// merge runs serially (the benchmark baseline). Any other negative
-	// value is rejected by Validate.
-	MergeAttempts int
 	// ShardFn, when non-nil, overrides the default FNV-hash item router of
 	// a sharded base tier (NewShardedBase): it must map every item to a
 	// stable shard index in [0, shards). Values outside that range are
 	// reduced modulo the shard count. NewBaseCluster ignores it.
 	ShardFn func(model.Item) int
 	// Observer receives a span event for every phase of every reconnect —
-	// checkout, disconnect-run, snapshot, the prepare sub-phases (graph
-	// build, back-out, rewrite, prune), each validate-and-admit attempt
-	// with its retry cause, serial degradation, fallbacks and the
-	// whole-merge summary. nil (the zero value) pays exactly one nil check
-	// per would-be event. Events are never emitted while the cluster mutex
-	// is held, but the observer runs inline on the reconnect path: keep it
-	// cheap (obs.Metrics, obs.Tracer) and never call back into the cluster.
+	// checkout, disconnect-run, the wait for the cluster mutexes, snapshot,
+	// the prepare sub-phases (graph build, back-out, rewrite, prune),
+	// admission, fallbacks and the whole-merge summary. nil (the zero
+	// value) pays exactly one nil check per would-be event. Events are never
+	// emitted while a cluster mutex is held — the critical section's spans
+	// are buffered and delivered after unlock — but the observer runs inline
+	// on the reconnect path: keep it cheap (obs.Metrics, obs.Tracer) and
+	// never call back into the cluster.
 	Observer obs.Observer
 }
 
@@ -124,10 +119,6 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.BaseNodes < 0 {
 		return fmt.Errorf("%w: BaseNodes %d < 0", ErrBadConfig, c.BaseNodes)
-	}
-	if c.MergeAttempts < -1 {
-		return fmt.Errorf("%w: MergeAttempts %d (want >= 0, or -1 for always-serial)",
-			ErrBadConfig, c.MergeAttempts)
 	}
 	if c.Origin != Strategy1 && c.Origin != Strategy2 {
 		return fmt.Errorf("%w: unknown origin strategy %d", ErrBadConfig, c.Origin)

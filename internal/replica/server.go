@@ -136,10 +136,12 @@ type BaseTier interface {
 
 // BaseServer serves a base tier as request/response frames. A pool of
 // worker goroutines drains the in-process channel transport, so concurrent
-// reconnects exercise the cluster's optimistic merge pipeline instead of
+// reconnects decode, replay and route their journals in parallel instead of
 // queueing end-to-end behind one goroutine (the always-connected base
-// site's request processors). A TCP front end (internal/wire) feeds the
-// same ServeFrame entry point from per-connection goroutines.
+// site's request processors); merges on one cluster then serialize on its
+// mutex, merges on disjoint shards run side by side. A TCP front end
+// (internal/wire) feeds the same ServeFrame entry point from
+// per-connection goroutines.
 type BaseServer struct {
 	// tier is the served reconcile surface; b and sharded retain the
 	// concrete tier (exactly one is non-nil) for debug endpoints.
@@ -200,8 +202,9 @@ type serveOptions struct {
 
 // WithWorkers sizes the request-worker pool draining the in-process
 // transport (n < 1 is treated as 1; default 1). With several workers,
-// simultaneous reconnects run their merge prepare phases concurrently and
-// serialize only at admission.
+// simultaneous reconnects overlap everything outside the cluster mutexes —
+// envelope decoding, journal replay, the journal fsync before the ack — and
+// merges on disjoint shards overlap entirely.
 func WithWorkers(n int) ServeOption {
 	return func(o *serveOptions) { o.workers = n }
 }

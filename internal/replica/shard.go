@@ -20,13 +20,13 @@ import (
 )
 
 // Sharded base tier. A single BaseCluster funnels every merge through one
-// cluster mutex — the scalability ceiling E13/E16 measure. ShardedBase
+// cluster mutex — the scalability ceiling E16 measures. ShardedBase
 // partitions the item space across N BaseCluster shards, each with its own
 // mutex, window clock, base history, WAL journal, lock manager and cost
 // counters. A reconnect runs against the set of shards its footprint touches
 // (clusterset.go): a shard-local merge involves one shard and shares nothing
-// with merges on the others; a cross-shard merge snapshots, validates and
-// installs across its shards atomically (DESIGN.md §11).
+// with merges on the others; a cross-shard merge prepares and installs
+// under all of its shards' mutexes at once (DESIGN.md §11).
 //
 // Cross-shard installed transactions are stored per shard as restricted
 // slices (this shard's reads and writes only) sharing one *crossTxn
@@ -116,10 +116,6 @@ type ShardedBase struct {
 	// locks(none) operations, which the lock discipline forbids under a
 	// held mutex.
 	windowVer atomic.Int64
-
-	// hookAfterPrepare is BaseCluster.hookAfterPrepare for merges entering
-	// through the sharded tier.
-	hookAfterPrepare func(attempt int)
 }
 
 // NewShardedBase builds a sharded base tier over the initial master state,
@@ -397,8 +393,8 @@ func (s *partition) clustersOf(involved []int) []*BaseCluster {
 
 // lockClusters acquires the given clusters' mutexes in ascending shard
 // order — the one global acquisition order every multi-cluster path uses,
-// so two cluster-set admits (or an admit and a cross-shard base
-// transaction) can never deadlock on shard mutexes. Callers must pass the
+// so two reconnects (or a reconnect and a cross-shard base transaction)
+// can never deadlock on shard mutexes. Callers must pass the
 // clusters in that order (clustersOf over a sorted shard list).
 //
 //tiermerge:blocking
@@ -615,7 +611,7 @@ func (s *ShardedBase) set(hm *history.Augmented) *clusterSet {
 	if len(involved) == 0 {
 		involved = []int{0}
 	}
-	cs := s.partition.set(s.cfg, involved, s.hookAfterPrepare)
+	cs := s.partition.set(s.cfg, involved)
 	if len(involved) == 1 {
 		// A shard-local reconnect reports through its shard's observer,
 		// which stamps the shard index on every event.

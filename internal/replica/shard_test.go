@@ -7,16 +7,15 @@ import (
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/model"
-	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
 
 // Tests for the sharded base tier: routing determinism, N=1 parity with
 // the plain cluster, serial-order equivalence of concurrent sharded
-// reconnects, counter parity with the plain cluster, cross-shard
-// two-phase merges against the single-shard baseline, the window
-// barrier, and an all-shards-contended deadlock smoke. The suite runs
+// reconnects, counter parity with the plain cluster, cross-shard merges
+// against the single-shard baseline, the window barrier, and an
+// all-shards-contended deadlock smoke. The suite runs
 // under -race in scripts/check.sh.
 
 // shardFleetOrigin funds one account per mobile plus a shared priced
@@ -142,9 +141,10 @@ func TestShardedOneShardMatchesPlainCluster(t *testing.T) {
 
 // TestShardedConcurrentMatchesSomeSerialOrder: mobiles conflicting on the
 // shared priced item reconnect concurrently against a 4-shard tier. Each
-// merge spans p's shard and the mobile's account shard, so the two-phase
-// cross-shard path carries the conflict — and the result must still be
-// final-state-equivalent to some serial admission order.
+// merge spans p's shard and the mobile's account shard, so a cross-shard
+// critical section carries the conflict — and the result must still be
+// final-state-equivalent to some serial admission order, with one critical
+// section per reconnect.
 func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
 	const n, shards = 3, 4
 	build := func() (*ShardedBase, []*MobileNode) {
@@ -174,9 +174,11 @@ func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		s, ms := build()
 		connectAllSharded(t, ms)
-		if c := s.Counters(); c.CrossShardMerges == 0 {
+		c := s.Counters()
+		if c.CrossShardMerges == 0 {
 			t.Fatalf("trial %d: conflict fleet drove no cross-shard merges", trial)
 		}
+		checkOneSectionPerMerge(t, c)
 		got := s.Master()
 		found := false
 		for _, want := range serialStates {
@@ -195,11 +197,10 @@ func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
 // TestShardedCountersMatchPlainCluster: on the disjoint fleet a 4-shard
 // tier must charge exactly what a plain NewBaseCluster charges — the
 // shard-local merges run the same one-member routine the unsharded base
-// does. The exclusions follow the E13 convention:
-// BaseGraphOps/BaseBackoutOps scale with the observed base prefix (shorter
-// per shard) and MergeRetries/AdmitBatches describe the schedule's shape,
-// not work the protocol prescribes. The one protocol difference is the
-// checkout download, which a sharded tier ships as one message per shard.
+// does. BaseGraphOps/BaseBackoutOps are excluded: they scale with the
+// observed base prefix (shorter per shard). The one protocol difference is
+// the checkout download, which a sharded tier ships as one message per
+// shard.
 func TestShardedCountersMatchPlainCluster(t *testing.T) {
 	const n, shards = 8, 4
 	b := NewBaseCluster(shardFleetOrigin(n), Config{})
@@ -226,8 +227,6 @@ func TestShardedCountersMatchPlainCluster(t *testing.T) {
 	sharded.Bytes -= extra * s.Weights().MsgOverheadBytes
 	plain.BaseGraphOps, sharded.BaseGraphOps = 0, 0
 	plain.BaseBackoutOps, sharded.BaseBackoutOps = 0, 0
-	plain.MergeRetries, sharded.MergeRetries = 0, 0
-	plain.AdmitBatches, sharded.AdmitBatches = 0, 0
 	if plain != sharded {
 		t.Errorf("counter totals diverged:\nplain   %+v\nsharded %+v", plain, sharded)
 	}
@@ -237,8 +236,8 @@ func TestShardedCountersMatchPlainCluster(t *testing.T) {
 }
 
 // TestCrossShardMergeMatchesSingleShardBaseline: the same
-// transfer-carrying fleet runs against 4 shards (two-phase cross-shard
-// admission) and 1 shard (every merge under one mutex). The workload is
+// transfer-carrying fleet runs against 4 shards (cross-shard critical
+// sections over several mutexes) and 1 shard (every merge under one). The workload is
 // additive, so the final masters must be identical whatever the
 // interleaving — partitioning must never change the merged outcome.
 func TestCrossShardMergeMatchesSingleShardBaseline(t *testing.T) {
@@ -280,57 +279,6 @@ func TestCrossShardMergeMatchesSingleShardBaseline(t *testing.T) {
 	}
 }
 
-// TestCrossShardRetryAfterPrepare: the two-phase admit must detect a
-// shard whose history moved between the combined prepare and the
-// validate step, retry, and still land the merge with nothing lost.
-func TestCrossShardRetryAfterPrepare(t *testing.T) {
-	const n = 8
-	s := NewShardedBase(shardFleetOrigin(n), 4, Config{})
-	// Pick two accounts the router provably places on different shards.
-	from, to := 0, -1
-	for j := 1; j < n; j++ {
-		if s.ShardOf(shardAcct(j)) != s.ShardOf(shardAcct(from)) {
-			to = j
-			break
-		}
-	}
-	if to < 0 {
-		t.Fatal("router put every account on one shard")
-	}
-	m := NewShardedMobileNode("m0", s)
-	if err := m.Run(workload.Transfer("Tx0", tx.Tentative, shardAcct(from), shardAcct(to), 3)); err != nil {
-		t.Fatal(err)
-	}
-	injected := false
-	s.hookAfterPrepare = func(attempt int) {
-		if !injected {
-			injected = true
-			if err := s.ExecBase(workload.SetPrice("Bx", tx.Base, shardAcct(from), 107)); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-	out, err := m.ConnectMerge()
-	if err != nil || !out.Merged {
-		t.Fatalf("connect: out=%+v err=%v", out, err)
-	}
-	if !injected {
-		t.Fatal("hookAfterPrepare never fired")
-	}
-	c := s.Counters()
-	if c.MergeRetries == 0 {
-		t.Errorf("invalidated prepare charged no retry: %+v", c)
-	}
-	master := s.Master()
-	// 107 (injected base assignment) - 3 (re-executed transfer out) and 100 + 3.
-	if got := master.Get(shardAcct(from)); got != 104 {
-		t.Errorf("acct %d = %d, want 104", from, got)
-	}
-	if got := master.Get(shardAcct(to)); got != 103 {
-		t.Errorf("acct %d = %d, want 103", to, got)
-	}
-}
-
 // TestCrossShardAllContendedSmoke: every mobile's merge spans every
 // shard (a wide transfer chain touching one account per shard region),
 // all reconnecting at once while base traffic lands. The ascending-order
@@ -353,10 +301,9 @@ func TestCrossShardAllContendedSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Bounded base traffic: enough to race the merges' prepare windows,
-	// but finite — an unthrottled flood would legitimately starve the
-	// optimistic prepares on a small machine, which is not what this
-	// smoke is for.
+	// Bounded base traffic: enough to contend for the shard mutexes with
+	// the merges, but finite — an unthrottled flood would only slow the
+	// smoke down on a small machine, which is not what it is for.
 	var basewg sync.WaitGroup
 	basewg.Add(1)
 	go func() {
@@ -426,175 +373,4 @@ func TestWindowBarrierNoMixedPrefix(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	adv.Wait()
-}
-
-// TestCrossShardRetryUploadParity is the cost-accounting audit for the
-// two-phase cross-shard path: a reconnect whose combined prepare is
-// invalidated and retried must bill the mobile's upload (set entries,
-// graph edges, the mobile-side G(Hm) build) exactly once — identical to
-// the single-attempt reconnect — while still recording the retry and the
-// second attempt's base-side graph work. The per-attempt delta
-// accumulators must not re-add the attempt-independent charges.
-func TestCrossShardRetryUploadParity(t *testing.T) {
-	const n = 8
-	run := func(forceRetry bool) cost.Counts {
-		s := NewShardedBase(shardFleetOrigin(n), 4, Config{})
-		from, to := 0, -1
-		for j := 1; j < n; j++ {
-			if s.ShardOf(shardAcct(j)) != s.ShardOf(shardAcct(from)) {
-				to = j
-				break
-			}
-		}
-		if to < 0 {
-			t.Fatal("router put every account on one shard")
-		}
-		m := NewShardedMobileNode("m0", s)
-		if err := m.Run(workload.Transfer("Tx0", tx.Tentative, shardAcct(from), shardAcct(to), 3)); err != nil {
-			t.Fatal(err)
-		}
-		if forceRetry {
-			injected := false
-			s.hookAfterPrepare = func(attempt int) {
-				if !injected {
-					injected = true
-					if err := s.ExecBase(workload.SetPrice("Bx", tx.Base, shardAcct(from), 107)); err != nil {
-						t.Error(err)
-					}
-				}
-			}
-		}
-		out, err := m.ConnectMerge()
-		if err != nil || !out.Merged {
-			t.Fatalf("connect (retry=%v): out=%+v err=%v", forceRetry, out, err)
-		}
-		return s.Counters()
-	}
-	single := run(false)
-	retried := run(true)
-
-	if single.MergeRetries != 0 || retried.MergeRetries == 0 {
-		t.Fatalf("MergeRetries = %d/%d, want 0 and >0", single.MergeRetries, retried.MergeRetries)
-	}
-	if retried.SetEntriesSent != single.SetEntriesSent {
-		t.Errorf("SetEntriesSent = %d after a cross-shard retry, want %d (upload re-billed?)",
-			retried.SetEntriesSent, single.SetEntriesSent)
-	}
-	if retried.GraphEdgesSent != single.GraphEdgesSent {
-		t.Errorf("GraphEdgesSent = %d after a cross-shard retry, want %d (upload re-billed?)",
-			retried.GraphEdgesSent, single.GraphEdgesSent)
-	}
-	if retried.MobileGraphOps != single.MobileGraphOps {
-		t.Errorf("MobileGraphOps = %d after a cross-shard retry, want %d (G(Hm) built once)",
-			retried.MobileGraphOps, single.MobileGraphOps)
-	}
-	if retried.CrossShardMerges != 1 || single.CrossShardMerges != 1 {
-		t.Errorf("CrossShardMerges = %d/%d, want 1/1", retried.CrossShardMerges, single.CrossShardMerges)
-	}
-	// The invalidated attempt's base-side graph work really happened: the
-	// retried reconnect must bill MORE of it, not an identical total.
-	if retried.BaseGraphOps <= single.BaseGraphOps {
-		t.Errorf("BaseGraphOps = %d after a retried rebuild, want > %d (failed attempt's work dropped?)",
-			retried.BaseGraphOps, single.BaseGraphOps)
-	}
-}
-
-// TestSetSizeRetryThenSerialParity drives one scenario — both optimistic
-// rounds invalidated by a base assignment committed between prepare and
-// admit, then the serial round — through a cluster set of size 1 (plain
-// cluster) and size 2 (cross-shard). The one routine must produce the same
-// master, the same outcome and the same phase sequence for both; only the
-// event Detail tag and extend-vs-rebuild (a one-member retry extends its
-// graph, a combined view rebuilds) may tell them apart. It also pins the
-// admission accounting: every admission critical section entered — two
-// failed optimistic ones plus the serial round's — counts, whatever the set
-// size.
-func TestSetSizeRetryThenSerialParity(t *testing.T) {
-	type step struct {
-		phase   obs.Phase
-		attempt int
-		cause   obs.Cause
-	}
-	type result struct {
-		master model.State
-		out    ConnectOutcome
-		steps  []step
-		counts cost.Counts
-	}
-	run := func(t *testing.T, shards int) result {
-		tr := obs.NewTracer()
-		s := NewShardedBase(fleetOrigin(), shards, Config{Observer: tr, MergeAttempts: 2, ShardFn: splitA1})
-		m := NewShardedMobileNode("m0", s)
-		for i, it := range []model.Item{"a1", "a2"} {
-			if err := m.Run(workload.Deposit(fmt.Sprintf("T%d", i), tx.Tentative, it, 5)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fired := 0
-		hook := func(attempt int) {
-			fired++
-			if err := s.ExecBase(workload.SetPrice(fmt.Sprintf("B%d", attempt), tx.Base, "a1", model.Value(200+attempt))); err != nil {
-				t.Error(err)
-			}
-		}
-		s.hookAfterPrepare, s.Shard(0).hookAfterPrepare = hook, hook
-		out, err := m.ConnectMerge()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fired != 2 {
-			t.Fatalf("hook fired %d times, want once per optimistic round (2)", fired)
-		}
-		traces := tr.Merges()
-		if len(traces) != 1 {
-			t.Fatalf("got %d merge traces, want 1", len(traces))
-		}
-		validateTrace(t, traces[0])
-		res := result{master: s.Master(), out: *out, counts: s.Counters()}
-		res.out.Report = nil
-		wantDetail := ""
-		if shards > 1 {
-			wantDetail = "cross-shard"
-		}
-		for _, ev := range traces[0].Events {
-			switch ev.Phase {
-			case obs.PhaseSnapshot, obs.PhaseAdmit, obs.PhaseSerial, obs.PhaseMerge:
-				if ev.Detail != wantDetail {
-					t.Errorf("%s event carries Detail %q, want %q", ev.Phase, ev.Detail, wantDetail)
-				}
-			}
-			res.steps = append(res.steps, step{ev.Phase, ev.Attempt, ev.Cause})
-		}
-		return res
-	}
-	one, two := run(t, 1), run(t, 2)
-	if !one.master.Equal(two.master) {
-		t.Errorf("masters diverged:\nsize 1 %s\nsize 2 %s", one.master, two.master)
-	}
-	if fmt.Sprintf("%+v", one.out) != fmt.Sprintf("%+v", two.out) {
-		t.Errorf("outcomes diverged:\nsize 1 %+v\nsize 2 %+v", one.out, two.out)
-	}
-	if fmt.Sprint(one.steps) != fmt.Sprint(two.steps) {
-		t.Errorf("phase sequences diverged:\nsize 1 %v\nsize 2 %v", one.steps, two.steps)
-	}
-	for size, r := range map[int]result{1: one, 2: two} {
-		if r.counts.AdmitBatches != 3 {
-			t.Errorf("size %d: AdmitBatches = %d, want 3 (two failed optimistic admissions + the serial round)", size, r.counts.AdmitBatches)
-		}
-		if r.counts.MergesPerformed != 1 || r.counts.CrossShardMerges != int64(size-1) {
-			t.Errorf("size %d: merges=%d cross=%d, want 1 and %d", size, r.counts.MergesPerformed, r.counts.CrossShardMerges, size-1)
-		}
-	}
-	var serial int
-	for _, st := range one.steps {
-		if st.phase == obs.PhaseSerial {
-			serial++
-			if st.attempt != 2 {
-				t.Errorf("serial-degrade mark carries attempt %d, want the exhausted budget 2", st.attempt)
-			}
-		}
-	}
-	if serial != 1 {
-		t.Errorf("saw %d serial-degrade marks, want 1: %v", serial, one.steps)
-	}
 }

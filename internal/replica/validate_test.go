@@ -9,15 +9,14 @@ import (
 )
 
 // TestConfigValidate: misconfiguration fails fast with the typed sentinel
-// (embedded merge options keep their own), valid configurations — including
-// the documented MergeAttempts sentinels — pass, and NewBaseCluster panics
-// instead of deferring the failure to the first merge.
+// (embedded merge options keep their own), valid configurations — the zero
+// value's defaults included — pass, and NewBaseCluster panics instead of
+// deferring the failure to the first merge.
 func TestConfigValidate(t *testing.T) {
 	for _, c := range []Config{
 		{},
-		{MergeAttempts: -1}, // always-serial sentinel
-		{MergeAttempts: 5},
 		{BaseNodes: 3, Origin: Strategy1},
+		{Origin: Strategy2, MergeOptions: merge.Options{DisableDeltas: true}},
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", c, err)
@@ -25,7 +24,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, c := range []Config{
 		{BaseNodes: -1},
-		{MergeAttempts: -2},
+		{Origin: OriginStrategy(-1)},
 		{Origin: OriginStrategy(7)},
 	} {
 		err := c.Validate()
@@ -44,5 +43,5 @@ func TestConfigValidate(t *testing.T) {
 			t.Error("NewBaseCluster(bad config) did not panic")
 		}
 	}()
-	NewBaseCluster(model.State{}, Config{MergeAttempts: -2})
+	NewBaseCluster(model.State{}, Config{BaseNodes: -1})
 }

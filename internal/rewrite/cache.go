@@ -37,10 +37,10 @@ import (
 // never cached.
 //
 // The memo table is sharded by key hash with per-shard read/write locks and
-// atomic hit/miss counters, so concurrent Algorithm-2 rewrites (many merge
-// prepare phases sharing one detector) neither serialize on a single lock
-// nor contend on hot keys: the steady-state hit path is a shared read lock
-// on 1/cacheShards of the table.
+// atomic hit/miss counters, so concurrent Algorithm-2 rewrites (merges on
+// different shards and previews sharing one detector) neither serialize on
+// a single lock nor contend on hot keys: the steady-state hit path is a
+// shared read lock on 1/cacheShards of the table.
 type CachedDetector struct {
 	// Inner produces verdicts on cache misses (default StaticDetector).
 	Inner PrecedeDetector

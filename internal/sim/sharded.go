@@ -17,7 +17,7 @@ import (
 // item space is partitioned — run on independent shards with no shared
 // mutex, no shared admission queue and no shared master map. PCrossShard
 // mixes in transfers to another mobile's account on a different shard,
-// exercising the two-phase cross-shard admit at a controlled rate.
+// exercising cross-shard merges at a controlled rate.
 
 // shardedOrigin builds the fleet's account universe: one funded account
 // per mobile.

@@ -113,14 +113,8 @@ type Scenario struct {
 	// cache keeps reconnects exactly-once.
 	DropEveryNth int64
 	// ServerWorkers sizes the BaseServer request-worker pool
-	// (MessagePassing mode only; default 1). With several workers,
-	// simultaneous reconnects run their merge prepare phases concurrently
-	// through the cluster's optimistic pipeline.
+	// (MessagePassing mode only; default 1; see replica.WithWorkers).
 	ServerWorkers int
-	// MergeAttempts forwards replica.Config.MergeAttempts: the optimistic
-	// prepare/admit budget before a merge degrades to the serial path
-	// (0 = default; -1 = always serial).
-	MergeAttempts int
 	// Observer forwards replica.Config.Observer: it receives a span event
 	// for every reconnect phase the scenario drives (nil = no
 	// observability overhead beyond a nil check).
@@ -134,7 +128,7 @@ type Scenario struct {
 	Shards int
 	// PCrossShard is the probability a tentative transaction is a transfer
 	// to another mobile's account on a different shard, exercising the
-	// two-phase cross-shard merge (sharded driver only).
+	// cross-shard merge (sharded driver only).
 	PCrossShard float64
 }
 
@@ -202,13 +196,12 @@ func Run(sc Scenario) (*Result, error) {
 	sc = sc.withDefaults()
 	if sc.Shards > 0 {
 		cfg := replica.Config{
-			BaseNodes:     sc.BaseNodes,
-			Weights:       sc.Weights,
-			Origin:        sc.Origin,
-			MergeOptions:  sc.MergeOptions,
-			Acceptance:    sc.Acceptance,
-			MergeAttempts: sc.MergeAttempts,
-			Observer:      sc.Observer,
+			BaseNodes:    sc.BaseNodes,
+			Weights:      sc.Weights,
+			Origin:       sc.Origin,
+			MergeOptions: sc.MergeOptions,
+			Acceptance:   sc.Acceptance,
+			Observer:     sc.Observer,
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -224,13 +217,12 @@ func Run(sc Scenario) (*Result, error) {
 	})
 	origin := baseGen.OriginState()
 	cfg := replica.Config{
-		BaseNodes:     sc.BaseNodes,
-		Weights:       sc.Weights,
-		Origin:        sc.Origin,
-		MergeOptions:  sc.MergeOptions,
-		Acceptance:    sc.Acceptance,
-		MergeAttempts: sc.MergeAttempts,
-		Observer:      sc.Observer,
+		BaseNodes:    sc.BaseNodes,
+		Weights:      sc.Weights,
+		Origin:       sc.Origin,
+		MergeOptions: sc.MergeOptions,
+		Acceptance:   sc.Acceptance,
+		Observer:     sc.Observer,
 	}
 	// Scenarios are built from user input (flags); validate here so
 	// misconfiguration comes back as an error instead of the constructor's

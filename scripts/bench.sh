@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
-# Persist per-PR bench results: run the experiment benchmarks (E13
-# concurrent merges, E16 sharded fleet, E17 wire transport, E18 delta
-# merging, E19 durable store) and write BENCH_E13.json / BENCH_E16.json /
-# BENCH_E17.json / BENCH_E18.json / BENCH_E19.json at the repo root via
-# benchreport's
-# -benchjson mode. BENCH_E16.json carries the headline speedup summary
+# Persist per-PR bench results: run the experiment benchmarks (E16 sharded
+# fleet, E17 wire transport, E18 delta merging, E19 durable store) and
+# write BENCH_E16.json / BENCH_E17.json / BENCH_E18.json / BENCH_E19.json
+# at the repo root via benchreport's -benchjson mode. BENCH_E16.json carries the headline speedup summary
 # (disjoint-fleet merges/s per shard count over the 1-shard baseline; the
 # acceptance bar is speedup_shards_4 >= 3). BENCH_E17.json carries the
 # TCP transport's measured on-wire bytes, framing overhead and slowdown
@@ -22,6 +20,6 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-3x}"
 
 go test -run '^$' \
-    -bench 'BenchmarkE13ConcurrentMerge|BenchmarkE16ShardedFleet|BenchmarkE17WireTransport|BenchmarkE18DeltaMerge|BenchmarkE19DurableStore' \
+    -bench 'BenchmarkE16ShardedFleet|BenchmarkE17WireTransport|BenchmarkE18DeltaMerge|BenchmarkE19DurableStore' \
     -benchtime "$BENCHTIME" -benchmem . \
     | go run ./cmd/benchreport -benchjson -out .

@@ -33,6 +33,22 @@ run_logged() {
     rm -f "$log"
 }
 
+# require_tests PATTERN PKG...: every |-alternative of an explicit -run
+# pattern must list at least one test in PKG... (go test -list), so a
+# renamed or deleted test fails the gate instead of silently passing it.
+require_tests() {
+    local pattern="$1" alt listed
+    shift
+    IFS='|' read -ra alts <<< "$pattern"
+    for alt in "${alts[@]}"; do
+        listed=$(go test -list "$alt" "$@")
+        if ! grep -q '^Test' <<< "$listed"; then
+            echo "FAILED: -run alternative '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l . | grep -v '^$' || true)
 if [ -n "$unformatted" ]; then
@@ -84,7 +100,7 @@ fi
 echo "== tests =="
 go test ./...
 
-echo "== race (concurrent merge pipeline + observers + crash-recovery soak) =="
+echo "== race (concurrent reconnects + observers + crash-recovery soak) =="
 go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
 
 echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) =="
@@ -97,28 +113,30 @@ go test -race -count=1 ./internal/wire/
 # TestWireMetrics read the byte counters while the server handler could
 # still be billing the response it had just written (~1 failure in 6 under
 # -race); repeat it so the flake stays fixed.
+require_tests TestWireMetrics ./internal/wire/
 go test -race -count=20 -run TestWireMetrics ./internal/wire/
 
 echo "== race (relevant-base parity) =="
 # Explicit gate for the indexed merge path: building G(Hm,Hb) over only the
 # base entries that can lie on a cycle through Hm must decide exactly what
-# the literal build over the whole history decides (the differential), a
-# captured view must stay valid while the history keeps appending, a retried
-# prepare must equal a first prepare over the longer prefix, and uploads
-# bill once per reconnect — under the race detector.
+# the literal build over the whole history decides (the differential), and a
+# captured view must stay valid while the history keeps appending (Preview
+# merges outside the mutex) — under the race detector.
+require_tests 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredecessors' ./internal/merge/ ./internal/graph/
 go test -race -count=1 -run 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredecessors' ./internal/merge/ ./internal/graph/
-go test -race -count=1 -run 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition|IncrementalRetryMatchesFromScratch|RetryBillsUploadOnce' ./internal/replica/
+require_tests 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition' ./internal/replica/
+go test -race -count=1 -run 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition' ./internal/replica/
 
-echo "== race (sharded base tier: two-phase cross-shard merges + window barrier) =="
+echo "== race (sharded base tier: cross-shard merges + window barrier) =="
 # Explicit gate for the sharding invariants: N=1 parity with the plain
 # cluster, serial-order equivalence of concurrent sharded reconnects,
 # counter parity with the plain cluster, cross-shard merges vs the
-# single-shard baseline, set-size-1 vs set-size-2 parity of the one merge
-# routine, the checkout/advance window barrier, the
+# single-shard baseline, the checkout/advance window barrier, the
 # all-shards-contended deadlock smoke, and the Strategy 1 interior insert
 # against a serial-run oracle (plain and sliced across shards, memory and
 # disk engines) — all under the race detector.
-go test -race -count=1 -run 'TestShard|TestCrossShard|TestSetSize|TestWindowBarrier|InteriorInsert' ./internal/replica/
+require_tests 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
+go test -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
 
 echo "== bench module (the benchmark harness compiles against internal/...) =="
 # bench/ is its own module importing tiermerge/internal/...; vet and test it

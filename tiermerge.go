@@ -344,9 +344,9 @@ func NewMobileNode(id string, b *BaseCluster) *MobileNode {
 }
 
 // Sharded base tier (DESIGN.md §11): the item space partitioned across N
-// base clusters, each with its own mutex, window clock, history, journal
-// and admission queue. Shard-local merges run entirely on their shard;
-// cross-shard merges run a two-phase admit across the involved shards.
+// base clusters, each with its own mutex, window clock, history and
+// journal. Shard-local merges run entirely on their shard; cross-shard
+// merges run one critical section under every involved shard's mutex.
 type (
 	// ShardedBase coordinates N base-cluster shards behind the BaseCluster
 	// connect surface. A one-shard tier behaves exactly like a plain
@@ -417,7 +417,7 @@ type (
 	// MergePhase names a reconnect stage (checkout, graph-build, rewrite,
 	// admit, ...).
 	MergePhase = obs.Phase
-	// MergeCause classifies admission retries and fallbacks.
+	// MergeCause classifies fallbacks and recovery outcomes.
 	MergeCause = obs.Cause
 	// Metrics folds the event stream into a MetricsRegistry.
 	Metrics = obs.Metrics
@@ -436,13 +436,13 @@ type (
 const (
 	PhaseCheckout  = obs.PhaseCheckout
 	PhaseRun       = obs.PhaseRun
+	PhaseLockWait  = obs.PhaseLockWait
 	PhaseSnapshot  = obs.PhaseSnapshot
 	PhaseGraph     = obs.PhaseGraph
 	PhaseBackout   = obs.PhaseBackout
 	PhaseRewrite   = obs.PhaseRewrite
 	PhasePrune     = obs.PhasePrune
 	PhaseAdmit     = obs.PhaseAdmit
-	PhaseSerial    = obs.PhaseSerial
 	PhaseFallback  = obs.PhaseFallback
 	PhaseReprocess = obs.PhaseReprocess
 	PhasePropagate = obs.PhasePropagate
