@@ -34,11 +34,11 @@ type baseEntry struct {
 	eff *tx.Effect
 	// global, when non-nil, links a per-shard slice of a cross-shard
 	// transaction to its global identity (shard.go). The slice's t/eff are
-	// restricted to this shard's items — exact for single-shard merges,
-	// whose conflicts with the transaction can only involve this shard's
-	// items — while a cross-shard merge's combined base view deduplicates
-	// sibling slices through this pointer and sees one transaction with
-	// the full footprint, so cycles spanning partitions stay detectable.
+	// restricted to this shard's items, which hides the transaction's
+	// conflicts on other shards; a combined base view deduplicates sibling
+	// slices through this pointer and sees one transaction with the full
+	// footprint. Merges therefore view every shard while the window holds
+	// such an entry (ShardedBase.set).
 	global *crossTxn
 }
 

@@ -12,12 +12,14 @@ import (
 	"tiermerge/internal/tx"
 )
 
-// The one merge path. A reconnect runs against the set of clusters its
-// footprint touches — one for an unsharded base or a shard-local merge,
-// several for a cross-shard merge — and every set size runs the same
-// routine, one critical section over the members (DESIGN.md §7, §11):
+// The one merge path. A reconnect runs against a set of clusters — one for an
+// unsharded base or a shard-local merge, several for a cross-shard merge —
+// and every set size runs the same routine, one critical section over the
+// members (DESIGN.md §7, §11):
 //
-//  1. take the member mutexes in ascending shard order (lockClusters);
+//  1. take the member mutexes in ascending shard order (lock, which widens
+//     a partial set to every shard when the window holds a cross-shard
+//     entry);
 //  2. validate each member's checkout token and capture its part — the
 //     indexed base history with the posting lists of Hm's footprint; one
 //     member's view is the merge's view, several interleave into one
@@ -40,14 +42,12 @@ import (
 // clusterSet is the set of clusters one reconnect involves: an ordered
 // subset of a partition's clusters plus the partition's item router. A
 // BaseCluster forms the one-member set over itself; a ShardedBase forms the
-// set of the shards a history's footprint touches. Everything a reconnect
-// does — merge, preview, reprocess — is a method of the set, so the
-// unsharded base is simply the set of size one.
+// set of the shards a history's footprint touches, or of every shard.
+// Everything a reconnect does — merge, preview, reprocess — is a method of
+// the set, so the unsharded base is simply the set of size one.
 type clusterSet struct {
 	*partition
-	// cfg is the forming tier's configuration. cfg.Observer receives the
-	// set's events: a shard's stamping observer when that shard is the only
-	// member, the tier's own otherwise.
+	// cfg is the forming tier's configuration.
 	cfg Config
 	// involved holds the members' shard indices in ascending order — the
 	// order their mutexes are always acquired in — and members the
@@ -62,6 +62,44 @@ type clusterSet struct {
 // (ascending indices) on behalf of a tier with configuration cfg.
 func (s *partition) set(cfg Config, involved []int) *clusterSet {
 	return &clusterSet{partition: s, cfg: cfg, involved: involved, members: s.clustersOf(involved)}
+}
+
+// every forms the cluster set over all the partition's shards.
+func (s *partition) every(cfg Config) *clusterSet {
+	involved := make([]int, len(s.shards))
+	for k := range involved {
+		involved[k] = k
+	}
+	return s.set(cfg, involved)
+}
+
+// lock takes the members' mutexes (lockClusters) and returns the set it
+// holds them for. A partial set that finds a cross-shard entry in the
+// window once its mutexes are held — installed since ShardedBase.set looked
+// — releases them and takes every shard's instead: that entry may close a
+// cycle its members cannot see. The full set never widens, so neither does
+// this more than once. An entry installed after the check needs one of the
+// held mutexes to touch the members, so it follows the reconnect.
+//
+//tiermerge:blocking
+func (cs *clusterSet) lock() *clusterSet {
+	lockClusters(cs.members)
+	if len(cs.members) == len(cs.shards) || cs.crossEntries.Load() == 0 {
+		return cs
+	}
+	unlockClusters(cs.members)
+	all := cs.every(cs.cfg)
+	lockClusters(all.members)
+	return all
+}
+
+// observer is the sink of the set's events: a shard's stamping observer
+// when that shard is the only member, the tier's own otherwise.
+func (cs *clusterSet) observer() obs.Observer {
+	if len(cs.members) == 1 {
+		return cs.members[0].cfg.Observer
+	}
+	return cs.cfg.Observer
 }
 
 // shardPart is one member's share of a reconnect: its prefix snapshot and,
@@ -85,20 +123,19 @@ func (cs *clusterSet) tag(ev obs.Event) obs.Event {
 
 // emit delivers one set-level event. Never called with a member mutex held.
 func (cs *clusterSet) emit(ev obs.Event) {
-	if o := cs.cfg.Observer; o != nil {
+	if o := cs.observer(); o != nil {
 		o.Observe(cs.tag(ev))
 	}
 }
 
-// merge runs the merging protocol for one reconnect; tokens[i] is the
-// checkout token of members[i].
+// merge runs the merging protocol for one reconnect; tokens[k] is the
+// checkout token of shard k.
 //
 //tiermerge:locks(none)
 func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
-	home := cs.members[0]
-	seq := home.mergeSeq.Add(1)
-	start := home.spanStart()
-	out, err := cs.round(mobileID, seq, tokens, hm)
+	seq := cs.members[0].mergeSeq.Add(1)
+	start := cs.members[0].spanStart()
+	cs, out, err := cs.round(mobileID, seq, tokens, hm)
 	if err == nil {
 		// Force the installed forwarded updates and re-executions before
 		// the mobile node treats its tentative work as saved.
@@ -124,25 +161,26 @@ func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augm
 }
 
 // round is the reconnect's one critical section: take every member's mutex,
-// merge and install under them (roundLocked), release them. A user observer
-// must never run under a mutex, so the section's events are buffered and
-// delivered after unlock, behind the lock-wait span timing the acquisition.
+// merge and install under them (roundLocked), release them. It returns the
+// set it ran over, which lock may have widened. A user observer must never
+// run under a mutex, so the section's events are buffered and delivered
+// after unlock, behind the lock-wait span timing the acquisition.
 //
 //tiermerge:locks(none)
 //tiermerge:blocking
-func (cs *clusterSet) round(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
+func (cs *clusterSet) round(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented) (*clusterSet, *ConnectOutcome, error) {
 	var buf *eventBuffer
 	if cs.cfg.Observer != nil {
 		buf = &eventBuffer{}
 	}
 	waitStart := cs.members[0].spanStart()
-	lockClusters(cs.members)
+	cs = cs.lock()
 	wait := sinceSpan(waitStart)
 	out, err := cs.roundLocked(mobileID, seq, tokens, hm, buf)
 	unlockClusters(cs.members)
 	cs.emit(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseLockWait, Dur: wait})
-	buf.flush(cs.cfg.Observer)
-	return out, err
+	buf.flush(cs.observer())
+	return cs, out, err
 }
 
 // roundLocked captures every member's part, prepares the merge against the
@@ -161,7 +199,7 @@ func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout,
 	parts := make([]shardPart, len(cs.members))
 	for i := range cs.members {
 		var fb FallbackReason
-		if parts[i], fb = cs.partLocked(i, tokens[i], footprint); fb != FallbackNone {
+		if parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint); fb != FallbackNone {
 			return cs.fallbackLocked(hm, fb), nil
 		}
 	}
@@ -188,7 +226,7 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 	for i, b := range cs.members {
 		var fb FallbackReason
 		b.mu.Lock()
-		parts[i], fb = cs.partLocked(i, tokens[i], footprint)
+		parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint)
 		b.mu.Unlock()
 		if fb != FallbackNone {
 			return nil, fb
@@ -380,6 +418,7 @@ func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map
 		Kind: tx.Base,
 		Body: forwardBody(values, deltas),
 	}
+	cs.crossEntries.Add(1)
 	geff, err := gt.ExecInPlace(cs.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
 	if err != nil {
 		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
@@ -437,20 +476,17 @@ func (cs *clusterSet) memberAt(k int) *BaseCluster {
 // execMember picks where a re-executed transaction with the given static
 // footprint runs: the member owning the footprint (home when it names
 // none), or nil when it spans members and the transaction must install as
-// slices. Items the router places outside the set are ignored — their
-// shards' mutexes are not held — exactly as an unsharded base ignores
-// routing.
+// slices. The set holds the shard of every item Hm's transactions name on
+// any branch (ShardedBase.set), so every item has its member.
 func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
 	var sole *BaseCluster
 	for it := range static {
-		b := cs.memberAt(cs.router.Shard(it))
-		if b == nil || b == sole {
-			continue
-		}
-		if sole != nil {
+		switch b := cs.memberAt(cs.router.Shard(it)); {
+		case sole == nil:
+			sole = b
+		case b != sole:
 			return nil
 		}
-		sole = b
 	}
 	if sole == nil {
 		return cs.members[0]

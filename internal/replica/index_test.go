@@ -73,7 +73,7 @@ func priceWatcher(t *testing.T, m *MobileNode) *history.Augmented {
 	return m.Augmented()
 }
 
-func mustExecBase(t *testing.T, b *BaseCluster, txns ...*tx.Transaction) {
+func mustExecBase(t *testing.T, b BaseTier, txns ...*tx.Transaction) {
 	t.Helper()
 	for _, bt := range txns {
 		if err := b.ExecBase(bt); err != nil {

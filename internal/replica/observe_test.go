@@ -1,12 +1,10 @@
 package replica
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -19,8 +17,8 @@ import (
 // Tests for the observability layer wired through the reconnect path: phase
 // coverage and ordering (including under concurrent reconnects — the suite
 // runs with -race in scripts/check.sh), the nil-observer fast path, the
-// variadic connect API, and exporter-versus-counter parity on a concurrent
-// conflicting fleet.
+// variadic connect API and the debug handler. Exporter-versus-counter
+// parity is the correctness oracle's (oracle_test.go).
 
 // phaseRank orders the phases of one reconnect's trace: the lock wait, the
 // buffered spans of the critical section, then the marks emitted after it.
@@ -185,7 +183,7 @@ func TestObserverPhaseOrderConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	connectAll(b, ms, t)
+	connectAll(t, ms)
 
 	traces := tr.Merges()
 	if len(traces) != n {
@@ -283,134 +281,6 @@ func TestBindAPI(t *testing.T) {
 	sm := NewShardedMobileNode("s1", s)
 	if err := sm.Bind(b1); !errors.Is(err, ErrClusterMismatch) {
 		t.Errorf("sharded-node Bind = %v, want ErrClusterMismatch", err)
-	}
-}
-
-// TestExporterParityE13 drives the workload of the retired E13 experiment —
-// a conflicting fleet reconnecting concurrently across several rounds with
-// live base traffic —
-// and checks that every exporter agrees exactly with cost.Counters: the
-// Prometheus tiermerge_cost_* series, the event-folded obs.Metrics
-// registry, and the raw traced event stream.
-func TestExporterParityE13(t *testing.T) {
-	const (
-		mobiles = 8
-		rounds  = 3
-	)
-	tracer := obs.NewTracer()
-	metrics := obs.NewMetrics()
-	b := NewBaseCluster(fleetOrigin(), Config{Observer: obs.Multi(tracer, metrics)})
-	ms := make([]*MobileNode, mobiles)
-	for i := range ms {
-		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
-	}
-	for r := 0; r < rounds; r++ {
-		for i, m := range ms {
-			id := fmt.Sprintf("T%d.%d", r, i)
-			var txn *tx.Transaction
-			if i%2 == 0 {
-				txn = workload.SetPrice(id, tx.Tentative, "p", model.Value(60+10*r+i))
-			} else {
-				txn = workload.Deposit(id, tx.Tentative, model.Item(fmt.Sprintf("a%d", i)), 5)
-			}
-			if err := m.Run(txn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := b.ExecBase(workload.Deposit(fmt.Sprintf("B%d", r), tx.Base, model.Item(fmt.Sprintf("b%d", r)), 3)); err != nil {
-			t.Fatal(err)
-		}
-		connectAll(b, ms, t)
-	}
-
-	counts := b.Counters().Snapshot()
-	if counts.MergesPerformed == 0 {
-		t.Fatal("workload performed no merges")
-	}
-
-	// 1. Prometheus text vs cost.Counters: every tiermerge_cost_*_total
-	// series mirrors exactly one Counts field, in both directions.
-	var sb strings.Builder
-	if err := b.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	exported := map[string]int64{}
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "tiermerge_cost_") || !strings.Contains(line, "_total ") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("unparsable cost series %q", line)
-		}
-		name := strings.TrimSuffix(strings.TrimPrefix(fields[0], "tiermerge_cost_"), "_total")
-		v, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-		exported[name] = v
-	}
-	want := map[string]int64{}
-	counts.Each(func(name string, v int64) { want[name] = v })
-	for name, v := range want {
-		got, ok := exported[name]
-		if !ok {
-			t.Errorf("counter %s missing from Prometheus dump", name)
-		} else if got != v {
-			t.Errorf("exported %s = %d, counters say %d", name, got, v)
-		}
-	}
-	for name := range exported {
-		if _, ok := want[name]; !ok {
-			t.Errorf("Prometheus dump exports unknown counter %s", name)
-		}
-	}
-	if !strings.Contains(sb.String(), "tiermerge_merges_total") {
-		t.Error("dump missing the event-derived registry (RegistryOf through Multi)")
-	}
-
-	// 2. The event-folded registry agrees with the counters.
-	reg := metrics.Registry().Snapshot()
-	if got := reg.Counters[obs.MetricSaved]; got != counts.TxnsSaved {
-		t.Errorf("metric saved = %d, counters say %d", got, counts.TxnsSaved)
-	}
-	if got, wantN := reg.Counters[obs.MetricMerges], counts.MergesPerformed+counts.MergeFallbacks; got != wantN {
-		t.Errorf("metric merges = %d, want %d (performed %d + fallbacks %d)",
-			got, wantN, counts.MergesPerformed, counts.MergeFallbacks)
-	}
-	var fallbacks int64
-	for name, v := range reg.Counters {
-		if strings.HasPrefix(name, obs.MetricFallbacks) {
-			fallbacks += v
-		}
-	}
-	if fallbacks != counts.MergeFallbacks {
-		t.Errorf("fallback-cause tallies sum to %d, counters say %d", fallbacks, counts.MergeFallbacks)
-	}
-	if got := reg.Counters[obs.MetricReexecuted] + reg.Counters[obs.MetricFailed]; got != counts.TxnsReprocessed {
-		t.Errorf("metric reexecuted+failed = %d, counters say %d", got, counts.TxnsReprocessed)
-	}
-
-	// 3. The raw event stream agrees with the counters.
-	var mergeEvents, saved, reexec int64
-	for _, ev := range tracer.Events() {
-		if ev.Phase != obs.PhaseMerge {
-			continue
-		}
-		mergeEvents++
-		saved += int64(ev.Saved)
-		reexec += int64(ev.Reexecuted + ev.Failed)
-	}
-	if wantN := counts.MergesPerformed + counts.MergeFallbacks; mergeEvents != wantN {
-		t.Errorf("merge summary events = %d, want %d", mergeEvents, wantN)
-	}
-	if saved != counts.TxnsSaved {
-		t.Errorf("event saved total = %d, counters say %d", saved, counts.TxnsSaved)
-	}
-	if reexec != counts.TxnsReprocessed {
-		t.Errorf("event reexecuted+failed total = %d, counters say %d", reexec, counts.TxnsReprocessed)
 	}
 }
 

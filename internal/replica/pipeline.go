@@ -74,8 +74,9 @@ func (eb *eventBuffer) flush(o obs.Observer) {
 	}
 }
 
-// footprintOf is the union of Hm's actual read and write sets: what routes a
-// reconnect to its shards and what its view holds postings for.
+// footprintOf is the union of Hm's actual read and write sets: what a
+// reconnect's view holds postings for. (Shards are chosen by the static
+// footprint, ShardedBase.set.)
 func footprintOf(hm *history.Augmented) model.ItemSet {
 	fp := make(model.ItemSet)
 	for _, eff := range hm.Effects {

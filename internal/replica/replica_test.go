@@ -3,7 +3,6 @@ package replica
 import (
 	"testing"
 
-	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
@@ -125,55 +124,6 @@ func TestMergeConflictBacksOutAndReexecutes(t *testing.T) {
 	}
 }
 
-// TestMergeEquivalentToReprocessOnAdditive checks protocol-level
-// convergence: for purely additive workloads, the merging protocol and the
-// reprocessing protocol land the master on the same final state (addition
-// commutes), while merging reprocesses nothing.
-func TestMergeEquivalentToReprocessOnAdditive(t *testing.T) {
-	run := func(useMerge bool) (model.State, int64) {
-		b := NewBaseCluster(origin(), Config{})
-		m1 := NewMobileNode("m1", b)
-		m2 := NewMobileNode("m2", b)
-		for i, m := range []*MobileNode{m1, m2} {
-			if err := m.Run(workload.Deposit(ids("Tm", i, 1), tx.Tentative, "x", 5)); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Run(workload.Transfer(ids("Tm", i, 2), tx.Tentative, "y", "z", 10)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := b.ExecBase(workload.Withdraw("Tb1", tx.Base, "y", 3)); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []*MobileNode{m1, m2} {
-			if useMerge {
-				if _, err := m.ConnectMerge(); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				m.ConnectReprocess()
-			}
-		}
-		return b.Master(), b.Counters().Snapshot().TxnsReprocessed
-	}
-	mergeState, mergeRe := run(true)
-	reprState, reprRe := run(false)
-	if !mergeState.Equal(reprState) {
-		t.Errorf("merge master %s != reprocess master %s", mergeState, reprState)
-	}
-	if reprRe != 4 {
-		t.Errorf("reprocessing protocol reprocessed %d, want 4", reprRe)
-	}
-	// Under the merging protocol some transactions still conflict across
-	// tiers (m1's transfer vs Tb1 on y; m2's work vs m1's forwarded
-	// updates) and land in B — only intra-history affected transactions are
-	// rescued by semantics. The win is that strictly fewer re-executions
-	// happen than under wholesale reprocessing.
-	if mergeRe >= reprRe {
-		t.Errorf("merging reprocessed %d, want fewer than reprocessing's %d", mergeRe, reprRe)
-	}
-}
-
 // TestSecondMergeSeesFirstMergesUpdates checks Strategy 2 multi-mobile
 // semantics: a second mobile whose transaction conflicts with the first
 // mobile's forwarded updates gets backed out, not silently lost.
@@ -199,47 +149,6 @@ func TestSecondMergeSeesFirstMergesUpdates(t *testing.T) {
 	}
 	if got := b.Master().Get("x"); got != 333 {
 		t.Errorf("master x = %d, want 333 (m2's reprocessed write last)", got)
-	}
-}
-
-// TestAdditiveMultiMobileNoLostUpdate: two mobiles deposit into the same
-// account. Under delta-merge semantics both deposits are pure commutative
-// increments: the second mobile's deposit commutes with the first's
-// forwarded increment, so neither merge backs anything out and the master
-// still ends with both deposits applied — no lost update and no
-// reprocessing. (With deltas disabled the second deposit would form a
-// two-cycle with the first's forwarded write and be re-executed instead.)
-func TestAdditiveMultiMobileNoLostUpdate(t *testing.T) {
-	b := NewBaseCluster(origin(), Config{
-		MergeOptions: merge.Options{Rewriter: merge.RewriteCanPrecede},
-	})
-	m1 := NewMobileNode("m1", b)
-	m2 := NewMobileNode("m2", b)
-	if err := m1.Run(workload.Deposit("Tm1", tx.Tentative, "x", 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Run(workload.Deposit("Tm2", tx.Tentative, "x", 7)); err != nil {
-		t.Fatal(err)
-	}
-	o1, err := m1.ConnectMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := m2.ConnectMerge()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.Saved != 1 || o1.Reprocessed != 0 {
-		t.Errorf("o1 = %+v, want first deposit saved", o1)
-	}
-	if o2.Saved != 1 || o2.Reprocessed != 0 {
-		t.Errorf("o2 = %+v, want second deposit saved as a commuting delta", o2)
-	}
-	if got := b.Master().Get("x"); got != 112 {
-		t.Errorf("master x = %d, want 112 (both deposits applied)", got)
-	}
-	if c := b.Counters().Snapshot(); c.TxnsBackedOut != 0 || c.EdgesElided == 0 {
-		t.Errorf("counters = %+v, want zero back-outs and elided delta-delta edges", c)
 	}
 }
 

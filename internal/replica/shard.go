@@ -23,16 +23,26 @@ import (
 // cluster mutex — the scalability ceiling E16 measures. ShardedBase
 // partitions the item space across N BaseCluster shards, each with its own
 // mutex, window clock, base history, WAL journal, lock manager and cost
-// counters. A reconnect runs against the set of shards its footprint touches
-// (clusterset.go): a shard-local merge involves one shard and shares nothing
-// with merges on the others; a cross-shard merge prepares and installs
-// under all of its shards' mutexes at once (DESIGN.md §11).
+// counters. A reconnect runs against a set of shards (clusterset.go) and
+// prepares and installs under all of their mutexes at once (DESIGN.md §11).
 //
 // Cross-shard installed transactions are stored per shard as restricted
 // slices (this shard's reads and writes only) sharing one *crossTxn
-// identity: restricted views are exact for single-shard merges (their
-// conflicts with the transaction can only involve this shard's items),
-// and the combined view is exact for cross-shard merges.
+// identity, which the combined view of several shards deduplicates into the
+// whole transaction. A restricted slice hides the conflicts its transaction
+// has on other shards, and a cycle through Hm can leave Hm's shards through
+// one cross-shard entry and return through another: with Hm = {T: b3 :=
+// b3 + b} on shard 1 and base entries X: a := 2; b := 20 then Y: c := a +
+// b3 spanning shards 0 and 1, shard 1's slices show T -> X and Y -> T but
+// not X -> Y, which only the item a on shard 0 carries. So a merge or
+// preview spans the shards its footprint touches only while the window
+// holds no cross-shard entry, and every shard otherwise (ShardedBase.set,
+// clusterSet.lock). Without cross-shard entries every base entry lies in
+// one shard, every conflict path between Hm's vertices stays inside one of
+// Hm's shards, and the footprint's shards see all of them. The footprint is
+// static — every item Hm's transactions name on any branch — because a
+// transaction re-executed at the base may take a branch its tentative run
+// skipped.
 
 // ShardRouter maps items to shards: an explicit Config.ShardFn when one is
 // configured, FNV-1a hashing of the item name otherwise.
@@ -91,6 +101,12 @@ type partition struct {
 	// "XU" namespace keeps their IDs disjoint from every shard's own
 	// "U<mobile>.<seq>" forward transactions.
 	crossSeq atomic.Int64
+	// crossEntries counts the cross-shard transactions installed in the
+	// current window, each incremented under every involved shard's mutex.
+	// The window barrier resets it before any shard advances, so it may
+	// overcount the window (a stale count only widens merges) but never
+	// miss an entry.
+	crossEntries atomic.Int64
 }
 
 // ShardedBase coordinates N BaseCluster shards behind the BaseCluster
@@ -195,7 +211,35 @@ func OpenShardedBase(dir string, initial model.State, shards int, cfg Config) (*
 		s.shards[k] = b
 		recs[k] = rec
 	}
+	if shards > 1 {
+		s.closeRecoveredWindow()
+	}
 	return s, recs, nil
+}
+
+// closeRecoveredWindow moves every shard to the highest recovered window,
+// or one past it when that window holds entries. Replay restores a
+// cross-shard transaction as unlinked slices, which no merge could
+// recombine, so a recovered window with entries must not admit merges;
+// mobiles still holding its tokens fall back to reprocessing. Caller owns
+// the tier exclusively (construction), so the per-shard advances need no
+// barrier.
+func (s *ShardedBase) closeRecoveredWindow() {
+	target := 0
+	for _, b := range s.shards {
+		target = max(target, b.WindowID())
+	}
+	for _, b := range s.shards {
+		if b.WindowID() == target && b.HistoryLen() > 0 {
+			target++
+			break
+		}
+	}
+	for _, b := range s.shards {
+		for b.WindowID() < target {
+			b.AdvanceWindow()
+		}
+	}
 }
 
 // Checkpoint rotates every shard's segment log (see BaseCluster.Checkpoint).
@@ -336,6 +380,7 @@ func (s *ShardedBase) AdvanceWindow() int {
 			break
 		}
 	}
+	s.crossEntries.Store(0)
 	var id int
 	for _, b := range s.shards {
 		id = b.AdvanceWindow()
@@ -554,6 +599,7 @@ func (s *partition) gatherLocked(set model.ItemSet) model.State {
 //
 //tiermerge:locks(shard)
 func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
+	s.crossEntries.Add(1)
 	g := &crossTxn{t: base, eff: eff}
 	for _, k := range s.router.shardsOf(eff.ReadSet.Union(eff.WriteSet)) {
 		b := s.shards[k]
@@ -604,52 +650,59 @@ func (s *partition) sliceTxn(base *tx.Transaction, eff *tx.Effect, k int, deltas
 	}
 }
 
-// set forms the cluster set a reconnect carrying hm runs against: the shards
-// hm's footprint touches (shard 0 for an empty history).
-func (s *ShardedBase) set(hm *history.Augmented) *clusterSet {
-	involved := s.router.shardsOf(footprintOf(hm))
+// set forms the cluster set a reconnect carrying hm runs against — or, for a
+// merge or preview (viewing) while the window holds a cross-shard entry,
+// every shard (see the file comment). The set holds the shards of every
+// item hm's transactions name on any branch (shard 0 for an empty history),
+// not only of those their tentative runs touched: a re-execution at the
+// base may take another branch, and it must find the items it reaches
+// under the set's mutexes.
+func (s *ShardedBase) set(hm *history.Augmented, viewing bool) *clusterSet {
+	if viewing && s.crossEntries.Load() > 0 {
+		return s.every(s.cfg)
+	}
+	static := make(model.ItemSet)
+	for i := 0; i < hm.H.Len(); i++ {
+		t := hm.H.Txn(i)
+		for _, items := range [2]model.ItemSet{t.StaticReadSet(), t.StaticWriteSet()} {
+			for it := range items {
+				static.Add(it)
+			}
+		}
+	}
+	involved := s.router.shardsOf(static)
 	if len(involved) == 0 {
 		involved = []int{0}
 	}
-	cs := s.partition.set(s.cfg, involved)
-	if len(involved) == 1 {
-		// A shard-local reconnect reports through its shard's observer,
-		// which stamps the shard index on every event.
-		cs.cfg.Observer = cs.members[0].cfg.Observer
-	}
-	return cs
+	return s.partition.set(s.cfg, involved)
 }
 
-// setWithTokens forms the reconnect's cluster set plus its members'
-// checkout tokens, in member order.
-func (s *ShardedBase) setWithTokens(ck Checkout, hm *history.Augmented) (*clusterSet, []Checkout, error) {
+// shardTokens returns the per-shard checkout tokens of ck, in shard order.
+func (s *ShardedBase) shardTokens(ck Checkout) ([]Checkout, error) {
 	if ck.Shards == nil {
-		ck = s.wireTokens(ck)
-	} else if len(ck.Shards) != len(s.shards) {
-		return nil, nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
+		return s.wireTokens(ck).Shards, nil
+	}
+	if len(ck.Shards) != len(s.shards) {
+		return nil, fmt.Errorf("%w: checkout carries %d shard tokens, tier has %d shards",
 			ErrBadConfig, len(ck.Shards), len(s.shards))
 	}
-	cs := s.set(hm)
-	tokens := make([]Checkout, len(cs.involved))
-	for i, k := range cs.involved {
-		tokens[i] = ck.Shards[k]
-	}
-	return cs, tokens, nil
+	return ck.Shards, nil
 }
 
 // Merge runs the merging protocol against the sharded tier, over the set of
-// shards the history's footprint touches.
+// shards the history's footprint touches (every shard while the window holds
+// a cross-shard entry).
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].Merge(ck, hm)
 	}
-	cs, tokens, err := s.setWithTokens(ck, hm)
+	tokens, err := s.shardTokens(ck)
 	if err != nil {
 		return nil, err
 	}
-	return cs.merge(ck.MobileID, tokens, hm)
+	return s.set(hm, true).merge(ck.MobileID, tokens, hm)
 }
 
 // wireTokens synthesizes the per-shard tokens of a checkout that crossed
@@ -684,11 +737,11 @@ func (s *ShardedBase) Preview(ck Checkout, hm *history.Augmented) (*merge.Report
 	if len(s.shards) == 1 {
 		return s.shards[0].Preview(ck, hm)
 	}
-	cs, tokens, err := s.setWithTokens(ck, hm)
+	tokens, err := s.shardTokens(ck)
 	if err != nil {
 		return nil, err
 	}
-	return cs.preview(tokens, hm)
+	return s.set(hm, true).preview(tokens, hm)
 }
 
 // Reprocess runs the original two-tier protocol against the sharded tier,
@@ -699,7 +752,7 @@ func (s *ShardedBase) Reprocess(hm *history.Augmented) *ConnectOutcome {
 	if len(s.shards) == 1 {
 		return s.shards[0].Reprocess(hm)
 	}
-	return s.set(hm).reprocess(hm)
+	return s.set(hm, false).reprocess(hm)
 }
 
 // WritePrometheus renders the aggregated cost counters plus per-shard

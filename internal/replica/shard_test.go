@@ -2,21 +2,22 @@ package replica
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
-	"tiermerge/internal/cost"
+	"tiermerge/internal/expr"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
 
-// Tests for the sharded base tier: routing determinism, N=1 parity with
-// the plain cluster, serial-order equivalence of concurrent sharded
-// reconnects, counter parity with the plain cluster, cross-shard merges
-// against the single-shard baseline, the window barrier, and an
-// all-shards-contended deadlock smoke. The suite runs
-// under -race in scripts/check.sh.
+// Tests for the sharded base tier that no single-cluster reference covers:
+// routing determinism, the window barrier, an all-shards-contended deadlock
+// smoke, and the cross-shard cycle a merge over its footprint's shards
+// alone cannot see. Partition invisibility against the one-cluster tier is
+// the correctness oracle's (oracle_test.go). The suite runs under -race in
+// scripts/check.sh.
 
 // shardFleetOrigin funds one account per mobile plus a shared priced
 // item; with the default FNV router the accounts scatter across shards.
@@ -29,45 +30,6 @@ func shardFleetOrigin(n int) model.State {
 }
 
 func shardAcct(i int) model.Item { return model.Item(fmt.Sprintf("m%d.acct", i)) }
-
-// shardedDisjointFleet builds an n-mobile fleet of private deposits on a
-// tier of the given shard count.
-func shardedDisjointFleet(t *testing.T, shards, n int, cfg Config) (*ShardedBase, []*MobileNode) {
-	t.Helper()
-	s := NewShardedBase(shardFleetOrigin(n), shards, cfg)
-	ms := make([]*MobileNode, n)
-	for i := range ms {
-		ms[i] = NewShardedMobileNode(fmt.Sprintf("m%d", i), s)
-		for k := 0; k < 3; k++ {
-			if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d.%d", i, k), tx.Tentative, shardAcct(i), 5)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return s, ms
-}
-
-// connectAllSharded reconnects every mobile concurrently.
-func connectAllSharded(t *testing.T, ms []*MobileNode) []*ConnectOutcome {
-	t.Helper()
-	outs := make([]*ConnectOutcome, len(ms))
-	errs := make([]error, len(ms))
-	var wg sync.WaitGroup
-	wg.Add(len(ms))
-	for i := range ms {
-		go func(i int) {
-			defer wg.Done()
-			outs[i], errs[i] = ms[i].ConnectMerge()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("mobile %d: %v", i, err)
-		}
-	}
-	return outs
-}
 
 // TestShardRouterPartition: the router is deterministic, covers every
 // shard index, and honors a custom ShardFn (including one returning
@@ -97,185 +59,71 @@ func TestShardRouterPartition(t *testing.T) {
 	}
 }
 
-// TestShardedOneShardMatchesPlainCluster: N=1 must be the plain cluster
-// — same outcomes, same counters, same master, byte for byte.
-func TestShardedOneShardMatchesPlainCluster(t *testing.T) {
-	const n = 4
-	run := func(sharded bool) (model.State, cost.Counts) {
-		var ms []*MobileNode
-		var master func() model.State
-		var counts func() cost.Counts
-		if sharded {
-			s, fleet := shardedDisjointFleet(t, 1, n, Config{})
-			ms, master, counts = fleet, s.Master, s.Counters
-		} else {
-			b := NewBaseCluster(shardFleetOrigin(n), Config{})
-			for i := 0; i < n; i++ {
-				m := NewMobileNode(fmt.Sprintf("m%d", i), b)
-				for k := 0; k < 3; k++ {
-					if err := m.Run(workload.Deposit(fmt.Sprintf("Td%d.%d", i, k), tx.Tentative, shardAcct(i), 5)); err != nil {
-						t.Fatal(err)
-					}
+// crossShardCycle is a cycle through Hm that leaves Hm's shard through one
+// cross-shard base transaction and returns through another, on a tier that
+// puts a apart from b and b3. The mobile runs T: b3 := b3 + b; the base
+// then commits X: a := 2; b := 20 and Y: c := a + b3. T -> X on b, X -> Y
+// on a (a's shard only), Y -> T on b3: T must be backed out and re-executed
+// after Y, which a serial run ends on want. Slices on b's shard alone show
+// no cycle; saving T ends on b3 = 110, c = 102, which no serial order
+// produces.
+func crossShardCycle(a, b, b3, c model.Item) (origin model.State, tm *tx.Transaction, base []*tx.Transaction, want model.State) {
+	state := func(va, vb, vb3, vc model.Value) model.State {
+		return model.StateOf(map[model.Item]model.Value{a: va, b: vb, b3: vb3, c: vc})
+	}
+	tm = tx.MustNew("T", tx.Tentative, tx.Update(b3, expr.Add(expr.Var(b3), expr.Var(b))))
+	base = []*tx.Transaction{
+		tx.MustNew("X", tx.Base, tx.Update(a, expr.Const(2)), tx.Update(b, expr.Const(20))),
+		tx.MustNew("Y", tx.Base, tx.Update(c, expr.Add(expr.Var(a), expr.Var(b3)))),
+	}
+	return state(1, 10, 100, 0), tm, base, state(2, 20, 120, 102)
+}
+
+// TestShardedMergeSeesCrossShardCycle: a 2-shard tier splitting {a, c} |
+// {b, b3} backs T out and ends where one cluster does — live, and after a
+// reopen, where recovery restores X and Y as unlinked slices and the
+// mobile, holding a token of the recovered window, must fall back to
+// reprocessing.
+func TestShardedMergeSeesCrossShardCycle(t *testing.T) {
+	origin, tm, base, want := crossShardCycle("a", "b", "b3", "c")
+	cfg := Config{ShardFn: func(it model.Item) int {
+		if it == "a" || it == "c" {
+			return 0
+		}
+		return 1
+	}}
+	for _, name := range []string{"live", "reopened"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _, err := OpenShardedBase(dir, origin, 2, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewShardedMobileNode("m", s)
+			if err := m.Run(tm); err != nil {
+				t.Fatal(err)
+			}
+			mustExecBase(t, s, base...)
+			if name == "reopened" {
+				if err := s.CloseStore(); err != nil {
+					t.Fatal(err)
 				}
-				ms = append(ms, m)
+				if s, _, err = OpenShardedBase(dir, nil, 2, cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
-			master = b.Master
-			counts = func() cost.Counts { return b.Counters().Snapshot() }
-		}
-		for _, m := range ms {
-			if out, err := m.ConnectMerge(); err != nil || !out.Merged {
-				t.Fatalf("connect: out=%+v err=%v", out, err)
-			}
-		}
-		return master(), counts()
-	}
-	plainMaster, plainCounts := run(false)
-	shardMaster, shardCounts := run(true)
-	if !plainMaster.Equal(shardMaster) {
-		t.Errorf("masters diverged:\nplain   %s\nsharded %s", plainMaster, shardMaster)
-	}
-	if plainCounts != shardCounts {
-		t.Errorf("counters diverged:\nplain   %+v\nsharded %+v", plainCounts, shardCounts)
-	}
-}
-
-// TestShardedConcurrentMatchesSomeSerialOrder: mobiles conflicting on the
-// shared priced item reconnect concurrently against a 4-shard tier. Each
-// merge spans p's shard and the mobile's account shard, so a cross-shard
-// critical section carries the conflict — and the result must still be
-// final-state-equivalent to some serial admission order, with one critical
-// section per reconnect.
-func TestShardedConcurrentMatchesSomeSerialOrder(t *testing.T) {
-	const n, shards = 3, 4
-	build := func() (*ShardedBase, []*MobileNode) {
-		s := NewShardedBase(shardFleetOrigin(n), shards, Config{})
-		ms := make([]*MobileNode, n)
-		for i := range ms {
-			ms[i] = NewShardedMobileNode(fmt.Sprintf("m%d", i), s)
-			if err := ms[i].Run(workload.SetPrice(fmt.Sprintf("Tp%d", i), tx.Tentative, "p", model.Value(100+11*i))); err != nil {
+			defer s.CloseStore()
+			out, err := s.Merge(m.ck, m.Augmented())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d", i), tx.Tentative, shardAcct(i), 5)); err != nil {
-				t.Fatal(err)
+			if out.Saved != 0 || out.Reprocessed != 1 {
+				t.Errorf("outcome %+v, want T re-executed", out)
 			}
-		}
-		return s, ms
-	}
-	var serialStates []model.State
-	for _, perm := range permutations(n) {
-		s, ms := build()
-		for _, i := range perm {
-			if _, err := ms[i].ConnectMerge(); err != nil {
-				t.Fatal(err)
+			if got := s.Master(); !got.Equal(want) {
+				t.Errorf("master %s, want %s", got, want)
 			}
-		}
-		serialStates = append(serialStates, s.Master())
-	}
-	for trial := 0; trial < 8; trial++ {
-		s, ms := build()
-		connectAllSharded(t, ms)
-		c := s.Counters()
-		if c.CrossShardMerges == 0 {
-			t.Fatalf("trial %d: conflict fleet drove no cross-shard merges", trial)
-		}
-		checkOneSectionPerMerge(t, c)
-		got := s.Master()
-		found := false
-		for _, want := range serialStates {
-			if got.Equal(want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("trial %d: concurrent sharded master %s matches no serial order %v",
-				trial, got, serialStates)
-		}
-	}
-}
-
-// TestShardedCountersMatchPlainCluster: on the disjoint fleet a 4-shard
-// tier must charge exactly what a plain NewBaseCluster charges — the
-// shard-local merges run the same one-member routine the unsharded base
-// does. BaseGraphOps/BaseBackoutOps are excluded: they scale with the
-// observed base prefix (shorter per shard). The one protocol difference is
-// the checkout download, which a sharded tier ships as one message per
-// shard.
-func TestShardedCountersMatchPlainCluster(t *testing.T) {
-	const n, shards = 8, 4
-	b := NewBaseCluster(shardFleetOrigin(n), Config{})
-	ms := make([]*MobileNode, n)
-	for i := range ms {
-		ms[i] = NewMobileNode(fmt.Sprintf("m%d", i), b)
-		for k := 0; k < 3; k++ {
-			if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d.%d", i, k), tx.Tentative, shardAcct(i), 5)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	connectAllSharded(t, ms)
-	plain := b.Counters().Snapshot()
-
-	s, ms := shardedDisjointFleet(t, shards, n, Config{})
-	connectAllSharded(t, ms)
-	sharded := s.Counters()
-
-	// Two checkouts per mobile (initial, post-merge), shards-1 extra
-	// messages each.
-	extra := int64(2 * n * (shards - 1))
-	sharded.Messages -= extra
-	sharded.Bytes -= extra * s.Weights().MsgOverheadBytes
-	plain.BaseGraphOps, sharded.BaseGraphOps = 0, 0
-	plain.BaseBackoutOps, sharded.BaseBackoutOps = 0, 0
-	if plain != sharded {
-		t.Errorf("counter totals diverged:\nplain   %+v\nsharded %+v", plain, sharded)
-	}
-	if !b.Master().Equal(s.Master()) {
-		t.Errorf("masters diverged:\nplain   %s\nsharded %s", b.Master(), s.Master())
-	}
-}
-
-// TestCrossShardMergeMatchesSingleShardBaseline: the same
-// transfer-carrying fleet runs against 4 shards (cross-shard critical
-// sections over several mutexes) and 1 shard (every merge under one). The workload is
-// additive, so the final masters must be identical whatever the
-// interleaving — partitioning must never change the merged outcome.
-func TestCrossShardMergeMatchesSingleShardBaseline(t *testing.T) {
-	const n = 6
-	build := func(shards int) (*ShardedBase, []*MobileNode) {
-		s := NewShardedBase(shardFleetOrigin(n), shards, Config{})
-		ms := make([]*MobileNode, n)
-		for i := range ms {
-			ms[i] = NewShardedMobileNode(fmt.Sprintf("m%d", i), s)
-			if err := ms[i].Run(workload.Deposit(fmt.Sprintf("Td%d", i), tx.Tentative, shardAcct(i), 5)); err != nil {
-				t.Fatal(err)
-			}
-			if err := ms[i].Run(workload.Transfer(fmt.Sprintf("Tx%d", i), tx.Tentative, shardAcct(i), shardAcct((i+1)%n), 3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s, ms
-	}
-	baseline, baseMs := build(1)
-	for _, m := range baseMs {
-		if out, err := m.ConnectMerge(); err != nil || !out.Merged {
-			t.Fatalf("baseline connect: out=%+v err=%v", out, err)
-		}
-	}
-	for trial := 0; trial < 4; trial++ {
-		s, ms := build(4)
-		outs := connectAllSharded(t, ms)
-		for i, out := range outs {
-			if !out.Merged {
-				t.Errorf("trial %d mobile %d not merged: %+v", trial, i, out)
-			}
-		}
-		if c := s.Counters(); c.CrossShardMerges == 0 {
-			t.Errorf("trial %d: transfer fleet drove no cross-shard merges", trial)
-		}
-		if got, want := s.Master(), baseline.Master(); !got.Equal(want) {
-			t.Errorf("trial %d: 4-shard master %s != 1-shard baseline %s", trial, got, want)
-		}
+		})
 	}
 }
 
@@ -315,7 +163,7 @@ func TestCrossShardAllContendedSmoke(t *testing.T) {
 			}
 		}
 	}()
-	connectAllSharded(t, ms)
+	connectAll(t, ms)
 	basewg.Wait()
 	if c := s.Counters(); c.CrossShardMerges == 0 {
 		t.Errorf("contended fleet drove no cross-shard merges: %+v", c)
@@ -327,7 +175,7 @@ func TestCrossShardAllContendedSmoke(t *testing.T) {
 // returned checkout carries the same WindowID, and successive WindowID
 // reads are monotonic.
 func TestWindowBarrierNoMixedPrefix(t *testing.T) {
-	const n, shards, checkouts = 4, 4, 200
+	const n, shards, checkouts = 4, 4, 1000
 	s := NewShardedBase(shardFleetOrigin(n), shards, Config{})
 	stop := make(chan struct{})
 	var adv sync.WaitGroup
@@ -340,6 +188,9 @@ func TestWindowBarrierNoMixedPrefix(t *testing.T) {
 				return
 			default:
 				s.AdvanceWindow()
+				// Yield, or checkouts complete only when the scheduler
+				// preempts this loop, and the test takes seconds.
+				runtime.Gosched()
 			}
 		}
 	}()

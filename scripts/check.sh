@@ -127,14 +127,18 @@ go test -race -count=1 -run 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredec
 require_tests 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition' ./internal/replica/
 go test -race -count=1 -run 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition' ./internal/replica/
 
-echo "== race (sharded base tier: cross-shard merges + window barrier) =="
-# Explicit gate for the sharding invariants: N=1 parity with the plain
-# cluster, serial-order equivalence of concurrent sharded reconnects,
-# counter parity with the plain cluster, cross-shard merges vs the
-# single-shard baseline, the checkout/advance window barrier, the
+echo "== race (correctness oracle + sharded base tier) =="
+# Explicit gate for the paper's properties in every in-process
+# configuration: the correctness oracle (one cluster or 4 shards × Memory or
+# Disk × deltas on/off × Strategy 1/2, serial and concurrent arms, against
+# the one-cluster reference; -short runs fewer seeds per cell), plus what
+# the oracle's reference cannot cover: the router, the cross-shard cycle
+# reproducers (live and reopened), the checkout/advance window barrier, the
 # all-shards-contended deadlock smoke, and the Strategy 1 interior insert
 # against a serial-run oracle (plain and sliced across shards, memory and
 # disk engines) — all under the race detector.
+require_tests TestOracle ./internal/replica/
+go test -race -short -count=1 -run TestOracle ./internal/replica/
 require_tests 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
 go test -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
 

@@ -345,8 +345,9 @@ func NewMobileNode(id string, b *BaseCluster) *MobileNode {
 
 // Sharded base tier (DESIGN.md §11): the item space partitioned across N
 // base clusters, each with its own mutex, window clock, history and
-// journal. Shard-local merges run entirely on their shard; cross-shard
-// merges run one critical section under every involved shard's mutex.
+// journal. A merge runs one critical section under the mutexes of the
+// shards its footprint touches — of every shard while the window holds a
+// cross-shard entry, whose per-shard slices would hide a cycle.
 type (
 	// ShardedBase coordinates N base-cluster shards behind the BaseCluster
 	// connect surface. A one-shard tier behaves exactly like a plain
