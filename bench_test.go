@@ -429,11 +429,10 @@ func BenchmarkE14CrashRecovery(b *testing.B) {
 // fleet of disjoint deposit histories reconnects concurrently against 1,
 // 2, 4 and 8 shards, all-disjoint and with ~10% of mobiles carrying one
 // cross-shard transfer. The fleet checks out, the base commits 2048
-// deposits while they are away, then every mobile merges at once — so
-// each merge's prepare scans the base traffic committed since checkout,
-// which partitioning divides by the shard count, along with the admission
-// critical sections. The merges/s metric is the E16 headline recorded in
-// BENCH_E16.json.
+// deposits while they are away, then every mobile merges at once. Once a
+// cross-shard transfer installs, every later merge spans every shard and
+// extends the tier's combined index. The merges/s metric is the E16
+// headline (EXPERIMENTS.md E16).
 func BenchmarkE16ShardedFleet(b *testing.B) {
 	const mobiles, txns, warmup = 64, 3, 2048
 	origin := model.State{}
@@ -507,8 +506,8 @@ func BenchmarkE16ShardedFleet(b *testing.B) {
 // in-process channel transport and over real loopback TCP, reporting the
 // measured byte accounting alongside the time: payload bytes per run,
 // on-wire frame bytes per run (TCP only) and the framing overhead they
-// imply. BENCH_E17.json records these as the E17 headline — the cost of
-// deploying the mobile fleet as separate processes.
+// imply — the E17 headline, the cost of deploying the mobile fleet as
+// separate processes.
 func BenchmarkE17WireTransport(b *testing.B) {
 	base := sim.Scenario{
 		Seed: 321, Mobiles: 6, Rounds: 3, TxnsPerRound: 5, Items: 64, ServerWorkers: 4,

@@ -1,10 +1,8 @@
 // Command benchreport regenerates every experiment of the reproduction
 // suite (E0..E19, see DESIGN.md) and prints the tables EXPERIMENTS.md
-// records. It exits non-zero if any paper expectation fails.
-//
-// With -benchjson it instead parses `go test -bench` output from stdin
-// and persists BENCH_<ID>.json files for the experiment benchmarks
-// (scripts/bench.sh drives this mode).
+// records. It exits non-zero if any paper expectation fails. Throughput
+// figures come from `go test -run '^$' -bench BenchmarkE1x .`; the
+// performance gate is the reconnect benchmark in bench/.
 package main
 
 import (
@@ -19,12 +17,7 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E1,E8); empty = all")
 	md := flag.Bool("md", false, "emit GitHub-flavored markdown instead of aligned text")
-	benchjson := flag.Bool("benchjson", false, "parse go-bench output from stdin into BENCH_<ID>.json files")
-	out := flag.String("out", ".", "directory for -benchjson output files")
 	flag.Parse()
-	if *benchjson {
-		os.Exit(runBenchJSON(os.Stdin, *out))
-	}
 	os.Exit(run(*only, *md))
 }
 

@@ -119,8 +119,9 @@ type BaseView struct {
 
 // View captures the entries [from, Len()) for a merge whose tentative
 // history touches footprint. A nil footprint captures no posting lists: the
-// view then serves Accesses only (a cross-shard part, re-indexed in combined
-// order). Call it under the lock that guards Append.
+// view then serves Accesses only (one shard's part of a cross-shard merge,
+// whose accesses its owner appends to a combined index). Call it under the
+// lock that guards Append.
 //
 //tiermerge:immutable
 func (ix *BaseIndex) View(from int, footprint model.ItemSet) *BaseView {

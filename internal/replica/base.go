@@ -43,14 +43,14 @@ type baseEntry struct {
 }
 
 // crossTxn is the global identity of one cross-shard installed transaction:
-// the full transaction and its full effect over every involved shard.
+// its full access over every involved shard, delta classification included,
+// computed once at install (partition.newCross) so no merge recomputes it.
 // Sibling baseEntry slices on different shards share one *crossTxn, so
 // pointer identity deduplicates them when shards' histories are combined.
 //
 //tiermerge:immutable
 type crossTxn struct {
-	t   *tx.Transaction
-	eff *tx.Effect
+	acc graph.Access
 }
 
 // BaseCluster is the base tier: the master copy of every item, the
@@ -414,8 +414,8 @@ func (b *BaseCluster) windowPrefix() *graph.BaseIndex {
 
 // crossRefsLocked copies the cross-shard identities of entries[pos:],
 // parallel to the accesses of a view captured from pos (nil elements for
-// shard-local entries). The copy stays valid after the lock is
-// released. Caller holds b.mu.
+// shard-local entries) — only the suffix a combined index has not consumed
+// yet. The copy stays valid after the lock is released. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) crossRefsLocked(pos int) []*crossTxn {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/graph"
@@ -23,7 +24,9 @@ import (
 //  2. validate each member's checkout token and capture its part — the
 //     indexed base history with the posting lists of Hm's footprint; one
 //     member's view is the merge's view, several interleave into one
-//     combined view (combineParts);
+//     combined index (combinedIndex), which the partition keeps across the
+//     merges that hold every shard's mutex and extends with only the
+//     entries committed since the last one (viewLocked);
 //  3. prepare: graph build over the base entries that can lie on a cycle
 //     through Hm, back-out, the O(n²) rewrite, pruning (pipeline.go), with
 //     its sub-phase events buffered;
@@ -104,7 +107,7 @@ func (cs *clusterSet) observer() obs.Observer {
 
 // shardPart is one member's share of a reconnect: its prefix snapshot and,
 // when the set has several members, the cross-shard identities parallel to
-// the snapshot's entries.
+// the snapshot's entries that the combined index has not consumed yet.
 type shardPart struct {
 	idx  int
 	b    *BaseCluster
@@ -203,7 +206,7 @@ func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout,
 			return cs.fallbackLocked(hm, fb), nil
 		}
 	}
-	view := combineParts(parts, footprint)
+	view := cs.viewLocked(parts, footprint)
 	buf.Observe(cs.tag(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseSnapshot, Dur: sinceSpan(start)}))
 	p, err := prepareMerge(cs.cfg, view, hm, buf.bind(mobileID, seq))
 	if err != nil {
@@ -218,7 +221,7 @@ func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout,
 // snapshot captures every member's part in its own short critical section
 // (no global lock) for Preview, which merges outside the mutexes. A part
 // captured later may include commits an earlier one missed; a preview is
-// advisory, and combineParts orders whatever the parts hold.
+// advisory, and a fresh combined index orders whatever the parts hold.
 //
 //tiermerge:locks(none)
 func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]shardPart, FallbackReason) {
@@ -227,6 +230,9 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 		var fb FallbackReason
 		b.mu.Lock()
 		parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint)
+		if fb == FallbackNone && len(parts) > 1 {
+			parts[i].refs = b.crossRefsLocked(parts[i].snap.pos)
+		}
 		b.mu.Unlock()
 		if fb != FallbackNone {
 			return nil, fb
@@ -237,7 +243,7 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 
 // partLocked validates members[i]'s checkout token and captures its part.
 // The only member's view is the merge's view and carries the footprint's
-// posting lists; one of several is re-indexed in combined order and carries
+// posting lists; one of several is indexed in combined order and carries
 // none. Caller holds that member's mutex.
 //
 //tiermerge:locks(shard)
@@ -250,41 +256,88 @@ func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (s
 	if fb != FallbackNone {
 		return shardPart{}, fb
 	}
-	part := shardPart{idx: cs.involved[i], b: b, snap: snap}
-	if len(cs.members) > 1 {
-		// Only a combined view deduplicates cross-shard slices.
-		part.refs = b.crossRefsLocked(snap.pos)
-	}
-	return part, FallbackNone
+	return shardPart{idx: cs.involved[i], b: b, snap: snap}, FallbackNone
 }
 
-// combineParts turns the members' prefix snapshots into the one serial base
-// view a merge prepares against. A single part's view is that view already.
-// Several parts interleave: shard-local entries are item-disjoint across
-// shards, so any interleaving preserving each shard's order is a legal
-// serial history; cross-shard slices are deduplicated into their global
-// identity (full transaction, full effect) and emitted at a position
-// consistent with every involved shard — the position every slice has
-// reached, which exists because cross-shard installs append to all their
-// shards atomically and snapshots are taken in ascending shard order. The
-// combined history is indexed transiently, in that order, and viewed whole
-// with the footprint's posting lists.
-func combineParts(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
+// viewLocked is the base view a merge prepares against: a single part's
+// view, or the parts interleaved into a combined index — the partition's
+// kept one when the set holds every shard's mutex, a fresh one for a
+// partial set (which exists only while the window holds no cross-shard
+// entry). Only the unconsumed suffix of each member's cross-shard
+// identities is copied. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) viewLocked(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 	if len(parts) == 1 {
 		return parts[0].snap.view
 	}
+	c := &combinedIndex{}
+	if len(parts) == len(cs.shards) {
+		c = &cs.combined
+	}
+	keys := make([]partKey, len(parts))
+	for i, p := range parts {
+		keys[i] = partKey{p.b.windowID, p.b.structVer, p.snap.pos}
+	}
+	if !slices.Equal(c.keys, keys) {
+		c.reset(keys, parts)
+	}
+	for i, p := range parts {
+		parts[i].refs = p.b.crossRefsLocked(p.snap.pos + c.done[i])
+	}
+	return c.extend(parts, footprint)
+}
+
+// combinedIndex is several shards' windows interleaved into one serial base
+// history and indexed for merging — the partition-level counterpart of a
+// cluster's prefixCache. Shard-local entries are item-disjoint across
+// shards, so any interleaving preserving each shard's order is legal; a
+// cross-shard transaction's slices collapse into its global identity.
+//
+// The partition keeps one (partition.combined), read and written only
+// while every shard's mutex is held. A cross-shard install appends all its
+// slices under every involved mutex, so every cross-shard transaction lies
+// wholly before or wholly after the consumed counts, and interleaving the
+// unconsumed suffixes after that legal prefix is still consistent with
+// every shard's order: a merge extends the index instead of rebuilding it.
+// A different key — window advance, Strategy 1 interior insert (structVer)
+// or view start — rebuilds it over fresh arrays. Views are capped slices,
+// as with windowPrefix, so they stay valid after unlock.
+type combinedIndex struct {
+	keys  []partKey // per part: window, structVer and view start
+	done  []int     // per part: entries consumed from the view start
+	index *graph.BaseIndex
+}
+
+type partKey struct {
+	windowID  int
+	structVer int64
+	pos       int
+}
+
+// reset empties c for parts viewing the prefixes keys name: a fresh index
+// is a kept one with nothing consumed.
+func (c *combinedIndex) reset(keys []partKey, parts []shardPart) {
+	*c = combinedIndex{keys: keys, done: make([]int, len(parts)), index: graph.NewBaseIndex(parts[0].snap.view.Deltas(), 0)}
+}
+
+// extend interleaves each part's entries past its consumed count (parallel
+// to parts[i].refs) into the index, a cross-shard entry once every part
+// holding one of its slices has reached it, and views the whole index with
+// the footprint's posting lists.
+func (c *combinedIndex) extend(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 	type ref struct{ part, pos int }
 	where := make(map[*crossTxn][]ref)
-	total := 0
+	local := make([][]graph.Access, len(parts))
 	for pi, p := range parts {
-		total += len(p.refs)
+		local[pi] = p.snap.view.Accesses()[c.done[pi]:]
 		for i, g := range p.refs {
 			if g != nil {
 				where[g] = append(where[g], ref{pi, i})
 			}
 		}
 	}
-	ix := graph.NewBaseIndex(parts[0].snap.view.Deltas(), total)
+	ix := c.index
 	ptr := make([]int, len(parts))
 	emitted := make(map[*crossTxn]bool)
 	ready := func(g *crossTxn) bool {
@@ -296,19 +349,18 @@ func combineParts(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 		return true
 	}
 	emitCross := func(g *crossTxn) {
-		ix.Append(graph.AccessOf(g.t, g.eff, ix.Deltas()))
+		ix.Append(g.acc)
 		emitted[g] = true
 	}
 	for {
 		progress := false
 		for pi, p := range parts {
-			local := p.snap.view.Accesses()
 			for ptr[pi] < len(p.refs) {
 				i := ptr[pi]
 				g := p.refs[i]
 				switch {
 				case g == nil:
-					ix.Append(local[i])
+					ix.Append(local[pi][i])
 				case emitted[g]:
 					// A sibling slice already emitted the global entry.
 				case ready(g):
@@ -322,13 +374,13 @@ func combineParts(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 			}
 		nextPart:
 		}
-		done := true
+		finished := true
 		for pi, p := range parts {
 			if ptr[pi] < len(p.refs) {
-				done = false
+				finished = false
 			}
 		}
-		if done {
+		if finished {
 			break
 		}
 		if !progress {
@@ -342,6 +394,9 @@ func combineParts(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 				}
 			}
 		}
+	}
+	for pi := range parts {
+		c.done[pi] += ptr[pi]
 	}
 	return ix.View(0, footprint)
 }
@@ -418,12 +473,11 @@ func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map
 		Kind: tx.Base,
 		Body: forwardBody(values, deltas),
 	}
-	cs.crossEntries.Add(1)
 	geff, err := gt.ExecInPlace(cs.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
 	if err != nil {
 		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
 	}
-	g := &crossTxn{t: gt, eff: geff}
+	g := cs.newCross(gt, geff)
 	for _, part := range parts {
 		if n := nUpd[part.idx]; n > 0 {
 			part.b.installForwardTxn(cs.sliceTxn(gt, geff, part.idx, deltas), n, insertAt(part), g)
@@ -577,7 +631,14 @@ func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.
 	default:
 		return nil, fmt.Errorf("preview: %w: everything would be reprocessed", ErrOriginInvalid)
 	}
-	rep, _, err := merge.MergeIndexed(hm, combineParts(parts, footprint), cs.cfg.MergeOptions)
+	view := parts[0].snap.view
+	if len(parts) > 1 {
+		// Parts from separate critical sections: never the kept index.
+		c := &combinedIndex{}
+		c.reset(nil, parts)
+		view = c.extend(parts, footprint)
+	}
+	rep, _, err := merge.MergeIndexed(hm, view, cs.cfg.MergeOptions)
 	return rep, err
 }
 

@@ -10,6 +10,7 @@ import (
 	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
 	"tiermerge/internal/merge"
+	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
@@ -201,5 +202,53 @@ func TestReconnectCostIndependentOfPrefix(t *testing.T) {
 	t.Logf("one reconnect allocates %d B after 64 commits, %d B after 2048", short, long)
 	if long > 2*short {
 		t.Errorf("a reconnect after 2048 commits allocates %d B, more than twice the %d B after 64", long, short)
+	}
+}
+
+// TestCrossShardReconnectCostIndependentOfPrefix is the 4-shard twin: with
+// cross-shard commits in the window every merge spans every shard and views
+// the combined index, which the tier keeps across merges — so a reconnect
+// still allocates the same whether 64 or 2048 cross-shard commits precede it.
+func TestCrossShardReconnectCostIndependentOfPrefix(t *testing.T) {
+	cfg := Config{ShardFn: func(it model.Item) int { return int(it[len(it)-1]-'0') % 4 }}
+	reconnectBytes := func(commits int) uint64 {
+		s := NewShardedBase(fleetOrigin(), 4, cfg)
+		for i := 0; i < commits; i++ {
+			from, to := model.Item(fmt.Sprintf("a%d", i%4)), model.Item(fmt.Sprintf("a%d", (i+1)%4))
+			mustExecBase(t, s, workload.Transfer(fmt.Sprintf("B%d", i), tx.Base, from, to, 1))
+		}
+		// Another mobile's merge indexes the commits off the meter; a preview
+		// would not, it never touches the kept index.
+		w := NewShardedMobileNode("w", s)
+		if err := w.Run(workload.Deposit("W", tx.Tentative, "a2", 5)); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := w.ConnectMerge(); err != nil || out.Saved != 1 {
+			t.Fatalf("warm-up after %d commits: %+v, %v", commits, out, err)
+		}
+		m := NewShardedMobileNode("m0", s)
+		best := ^uint64(0)
+		for round := 0; round < 5; round++ { // the minimum drops slice-growth steps
+			if err := m.Run(workload.Deposit(fmt.Sprintf("T%d", round), tx.Tentative, "a0", 5)); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := m.ConnectMerge()
+			runtime.ReadMemStats(&after)
+			if err != nil || out.Saved != 1 {
+				t.Fatalf("reconnect after %d commits: %+v, %v", commits, out, err)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		if c := s.Counters(); c.CrossShardMerges < 6 {
+			t.Fatalf("after %d commits only %d of 6 merges spanned the shards", commits, c.CrossShardMerges)
+		}
+		return best
+	}
+	short, long := reconnectBytes(64), reconnectBytes(2048)
+	t.Logf("one cross-shard reconnect allocates %d B after 64 commits, %d B after 2048", short, long)
+	if long > 2*short {
+		t.Errorf("a cross-shard reconnect after 2048 commits allocates %d B, more than twice the %d B after 64", long, short)
 	}
 }

@@ -92,9 +92,10 @@ func footprintOf(hm *history.Augmented) model.ItemSet {
 
 // snapshotLocked validates the checkout token and captures the prefix
 // snapshot: the lock-free view of the indexed base history from the checkout
-// position on, with the posting lists of footprint (nil: none — a
-// cross-shard part, which combineParts re-indexes). No map and no slice
-// header of the index is read after b.mu is released. Caller holds b.mu.
+// position on, with the posting lists of footprint (nil: none — a part of
+// several, whose accesses feed the combined index, clusterSet.viewLocked).
+// No map and no slice header of the index is read after b.mu is released.
+// Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (prefixSnapshot, FallbackReason) {

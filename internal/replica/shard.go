@@ -11,6 +11,7 @@ import (
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/expr"
+	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
 	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
@@ -107,6 +108,19 @@ type partition struct {
 	// overcount the window (a stale count only widens merges) but never
 	// miss an entry.
 	crossEntries atomic.Int64
+
+	// combined is kept across merges; read and written only under every
+	// shard's mutex.
+	combined combinedIndex
+}
+
+// newCross counts one more cross-shard transaction in the window and
+// returns its global identity. Caller holds every involved shard's mutex.
+//
+//tiermerge:locks(shard)
+func (s *partition) newCross(t *tx.Transaction, eff *tx.Effect) *crossTxn {
+	s.crossEntries.Add(1)
+	return &crossTxn{acc: graph.AccessOf(t, eff, !s.shards[0].cfg.MergeOptions.DisableDeltas)}
 }
 
 // ShardedBase coordinates N BaseCluster shards behind the BaseCluster
@@ -393,6 +407,10 @@ func (s *ShardedBase) AdvanceWindow() int {
 // shard: per-shard checkout tokens (Checkout.Shards) plus the combined
 // origin state. The barrier read retries if a window advance raced the
 // multi-shard sweep, so the returned tokens always agree on one window.
+// Under Strategy 1 origins are live masters, and the sweep also retries
+// when crossEntries moved: a cross-shard install counts itself and appends
+// under every involved mutex, so a sweep that saw it on some shards only
+// read the counter on both sides of it. The origin is then a real cut.
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
@@ -405,11 +423,12 @@ func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 			runtime.Gosched()
 			continue
 		}
+		cross := s.crossEntries.Load()
 		parts := make([]Checkout, len(s.shards))
 		for k, b := range s.shards {
 			parts[k] = b.CheckoutReplica(mobileID)
 		}
-		if s.windowVer.Load() != v {
+		if s.windowVer.Load() != v || (s.cfg.Origin == Strategy1 && s.crossEntries.Load() != cross) {
 			continue
 		}
 		origin := model.NewState()
@@ -599,8 +618,7 @@ func (s *partition) gatherLocked(set model.ItemSet) model.State {
 //
 //tiermerge:locks(shard)
 func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
-	s.crossEntries.Add(1)
-	g := &crossTxn{t: base, eff: eff}
+	g := s.newCross(base, eff)
 	for _, k := range s.router.shardsOf(eff.ReadSet.Union(eff.WriteSet)) {
 		b := s.shards[k]
 		slice := s.sliceTxn(base, eff, k, nil)

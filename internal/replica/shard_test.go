@@ -170,6 +170,55 @@ func TestCrossShardAllContendedSmoke(t *testing.T) {
 	}
 }
 
+// TestShardedCheckoutIsACut: a Strategy 1 checkout sweeps the shards one at
+// a time, yet its origin is a state the base passed through. With a on
+// shard 0 and b on shard 1, base transactions Xk: a := k; b := k commit
+// while checkouts sweep; an origin with a != b straddles one Xk, and a
+// merge against it could end on a state no serial order produces.
+func TestShardedCheckoutIsACut(t *testing.T) {
+	cfg := Config{Origin: Strategy1, ShardFn: func(it model.Item) int {
+		if it == "a" {
+			return 0
+		}
+		return 1
+	}}
+	s := NewShardedBase(model.StateOf(map[model.Item]model.Value{"a": 0, "b": 0}), 2, cfg)
+	running, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		close(running)
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := expr.Const(model.Value(k))
+			if err := s.ExecBase(tx.MustNew(fmt.Sprintf("X%d", k), tx.Base, tx.Update("a", v), tx.Update("b", v))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	<-running // sweep while commits land
+	// A sweep straddles a commit a few times per thousand without the
+	// check; this many make missing every straddle unlikely.
+	const checkouts = 20000
+	torn := 0
+	for i := 0; i < checkouts; i++ {
+		if ck := s.CheckoutReplica("m"); ck.Origin.Get("a") != ck.Origin.Get("b") {
+			torn++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if torn > 0 {
+		t.Errorf("%d of %d checkout origins have a != b: they straddle a cross-shard commit", torn, checkouts)
+	}
+}
+
 // TestWindowBarrierNoMixedPrefix: a checkout racing AdvanceWindow must
 // never observe a mixed-window prefix — every per-shard token inside one
 // returned checkout carries the same WindowID, and successive WindowID
