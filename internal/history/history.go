@@ -1,9 +1,10 @@
 // Package history implements serial execution histories and the augmented
 // histories of Section 3: sequences of interleaved transactions and database
-// states, beginning and ending with a state. It also provides the reads-from
-// relation and its transitive closure (the affected set AG), and the
-// final-state equivalence predicate (the equivalence notion every rewriting
-// step must preserve).
+// states, beginning and ending with a state (kept as the origin, the write
+// images and the final state). It also provides the reads-from relation and
+// its transitive closure (the affected set AG), and the final-state
+// equivalence predicate (the equivalence notion every rewriting step must
+// preserve).
 package history
 
 import (
@@ -122,46 +123,78 @@ func (h *History) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Augmented is an augmented history (Section 3): the history decorated with
-// explicit database states. States[i] is the before state of transaction i;
-// States[len] is the final state. Effects[i] is the effect log of the i-th
-// execution.
+// Augmented is an augmented history (Section 3), s0 T1 s1 T2 s2 …, kept as
+// its origin s0, the effect log of each execution and the final state. An
+// intermediate state follows from the origin and the write images before it
+// (ValueBefore, StateAt), so a run holds O(|Origin| + Σ writes) of state, not
+// O(Len × |state|). Origin aliases the state the run started from and the
+// final state is the working copy the entries ran on in place: callers must
+// mutate neither.
 type Augmented struct {
 	H       *History
-	States  []model.State
+	Origin  model.State
 	Effects []*tx.Effect
+	final   model.State
 }
 
-// Run executes the history serially from s0 and returns the augmented
-// history. s0 is not modified.
+// Run executes the history serially, in place on one clone of s0, and
+// returns the augmented history. s0 is not modified but becomes Origin, so
+// the caller must not mutate it afterwards.
 func Run(h *History, s0 model.State) (*Augmented, error) {
-	a := &Augmented{
-		H:       h,
-		States:  make([]model.State, h.Len()+1),
-		Effects: make([]*tx.Effect, h.Len()),
-	}
-	cur := s0.Clone()
-	a.States[0] = cur
+	a := &Augmented{H: h, Origin: s0, Effects: make([]*tx.Effect, h.Len()), final: s0.Clone()}
 	for i, e := range h.Entries {
-		next, eff, err := e.T.Exec(cur, e.Fix)
+		eff, err := e.T.ExecInPlace(a.final, e.Fix)
 		if err != nil {
 			return nil, fmt.Errorf("history: position %d (%s): %w", i, e.T.ID, err)
 		}
-		a.States[i+1] = next
 		a.Effects[i] = eff
-		cur = next
 	}
 	return a, nil
 }
 
-// Final returns the final state of the augmented history.
-func (a *Augmented) Final() model.State { return a.States[len(a.States)-1] }
+// Start returns the augmented run of the empty history from s0, ready for
+// Append. The aliasing contract of Run applies to s0.
+func Start(s0 model.State) *Augmented {
+	return &Augmented{H: &History{}, Origin: s0, final: s0.Clone()}
+}
 
-// BeforeState returns the state immediately preceding transaction i.
-func (a *Augmented) BeforeState(i int) model.State { return a.States[i] }
+// Append runs t (empty fix) in place on the final state and appends it. On
+// error the run is unchanged: tx.ExecInPlace is atomic.
+func (a *Augmented) Append(t *tx.Transaction) (*tx.Effect, error) {
+	eff, err := t.ExecInPlace(a.final, nil)
+	if err != nil {
+		return nil, err
+	}
+	a.H.Append(t)
+	a.Effects = append(a.Effects, eff)
+	return eff, nil
+}
 
-// AfterState returns the state immediately following transaction i.
-func (a *Augmented) AfterState(i int) model.State { return a.States[i+1] }
+// Final returns the final state: the run's working state, not a copy.
+func (a *Augmented) Final() model.State { return a.final }
+
+// ValueBefore returns the value of it in the state immediately preceding
+// position i (i = Len gives the final state): the write image of its last
+// writer before i, else its origin value. It copies no state.
+func (a *Augmented) ValueBefore(i int, it model.Item) model.Value {
+	for j := i - 1; j >= 0; j-- {
+		if v, ok := a.Effects[j].Writes[it]; ok {
+			return v
+		}
+	}
+	return a.Origin.Get(it)
+}
+
+// StateAt materializes the state immediately preceding position i — the
+// origin with the write images of positions < i applied. It copies a whole
+// state; it serves tests and oracles, while hot paths use ValueBefore.
+func (a *Augmented) StateAt(i int) model.State {
+	s := a.Origin.Clone()
+	for _, eff := range a.Effects[:i] {
+		s.Apply(eff.Writes)
+	}
+	return s
+}
 
 // FinalStateEquivalent reports whether h1 and h2, executed from s0, are
 // final state equivalent (Section 3): they are over the same set of

@@ -40,12 +40,17 @@ func TestSection3AugmentedStates(t *testing.T) {
 		model.StateOf(map[model.Item]model.Value{"x": 0, "y": 12, "z": 2}),
 	}
 	for i, w := range want {
-		if !a.States[i].Equal(w) {
-			t.Errorf("s%d = %s, want %s", i, a.States[i], w)
+		if got := a.StateAt(i); !got.Equal(w) {
+			t.Errorf("s%d = %s, want %s", i, got, w)
+		}
+		for _, it := range w.Items() {
+			if got := a.ValueBefore(i, it); got != w.Get(it) {
+				t.Errorf("ValueBefore(%d, %s) = %d, want %d", i, it, got, w.Get(it))
+			}
 		}
 	}
-	if !a.BeforeState(1).Equal(want[1]) || !a.AfterState(1).Equal(want[2]) {
-		t.Error("Before/AfterState indexing wrong")
+	if !a.Final().Equal(want[2]) || !a.Origin.Equal(s0) {
+		t.Error("Origin/Final wrong")
 	}
 }
 

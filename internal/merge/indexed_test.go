@@ -46,7 +46,7 @@ func TestMergeIndexedMatchesMerge(t *testing.T) {
 		if seed%4 == 0 {
 			// A Strategy 1 view: both histories start at an interior position.
 			from = hb.H.Len() / 3
-			origin = hb.States[from]
+			origin = hb.StateAt(from)
 		}
 		hm, err := gen.RunHistory(tx.Tentative, 3+int(seed%8), origin)
 		if err != nil {

@@ -551,7 +551,7 @@ func repairedStateByLog(hm *history.Augmented, bad, affected map[int]bool) model
 		}
 	}
 	for it := range touched {
-		v := hm.States[0].Get(it) // origin value if no surviving writer
+		v := hm.Origin.Get(it) // origin value if no surviving writer
 		for i := 0; i < hm.H.Len(); i++ {
 			if removed(i) {
 				continue
@@ -569,7 +569,7 @@ func repairedStateByLog(hm *history.Augmented, bad, affected map[int]bool) model
 // compares against the pruned state (the oracle of Theorem 5 and the
 // closure restore).
 func verifyRepair(hm *history.Augmented, rep *Report) error {
-	aug, err := history.Run(rep.Repaired, hm.States[0])
+	aug, err := history.Run(rep.Repaired, hm.Origin)
 	if err != nil {
 		return fmt.Errorf("merge: verify: re-execute repaired: %w", err)
 	}

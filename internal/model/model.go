@@ -2,8 +2,11 @@
 // subsystem: data items, values, database states and item sets.
 //
 // The paper's database is a flat collection of named data items (d1, d2, ...)
-// holding scalar values. States are the "augmented history" states of
-// Section 3: the before/after snapshots interleaved with transactions.
+// holding scalar values. A State is one whole database state: a replica, a
+// master copy, or an origin. The "augmented history" states of Section 3
+// interleaved with transactions are not stored one State per position:
+// internal/history keeps the origin, the write images and the final state,
+// and derives the rest.
 package model
 
 import (

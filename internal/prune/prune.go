@@ -154,8 +154,6 @@ func ByUndo(r *rewrite.Result, final model.State) (model.State, []URA, error) {
 func BuildURA(r *rewrite.Result, k int, writersBAG map[model.Item][]int) (*tx.Transaction, error) {
 	a := r.Original
 	t := a.H.Txn(k)
-	before := a.BeforeState(k)
-	after := a.AfterState(k)
 
 	otherWriter := func(it model.Item) bool {
 		for _, w := range writersBAG[it] {
@@ -196,7 +194,7 @@ func BuildURA(r *rewrite.Result, k int, writersBAG map[model.Item][]int) (*tx.Tr
 					// case 1: effect survived the undo untouched
 				case !earlierWriter(it):
 					// case 2: undo rolled it back to k's own after-image
-					out = append(out, tx.Assign(it, expr.Const(after.Get(it))))
+					out = append(out, tx.Assign(it, expr.Const(a.ValueBefore(k+1, it))))
 					written.Add(it)
 				default:
 					// case 3: re-execute f with every stable operand
@@ -209,7 +207,7 @@ func BuildURA(r *rewrite.Result, k int, writersBAG map[model.Item][]int) (*tx.Tr
 					bound := e
 					for y := range operands {
 						if !written.Has(y) && !earlierWriter(y) {
-							bound = bound.Subst(y, expr.Const(before.Get(y)))
+							bound = bound.Subst(y, expr.Const(a.ValueBefore(k, y)))
 						}
 					}
 					out = append(out, tx.Assign(it, bound))

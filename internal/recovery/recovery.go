@@ -112,7 +112,7 @@ func Excise(a *history.Augmented, badIDs []string, opts Options) (*Report, error
 	sortStrings(rep.ResubmitIDs)
 
 	if opts.Verify {
-		oracle, err := history.Run(res.Repaired(), a.States[0])
+		oracle, err := history.Run(res.Repaired(), a.Origin)
 		if err != nil {
 			return nil, fmt.Errorf("recovery: verify: %w", err)
 		}

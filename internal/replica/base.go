@@ -469,13 +469,12 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 }
 
 // commitReprocessed commits one re-executed tentative transaction (see
-// clusterSet.reprocessOneLocked): after, the scratch state it executed on,
-// becomes the master; the transaction joins the base history with one
-// forced log write. Caller holds b.mu.
+// clusterSet.reprocessOneLocked): its writes land on the master and it joins
+// the base history with one forced log write. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect, after model.State) {
-	b.master = after
+func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect) {
+	b.master.Apply(eff.Writes)
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
 	b.appendEntry(baseEntry{t: base, eff: eff})
 	b.propagate(base.ID, eff.Writes)

@@ -551,15 +551,16 @@ func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
 // reprocessOneLocked re-executes one tentative transaction as a base
 // transaction: transform, execute on master data, validate against the
 // acceptance criterion, commit, charge costs, and report the result back to
-// the mobile user. A transaction local to one member executes on that
-// member's master and commits there; one spanning members executes over a
-// scratch state gathered from their masters and commits as restricted
-// slices sharing one global identity (home takes its charges; the per-shard
-// forced writes land on each shard). Failed re-executions — the transaction
-// is not defined on the current master state, or its base outcome violates
-// the acceptance criterion — are reported, not committed. tentEff is the
-// transaction's effect on the mobile replica (nil when unknown), which the
-// acceptance criterion compares against. Caller holds every member's mutex.
+// the mobile user. It executes over a scratch state gathered from the
+// members' masters, holding only the items it names on any branch; one local
+// to a member commits its writes to that member's master, one spanning
+// members commits as restricted slices sharing one global identity (home
+// takes its charges; the per-shard forced writes land on each shard). Failed
+// re-executions — the transaction is not defined on the current master
+// state, or its base outcome violates the acceptance criterion — are
+// reported, not committed. tentEff is the transaction's effect on the mobile
+// replica (nil when unknown), which the acceptance criterion compares
+// against. Caller holds every member's mutex.
 //
 //tiermerge:locks(shard)
 func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) bool {
@@ -581,13 +582,7 @@ func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) 
 		Body:        t.Body,
 		InverseBody: t.InverseBody,
 	}
-	var scratch model.State
-	if local != nil {
-		scratch = local.master.Clone()
-	} else {
-		scratch = cs.gatherLocked(static)
-	}
-	eff, err := base.ExecInPlace(scratch, nil)
+	eff, err := base.ExecInPlace(cs.gatherLocked(static), nil)
 	charged.counters.Update(func(c *cost.Counts) {
 		c.BaseTransforms++
 		c.BaseQueries += int64(base.StmtCount())
@@ -604,7 +599,7 @@ func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) 
 		}
 	}
 	if local != nil {
-		local.commitReprocessed(base, eff, scratch)
+		local.commitReprocessed(base, eff)
 	} else {
 		cs.installSlicesLocked(base, eff)
 	}

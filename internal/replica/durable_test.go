@@ -271,8 +271,8 @@ func checkStateAtOracle(t *testing.T, name string, b *BaseCluster) {
 		t.Fatalf("%s: oracle run: %v", name, err)
 	}
 	for p := 0; p <= len(b.entries); p++ {
-		if got := b.stateAt(p); !got.Equal(oracle.States[p]) {
-			t.Errorf("%s: stateAt(%d) = %s, serial run gives %s", name, p, got, oracle.States[p])
+		if got, want := b.stateAt(p), oracle.StateAt(p); !got.Equal(want) {
+			t.Errorf("%s: stateAt(%d) = %s, serial run gives %s", name, p, got, want)
 		}
 	}
 	if !b.master.Equal(oracle.Final()) {

@@ -27,8 +27,8 @@ func (m *MobileNode) AttachJournal(w io.Writer) error {
 	}
 	// Journal any transactions already run this period, so attaching late
 	// still yields a complete journal.
-	for i := 0; i < m.hist.Len(); i++ {
-		if err := jw.LogTxn(m.hist.Txn(i), m.effects[i]); err != nil {
+	for i, eff := range m.run.Effects {
+		if err := jw.LogTxn(m.run.H.Txn(i), eff); err != nil {
 			return err
 		}
 	}
@@ -141,10 +141,7 @@ func RecoverMobileNode(id string, r io.Reader) (*MobileNode, *Recovery, error) {
 			Pos:      rep.Pos,
 			Origin:   rep.Origin,
 		},
-		local:     rep.Augmented.Final().Clone(),
-		hist:      rep.Augmented.H,
-		states:    rep.Augmented.States,
-		effects:   rep.Augmented.Effects,
+		run:       rep.Augmented,
 		recovered: rec,
 	}
 	return m, rec, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tiermerge/internal/expr"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
@@ -83,6 +84,43 @@ func TestRecoveredNodeStateMatchesLostNode(t *testing.T) {
 	}
 	if rec.Pending() != m.Pending() {
 		t.Errorf("pending: recovered %d, lost %d", rec.Pending(), m.Pending())
+	}
+}
+
+// TestFailedRunLeavesNodeUnchanged: a tentative transaction that writes an
+// item and then fails runs in place on the node's one working state, yet
+// leaves the local state, the pending history and the journal exactly as
+// they were — and the node keeps working afterwards.
+func TestFailedRunLeavesNodeUnchanged(t *testing.T) {
+	b := NewBaseCluster(origin(), Config{})
+	m := NewMobileNode("m1", b)
+	var journal bytes.Buffer
+	if err := m.AttachJournal(&journal); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(workload.Deposit("T1", tx.Tentative, "x", 5)); err != nil {
+		t.Fatal(err)
+	}
+	local, pending, logged := m.Local(), m.Pending(), journal.String()
+	bad := tx.MustNew("T2", tx.Tentative,
+		tx.Update("x", expr.Const(99)),
+		tx.Update("y", expr.Div(expr.Var("y"), expr.Const(0))))
+	if err := m.Run(bad); err == nil {
+		t.Fatal("a transaction dividing by zero ran")
+	}
+	if !m.Local().Equal(local) || m.Pending() != pending || journal.String() != logged {
+		t.Fatalf("failed run changed the node: local %s (was %s), pending %d (was %d), journal grew %d bytes",
+			m.Local(), local, m.Pending(), pending, journal.Len()-len(logged))
+	}
+	if err := m.Run(workload.Deposit("T3", tx.Tentative, "x", 7)); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := RecoverMobileNode("m1", bytes.NewReader(journal.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Pending() != 2 || !rec.Local().Equal(m.Local()) {
+		t.Errorf("recovered %d pending, local %s; want 2, %s", rec.Pending(), rec.Local(), m.Local())
 	}
 }
 

@@ -45,11 +45,10 @@ type MobileNode struct {
 	// cluster. cluster and sharded are mutually exclusive.
 	sharded *ShardedBase
 
-	ck      Checkout
-	local   model.State
-	hist    *history.History
-	states  []model.State
-	effects []*tx.Effect
+	ck Checkout
+	// run is the period's tentative history; its final state is the local
+	// replica, updated in place.
+	run     *history.Augmented
 	journal *wal.Writer
 
 	// recovered carries the pending crash-recovery report of a
@@ -137,17 +136,14 @@ func (m *MobileNode) Checkout() {
 // history from its origin.
 func (m *MobileNode) resetFrom(ck Checkout) {
 	m.ck = ck
-	m.local = m.ck.Origin.Clone()
-	m.hist = &history.History{}
-	m.states = []model.State{m.ck.Origin.Clone()}
-	m.effects = nil
+	m.run = history.Start(ck.Origin)
 	m.journal = nil // journals cover one disconnection period
 }
 
-// Run executes one tentative transaction against the local tentative data,
-// appending it to the node's tentative history. The transaction produces
-// new tentative versions only; nothing reaches the base tier until the node
-// connects.
+// Run executes one tentative transaction in place on the local tentative
+// data, appending it to the node's tentative history. The transaction
+// produces new tentative versions only; nothing reaches the base tier until
+// the node connects. A transaction that fails leaves the node unchanged.
 func (m *MobileNode) Run(t *tx.Transaction) error {
 	if t.Kind != tx.Tentative {
 		return fmt.Errorf("%w: %s", ErrNotTentative, t.ID)
@@ -159,14 +155,10 @@ func (m *MobileNode) Run(t *tx.Transaction) error {
 	case m.cluster != nil:
 		start = m.cluster.spanStart()
 	}
-	next, eff, err := t.Exec(m.local, nil)
+	eff, err := m.run.Append(t)
 	if err != nil {
 		return fmt.Errorf("replica: tentative %s: %w", t.ID, err)
 	}
-	m.local = next
-	m.hist.Append(t)
-	m.states = append(m.states, next)
-	m.effects = append(m.effects, eff)
 	if err := m.logTentative(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
 	}
@@ -181,16 +173,16 @@ func (m *MobileNode) Run(t *tx.Transaction) error {
 
 // Pending returns the number of tentative transactions awaiting
 // reconciliation.
-func (m *MobileNode) Pending() int { return m.hist.Len() }
+func (m *MobileNode) Pending() int { return m.run.H.Len() }
 
 // Local returns a copy of the node's tentative database state.
-func (m *MobileNode) Local() model.State { return m.local.Clone() }
+func (m *MobileNode) Local() model.State { return m.run.Final().Clone() }
 
 // Augmented exposes the node's tentative history as an augmented run (the
-// Hm a merge consumes).
-func (m *MobileNode) Augmented() *history.Augmented {
-	return &history.Augmented{H: m.hist, States: m.states, Effects: m.effects}
-}
+// Hm a merge consumes). It is the node's own run, not a copy: its history
+// and final state keep growing with every Run until the next checkout
+// starts a new one.
+func (m *MobileNode) Augmented() *history.Augmented { return m.run }
 
 // ConnectMerge connects to the base tier and reconciles via the merging
 // protocol, then checks out a fresh replica for the next disconnection

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -50,6 +52,55 @@ func TestServerMergeRoundTrip(t *testing.T) {
 	reqs, in, outB := srv.Stats()
 	if reqs < 3 || in == 0 || outB == 0 {
 		t.Errorf("server stats: reqs=%d in=%d out=%d", reqs, in, outB)
+	}
+}
+
+// TestTentativeAllocIndependentOfItems: a tentative transaction runs in
+// place on the client's one working state and replays in place on the
+// server, so what one more transaction in a period adds to the period's
+// allocations must not grow with the number of items in the replica.
+// Regression: every tentative transaction copied the whole replica twice,
+// once when the mobile ran it and once when the server replayed the journal.
+func TestTentativeAllocIndependentOfItems(t *testing.T) {
+	// One P: the JSON codec's per-P buffer pools then hand the client and the
+	// server worker the same warm buffers in every round, instead of a
+	// scheduling-dependent re-allocation the size of the origin.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	periodBytes := func(items, k int) int64 {
+		initial := model.NewState()
+		for i := 0; i < items; i++ {
+			initial.Set(workload.ItemName(i), 100)
+		}
+		srv := Serve(NewBaseCluster(initial, Config{}))
+		defer srv.Close()
+		ctx := context.Background()
+		c, err := DialTransport(ctx, "m1", srv.Transport())
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := int64(math.MaxInt64)
+		for round := 0; round < 5; round++ { // the minimum drops slice-growth steps
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < k; i++ {
+				if err := c.Run(workload.Deposit(fmt.Sprintf("T%d.%d", round, i), tx.Tentative, workload.ItemName(i%8), 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := c.ConnectMergeContext(ctx)
+			runtime.ReadMemStats(&after)
+			if err != nil || out.Saved != k {
+				t.Fatalf("reconnect of %d transactions on %d items = %+v, %v", k, items, out, err)
+			}
+			best = min(best, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return best
+	}
+	perTxn := func(items int) int64 { return (periodBytes(items, 34) - periodBytes(items, 2)) / 32 }
+	small, large := perTxn(64), perTxn(4096)
+	t.Logf("one more tentative transaction allocates %d B on 64 items, %d B on 4096 items", small, large)
+	if large > 2*small {
+		t.Errorf("one more tentative transaction on 4096 items allocates %d B, more than 2x the %d B on 64 items", large, small)
 	}
 }
 

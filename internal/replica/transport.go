@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"time"
 
-	"tiermerge/internal/history"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
@@ -197,17 +196,8 @@ func (c *Client) checkout(ctx context.Context) error {
 		}
 		retryPause(ctx, attempt)
 	}
-	c.node.ck = Checkout{
-		MobileID: c.node.ID,
-		WindowID: resp.Window,
-		Pos:      resp.Pos,
-		Origin:   model.StateOf(resp.Origin),
-	}
-	c.node.local = c.node.ck.Origin.Clone()
-	c.node.hist = &history.History{}
-	c.node.states = []model.State{c.node.ck.Origin.Clone()}
-	c.node.effects = nil
-	c.node.journal = nil
+	// The freshly decoded origin is the node's own: it is adopted, not copied.
+	c.node.resetFrom(Checkout{MobileID: c.node.ID, WindowID: resp.Window, Pos: resp.Pos, Origin: resp.Origin})
 	return nil
 }
 
@@ -228,8 +218,8 @@ func (c *Client) marshalJournal() ([]byte, error) {
 	if err := w.Checkout(c.node.ck.WindowID, c.node.ck.Pos, c.node.ck.Origin); err != nil {
 		return nil, err
 	}
-	for i := 0; i < c.node.hist.Len(); i++ {
-		if err := w.LogTxn(c.node.hist.Txn(i), c.node.effects[i]); err != nil {
+	for i, eff := range c.node.run.Effects {
+		if err := w.LogTxn(c.node.run.H.Txn(i), eff); err != nil {
 			return nil, err
 		}
 	}

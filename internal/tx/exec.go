@@ -183,8 +183,9 @@ func (t *Transaction) Exec(s model.State, fix Fix) (model.State, *Effect, error)
 }
 
 // ExecInPlace runs the transaction against s, mutating it, and returns the
-// effect log. On error s may be partially updated; callers that need
-// atomicity use Exec.
+// effect log. It is atomic: writes are buffered until the whole body has run,
+// so on error s is unchanged. An augmented history runs all its entries on
+// one working state this way (history.Run).
 //
 //tiermerge:sink
 func (t *Transaction) ExecInPlace(s model.State, fix Fix) (*Effect, error) {

@@ -169,17 +169,25 @@ func TestExecErrors(t *testing.T) {
 	}
 }
 
+// TestExecAtomicOnError: a transaction that writes x and then fails leaves
+// the state it was handed exactly as it was — under Exec, and under
+// ExecInPlace, which buffers its writes until the whole body has run.
 func TestExecAtomicOnError(t *testing.T) {
-	tr := MustNew("T1", Tentative,
-		Update("x", expr.Const(99)),
-		Update("y", expr.Div(expr.Const(1), expr.Const(0))),
-	)
-	s := model.StateOf(map[model.Item]model.Value{"x": 1})
-	if _, _, err := tr.Exec(s, nil); err == nil {
-		t.Fatal("expected error")
-	}
-	if s.Get("x") != 1 {
-		t.Error("failed Exec leaked a partial write")
+	for name, fail := range map[string]Stmt{
+		"missing parameter": Update("y", expr.Param("nope")),
+		"division by zero":  Update("y", expr.Div(expr.Const(1), expr.Const(0))),
+	} {
+		tr := MustNew("T1", Tentative, Update("x", expr.Const(99)), fail)
+		s := model.StateOf(map[model.Item]model.Value{"x": 1})
+		if _, _, err := tr.Exec(s, nil); err == nil {
+			t.Fatalf("%s: Exec: expected error", name)
+		}
+		if _, err := tr.ExecInPlace(s, nil); err == nil {
+			t.Fatalf("%s: ExecInPlace: expected error", name)
+		}
+		if want := model.StateOf(map[model.Item]model.Value{"x": 1}); !s.Equal(want) || len(s) != len(want) {
+			t.Errorf("%s: a failed execution left %s, want %s", name, s, want)
+		}
 	}
 }
 

@@ -109,9 +109,11 @@ func FuzzReplay(f *testing.F) {
 			return
 		}
 		n := rep.Augmented.H.Len()
-		if len(rep.Augmented.States) != n+1 || len(rep.Augmented.Effects) != n {
-			t.Fatalf("inconsistent replayed run: %d txns, %d states, %d effects",
-				n, len(rep.Augmented.States), len(rep.Augmented.Effects))
+		if len(rep.Augmented.Effects) != n {
+			t.Fatalf("inconsistent replayed run: %d txns, %d effects", n, len(rep.Augmented.Effects))
+		}
+		if !rep.Augmented.StateAt(n).Equal(rep.Augmented.Final()) {
+			t.Fatalf("replayed final %s, derived %s", rep.Augmented.Final(), rep.Augmented.StateAt(n))
 		}
 	})
 }

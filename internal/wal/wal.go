@@ -129,23 +129,16 @@ func (lw *Writer) append(r Record) error {
 	return nil
 }
 
-// Checkout logs the replica origin the tentative history starts from.
+// Checkout logs the replica origin the tentative history starts from. The
+// record is encoded before Checkout returns, so origin is read, never kept.
 func (lw *Writer) Checkout(windowID, pos int, origin model.State) error {
-	return lw.append(Record{
-		Kind:     KindCheckout,
-		WindowID: windowID,
-		Pos:      pos,
-		Origin:   origin.Clone(),
-	})
+	return lw.append(Record{Kind: KindCheckout, WindowID: windowID, Pos: pos, Origin: origin})
 }
 
-// Window logs a base-tier window advance with the new window's origin.
+// Window logs a base-tier window advance with the new window's origin, read
+// as Checkout reads it.
 func (lw *Writer) Window(windowID int, origin model.State) error {
-	return lw.append(Record{
-		Kind:     KindWindow,
-		WindowID: windowID,
-		Origin:   origin.Clone(),
-	})
+	return lw.append(Record{Kind: KindWindow, WindowID: windowID, Origin: origin})
 }
 
 // LogTxn journals one executed tentative transaction: begin (with code),
@@ -329,6 +322,9 @@ type Replayed struct {
 // the history serially and cross-checks each transaction's logged read
 // values and write images against the replayed effects. A mismatch means
 // the log and the code disagree — the log is corrupt.
+//
+// Origin and Augmented.Origin adopt records[0].Origin (nil when empty)
+// without copying it, so the caller must not mutate the records afterwards.
 func Replay(records []Record) (*Replayed, error) {
 	if len(records) == 0 || records[0].Kind != KindCheckout {
 		return nil, fmt.Errorf("%w: journal must start with a checkout record", ErrCorrupt)
@@ -336,7 +332,7 @@ func Replay(records []Record) (*Replayed, error) {
 	rep := &Replayed{
 		WindowID: records[0].WindowID,
 		Pos:      records[0].Pos,
-		Origin:   model.StateOf(records[0].Origin),
+		Origin:   records[0].Origin,
 	}
 
 	type pending struct {

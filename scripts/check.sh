@@ -100,6 +100,15 @@ fi
 echo "== tests =="
 go test ./...
 
+echo "== reconnect cost (allocation pins) =="
+# What one reconnect allocates must not grow with the base prefix (one
+# cluster or across shards), with the items the base holds, or — per extra
+# tentative transaction — with the items the mobile's replica holds. Listed
+# first, so renaming or deleting a pin fails here instead of passing it.
+cost_pins='ReconnectCostIndependentOfPrefix|CrossShardReconnectCostIndependentOfPrefix|ReconnectAllocIndependentOfItems|TentativeAllocIndependentOfItems'
+require_tests "$cost_pins" ./internal/replica/
+go test -count=1 -run "$cost_pins" ./internal/replica/
+
 echo "== race (concurrent reconnects + observers + crash-recovery soak) =="
 go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
 
