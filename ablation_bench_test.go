@@ -1,17 +1,15 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: detector
 // modes (static vs cached vs dynamic), blind-write rewriting vs the closure
-// baseline, journal replay, encoded-code shipping sizes, and lock-manager
-// contention.
+// baseline, journal replay, encoded-code shipping sizes and the base
+// journal's commit path.
 package tiermerge_test
 
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"tiermerge/internal/history"
-	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/papertest"
@@ -170,36 +168,6 @@ func BenchmarkCodecSizes(b *testing.B) {
 				size = n
 			}
 			b.ReportMetric(float64(size), "wire-bytes")
-		})
-	}
-}
-
-// BenchmarkLockManagerContention measures the base tier's 2PL throughput
-// under increasing contention.
-func BenchmarkLockManagerContention(b *testing.B) {
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			m := lockmgr.New()
-			items := []model.Item{"a", "b", "c", "d"}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			per := b.N/workers + 1
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					owner := fmt.Sprintf("w%d", w)
-					for i := 0; i < per; i++ {
-						it := items[(w+i)%len(items)]
-						if err := m.Acquire(owner, it, lockmgr.Exclusive); err != nil {
-							b.Error(err)
-							return
-						}
-						m.ReleaseAll(owner)
-					}
-				}(w)
-			}
-			wg.Wait()
 		})
 	}
 }

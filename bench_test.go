@@ -2,7 +2,7 @@
 // (E0..E9, E14; E10-E12 are timed by the ablation benches, see DESIGN.md) plus
 // micro-benchmarks for the algorithmic pieces whose asymptotic costs
 // Section 7.1 discusses (graph construction, the O(n^2) rewriting pass,
-// pruning, and the lock manager).
+// pruning).
 //
 // Run with:
 //

@@ -24,8 +24,9 @@ func repoRoot(t *testing.T) string {
 // the cluster-set merge path (internal/replica/clusterset.go) and the rest
 // of the replica package must pass the interprocedural analyzers with zero
 // findings — the ascending lockClusters discipline, the buffered events of
-// the reconnect's one critical section, and ExecBase's
-// item-locks-before-cluster-mutexes ordering all check out by inference.
+// the reconnect's one critical section, and the journal fsync that merges
+// and base transactions alike run only after unlocking all check out by
+// inference.
 func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module from source")

@@ -4,11 +4,11 @@ package analysis
 // admit (DESIGN.md §7, §11), which prose alone promised before the
 // interprocedural engine existed:
 //
-//   - item locks before shard mutexes: the lock manager's Acquire blocks
-//     (it parks on a waiter channel), so the engine's transitive-blocking
-//     check forbids reaching it while any shard or cluster mutex is held —
-//     every path must take item locks first, exactly as the cluster set's
-//     admit and execBaseCross do;
+//   - the cluster mutexes are the whole lock order: merges and base
+//     transactions alike take them through the cluster set's lock and
+//     force their journals only after unlocking, so nothing that waits —
+//     an fsync, a lock manager's Acquire, a channel — is reachable under
+//     one (the transitive-blocking rule below reports any path that would);
 //   - distinct mutexes of one class (the per-shard BaseCluster.mu) are
 //     acquired in strictly ascending index order: a constant-index
 //     acquisition at or below a held index, or an indexed acquisition

@@ -100,8 +100,11 @@ type Counts struct {
 	ResultsSent    int64
 
 	// Base-node events.
-	BaseTransforms   int64
-	BaseQueries      int64
+	BaseTransforms int64
+	BaseQueries    int64
+	// BaseLocks counts the lock requests Section 7.1's cost model charges
+	// a base execution; it is charged by the model only — no base path
+	// takes an item lock (the cluster mutexes serialize execution).
 	BaseLocks        int64
 	BaseForcedWrites int64
 	BaseApplies      int64

@@ -13,7 +13,6 @@ import (
 	"tiermerge/internal/expr"
 	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
-	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
@@ -54,12 +53,12 @@ type crossTxn struct {
 }
 
 // BaseCluster is the base tier: the master copy of every item, the
-// serializable base history of the current time window, a strict-2PL lock
-// manager, and the merge/reprocess endpoints mobile nodes connect to.
+// serializable base history of the current time window (its mutex
+// serializes every commit), and the merge/reprocess endpoints mobile nodes
+// connect to.
 type BaseCluster struct {
 	mu  sync.Mutex
 	cfg Config
-	lm  *lockmgr.Manager
 
 	master       model.State
 	windowID     int
@@ -163,7 +162,6 @@ func newBaseCluster(initial model.State, cfg Config, eng store.Engine) *BaseClus
 	disk, _ := eng.(*store.Disk)
 	b := &BaseCluster{
 		cfg:          cfg.withDefaults(),
-		lm:           lockmgr.New(),
 		master:       initial.Clone(),
 		windowID:     1,
 		windowOrigin: initial.Clone(),
@@ -276,49 +274,21 @@ func (b *BaseCluster) syncJournal() error {
 	return nil
 }
 
-// ExecBase runs one base transaction against master data under strict 2PL
-// and appends it to the base history. It charges query, lock and forced-log
-// costs plus lazy propagation to the other base replicas.
+// ExecBase runs one base transaction against master data and appends it to
+// the base history. It charges query, lock and forced-log costs plus lazy
+// propagation to the other base replicas. See clusterSet.execBase.
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) ExecBase(t *tx.Transaction) error {
-	if t.Kind != tx.Base {
-		return fmt.Errorf("%w: %s", ErrNotBase, t.ID)
-	}
-	items := t.StaticReadSet().Union(t.StaticWriteSet()).Items()
-	writes := t.StaticWriteSet()
-	// Acquire locks in sorted order outside the cluster mutex; retry on
-	// deadlock (sorted acquisition makes deadlock impossible here, but the
-	// path is exercised by concurrent callers of mixed order in tests).
-	for attempt := 0; ; attempt++ {
-		if err := b.acquireAll(t.ID, items, writes); err != nil {
-			if errors.Is(err, lockmgr.ErrDeadlock) && attempt < 10 {
-				b.lm.ReleaseAll(t.ID)
-				continue
-			}
-			b.lm.ReleaseAll(t.ID)
-			return fmt.Errorf("replica: locks for %s: %w", t.ID, err)
-		}
-		break
-	}
-	defer b.lm.ReleaseAll(t.ID)
-
-	if err := b.execBaseCommit(t); err != nil {
-		return err
-	}
-	// Force the commit record to stable media before acknowledging: an
-	// acked base transaction must survive a crash (DESIGN.md §14).
-	return b.syncJournal()
+	return b.set().execBase(t)
 }
 
-// execBaseCommit runs the locked portion of ExecBase: execute on master,
-// append to the history, charge costs, write (but do not force) the
-// journal record.
+// execBaseLocked executes t in place on the master, appends it to the
+// history, charges its costs and writes (but does not force) its journal
+// record. Caller holds b.mu.
 //
-//tiermerge:locks(none)
-func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+//tiermerge:locks(cluster)
+func (b *BaseCluster) execBaseLocked(t *tx.Transaction) error {
 	eff, err := t.ExecInPlace(b.master, nil)
 	if err != nil {
 		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
@@ -340,23 +310,6 @@ func (b *BaseCluster) execBaseCommit(t *tx.Transaction) error {
 func (b *BaseCluster) appendEntry(e baseEntry) {
 	b.entries = append(b.entries, e)
 	b.store.Set(b.windowID, len(b.entries), e.eff.Writes)
-}
-
-// acquireAll takes the item locks in the given order, waiting as needed;
-// it must never run while the cluster mutex is held.
-//
-//tiermerge:blocking
-func (b *BaseCluster) acquireAll(owner string, items []model.Item, writes model.ItemSet) error {
-	for _, it := range items {
-		mode := lockmgr.Shared
-		if writes.Has(it) {
-			mode = lockmgr.Exclusive
-		}
-		if err := b.lm.Acquire(owner, it, mode); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // chargeBaseExec records the execution costs of one base transaction.

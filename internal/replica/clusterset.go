@@ -20,7 +20,7 @@ import (
 //
 //  1. take the member mutexes in ascending shard order (lock, which widens
 //     a partial set to every shard when the window holds a cross-shard
-//     entry);
+//     entry or a window advance is sweeping the shards);
 //  2. validate each member's checkout token and capture its part — the
 //     indexed base history with the posting lists of Hm's footprint; one
 //     member's view is the merge's view, several interleave into one
@@ -37,10 +37,11 @@ import (
 //     before acknowledging.
 //
 // Nothing commits between capture and install, so a prepared merge needs no
-// revalidation and never retries. One global lock order — item locks
-// (ExecBase only), then cluster mutexes ascending, with nothing under a
-// mutex ever waiting on a lock — keeps merges, cross-shard base transactions
-// and each other deadlock-free.
+// revalidation and never retries. A base transaction takes the same shape
+// (execBase): lock, execute, unlock, force the members' journals. One global
+// lock order — cluster mutexes ascending, with nothing under a mutex ever
+// waiting on anything — keeps merges, base transactions and each other
+// deadlock-free.
 
 // clusterSet is the set of clusters one reconnect involves: an ordered
 // subset of a partition's clusters plus the partition's item router. A
@@ -78,16 +79,21 @@ func (s *partition) every(cfg Config) *clusterSet {
 
 // lock takes the members' mutexes (lockClusters) and returns the set it
 // holds them for. A partial set that finds a cross-shard entry in the
-// window once its mutexes are held — installed since ShardedBase.set looked
-// — releases them and takes every shard's instead: that entry may close a
-// cycle its members cannot see. The full set never widens, so neither does
-// this more than once. An entry installed after the check needs one of the
-// held mutexes to touch the members, so it follows the reconnect.
+// window once its mutexes are held — installed since the set was formed —
+// releases them and takes every shard's instead: that entry may close a
+// cycle its members cannot see, and a commit that read it must force every
+// journal holding one of its slices. It widens too while the window barrier
+// sweeps (windowVer odd), because the barrier zeroes crossEntries before it
+// closes any shard's window. crossEntries is read first: a zero the barrier
+// wrote is then followed by an odd version, since the sweep cannot finish
+// while a member's mutex is held. The full set never widens, so neither
+// does this more than once. An entry installed after the check needs one of
+// the held mutexes to touch the members, so it follows the reconnect.
 //
 //tiermerge:blocking
 func (cs *clusterSet) lock() *clusterSet {
 	lockClusters(cs.members)
-	if len(cs.members) == len(cs.shards) || cs.crossEntries.Load() == 0 {
+	if len(cs.members) == len(cs.shards) || (cs.crossEntries.Load() == 0 && cs.windowVer.Load()&1 == 0) {
 		return cs
 	}
 	unlockClusters(cs.members)
@@ -527,11 +533,12 @@ func (cs *clusterSet) memberAt(k int) *BaseCluster {
 	return nil
 }
 
-// execMember picks where a re-executed transaction with the given static
-// footprint runs: the member owning the footprint (home when it names
-// none), or nil when it spans members and the transaction must install as
-// slices. The set holds the shard of every item Hm's transactions name on
-// any branch (ShardedBase.set), so every item has its member.
+// execMember picks where a re-executed or base transaction with the given
+// static footprint runs: the member owning the footprint (home when it
+// names none), or nil when it spans members and the transaction must
+// install as slices. The set holds the shard of every item Hm's
+// transactions name on any branch (ShardedBase.set), or the base
+// transaction names (ShardedBase.over), so every item has its member.
 func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
 	var sole *BaseCluster
 	for it := range static {
@@ -604,6 +611,54 @@ func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) 
 		cs.installSlicesLocked(base, eff)
 	}
 	return true
+}
+
+// execBase runs one base transaction with the shape of a reconnect's round
+// and no item locks: take the members' mutexes (lock, which may widen the
+// set), execute and commit (execBaseLocked), release them, then force the
+// members' journals before acknowledging. The mutexes serialize execution,
+// and the ack waits for every journal that can hold a commit the
+// transaction read — its own shards', or every shard's while the window
+// holds a cross-shard entry (DESIGN.md §14).
+//
+//tiermerge:locks(none)
+//tiermerge:blocking
+func (cs *clusterSet) execBase(t *tx.Transaction) error {
+	if t.Kind != tx.Base {
+		return fmt.Errorf("%w: %s", ErrNotBase, t.ID)
+	}
+	cs = cs.lock()
+	err := cs.execBaseLocked(t)
+	unlockClusters(cs.members)
+	if err != nil {
+		return err
+	}
+	return syncShards(cs.members)
+}
+
+// execBaseLocked executes t in place on the member owning its static
+// footprint or, when the footprint spans members, over a scratch state
+// gathered from their masters, installed as restricted slices; the
+// footprint's lowest shard takes the query and lock charges. Caller holds
+// every member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) execBaseLocked(t *tx.Transaction) error {
+	static := t.StaticReadSet().Union(t.StaticWriteSet())
+	if b := cs.execMember(static); b != nil {
+		return b.execBaseLocked(t)
+	}
+	eff, err := t.ExecInPlace(cs.gatherLocked(static), nil)
+	if err != nil {
+		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
+	}
+	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
+	cs.shards[cs.router.shardsOf(static)[0]].counters.Update(func(c *cost.Counts) {
+		c.BaseQueries += int64(t.StmtCount())
+		c.BaseLocks += nLocks
+	})
+	cs.installSlicesLocked(t, eff)
+	return nil
 }
 
 // preview computes the merge report a connect would produce right now —

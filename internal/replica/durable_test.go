@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"tiermerge/internal/expr"
 	"tiermerge/internal/fault"
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
@@ -73,6 +75,68 @@ func TestBaseJournalSyncFailureBlocksAck(t *testing.T) {
 	}
 	if rec.HistoryLen() != 0 {
 		t.Errorf("unacked commit present after recovery (history len %d)", rec.HistoryLen())
+	}
+}
+
+// TestBaseCommitsShareOneFsync: a base commit on an item whose last writer
+// is still in its fsync does not wait for that fsync — it shares the next
+// one — and every record-boundary prefix of the persisted journal recovers
+// to a prefix of the commit order. T1: x := x + 1 parks in the journal's
+// fsync; T2: x := x * 2 must ack meanwhile, and no crash image may hold T2
+// without T1 (the log is one ordered stream, so T2's fsync carries T1's
+// records too).
+func TestBaseCommitsShareOneFsync(t *testing.T) {
+	w := &gatedSync{SyncWriter: fault.NewSyncWriter()}
+	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"x": 5}), Config{})
+	if err := b.AttachJournal(w); err != nil {
+		t.Fatal(err)
+	}
+	parked, release := w.hold()
+	defer release()
+	images := [][]byte{w.Persisted()}
+	done1 := make(chan error, 1)
+	go func() {
+		done1 <- b.ExecBase(tx.MustNew("T1", tx.Base, tx.Update("x", expr.Add(expr.Var("x"), expr.Const(1)))))
+	}()
+	<-parked
+	images = append(images, w.Persisted())
+	if err := execWithin(b, tx.MustNew("T2", tx.Base, tx.Update("x", expr.Mul(expr.Var("x"), expr.Const(2)))), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	acked := w.Persisted()
+	release()
+	if err := <-done1; err != nil {
+		t.Fatal(err)
+	}
+	images = append(images, acked, w.Persisted())
+
+	// Recovered master per committed prefix of T1, T2.
+	want := []model.Value{5, 6, 12}
+	for i, img := range images {
+		for _, end := range lineBounds(img) {
+			rec, _, err := RecoverBaseCluster(bytes.NewReader(img[:end]), Config{})
+			if err != nil {
+				t.Fatalf("image %d, prefix %d bytes: %v", i, end, err)
+			}
+			var ids []string
+			for _, e := range rec.entries {
+				ids = append(ids, e.t.ID)
+			}
+			n := len(ids)
+			if n > 2 || (n >= 1 && ids[0] != "T1") || (n == 2 && ids[1] != "T2") {
+				t.Fatalf("image %d, prefix %d bytes recovers %v: not a prefix of [T1 T2]", i, end, ids)
+			}
+			if got := rec.Master().Get("x"); got != want[n] {
+				t.Errorf("image %d, prefix %d bytes: x = %d after %v, want %d", i, end, got, ids, want[n])
+			}
+		}
+	}
+	rec, _, err := RecoverBaseCluster(bytes.NewReader(acked), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.HistoryLen() != 2 {
+		t.Errorf("T2 acked but the persisted journal recovers %d commits, want 2", rec.HistoryLen())
 	}
 }
 

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"tiermerge/internal/expr"
 	"tiermerge/internal/graph"
 	"tiermerge/internal/history"
-	"tiermerge/internal/lockmgr"
 	"tiermerge/internal/merge"
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
@@ -23,9 +21,9 @@ import (
 // Sharded base tier. A single BaseCluster funnels every merge through one
 // cluster mutex — the scalability ceiling E16 measures. ShardedBase
 // partitions the item space across N BaseCluster shards, each with its own
-// mutex, window clock, base history, WAL journal, lock manager and cost
-// counters. A reconnect runs against a set of shards (clusterset.go) and
-// prepares and installs under all of their mutexes at once (DESIGN.md §11).
+// mutex, window clock, base history, WAL journal and cost counters. A
+// reconnect runs against a set of shards (clusterset.go) and prepares and
+// installs under all of their mutexes at once (DESIGN.md §11).
 //
 // Cross-shard installed transactions are stored per shard as restricted
 // slices (this shard's reads and writes only) sharing one *crossTxn
@@ -35,15 +33,16 @@ import (
 // one cross-shard entry and return through another: with Hm = {T: b3 :=
 // b3 + b} on shard 1 and base entries X: a := 2; b := 20 then Y: c := a +
 // b3 spanning shards 0 and 1, shard 1's slices show T -> X and Y -> T but
-// not X -> Y, which only the item a on shard 0 carries. So a merge or
-// preview spans the shards its footprint touches only while the window
-// holds no cross-shard entry, and every shard otherwise (ShardedBase.set,
-// clusterSet.lock). Without cross-shard entries every base entry lies in
-// one shard, every conflict path between Hm's vertices stays inside one of
-// Hm's shards, and the footprint's shards see all of them. The footprint is
-// static — every item Hm's transactions name on any branch — because a
-// transaction re-executed at the base may take a branch its tentative run
-// skipped.
+// not X -> Y, which only the item a on shard 0 carries. So a merge or a
+// base commit spans the shards its footprint touches only while the window
+// holds no cross-shard entry and no window advance is sweeping the shards,
+// and every shard otherwise (ShardedBase.set, clusterSet.lock); an
+// advisory preview checks the entry count only. Without cross-shard entries
+// every base entry lies in one shard, every conflict path between Hm's
+// vertices stays inside one of Hm's shards, and the footprint's shards see
+// all of them. The footprint is static — every item Hm's transactions name
+// on any branch — because a transaction re-executed at the base may take a
+// branch its tentative run skipped.
 
 // ShardRouter maps items to shards: an explicit Config.ShardFn when one is
 // configured, FNV-1a hashing of the item name otherwise.
@@ -105,9 +104,20 @@ type partition struct {
 	// crossEntries counts the cross-shard transactions installed in the
 	// current window, each incremented under every involved shard's mutex.
 	// The window barrier resets it before any shard advances, so it may
-	// overcount the window (a stale count only widens merges) but never
-	// miss an entry.
+	// overcount the window (a stale count only widens merges); the closing
+	// window's entries it stops counting during the sweep are covered by
+	// windowVer.
 	crossEntries atomic.Int64
+	// windowVer is the window barrier: a seqlock-style version counter,
+	// odd while an advance is sweeping the shards. Checkouts and window
+	// reads retry around in-progress advances, so a checkout never
+	// observes shard A in the new window and shard B still in the old one
+	// (the mixed-window prefix AdvanceWindow's doc warns about), and a set
+	// locked mid-sweep widens (clusterSet.lock): the count was reset
+	// before the shards' windows closed. A mutex cannot play this role:
+	// the per-shard calls the barrier spans are locks(none) operations,
+	// which the lock discipline forbids under a held mutex.
+	windowVer atomic.Int64
 
 	// combined is kept across merges; read and written only under every
 	// shard's mutex.
@@ -136,16 +146,6 @@ func (s *partition) newCross(t *tx.Transaction, eff *tx.Effect) *crossTxn {
 type ShardedBase struct {
 	cfg Config
 	partition
-
-	// windowVer is the window barrier: a seqlock-style version counter,
-	// odd while an advance is sweeping the shards. Checkouts and window
-	// reads retry around in-progress advances, so a checkout never
-	// observes shard A in the new window and shard B still in the old one
-	// (the mixed-window prefix AdvanceWindow's doc warns about). A mutex
-	// cannot play this role: the per-shard calls the barrier spans are
-	// locks(none) operations, which the lock discipline forbids under a
-	// held mutex.
-	windowVer atomic.Int64
 }
 
 // NewShardedBase builds a sharded base tier over the initial master state,
@@ -475,91 +475,17 @@ func unlockClusters(bs []*BaseCluster) {
 	}
 }
 
-// acquireAcross takes the item locks on their owning shards' lock
-// managers in one globally sorted item order (the ExecBase discipline,
-// spanning managers), waiting as needed; it must never run while a
-// cluster mutex is held.
-//
-//tiermerge:blocking
-func (s *partition) acquireAcross(owner string, items []model.Item, writes model.ItemSet) error {
-	for _, it := range items {
-		mode := lockmgr.Shared
-		if writes.Has(it) {
-			mode = lockmgr.Exclusive
-		}
-		if err := s.shards[s.router.Shard(it)].lm.Acquire(owner, it, mode); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// releaseAcross drops the owner's locks on every shard.
-func (s *partition) releaseAcross(owner string) {
-	for _, b := range s.shards {
-		b.lm.ReleaseAll(owner)
-	}
-}
-
-// ExecBase runs one base transaction against the sharded tier: routed to
-// its shard when the footprint is shard-local, executed under every
-// involved shard's locks otherwise and installed as per-shard restricted
-// slices sharing one cross-shard identity.
+// ExecBase runs one base transaction against the sharded tier, over the set
+// of the shards its footprint touches (see clusterSet.execBase).
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) ExecBase(t *tx.Transaction) error {
-	if len(s.shards) == 1 {
-		return s.shards[0].ExecBase(t)
-	}
-	involved := s.router.shardsOf(t.StaticReadSet().Union(t.StaticWriteSet()))
-	if len(involved) <= 1 {
-		k := 0
-		if len(involved) == 1 {
-			k = involved[0]
-		}
-		return s.shards[k].ExecBase(t)
-	}
-	return s.execBaseCross(t, involved)
-}
-
-// execBaseCross is the cross-shard ExecBase path: item locks first (global
-// sorted order, deadlock retry), then the involved shards' mutexes in
-// ascending order, then execute over the combined owned state and install
-// the restricted slices.
-//
-//tiermerge:locks(none)
-func (s *ShardedBase) execBaseCross(t *tx.Transaction, involved []int) error {
-	if t.Kind != tx.Base {
-		return fmt.Errorf("%w: %s", ErrNotBase, t.ID)
-	}
-	items := t.StaticReadSet().Union(t.StaticWriteSet()).Items()
-	writes := t.StaticWriteSet()
-	for attempt := 0; ; attempt++ {
-		if err := s.acquireAcross(t.ID, items, writes); err != nil {
-			s.releaseAcross(t.ID)
-			if errors.Is(err, lockmgr.ErrDeadlock) && attempt < 10 {
-				continue
-			}
-			return fmt.Errorf("replica: locks for %s: %w", t.ID, err)
-		}
-		break
-	}
-	defer s.releaseAcross(t.ID)
-
-	bs := s.clustersOf(involved)
-	lockClusters(bs)
-	err := s.execBaseCrossLocked(t, involved)
-	unlockClusters(bs)
-	if err != nil {
-		return err
-	}
-	// Force every involved shard's journal before acknowledging.
-	return syncShards(bs)
+	return s.over(t.StaticReadSet().Union(t.StaticWriteSet())).execBase(t)
 }
 
 // syncShards forces the journals of the given clusters to stable media —
-// the sharded counterpart of syncJournal, called after the shard mutexes
-// are released on every path that acknowledges a cross-shard commit.
+// the set counterpart of syncJournal, called after the members' mutexes
+// are released on every path that acknowledges a commit.
 //
 //tiermerge:locks(none)
 //tiermerge:blocking
@@ -569,27 +495,6 @@ func syncShards(bs []*BaseCluster) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// execBaseCrossLocked executes t over a scratch state assembled from the
-// involved shards' masters and installs the result. Caller holds every
-// involved shard's mutex (and t's item locks).
-//
-//tiermerge:locks(shard)
-func (s *ShardedBase) execBaseCrossLocked(t *tx.Transaction, involved []int) error {
-	scratch := s.gatherLocked(t.StaticReadSet().Union(t.StaticWriteSet()))
-	eff, err := t.ExecInPlace(scratch, nil)
-	if err != nil {
-		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
-	}
-	home := s.shards[involved[0]]
-	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
-	home.counters.Update(func(c *cost.Counts) {
-		c.BaseQueries += int64(t.StmtCount())
-		c.BaseLocks += nLocks
-	})
-	s.installSlicesLocked(t, eff)
 	return nil
 }
 
@@ -688,6 +593,12 @@ func (s *ShardedBase) set(hm *history.Augmented, viewing bool) *clusterSet {
 			}
 		}
 	}
+	return s.over(static)
+}
+
+// over forms the cluster set over the shards owning the items of a static
+// footprint (shard 0 for an empty one).
+func (s *ShardedBase) over(static model.ItemSet) *clusterSet {
 	involved := s.router.shardsOf(static)
 	if len(involved) == 0 {
 		involved = []int{0}

@@ -1,12 +1,15 @@
 package replica
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"tiermerge/internal/expr"
+	"tiermerge/internal/fault"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
@@ -80,10 +83,12 @@ func crossShardCycle(a, b, b3, c model.Item) (origin model.State, tm *tx.Transac
 }
 
 // TestShardedMergeSeesCrossShardCycle: a 2-shard tier splitting {a, c} |
-// {b, b3} backs T out and ends where one cluster does — live, and after a
+// {b, b3} backs T out and ends where one cluster does — live; after a
 // reopen, where recovery restores X and Y as unlinked slices and the
 // mobile, holding a token of the recovered window, must fall back to
-// reprocessing.
+// reprocessing; and mid-barrier, where a window advance has zeroed the
+// cross-shard count but closed no shard's window yet, so X and Y are still
+// there for the merge to see.
 func TestShardedMergeSeesCrossShardCycle(t *testing.T) {
 	origin, tm, base, want := crossShardCycle("a", "b", "b3", "c")
 	cfg := Config{ShardFn: func(it model.Item) int {
@@ -92,7 +97,7 @@ func TestShardedMergeSeesCrossShardCycle(t *testing.T) {
 		}
 		return 1
 	}}
-	for _, name := range []string{"live", "reopened"} {
+	for _, name := range []string{"live", "reopened", "mid-barrier"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, _, err := OpenShardedBase(dir, origin, 2, cfg)
@@ -104,13 +109,18 @@ func TestShardedMergeSeesCrossShardCycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustExecBase(t, s, base...)
-			if name == "reopened" {
+			switch name {
+			case "reopened":
 				if err := s.CloseStore(); err != nil {
 					t.Fatal(err)
 				}
 				if s, _, err = OpenShardedBase(dir, nil, 2, cfg); err != nil {
 					t.Fatal(err)
 				}
+			case "mid-barrier":
+				// AdvanceWindow's first two steps, before it reaches a shard.
+				s.windowVer.Add(1)
+				s.crossEntries.Store(0)
 			}
 			defer s.CloseStore()
 			out, err := s.Merge(m.ck, m.Augmented())
@@ -273,4 +283,53 @@ func TestWindowBarrierNoMixedPrefix(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	adv.Wait()
+}
+
+// TestBaseCommitAcksAfterCrossShardReadDurable: a shard-local base commit
+// that may have read a cross-shard entry acknowledges only once that entry
+// is durable on every shard. With a on shard 0 and b on shard 1, T1: a :=
+// 1; b := 1 parks in shard 0's fsync; T2: b := b + 1 reads T1's write on
+// shard 1. When T2 returns, shard 0's persisted journal must hold T1's
+// slice: T2 forces every journal while the window holds a cross-shard
+// entry, not only its own shard's.
+func TestBaseCommitAcksAfterCrossShardReadDurable(t *testing.T) {
+	cfg := Config{ShardFn: func(it model.Item) int {
+		if it == "a" {
+			return 0
+		}
+		return 1
+	}}
+	s := NewShardedBase(model.StateOf(map[model.Item]model.Value{"a": 0, "b": 0}), 2, cfg)
+	w0, w1 := &gatedSync{SyncWriter: fault.NewSyncWriter()}, fault.NewSyncWriter()
+	if err := s.Shard(0).AttachJournal(w0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Shard(1).AttachJournal(w1); err != nil {
+		t.Fatal(err)
+	}
+	parked, release := w0.hold()
+	defer release()
+	done1 := make(chan error, 1)
+	go func() {
+		done1 <- s.ExecBase(tx.MustNew("T1", tx.Base, tx.Update("a", expr.Const(1)), tx.Update("b", expr.Const(1))))
+	}()
+	<-parked
+	t2 := tx.MustNew("T2", tx.Base, tx.Update("b", expr.Add(expr.Var("b"), expr.Const(1))))
+	if err := execWithin(s, t2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := RecoverBaseCluster(bytes.NewReader(w0.Persisted()), Config{})
+	if err != nil {
+		t.Fatalf("recover shard 0 from its persisted image: %v", err)
+	}
+	if got := rec.Master().Get("a"); got != 1 {
+		t.Errorf("T2 acked with T1's slice on shard 0 not durable: persisted a = %d, want 1", got)
+	}
+	release()
+	if err := <-done1; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Master(); !got.Equal(model.StateOf(map[model.Item]model.Value{"a": 1, "b": 2})) {
+		t.Errorf("master %s, want a=1 b=2", got)
+	}
 }

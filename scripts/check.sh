@@ -142,14 +142,31 @@ echo "== race (correctness oracle + sharded base tier) =="
 # Disk × deltas on/off × Strategy 1/2, serial and concurrent arms, against
 # the one-cluster reference; -short runs fewer seeds per cell), plus what
 # the oracle's reference cannot cover: the router, the cross-shard cycle
-# reproducers (live and reopened), the checkout/advance window barrier, the
-# all-shards-contended deadlock smoke, and the Strategy 1 interior insert
-# against a serial-run oracle (plain and sliced across shards, memory and
-# disk engines) — all under the race detector.
+# reproducers (live, reopened, mid-barrier), the checkout/advance window
+# barrier, the all-shards-contended deadlock smoke, and the Strategy 1
+# interior insert against a serial-run oracle (plain and sliced across
+# shards, memory and disk engines) — all under the race detector.
 require_tests TestOracle ./internal/replica/
 go test -race -short -count=1 -run TestOracle ./internal/replica/
 require_tests 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
 go test -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
+
+echo "== race (base commits: no item locks, shared fsyncs, honest acks) =="
+# Explicit gate for ExecBase's early lock release: a commit on an item whose
+# last writer is still in its fsync acks without waiting for it, and every
+# record-boundary prefix of the journal recovers a prefix of the commit
+# order; a shard-local commit that read a cross-shard entry forces every
+# shard's journal before its ack; and a merge that lands while the window
+# barrier sweeps still sees the closing window's cross-shard cycle — all
+# under the race detector.
+require_tests 'TestBaseCommitsShareOneFsync|TestBaseCommitAcksAfterCrossShardReadDurable|TestShardedMergeSeesCrossShardCycle' ./internal/replica/
+go test -race -count=1 -run 'TestBaseCommitsShareOneFsync|TestBaseCommitAcksAfterCrossShardReadDurable' ./internal/replica/
+midbarrier=$(go test -race -count=1 -v -run 'TestShardedMergeSeesCrossShardCycle/^mid-barrier$' ./internal/replica/ 2>&1) || true
+if ! grep -q -- '--- PASS: TestShardedMergeSeesCrossShardCycle/mid-barrier' <<< "$midbarrier"; then
+    echo "FAILED: subtest TestShardedMergeSeesCrossShardCycle/mid-barrier did not run and pass" >&2
+    echo "$midbarrier" >&2
+    exit 1
+fi
 
 echo "== bench module (the benchmark harness compiles against internal/...) =="
 # bench/ is its own module importing tiermerge/internal/...; vet and test it
