@@ -1,8 +1,8 @@
 // Command tiermergelint is the multichecker for the merge protocol's
-// statically-enforced invariants. It runs the seven tiermerge analyzers
-// (durablebase, snapshotmut, atomicmix, lockheld, itemsetalias, lockorder,
-// costaccount) over the module and exits non-zero when any invariant is
-// violated; scripts/check.sh and CI run it as a hard gate.
+// statically-enforced invariants. It runs the tiermerge analyzers
+// (tiermergelint -list prints them) over the module and exits non-zero
+// when any invariant is violated; scripts/check.sh and CI run it as a hard
+// gate.
 //
 // Usage:
 //

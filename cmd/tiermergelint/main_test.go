@@ -12,7 +12,7 @@ import (
 // TestExitCodeOnBadFixture pins the gate contract: the linter exits 1
 // (not 0, not a crash) on a package with known violations.
 func TestExitCodeOnBadFixture(t *testing.T) {
-	if got := run([]string{"-dir", "../../internal/analysis/testdata/src/atomicmix"}); got != 1 {
+	if got := run([]string{"-dir", "../../internal/analysis/testdata/src/lockheld"}); got != 1 {
 		t.Fatalf("run on known-bad fixture: exit %d, want 1", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestList(t *testing.T) {
 // fields machine consumers key on, and still exits 1 on violations.
 func TestJSONOutput(t *testing.T) {
 	out := captureStdout(t, func() {
-		if got := run([]string{"-json", "-dir", "../../internal/analysis/testdata/src/atomicmix"}); got != 1 {
+		if got := run([]string{"-json", "-dir", "../../internal/analysis/testdata/src/lockheld"}); got != 1 {
 			t.Errorf("-json run on known-bad fixture: exit %d, want 1", got)
 		}
 	})

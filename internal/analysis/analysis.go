@@ -3,11 +3,9 @@
 // vocabulary (Analyzer, Pass, Diagnostic) plus a source-level package
 // loader, an annotation parser for the //tiermerge: directives, an
 // interprocedural summary engine (call graph + fixpoint lock-set
-// summaries, see summary.go), and the seven analyzers that enforce the
-// merge protocol's invariants — the side-conditions the paper's
-// correctness argument needs but the compiler cannot see (base
-// durability, snapshot immutability, atomic counter discipline, lock
-// holding and ordering, item-set aliasing, cost-accounting discipline).
+// summaries, see summary.go), and the analyzers that enforce the merge
+// protocol's invariants that neither the compiler nor a test catches
+// (lock holding and ordering, item-set aliasing).
 //
 // The framework is intentionally API-compatible in spirit with go/analysis
 // so the analyzers could be ported to a vettool later; it is built on the
@@ -172,26 +170,14 @@ func filterSuppressed(diags []Diagnostic, pkgs []*Package) []Diagnostic {
 
 // All returns the full tiermergelint analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{
-		DurableBase,
-		SnapshotMut,
-		AtomicMix,
-		LockHeld,
-		ItemSetAlias,
-		LockOrder,
-		CostAccount,
-	}
+	return []*Analyzer{LockHeld, ItemSetAlias}
 }
 
 // ---- shared type helpers ----
 
-// Paths of the packages whose types the analyzers key on. Fixture packages
-// under testdata/src shadow the same import paths with small stubs.
-const (
-	modelPath = "tiermerge/internal/model"
-	txPath    = "tiermerge/internal/tx"
-	costPath  = "tiermerge/internal/cost"
-)
+// modelPath is the package whose container types itemsetalias keys on. A
+// fixture package under testdata/src shadows it with a stub.
+const modelPath = "tiermerge/internal/model"
 
 // deref removes one level of pointer indirection.
 func deref(t types.Type) types.Type {
@@ -244,21 +230,6 @@ func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-// walkStack walks n, invoking f with each node and the stack of its
-// ancestors (outermost first, not including n).
-func walkStack(n ast.Node, f func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(n, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		f(n, stack)
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // exprString renders a simple ident/selector chain ("b.mu"); it returns

@@ -2,17 +2,12 @@ package analysis
 
 import "testing"
 
-func TestDurableBase(t *testing.T)  { runFixture(t, []*Analyzer{DurableBase}, "durablebase") }
-func TestSnapshotMut(t *testing.T)  { runFixture(t, []*Analyzer{SnapshotMut}, "snapshotmut") }
-func TestAtomicMix(t *testing.T)    { runFixture(t, []*Analyzer{AtomicMix}, "atomicmix") }
 func TestLockHeld(t *testing.T)     { runFixture(t, []*Analyzer{LockHeld}, "lockheld") }
 func TestItemSetAlias(t *testing.T) { runFixture(t, []*Analyzer{ItemSetAlias}, "itemsetalias") }
-func TestLockOrder(t *testing.T)    { runFixture(t, []*Analyzer{LockOrder}, "lockorder") }
-func TestCostAccount(t *testing.T)  { runFixture(t, []*Analyzer{CostAccount}, "costaccount") }
 
-// TestLockInfer covers lockheld's interprocedural half: summaries make
-// locks(...) annotations checked assertions and catch unannotated
-// self-deadlock chains.
+// TestLockOrder and TestLockInfer run the one lock analyzer over its
+// lock-order and inference fixtures.
+func TestLockOrder(t *testing.T) { runFixture(t, []*Analyzer{LockHeld}, "lockorder") }
 func TestLockInfer(t *testing.T) { runFixture(t, []*Analyzer{LockHeld}, "lockinfer") }
 
 // TestCleanPackage runs the full suite over a package following every
@@ -32,12 +27,13 @@ func TestSuiteComplete(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{
-		"durablebase", "snapshotmut", "atomicmix", "lockheld",
-		"itemsetalias", "lockorder", "costaccount",
-	} {
-		if !names[want] {
-			t.Errorf("suite is missing %q", want)
+	want := []string{"lockheld", "itemsetalias"}
+	for _, w := range want {
+		if !names[w] {
+			t.Errorf("suite is missing %q", w)
 		}
+	}
+	if len(names) != len(want) {
+		t.Errorf("suite has %d analyzers, want %d: %v", len(names), len(want), names)
 	}
 }

@@ -8,16 +8,11 @@ import (
 )
 
 // Ann is the set of //tiermerge: directives attached to one function or
-// type declaration. The directives are machine-checked documentation: they
-// state the contract prose comments like "Caller holds b.mu" already
-// claim, in a form the lockheld/snapshotmut/itemsetalias analyzers
+// struct field declaration. The directives are machine-checked
+// documentation: they state the contract prose comments like "Caller holds
+// b.mu" already claim, in a form the lockheld and itemsetalias analyzers
 // enforce. See docs/LINT.md for the annotation reference.
 type Ann struct {
-	// Immutable (functions): every value the function returns aliases
-	// shared structure and must never be mutated by callers.
-	// Immutable (types): values are frozen once built; only composite
-	// literals may populate them.
-	Immutable bool
 	// Locks is the lock contract: "none" means the function acquires the
 	// cluster mutex itself and must not run while any mutex is held;
 	// "cluster" means the function requires the cluster mutex held;
@@ -31,22 +26,15 @@ type Ann struct {
 	// Shared marks a function whose returned item sets / states alias
 	// shared structures; itemsetalias requires a Clone before mutation.
 	Shared bool
-	// BackoutSource marks a function that emits back-out candidates;
-	// durablebase applies the ComputeB guard discipline to it.
-	BackoutSource bool
 	// Sink marks a function whose container parameters are out-params the
 	// function intentionally fills; itemsetalias does not treat them as
 	// shared aliases. Callers must pass containers they own.
 	Sink bool
 	// BufferedEvents marks a function whose observer emissions land in an
 	// in-memory buffer (eventBuffer) that the caller flushes after
-	// unlocking, not in user observers directly. lockorder's
+	// unlocking, not in user observers directly. lockheld's
 	// emission-under-mutex checks treat such a function as non-emitting.
 	BufferedEvents bool
-	// CostPath marks an approved cost-accumulation helper: its body may
-	// assign cost.Counts fields directly (it IS a delta-accumulation
-	// path). costaccount exempts it.
-	CostPath bool
 	// NonBlocking asserts a function never parks the goroutine even
 	// though its body contains channel operations — e.g. a wake helper
 	// sending on buffered channels with guaranteed free capacity. The
@@ -73,7 +61,6 @@ type Ann struct {
 // source through one loader, so importers and definers share objects).
 type Annotations struct {
 	funcs  map[types.Object]*Ann
-	typs   map[types.Object]*Ann
 	fields map[types.Object]*Ann
 }
 
@@ -83,17 +70,6 @@ func (a *Annotations) Func(obj types.Object) *Ann {
 		return &Ann{}
 	}
 	if an, ok := a.funcs[obj]; ok {
-		return an
-	}
-	return &Ann{}
-}
-
-// Type returns the annotations of a type object (never nil).
-func (a *Annotations) Type(obj types.Object) *Ann {
-	if a == nil || obj == nil {
-		return &Ann{}
-	}
-	if an, ok := a.typs[obj]; ok {
 		return an
 	}
 	return &Ann{}
@@ -116,7 +92,6 @@ func (a *Annotations) Field(obj types.Object) *Ann {
 func CollectAnnotations(pkgs []*Package) (*Annotations, []error) {
 	a := &Annotations{
 		funcs:  make(map[types.Object]*Ann),
-		typs:   make(map[types.Object]*Ann),
 		fields: make(map[types.Object]*Ann),
 	}
 	var errs []error
@@ -142,13 +117,8 @@ func CollectAnnotations(pkgs []*Package) (*Annotations, []error) {
 						if doc == nil && len(d.Specs) == 1 {
 							doc = d.Doc
 						}
-						an, derr := parseDirectives(pkg, doc, annType)
+						_, derr := parseDirectives(pkg, doc, annType)
 						errs = append(errs, derr...)
-						if an != nil {
-							if obj := pkg.Info.Defs[ts.Name]; obj != nil {
-								a.typs[obj] = an
-							}
-						}
 						if st, ok := ts.Type.(*ast.StructType); ok {
 							errs = append(errs, a.collectFields(pkg, st)...)
 						}
@@ -191,9 +161,9 @@ func (a *Annotations) collectFields(pkg *Package, st *ast.StructType) []error {
 	return errs
 }
 
-// annCtx is the declaration kind a directive comment is attached to;
-// most directives are function contracts, immutable also applies to
-// types, and the mutex contracts apply to struct fields.
+// annCtx is the declaration kind a directive comment is attached to:
+// the mutex contracts apply to struct fields, every other directive to
+// functions, and none to types.
 type annCtx int
 
 const (
@@ -228,21 +198,19 @@ func parseDirectives(pkg *Package, doc *ast.CommentGroup, ctx annCtx) (*Ann, []e
 			errs = append(errs, fmt.Errorf("%s: bad //tiermerge: directive %q: %s",
 				pkg.Fset.Position(c.Pos()), directive, msg))
 		}
+		if ctx == annType {
+			bad("directives do not apply to type declarations")
+			continue
+		}
 		switch {
-		case directive == "immutable":
-			an.Immutable = true
 		case directive == "blocking":
 			an.Blocking = true
 		case directive == "shared":
 			an.Shared = true
-		case directive == "backout-source":
-			an.BackoutSource = true
 		case directive == "sink":
 			an.Sink = true
 		case directive == "buffered-events":
 			an.BufferedEvents = true
-		case directive == "costpath":
-			an.CostPath = true
 		case directive == "nonblocking":
 			an.NonBlocking = true
 		case directive == "iomutex":
@@ -265,16 +233,10 @@ func parseDirectives(pkg *Package, doc *ast.CommentGroup, ctx annCtx) (*Ann, []e
 			bad("unknown directive")
 		}
 		switch ctx {
-		case annType:
-			switch {
-			case an.Locks != "", an.Blocking, an.Shared, an.BackoutSource, an.Sink,
-				an.BufferedEvents, an.CostPath, an.NonBlocking, an.IOMutex, an.LeafMutex:
-				bad("only //tiermerge:immutable applies to type declarations")
-			}
 		case annField:
 			switch {
-			case an.Locks != "", an.Blocking, an.Shared, an.BackoutSource, an.Sink,
-				an.BufferedEvents, an.CostPath, an.NonBlocking, an.Immutable:
+			case an.Locks != "", an.Blocking, an.Shared, an.Sink,
+				an.BufferedEvents, an.NonBlocking:
 				bad("only //tiermerge:iomutex and //tiermerge:leafmutex apply to struct fields")
 			}
 		case annFunc:

@@ -23,9 +23,6 @@ func TestAnnotationParsing(t *testing.T) {
 	}
 	lookup := func(name string) *Ann { return ann.Func(scope.Lookup(name)) }
 
-	if !lookup("Window").Immutable {
-		t.Errorf("Window: want Immutable")
-	}
 	if got := lookup("Merge").Locks; got != "none" {
 		t.Errorf("Merge: Locks = %q, want none", got)
 	}
@@ -38,17 +35,11 @@ func TestAnnotationParsing(t *testing.T) {
 	if !lookup("ReadSet").Shared {
 		t.Errorf("ReadSet: want Shared")
 	}
-	if !lookup("Candidates").BackoutSource {
-		t.Errorf("Candidates: want BackoutSource")
-	}
 	if !lookup("Fill").Sink {
 		t.Errorf("Fill: want Sink")
 	}
 	if got := lookup("Plain"); *got != (Ann{}) {
 		t.Errorf("Plain: got %+v, want zero annotations", got)
-	}
-	if !ann.Type(scope.Lookup("Frozen")).Immutable {
-		t.Errorf("Frozen: want type Immutable")
 	}
 	if j, ok := scope.Lookup("Journal").Type().Underlying().(*types.Struct); !ok {
 		t.Errorf("Journal fixture type missing")
@@ -66,10 +57,6 @@ func TestAnnotationParsing(t *testing.T) {
 				}
 			}
 		}
-	}
-	// A type lookup of a function (and vice versa) must stay empty.
-	if ann.Type(scope.Lookup("Window")).Immutable {
-		t.Errorf("Window looked up as a type must not be Immutable")
 	}
 	_ = obj
 }
@@ -98,7 +85,7 @@ func TestAnnotationErrors(t *testing.T) {
 		`lock contract must be "none", "cluster" or "shard"`,
 		"unknown directive",
 		"missing closing parenthesis",
-		"only //tiermerge:immutable applies to type declarations",
+		"directives do not apply to type declarations",
 		"apply to struct fields only",
 		"apply to sync.Mutex/RWMutex fields",
 		"only //tiermerge:iomutex and //tiermerge:leafmutex apply to struct fields",
@@ -121,11 +108,11 @@ func TestAnnotationErrors(t *testing.T) {
 }
 
 // TestSuppression checks //tiermerge:ignore drops only the named
-// analyzer's diagnostics (exercised end-to-end by the snapshotmut
+// analyzer's diagnostics (exercised end-to-end by the itemsetalias
 // fixture's suppressed case; this pins the name-matching rule).
 func TestSuppression(t *testing.T) {
-	loader, p, ann := loadFixture(t, "snapshotmut")
-	diags, err := Run([]*Analyzer{SnapshotMut}, []*Package{p}, ann, loader.Packages())
+	loader, p, ann := loadFixture(t, "itemsetalias")
+	diags, err := Run([]*Analyzer{ItemSetAlias}, []*Package{p}, ann, loader.Packages())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +123,14 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// suppressedLine finds the line of the st.Set(it, 3) call guarded by the
-// ignore comment in the snapshotmut fixture.
+// suppressedLine finds the line of the set.Add(it) call guarded by the
+// ignore comment in the itemsetalias fixture.
 func suppressedLine(t *testing.T, p *Package) int {
 	t.Helper()
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if strings.HasPrefix(c.Text, "//tiermerge:ignore snapshotmut") {
+				if strings.HasPrefix(c.Text, "//tiermerge:ignore itemsetalias") {
 					return p.Fset.Position(c.Pos()).Line + 1
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // Module-wide call graph. The interprocedural engine (summary.go) needs to
@@ -91,7 +92,7 @@ func (n *FuncNode) Name() string {
 		return n.Obj.Name()
 	}
 	pos := n.Pkg.Fset.Position(n.Lit.Pos())
-	return fmt.Sprintf("func literal %s:%d", shortFile(pos.Filename), pos.Line)
+	return fmt.Sprintf("func literal %s:%d", filepath.Base(pos.Filename), pos.Line)
 }
 
 // Body returns the node's function body.

@@ -22,10 +22,10 @@ func repoRoot(t *testing.T) string {
 
 // TestReplicaTwoPhaseAdmitClean is the acceptance gate for the real code:
 // the cluster-set merge path (internal/replica/clusterset.go) and the rest
-// of the replica package must pass the interprocedural analyzers with zero
-// findings — the ascending lockClusters discipline, the buffered events of
-// the reconnect's one critical section, and the journal fsync that merges
-// and base transactions alike run only after unlocking all check out by
+// of the replica package must pass the whole suite with zero findings —
+// the ascending lockClusters discipline, the buffered events of the
+// reconnect's one critical section, and the journal fsync that merges and
+// base transactions alike run only after unlocking all check out by
 // inference.
 func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 	if testing.Short() {
@@ -43,7 +43,7 @@ func TestReplicaTwoPhaseAdmitClean(t *testing.T) {
 	for _, e := range annErrs {
 		t.Errorf("annotation error: %v", e)
 	}
-	diags, err := Run([]*Analyzer{LockHeld, LockOrder, CostAccount}, []*Package{p}, ann, loader.Packages())
+	diags, err := Run(All(), []*Package{p}, ann, loader.Packages())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func lintProbeBadCall(cs *clusterSet, b *BaseCluster, hm *history.Augmented) {
 	for _, e := range annErrs {
 		t.Errorf("annotation error: %v", e)
 	}
-	diags, err := Run([]*Analyzer{LockHeld, LockOrder}, []*Package{p}, ann, loader.Packages())
+	diags, err := Run([]*Analyzer{LockHeld}, []*Package{p}, ann, loader.Packages())
 	if err != nil {
 		t.Fatal(err)
 	}

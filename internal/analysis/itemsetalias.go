@@ -202,3 +202,39 @@ func (ia *aliasChecker) isShared(e ast.Expr) bool {
 func isModelContainer(t types.Type) bool {
 	return typeIs(t, modelPath, "ItemSet") || typeIs(t, modelPath, "State")
 }
+
+// isSharedMutator matches the in-place mutators of the model containers.
+func isSharedMutator(info *types.Info, sel *ast.SelectorExpr) bool {
+	f, _ := info.Uses[sel.Sel].(*types.Func)
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != modelPath {
+		return false
+	}
+	sig, _ := f.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return false
+	}
+	switch {
+	case typeIs(sig.Recv().Type(), modelPath, "State"):
+		return f.Name() == "Set" || f.Name() == "Apply"
+	case typeIs(sig.Recv().Type(), modelPath, "ItemSet"):
+		return f.Name() == "Add"
+	}
+	return false
+}
+
+func describeExpr(e ast.Expr) string {
+	if s := exprString(e); s != "" {
+		return s
+	}
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		if s := exprString(e.Fun); s != "" {
+			return s + "(...)"
+		}
+	case *ast.IndexExpr:
+		return describeExpr(e.X) + "[...]"
+	case *ast.SliceExpr:
+		return describeExpr(e.X) + "[...]"
+	}
+	return "value"
+}

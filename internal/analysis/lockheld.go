@@ -2,355 +2,43 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// LockHeld enforces the annotation-driven lock discipline of the merge
-// pipeline:
+// LockHeld checks the lock discipline of the merge pipeline. Every rule
+// runs in the engine's one walk per body (summary.go), with callee
+// summaries in hand:
 //
-//   - a function annotated //tiermerge:locks(none) acquires the cluster
-//     mutex itself (or otherwise must run lock-free, like the prepare
-//     phase); calling it while any mutex is held self-deadlocks;
-//   - a function annotated //tiermerge:locks(cluster) requires the
-//     cluster mutex; calling it without a mutex held (and outside another
-//     locks(cluster) function) mutates shared state unprotected;
-//   - a function annotated //tiermerge:locks(shard) requires the mutexes
-//     of every shard its arguments involve, acquired in ascending shard
-//     order (the sharded tier's deadlock-free discipline). The acquisition
-//     runs through the lockClusters helper, whose loop the function-local
-//     scan cannot attribute to concrete mutex keys, so — unlike
-//     locks(cluster) — a locks(shard) call with no lint-visible mutex held
-//     is not flagged; the contract is enforced at the annotated callee's
-//     own call sites and by the race suite;
-//   - acquiring a second, distinct mutex while one is already held is
-//     flagged: nesting mutexes ad hoc is how shard-mutex deadlocks are
-//     made. Multi-mutex acquisition must go through a sorted-order loop
-//     helper (lockClusters), which the linear scan naturally exempts —
-//     each loop-body pass locks exactly one key;
-//   - no blocking operation — channel send/receive/select/range,
-//     sync.WaitGroup.Wait, time.Sleep, or a call annotated
-//     //tiermerge:blocking — may run while a mutex is held: the admission
-//     critical section must stay short and must never wait on anything
-//     that can wait on it.
-//
-// The local pass tracks sync.Mutex/RWMutex Lock/Unlock pairs (including
-// defer Unlock) linearly through the function body, treating nested
-// branches as copies so a branch that unlocks-and-returns does not leak
-// its state. On top of it, the interprocedural engine (summary.go) makes
-// the annotations checked assertions rather than the only source of
-// truth: it reports a locks(cluster|shard) function whose inferred
-// summary blocks or emits observer events, and a call made under a held
-// mutex to an unannotated callee that transitively re-acquires the held
-// mutex's class (self-deadlock) — even when no annotation appears
-// anywhere on the chain.
+//   - a //tiermerge:locks(none) function acquires the cluster mutex
+//     itself; calling it while any mutex is held self-deadlocks;
+//   - a //tiermerge:locks(cluster) function requires the cluster mutex;
+//     calling it with no mutex held (and outside another locks(cluster)
+//     function) mutates shared state unprotected;
+//   - no channel send, receive, select or channel range while a mutex is
+//     held;
+//   - no call that may block while a mutex is held — a //tiermerge:blocking
+//     callee, a known standard-library blocker (time.Sleep, Wait, net and
+//     os I/O), or a callee whose summary blocks, reported with the chain —
+//     unless only //tiermerge:iomutex mutexes are held;
+//   - no second distinct mutex while one is held unless it is a
+//     //tiermerge:leafmutex (multi-mutex acquisition goes through the
+//     ascending-order helper lockClusters, one key per loop pass), no
+//     re-lock of a held mutex, same-class mutexes in strictly ascending
+//     index order, and no cycle in the module-wide lock-order graph;
+//   - no observer event, directly or through a callee, while a mutex is
+//     held, unless buffered (//tiermerge:buffered-events);
+//   - a call that re-acquires a held mutex's class through any chain is a
+//     self-deadlock, and a locks(cluster|shard) function whose summary
+//     blocks or emits contradicts its annotation.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
-	Doc: "enforces //tiermerge:locks(none|cluster|shard) call contracts, forbids " +
-		"blocking operations (channel ops, Wait, Sleep, //tiermerge:blocking calls) " +
-		"while a mutex is held, and flags acquiring a second distinct mutex under " +
-		"a held one (shard mutexes nest only through the sorted-order helper)",
-	Run: runLockHeld,
-}
-
-func runLockHeld(pass *Pass) error {
-	// Interprocedural findings (summary-inferred self-deadlocks and
-	// annotation/summary contradictions) are pre-computed by the engine.
-	pass.Engine.emitFindings(pass)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			lh := &lockChecker{pass: pass, fn: fd}
-			held := make(lockSet)
-			switch pass.Ann.Func(pass.Pkg.Info.Defs[fd.Name]).Locks {
-			case "cluster":
-				// The caller's contract: the cluster mutex is held on entry.
-				held["<caller>"] = true
-				lh.inCluster = true
-			case "shard":
-				// The caller's contract: every involved shard's mutex is
-				// held on entry.
-				held["<caller>"] = true
-				lh.inShard = true
-			}
-			lh.block(fd.Body.List, held)
-		}
-	}
-	return nil
-}
-
-// lockSet maps a rendered mutex expression ("b.mu") to held-ness.
-type lockSet map[string]bool
-
-func (s lockSet) any() bool {
-	for _, h := range s {
-		if h {
-			return true
-		}
-	}
-	return false
-}
-
-func (s lockSet) clone() lockSet {
-	c := make(lockSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
-
-type lockChecker struct {
-	pass      *Pass
-	fn        *ast.FuncDecl
-	inCluster bool // enclosing function is annotated locks(cluster)
-	inShard   bool // enclosing function is annotated locks(shard)
-	// io records, by rendered key, held mutexes whose field declaration is
-	// annotated //tiermerge:iomutex (keys are stable within one body).
-	io map[string]bool
-}
-
-// ioOnly reports whether at least one mutex is held and every held one is
-// an annotated io-mutex — blocking file I/O under such a mutex is its
-// declared purpose, so the blocking-call rules stand down (channel
-// operations and locks(none) calls stay flagged).
-func (lc *lockChecker) ioOnly(held lockSet) bool {
-	any := false
-	for k, h := range held {
-		if !h {
-			continue
-		}
-		if !lc.io[k] {
-			return false
-		}
-		any = true
-	}
-	return any
-}
-
-// block walks statements in order, threading the held set through.
-func (lc *lockChecker) block(stmts []ast.Stmt, held lockSet) {
-	for _, s := range stmts {
-		lc.stmt(s, held)
-	}
-}
-
-func (lc *lockChecker) stmt(s ast.Stmt, held lockSet) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if key, locks, ok := mutexOp(lc.pass.Pkg.Info, s.X); ok {
-			if locks {
-				fa := mutexFieldAnn(lc.pass.Ann, lc.pass.Pkg.Info, s.X)
-				if fa.IOMutex {
-					if lc.io == nil {
-						lc.io = make(map[string]bool)
-					}
-					lc.io[key] = true
-				}
-				// A leaf mutex guards memory only and never waits on
-				// anything, so acquiring it nested cannot close a cycle.
-				if other := lc.otherHeld(held, key); other != "" && !fa.LeafMutex {
-					lc.pass.Reportf(s.Pos(),
-						"lock of %s while %s is already held: nested distinct mutexes deadlock; "+
-							"acquire multiple shard mutexes through the ascending-order helper (lockClusters)",
-						key, other)
-				}
-				held[key] = true
-			} else {
-				delete(held, key)
-			}
-			return
-		}
-		lc.expr(s.X, held)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the mutex held to the end of the
-		// function, which the linear scan already models by simply not
-		// clearing it. Other deferred calls run at an indeterminate lock
-		// state, so they are not checked.
-		return
-	case *ast.SendStmt:
-		if held.any() {
-			lc.pass.Reportf(s.Pos(), "channel send while a mutex is held%s", lc.heldDesc(held))
-		}
-		lc.expr(s.Chan, held)
-		lc.expr(s.Value, held)
-	case *ast.SelectStmt:
-		if held.any() {
-			lc.pass.Reportf(s.Pos(), "select (blocking channel ops) while a mutex is held%s", lc.heldDesc(held))
-		}
-		for _, cl := range s.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok {
-				lc.block(cc.Body, held.clone())
-			}
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			lc.expr(e, held)
-		}
-		for _, e := range s.Lhs {
-			lc.expr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						lc.expr(v, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			lc.expr(e, held)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, held)
-		}
-		lc.expr(s.Cond, held)
-		lc.block(s.Body.List, held.clone())
-		if s.Else != nil {
-			lc.stmt(s.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			lc.expr(s.Cond, held)
-		}
-		lc.block(s.Body.List, held.clone())
-	case *ast.RangeStmt:
-		if t := lc.pass.Pkg.Info.Types[s.X].Type; t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan && held.any() {
-				lc.pass.Reportf(s.Pos(), "range over a channel while a mutex is held%s", lc.heldDesc(held))
-			}
-		}
-		lc.expr(s.X, held)
-		lc.block(s.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			lc.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			lc.expr(s.Tag, held)
-		}
-		for _, cl := range s.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				lc.block(cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cl := range s.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				lc.block(cc.Body, held.clone())
-			}
-		}
-	case *ast.BlockStmt:
-		lc.block(s.List, held)
-	case *ast.GoStmt:
-		// The goroutine body runs without the caller's locks; check it
-		// with an empty held set.
-		if fl, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			lc.block(fl.Body.List, make(lockSet))
-		}
-		for _, a := range s.Call.Args {
-			lc.expr(a, held)
-		}
-	case *ast.LabeledStmt:
-		lc.stmt(s.Stmt, held)
-	}
-}
-
-// expr checks blocking operations and call contracts inside an
-// expression evaluated at the current lock state.
-func (lc *lockChecker) expr(e ast.Expr, held lockSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A closure's execution point is unknown; skip its body.
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && held.any() {
-				lc.pass.Reportf(n.Pos(), "channel receive while a mutex is held%s", lc.heldDesc(held))
-			}
-		case *ast.CallExpr:
-			lc.call(n, held)
-		}
-		return true
-	})
-}
-
-func (lc *lockChecker) call(call *ast.CallExpr, held lockSet) {
-	f := calleeOf(lc.pass.Pkg.Info, call)
-	if f == nil {
-		return
-	}
-	ann := lc.pass.Ann.Func(f)
-	if held.any() {
-		switch {
-		case ann.Locks == "none":
-			lc.pass.Reportf(call.Pos(),
-				"%s is //tiermerge:locks(none) (acquires the cluster lock itself) but is called while a mutex is held%s",
-				f.Name(), lc.heldDesc(held))
-		case ann.Blocking:
-			if !lc.ioOnly(held) {
-				lc.pass.Reportf(call.Pos(),
-					"%s is //tiermerge:blocking but is called while a mutex is held%s", f.Name(), lc.heldDesc(held))
-			}
-		case isKnownBlocking(f):
-			if !lc.ioOnly(held) {
-				lc.pass.Reportf(call.Pos(),
-					"blocking call %s.%s while a mutex is held%s", f.Pkg().Name(), f.Name(), lc.heldDesc(held))
-			}
-		}
-	} else if ann.Locks == "cluster" && !lc.inCluster && !lc.holdsVisibleLock(call) {
-		lc.pass.Reportf(call.Pos(),
-			"%s is //tiermerge:locks(cluster) (requires the cluster mutex) but no mutex is held at this call", f.Name())
-	}
-}
-
-// holdsVisibleLock is a hook for future flow-insensitive refinement; the
-// linear scan's held set is authoritative today.
-func (lc *lockChecker) holdsVisibleLock(*ast.CallExpr) bool { return false }
-
-// otherHeld returns a held mutex key distinct from key ("" when none).
-// The caller-held contract counts: a locks(cluster)/locks(shard) function
-// acquiring a further mutex nests just as dangerously.
-func (lc *lockChecker) otherHeld(held lockSet, key string) string {
-	for k, h := range held {
-		if h && k != key {
-			if k == "<caller>" {
-				if lc.inShard {
-					return "the caller-held shard mutexes"
-				}
-				return "the caller-held cluster mutex"
-			}
-			return k
-		}
-	}
-	return ""
-}
-
-func (lc *lockChecker) heldDesc(held lockSet) string {
-	for k, h := range held {
-		if h && k != "<caller>" {
-			return " (" + k + ")"
-		}
-	}
-	if held["<caller>"] {
-		if lc.inShard {
-			return " (caller-held shard mutexes)"
-		}
-		return " (caller-held cluster mutex)"
-	}
-	return ""
+	Doc: "enforces //tiermerge:locks(none|cluster|shard) call contracts and, with " +
+		"interprocedural summaries, forbids blocking calls, channel operations, observer " +
+		"events, nested or re-entered mutexes and lock-order cycles under a held mutex",
+	Run: func(pass *Pass) error {
+		pass.Engine.emitFindings(pass)
+		return nil
+	},
 }
 
 // mutexOp recognizes X.Lock/RLock/Unlock/RUnlock() on a sync.Mutex or
@@ -381,22 +69,6 @@ func mutexOp(info *types.Info, e ast.Expr) (key string, locks, ok bool) {
 		key = "<mutex>"
 	}
 	return key, locks, true
-}
-
-// mutexFieldAnn resolves the //tiermerge: directives on the struct field
-// a mutex operation's receiver selects (d.fmu.Lock() → the fmu field
-// declaration); an empty Ann when the mutex is not a field or carries no
-// directives.
-func mutexFieldAnn(ann *Annotations, info *types.Info, e ast.Expr) *Ann {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return &Ann{}
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return &Ann{}
-	}
-	return fieldAnnOf(ann, info, sel.X)
 }
 
 // fieldAnnOf resolves a mutex expression ("d.fmu", "bs[i].mu") to its

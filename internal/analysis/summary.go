@@ -6,24 +6,25 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Interprocedural lock-set engine. The per-function analyzers (lockheld's
-// linear scan) see one body at a time, so a contract violation hidden one
-// call away — a helper that blocks, acquires a mutex, or emits an observer
-// event — is invisible unless the helper carries a //tiermerge: annotation.
-// The engine removes that blind spot: it computes, by fixpoint over the
-// module-wide call graph, a Summary for every function body (which mutex
-// classes it may acquire, whether it may block, whether it may emit
-// observer events, what it still holds on exit), then re-walks every body
-// with the summaries in hand, checking each call site against the callee's
-// inferred behavior. Annotations remain as checked documentation: the
-// local analyzers still enforce them, and the engine reports contradictions
-// between an annotation and the inferred summary.
+// Interprocedural lock-set engine. A walk over one body at a time cannot
+// see a contract violation hidden one call away — a helper that blocks,
+// acquires a mutex, or emits an observer event — unless the helper carries
+// a //tiermerge: annotation. The engine removes that blind spot: it
+// computes, by fixpoint over the module-wide call graph, a Summary for
+// every function body (which mutex classes it may acquire, whether it may
+// block, whether it may emit observer events, what it still holds on
+// exit), then walks every body once with the summaries in hand, checking
+// each lock, channel operation and call site against the held set and the
+// callee's inferred behavior. Annotations remain as checked
+// documentation: the walk enforces them at call sites, and the engine
+// reports contradictions between an annotation and the inferred summary.
 //
-// Abstraction choices (kept deliberately close to lockheld's linear scan):
+// Abstraction choices:
 //
 //   - Mutexes are tracked per *class* — the declaring type plus field name
 //     ("replica.BaseCluster.mu"), or the package-level/local variable —
@@ -69,14 +70,17 @@ type Summary struct {
 }
 
 // Engine is the module-wide analysis state shared by every pass of one
-// Run: the call graph, the per-body summaries, and the interprocedural
-// findings pre-computed per package.
+// Run: the call graph, the per-body summaries, and the lock findings
+// pre-computed per package.
 type Engine struct {
 	Graph     *CallGraph
 	Summaries map[*FuncNode]*Summary
 
 	ann      *Annotations
 	findings []engFinding
+	// goLaunched marks the literals started by a go statement: they run
+	// with nothing held, unlike other literals, whose lock state is unknown.
+	goLaunched map[*FuncNode]bool
 
 	// lock-order graph: class -> class edges with the site that created
 	// them, deduplicated to the first site seen (deterministic: nodes are
@@ -84,13 +88,12 @@ type Engine struct {
 	orderEdges map[string]map[string]orderEdge
 }
 
-// engFinding is one interprocedural diagnostic, pre-computed during engine
-// construction and emitted by the owning analyzer's per-package pass.
+// engFinding is one lock diagnostic, pre-computed during engine
+// construction and emitted by lockheld's per-package pass.
 type engFinding struct {
-	pkgPath  string
-	analyzer string // "lockheld" or "lockorder"
-	pos      token.Pos
-	msg      string
+	pkgPath string
+	pos     token.Pos
+	msg     string
 }
 
 type orderEdge struct {
@@ -100,18 +103,6 @@ type orderEdge struct {
 	fset     *token.FileSet
 }
 
-// SummaryOf returns the summary of a declared function, or nil.
-func (e *Engine) SummaryOf(f *types.Func) *Summary {
-	if e == nil || e.Graph == nil {
-		return nil
-	}
-	n := e.Graph.NodeOf(f)
-	if n == nil {
-		return nil
-	}
-	return e.Summaries[n]
-}
-
 // BuildEngine computes the call graph, the summary fixpoint and the
 // interprocedural findings over every loaded package.
 func BuildEngine(pkgs []*Package, ann *Annotations) *Engine {
@@ -119,10 +110,16 @@ func BuildEngine(pkgs []*Package, ann *Annotations) *Engine {
 		Graph:      BuildCallGraph(pkgs),
 		Summaries:  make(map[*FuncNode]*Summary),
 		ann:        ann,
+		goLaunched: make(map[*FuncNode]bool),
 		orderEdges: make(map[string]map[string]orderEdge),
 	}
 	for _, n := range e.Graph.Nodes {
 		e.Summaries[n] = e.directFacts(n)
+		for _, edge := range n.Edges {
+			if edge.Kind == EdgeGo && edge.Callee != nil && edge.Callee.Lit != nil {
+				e.goLaunched[edge.Callee] = true
+			}
+		}
 	}
 	e.fixpoint()
 	for _, n := range e.Graph.Nodes {
@@ -258,8 +255,7 @@ func (e *Engine) directFacts(n *FuncNode) *Summary {
 					}
 				}
 			case *ast.CallExpr:
-				if key, locks, ok := mutexOp(info, x); ok {
-					_ = key
+				if _, locks, ok := mutexOp(info, x); ok {
 					sel := ast.Unparen(x.Fun).(*ast.SelectorExpr)
 					class, _ := classOf(n.Pkg, sel.X)
 					if class != "" {
@@ -374,17 +370,25 @@ func via(chain []string, terminal string) string {
 	return strings.Join(chain, " → ") + " → " + terminal
 }
 
-// ---- phase C: per-body checks with summaries in hand ----
+// ---- phase C: the lock-state walk over every body ----
 
 // heldLock is one mutex held during the check walk.
 type heldLock struct {
 	key    string   // rendered source expression, or a synthetic key
-	class  string   // canonical class ("" for the <caller> contract)
+	class  string   // canonical class ("" for the caller contract)
 	index  ast.Expr // instance-selecting index expression, may be nil
 	idxPkg *Package // package the index expression was typed in
 	caller bool     // the locks(cluster|shard) caller contract
 	via    string   // the callee that left it held ("" when locked here)
 	io     bool     // field annotated //tiermerge:iomutex
+}
+
+// name renders the lock for a diagnostic.
+func (h heldLock) name() string {
+	if h.caller {
+		return "the caller-held mutex"
+	}
+	return h.key
 }
 
 type heldLocks []heldLock
@@ -397,25 +401,51 @@ func (h heldLocks) clone() heldLocks {
 
 func (h heldLocks) any() bool { return len(h) > 0 }
 
+// ioOnly reports whether at least one lock is held and every held one is
+// an annotated io-mutex: blocking I/O under such a mutex is its charter.
+func (h heldLocks) ioOnly() bool {
+	for _, l := range h {
+		if !l.io {
+			return false
+		}
+	}
+	return len(h) > 0
+}
+
+// desc names one held mutex for a diagnostic, preferring a local one.
+func (h heldLocks) desc() string {
+	for _, l := range h {
+		if !l.caller {
+			return " (" + l.key + ")"
+		}
+	}
+	if len(h) > 0 {
+		return " (caller-held mutex)"
+	}
+	return ""
+}
+
 // loopFrame tracks one enclosing for statement and the variables its post
 // statement decrements — the descending-iteration signal.
 type loopFrame struct{ descVars map[string]bool }
 
-// checkWalker re-walks one body linearly (lockheld's scan semantics: branch
-// bodies work on clones, deferred statements are skipped) with summaries
-// available, producing the interprocedural findings.
+// checkWalker walks one body linearly: branch bodies work on clones of the
+// held set, so a branch that unlocks and returns does not leak its state;
+// deferred statements are skipped, so a deferred Unlock keeps its mutex
+// held to the end; literals are nodes of their own. Every lock finding of
+// the suite comes from this walk.
 type checkWalker struct {
-	eng      *Engine
-	node     *FuncNode
-	buffered bool
-	loops    []loopFrame
+	eng   *Engine
+	node  *FuncNode
+	an    *Ann // the walked body's own annotations
+	loops []loopFrame
 }
 
 // checkNode runs the phase-C walk over one body.
 func (e *Engine) checkNode(n *FuncNode) {
-	w := &checkWalker{eng: e, node: n, buffered: e.annOf(n).BufferedEvents}
+	w := &checkWalker{eng: e, node: n, an: e.annOf(n)}
 	var held heldLocks
-	switch e.annOf(n).Locks {
+	switch w.an.Locks {
 	case "cluster", "shard":
 		held = append(held, heldLock{key: "<caller>", caller: true})
 	}
@@ -437,31 +467,32 @@ func (e *Engine) checkAnnotationAssertions(n *FuncNode) {
 		pos = n.Decl.Name.Pos()
 	}
 	if s.MayBlock {
-		e.report(n, "lockheld", pos,
+		e.report(n, pos,
 			"%s is //tiermerge:locks(%s) (runs under a held mutex) but may block: %s",
 			n.Name(), an.Locks, via(s.BlockVia, s.BlockWhat))
 	}
 	if s.Emits && !an.BufferedEvents {
-		e.report(n, "lockheld", pos,
+		e.report(n, pos,
 			"%s is //tiermerge:locks(%s) (runs under a held mutex) but may emit observer events: %s; "+
 				"emit after unlocking, or buffer through an eventBuffer and annotate //tiermerge:buffered-events",
 			n.Name(), an.Locks, via(s.EmitVia, "Observer.Observe"))
 	}
 }
 
-func (e *Engine) report(n *FuncNode, analyzer string, pos token.Pos, format string, args ...any) {
-	e.findings = append(e.findings, engFinding{
-		pkgPath:  n.Pkg.Path,
-		analyzer: analyzer,
-		pos:      pos,
-		msg:      fmt.Sprintf(format, args...),
-	})
+func (e *Engine) report(n *FuncNode, pos token.Pos, format string, args ...any) {
+	e.findings = append(e.findings, engFinding{pkgPath: n.Pkg.Path, pos: pos, msg: fmt.Sprintf(format, args...)})
 }
 
 func (w *checkWalker) block(stmts []ast.Stmt, held *heldLocks) {
 	for _, s := range stmts {
 		w.stmt(s, held)
 	}
+}
+
+// branch walks stmts on a copy of the held set.
+func (w *checkWalker) branch(stmts []ast.Stmt, held *heldLocks) {
+	h := held.clone()
+	w.block(stmts, &h)
 }
 
 func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
@@ -472,8 +503,7 @@ func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
 				sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 				class, index := classOf(w.node.Pkg, sel.X)
 				if locks {
-					fa := fieldAnnOf(w.eng.ann, w.node.Pkg.Info, sel.X)
-					w.acquire(s.Pos(), key, class, index, fa.IOMutex, held)
+					w.acquire(s.Pos(), key, class, index, fieldAnnOf(w.eng.ann, w.node.Pkg.Info, sel.X), held)
 				} else {
 					w.release(key, class, held)
 				}
@@ -482,17 +512,19 @@ func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
 		}
 		w.expr(s.X, held)
 	case *ast.DeferStmt:
-		// Matches lockheld: defer mu.Unlock() keeps the mutex held to the
-		// end; other deferred calls run at an indeterminate lock state.
+		// defer mu.Unlock() keeps the mutex held to the end, which the walk
+		// models by not clearing it; other deferred calls run at an
+		// indeterminate lock state.
 		return
 	case *ast.SendStmt:
+		w.chanOp(s.Pos(), "channel send", *held)
 		w.expr(s.Chan, held)
 		w.expr(s.Value, held)
 	case *ast.SelectStmt:
+		w.chanOp(s.Pos(), "select", *held)
 		for _, cl := range s.Body.List {
 			if cc, ok := cl.(*ast.CommClause); ok {
-				h := held.clone()
-				w.block(cc.Body, &h)
+				w.branch(cc.Body, held)
 			}
 		}
 	case *ast.AssignStmt:
@@ -521,8 +553,7 @@ func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
 			w.stmt(s.Init, held)
 		}
 		w.expr(s.Cond, held)
-		h := held.clone()
-		w.block(s.Body.List, &h)
+		w.branch(s.Body.List, held)
 		if s.Else != nil {
 			h := held.clone()
 			w.stmt(s.Else, &h)
@@ -535,14 +566,17 @@ func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
 			w.expr(s.Cond, held)
 		}
 		w.loops = append(w.loops, loopFrame{descVars: descendingVars(s)})
-		h := held.clone()
-		w.block(s.Body.List, &h)
+		w.branch(s.Body.List, held)
 		w.loops = w.loops[:len(w.loops)-1]
 	case *ast.RangeStmt:
+		if t := w.node.Pkg.Info.Types[s.X].Type; t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				w.chanOp(s.Pos(), "range over a channel", *held)
+			}
+		}
 		w.expr(s.X, held)
 		w.loops = append(w.loops, loopFrame{})
-		h := held.clone()
-		w.block(s.Body.List, &h)
+		w.branch(s.Body.List, held)
 		w.loops = w.loops[:len(w.loops)-1]
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -553,15 +587,13 @@ func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
 		}
 		for _, cl := range s.Body.List {
 			if cc, ok := cl.(*ast.CaseClause); ok {
-				h := held.clone()
-				w.block(cc.Body, &h)
+				w.branch(cc.Body, held)
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		for _, cl := range s.Body.List {
 			if cc, ok := cl.(*ast.CaseClause); ok {
-				h := held.clone()
-				w.block(cc.Body, &h)
+				w.branch(cc.Body, held)
 			}
 		}
 	case *ast.BlockStmt:
@@ -573,6 +605,15 @@ func (w *checkWalker) stmt(s ast.Stmt, held *heldLocks) {
 		}
 	case *ast.LabeledStmt:
 		w.stmt(s.Stmt, held)
+	}
+}
+
+// chanOp reports a channel operation made while a mutex is held: it can
+// wait on a goroutine that waits on the mutex. An io-mutex does not excuse
+// it — a channel wait can cycle back to the mutex, file I/O cannot.
+func (w *checkWalker) chanOp(pos token.Pos, what string, held heldLocks) {
+	if held.any() {
+		w.eng.report(w.node, pos, "%s while a mutex is held%s", what, held.desc())
 	}
 }
 
@@ -597,14 +638,26 @@ func descendingVars(s *ast.ForStmt) map[string]bool {
 }
 
 // acquire handles one Lock/RLock site.
-func (w *checkWalker) acquire(pos token.Pos, key, class string, index ast.Expr, io bool, held *heldLocks) {
+func (w *checkWalker) acquire(pos token.Pos, key, class string, index ast.Expr, fa *Ann, held *heldLocks) {
 	e, n := w.eng, w.node
-	// Re-locking the very mutex already held self-deadlocks (sync.Mutex is
-	// not reentrant).
 	for _, h := range *held {
-		if !h.caller && h.key == key && h.key != "" {
-			e.report(n, "lockorder", pos,
-				"second Lock of %s while it is already held: sync mutexes are not reentrant — self-deadlock", key)
+		if !h.caller && h.key == key {
+			// sync mutexes are not reentrant.
+			e.report(n, pos, "second Lock of %s while it is already held: sync mutexes are not reentrant — self-deadlock", key)
+		}
+	}
+	// A leaf mutex guards memory only and never waits on anything, so
+	// acquiring it nested cannot close a cycle. Any other nesting must go
+	// through the ascending-order helper, whose loop locks one key per pass.
+	if !fa.LeafMutex {
+		for _, h := range *held {
+			if h.key != key {
+				e.report(n, pos,
+					"lock of %s while %s is already held: nested distinct mutexes deadlock; "+
+						"acquire multiple shard mutexes through the ascending-order helper (lockClusters)",
+					key, h.name())
+				break
+			}
 		}
 	}
 	// Ascending-index discipline: same class, both instance indices
@@ -616,7 +669,7 @@ func (w *checkWalker) acquire(pos token.Pos, key, class string, index ast.Expr, 
 					continue
 				}
 				if hi, ok := constIndex(h.idxPkg, h.index); ok && ni <= hi {
-					e.report(n, "lockorder", pos,
+					e.report(n, pos,
 						"acquires %s[%d] while %s[%d] is held: same-class mutexes must be acquired in strictly ascending index order",
 						displayClass(class), ni, displayClass(h.class), hi)
 				}
@@ -626,7 +679,7 @@ func (w *checkWalker) acquire(pos token.Pos, key, class string, index ast.Expr, 
 		// loop that counts its index variable down acquires the class in
 		// descending order — the deadlock mirror image of lockClusters.
 		if loopVar := w.descLoopVarIn(index); loopVar != "" {
-			e.report(n, "lockorder", pos,
+			e.report(n, pos,
 				"acquires %s inside a loop that decrements %s: same-class mutexes must be acquired in ascending index order "+
 					"(use an ascending loop like lockClusters)", displayClass(class), loopVar)
 		}
@@ -637,7 +690,7 @@ func (w *checkWalker) acquire(pos token.Pos, key, class string, index ast.Expr, 
 			e.addOrderEdge(n, h.class, class, pos)
 		}
 	}
-	*held = append(*held, heldLock{key: key, class: class, index: index, idxPkg: n.Pkg, io: io})
+	*held = append(*held, heldLock{key: key, class: class, index: index, idxPkg: n.Pkg, io: fa.IOMutex})
 }
 
 // descLoopVarIn returns the name of an enclosing descending loop's counter
@@ -684,7 +737,8 @@ func (w *checkWalker) releaseClass(class string, held *heldLocks) {
 	*held = out
 }
 
-// expr checks the calls inside one expression at the current lock state.
+// expr checks the channel receives and calls inside one expression at the
+// current lock state.
 func (w *checkWalker) expr(e ast.Expr, held *heldLocks) {
 	if e == nil {
 		return
@@ -693,10 +747,14 @@ func (w *checkWalker) expr(e ast.Expr, held *heldLocks) {
 		switch x := x.(type) {
 		case *ast.FuncLit:
 			return false // its own node
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				w.chanOp(x.Pos(), "channel receive", *held)
+			}
 		case *ast.CallExpr:
 			if _, _, ok := mutexOp(w.node.Pkg.Info, x); ok {
-				// Lock/Unlock in expression position (rare) — handled only
-				// in statement position, like lockheld.
+				// Lock/Unlock in expression position (rare) is handled
+				// only in statement position.
 				return true
 			}
 			w.call(x, held)
@@ -705,67 +763,32 @@ func (w *checkWalker) expr(e ast.Expr, held *heldLocks) {
 	})
 }
 
-// call applies the callee's summary at one call site.
+// call checks one call site against the callee's contract and summary,
+// then applies the callee's net effect on the held set.
 func (w *checkWalker) call(call *ast.CallExpr, held *heldLocks) {
 	e, n := w.eng, w.node
 	f := calleeOf(n.Pkg.Info, call)
 	if f == nil {
 		return
 	}
-	if held.any() && isObserveCall(f) && !w.buffered {
-		e.report(n, "lockorder", call.Pos(),
-			"observer event emitted while a mutex is held: Observe runs arbitrary user code; "+
-				"emit after unlocking or buffer through an eventBuffer (//tiermerge:buffered-events)")
-	}
-	callee := e.Graph.NodeOf(f)
-	if callee == nil {
-		return
-	}
-	s := e.Summaries[callee]
 	an := e.ann.Func(f)
-	if held.any() {
-		// Transitive blocking: the locally-visible cases (annotated
-		// blocking, locks(none), known std blockers) are lockheld's;
-		// the engine owns everything inference-only. Bodies holding only
-		// //tiermerge:iomutex mutexes are serializing blocking I/O — the
-		// mutex's purpose — so the blocking rule stands down there too.
-		if s.MayBlock && !an.Blocking && an.Locks != "none" && !isKnownBlocking(f) && !ioOnlyHeld(*held) {
-			e.report(n, "lockorder", call.Pos(),
-				"call to %s while a mutex is held%s: may block (%s)",
-				callee.Name(), heldDescFor(*held), via(s.BlockVia, s.BlockWhat))
+	callee := e.Graph.NodeOf(f)
+	var s *Summary
+	if callee != nil {
+		s = e.Summaries[callee]
+	}
+	if !held.any() {
+		// A literal's lock state is unknown unless a go statement started
+		// it (then nothing is held).
+		if an.Locks == "cluster" && (n.Lit == nil || e.goLaunched[n]) {
+			e.report(n, call.Pos(),
+				"%s is //tiermerge:locks(cluster) (requires the cluster mutex) but no mutex is held at this call", f.Name())
 		}
-		if s.Emits && !w.buffered && !an.BufferedEvents {
-			e.report(n, "lockorder", call.Pos(),
-				"call to %s while a mutex is held%s: may emit observer events (%s); "+
-					"emit after unlocking, or buffer and flush post-unlock",
-				callee.Name(), heldDescFor(*held), via(s.EmitVia, "Observer.Observe"))
-		}
-		// Same-class reacquisition: the callee (or something it calls)
-		// locks a class already held here — self-deadlock, inferred even
-		// with no annotation anywhere on the chain. Callees annotated
-		// locks(none) or blocking are skipped: lockheld's local check
-		// already reports those at every under-mutex call site.
-		if an.Locks != "none" && !an.Blocking {
-			for _, class := range sortedKeys(s.Acquires) {
-				for _, h := range *held {
-					if h.class == class && h.class != "" {
-						e.report(n, "lockheld", call.Pos(),
-							"call to %s while %s is held: %s acquires %s (%s) — self-deadlock",
-							callee.Name(), h.key, callee.Name(), displayClass(class),
-							via(s.Acquires[class], "Lock"))
-					}
-				}
-			}
-		}
-		// Order edges through the call: held classes precede everything
-		// the callee acquires.
-		for _, class := range sortedKeys(s.Acquires) {
-			for _, h := range *held {
-				if h.class != "" && h.class != class {
-					e.addOrderEdge(n, h.class, class, call.Pos())
-				}
-			}
-		}
+	} else {
+		w.callUnderLock(call, f, an, callee, s, *held)
+	}
+	if s == nil {
+		return
 	}
 	// Net effect on the held set: a net releaser (unlockClusters) drops
 	// its classes; a net acquirer (lockClusters) leaves its classes held.
@@ -775,36 +798,71 @@ func (w *checkWalker) call(call *ast.CallExpr, held *heldLocks) {
 		}
 	}
 	for _, class := range s.HeldOnExit {
-		*held = append(*held, heldLock{
-			key:   "<" + callee.Name() + ">",
-			class: class,
-			via:   callee.Name(),
-		})
+		*held = append(*held, heldLock{key: "<" + callee.Name() + ">", class: class, via: callee.Name()})
 	}
 }
 
-// ioOnlyHeld reports whether at least one lock is held and every held one
-// is an annotated io-mutex.
-func ioOnlyHeld(held heldLocks) bool {
-	for _, h := range held {
-		if !h.io {
-			return false
+// callUnderLock applies the rules for a call made while a mutex is held.
+// callee and s are nil for a function with no source-loaded body.
+func (w *checkWalker) callUnderLock(call *ast.CallExpr, f *types.Func, an *Ann, callee *FuncNode, s *Summary, held heldLocks) {
+	e, n := w.eng, w.node
+	if isObserveCall(f) && !w.an.BufferedEvents {
+		e.report(n, call.Pos(),
+			"observer event emitted while a mutex is held: Observe runs arbitrary user code; "+
+				"emit after unlocking or buffer through an eventBuffer (//tiermerge:buffered-events)")
+	}
+	name := f.Name()
+	if callee != nil {
+		name = callee.Name()
+	} else if f.Pkg() != nil {
+		name = f.Pkg().Name() + "." + f.Name()
+	}
+	switch {
+	case an.Locks == "none":
+		e.report(n, call.Pos(),
+			"%s is //tiermerge:locks(none) (acquires the cluster lock itself) but is called while a mutex is held%s",
+			f.Name(), held.desc())
+	case held.ioOnly():
+		// Blocking I/O under an io-mutex alone is the mutex's charter.
+	case isKnownBlocking(f):
+		e.report(n, call.Pos(), "call to %s while a mutex is held%s: may block (standard library)", name, held.desc())
+	case s != nil && s.MayBlock:
+		e.report(n, call.Pos(), "call to %s while a mutex is held%s: may block (%s)",
+			name, held.desc(), via(s.BlockVia, s.BlockWhat))
+	}
+	if s == nil {
+		return
+	}
+	if s.Emits && !w.an.BufferedEvents && !an.BufferedEvents {
+		e.report(n, call.Pos(),
+			"call to %s while a mutex is held%s: may emit observer events (%s); "+
+				"emit after unlocking, or buffer and flush post-unlock",
+			name, held.desc(), via(s.EmitVia, "Observer.Observe"))
+	}
+	// Same-class reacquisition: the callee (or something it calls) locks a
+	// class already held here — self-deadlock, inferred even with no
+	// annotation anywhere on the chain. A locks(none) or blocking callee is
+	// already reported above at every call under a mutex.
+	if an.Locks != "none" && !an.Blocking {
+		for _, class := range sortedKeys(s.Acquires) {
+			for _, h := range held {
+				if h.class == class && h.class != "" {
+					e.report(n, call.Pos(),
+						"call to %s while %s is held: %s acquires %s (%s) — self-deadlock",
+						name, h.key, name, displayClass(class), via(s.Acquires[class], "Lock"))
+				}
+			}
 		}
 	}
-	return len(held) > 0
-}
-
-// heldDescFor names one held mutex for a diagnostic.
-func heldDescFor(held heldLocks) string {
-	for _, h := range held {
-		if !h.caller {
-			return " (" + h.key + ")"
+	// Order edges through the call: held classes precede everything the
+	// callee acquires.
+	for _, class := range sortedKeys(s.Acquires) {
+		for _, h := range held {
+			if h.class != "" && h.class != class {
+				e.addOrderEdge(n, h.class, class, call.Pos())
+			}
 		}
 	}
-	if len(held) > 0 {
-		return " (caller-held mutex)"
-	}
-	return ""
 }
 
 // ---- lock-order cycle detection ----
@@ -894,25 +952,19 @@ func (e *Engine) reportCycle(cycle []string, reported map[string]bool) {
 		strings.Join(short, " → "), strings.Join(legs, "; "))
 	for i := 0; i+1 < len(cycle); i++ {
 		edge := e.orderEdges[cycle[i]][cycle[i+1]]
-		e.findings = append(e.findings, engFinding{
-			pkgPath:  edge.pkgPath,
-			analyzer: "lockorder",
-			pos:      edge.pos,
-			msg:      msg,
-		})
+		e.findings = append(e.findings, engFinding{pkgPath: edge.pkgPath, pos: edge.pos, msg: msg})
 	}
 }
 
 func positionOf(edge orderEdge) string {
 	p := edge.fset.Position(edge.pos)
-	return fmt.Sprintf("%s:%d", shortFile(p.Filename), p.Line)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
-// emitFindings reports the engine findings owned by analyzer for the
-// pass's package.
+// emitFindings reports the engine findings for the pass's package.
 func (e *Engine) emitFindings(pass *Pass) {
 	for _, f := range e.findings {
-		if f.analyzer == pass.Analyzer.Name && f.pkgPath == pass.Pkg.Path {
+		if f.pkgPath == pass.Pkg.Path {
 			pass.Reportf(f.pos, "%s", f.msg)
 		}
 	}

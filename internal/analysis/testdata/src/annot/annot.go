@@ -3,11 +3,6 @@ package annot
 
 import "sync"
 
-// Window returns an alias of shared storage.
-//
-//tiermerge:immutable
-func Window() []int { return nil }
-
 // Merge acquires the lock itself.
 //
 //tiermerge:locks(none)
@@ -28,22 +23,10 @@ func Acquire() {}
 //tiermerge:shared
 func ReadSet() map[string]struct{} { return nil }
 
-// Candidates emits back-out candidates.
-//
-//tiermerge:backout-source
-func Candidates() []int { return nil }
-
 // Fill fills caller-owned sets.
 //
 //tiermerge:sink
 func Fill(dst map[string]struct{}) { dst["x"] = struct{}{} }
-
-// Frozen values never change after construction.
-//
-//tiermerge:immutable
-type Frozen struct {
-	N int
-}
 
 // Plain carries no directives.
 func Plain() {}

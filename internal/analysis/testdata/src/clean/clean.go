@@ -1,38 +1,15 @@
-// Package clean is a fixture every analyzer accepts: the canonical
-// guard, clone, lock and atomic disciplines all followed at once.
+// Package clean is a fixture every analyzer accepts: the canonical lock
+// and clone disciplines followed at once.
 package clean
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"tiermerge/internal/model"
-	"tiermerge/internal/tx"
 )
-
-type graph struct {
-	kinds []tx.Kind
-}
-
-func (g *graph) Kind(v int) tx.Kind { return g.kinds[v] }
-
-type strategy struct{}
-
-// ComputeB keeps only tentative vertices.
-func (strategy) ComputeB(g *graph, cycle []int) []int {
-	var out []int
-	for _, v := range cycle {
-		if g.Kind(v) != tx.Tentative {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
 
 type cluster struct {
 	mu    sync.Mutex
-	hits  int64
 	state model.State
 }
 
@@ -40,7 +17,6 @@ type cluster struct {
 //
 //tiermerge:locks(none)
 func (c *cluster) Merge(updates map[model.Item]model.Value) {
-	atomic.AddInt64(&c.hits, 1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.installLocked(updates)
@@ -53,9 +29,6 @@ func (c *cluster) installLocked(updates map[model.Item]model.Value) {
 	c.state.Apply(updates)
 }
 
-// Hits reads the counter atomically.
-func (c *cluster) Hits() int64 { return atomic.LoadInt64(&c.hits) }
-
 // stamp copies the frozen state before editing it.
 func stamp(snap model.State, it model.Item, v model.Value) model.State {
 	own := snap.Clone()
@@ -63,7 +36,4 @@ func stamp(snap model.State, it model.Item, v model.Value) model.State {
 	return own
 }
 
-var (
-	_ = strategy{}
-	_ = stamp
-)
+var _ = stamp

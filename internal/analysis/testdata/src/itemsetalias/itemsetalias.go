@@ -72,3 +72,8 @@ func addItems(acc model.ItemSet, items []model.Item) {
 		acc.Add(it)
 	}
 }
+
+func suppressed(set model.ItemSet, it model.Item) {
+	//tiermerge:ignore itemsetalias the debug path owns this set by contract
+	set.Add(it)
+}

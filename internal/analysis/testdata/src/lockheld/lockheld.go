@@ -1,5 +1,6 @@
 // Package lockheld exercises the lockheld analyzer: locks(none|cluster)
-// call contracts and the no-blocking-under-lock rule.
+// call contracts and the no-blocking-under-lock rule. The lockorder and
+// lockinfer fixtures cover its lock-order rules and its inference.
 package lockheld
 
 import (
@@ -43,7 +44,7 @@ func (c *cluster) unsafeInstall(k string) {
 
 func (c *cluster) napLocked() {
 	c.mu.Lock()
-	time.Sleep(time.Millisecond) // want "blocking call time.Sleep while a mutex is held"
+	time.Sleep(time.Millisecond) // want "call to time.Sleep while a mutex is held .*: may block"
 	c.mu.Unlock()
 }
 
@@ -193,7 +194,7 @@ func relockInOrderIsStillNested(s *shardedTier) {
 //
 //tiermerge:locks(shard)
 func (s *shardedTier) lockUnderCallerContract(extra *cluster) {
-	extra.mu.Lock() // want "lock of extra.mu while the caller-held shard mutexes"
+	extra.mu.Lock() // want "lock of extra.mu while the caller-held mutex is already held"
 	extra.mu.Unlock()
 }
 
@@ -201,7 +202,7 @@ func (s *shardedTier) lockUnderCallerContract(extra *cluster) {
 // helper that waits for another's is flagged through the blocking rule.
 func lockThenBlockOnShard(s *shardedTier, b *cluster) {
 	b.mu.Lock()
-	lockShards(s.shards) // want "lockShards is ..tiermerge:blocking but is called while a mutex is held"
+	lockShards(s.shards) // want "call to lockShards while a mutex is held .b\\.mu.: may block .annotated"
 	b.mu.Unlock()
 	unlockShards(s.shards)
 }
@@ -228,7 +229,7 @@ type connPool struct {
 
 func (p *connPool) dialUnderLock(addr string) {
 	p.mu.Lock()
-	c, err := net.Dial("tcp", addr) // want "blocking call net.Dial while a mutex is held"
+	c, err := net.Dial("tcp", addr) // want "call to net.Dial while a mutex is held .*: may block"
 	if err == nil {
 		p.idle = append(p.idle, c)
 	}
@@ -238,7 +239,7 @@ func (p *connPool) dialUnderLock(addr string) {
 func (p *connPool) writeUnderLock(payload []byte) {
 	p.mu.Lock()
 	if len(p.idle) > 0 {
-		p.idle[0].Write(payload) // want "blocking call net.Write while a mutex is held"
+		p.idle[0].Write(payload) // want "call to net.Write while a mutex is held .*: may block"
 	}
 	p.mu.Unlock()
 }
@@ -246,7 +247,7 @@ func (p *connPool) writeUnderLock(payload []byte) {
 func (p *connPool) readUnderLock(buf []byte) {
 	p.mu.Lock()
 	if len(p.idle) > 0 {
-		p.idle[0].Read(buf) // want "blocking call net.Read while a mutex is held"
+		p.idle[0].Read(buf) // want "call to net.Read while a mutex is held .*: may block"
 	}
 	p.mu.Unlock()
 }
@@ -290,7 +291,7 @@ type acceptor struct {
 
 func (a *acceptor) acceptUnderLock(ln net.Listener) {
 	a.mu.Lock()
-	c, err := ln.Accept() // want "blocking call net.Accept while a mutex is held"
+	c, err := ln.Accept() // want "call to net.Accept while a mutex is held .*: may block"
 	if err == nil {
 		a.conns[c] = true
 	}
@@ -321,15 +322,15 @@ type journal struct {
 
 func (j *journal) syncUnderLock() {
 	j.mu.Lock()
-	j.f.Write(j.buf) // want "blocking call os.Write while a mutex is held"
-	j.f.Sync()       // want "blocking call os.Sync while a mutex is held"
+	j.f.Write(j.buf) // want "call to os.Write while a mutex is held .*: may block"
+	j.f.Sync()       // want "call to os.Sync while a mutex is held .*: may block"
 	j.buf = j.buf[:0]
 	j.mu.Unlock()
 }
 
 func (j *journal) rotateUnderLock(dir string) {
 	j.mu.Lock()
-	os.Rename(dir+"/ckpt.tmp", dir+"/ckpt.wal") // want "blocking call os.Rename while a mutex is held"
+	os.Rename(dir+"/ckpt.tmp", dir+"/ckpt.wal") // want "call to os.Rename while a mutex is held .*: may block"
 	j.mu.Unlock()
 }
 
@@ -385,7 +386,7 @@ func (l *segmentLog) sync() error {
 // blocking call under the leaf mutex itself is still flagged.
 func (l *segmentLog) blockUnderLeaf() {
 	l.bmu.Lock()
-	l.f.Sync() // want "blocking call os.Sync while a mutex is held"
+	l.f.Sync() // want "call to os.Sync while a mutex is held .*: may block"
 	l.bmu.Unlock()
 }
 
@@ -401,7 +402,7 @@ func (l *segmentLog) waitUnderIO(done chan int) {
 // the deadlock shape; only annotated leaf mutexes are exempt.
 func (l *segmentLog) nestPlainUnderIO(c *cluster) {
 	l.fmu.Lock()
-	c.mu.Lock() // want "lock of c.mu while l.fmu is already held"
+	c.mu.Lock() // want "lock of c.mu while l.fmu is already held" "lock-order cycle"
 	c.mu.Unlock()
 	l.fmu.Unlock()
 }
@@ -410,8 +411,8 @@ func (l *segmentLog) nestPlainUnderIO(c *cluster) {
 // while an ordinary mutex is also held stays flagged.
 func (l *segmentLog) ioUnderPlain(c *cluster) {
 	c.mu.Lock()
-	l.fmu.Lock() // want "lock of l.fmu while c.mu is already held"
-	l.f.Sync()   // want "blocking call os.Sync while a mutex is held"
+	l.fmu.Lock() // want "lock of l.fmu while c.mu is already held" "lock-order cycle"
+	l.f.Sync()   // want "call to os.Sync while a mutex is held .*: may block"
 	l.fmu.Unlock()
 	c.mu.Unlock()
 }

@@ -46,7 +46,7 @@ func drain(ch chan int) int { return <-ch }
 //
 //tiermerge:locks(cluster)
 func flushLocked(c *cluster, ch chan int) { // want "locks.cluster. .runs under a held mutex. but may block: drain → channel receive"
-	drain(ch)
+	drain(ch) // want "call to drain while a mutex is held .caller-held mutex.: may block .channel receive."
 }
 
 // noteLocked claims to run under the cluster mutex but delivers observer
@@ -54,7 +54,7 @@ func flushLocked(c *cluster, ch chan int) { // want "locks.cluster. .runs under 
 //
 //tiermerge:locks(cluster)
 func noteLocked(c *cluster) { // want "but may emit observer events"
-	c.obs.Observe(obs.Event{})
+	c.obs.Observe(obs.Event{}) // want "observer event emitted while a mutex is held"
 }
 
 // noteBuffered is the sanctioned form: the buffered-events directive says

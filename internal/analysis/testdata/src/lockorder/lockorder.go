@@ -1,6 +1,6 @@
-// Package lockorder exercises the interprocedural lock-order analyzer:
-// ascending same-class acquisition, reentrancy, transitive blocking and
-// emission under mutexes, and lock-order-graph cycles.
+// Package lockorder exercises lockheld's lock-order rules: ascending
+// same-class acquisition, reentrancy, transitive blocking and emission
+// under mutexes, and lock-order-graph cycles.
 package lockorder
 
 import (
@@ -31,7 +31,7 @@ func lockDescending(t *tier) {
 // lockOutOfOrder acquires constant shard indices out of order.
 func lockOutOfOrder(t *tier) {
 	t.shards[1].mu.Lock()
-	t.shards[0].mu.Lock() // want "strictly ascending index order"
+	t.shards[0].mu.Lock() // want "strictly ascending index order" "lock of t.shards.0..mu while t.shards.1..mu is already held"
 	t.shards[0].mu.Unlock()
 	t.shards[1].mu.Unlock()
 }
@@ -166,7 +166,7 @@ type right struct{ mu sync.Mutex }
 // lockLeftThenRight orders left before right.
 func lockLeftThenRight(l *left, r *right) {
 	l.mu.Lock()
-	r.mu.Lock() // want "lock-order cycle"
+	r.mu.Lock() // want "lock-order cycle" "lock of r.mu while l.mu is already held"
 	r.mu.Unlock()
 	l.mu.Unlock()
 }
@@ -175,7 +175,7 @@ func lockLeftThenRight(l *left, r *right) {
 // lockLeftThenRight this closes a cycle, reported at both legs.
 func lockRightThenLeft(l *left, r *right) {
 	r.mu.Lock()
-	l.mu.Lock() // want "lock-order cycle"
+	l.mu.Lock() // want "lock-order cycle" "lock of l.mu while r.mu is already held"
 	l.mu.Unlock()
 	r.mu.Unlock()
 }

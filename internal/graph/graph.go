@@ -172,14 +172,10 @@ func (g *Graph) Cost(v int) int { return g.cost[v] }
 
 // Succ returns the successors of v (v must precede them). The slice
 // aliases the graph's internal adjacency storage.
-//
-//tiermerge:immutable
 func (g *Graph) Succ(v int) []int { return g.succ[v] }
 
 // Pred returns the predecessors of v. The slice aliases the graph's
 // internal adjacency storage.
-//
-//tiermerge:immutable
 func (g *Graph) Pred(v int) []int { return g.pred[v] }
 
 // VertexByID returns the vertex index of the transaction with the given ID,

@@ -107,8 +107,6 @@ func (ix *BaseIndex) Append(a Access) {
 // lists of the footprint items only. Everything in it was copied out under
 // the index owner's lock; the index keeps appending behind the caps without
 // ever touching what the view can see.
-//
-//tiermerge:immutable
 type BaseView struct {
 	from   int
 	deltas bool
@@ -122,8 +120,6 @@ type BaseView struct {
 // view then serves Accesses only (one shard's part of a cross-shard merge,
 // whose accesses its owner appends to a combined index). Call it under the
 // lock that guards Append.
-//
-//tiermerge:immutable
 func (ix *BaseIndex) View(from int, footprint model.ItemSet) *BaseView {
 	n := len(ix.acc)
 	v := &BaseView{from: from, deltas: ix.deltas, acc: ix.acc[:n:n], preds: ix.preds[:n:n]}
@@ -153,8 +149,6 @@ func (v *BaseView) Len() int { return len(v.acc) - v.from }
 func (v *BaseView) Deltas() bool { return v.deltas }
 
 // Accesses returns the viewed entries' accesses in Hb order.
-//
-//tiermerge:immutable
 func (v *BaseView) Accesses() []Access { return v.acc[v.from:] }
 
 // Touches reports whether some viewed entry read or wrote it. Only

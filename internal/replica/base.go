@@ -46,8 +46,6 @@ type baseEntry struct {
 // computed once at install (partition.newCross) so no merge recomputes it.
 // Sibling baseEntry slices on different shards share one *crossTxn, so
 // pointer identity deduplicates them when shards' histories are combined.
-//
-//tiermerge:immutable
 type crossTxn struct {
 	acc graph.Access
 }

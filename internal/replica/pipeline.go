@@ -22,8 +22,6 @@ import (
 
 // prefixSnapshot is the immutable base-prefix view a merge prepares
 // against.
-//
-//tiermerge:immutable
 type prefixSnapshot struct {
 	pos  int // validated checkout position (0 under Strategy 2)
 	view *graph.BaseView

@@ -435,7 +435,10 @@ func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) e
 		c, err := replica.DialContext(ctx, id, srv)
 		return c, func() {}, err
 	}
-	var ws *wire.Server
+	var (
+		ws      *wire.Server
+		redials atomic.Int64
+	)
 	if sc.WireTCP {
 		ws = wire.NewServer(srv, wire.ServerConfig{})
 		addr, err := ws.Listen("127.0.0.1:0")
@@ -451,8 +454,8 @@ func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) e
 				return nil, nil, err
 			}
 			return c, func() {
-				_, redials := tr.Stats()
-				atomic.AddInt64(&res.WireRedials, redials)
+				_, n := tr.Stats()
+				redials.Add(n)
 				tr.Close()
 			}, nil
 		}
@@ -526,6 +529,7 @@ func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) e
 	wg.Wait()
 	res.FailedReexecutions = failed
 	res.TentativeRun = ran
+	res.WireRedials = redials.Load()
 	reqs, in, out := srv.Stats()
 	res.WireRequests = reqs
 	res.WireBytes = in + out

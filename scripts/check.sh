@@ -64,6 +64,12 @@ go vet ./...
 
 echo "== tiermergelint (merge-protocol invariants) =="
 go run ./cmd/tiermergelint ./...
+# The two module-level lint tests skip under -short: the whole suite must
+# stay clean on the real replica package, and inference must still flag a
+# caller of the lock-taking routine once its annotations are stripped.
+lint_pins='TestReplicaTwoPhaseAdmitClean|TestInferenceCoversRemovedAnnotation'
+require_tests "$lint_pins" ./internal/analysis/
+go test -count=1 -run "$lint_pins" ./internal/analysis/
 
 echo "== staticcheck (required, pinned $STATICCHECK_VERSION) =="
 if command -v staticcheck > /dev/null 2>&1; then
