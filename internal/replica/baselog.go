@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"tiermerge/internal/cost"
 	"tiermerge/internal/model"
 	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
@@ -31,14 +30,7 @@ import (
 // media (when w supports it) before AttachJournal returns.
 func (b *BaseCluster) AttachJournal(w io.Writer) error {
 	b.mu.Lock()
-	jw := wal.NewWriter(w)
-	err := jw.Checkout(b.windowID, 0, b.windowOrigin)
-	for _, e := range b.entries {
-		if err != nil {
-			break
-		}
-		err = jw.LogTxn(e.t, e.eff)
-	}
+	jw, err := journalWindow(w, b.windowID, b.windowOrigin, b.entries)
 	if err == nil {
 		b.journal = jw
 	}
@@ -47,6 +39,14 @@ func (b *BaseCluster) AttachJournal(w io.Writer) error {
 		return err
 	}
 	return b.syncJournal()
+}
+
+// journalWindow writes one base window onto w as a journal period — the
+// window's checkout record, then every entry — and returns the writer that
+// continues it.
+func journalWindow(w io.Writer, windowID int, origin model.State, entries []baseEntry) (*wal.Writer, error) {
+	return wal.NewPeriod(w, windowID, 0, origin, len(entries),
+		func(i int) (*tx.Transaction, *tx.Effect) { return entries[i].t, entries[i].eff })
 }
 
 // logCommit journals one committed base entry. Caller holds b.mu. Journal
@@ -73,86 +73,44 @@ func (b *BaseCluster) logWindow() error {
 	return b.journal.Window(b.windowID, b.windowOrigin)
 }
 
-// replayRecords applies a stream of base journal records — commits and
-// window advances, with no leading checkout — to the cluster. Every
-// replayed commit is verified against its logged write images. It returns
-// the number of committed transactions and whether the stream ended inside
-// an open transaction (a torn tail's unacknowledged trailing commit, which
-// the caller drops). Caller holds b.mu.
+// replay applies the decoded records of one base journal stream — commits
+// and window advances, after any checkout record — to the cluster: each
+// transaction re-executes on the master and must reproduce what the journal
+// logged (wal.Group.Verify). It returns the number of committed
+// transactions and how many leading records they and the window advances
+// span; any records past that are a trailing transaction that never
+// committed. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) replayRecords(recs []wal.Record) (committed int, open bool, err error) {
-	var (
-		curTxn    *tx.Transaction
-		curWrites map[model.Item]model.Value
-	)
-	for _, rec := range recs {
-		switch rec.Kind {
-		case wal.KindBegin:
-			if curTxn != nil {
-				return committed, false, fmt.Errorf("replica: recover base: %w: begin %s while %s open",
-					wal.ErrCorrupt, rec.TxID, curTxn.ID)
-			}
-			t, err := tx.UnmarshalTransaction(rec.Txn)
-			if err != nil {
-				return committed, false, fmt.Errorf("replica: recover base: %w: %v", wal.ErrCorrupt, err)
-			}
-			curTxn = t
-			curWrites = make(map[model.Item]model.Value)
-		case wal.KindRead:
-			if curTxn == nil || curTxn.ID != rec.TxID {
-				return committed, false, fmt.Errorf("replica: recover base: %w: stray read for %s",
-					wal.ErrCorrupt, rec.TxID)
-			}
-		case wal.KindWrite:
-			if curTxn == nil || curTxn.ID != rec.TxID {
-				return committed, false, fmt.Errorf("replica: recover base: %w: stray write for %s",
-					wal.ErrCorrupt, rec.TxID)
-			}
-			curWrites[rec.Item] = rec.After
-		case wal.KindCommit:
-			if curTxn == nil || curTxn.ID != rec.TxID {
-				return committed, false, fmt.Errorf("replica: recover base: %w: stray commit for %s",
-					wal.ErrCorrupt, rec.TxID)
-			}
-			eff, err := curTxn.ExecInPlace(b.master, nil)
-			if err != nil {
-				return committed, false, fmt.Errorf("replica: recover base: replay %s: %w", curTxn.ID, err)
-			}
-			for it, v := range curWrites {
-				if eff.Writes[it] != v {
-					return committed, false, fmt.Errorf("replica: recover base: %w: %s wrote %s=%d, logged %d",
-						wal.ErrCorrupt, curTxn.ID, it, eff.Writes[it], v)
-				}
-			}
-			if len(curWrites) != len(eff.Writes) {
-				return committed, false, fmt.Errorf("replica: recover base: %w: %s write-count mismatch",
-					wal.ErrCorrupt, curTxn.ID)
-			}
-			b.appendEntry(baseEntry{t: curTxn, eff: eff})
-			b.propagate(curTxn.ID, eff.Writes)
-			committed++
-			curTxn, curWrites = nil, nil
-		case wal.KindWindow:
-			if curTxn != nil {
-				return committed, false, fmt.Errorf("replica: recover base: %w: window advance mid-transaction",
-					wal.ErrCorrupt)
-			}
-			b.windowID = rec.WindowID
-			b.windowOrigin = model.StateOf(rec.Origin)
+func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err error) {
+	groups, complete, err := wal.Groups(recs)
+	if err != nil {
+		return 0, 0, fmt.Errorf("replica: recover base: %w", err)
+	}
+	for i := range groups {
+		g := &groups[i]
+		if g.Txn == nil {
+			b.windowID = g.WindowID
+			b.windowOrigin = model.StateOf(g.Origin)
 			if !b.windowOrigin.Equal(b.master) {
-				return committed, false, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
+				return 0, 0, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
 					wal.ErrCorrupt)
 			}
 			b.entries = nil
-		case wal.KindCheckout:
-			return committed, false, fmt.Errorf("replica: recover base: %w: duplicate checkout", wal.ErrCorrupt)
-		default:
-			return committed, false, fmt.Errorf("replica: recover base: %w: unknown record %q",
-				wal.ErrCorrupt, rec.Kind)
+			continue
 		}
+		eff, err := g.Txn.ExecInPlace(b.master, nil)
+		if err != nil {
+			return 0, 0, fmt.Errorf("replica: recover base: replay %s: %w", g.Txn.ID, err)
+		}
+		if err := g.Verify(eff); err != nil {
+			return 0, 0, fmt.Errorf("replica: recover base: %w", err)
+		}
+		b.appendEntry(baseEntry{t: g.Txn, eff: eff})
+		b.propagate(g.Txn.ID, eff.Writes)
+		committed++
 	}
-	return committed, curTxn != nil, nil
+	return committed, complete, nil
 }
 
 // RecoverBaseCluster rebuilds a base cluster from its journal: the master
@@ -170,54 +128,52 @@ func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
 	}
-	return recoverCluster(cfg, store.NewMemory(), res)
+	b, rec, _, err := recoverCluster(cfg, store.NewMemory(), res)
+	return b, rec, err
 }
 
 // recoverCluster rebuilds a cluster writing through eng from scanned
 // journal streams: the first leads with the checkout record — the master
 // snapshot and window the journal starts from — and each later one
-// continues it without a header. Every replayed commit is verified against
-// its logged write images. Only the last stream may end inside an open
-// transaction: that commit tore during the crash and was never
-// acknowledged, so it is dropped — and reported (Recovery.Dropped). The
+// continues it without a header. Only the last stream may end inside an
+// open transaction: that commit tore during the crash and was never
+// acknowledged, so it is dropped — and reported (Recovery.Dropped). kept is
+// the number of the last stream's records the recovered cluster holds. The
 // recovery is charged to the recovered cluster's counters and observer.
-func recoverCluster(cfg Config, eng store.Engine, streams ...*wal.ScanResult) (*BaseCluster, *Recovery, error) {
-	head := streams[0].Records
-	if len(head) == 0 || head[0].Kind != wal.KindCheckout {
-		return nil, nil, fmt.Errorf("replica: recover base: %w", wal.ErrCorrupt)
+func recoverCluster(cfg Config, eng store.Engine, streams ...*wal.ScanResult) (b *BaseCluster, rec *Recovery, kept int, err error) {
+	head, body, err := wal.SplitCheckout(streams[0].Records)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("replica: recover base: %w", err)
 	}
-	b := newBaseCluster(model.StateOf(head[0].Origin), cfg, eng)
+	b = newBaseCluster(model.StateOf(head.Origin), cfg, eng)
 	last := streams[len(streams)-1]
-	rec := &Recovery{TornTail: last.Torn, TornLine: last.TornLine, TornOffset: last.TornOffset}
+	rec = &Recovery{TornTail: last.Torn, TornLine: last.TornLine, TornOffset: last.TornOffset}
 	// Replay under the cluster mutex; the recovery event is emitted after
 	// the lock is released (events are never emitted under b.mu).
 	b.mu.Lock()
-	b.windowID = head[0].WindowID
+	b.windowID = head.WindowID
 	for i, s := range streams {
 		recs := s.Records
 		if i == 0 {
-			recs = recs[1:]
+			recs = body
 		}
-		committed, open, err := b.replayRecords(recs)
+		committed, complete, err := b.replay(recs)
+		open := complete < len(recs)
 		if err == nil && open && s != last {
 			err = fmt.Errorf("replica: recover base: %w: stream %d ends mid-transaction", wal.ErrCorrupt, i)
 		}
 		if err != nil {
 			b.mu.Unlock()
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		rec.Records += len(s.Records)
 		rec.Committed += committed
 		if open {
 			rec.Dropped = 1
 		}
+		kept = len(s.Records) - (len(recs) - complete)
 	}
 	b.mu.Unlock()
-	b.counters.Update(func(c *cost.Counts) {
-		c.Recoveries++
-		c.WalRecordsReplayed += int64(rec.Records)
-		c.WalTailDropped += int64(rec.Dropped)
-	})
-	b.emit(rec.event("base"))
-	return b, rec, nil
+	rec.charge(b, "base", 0)
+	return b, rec, kept, nil
 }

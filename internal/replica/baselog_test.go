@@ -2,9 +2,12 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
+	"tiermerge/internal/wal"
 	"tiermerge/internal/workload"
 )
 
@@ -91,23 +94,68 @@ func TestBaseRecoveryDropsTornTail(t *testing.T) {
 	}
 }
 
-// TestBaseRecoveryDetectsTamper: a flipped write image fails verification.
+// TestBaseRecoveryDetectsTamper: base recovery verifies every replayed
+// commit against everything the journal logged for it — after-image, read
+// value, before-image and delta annotation — both from a whole journal
+// (RecoverBaseCluster) and from a durable tail segment (OpenBase).
 func TestBaseRecoveryDetectsTamper(t *testing.T) {
-	var journal bytes.Buffer
-	b := NewBaseCluster(origin(), Config{})
-	if err := b.AttachJournal(&journal); err != nil {
-		t.Fatal(err)
+	// Tb1 (x := x + 10 on x = 100) logs read x=100 and write x 100 -> 110
+	// with delta 10.
+	tampers := []struct{ name, from, to string }{
+		{"after-image", `"after":110`, `"after":111`},
+		{"read value", `"value":100`, `"value":101`},
+		{"before-image", `"before":100`, `"before":101`},
+		{"stripped delta", `,"delta":10`, ``},
 	}
-	if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 10)); err != nil {
-		t.Fatal(err)
+	tamper := func(t *testing.T, log []byte, from, to string) []byte {
+		t.Helper()
+		out := bytes.Replace(log, []byte(from), []byte(to), 1)
+		if bytes.Equal(out, log) {
+			t.Fatalf("tamper target %s not found in %s", from, log)
+		}
+		return out
 	}
-	s := journal.String()
-	tampered := bytes.Replace([]byte(s), []byte(`"after":110`), []byte(`"after":111`), 1)
-	if bytes.Equal(tampered, []byte(s)) {
-		t.Fatal("tamper target not found")
-	}
-	if _, _, err := RecoverBaseCluster(bytes.NewReader(tampered), Config{}); err == nil {
-		t.Error("tampered base journal recovered without error")
+	for _, tc := range tampers {
+		t.Run(tc.name+"/journal", func(t *testing.T) {
+			var journal bytes.Buffer
+			b := NewBaseCluster(origin(), Config{})
+			if err := b.AttachJournal(&journal); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 10)); err != nil {
+				t.Fatal(err)
+			}
+			tampered := tamper(t, journal.Bytes(), tc.from, tc.to)
+			if _, _, err := RecoverBaseCluster(bytes.NewReader(tampered), Config{}); !errors.Is(err, wal.ErrCorrupt) {
+				t.Errorf("tampered base journal recovered with %v, want wal.ErrCorrupt", err)
+			}
+		})
+		t.Run(tc.name+"/tail-segment", func(t *testing.T) {
+			dir := t.TempDir()
+			b, _, err := OpenBase(dir, origin(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+			gen, ckpt, tail, err := store.Segments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.WriteSegments(dir, gen, ckpt, tamper(t, tail, tc.from, tc.to)); err != nil {
+				t.Fatal(err)
+			}
+			if b, _, err := OpenBase(dir, nil, Config{}); !errors.Is(err, wal.ErrCorrupt) {
+				if err == nil {
+					b.CloseStore()
+				}
+				t.Errorf("tampered tail segment recovered with %v, want wal.ErrCorrupt", err)
+			}
+		})
 	}
 }
 

@@ -85,7 +85,7 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: open base: tail segment: %w", err)
 	}
-	b, rec, err := recoverCluster(cfg, d, cres, tres)
+	b, rec, kept, err := recoverCluster(cfg, d, cres, tres)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,33 +94,16 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	// from the file — the client re-runs it, and its re-logged records
 	// must not glue onto the stale ones. A torn trailing fragment is cut
 	// the same way, and a final record that survived complete but lost
-	// only its terminating newline is re-terminated so the next append
-	// starts a fresh line.
-	keep := len(tres.Records)
-	if rec.Dropped > 0 {
-		keep = openTxnStart(tres.Records)
-	}
-	tailBounds := lineBounds(tail)
-	cut := int64(len(tail))
-	switch {
-	case keep == 0:
-		cut = 0
-	case keep <= len(tailBounds):
-		cut = int64(tailBounds[keep-1])
-	}
-	if cut < int64(len(tail)) {
-		if err := d.TruncateTail(cut); err != nil {
-			return nil, nil, fmt.Errorf("replica: open base: %w", err)
-		}
-	} else if n := len(tail); n > 0 && tail[n-1] != '\n' {
-		if _, err := d.Write([]byte{'\n'}); err != nil {
-			return nil, nil, fmt.Errorf("replica: open base: %w", err)
-		}
-	}
-
-	b.mu.Lock()
+	// only its terminating newline gets it back.
 	jw := wal.NewWriter(d)
-	jw.SetSeq(int64(keep))
+	cut, err := jw.Resume(tres, kept)
+	if err == nil && cut < int64(len(tail)) {
+		err = d.TruncateTail(cut)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: %w", err)
+	}
+	b.mu.Lock()
 	b.journal = jw
 	b.mu.Unlock()
 	return b, rec, nil
@@ -168,16 +151,8 @@ func (b *BaseCluster) Checkpoint() error {
 	b.mu.Unlock()
 
 	st, err := b.disk.CompleteRotate(func(w io.Writer) error {
-		jw := wal.NewWriter(w)
-		if err := jw.Checkout(win, 0, origin); err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if err := jw.LogTxn(e.t, e.eff); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := journalWindow(w, win, origin, entries)
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("replica: checkpoint: %w", err)
@@ -192,35 +167,6 @@ func (b *BaseCluster) Checkpoint() error {
 		Saved: len(entries),
 	})
 	return nil
-}
-
-// openTxnStart returns the index of the first record of the trailing open
-// transaction — the truncation point that drops an unacknowledged tail
-// txn's records from the file. It is len(recs) when the stream ends on a
-// transaction boundary.
-func openTxnStart(recs []wal.Record) int {
-	start := len(recs)
-	for i, r := range recs {
-		switch r.Kind {
-		case wal.KindBegin:
-			start = i
-		case wal.KindCommit:
-			start = len(recs)
-		}
-	}
-	return start
-}
-
-// lineBounds returns the byte offset just past each newline — the
-// record-boundary offsets of a journal image.
-func lineBounds(data []byte) []int {
-	var out []int
-	for i, c := range data {
-		if c == '\n' {
-			out = append(out, i+1)
-		}
-	}
-	return out
 }
 
 // CloseStore flushes and closes the cluster's storage engine. The cluster

@@ -15,6 +15,7 @@ import (
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
+	"tiermerge/internal/wal"
 	"tiermerge/internal/workload"
 )
 
@@ -113,7 +114,11 @@ func TestBaseCommitsShareOneFsync(t *testing.T) {
 	// Recovered master per committed prefix of T1, T2.
 	want := []model.Value{5, 6, 12}
 	for i, img := range images {
-		for _, end := range lineBounds(img) {
+		scanned, err := wal.Scan(bytes.NewReader(img), wal.Strict)
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		for _, end := range scanned.Ends {
 			rec, _, err := RecoverBaseCluster(bytes.NewReader(img[:end]), Config{})
 			if err != nil {
 				t.Fatalf("image %d, prefix %d bytes: %v", i, end, err)

@@ -21,16 +21,11 @@ import (
 // period — the already-replayed transactions are re-journaled, so the new
 // journal is complete on its own.
 func (m *MobileNode) AttachJournal(w io.Writer) error {
-	jw := wal.NewWriter(w)
-	if err := jw.Checkout(m.ck.WindowID, m.ck.Pos, m.ck.Origin); err != nil {
-		return err
-	}
 	// Journal any transactions already run this period, so attaching late
 	// still yields a complete journal.
-	for i, eff := range m.run.Effects {
-		if err := jw.LogTxn(m.run.H.Txn(i), eff); err != nil {
-			return err
-		}
+	jw, err := m.journalPeriod(w)
+	if err != nil {
+		return err
 	}
 	// Force the attachment snapshot to stable media (when w supports it)
 	// before reporting the journal live.
@@ -39,6 +34,14 @@ func (m *MobileNode) AttachJournal(w io.Writer) error {
 	}
 	m.journal = jw
 	return nil
+}
+
+// journalPeriod writes the node's whole period onto w — its checkout, then
+// every tentative transaction run so far — and returns the writer that
+// continues it.
+func (m *MobileNode) journalPeriod(w io.Writer) (*wal.Writer, error) {
+	return wal.NewPeriod(w, m.ck.WindowID, m.ck.Pos, m.ck.Origin, m.run.H.Len(),
+		func(i int) (*tx.Transaction, *tx.Effect) { return m.run.H.Txn(i), m.run.Effects[i] })
 }
 
 // logTentative journals one executed transaction when a journal is
@@ -85,20 +88,20 @@ func (r *Recovery) String() string {
 	return s
 }
 
-// event renders the recovery as an observer event (the caller stamps
-// identity and emits it).
-func (r *Recovery) event(who string) obs.Event {
-	ev := obs.Event{
-		Mobile:      who,
-		Phase:       obs.PhaseRecover,
-		Detail:      "strict",
-		Replayed:    r.Records,
-		DroppedTail: r.Dropped,
-	}
+// charge bills the recovery into b: the recovery counters and one
+// observer event attributed to who, stamped seq. Events are never emitted
+// under b.mu, so neither is this.
+func (r *Recovery) charge(b *BaseCluster, who string, seq int64) {
+	b.counters.Update(func(c *cost.Counts) {
+		c.Recoveries++
+		c.WalRecordsReplayed += int64(r.Records)
+		c.WalTailDropped += int64(r.Dropped)
+	})
+	ev := obs.Event{Mobile: who, Seq: seq, Phase: obs.PhaseRecover, Detail: "strict", Replayed: r.Records, DroppedTail: r.Dropped}
 	if r.TornTail {
 		ev.Cause = obs.CauseTornTail
 	}
-	return ev
+	b.emit(ev)
 }
 
 // RecoverMobileNode rebuilds a mobile node from its journal after a crash:
@@ -157,12 +160,5 @@ func (m *MobileNode) noteRecovery(b *BaseCluster) {
 		return
 	}
 	m.recovered = nil
-	b.counters.Update(func(c *cost.Counts) {
-		c.Recoveries++
-		c.WalRecordsReplayed += int64(rec.Records)
-		c.WalTailDropped += int64(rec.Dropped)
-	})
-	ev := rec.event(m.ID)
-	ev.Seq = b.mergeSeq.Add(1)
-	b.emit(ev)
+	rec.charge(b, m.ID, b.mergeSeq.Add(1))
 }

@@ -378,11 +378,7 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 				}), req.Kind, true
 			}
 		}
-		recs, err := wal.ReadAll(bytes.NewReader(req.Journal))
-		if err != nil {
-			return mustResp(wireResp{Err: err.Error()}), req.Kind, true
-		}
-		rep, err := wal.Replay(recs)
+		rep, err := replayPayload(req.Journal)
 		if err != nil {
 			return mustResp(wireResp{Err: err.Error()}), req.Kind, true
 		}
@@ -417,6 +413,28 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 	default:
 		return mustResp(wireResp{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}), req.Kind, false
 	}
+}
+
+// replayPayload decodes and verifies a reconnect's journal. A payload is
+// not a crash image: the client wrote it whole, so a torn final line or a
+// transaction without its commit means it was damaged in transit, and
+// merging the shorter history would silently drop the missing work.
+func replayPayload(journal []byte) (*wal.Replayed, error) {
+	res, err := wal.Scan(bytes.NewReader(journal), wal.Strict)
+	if err != nil {
+		return nil, err
+	}
+	if res.Torn {
+		return nil, fmt.Errorf("replica: reconnect journal torn at line %d: %w", res.TornLine, wal.ErrCorrupt)
+	}
+	rep, err := wal.Replay(res.Records)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Dropped > 0 {
+		return nil, fmt.Errorf("replica: reconnect journal ends in an uncommitted transaction: %w", wal.ErrCorrupt)
+	}
+	return rep, nil
 }
 
 // lookupApplied returns the cached reconnect state for a mobile,

@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -314,6 +316,66 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 	}
 	if got := b.Master().Get("acct"); got != 5 {
 		t.Errorf("acct = %d, want 5 (double-applied!)", got)
+	}
+}
+
+// TestServeFrameRejectsDamagedJournal: a reconnect payload is not a crash
+// image. One that lost its final commit record, or whose final line was cut
+// short, must be refused — not merged as the shorter history its intact
+// prefix spells — with an error the dedup cache does not keep, and with the
+// master untouched. Regression: both forms merged Tm1 and silently dropped
+// Tm2, and the cached response made the intact retry replay that loss.
+func TestServeFrameRejectsDamagedJournal(t *testing.T) {
+	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
+	srv := Serve(b)
+	defer srv.Close()
+	c, err := Dial("m1", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, amt := range []model.Value{5, 7} {
+		if err := c.Run(workload.Deposit(fmt.Sprintf("Tm%d", i+1), tx.Tentative, "acct", amt)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal, err := c.marshalJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := bytes.LastIndexByte(journal[:len(journal)-1], '\n') + 1
+	damaged := map[string][]byte{
+		"without final commit": journal[:lastLine],
+		"final line cut short": journal[:len(journal)-4],
+	}
+	frame := func(j []byte) []byte {
+		payload, err := json.Marshal(wireReq{Kind: reqMerge, MobileID: "m1", Seq: 1, Epoch: "e1", Journal: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	for name, j := range damaged {
+		raw, _, lost := srv.ServeFrame(frame(j))
+		var resp wireResp
+		if err := json.Unmarshal(raw, &resp); err != nil || lost {
+			t.Fatalf("%s: response %q lost=%v: %v", name, raw, lost, err)
+		}
+		if resp.Err == "" {
+			t.Errorf("%s: damaged journal accepted: %s", name, raw)
+		}
+		if got := b.Master().Get("acct"); got != 0 {
+			t.Fatalf("%s: acct = %d after a refused reconnect, want 0", name, got)
+		}
+	}
+	// Neither refusal was cached: the intact journal under the same seq
+	// merges both transactions.
+	raw, _, _ := srv.ServeFrame(frame(journal))
+	var resp wireResp
+	if err := json.Unmarshal(raw, &resp); err != nil || resp.Err != "" || resp.Saved != 2 {
+		t.Errorf("intact retry: %s (%v), want 2 saved", raw, err)
+	}
+	if got := b.Master().Get("acct"); got != 12 {
+		t.Errorf("acct = %d after the intact retry, want 12", got)
 	}
 }
 

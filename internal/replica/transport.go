@@ -13,7 +13,6 @@ import (
 
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
-	"tiermerge/internal/wal"
 )
 
 // Transport carries one serialized request envelope to a base server and
@@ -214,14 +213,8 @@ func (c *Client) Pending() int { return c.node.Pending() }
 // payload a reconnect ships.
 func (c *Client) marshalJournal() ([]byte, error) {
 	var buf bytes.Buffer
-	w := wal.NewWriter(&buf)
-	if err := w.Checkout(c.node.ck.WindowID, c.node.ck.Pos, c.node.ck.Origin); err != nil {
+	if _, err := c.node.journalPeriod(&buf); err != nil {
 		return nil, err
-	}
-	for i, eff := range c.node.run.Effects {
-		if err := w.LogTxn(c.node.run.H.Txn(i), eff); err != nil {
-			return nil, err
-		}
 	}
 	return buf.Bytes(), nil
 }

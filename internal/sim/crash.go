@@ -10,6 +10,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"sort"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/fault"
@@ -133,38 +134,14 @@ func RunCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 	}
 	refMaster := refCluster.Master()
 
-	scanned, err := wal.Scan(bytes.NewReader(full), wal.Strict)
+	res, err := sweepJournal(cs, full, func(res *CrashSweepResult, want ack, k, torn int) error {
+		return runMobileTrial(cs, res, tents, baseTxns, want, refMaster, k, torn)
+	}, func(data []byte) (*replica.Recovery, error) {
+		_, rep, err := replica.RecoverMobileNode("m1", bytes.NewReader(data))
+		return rep, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("sim: crash sweep: reference journal: %w", err)
-	}
-	allRecs := scanned.Records
-	res := &CrashSweepResult{Records: len(allRecs)}
-
-	// An empty journal (killed before the checkout record persisted) is not
-	// a recoverable image; recovery must refuse it, not fabricate a node.
-	if _, _, err := replica.RecoverMobileNode("m1", bytes.NewReader(nil)); err == nil {
-		return nil, fmt.Errorf("sim: crash sweep: recovery accepted an empty journal")
-	}
-
-	for k := 1; k <= len(allRecs); k++ {
-		for _, torn := range []int{0, cs.TornTailBytes} {
-			if torn > 0 && k == len(allRecs) {
-				continue // no suppressed record left to tear
-			}
-			if err := runMobileTrial(cs, res, tents, baseTxns, allRecs, refMaster, full, k, torn); err != nil {
-				return nil, fmt.Errorf("sim: crash sweep: kill after %d records (torn %d): %w", k, torn, err)
-			}
-			res.KillPoints++
-		}
-	}
-
-	if !cs.SkipByteSweep {
-		if err := runByteSweep(res, full, allRecs, func(data []byte) (*replica.Recovery, error) {
-			_, rep, err := replica.RecoverMobileNode("m1", bytes.NewReader(data))
-			return rep, err
-		}); err != nil {
-			return nil, fmt.Errorf("sim: crash sweep: %w", err)
-		}
+		return nil, fmt.Errorf("sim: crash sweep: %w", err)
 	}
 	return res, nil
 }
@@ -174,7 +151,7 @@ func RunCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 // recovers, finishes the period under a fresh journal, crashes a second
 // time, re-recovers, reconnects and checks every invariant.
 func runMobileTrial(cs CrashSweep, res *CrashSweepResult, tents, baseTxns []*tx.Transaction,
-	allRecs []wal.Record, refMaster model.State, full []byte, k, torn int) error {
+	want ack, refMaster model.State, k, torn int) error {
 	cluster := sweepCluster(cs)
 	m := replica.NewMobileNode("m1", cluster)
 	cw := fault.NewCrashWriter(fault.Plan{KillAfterRecords: k, TornTailBytes: torn})
@@ -195,25 +172,8 @@ func runMobileTrial(cs CrashSweep, res *CrashSweepResult, tents, baseTxns []*tx.
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	wantCommitted, wantOpen := commitsIn(allRecs[:k])
-	if rep.Committed != wantCommitted {
-		return fmt.Errorf("recovered %d committed txns, journal prefix acknowledged %d", rep.Committed, wantCommitted)
-	}
-	wantDropped := 0
-	if wantOpen {
-		wantDropped = 1
-	}
-	if rep.Dropped != wantDropped {
-		return fmt.Errorf("recovery dropped %d txns, want %d", rep.Dropped, wantDropped)
-	}
-	if wantTorn := torn > 0; rep.TornTail != wantTorn {
-		return fmt.Errorf("recovery torn=%v, want %v", rep.TornTail, wantTorn)
-	}
-	res.Recoveries++
-	res.DroppedTxns += rep.Dropped
-	res.RecordsReplayed += int64(rep.Records)
-	if rep.TornTail {
-		res.TornTails++
+	if err := res.tally(rep, want, torn > 0); err != nil {
+		return err
 	}
 
 	// Re-establish durability and finish the period: the dropped in-flight
@@ -280,37 +240,15 @@ func RunBaseCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 	full := append([]byte(nil), refJournal.Bytes()...)
 	refMaster := refCluster.Master()
 
-	scanned, err := wal.Scan(bytes.NewReader(full), wal.Strict)
-	if err != nil {
-		return nil, fmt.Errorf("sim: base crash sweep: reference journal: %w", err)
-	}
-	allRecs := scanned.Records
-	res := &CrashSweepResult{Records: len(allRecs)}
 	cfg := replica.Config{Weights: cost.DefaultWeights(), Observer: cs.Observer}
-
-	if _, _, err := replica.RecoverBaseCluster(bytes.NewReader(nil), cfg); err == nil {
-		return nil, fmt.Errorf("sim: base crash sweep: recovery accepted an empty journal")
-	}
-
-	for k := 1; k <= len(allRecs); k++ {
-		for _, torn := range []int{0, cs.TornTailBytes} {
-			if torn > 0 && k == len(allRecs) {
-				continue
-			}
-			if err := runBaseTrial(res, cfg, baseTxns, allRecs, refMaster, full, k, torn); err != nil {
-				return nil, fmt.Errorf("sim: base crash sweep: kill after %d records (torn %d): %w", k, torn, err)
-			}
-			res.KillPoints++
-		}
-	}
-
-	if !cs.SkipByteSweep {
-		if err := runByteSweep(res, full, allRecs, func(data []byte) (*replica.Recovery, error) {
-			_, rep, err := replica.RecoverBaseCluster(bytes.NewReader(data), cfg)
-			return rep, err
-		}); err != nil {
-			return nil, fmt.Errorf("sim: base crash sweep: %w", err)
-		}
+	res, err := sweepJournal(cs, full, func(res *CrashSweepResult, want ack, k, torn int) error {
+		return runBaseTrial(res, cfg, baseTxns, want, refMaster, full, k, torn)
+	}, func(data []byte) (*replica.Recovery, error) {
+		_, rep, err := replica.RecoverBaseCluster(bytes.NewReader(data), cfg)
+		return rep, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: base crash sweep: %w", err)
 	}
 	return res, nil
 }
@@ -319,7 +257,7 @@ func RunBaseCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 // kill point k leaves behind, then has the recovered tier commit the rest
 // of the day and checks it converges on the reference master.
 func runBaseTrial(res *CrashSweepResult, cfg replica.Config, baseTxns []*tx.Transaction,
-	allRecs []wal.Record, refMaster model.State, full []byte, k, torn int) error {
+	want ack, refMaster model.State, full []byte, k, torn int) error {
 	cw := fault.NewCrashWriter(fault.Plan{KillAfterRecords: k, TornTailBytes: torn})
 	if _, err := cw.Write(full); err != nil {
 		return err
@@ -328,25 +266,8 @@ func runBaseTrial(res *CrashSweepResult, cfg replica.Config, baseTxns []*tx.Tran
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	wantCommitted, wantOpen := commitsIn(allRecs[:k])
-	if rep.Committed != wantCommitted {
-		return fmt.Errorf("recovered %d committed txns, journal prefix acknowledged %d", rep.Committed, wantCommitted)
-	}
-	wantDropped := 0
-	if wantOpen {
-		wantDropped = 1
-	}
-	if rep.Dropped != wantDropped {
-		return fmt.Errorf("recovery dropped %d txns, want %d", rep.Dropped, wantDropped)
-	}
-	if wantTorn := torn > 0; rep.TornTail != wantTorn {
-		return fmt.Errorf("recovery torn=%v, want %v", rep.TornTail, wantTorn)
-	}
-	res.Recoveries++
-	res.DroppedTxns += rep.Dropped
-	res.RecordsReplayed += int64(rep.Records)
-	if rep.TornTail {
-		res.TornTails++
+	if err := res.tally(rep, want, torn > 0); err != nil {
+		return err
 	}
 	snap := b.Counters().Snapshot()
 	if snap.Recoveries != 1 || snap.WalRecordsReplayed != int64(rep.Records) {
@@ -368,50 +289,147 @@ func runBaseTrial(res *CrashSweepResult, cfg replica.Config, baseTxns []*tx.Tran
 	return nil
 }
 
-// runByteSweep truncates the reference journal at every byte offset and
-// asserts recovery classifies each image correctly. Three cases per offset:
-// the cut lands on a record boundary (clean image), one byte before it (the
-// final record lost only its newline — still a complete, recoverable line),
-// or mid-record (a torn fragment, dropped). Offsets that leave no complete
-// checkout record must be refused outright.
-func runByteSweep(res *CrashSweepResult, full []byte, allRecs []wal.Record,
-	recover func([]byte) (*replica.Recovery, error)) error {
-	bounds := lineBounds(full)
-	for b := 1; b <= len(full); b++ {
-		data := fault.Apply(full, fault.Mutation{Op: fault.TruncateAt, Arg: int64(b)})
-		contained := 0
-		for contained < len(bounds) && bounds[contained] <= b {
-			contained++
-		}
-		seen, wantTorn := contained, false
-		switch {
-		case contained < len(bounds) && b == bounds[contained]-1:
-			seen++ // complete final line, only its newline lost
-		case contained == 0 || b != bounds[contained-1]:
-			wantTorn = true // cut mid-record: the fragment is dropped
-		}
-		rep, err := recover(data)
+// sweepJournal runs every kill point of a reference journal: trial at each
+// record boundary k, clean and with a torn fragment of record k+1, then —
+// unless the sweep skips it — recover at every byte offset (sweepBytes),
+// asserting each image recovers the committed prefix of the records it
+// keeps. Images that keep no complete checkout record must be refused.
+func sweepJournal(cs CrashSweep, full []byte, trial func(res *CrashSweepResult, want ack, k, torn int) error,
+	recover func([]byte) (*replica.Recovery, error)) (*CrashSweepResult, error) {
+	scanned, err := wal.Scan(bytes.NewReader(full), wal.Strict)
+	if err != nil {
+		return nil, fmt.Errorf("reference journal: %w", err)
+	}
+	acks, err := acksOf(scanned.Records)
+	if err != nil {
+		return nil, fmt.Errorf("reference journal: %w", err)
+	}
+	res := &CrashSweepResult{Records: len(scanned.Records)}
+	// An empty journal (killed before the checkout record persisted) is not
+	// a recoverable image; recovery must refuse it, not fabricate a node.
+	if _, err := recover(nil); err == nil {
+		return nil, fmt.Errorf("recovery accepted an empty journal")
+	}
+	err = res.sweepRecords(1, len(scanned.Records), cs.TornTailBytes, func(k, torn int) error {
+		return trial(res, acks[k], k, torn)
+	})
+	if err != nil || cs.SkipByteSweep {
+		return res, err
+	}
+	return res, sweepBytes(scanned.Ends, func(cut int64, seen int, torn bool) error {
+		rep, err := recover(full[:cut])
 		if seen == 0 {
 			if err == nil {
-				return fmt.Errorf("truncate at byte %d: recovery accepted a journal with no checkout record", b)
+				return fmt.Errorf("recovery accepted a journal with no checkout record")
 			}
-			continue
+			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("truncate at byte %d: %w", b, err)
-		}
-		wantCommitted, _ := commitsIn(allRecs[:seen])
-		if rep.Committed != wantCommitted {
-			return fmt.Errorf("truncate at byte %d: recovered %d committed txns, want %d", b, rep.Committed, wantCommitted)
-		}
-		if rep.TornTail != wantTorn {
-			return fmt.Errorf("truncate at byte %d: torn=%v, want %v", b, rep.TornTail, wantTorn)
+			return err
 		}
 		res.ByteKillPoints++
-		res.RecordsReplayed += int64(rep.Records)
-		if rep.TornTail {
-			res.TornTails++
+		return res.tally(rep, acks[seen], torn)
+	})
+}
+
+// sweepRecords runs trial at every record-boundary kill point of a journal
+// of n records, from first on — after k records, clean and with a torn
+// fragment (tornBytes) of record k+1 — and counts each as a kill point.
+func (res *CrashSweepResult) sweepRecords(first, n, tornBytes int, trial func(k, torn int) error) error {
+	for k := first; k <= n; k++ {
+		for _, torn := range []int{0, tornBytes} {
+			if torn > 0 && k == n {
+				continue // no suppressed record left to tear
+			}
+			if err := trial(k, torn); err != nil {
+				return fmt.Errorf("kill after %d records (torn %d): %w", k, torn, err)
+			}
+			res.KillPoints++
 		}
+	}
+	return nil
+}
+
+// sweepBytes cuts a journal image at every byte offset and runs trial on
+// each cut, classified by the image's record ends (wal.ScanResult.Ends):
+// seen counts the records the cut keeps — a cut one byte short of a record's
+// end keeps that record too, since its line lost only the newline — and torn
+// reports a fragment of the next record trailing them, which recovery must
+// drop. A strict prefix of a JSON object never decodes as one, so no other
+// case exists.
+func sweepBytes(ends []int64, trial func(cut int64, seen int, torn bool) error) error {
+	if len(ends) == 0 {
+		return nil
+	}
+	for cut := int64(1); cut <= ends[len(ends)-1]; cut++ {
+		seen := sort.Search(len(ends), func(i int) bool { return ends[i] > cut })
+		torn := false
+		switch {
+		case seen < len(ends) && cut == ends[seen]-1:
+			seen++
+		case seen == 0 || cut != ends[seen-1]:
+			torn = true
+		}
+		if err := trial(cut, seen, torn); err != nil {
+			return fmt.Errorf("truncate at byte %d: %w", cut, err)
+		}
+	}
+	return nil
+}
+
+// ack is what a journal prefix acknowledged: the transactions it commits,
+// and whether it ends inside one that never committed.
+type ack struct {
+	committed int
+	open      bool
+}
+
+// acksOf decodes every record prefix of a checkout-led reference journal:
+// acks[k] is what its first k records acknowledged.
+func acksOf(recs []wal.Record) ([]ack, error) {
+	acks := make([]ack, len(recs)+1)
+	for k := 1; k <= len(recs); k++ {
+		_, body, err := wal.SplitCheckout(recs[:k])
+		if err != nil {
+			return nil, err
+		}
+		groups, complete, err := wal.Groups(body)
+		if err != nil {
+			return nil, err
+		}
+		for _, g := range groups {
+			if g.Txn != nil {
+				acks[k].committed++
+			}
+		}
+		acks[k].open = complete < len(body)
+	}
+	return acks, nil
+}
+
+// tally checks a kill-point recovery against what the persisted journal
+// prefix acknowledged — every committed transaction restored, the open one
+// dropped, a tear reported exactly when a fragment trailed the prefix — and
+// adds it to the sweep's tallies.
+func (res *CrashSweepResult) tally(rep *replica.Recovery, want ack, torn bool) error {
+	if rep.Committed != want.committed {
+		return fmt.Errorf("recovered %d committed txns, journal prefix acknowledged %d", rep.Committed, want.committed)
+	}
+	wantDropped := 0
+	if want.open {
+		wantDropped = 1
+	}
+	if rep.Dropped != wantDropped {
+		return fmt.Errorf("recovery dropped %d txns, want %d", rep.Dropped, wantDropped)
+	}
+	if rep.TornTail != torn {
+		return fmt.Errorf("recovery torn=%v, want %v", rep.TornTail, torn)
+	}
+	res.Recoveries++
+	res.DroppedTxns += rep.Dropped
+	res.RecordsReplayed += int64(rep.Records)
+	if rep.TornTail {
+		res.TornTails++
 	}
 	return nil
 }
@@ -500,31 +518,4 @@ func sweepConnect(cs CrashSweep, m *replica.MobileNode, cluster *replica.BaseClu
 		return m.ConnectReprocess(), nil
 	}
 	return m.ConnectMerge()
-}
-
-// commitsIn counts acknowledged commits in a journal prefix and reports
-// whether the prefix ends inside an open transaction.
-func commitsIn(recs []wal.Record) (committed int, open bool) {
-	for _, r := range recs {
-		switch r.Kind {
-		case wal.KindBegin:
-			open = true
-		case wal.KindCommit:
-			committed++
-			open = false
-		}
-	}
-	return committed, open
-}
-
-// lineBounds returns the byte offset just past each newline — the
-// record-boundary offsets of a journal image.
-func lineBounds(data []byte) []int {
-	var out []int
-	for i, c := range data {
-		if c == '\n' {
-			out = append(out, i+1)
-		}
-	}
-	return out
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/model"
@@ -87,7 +88,8 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: durable crash sweep: %w", err)
 	}
-	var prefixRecords, preGen int
+	var preGen int
+	var preBytes int64
 	var preCkpt, preTail []byte
 	for j, t := range baseTxns {
 		if j == advance1 || j == advance2 {
@@ -103,7 +105,7 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 			if err := durable.Checkpoint(); err != nil {
 				return nil, fmt.Errorf("sim: durable crash sweep: checkpoint: %w", err)
 			}
-			prefixRecords = len(lineBounds(refJournal.Bytes()))
+			preBytes = int64(refJournal.Len())
 		}
 		if err := legacy.ExecBase(t); err != nil {
 			return nil, fmt.Errorf("sim: durable crash sweep reference: %w", err)
@@ -128,17 +130,18 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 	}
 
 	full := append([]byte(nil), refJournal.Bytes()...)
-	bounds := lineBounds(full)
 	scanned, err := wal.Scan(bytes.NewReader(full), wal.Strict)
 	if err != nil {
 		return nil, fmt.Errorf("sim: durable crash sweep: reference journal: %w", err)
 	}
+	bounds := scanned.Ends
+	prefixRecords := sort.Search(len(bounds), func(i int) bool { return bounds[i] > preBytes })
 	tscan, err := wal.Scan(bytes.NewReader(tail), wal.Strict)
 	if err != nil || tscan.Torn {
 		return nil, fmt.Errorf("sim: durable crash sweep: reference tail: %w", wal.ErrCorrupt)
 	}
 	tailRecs := tscan.Records
-	tbounds := lineBounds(tail)
+	tbounds := tscan.Ends
 	if prefixRecords+len(tailRecs) != len(scanned.Records) {
 		return nil, fmt.Errorf("sim: durable crash sweep: tail/full-log mapping broken: %d+%d != %d",
 			prefixRecords, len(tailRecs), len(scanned.Records))
@@ -161,55 +164,36 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 
 	// Record-boundary sweep over the tail (clean and torn variants). n=0 is
 	// the crash immediately after the rotation published the new segments.
-	for n := 0; n <= len(tailRecs); n++ {
-		prefixEnd := 0
+	err = res.sweepRecords(0, len(tailRecs), cs.TornTailBytes, func(n, torn int) error {
+		cut := int64(torn)
 		if n > 0 {
-			prefixEnd = tbounds[n-1]
+			cut += tbounds[n-1]
 		}
-		for _, torn := range []int{0, cs.TornTailBytes} {
-			if torn > 0 && n == len(tailRecs) {
-				continue // no suppressed record left to tear
-			}
-			img := append([]byte(nil), tail[:prefixEnd]...)
-			img = append(img, tail[prefixEnd:prefixEnd+torn]...)
-			dir := filepath.Join(ds.Dir, fmt.Sprintf("kill-%03d-%d", n, torn))
-			err := runDurableTrial(res, cfg, origin, baseTxns, full, bounds, refMaster, dir,
-				func(d string) error { return store.WriteSegments(d, gen, ckpt, img) },
-				prefixRecords+n, advance1, torn > 0)
-			if err != nil {
-				return nil, fmt.Errorf("sim: durable crash sweep: kill after %d tail records (torn %d): %w", n, torn, err)
-			}
-			res.KillPoints++
-		}
+		dir := filepath.Join(ds.Dir, fmt.Sprintf("kill-%03d-%d", n, torn))
+		return runDurableTrial(res, cfg, origin, baseTxns, full, bounds, refMaster, dir,
+			func(d string) error { return store.WriteSegments(d, gen, ckpt, tail[:cut]) },
+			prefixRecords+n, advance1, torn > 0)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sim: durable crash sweep: tail: %w", err)
 	}
 
-	// Byte-granular truncation sweep over the tail, classified exactly as
-	// runByteSweep classifies the full-history journal: a cut on a record
-	// boundary is clean, one byte before it loses only the final newline
-	// (still a complete, recoverable record), anything else is a torn
-	// fragment the recovery drops. Unlike the full-history sweep there is
-	// no refusal case — the checkpoint segment always anchors recovery.
+	// Byte-granular truncation sweep over the tail, classified as the
+	// full-history sweeps classify theirs (sweepBytes). Unlike those there
+	// is no refusal case — the checkpoint segment always anchors recovery.
 	if !cs.SkipByteSweep {
-		for c := 1; c <= len(tail); c++ {
-			contained := 0
-			for contained < len(tbounds) && tbounds[contained] <= c {
-				contained++
-			}
-			seen, wantTorn := contained, false
-			switch {
-			case contained < len(tbounds) && c == tbounds[contained]-1:
-				seen++
-			case contained == 0 || c != tbounds[contained-1]:
-				wantTorn = true
-			}
-			dir := filepath.Join(ds.Dir, fmt.Sprintf("byte-%05d", c))
-			err := runDurableTrial(res, cfg, origin, baseTxns, full, bounds, refMaster, dir,
-				func(d string) error { return store.WriteSegments(d, gen, ckpt, tail[:c]) },
-				prefixRecords+seen, advance1, wantTorn)
-			if err != nil {
-				return nil, fmt.Errorf("sim: durable crash sweep: truncate tail at byte %d: %w", c, err)
+		err := sweepBytes(tbounds, func(cut int64, seen int, torn bool) error {
+			dir := filepath.Join(ds.Dir, fmt.Sprintf("byte-%05d", cut))
+			if err := runDurableTrial(res, cfg, origin, baseTxns, full, bounds, refMaster, dir,
+				func(d string) error { return store.WriteSegments(d, gen, ckpt, tail[:cut]) },
+				prefixRecords+seen, advance1, torn); err != nil {
+				return err
 			}
 			res.ByteKillPoints++
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sim: durable crash sweep: tail: %w", err)
 		}
 	}
 
@@ -275,7 +259,7 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 // the commit count baked into the image's checkpoint origin, which the
 // checkpoint replays as state rather than records.
 func runDurableTrial(res *DurableSweepResult, cfg replica.Config, origin model.State,
-	baseTxns []*tx.Transaction, full []byte, bounds []int, refMaster model.State,
+	baseTxns []*tx.Transaction, full []byte, bounds []int64, refMaster model.State,
 	dir string, setup func(string) error, m, originCommits int, wantTorn bool) error {
 	if err := setup(dir); err != nil {
 		return err

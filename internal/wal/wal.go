@@ -1,21 +1,27 @@
-// Package wal implements the mobile node's write-ahead log. The paper's
-// protocol is log-driven end to end: the precedence graph "can be built by
-// parsing the log for Hm and the log for Hb ... if read operations (or read
-// sets) are recorded in the log" (Section 7.1), the undo approach restores
-// logged before-images (Section 6.2), and non-canned systems "record the
-// codes of transactions when they are executed" (Section 5.1). This package
-// supplies exactly that log: an append-only JSON-lines journal carrying the
-// checkout origin, full transaction code, read values and write images —
-// enough to reconstruct the tentative history (with effects) after a crash
-// and to verify the replayed execution against the logged one.
+// Package wal owns the journal: its record format, its line framing and
+// the grouping of records into transactions. Every journal in the system is
+// a wal stream — a mobile node's write-ahead log, the reconnect payload a
+// mobile ships, and the base tier's journal with its window records and its
+// checkpoint and tail segments — and no other package decodes one. The
+// paper's protocol is log-driven end to end: the precedence graph "can be
+// built by parsing the log for Hm and the log for Hb ... if read operations
+// (or read sets) are recorded in the log" (Section 7.1), the undo approach
+// restores logged before-images (Section 6.2), and non-canned systems
+// "record the codes of transactions when they are executed" (Section 5.1).
+// This package supplies exactly that log: an append-only JSON-lines journal
+// carrying the checkout origin, full transaction code, read values and
+// write images — enough to reconstruct a history (with effects) after a
+// crash and to verify the replayed execution against the logged one.
 package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
@@ -97,6 +103,22 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{enc: json.NewEncoder(w), sink: w}
 }
 
+// NewPeriod starts a journal on w holding one whole period: the checkout
+// record, then each of n transactions in order as txn(i) returns it with
+// its effect. The returned writer continues the period.
+func NewPeriod(w io.Writer, windowID, pos int, origin model.State, n int, txn func(i int) (*tx.Transaction, *tx.Effect)) (*Writer, error) {
+	lw := NewWriter(w)
+	if err := lw.Checkout(windowID, pos, origin); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		if err := lw.LogTxn(txn(i)); err != nil {
+			return nil, err
+		}
+	}
+	return lw, nil
+}
+
 // Sync forces every appended record to stable media when the sink supports
 // it (Syncer) and is a no-op otherwise. Commit paths must call it before
 // acknowledging: a record that reached only the sink's buffer cache can
@@ -111,14 +133,29 @@ func (lw *Writer) Sync() error {
 }
 
 // ResetSeq restarts sequence numbering so the next record is numbered
-// seq 1. The segmented base log uses it at checkpoint rotation: each tail
-// segment is an independent journal stream whose records Scan verifies as
-// contiguous from 1.
+// seq 1, starting a fresh stream. The segmented base log uses it at
+// checkpoint rotation: each tail segment is an independent journal stream
+// whose records Scan verifies as contiguous from 1.
 func (lw *Writer) ResetSeq() { lw.seq = 0 }
 
-// SetSeq makes the next record carry sequence number seq+1 — reattaching a
-// writer to a recovered journal continues its numbering.
-func (lw *Writer) SetSeq(seq int64) { lw.seq = seq }
+// Resume makes lw continue a scanned stream after its first n records, so
+// the next record is numbered n+1. It returns the byte offset at which the
+// stream holds exactly those n records: whatever lies past it (a torn
+// fragment, a transaction that never committed) must be cut away before
+// the next append. When nothing lies past it but record n-1 lost its
+// newline, Resume writes the newline back.
+func (lw *Writer) Resume(res *ScanResult, n int) (int64, error) {
+	lw.seq = int64(n)
+	if n == 0 {
+		return 0, nil
+	}
+	if n == len(res.Records) && res.Unterminated {
+		if _, err := lw.sink.Write([]byte("\n")); err != nil {
+			return 0, fmt.Errorf("wal: resume: %w", err)
+		}
+	}
+	return res.Ends[n-1], nil
+}
 
 func (lw *Writer) append(r Record) error {
 	lw.seq++
@@ -180,11 +217,7 @@ func sortedItems[V any](m map[model.Item]V) []model.Item {
 	for it := range m {
 		out = append(out, it)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -213,6 +246,12 @@ const (
 type ScanResult struct {
 	// Records is the decoded prefix.
 	Records []Record
+	// Ends[i] is the byte offset just past Records[i]'s line: the stream
+	// cut there holds exactly Records[:i+1].
+	Ends []int64
+	// Unterminated reports that the stream's final line is a decoded record
+	// that lost only its newline (the crash cut exactly that byte).
+	Unterminated bool
 	// Torn reports whether the stream ended in (Strict) or was cut at
 	// (Salvage) a damaged line.
 	Torn bool
@@ -227,6 +266,18 @@ type ScanResult struct {
 	DiscardedLines int
 }
 
+// scanLine splits a stream into lines, each with its newline (the final
+// one may lack it), so Scan knows every line's exact byte extent.
+func scanLine(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
 // Scan decodes a journal stream under the given mode. Beyond per-line JSON
 // validity it verifies the append-only contract: record sequence numbers
 // are contiguous from 1, so dropped and duplicated lines are detected even
@@ -235,43 +286,41 @@ func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
 	res := &ScanResult{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Split(scanLine)
 	var (
 		line   int
 		offset int64
 	)
-	tearAt := func(reason string) {
+	tearAt := func(at int64, reason string) {
 		res.Torn = true
 		res.TornLine = line
-		res.TornOffset = offset
+		res.TornOffset = at
 		res.TornReason = reason
 	}
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
+		start := offset
+		offset += int64(len(raw))
+		terminated := raw[len(raw)-1] == '\n'
+		raw = bytes.TrimSuffix(bytes.TrimSuffix(raw, []byte("\n")), []byte("\r"))
+		if len(raw) == 0 {
+			continue
+		}
 		if res.Torn {
 			// Past the first damaged line. Strict tolerates damage only on
 			// the final line, so any further content is corruption, not a
 			// tear; Salvage counts what it is discarding.
-			if len(raw) == 0 {
-				offset += int64(len(raw)) + 1
-				continue
-			}
 			if mode == Strict {
 				return nil, fmt.Errorf("wal: line %d: %s (damage before end of journal): %w",
 					res.TornLine, res.TornReason, ErrCorrupt)
 			}
 			res.DiscardedLines++
-			offset += int64(len(raw)) + 1
-			continue
-		}
-		if len(raw) == 0 {
-			offset += int64(len(raw)) + 1
 			continue
 		}
 		var rec Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			tearAt(err.Error())
-			offset += int64(len(raw)) + 1
+			tearAt(start, err.Error())
 			continue
 		}
 		if want := int64(len(res.Records)) + 1; rec.Seq != want {
@@ -279,15 +328,15 @@ func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
 			// whole line vanished or repeated, which no crash produces.
 			reason := fmt.Sprintf("sequence break: record %d, want %d", rec.Seq, want)
 			if mode == Salvage {
-				tearAt(reason)
+				tearAt(start, reason)
 				res.DiscardedLines++
-				offset += int64(len(raw)) + 1
 				continue
 			}
 			return nil, fmt.Errorf("wal: line %d: %s: %w", line, reason, ErrCorrupt)
 		}
 		res.Records = append(res.Records, rec)
-		offset += int64(len(raw)) + 1
+		res.Ends = append(res.Ends, offset)
+		res.Unterminated = !terminated
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("wal: scan: %w", err)
@@ -306,6 +355,124 @@ func ReadAll(r io.Reader) ([]Record, error) {
 	return res.Records, nil
 }
 
+// SplitCheckout splits a journal stream that must open with a checkout
+// record — a mobile journal, a reconnect payload, a full base journal or a
+// checkpoint segment — into that record and the records after it.
+func SplitCheckout(recs []Record) (Record, []Record, error) {
+	if len(recs) == 0 || recs[0].Kind != KindCheckout {
+		return Record{}, nil, fmt.Errorf("%w: journal must start with a checkout record", ErrCorrupt)
+	}
+	return recs[0], recs[1:], nil
+}
+
+// Group is one decoded unit of a journal stream: a committed transaction
+// with the read and write records its commit sealed, or (base streams
+// only) a window advance.
+type Group struct {
+	// Txn is the committed transaction's code; nil for a window advance.
+	Txn *tx.Transaction
+	// WindowID and Origin are a window advance's new window and its origin
+	// snapshot.
+	WindowID int
+	Origin   model.State
+	// logs are the transaction's read and write records, in log order.
+	logs []Record
+}
+
+// Groups decodes the records of a journal stream that follow its checkout
+// record (or of a headless continuation, such as a base tail segment) into
+// committed transactions and window advances, in log order. complete counts
+// the records those groups span: recs[complete:] is a trailing transaction
+// that never committed — a crash victim the caller drops. Any other
+// structural damage is ErrCorrupt.
+func Groups(recs []Record) (groups []Group, complete int, err error) {
+	var open *tx.Transaction // the begun, not yet committed transaction
+	begin := 0               // index of open's begin record
+	for i, rec := range recs {
+		switch rec.Kind {
+		case KindBegin:
+			if open != nil {
+				// begin without commit: the previous transaction tore
+				return nil, 0, fmt.Errorf("%w: begin %s while %s uncommitted", ErrCorrupt, rec.TxID, open.ID)
+			}
+			t, err := tx.UnmarshalTransaction(rec.Txn)
+			if err != nil {
+				return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			}
+			open, begin = t, i
+		case KindRead, KindWrite, KindCommit:
+			if open == nil || open.ID != rec.TxID {
+				return nil, 0, fmt.Errorf("%w: stray %s record for %s", ErrCorrupt, rec.Kind, rec.TxID)
+			}
+			if rec.Kind == KindCommit {
+				groups = append(groups, Group{Txn: open, logs: recs[begin+1 : i]})
+				open, complete = nil, i+1
+			}
+		case KindWindow:
+			if open != nil {
+				return nil, 0, fmt.Errorf("%w: window advance while %s uncommitted", ErrCorrupt, open.ID)
+			}
+			groups = append(groups, Group{WindowID: rec.WindowID, Origin: rec.Origin})
+			complete = i + 1
+		case KindCheckout:
+			return nil, 0, fmt.Errorf("%w: duplicate checkout record", ErrCorrupt)
+		default:
+			return nil, 0, fmt.Errorf("%w: unknown record kind %q", ErrCorrupt, rec.Kind)
+		}
+	}
+	return groups, complete, nil
+}
+
+// Verify checks a replayed execution of the group's transaction against
+// what the journal logged: every read value, every write's after-image and
+// before-image, and the delta annotations. A mismatch means the log and the
+// code disagree — the log is corrupt.
+func (g *Group) Verify(eff *tx.Effect) error {
+	id := g.Txn.ID
+	pure := eff.DeltaPure()
+	var writes, deltas int
+	for _, r := range g.logs {
+		if r.Kind == KindRead {
+			if got, ok := eff.ReadValues[r.Item]; !ok || got != r.Value {
+				return fmt.Errorf("%w: %s read %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Value, got)
+			}
+			continue
+		}
+		writes++
+		if got, ok := eff.Writes[r.Item]; !ok || got != r.After {
+			return fmt.Errorf("%w: %s wrote %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.After, got)
+		}
+		// Before-images feed the undo approach (prune.ByUndo restores
+		// them), so a corrupt before-image is as dangerous as a corrupt
+		// after-image.
+		if got := eff.Before[r.Item]; got != r.Before {
+			return fmt.Errorf("%w: %s before-image %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Before, got)
+		}
+		// Delta annotations drive edge elision and associative folding
+		// after recovery, so they must agree with the replayed
+		// classification in both directions: a spurious delta could merge a
+		// non-commutative write without an edge, a dropped one merely loses
+		// the optimization but still signals a log/code disagreement.
+		if r.Delta == nil {
+			continue
+		}
+		deltas++
+		if !pure.Has(r.Item) {
+			return fmt.Errorf("%w: %s delta on %s: replay classified a value write", ErrCorrupt, id, r.Item)
+		}
+		if got := eff.Deltas[r.Item]; got != *r.Delta {
+			return fmt.Errorf("%w: %s delta %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, *r.Delta, got)
+		}
+	}
+	if writes != len(eff.Writes) {
+		return fmt.Errorf("%w: %s wrote %d items, journal has %d", ErrCorrupt, id, len(eff.Writes), writes)
+	}
+	if deltas != len(pure) {
+		return fmt.Errorf("%w: %s logged %d delta writes, replay classified %d", ErrCorrupt, id, deltas, len(pure))
+	}
+	return nil
+}
+
 // Replayed is a tentative run reconstructed from a journal.
 type Replayed struct {
 	WindowID  int
@@ -319,137 +486,38 @@ type Replayed struct {
 
 // Replay rebuilds the tentative history from journal records: it decodes
 // the checkout origin and every committed transaction's code, re-executes
-// the history serially and cross-checks each transaction's logged read
-// values and write images against the replayed effects. A mismatch means
-// the log and the code disagree — the log is corrupt.
+// the history serially and verifies each transaction against its logged
+// reads and writes (Group.Verify).
 //
 // Origin and Augmented.Origin adopt records[0].Origin (nil when empty)
 // without copying it, so the caller must not mutate the records afterwards.
 func Replay(records []Record) (*Replayed, error) {
-	if len(records) == 0 || records[0].Kind != KindCheckout {
-		return nil, fmt.Errorf("%w: journal must start with a checkout record", ErrCorrupt)
+	head, body, err := SplitCheckout(records)
+	if err != nil {
+		return nil, err
 	}
-	rep := &Replayed{
-		WindowID: records[0].WindowID,
-		Pos:      records[0].Pos,
-		Origin:   records[0].Origin,
+	groups, complete, err := Groups(body)
+	if err != nil {
+		return nil, err
 	}
-
-	type pending struct {
-		t       *tx.Transaction
-		reads   map[model.Item]model.Value
-		writes  map[model.Item]model.Value
-		befores map[model.Item]model.Value
-		deltas  map[model.Item]model.Value
-	}
-	var (
-		cur       *pending
-		committed []*pending
-	)
-	for _, rec := range records[1:] {
-		switch rec.Kind {
-		case KindBegin:
-			if cur != nil {
-				// begin without commit: the previous transaction tore
-				return nil, fmt.Errorf("%w: begin %s while %s uncommitted",
-					ErrCorrupt, rec.TxID, cur.t.ID)
-			}
-			t, err := tx.UnmarshalTransaction(rec.Txn)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			cur = &pending{
-				t:       t,
-				reads:   make(map[model.Item]model.Value),
-				writes:  make(map[model.Item]model.Value),
-				befores: make(map[model.Item]model.Value),
-				deltas:  make(map[model.Item]model.Value),
-			}
-		case KindRead:
-			if cur == nil || cur.t.ID != rec.TxID {
-				return nil, fmt.Errorf("%w: stray read record for %s", ErrCorrupt, rec.TxID)
-			}
-			cur.reads[rec.Item] = rec.Value
-		case KindWrite:
-			if cur == nil || cur.t.ID != rec.TxID {
-				return nil, fmt.Errorf("%w: stray write record for %s", ErrCorrupt, rec.TxID)
-			}
-			cur.writes[rec.Item] = rec.After
-			cur.befores[rec.Item] = rec.Before
-			if rec.Delta != nil {
-				cur.deltas[rec.Item] = *rec.Delta
-			}
-		case KindCommit:
-			if cur == nil || cur.t.ID != rec.TxID {
-				return nil, fmt.Errorf("%w: stray commit record for %s", ErrCorrupt, rec.TxID)
-			}
-			committed = append(committed, cur)
-			cur = nil
-		case KindCheckout:
-			return nil, fmt.Errorf("%w: duplicate checkout record", ErrCorrupt)
-		default:
-			return nil, fmt.Errorf("%w: unknown record kind %q", ErrCorrupt, rec.Kind)
-		}
-	}
-	if cur != nil {
+	rep := &Replayed{WindowID: head.WindowID, Pos: head.Pos, Origin: head.Origin}
+	if complete < len(body) {
 		rep.Dropped++ // trailing uncommitted transaction: crash victim
 	}
-
 	h := &history.History{}
-	for _, p := range committed {
-		h.Append(p.t)
+	for _, g := range groups {
+		if g.Txn == nil {
+			return nil, fmt.Errorf("%w: window record in a tentative journal", ErrCorrupt)
+		}
+		h.Append(g.Txn)
 	}
 	aug, err := history.Run(h, rep.Origin)
 	if err != nil {
 		return nil, fmt.Errorf("%w: replay execution: %v", ErrCorrupt, err)
 	}
-	// Integrity check: replayed effects must reproduce the journal.
-	for i, p := range committed {
-		eff := aug.Effects[i]
-		for it, v := range p.reads {
-			if got, ok := eff.ReadValues[it]; !ok || got != v {
-				return nil, fmt.Errorf("%w: %s read %s: logged %d, replayed %d",
-					ErrCorrupt, p.t.ID, it, v, got)
-			}
-		}
-		if len(p.writes) != len(eff.Writes) {
-			return nil, fmt.Errorf("%w: %s wrote %d items, journal has %d",
-				ErrCorrupt, p.t.ID, len(eff.Writes), len(p.writes))
-		}
-		for it, v := range p.writes {
-			if got := eff.Writes[it]; got != v {
-				return nil, fmt.Errorf("%w: %s wrote %s: logged %d, replayed %d",
-					ErrCorrupt, p.t.ID, it, v, got)
-			}
-		}
-		// Before-images feed the undo approach (prune.ByUndo restores
-		// them), so a corrupt before-image is as dangerous as a corrupt
-		// after-image: verify both against the replayed effects.
-		for it, v := range p.befores {
-			if got := eff.Before[it]; got != v {
-				return nil, fmt.Errorf("%w: %s before-image %s: logged %d, replayed %d",
-					ErrCorrupt, p.t.ID, it, v, got)
-			}
-		}
-		// Delta annotations drive edge elision and associative folding after
-		// recovery, so they must agree with the replayed classification in
-		// both directions: a spurious delta could merge a non-commutative
-		// write without an edge, a dropped one merely loses the optimization
-		// but still signals a log/code disagreement.
-		pure := eff.DeltaPure()
-		if len(p.deltas) != len(pure) {
-			return nil, fmt.Errorf("%w: %s logged %d delta writes, replay classified %d",
-				ErrCorrupt, p.t.ID, len(p.deltas), len(pure))
-		}
-		for it, d := range p.deltas {
-			if !pure.Has(it) {
-				return nil, fmt.Errorf("%w: %s delta on %s: replay classified a value write",
-					ErrCorrupt, p.t.ID, it)
-			}
-			if got := eff.Deltas[it]; got != d {
-				return nil, fmt.Errorf("%w: %s delta %s: logged %d, replayed %d",
-					ErrCorrupt, p.t.ID, it, d, got)
-			}
+	for i := range groups {
+		if err := groups[i].Verify(aug.Effects[i]); err != nil {
+			return nil, err
 		}
 	}
 	rep.Augmented = aug
