@@ -1,14 +1,35 @@
 package replica
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 
 	"tiermerge/internal/cost"
+	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
+	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
 )
+
+// Journaling and crash recovery for both tiers, over internal/wal, which
+// alone knows the record format. A mobile node journals its disconnection
+// period (checkout, then every tentative transaction) and RecoverMobileNode
+// replays it. The base tier's correctness leans on base transactions being
+// durable ("in order to ensure the durability of base transactions, only
+// tentative transactions can be put into B", Section 2.1): a BaseCluster
+// journals its window — the origin snapshot, every committed entry
+// (ordinary base transactions, re-executed tentative transactions and
+// forwarded-update transactions alike) and every window advance — and
+// commit paths force the journal to stable media before they acknowledge
+// (syncJournal). RecoverBaseCluster replays and verifies a whole journal.
+// OpenBase (DESIGN.md §14) roots a cluster in a store.Disk engine instead:
+// the same stream is split into an atomically rotated checkpoint segment
+// and a live tail, Checkpoint writes the current window as a fresh
+// self-contained segment and truncates the log to the tail written since,
+// and recovery replays checkpoint-then-tail instead of the full history.
 
 // AttachJournal starts write-ahead logging of the node's current
 // disconnection period onto w: the current checkout is recorded
@@ -150,15 +171,324 @@ func RecoverMobileNode(id string, r io.Reader) (*MobileNode, *Recovery, error) {
 	return m, rec, nil
 }
 
-// noteRecovery charges a journal recovery into the cluster the node just
-// bound to: the recovery counters and one observer event, attributed to
-// its own merge sequence number so traces show crash recoveries like any
-// other reconnect span. Called once, at bind time.
-func (m *MobileNode) noteRecovery(b *BaseCluster) {
-	rec := m.recovered
-	if rec == nil {
-		return
+// AttachJournal starts journaling the cluster onto w: the current master
+// snapshot and window are recorded immediately, followed by every
+// subsequent commit and window advance. Entries committed in the current
+// window before attachment are journaled too, so attaching late still
+// yields a recoverable log. The attachment snapshot is forced to stable
+// media (when w supports it) before AttachJournal returns.
+func (b *BaseCluster) AttachJournal(w io.Writer) error {
+	b.mu.Lock()
+	jw, err := journalWindow(w, b.windowID, b.windowOrigin, b.entries)
+	if err == nil {
+		b.journal = jw
 	}
-	m.recovered = nil
-	rec.charge(b, m.ID, b.mergeSeq.Add(1))
+	b.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return b.syncJournal()
+}
+
+// journalWindow writes one base window onto w as a journal period — the
+// window's checkout record, then every entry — and returns the writer that
+// continues it.
+func journalWindow(w io.Writer, windowID int, origin model.State, entries []baseEntry) (*wal.Writer, error) {
+	return wal.NewPeriod(w, windowID, 0, origin, len(entries),
+		func(i int) (*tx.Transaction, *tx.Effect) { return entries[i].t, entries[i].eff })
+}
+
+// logCommit journals one committed base entry. Caller holds b.mu. Journal
+// failures are returned to the committing path — a base that cannot force
+// its log must not acknowledge the commit. The record lands in the
+// journal's buffer here; the committing path forces it with syncJournal
+// after releasing the mutex (file I/O never runs under b.mu).
+//
+//tiermerge:locks(cluster)
+func (b *BaseCluster) logCommit(t *tx.Transaction, eff *tx.Effect) error {
+	if b.journal == nil {
+		return nil
+	}
+	return b.journal.LogTxn(t, eff)
+}
+
+// logWindow journals a window advance. Caller holds b.mu.
+//
+//tiermerge:locks(cluster)
+func (b *BaseCluster) logWindow() error {
+	if b.journal == nil {
+		return nil
+	}
+	return b.journal.Window(b.windowID, b.windowOrigin)
+}
+
+// replay applies the decoded records of one base journal stream — commits
+// and window advances, after any checkout record — to the cluster: each
+// transaction re-executes on the master and must reproduce what the journal
+// logged (wal.Group.Verify). It returns the number of committed
+// transactions and how many leading records they and the window advances
+// span; any records past that are a trailing transaction that never
+// committed. Caller holds b.mu.
+//
+//tiermerge:locks(cluster)
+func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err error) {
+	groups, complete, err := wal.Groups(recs)
+	if err != nil {
+		return 0, 0, fmt.Errorf("replica: recover base: %w", err)
+	}
+	for i := range groups {
+		g := &groups[i]
+		if g.Txn == nil {
+			b.windowID = g.WindowID
+			b.windowOrigin = model.StateOf(g.Origin)
+			if !b.windowOrigin.Equal(b.master) {
+				return 0, 0, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
+					wal.ErrCorrupt)
+			}
+			b.entries = nil
+			continue
+		}
+		eff, err := g.Txn.ExecInPlace(b.master, nil)
+		if err != nil {
+			return 0, 0, fmt.Errorf("replica: recover base: replay %s: %w", g.Txn.ID, err)
+		}
+		if err := g.Verify(eff); err != nil {
+			return 0, 0, fmt.Errorf("replica: recover base: %w", err)
+		}
+		b.appendEntry(baseEntry{t: g.Txn, eff: eff})
+		b.propagate(g.Txn.ID, eff.Writes)
+		committed++
+	}
+	return committed, complete, nil
+}
+
+// RecoverBaseCluster rebuilds a base cluster from its journal: the master
+// state, the current window and its origin, and the base history of the
+// current window (so pending mobile merges from that window still find
+// their base sub-histories). Like mobile recovery, the only damage tolerated
+// is a torn final line (the commit it belonged to was never acknowledged);
+// interior damage is wal.ErrCorrupt. The returned Recovery reports what
+// was replayed.
+func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
+	}
+	res, err := wal.Scan(r, wal.Strict)
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
+	}
+	b, rec, _, err := recoverCluster(cfg, store.NewMemory(), res)
+	return b, rec, err
+}
+
+// recoverCluster rebuilds a cluster writing through eng from scanned
+// journal streams: the first leads with the checkout record — the master
+// snapshot and window the journal starts from — and each later one
+// continues it without a header. Only the last stream may end inside an
+// open transaction: that commit tore during the crash and was never
+// acknowledged, so it is dropped — and reported (Recovery.Dropped). kept is
+// the number of the last stream's records the recovered cluster holds. The
+// recovery is charged to the recovered cluster's counters and observer.
+func recoverCluster(cfg Config, eng store.Engine, streams ...*wal.ScanResult) (b *BaseCluster, rec *Recovery, kept int, err error) {
+	head, body, err := wal.SplitCheckout(streams[0].Records)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("replica: recover base: %w", err)
+	}
+	b = newBaseCluster(model.StateOf(head.Origin), cfg, eng)
+	last := streams[len(streams)-1]
+	rec = &Recovery{TornTail: last.Torn, TornLine: last.TornLine, TornOffset: last.TornOffset}
+	// Replay under the cluster mutex; the recovery event is emitted after
+	// the lock is released (events are never emitted under b.mu).
+	b.mu.Lock()
+	b.windowID = head.WindowID
+	for i, s := range streams {
+		recs := s.Records
+		if i == 0 {
+			recs = body
+		}
+		committed, complete, err := b.replay(recs)
+		open := complete < len(recs)
+		if err == nil && open && s != last {
+			err = fmt.Errorf("replica: recover base: %w: stream %d ends mid-transaction", wal.ErrCorrupt, i)
+		}
+		if err != nil {
+			b.mu.Unlock()
+			return nil, nil, 0, err
+		}
+		rec.Records += len(s.Records)
+		rec.Committed += committed
+		if open {
+			rec.Dropped = 1
+		}
+		kept = len(s.Records) - (len(recs) - complete)
+	}
+	b.mu.Unlock()
+	rec.charge(b, "base", 0)
+	return b, rec, kept, nil
+}
+
+// ErrNoDurableStore is returned by Checkpoint on a cluster whose storage
+// engine is not durable (NewBaseCluster, RecoverBaseCluster).
+var ErrNoDurableStore = errors.New("replica: cluster has no durable store")
+
+// OpenBase opens (or creates) a durable base cluster rooted at dir. A
+// fresh directory starts the cluster at initial and writes its first
+// checkpoint segment; an existing one is recovered by replaying the newest
+// checkpoint and then the live tail (a torn final tail line is truncated
+// away — the commit it belonged to was never acknowledged). The returned
+// cluster journals through the segment log with sync-before-ack, and its
+// Checkpoint method rotates segments. Close the cluster's engine with
+// CloseStore when done.
+func OpenBase(dir string, initial model.State, cfg Config) (*BaseCluster, *Recovery, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: %w", err)
+	}
+	d, err := store.OpenDisk(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: %w", err)
+	}
+	if m, ok := cfg.Observer.(*obs.Metrics); ok {
+		d.Registry(m.Registry())
+	}
+	if d.Fresh() {
+		b := newBaseCluster(initial, cfg, d)
+		b.mu.Lock()
+		// The tail stream carries no leading checkout record — the
+		// checkpoint segment holds the cluster snapshot.
+		b.journal = wal.NewWriter(d)
+		b.mu.Unlock()
+		if err := b.Checkpoint(); err != nil {
+			d.Close()
+			return nil, nil, fmt.Errorf("replica: open base: initial checkpoint: %w", err)
+		}
+		return b, &Recovery{}, nil
+	}
+	b, rec, err := recoverFromSegments(d, cfg)
+	if err != nil {
+		d.Close()
+		return nil, nil, err
+	}
+	return b, rec, nil
+}
+
+// recoverFromSegments rebuilds a cluster from an existing segment pair and
+// attaches a journal continuing the tail.
+func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, error) {
+	ckpt, tail, err := d.ReadSegments()
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: %w", err)
+	}
+	// The checkpoint segment was written atomically (temp + fsync +
+	// rename): any damage at all — including a torn final line — is
+	// corruption, not a crash artifact.
+	cres, err := wal.Scan(bytes.NewReader(ckpt), wal.Strict)
+	if err != nil || cres.Torn {
+		return nil, nil, fmt.Errorf("replica: open base: checkpoint segment: %w", wal.ErrCorrupt)
+	}
+	// The tail is the live continuation: its own record stream (seqs from
+	// 1, no checkout), where only a torn final line is tolerated.
+	tres, err := wal.Scan(bytes.NewReader(tail), wal.Strict)
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: tail segment: %w", err)
+	}
+	b, rec, kept, err := recoverCluster(cfg, d, cres, tres)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Repair the tail before appends resume. A trailing open transaction
+	// was never acknowledged: its records are dropped from the replay AND
+	// from the file — the client re-runs it, and its re-logged records
+	// must not glue onto the stale ones. A torn trailing fragment is cut
+	// the same way, and a final record that survived complete but lost
+	// only its terminating newline gets it back.
+	jw := wal.NewWriter(d)
+	cut, err := jw.Resume(tres, kept)
+	if err == nil && cut < int64(len(tail)) {
+		err = d.TruncateTail(cut)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: %w", err)
+	}
+	b.mu.Lock()
+	b.journal = jw
+	b.mu.Unlock()
+	return b, rec, nil
+}
+
+// Checkpoint writes the cluster's current window as a fresh checkpoint
+// segment and truncates the journal to the tail written since — the log
+// stops growing with history. The snapshot is captured
+// and the rotation epoch split under the cluster mutex; the file work
+// (write, fsync, rename, truncate) runs outside it. Concurrent commits are
+// safe: their buffered records land in whichever tail their epoch selects,
+// and a commit's sync-before-ack parks on the rotation gate until the new
+// tail is live. Concurrent Checkpoint calls are serialized on ckptGate —
+// interleaved boundary splits would flush records committed between the
+// two captures into a generation the first rotation deletes.
+//
+// A failed rotation wedges the journal (store.Disk seals itself): the
+// boundary already restarted the record numbering, so appending to the
+// old tail again would corrupt it. From then on no commit or window
+// advance can force the log, so nothing further is acknowledged; the
+// on-disk old generation holds every commit acknowledged before the
+// failure, and restarting the cluster recovers it. Operators should treat
+// a Checkpoint error as fatal and restart.
+//
+//tiermerge:locks(none)
+//tiermerge:blocking
+func (b *BaseCluster) Checkpoint() error {
+	if b.disk == nil {
+		return ErrNoDurableStore
+	}
+	b.ckptGate <- struct{}{}
+	defer func() { <-b.ckptGate }()
+	b.mu.Lock()
+	win := b.windowID
+	origin := b.windowOrigin.Clone()
+	entries := make([]baseEntry, len(b.entries))
+	copy(entries, b.entries)
+	// The checkpoint supersedes everything the version chains carry below
+	// the current window origin.
+	cs := b.store.Checkpoint(b.windowID, 0)
+	b.disk.BeginRotate()
+	if b.journal != nil {
+		b.journal.ResetSeq()
+	}
+	b.mu.Unlock()
+
+	st, err := b.disk.CompleteRotate(func(w io.Writer) error {
+		_, err := journalWindow(w, win, origin, entries)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("replica: checkpoint: %w", err)
+	}
+	b.counters.Update(func(c *cost.Counts) {
+		c.StoreCheckpoints++
+		c.StoreVersionsCompacted += int64(cs.Compacted)
+		c.StoreBytesTruncated += st.TruncatedBytes
+	})
+	b.emit(obs.Event{
+		Phase: obs.PhaseCheckpoint,
+		Saved: len(entries),
+	})
+	return nil
+}
+
+// CloseStore flushes and closes the cluster's storage engine. The cluster
+// must be quiescent — no in-flight commits or merges.
+//
+//tiermerge:locks(none)
+//tiermerge:blocking
+func (b *BaseCluster) CloseStore() error { return b.store.Close() }
+
+// LogSize reports the on-disk footprint of the segment log (checkpoint +
+// tail), or 0 without a durable store.
+//
+//tiermerge:locks(none)
+func (b *BaseCluster) LogSize() int64 {
+	if b.disk == nil {
+		return 0
+	}
+	return b.disk.LogSize()
 }

@@ -100,7 +100,12 @@ func (m *MobileNode) Bind(b *BaseCluster) error {
 	}
 	if m.cluster == nil {
 		m.cluster = b
-		m.noteRecovery(b)
+		if rec := m.recovered; rec != nil {
+			// Charged once, under the node's own merge sequence number, so
+			// traces show a crash recovery like any other reconnect span.
+			m.recovered = nil
+			rec.charge(b, m.ID, b.mergeSeq.Add(1))
+		}
 		return nil
 	}
 	if m.cluster != b {

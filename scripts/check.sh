@@ -62,6 +62,17 @@ go build ./...
 echo "== vet =="
 go vet ./...
 
+echo "== journal format stays in internal/wal =="
+# Only internal/wal may name a record kind: every other package reads a
+# journal through wal.Scan, wal.Groups and wal.Replay, so a change to the
+# record format touches internal/wal alone.
+kind_leaks=$(grep -rn 'wal\.Kind' --include=*.go internal cmd | grep -v '_test\.go' | grep -v '^internal/wal/' || true)
+if [ -n "$kind_leaks" ]; then
+    echo "FAILED: journal record kinds named outside internal/wal:" >&2
+    echo "$kind_leaks" >&2
+    exit 1
+fi
+
 echo "== tiermergelint (merge-protocol invariants) =="
 go run ./cmd/tiermergelint ./...
 # The two module-level lint tests skip under -short: the whole suite must
@@ -114,6 +125,14 @@ echo "== reconnect cost (allocation pins) =="
 cost_pins='ReconnectCostIndependentOfPrefix|CrossShardReconnectCostIndependentOfPrefix|ReconnectAllocIndependentOfItems|TentativeAllocIndependentOfItems'
 require_tests "$cost_pins" ./internal/replica/
 go test -count=1 -run "$cost_pins" ./internal/replica/
+
+echo "== journal integrity (damaged payloads, tampered base journals) =="
+# A torn or uncommitted reconnect payload is refused, not merged short, and
+# base recovery verifies every logged read, image and delta, from a whole
+# journal and from a tail segment.
+journal_pins='TestServeFrameRejectsDamagedJournal|TestBaseRecoveryDetectsTamper'
+require_tests "$journal_pins" ./internal/replica/
+go test -count=1 -run "$journal_pins" ./internal/replica/
 
 echo "== race (concurrent reconnects + observers + crash-recovery soak) =="
 go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...

@@ -658,8 +658,9 @@ var (
 
 // RecoverBaseCluster rebuilds a crashed base tier from its journal (see
 // BaseCluster.AttachJournal), verifying every replayed commit against its
-// logged write images. The WALRecovery report says what was replayed and
-// whether a torn tail was dropped.
+// logged reads, write images, before-images and delta annotations. The
+// WALRecovery report says what was replayed and whether a torn tail was
+// dropped.
 func RecoverBaseCluster(r io.Reader, cfg ClusterConfig) (*BaseCluster, *WALRecovery, error) {
 	return replica.RecoverBaseCluster(r, cfg)
 }
