@@ -606,8 +606,8 @@ func e19Day(b *testing.B, cluster *replica.BaseCluster, windows, perWindow, ckpt
 }
 
 // BenchmarkE19DurableStore times the durable engine's two axes (DESIGN.md
-// §14). backend=mem|disk commit the identical day through the MVCC store
-// with and without the segmented log underneath (the disk arm pays a
+// §14). backend=mem|disk commit the identical day on an in-memory and a
+// durable cluster, without and with the segmented log underneath (the disk arm pays a
 // sync-before-ack fsync per commit). recover=full|ckpt time a restart:
 // replaying a full-history journal vs the checkpoint + tail a rotated
 // segment log leaves behind, with the log bytes each must read reported

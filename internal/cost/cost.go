@@ -157,11 +157,10 @@ type Counts struct {
 	WalRecordsReplayed int64
 	WalTailDropped     int64
 
-	// Storage-engine events (checkpoint + log-truncation cycles and the
-	// version-chain compaction they drive; see DESIGN.md §14).
-	StoreCheckpoints       int64
-	StoreVersionsCompacted int64
-	StoreBytesTruncated    int64
+	// Storage-engine events (checkpoint + log-truncation cycles; see
+	// DESIGN.md §14).
+	StoreCheckpoints    int64
+	StoreBytesTruncated int64
 }
 
 // Add accumulates o into c.
@@ -199,7 +198,6 @@ func (c *Counts) Add(o Counts) {
 	c.WalRecordsReplayed += o.WalRecordsReplayed
 	c.WalTailDropped += o.WalTailDropped
 	c.StoreCheckpoints += o.StoreCheckpoints
-	c.StoreVersionsCompacted += o.StoreVersionsCompacted
 	c.StoreBytesTruncated += o.StoreBytesTruncated
 }
 

@@ -85,13 +85,10 @@ type BaseCluster struct {
 	// deletes — losing acknowledged commits. Nil without a durable store.
 	ckptGate chan struct{}
 
-	// store receives every committed entry's writes stamped with its
-	// (window, pos) history coordinate — the one per-position representation
-	// of the base state (stateAt). disk is the same engine when it is
-	// durable — the checkpoint/rotation target — and nil otherwise. Both are
-	// set at construction and immutable afterwards.
-	store store.Engine
-	disk  *store.Disk
+	// disk is the durable segment log the journal writes through and
+	// Checkpoint rotates (OpenBase); nil for an in-memory cluster. Set at
+	// construction and immutable afterwards.
+	disk *store.Disk
 
 	// mergeSeq numbers reconnect merges; every observer event of one merge
 	// carries the same sequence number so tracers can group them.
@@ -142,36 +139,32 @@ type prefixCache struct {
 	index     *graph.BaseIndex
 }
 
-// NewBaseCluster builds a base cluster over the initial master state,
-// writing through an in-memory storage engine. It panics when cfg fails
-// (Config).Validate — misconfiguration is a programming error, caught at
-// construction instead of surfacing mid-merge. Callers assembling
-// configurations from user input should Validate first.
+// NewBaseCluster builds an in-memory base cluster over the initial master
+// state. It panics when cfg fails (Config).Validate — misconfiguration is
+// a programming error, caught at construction instead of surfacing
+// mid-merge. Callers assembling configurations from user input should
+// Validate first.
 func NewBaseCluster(initial model.State, cfg Config) *BaseCluster {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("replica: NewBaseCluster: %v", err))
 	}
-	return newBaseCluster(initial, cfg, store.NewMemory())
+	return newBaseCluster(initial, cfg, nil)
 }
 
-// newBaseCluster builds a cluster over a validated cfg writing through eng
-// — OpenBase passes the durable engine it recovers from.
-func newBaseCluster(initial model.State, cfg Config, eng store.Engine) *BaseCluster {
-	disk, _ := eng.(*store.Disk)
+// newBaseCluster builds a cluster over a validated cfg, journaling through
+// disk when it is non-nil — OpenBase passes the durable engine it recovers
+// from.
+func newBaseCluster(initial model.State, cfg Config, disk *store.Disk) *BaseCluster {
 	b := &BaseCluster{
 		cfg:          cfg.withDefaults(),
 		master:       initial.Clone(),
 		windowID:     1,
 		windowOrigin: initial.Clone(),
-		store:        eng,
 		disk:         disk,
 	}
 	if disk != nil {
 		b.ckptGate = make(chan struct{}, 1)
 	}
-	// Seed the chains with the initial state at the first coordinate; every
-	// later watermark resolves through it.
-	b.store.Set(b.windowID, 0, b.master)
 	b.solo = &partition{router: newShardRouter(1, nil), shards: []*BaseCluster{b}}
 	b.initFollowers()
 	return b
@@ -231,14 +224,8 @@ func (b *BaseCluster) AdvanceWindow() int {
 	b.entries = nil
 	b.structVer++
 	// The prefix cache describes the closed window: drop it rather than
-	// retain that window's transactions until the next merge, and let the
-	// storage engine compact version chains below the new origin. No
-	// explicit version is written there: a read at (windowID, 0) resolves to
-	// the newest version of the closed window, which is exactly the master
-	// state that became the origin. Compaction to that floor keeps one
-	// version per item.
+	// retain that window's transactions until the next merge.
 	b.prefix = prefixCache{}
-	b.store.Checkpoint(b.windowID, 0)
 	err := b.logWindow()
 	id := b.windowID
 	b.mu.Unlock()
@@ -291,23 +278,12 @@ func (b *BaseCluster) execBaseLocked(t *tx.Transaction) error {
 	if err != nil {
 		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
 	}
-	b.appendEntry(baseEntry{t: t, eff: eff})
+	b.entries = append(b.entries, baseEntry{t: t, eff: eff})
 	b.chargeBaseExec(t, eff)
 	if err := b.logCommit(t, eff); err != nil {
 		return fmt.Errorf("replica: journal %s: %w", t.ID, err)
 	}
 	return nil
-}
-
-// appendEntry appends a committed entry at the history tail and records its
-// writes in the storage engine at its history coordinate (entry index i
-// lives at position i+1; position 0 is the window origin). Caller holds
-// b.mu.
-//
-//tiermerge:locks(cluster)
-func (b *BaseCluster) appendEntry(e baseEntry) {
-	b.entries = append(b.entries, e)
-	b.store.Set(b.windowID, len(b.entries), e.eff.Writes)
 }
 
 // chargeBaseExec records the execution costs of one base transaction.
@@ -327,16 +303,20 @@ func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 }
 
 // stateAt materializes the base state at history position pos of the
-// current window (0 = window origin) from the storage engine's version
-// chains. It serves the Strategy 1 checkout-token check only — the merge
-// itself consults the base history through read/write sets, never states.
-// Caller holds b.mu.
+// current window (0 = window origin, 0 <= pos <= len(b.entries)): the
+// origin with the writes of entries[:pos] applied in order. An interior
+// insert keeps this exact — the insert-conflict check admits it only when
+// no later entry touches its items. It serves the Strategy 1 checkout-token
+// check only — the merge itself consults the base history through
+// read/write sets, never states. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) stateAt(pos int) model.State {
-	snap := b.store.SnapshotAt(b.windowID, pos)
-	defer snap.Release()
-	return snap.State()
+	st := b.windowOrigin.Clone()
+	for _, e := range b.entries[:pos] {
+		st.Apply(e.eff.Writes)
+	}
+	return st
 }
 
 // windowPrefix returns the index of the current window's base history,
@@ -427,7 +407,7 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect) {
 	b.master.Apply(eff.Writes)
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
-	b.appendEntry(baseEntry{t: base, eff: eff})
+	b.entries = append(b.entries, baseEntry{t: base, eff: eff})
 	b.propagate(base.ID, eff.Writes)
 	if err := b.logCommit(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
@@ -481,18 +461,14 @@ func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g 
 	}
 	entry := baseEntry{t: ft, eff: eff, global: g}
 	if at >= len(b.entries) {
-		b.appendEntry(entry)
+		b.entries = append(b.entries, entry)
 	} else {
 		b.entries = append(b.entries, baseEntry{})
 		copy(b.entries[at+1:], b.entries[at:])
 		b.entries[at] = entry
-		// The prefix changed shape in the middle: invalidate every outstanding
-		// snapshot and the cache built over the old arrangement. The engine
-		// shifts every version of this window at position > at up one and
-		// lands the writes at the insert position; the per-position states
-		// past it follow from version resolution.
+		// The prefix changed shape in the middle: rebuild the cache built
+		// over the old arrangement.
 		b.structVer++
-		b.store.InsertAt(b.windowID, at+1, eff.Writes)
 	}
 	b.counters.Update(func(c *cost.Counts) {
 		c.BaseApplies += int64(nUpd)

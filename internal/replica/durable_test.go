@@ -193,8 +193,8 @@ func TestMobileJournalSyncedBeforeAck(t *testing.T) {
 	}
 }
 
-// --- The base-prefix cache and the version chains must not grow without
-// bound, and nothing stays pinned between reconnects.
+// --- The base history, the prefix cache and the segment log must not grow
+// without bound across windows.
 
 // mergeDeposit reconnects a fresh mobile carrying one tentative deposit and
 // requires the merge to save it.
@@ -210,8 +210,7 @@ func mergeDeposit(t *testing.T, b *BaseCluster, id string, item model.Item) {
 }
 
 // TestPrefixCacheTrimmedOnWindowAdvance (white-box): a merge builds the
-// prefix cache without pinning a storage snapshot, and window advance drops
-// the closed window's cache.
+// prefix cache, and window advance drops the closed window's cache.
 func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
 	if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 1)); err != nil {
@@ -224,9 +223,6 @@ func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
 	if !cached {
 		t.Fatal("prefix cache not built by the merge")
 	}
-	if n := b.store.Stats().Snapshots; n != 0 {
-		t.Errorf("storage snapshots pinned after a merge: %d", n)
-	}
 	b.AdvanceWindow()
 	b.mu.Lock()
 	survived := b.prefix.index != nil
@@ -237,13 +233,18 @@ func TestPrefixCacheTrimmedOnWindowAdvance(t *testing.T) {
 }
 
 // TestStoreBoundedAcrossWindows (soak): across many windows of commits and
-// merges the version chains must stay bounded — window advance compacts
-// everything below the new origin, and no reconnect leaves a snapshot
-// behind to clamp the compaction floor.
+// merges on a durable cluster checkpointed every window, what the base
+// keeps stays bounded — the history holds one window's entries, window
+// advance drops the prefix cache, and the segment log stays one
+// checkpoint interval long.
 func TestStoreBoundedAcrossWindows(t *testing.T) {
-	b := NewBaseCluster(origin(), Config{})
+	b, _, err := OpenBase(t.TempDir(), origin(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.CloseStore()
 	const windows, perWindow = 60, 8
-	var after10 int
+	var after10 int64
 	for wnd := 0; wnd < windows; wnd++ {
 		for i := 0; i < perWindow; i++ {
 			id := fmt.Sprintf("T%d.%d", wnd, i)
@@ -252,23 +253,30 @@ func TestStoreBoundedAcrossWindows(t *testing.T) {
 			}
 		}
 		mergeDeposit(t, b, fmt.Sprintf("m%d", wnd), "y")
-		if n := b.store.Stats().Snapshots; n != 0 {
-			t.Fatalf("window %d: storage snapshots pinned after a merge: %d", wnd, n)
+		// perWindow base commits plus the merge's forwarded write-back.
+		if n := b.HistoryLen(); n > perWindow+1 {
+			t.Fatalf("window %d: history holds %d entries, bound %d", wnd, n, perWindow+1)
 		}
 		b.AdvanceWindow()
+		b.mu.Lock()
+		cached := b.prefix.index != nil
+		b.mu.Unlock()
+		if cached {
+			t.Fatalf("window %d: prefix cache survived window advance", wnd)
+		}
+		if err := b.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 		if wnd == 9 {
-			after10 = b.store.Stats().Versions
+			after10 = b.LogSize()
 		}
 	}
-	final := b.store.Stats().Versions
-	if final > after10 {
-		t.Errorf("version chains grew across windows: %d after 10 windows, %d after %d",
-			after10, final, windows)
+	if after10 == 0 {
+		t.Fatal("no segment log on disk after 10 windows")
 	}
-	// Bound: one compacted version per item plus the current (empty)
-	// window. origin() has 4 items.
-	if final > 4+perWindow {
-		t.Errorf("version count %d exceeds per-window bound %d", final, 4+perWindow)
+	if final := b.LogSize(); final > after10 {
+		t.Errorf("segment log grew across windows: %d bytes after 10 windows, %d after %d",
+			after10, final, windows)
 	}
 }
 
@@ -396,7 +404,7 @@ func interiorInsertWorkload(t *testing.T, exec func(*tx.Transaction) error, mobi
 }
 
 // TestInteriorInsertStateAt runs the interior-insert workload on a plain
-// cluster over each storage engine.
+// cluster, in memory and on disk.
 func TestInteriorInsertStateAt(t *testing.T) {
 	cfg := Config{Origin: Strategy1}
 	disk, _, err := OpenBase(t.TempDir(), origin(), cfg)
@@ -543,11 +551,11 @@ func TestCheckpointTruncatesLogAndRecovers(t *testing.T) {
 }
 
 // TestCheckpointWithoutDiskStore: Checkpoint is a typed error on clusters
-// without a durable engine.
+// without a durable log.
 func TestCheckpointWithoutDiskStore(t *testing.T) {
 	b := NewBaseCluster(origin(), Config{})
 	if err := b.Checkpoint(); !errors.Is(err, ErrNoDurableStore) {
-		t.Errorf("Checkpoint on memory engine = %v, want ErrNoDurableStore", err)
+		t.Errorf("Checkpoint on an in-memory cluster = %v, want ErrNoDurableStore", err)
 	}
 }
 

@@ -255,7 +255,7 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err er
 		if err := g.Verify(eff); err != nil {
 			return 0, 0, fmt.Errorf("replica: recover base: %w", err)
 		}
-		b.appendEntry(baseEntry{t: g.Txn, eff: eff})
+		b.entries = append(b.entries, baseEntry{t: g.Txn, eff: eff})
 		b.propagate(g.Txn.ID, eff.Writes)
 		committed++
 	}
@@ -277,24 +277,25 @@ func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
 	}
-	b, rec, _, err := recoverCluster(cfg, store.NewMemory(), res)
+	b, rec, _, err := recoverCluster(cfg, nil, res)
 	return b, rec, err
 }
 
-// recoverCluster rebuilds a cluster writing through eng from scanned
-// journal streams: the first leads with the checkout record — the master
-// snapshot and window the journal starts from — and each later one
-// continues it without a header. Only the last stream may end inside an
-// open transaction: that commit tore during the crash and was never
-// acknowledged, so it is dropped — and reported (Recovery.Dropped). kept is
-// the number of the last stream's records the recovered cluster holds. The
-// recovery is charged to the recovered cluster's counters and observer.
-func recoverCluster(cfg Config, eng store.Engine, streams ...*wal.ScanResult) (b *BaseCluster, rec *Recovery, kept int, err error) {
+// recoverCluster rebuilds a cluster journaling through disk (nil: in
+// memory) from scanned journal streams: the first leads with the checkout
+// record — the master snapshot and window the journal starts from — and
+// each later one continues it without a header. Only the last stream may
+// end inside an open transaction: that commit tore during the crash and
+// was never acknowledged, so it is dropped — and reported
+// (Recovery.Dropped). kept is the number of the last stream's records the
+// recovered cluster holds. The recovery is charged to the recovered
+// cluster's counters and observer.
+func recoverCluster(cfg Config, disk *store.Disk, streams ...*wal.ScanResult) (b *BaseCluster, rec *Recovery, kept int, err error) {
 	head, body, err := wal.SplitCheckout(streams[0].Records)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("replica: recover base: %w", err)
 	}
-	b = newBaseCluster(model.StateOf(head.Origin), cfg, eng)
+	b = newBaseCluster(model.StateOf(head.Origin), cfg, disk)
 	last := streams[len(streams)-1]
 	rec = &Recovery{TornTail: last.Torn, TornLine: last.TornLine, TornOffset: last.TornOffset}
 	// Replay under the cluster mutex; the recovery event is emitted after
@@ -447,9 +448,6 @@ func (b *BaseCluster) Checkpoint() error {
 	origin := b.windowOrigin.Clone()
 	entries := make([]baseEntry, len(b.entries))
 	copy(entries, b.entries)
-	// The checkpoint supersedes everything the version chains carry below
-	// the current window origin.
-	cs := b.store.Checkpoint(b.windowID, 0)
 	b.disk.BeginRotate()
 	if b.journal != nil {
 		b.journal.ResetSeq()
@@ -465,7 +463,6 @@ func (b *BaseCluster) Checkpoint() error {
 	}
 	b.counters.Update(func(c *cost.Counts) {
 		c.StoreCheckpoints++
-		c.StoreVersionsCompacted += int64(cs.Compacted)
 		c.StoreBytesTruncated += st.TruncatedBytes
 	})
 	b.emit(obs.Event{
@@ -475,12 +472,17 @@ func (b *BaseCluster) Checkpoint() error {
 	return nil
 }
 
-// CloseStore flushes and closes the cluster's storage engine. The cluster
-// must be quiescent — no in-flight commits or merges.
+// CloseStore flushes and closes the cluster's durable segment log, if it
+// has one. The cluster must be quiescent — no in-flight commits or merges.
 //
 //tiermerge:locks(none)
 //tiermerge:blocking
-func (b *BaseCluster) CloseStore() error { return b.store.Close() }
+func (b *BaseCluster) CloseStore() error {
+	if b.disk == nil {
+		return nil
+	}
+	return b.disk.Close()
+}
 
 // LogSize reports the on-disk footprint of the segment log (checkpoint +
 // tail), or 0 without a durable store.

@@ -20,9 +20,9 @@ import (
 
 // The correctness oracle (DESIGN.md, "Correctness oracle"). One seeded
 // checker drives the same fleets through every in-process configuration —
-// tier (one cluster, 4 shards) × store (Memory, Disk) × deltas (on, off) ×
+// tier (one cluster, 4 shards) × store (in-memory, Disk) × deltas (on, off) ×
 // origin (Strategy 2, 1) — in a serial and a concurrent arm, and checks the
-// paper's properties against one reference: the one-cluster Memory cell of
+// paper's properties against one reference: the one-cluster in-memory cell of
 // the same deltas and origin in the serial arm, plus history.Run,
 // merge.VerifyMerge and rewrite.CBTR. A finding names its cell, fleet, arm,
 // reconnect and property; `go test -run 'TestOracle/<cell>'` reruns the
@@ -519,7 +519,7 @@ func (a *oracleArm) checkCounters(tier oracleTier, tracer *obs.Tracer, metrics *
 // TestOracle checks properties 1–9 in all 16 cells, both arms.
 func TestOracle(t *testing.T) {
 	// A merge over its footprint's shards alone got seed 170 wrong in every
-	// 4-shard Memory cell. Disk cells, which fsync every commit, run the
+	// 4-shard in-memory cell. Disk cells, which fsync every commit, run the
 	// fixed fleets and the first seeds only.
 	seeds, diskSeeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 170}, int64(2)
 	if testing.Short() {

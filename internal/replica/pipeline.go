@@ -103,7 +103,7 @@ func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (pref
 	pos := 0
 	if b.cfg.Origin == Strategy1 {
 		pos = ck.Pos
-		if pos > len(b.entries) || !ck.Origin.Equal(b.stateAt(pos)) {
+		if pos < 0 || pos > len(b.entries) || !ck.Origin.Equal(b.stateAt(pos)) {
 			return prefixSnapshot{}, FallbackOriginInvalid
 		}
 	}

@@ -65,9 +65,9 @@ func (s OriginStrategy) String() string {
 	}
 }
 
-// Config parameterizes a base cluster. The storage engine is not part of
-// it: the constructor chooses (NewBaseCluster and NewShardedBase write
-// through store.Memory, OpenBase and OpenShardedBase through store.Disk).
+// Config parameterizes a base cluster. Durability is not part of it: the
+// constructor chooses (NewBaseCluster and NewShardedBase keep the cluster
+// in memory, OpenBase and OpenShardedBase journal through store.Disk).
 type Config struct {
 	// BaseNodes is the number of base-tier replicas (>= 1); lazy
 	// propagation to the other BaseNodes-1 replicas is charged to the

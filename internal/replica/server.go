@@ -54,8 +54,8 @@ var ErrStaleSeq = errors.New("replica: stale reconnect seq")
 // limit — typically a master checkout larger than MaxFrame. The violation
 // is deterministic: redialing the same request fails the same way, so
 // clients fail fast instead of retrying (it is never wrapped in
-// ErrResponseLost). The streaming-checkout follow-up in ROADMAP item 1 is
-// the real fix for masters larger than a frame.
+// ErrResponseLost). The checkout payload work in ROADMAP item 4a is the
+// real fix for masters larger than a frame.
 var ErrOversized = errors.New("replica: response exceeds transport frame limit")
 
 // DropEveryNth makes the server lose every nth mobile-facing response —

@@ -184,11 +184,10 @@ func NewShardedBase(initial model.State, shards int, cfg Config) *ShardedBase {
 }
 
 // OpenShardedBase opens (or recovers) a durable sharded base tier rooted
-// at dir: shard k's segment log and version chains live under
-// dir/shard-<k>. Each shard recovers independently through OpenBase; the
-// per-shard recoveries are returned in shard order. Shard counts must
-// match across restarts — the router's partition is part of the on-disk
-// contract.
+// at dir: shard k's segment log lives under dir/shard-<k>. Each shard
+// recovers independently through OpenBase; the per-shard recoveries are
+// returned in shard order. Shard counts must match across restarts — the
+// router's partition is part of the on-disk contract.
 func OpenShardedBase(dir string, initial model.State, shards int, cfg Config) (*ShardedBase, []*Recovery, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("replica: open sharded base: %w", err)
@@ -533,7 +532,7 @@ func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 			// programming error.
 			panic(fmt.Sprintf("replica: cross-shard slice %s: %v", slice.ID, err))
 		}
-		b.appendEntry(baseEntry{t: slice, eff: seff, global: g})
+		b.entries = append(b.entries, baseEntry{t: slice, eff: seff, global: g})
 		b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
 		b.propagate(slice.ID, seff.Writes)
 		if lerr := b.logCommit(slice, seff); lerr != nil {

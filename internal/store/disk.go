@@ -1,5 +1,5 @@
-// The Disk engine: version chains plus a segmented durable log. The log is
-// a pair of files per generation,
+// The Disk engine: the segmented durable log. The log is a pair of files
+// per generation,
 //
 //	ckpt-<gen>.wal — a complete, self-contained base journal: the window
 //	                 origin (checkout record) followed by every entry of
@@ -50,10 +50,9 @@ import (
 	"tiermerge/internal/obs"
 )
 
-// Disk is the durable engine: the in-memory version chains of Memory plus
-// the segmented log the base journal persists through.
+// Disk is the durable engine: the segmented log the base journal persists
+// through.
 type Disk struct {
-	table
 	dir string
 
 	// bmu guards the pending buffers and the rotation-gate state —
@@ -118,12 +117,11 @@ type RotateStats struct {
 // initial checkpoint through Rotate before appending. On an existing
 // directory the newest readable generation survives and stale generations
 // and temp files are swept.
-func OpenDisk(dir string, opts ...Option) (*Disk, error) {
+func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	d := &Disk{dir: dir}
-	d.table.init(opts)
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -160,13 +158,11 @@ func OpenDisk(dir string, opts ...Option) (*Disk, error) {
 	return d, nil
 }
 
-// Registry attaches reg for the tiermerge_store_* series, including the
-// disk engine's log-byte counters.
+// Registry attaches reg for the engine's two log-byte counters.
 func (d *Disk) Registry(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	WithRegistry(reg)(&d.table)
 	d.mLogWritten = reg.Counter("tiermerge_store_log_bytes_written_total")
 	d.mLogTruncated = reg.Counter("tiermerge_store_log_bytes_truncated_total")
 }

@@ -11,132 +11,31 @@ import (
 	"time"
 
 	"tiermerge/internal/model"
-	"tiermerge/internal/obs"
 )
 
 func TestMemoryVersionResolution(t *testing.T) {
 	m := NewMemory()
 	m.Set(1, 0, map[model.Item]model.Value{"x": 10, "y": 20})
+	m.Set(1, 3, map[model.Item]model.Value{"y": 23}) // out of order: Set sorts by coordinate
 	m.Set(1, 1, map[model.Item]model.Value{"x": 11})
-	m.Set(1, 3, map[model.Item]model.Value{"y": 23})
 	m.Set(2, 1, map[model.Item]model.Value{"x": 30})
 
-	if v, ok := m.Get("x"); !ok || v != 30 {
-		t.Fatalf("Get(x) = %d, %v; want 30", v, ok)
-	}
-
-	s := m.SnapshotAt(1, 2)
-	defer s.Release()
-	if v, _ := s.Get("x"); v != 11 {
-		t.Errorf("snapshot(1,2) x = %d, want 11", v)
-	}
-	if v, _ := s.Get("y"); v != 20 {
-		t.Errorf("snapshot(1,2) y = %d, want 20 (write at pos 3 is past the watermark)", v)
-	}
-	st := s.State()
-	want := model.State{"x": 11, "y": 20}
-	if !st.Equal(want) {
-		t.Errorf("State() = %v, want %v", st, want)
-	}
-	s0 := m.SnapshotAt(1, 0)
-	defer s0.Release()
-	if st0 := s0.State(); !st0.Equal(model.State{"x": 10, "y": 20}) {
-		t.Errorf("State() at (1,0) = %v", st0)
-	}
-}
-
-func TestSetIdempotent(t *testing.T) {
-	m := NewMemory()
-	m.Set(1, 1, map[model.Item]model.Value{"x": 1})
-	m.Set(1, 1, map[model.Item]model.Value{"x": 2}) // recovery replays overwrite
-	if st := m.Stats(); st.Versions != 1 {
-		t.Fatalf("Versions = %d, want 1", st.Versions)
-	}
-	if v, _ := m.Get("x"); v != 2 {
-		t.Fatalf("Get(x) = %d, want 2", v)
-	}
-}
-
-func TestInsertAtShiftsWindowPositions(t *testing.T) {
-	m := NewMemory()
-	m.Set(1, 0, map[model.Item]model.Value{"x": 0, "z": 0})
-	m.Set(1, 1, map[model.Item]model.Value{"x": 1})
-	m.Set(1, 2, map[model.Item]model.Value{"x": 2})
-	// Interior insert at pos 1: a forwarded write on z (disjoint from the
-	// later writes on x, as the insert-conflict check guarantees).
-	m.InsertAt(1, 1, map[model.Item]model.Value{"z": 99})
-
-	for pos, want := range []model.State{
-		{"x": 0, "z": 0},
-		{"x": 0, "z": 99}, // inserted z visible, x at origin
-		{"x": 1, "z": 99}, // shifted x=1
-		{"x": 2, "z": 99},
+	for _, tc := range []struct {
+		window, pos int
+		want        model.State
+	}{
+		{1, 0, model.State{"x": 10, "y": 20}},
+		{1, 2, model.State{"x": 11, "y": 20}}, // the write at pos 3 is past the watermark
+		{1, 3, model.State{"x": 11, "y": 23}},
+		{2, 0, model.State{"x": 11, "y": 23}}, // a window's origin is the last window's end
+		{2, 1, model.State{"x": 30, "y": 23}},
 	} {
-		s := m.SnapshotAt(1, pos)
-		if st := s.State(); !st.Equal(want) {
-			t.Errorf("State() at (1,%d) = %v, want %v", pos, st, want)
+		s := m.SnapshotAt(tc.window, tc.pos)
+		if st := s.State(); !st.Equal(tc.want) {
+			t.Errorf("State() at (%d,%d) = %v, want %v", tc.window, tc.pos, st, tc.want)
 		}
 		s.Release()
 	}
-}
-
-func TestCheckpointCompactsAndRetainsSnapshots(t *testing.T) {
-	m := NewMemory()
-	for w := 1; w <= 5; w++ {
-		for p := 1; p <= 4; p++ {
-			m.Set(w, p, map[model.Item]model.Value{"x": model.Value(w*10 + p)})
-		}
-	}
-	if st := m.Stats(); st.Versions != 20 {
-		t.Fatalf("Versions = %d, want 20", st.Versions)
-	}
-
-	// A live snapshot at (2, 4) clamps the floor.
-	s := m.SnapshotAt(2, 4)
-	cs := m.Checkpoint(5, 0)
-	if cs.FloorWindow != 2 || cs.FloorPos != 4 {
-		t.Fatalf("floor = (%d,%d), want clamp to live snapshot (2,4)", cs.FloorWindow, cs.FloorPos)
-	}
-	if v, _ := s.Get("x"); v != 24 {
-		t.Fatalf("snapshot read after compaction = %d, want 24", v)
-	}
-
-	// Released: compaction advances to the requested floor.
-	s.Release()
-	m.Checkpoint(5, 0)
-	st := m.Stats()
-	// One version at or below (5,0) survives as the base, plus the window-5
-	// versions above the floor.
-	if st.Versions != 5 {
-		t.Fatalf("Versions after full compaction = %d, want 5", st.Versions)
-	}
-	if v, _ := m.Get("x"); v != 54 {
-		t.Fatalf("Get(x) after compaction = %d, want 54", v)
-	}
-	s2 := m.SnapshotAt(5, 4)
-	defer s2.Release()
-	if v, _ := s2.Get("x"); v != 54 {
-		t.Fatalf("snapshot after compaction = %d, want 54", v)
-	}
-}
-
-func TestStoreMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := NewMemory(WithRegistry(reg))
-	m.Set(1, 1, map[model.Item]model.Value{"x": 1, "y": 2})
-	s := m.SnapshotAt(1, 1)
-	m.Checkpoint(1, 0)
-	snap := reg.Snapshot()
-	if got := snap.Gauges["tiermerge_store_versions"]; got != 2 {
-		t.Errorf("tiermerge_store_versions = %d, want 2", got)
-	}
-	if got := snap.Gauges["tiermerge_store_snapshots_open"]; got != 1 {
-		t.Errorf("tiermerge_store_snapshots_open = %d, want 1", got)
-	}
-	if got := snap.Counters["tiermerge_store_checkpoints_total"]; got != 1 {
-		t.Errorf("tiermerge_store_checkpoints_total = %d, want 1", got)
-	}
-	s.Release()
 }
 
 func TestDiskRotateAndRecoverSegments(t *testing.T) {

@@ -73,6 +73,17 @@ if [ -n "$kind_leaks" ]; then
     exit 1
 fi
 
+echo "== base state has one form =="
+# A cluster's state is its master, window origin and the window's entries;
+# the Strategy 1 token check replays the entries. No program code outside
+# internal/store may bring back a second, per-position form of it.
+chain_leaks=$(grep -rnE 'store\.NewMemory|store\.Engine|SnapshotAt|InsertAt' --include=*.go internal cmd ./*.go | grep -v '_test\.go:' | grep -v '^internal/store/' || true)
+if [ -n "$chain_leaks" ]; then
+    echo "FAILED: per-position base state named outside internal/store:" >&2
+    echo "$chain_leaks" >&2
+    exit 1
+fi
+
 echo "== tiermergelint (merge-protocol invariants) =="
 go run ./cmd/tiermergelint ./...
 # The two module-level lint tests skip under -short: the whole suite must
@@ -136,6 +147,14 @@ go test -count=1 -run "$journal_pins" ./internal/replica/
 
 echo "== race (concurrent reconnects + observers + crash-recovery soak) =="
 go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
+
+echo "== Strategy 1 checkout tokens (position bounds, replayed state) =="
+# A token admits a merge exactly when its origin equals the replayed state
+# at its position; a position outside the window is refused, in process
+# and over the wire, instead of panicking under the cluster mutex.
+token_pins='TestStrategy1TokenCheck|TestMergeRefusesNegativeCheckoutPos|TestServeFrameRefusesNegativeCheckoutPos'
+require_tests "$token_pins" ./internal/replica/
+go test -count=1 -run "$token_pins" ./internal/replica/
 
 echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) =="
 # Explicit gate for the transport seam: the conformance suite must produce

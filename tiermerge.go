@@ -665,12 +665,11 @@ func RecoverBaseCluster(r io.Reader, cfg ClusterConfig) (*BaseCluster, *WALRecov
 	return replica.RecoverBaseCluster(r, cfg)
 }
 
-// OpenBase opens (or creates) a durable base cluster rooted at dir: the
-// storage engine keeps committed entries in MVCC version chains backed by
-// a segmented log (checkpoint + live tail), and recovery replays
-// checkpoint-then-tail instead of the full history. The cluster's
-// Checkpoint method rotates segments and truncates the log; CloseStore
-// releases the engine. See DESIGN.md §14.
+// OpenBase opens (or creates) a durable base cluster rooted at dir: every
+// commit is journaled to a segmented log (checkpoint + live tail), and
+// recovery replays checkpoint-then-tail instead of the full history. The
+// cluster's Checkpoint method rotates segments and truncates the log;
+// CloseStore releases the log. See DESIGN.md §14.
 func OpenBase(dir string, initial State, cfg ClusterConfig) (*BaseCluster, *WALRecovery, error) {
 	return replica.OpenBase(dir, initial, cfg)
 }
