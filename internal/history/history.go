@@ -170,6 +170,22 @@ func (a *Augmented) Append(t *tx.Transaction) (*tx.Effect, error) {
 	return eff, nil
 }
 
+// Rewind empties the run in place, restoring the final state to the origin
+// by undoing the write images: O(Σ writes), not a copy of the state. Final
+// and Effects taken before must not be used afterwards.
+func (a *Augmented) Rewind() {
+	for _, eff := range a.Effects {
+		for it := range eff.Writes {
+			if v, ok := a.Origin[it]; ok {
+				a.final[it] = v
+			} else {
+				delete(a.final, it)
+			}
+		}
+	}
+	a.H, a.Effects = &History{}, nil
+}
+
 // Final returns the final state: the run's working state, not a copy.
 func (a *Augmented) Final() model.State { return a.final }
 

@@ -500,7 +500,8 @@ type Checkout struct {
 	WindowID int
 	// Pos is the base-history position of the snapshot (Strategy 1 only).
 	Pos int
-	// Origin is the snapshot the tentative history starts from.
+	// Origin is the snapshot the tentative history starts from; a token
+	// that crossed the wire carries only Hm's footprint of it.
 	Origin model.State
 	// Shards carries the per-shard checkout tokens when the checkout came
 	// from a sharded base tier (ShardedBase.CheckoutReplica); nil for a

@@ -248,16 +248,13 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 }
 
 // partLocked validates members[i]'s checkout token and captures its part.
-// The only member's view is the merge's view and carries the footprint's
-// posting lists; one of several is indexed in combined order and carries
-// none. Caller holds that member's mutex.
+// The only member's view is the merge's view; one of several is indexed in
+// combined order, and its posting lists go unread. Caller holds that
+// member's mutex.
 //
 //tiermerge:locks(shard)
 func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (shardPart, FallbackReason) {
 	b := cs.members[i]
-	if len(cs.members) > 1 {
-		footprint = nil
-	}
 	snap, fb := b.snapshotLocked(ck, footprint)
 	if fb != FallbackNone {
 		return shardPart{}, fb

@@ -44,7 +44,7 @@ import (
 func (m *MobileNode) AttachJournal(w io.Writer) error {
 	// Journal any transactions already run this period, so attaching late
 	// still yields a complete journal.
-	jw, err := m.journalPeriod(w)
+	jw, err := m.journalPeriod(w, m.ck.Origin)
 	if err != nil {
 		return err
 	}
@@ -57,11 +57,13 @@ func (m *MobileNode) AttachJournal(w io.Writer) error {
 	return nil
 }
 
-// journalPeriod writes the node's whole period onto w — its checkout, then
-// every tentative transaction run so far — and returns the writer that
-// continues it.
-func (m *MobileNode) journalPeriod(w io.Writer) (*wal.Writer, error) {
-	return wal.NewPeriod(w, m.ck.WindowID, m.ck.Pos, m.ck.Origin, m.run.H.Len(),
+// journalPeriod writes the node's whole period onto w — its checkout with
+// origin, then every tentative transaction run so far — and returns the
+// writer that continues it. The mobile's own journal records the whole
+// origin (recovery rebuilds the replica from it); a reconnect payload only
+// Hm's footprint of it (Client.marshalJournal).
+func (m *MobileNode) journalPeriod(w io.Writer, origin model.State) (*wal.Writer, error) {
+	return wal.NewPeriod(w, m.ck.WindowID, m.ck.Pos, origin, m.run.H.Len(),
 		func(i int) (*tx.Transaction, *tx.Effect) { return m.run.H.Txn(i), m.run.Effects[i] })
 }
 

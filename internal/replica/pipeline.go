@@ -88,22 +88,54 @@ func footprintOf(hm *history.Augmented) model.ItemSet {
 	return fp
 }
 
+// footprintOrigin restricts origin to Hm's footprint, an item origin lacks
+// as an explicit zero: every origin value a replay of Hm reads.
+func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
+	fp := footprintOf(hm)
+	s := make(model.State, len(fp))
+	for it := range fp {
+		s.Set(it, origin.Get(it))
+	}
+	return s
+}
+
 // snapshotLocked validates the checkout token and captures the prefix
 // snapshot: the lock-free view of the indexed base history from the checkout
-// position on, with the posting lists of footprint (nil: none — a part of
-// several, whose accesses feed the combined index, clusterSet.viewLocked).
-// No map and no slice header of the index is read after b.mu is released.
-// Caller holds b.mu.
+// position on, with the posting lists of footprint (nil: none). No map and
+// no slice header of the index is read after b.mu is released. Caller holds
+// b.mu.
+//
+// A token is valid when every item its origin carries has that value in the
+// base state at the token: the window origin under Strategy 2, the state at
+// its position under Strategy 1. An in-process token carries the whole
+// origin; one that crossed the wire carries Hm's footprint of it
+// (footprintOrigin — a value the payload omits was replayed as zero, and is
+// claimed as zero). The check costs O(|origin|), plus the state at the
+// position under Strategy 1.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (prefixSnapshot, FallbackReason) {
 	if ck.WindowID != b.windowID {
 		return prefixSnapshot{}, FallbackWindowExpired
 	}
-	pos := 0
+	pos, at := 0, b.windowOrigin
 	if b.cfg.Origin == Strategy1 {
 		pos = ck.Pos
-		if pos < 0 || pos > len(b.entries) || !ck.Origin.Equal(b.stateAt(pos)) {
+		if pos < 0 || pos > len(b.entries) {
+			return prefixSnapshot{}, FallbackOriginInvalid
+		}
+		at = b.stateAt(pos)
+		// An interior insert can add an item to the state at pos after the
+		// checkout; a footprint item the token does not carry was read as
+		// zero.
+		for it := range footprint {
+			if _, ok := ck.Origin[it]; !ok && at.Get(it) != 0 {
+				return prefixSnapshot{}, FallbackOriginInvalid
+			}
+		}
+	}
+	for it, v := range ck.Origin {
+		if at.Get(it) != v {
 			return prefixSnapshot{}, FallbackOriginInvalid
 		}
 	}

@@ -54,8 +54,9 @@ var ErrStaleSeq = errors.New("replica: stale reconnect seq")
 // limit — typically a master checkout larger than MaxFrame. The violation
 // is deterministic: redialing the same request fails the same way, so
 // clients fail fast instead of retrying (it is never wrapped in
-// ErrResponseLost). The checkout payload work in ROADMAP item 4a is the
-// real fix for masters larger than a frame.
+// ErrResponseLost). Only a first checkout, a Strategy 1 checkout or one
+// into a new window still ships the whole origin: a reconnect carries Hm's
+// footprint of it, and a same-window re-checkout none.
 var ErrOversized = errors.New("replica: response exceeds transport frame limit")
 
 // DropEveryNth makes the server lose every nth mobile-facing response —
@@ -90,12 +91,15 @@ type wireReq struct {
 	// without tripping the stale-seq guard, while a delayed duplicate —
 	// necessarily a byte-identical frame from the SAME session — still
 	// carries the epoch it was stamped with and is caught.
-	Epoch   string                     `json:"epoch,omitempty"`
-	Window  int                        `json:"window,omitempty"`
-	Pos     int                        `json:"pos,omitempty"`
-	Origin  map[model.Item]model.Value `json:"origin,omitempty"`
-	Journal []byte                     `json:"journal,omitempty"` // wal records (JSON lines)
-	Txn     json.RawMessage            `json:"txn,omitempty"`
+	Epoch string `json:"epoch,omitempty"`
+	// Window, on a checkout, is the window whose origin the client still
+	// holds (0: none). A Strategy 2 base still in that window answers Same
+	// instead of shipping the origin again.
+	Window int `json:"window,omitempty"`
+	// Journal is a reconnect's period as wal records (JSON lines): the
+	// checkout, its origin restricted to Hm's footprint, then Hm.
+	Journal []byte          `json:"journal,omitempty"`
+	Txn     json.RawMessage `json:"txn,omitempty"`
 }
 
 // wireResp is the serialized response envelope.
@@ -106,8 +110,12 @@ type wireResp struct {
 	Stale bool `json:"stale,omitempty"`
 	// TooLarge marks an Err caused by a response exceeding the transport
 	// frame limit (ErrOversized) — non-retryable, clients fail fast.
-	TooLarge bool                       `json:"too_large,omitempty"`
-	Window   int                        `json:"window,omitempty"`
+	TooLarge bool `json:"too_large,omitempty"`
+	Window   int  `json:"window,omitempty"`
+	// Same answers a checkout whose Window the base still serves under
+	// Strategy 2: the client restarts from the origin it holds, and the
+	// response carries none.
+	Same     bool                       `json:"same,omitempty"`
 	Pos      int                        `json:"pos,omitempty"`
 	Origin   map[model.Item]model.Value `json:"origin,omitempty"`
 	Merged   bool                       `json:"merged,omitempty"`
@@ -345,6 +353,9 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 	}
 	switch req.Kind {
 	case reqCheckout:
+		if req.Window != 0 && s.sameWindow(req.Window) {
+			return mustResp(wireResp{Window: req.Window, Same: true}), req.Kind, true
+		}
 		ck := s.tier.CheckoutReplica(req.MobileID)
 		return mustResp(wireResp{Window: ck.WindowID, Pos: ck.Pos, Origin: ck.Origin}), req.Kind, true
 	case reqMaster:
@@ -390,7 +401,7 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 				MobileID: req.MobileID,
 				WindowID: rep.WindowID,
 				Pos:      rep.Pos,
-				Origin:   rep.Origin,
+				Origin:   footprintOrigin(rep.Origin, rep.Augmented),
 			}
 			out, err = s.tier.Merge(ck, rep.Augmented)
 			if err != nil {
@@ -413,6 +424,19 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 	default:
 		return mustResp(wireResp{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}), req.Kind, false
 	}
+}
+
+// sameWindow reports whether a checkout now would hand out the origin of
+// window w: only under Strategy 2, whose window origin is replaced by
+// AdvanceWindow alone and never mutated.
+func (s *BaseServer) sameWindow(w int) bool {
+	switch {
+	case s.b != nil:
+		return s.b.cfg.Origin == Strategy2 && s.b.WindowID() == w
+	case s.sharded != nil:
+		return s.sharded.cfg.Origin == Strategy2 && s.sharded.WindowID() == w
+	}
+	return false
 }
 
 // replayPayload decodes and verifies a reconnect's journal. A payload is

@@ -409,7 +409,7 @@ func TestStaleSeqRejected(t *testing.T) {
 	}
 
 	// Reconnect seq 2: a fresh period depositing 7.
-	if err := c.checkout(ctx); err != nil {
+	if err := c.checkout(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(workload.Deposit("T2", tx.Tentative, "acct", 7)); err != nil {

@@ -634,8 +634,9 @@ func (s *ShardedBase) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome
 }
 
 // wireTokens synthesizes the per-shard tokens of a checkout that crossed
-// the wire (the reconnect journal carries only the combined token): the
-// origin is partitioned by the router, window and position are copied.
+// the wire (the reconnect journal carries only the combined token): its
+// origin, Hm's footprint of the real one, is partitioned by the router, and
+// each shard checks its part; window and position are copied.
 // Under Strategy 1 the copied position is validated per shard and a stale
 // one degrades that merge to reprocessing — correct, if conservative;
 // sharded Strategy 1 workloads should reconnect through the in-process

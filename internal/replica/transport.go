@@ -136,7 +136,7 @@ func DialContext(ctx context.Context, id string, srv *BaseServer) (*Client, erro
 // separately when done.
 func DialTransport(ctx context.Context, id string, tr Transport) (*Client, error) {
 	c := &Client{tr: tr, node: &MobileNode{ID: id}, epoch: newEpoch()}
-	if err := c.checkout(ctx); err != nil {
+	if err := c.checkout(ctx, 0); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -179,14 +179,17 @@ func retryPause(ctx context.Context, attempt int) {
 }
 
 // checkout refreshes the client's replica over the wire, retrying lost
-// responses (checkouts are read-only, hence idempotent).
-func (c *Client) checkout(ctx context.Context) error {
+// responses (checkouts are read-only, hence idempotent). held names the
+// window whose origin the client still holds (0: none); a base that would
+// hand out that origin again answers Same, and the new period starts from
+// the held origin.
+func (c *Client) checkout(ctx context.Context, held int) error {
 	var (
 		resp *wireResp
 		err  error
 	)
 	for attempt := 0; ; attempt++ {
-		resp, err = call(ctx, c.tr, wireReq{Kind: reqCheckout, MobileID: c.node.ID})
+		resp, err = call(ctx, c.tr, wireReq{Kind: reqCheckout, MobileID: c.node.ID, Window: held})
 		if err == nil {
 			break
 		}
@@ -194,6 +197,12 @@ func (c *Client) checkout(ctx context.Context) error {
 			return err
 		}
 		retryPause(ctx, attempt)
+	}
+	if resp.Same {
+		// The token is unchanged: undo the period's writes in place rather
+		// than copy the whole held origin.
+		c.node.run.Rewind()
+		return nil
 	}
 	// The freshly decoded origin is the node's own: it is adopted, not copied.
 	c.node.resetFrom(Checkout{MobileID: c.node.ID, WindowID: resp.Window, Pos: resp.Pos, Origin: resp.Origin})
@@ -210,10 +219,11 @@ func (c *Client) Local() model.State { return c.node.Local() }
 func (c *Client) Pending() int { return c.node.Pending() }
 
 // marshalJournal serializes the node's whole period as wal records — the
-// payload a reconnect ships.
+// payload a reconnect ships. Its checkout carries Hm's footprint of the
+// origin, so wal.Replay from it gives the same effects.
 func (c *Client) marshalJournal() ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := c.node.journalPeriod(&buf); err != nil {
+	if _, err := c.node.journalPeriod(&buf, footprintOrigin(c.node.ck.Origin, c.node.run)); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -221,7 +231,8 @@ func (c *Client) marshalJournal() ([]byte, error) {
 
 // connect performs a reconcile round trip of the given kind, retrying on
 // lost responses (the sequence number makes retries exactly-once), then
-// re-checks out.
+// re-checks out — offering the held window after a merge, whose token the
+// base has just accepted.
 func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, error) {
 	journal, err := c.marshalJournal()
 	if err != nil {
@@ -250,7 +261,11 @@ func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, er
 		Reprocessed: resp.Reproc,
 		Failed:      resp.Failed,
 	}
-	if err := c.checkout(ctx); err != nil {
+	held := 0
+	if out.Merged {
+		held = c.node.ck.WindowID
+	}
+	if err := c.checkout(ctx, held); err != nil {
 		return nil, err
 	}
 	return out, nil
