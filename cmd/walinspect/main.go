@@ -7,10 +7,12 @@
 //	walinspect -records m1.wal   # dump raw records too
 //	walinspect -salvage m1.wal   # forensics on a damaged journal
 //
-// By default the journal is read strictly: only a torn final line (crash
-// damage) is tolerated. -salvage decodes the longest valid prefix of a
-// journal strict mode rejects and reports where it tears and what was
-// discarded — for diagnosis only; recovery never trusts a salvaged prefix.
+// By default the journal is read strictly: only a torn final record (crash
+// damage) is tolerated; a record failing its checksum anywhere, or a
+// journal in the JSON-lines format of earlier versions, is an error.
+// -salvage decodes the longest valid prefix of a journal strict mode
+// rejects and reports where it tears and what was discarded — for
+// diagnosis only; recovery never trusts a salvaged prefix.
 package main
 
 import (
@@ -55,10 +57,10 @@ func inspect(w io.Writer, r io.Reader, records, code, salvage bool) error {
 		}
 		recs = res.Records
 		if res.Torn {
-			fmt.Fprintf(w, "TORN at line %d (offset %d): %s\n", res.TornLine, res.TornOffset, res.TornReason)
+			fmt.Fprintf(w, "TORN at record %d (offset %d): %s\n", res.TornRecord, res.TornOffset, res.TornReason)
 		}
-		if res.DiscardedLines > 0 {
-			fmt.Fprintf(w, "DISCARDED %d line(s) after the tear — acknowledged work may be lost\n", res.DiscardedLines)
+		if res.Discarded > 0 {
+			fmt.Fprintf(w, "DISCARDED %d byte(s) from the tear on — acknowledged work may be lost\n", res.Discarded)
 		}
 	} else {
 		var err error

@@ -81,10 +81,14 @@ func TestInspectSalvageDamagedJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Corrupt an interior line (the damage a crash cannot produce).
-	lines := strings.SplitAfter(journal.String(), "\n")
-	lines[2] = "garbage\n"
-	damaged := strings.Join(lines, "")
+	// Corrupt an interior record (the damage a crash cannot produce).
+	res, err := tiermerge.SalvageWAL(bytes.NewReader(journal.Bytes()))
+	if err != nil || res.Torn {
+		t.Fatalf("pristine journal: %+v, %v", res, err)
+	}
+	raw := journal.Bytes()
+	raw[res.Ends[1]+7] ^= 0xff
+	damaged := string(raw)
 
 	var out bytes.Buffer
 	if err := inspect(&out, strings.NewReader(damaged), false, false, false); err == nil {
@@ -95,9 +99,22 @@ func TestInspectSalvageDamagedJournal(t *testing.T) {
 		t.Fatalf("salvage inspect: %v", err)
 	}
 	text := out.String()
-	for _, want := range []string{"TORN at line 3", "DISCARDED", "2 records"} {
+	for _, want := range []string{"TORN at record 3", "DISCARDED", "2 records"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("salvage output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestInspectRefusesJSONLines: a journal in the JSON-lines format of
+// earlier versions fails with an error that names the format.
+func TestInspectRefusesJSONLines(t *testing.T) {
+	old := `{"seq":1,"kind":"checkout","window":1,"origin":{"x":5}}` + "\n"
+	for _, salvage := range []bool{false, true} {
+		var out bytes.Buffer
+		err := inspect(&out, strings.NewReader(old), false, false, salvage)
+		if err == nil || !strings.Contains(err.Error(), "JSON-lines") {
+			t.Errorf("salvage=%v: inspect returned %v, want the JSON-lines format named", salvage, err)
 		}
 	}
 }

@@ -1,11 +1,28 @@
 package expr
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
+	"tiermerge/internal/codec"
 	"tiermerge/internal/model"
 )
+
+// encode and decode run the binary codec over one expression or
+// predicate; decoding requires the whole input to be consumed.
+func encode[T any](put func(*codec.Encoder, T), v T) ([]byte, error) {
+	enc := codec.NewEncoder(nil)
+	put(enc, v)
+	return enc.Result()
+}
+
+func decode[T any](get func(*codec.Decoder) T, data []byte) (T, error) {
+	dec := codec.NewDecoder(data)
+	v := get(dec)
+	return v, dec.Finish()
+}
 
 // randExpr builds a random expression tree of bounded depth over items
 // a..d and parameters p/q.
@@ -55,13 +72,13 @@ func TestExprCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(801))
 	for trial := 0; trial < 500; trial++ {
 		orig := randExpr(rng, 4)
-		data, err := MarshalExpr(orig)
+		data, err := encode(EncodeExpr, orig)
 		if err != nil {
 			t.Fatalf("trial %d: marshal %s: %v", trial, orig, err)
 		}
-		got, err := UnmarshalExpr(data)
+		got, err := decode(DecodeExpr, data)
 		if err != nil {
-			t.Fatalf("trial %d: unmarshal %s: %v", trial, data, err)
+			t.Fatalf("trial %d: unmarshal %x: %v", trial, data, err)
 		}
 		// Structural identity via the deterministic String form.
 		if got.String() != orig.String() {
@@ -82,13 +99,13 @@ func TestPredCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(802))
 	for trial := 0; trial < 500; trial++ {
 		orig := randPred(rng, 3)
-		data, err := MarshalPred(orig)
+		data, err := encode(EncodePred, orig)
 		if err != nil {
 			t.Fatalf("trial %d: marshal %s: %v", trial, orig, err)
 		}
-		got, err := UnmarshalPred(data)
+		got, err := decode(DecodePred, data)
 		if err != nil {
-			t.Fatalf("trial %d: unmarshal %s: %v", trial, data, err)
+			t.Fatalf("trial %d: unmarshal %x: %v", trial, data, err)
 		}
 		if got.String() != orig.String() {
 			t.Fatalf("trial %d: %s != %s", trial, got, orig)
@@ -97,21 +114,37 @@ func TestPredCodecRoundTrip(t *testing.T) {
 }
 
 func TestExprCodecRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		``, `{}`, `{"bin":{"op":"?","l":{"const":1},"r":{"const":2}}}`,
-		`{"bin":{"op":"+","l":{},"r":{"const":2}}}`,
-		`[1,2]`,
+	leaf := []byte{tagConst, 2}
+	for name, bad := range map[string][]byte{
+		"empty":            {},
+		"unknown tag":      {0},
+		"unknown operator": append([]byte{tagOp + 9}, append(leaf, leaf...)...),
+		"missing operand":  append([]byte{tagOp + byte(OpAdd)}, leaf...),
+		"trailing bytes":   append(leaf, 0),
+		"name past end":    {tagVar, 9, 'x'},
+		"too deep":         append(bytes.Repeat([]byte{tagOp + byte(OpAdd)}, codec.MaxDepth), bytes.Repeat(leaf, codec.MaxDepth+1)...),
 	} {
-		if _, err := UnmarshalExpr([]byte(bad)); err == nil {
-			t.Errorf("accepted %q", bad)
+		if _, err := decode(DecodeExpr, bad); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("%s: accepted %x (%v)", name, bad, err)
 		}
 	}
-	for _, bad := range []string{
-		``, `{}`, `{"cmp":{"op":"~","l":{"const":1},"r":{"const":2}}}`,
-		`{"and":[{"cmp":{"op":">","l":{"const":1},"r":{"const":2}}}]}`,
+	cmp := append([]byte{tagOp + byte(CmpGT)}, append(leaf, leaf...)...)
+	for name, bad := range map[string][]byte{
+		"empty":              {},
+		"unknown comparison": append([]byte{tagOp + 9}, append(leaf, leaf...)...),
+		"and of one":         append([]byte{tagAnd}, cmp...),
+		"expression as pred": leaf,
 	} {
-		if _, err := UnmarshalPred([]byte(bad)); err == nil {
-			t.Errorf("accepted predicate %q", bad)
+		if _, err := decode(DecodePred, bad); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("predicate %s: accepted %x (%v)", name, bad, err)
 		}
+	}
+	// The encoder refuses what the decoder would: nesting past MaxDepth.
+	deep := Const(1)
+	for i := 0; i < codec.MaxDepth; i++ {
+		deep = Add(deep, Const(1))
+	}
+	if _, err := encode(EncodeExpr, deep); !errors.Is(err, codec.ErrMalformed) {
+		t.Errorf("encoded an expression %d levels deep: %v", codec.MaxDepth+1, err)
 	}
 }

@@ -3,11 +3,13 @@
 // only as good as the damage it has been exercised under, so every fault
 // this package injects is reproducible from its parameters alone: a
 // CrashWriter persists exactly the journal prefix a process that died at a
-// chosen kill point would have left behind (including a torn final line),
-// the Mutation set models media damage (bit flips, duplicated and dropped
-// lines, truncation at arbitrary byte offsets), and Schedule is the shared
-// counter-driven predicate behind transport injection
-// (BaseServer.DropEveryNth) and any other every-nth fault plan.
+// chosen kill point would have left behind (including a torn final
+// record), the Mutation set models media damage (bit flips, duplicated and
+// dropped records, truncation at arbitrary byte offsets), and Schedule is
+// the shared counter-driven predicate behind transport injection
+// (BaseServer.DropEveryNth) and any other every-nth fault plan. A record
+// is whatever one Write call carries, so the package never learns the
+// journal format.
 //
 // Nothing here is random at fault time: harnesses enumerate kill points and
 // mutations exhaustively (internal/sim's kill-point sweep, the wal fuzz
@@ -16,6 +18,7 @@ package fault
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 )
 
@@ -24,15 +27,15 @@ import (
 // never kills (everything persists).
 type Plan struct {
 	// KillAfterRecords stops persistence after this many complete records
-	// (newline-terminated lines) have been written; 0 disables the
-	// record-count kill point.
+	// (Write calls) have been written; 0 disables the record-count kill
+	// point.
 	KillAfterRecords int
 	// KillAtByte stops persistence after this many bytes; 0 disables the
 	// byte kill point. When both are set, whichever trips first wins.
 	KillAtByte int64
-	// TornTailBytes persists this many additional bytes of the first
-	// suppressed record, modeling a write torn mid-line by the crash. The
-	// torn bytes never include the record's trailing newline.
+	// TornTailBytes persists this many bytes of the first suppressed
+	// record, modeling a write torn by the crash. The torn bytes never
+	// complete the record.
 	TornTailBytes int
 }
 
@@ -40,14 +43,14 @@ type Plan struct {
 // that loses power: the application sees every Write succeed, but only the
 // prefix written before the Plan's kill point survives to Persisted(). Use
 // it behind a wal.Writer to reproduce any crash a disconnection period can
-// suffer.
+// suffer; with the zero Plan it records a journal image record by record
+// (Records).
 type CrashWriter struct {
-	plan    Plan
-	disk    bytes.Buffer
-	records int
-	bytes   int64
-	torn    int
-	killed  bool
+	plan   Plan
+	disk   bytes.Buffer
+	ends   []int // disk offset past each complete record
+	killed bool
+	torn   bool // the first suppressed record has been torn
 }
 
 // NewCrashWriter returns a CrashWriter that persists according to p.
@@ -55,29 +58,29 @@ func NewCrashWriter(p Plan) *CrashWriter {
 	return &CrashWriter{plan: p}
 }
 
-// Write accepts b in full (the process is still alive and its writes
-// "succeed"); bytes beyond the kill point are dropped, except for
-// TornTailBytes of the first suppressed record.
+// Write accepts b — one record — in full (the process is still alive and
+// its writes "succeed"); bytes beyond the kill point are dropped, except
+// for TornTailBytes of the first suppressed record.
 func (w *CrashWriter) Write(b []byte) (int, error) {
-	for _, c := range b {
-		if !w.killed {
-			w.disk.WriteByte(c)
-			w.bytes++
-			if c == '\n' {
-				w.records++
-			}
-			if w.plan.KillAfterRecords > 0 && w.records >= w.plan.KillAfterRecords {
-				w.killed = true
-			}
-			if w.plan.KillAtByte > 0 && w.bytes >= w.plan.KillAtByte {
-				w.killed = true
-			}
-			continue
+	if w.killed {
+		if !w.torn {
+			w.torn = true
+			w.disk.Write(b[:max(0, min(w.plan.TornTailBytes, len(b)-1))])
 		}
-		if w.torn < w.plan.TornTailBytes && c != '\n' {
-			w.disk.WriteByte(c)
-			w.torn++
-		}
+		return len(b), nil
+	}
+	keep := b
+	if at := w.plan.KillAtByte; at > 0 && int64(w.disk.Len()+len(b)) >= at {
+		keep = b[:at-int64(w.disk.Len())]
+		w.killed = true
+		w.torn = len(keep) < len(b) // the kill cut this record
+	}
+	w.disk.Write(keep)
+	if len(keep) == len(b) {
+		w.ends = append(w.ends, w.disk.Len())
+	}
+	if w.plan.KillAfterRecords > 0 && len(w.ends) >= w.plan.KillAfterRecords {
+		w.killed = true
 	}
 	return len(b), nil
 }
@@ -92,7 +95,22 @@ func (w *CrashWriter) Persisted() []byte {
 	return append([]byte(nil), w.disk.Bytes()...)
 }
 
-// Op enumerates the deterministic corruptions Apply can inflict on a
+// Records returns the persisted image split into its records, a torn
+// final fragment last — the form Mutate corrupts.
+func (w *CrashWriter) Records() [][]byte {
+	data := w.Persisted()
+	var out [][]byte
+	start := 0
+	for _, end := range append(w.ends, len(data)) {
+		if end > start {
+			out = append(out, data[start:end])
+		}
+		start = end
+	}
+	return out
+}
+
+// Op enumerates the deterministic corruptions Mutate can inflict on a
 // journal image.
 type Op int
 
@@ -103,11 +121,11 @@ const (
 	TruncateAt Op = iota
 	// FlipBit flips bit (Arg mod 8) of byte (Arg div 8) — bit rot.
 	FlipBit
-	// DuplicateLine repeats line index Arg (0-based) immediately after
+	// DuplicateRecord repeats record index Arg (0-based) immediately after
 	// itself — a replayed buffer flush.
-	DuplicateLine
-	// DropLine removes line index Arg (0-based) — a lost buffer flush.
-	DropLine
+	DuplicateRecord
+	// DropRecord removes record index Arg (0-based) — a lost buffer flush.
+	DropRecord
 )
 
 func (o Op) String() string {
@@ -116,10 +134,10 @@ func (o Op) String() string {
 		return "truncate-at"
 	case FlipBit:
 		return "flip-bit"
-	case DuplicateLine:
-		return "duplicate-line"
-	case DropLine:
-		return "drop-line"
+	case DuplicateRecord:
+		return "duplicate-record"
+	case DropRecord:
+		return "drop-record"
 	default:
 		return "unknown-op"
 	}
@@ -131,77 +149,47 @@ type Mutation struct {
 	Arg int64
 }
 
-// Apply returns a corrupted copy of data; the input is never modified.
-// Out-of-range arguments clamp to no-ops (fuzzers pass arbitrary offsets).
-func Apply(data []byte, m Mutation) []byte {
-	out := append([]byte(nil), data...)
-	switch m.Op {
-	case TruncateAt:
-		if m.Arg >= 0 && m.Arg < int64(len(out)) {
-			out = out[:m.Arg]
-		}
-	case FlipBit:
-		if m.Arg >= 0 && m.Arg/8 < int64(len(out)) {
-			out[m.Arg/8] ^= 1 << (m.Arg % 8)
-		}
-	case DuplicateLine:
-		lines := splitLines(out)
-		if m.Arg >= 0 && m.Arg < int64(len(lines)) {
-			i := int(m.Arg)
-			dup := append([][]byte{}, lines[:i+1]...)
-			dup = append(dup, lines[i])
-			dup = append(dup, lines[i+1:]...)
-			out = joinLines(dup)
-		}
-	case DropLine:
-		lines := splitLines(out)
-		if m.Arg >= 0 && m.Arg < int64(len(lines)) {
-			i := int(m.Arg)
-			out = joinLines(append(lines[:i:i], lines[i+1:]...))
-		}
-	}
-	return out
-}
-
-// Mutate applies a sequence of mutations left to right.
-func Mutate(data []byte, ms ...Mutation) []byte {
+// Mutate applies a sequence of mutations left to right to a journal image
+// given as its records (CrashWriter.Records) and returns the corrupted
+// bytes; the input is never modified. Out-of-range arguments clamp to
+// no-ops (fuzzers pass arbitrary offsets).
+func Mutate(recs [][]byte, ms ...Mutation) []byte {
+	recs = slices.Clone(recs)
 	for _, m := range ms {
-		data = Apply(data, m)
-	}
-	return data
-}
-
-// NewCrashReader returns a reader over a deterministically corrupted copy
-// of data — the read-side counterpart of CrashWriter, for recovery paths
-// that consume damaged media.
-func NewCrashReader(data []byte, ms ...Mutation) *bytes.Reader {
-	return bytes.NewReader(Mutate(data, ms...))
-}
-
-// splitLines splits on '\n', keeping no terminators; a trailing newline
-// yields no empty final element.
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	for len(data) > 0 {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			out = append(out, data)
-			break
+		if m.Arg < 0 {
+			continue
 		}
-		out = append(out, data[:i])
-		data = data[i+1:]
+		i := int(m.Arg)
+		switch m.Op {
+		case TruncateAt, FlipBit:
+			at := m.Arg
+			if m.Op == FlipBit {
+				at = m.Arg / 8
+			}
+			for r, rec := range recs {
+				if at >= int64(len(rec)) {
+					at -= int64(len(rec))
+					continue
+				}
+				if m.Op == TruncateAt {
+					recs = append(recs[:r], rec[:at])
+				} else {
+					recs[r] = slices.Clone(rec)
+					recs[r][at] ^= 1 << (m.Arg % 8)
+				}
+				break
+			}
+		case DuplicateRecord:
+			if m.Arg < int64(len(recs)) {
+				recs = slices.Insert(recs, i, recs[i])
+			}
+		case DropRecord:
+			if m.Arg < int64(len(recs)) {
+				recs = slices.Delete(recs, i, i+1)
+			}
+		}
 	}
-	return out
-}
-
-// joinLines re-joins lines with '\n' terminators on every line.
-func joinLines(lines [][]byte) []byte {
-	var buf bytes.Buffer
-	for _, l := range lines {
-		buf.Write(l)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
+	return bytes.Join(recs, nil)
 }
 
 // Schedule is a deterministic counter-driven fault plan shared by every

@@ -3,25 +3,34 @@ package fault
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
-// journal builds an n-line synthetic journal "r0\nr1\n...".
-func journal(n int) []byte {
-	var buf bytes.Buffer
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&buf, "record-%d\n", i)
+// journal builds an n-record synthetic journal image "record-0", ...
+func journal(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = []byte(fmt.Sprintf("record-%d;", i))
 	}
-	return buf.Bytes()
+	return out
+}
+
+// write feeds recs to w one record per Write, as the journal writer does.
+func write(t *testing.T, w *CrashWriter, recs [][]byte) {
+	t.Helper()
+	for _, r := range recs {
+		if _, err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestCrashWriterKillAfterRecords(t *testing.T) {
 	for kill := 1; kill <= 5; kill++ {
 		w := NewCrashWriter(Plan{KillAfterRecords: kill})
-		if _, err := w.Write(journal(5)); err != nil {
-			t.Fatal(err)
-		}
-		want := journal(kill)
+		write(t, w, journal(5))
+		want := bytes.Join(journal(kill), nil)
 		if got := w.Persisted(); !bytes.Equal(got, want) {
 			t.Errorf("kill=%d persisted %q, want %q", kill, got, want)
 		}
@@ -33,12 +42,13 @@ func TestCrashWriterKillAfterRecords(t *testing.T) {
 
 func TestCrashWriterNeverKills(t *testing.T) {
 	w := NewCrashWriter(Plan{})
-	data := journal(4)
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Persisted(); !bytes.Equal(got, data) {
+	recs := journal(4)
+	write(t, w, recs)
+	if got := w.Persisted(); !bytes.Equal(got, bytes.Join(recs, nil)) {
 		t.Errorf("persisted %q, want everything", got)
+	}
+	if got := w.Records(); !slices.EqualFunc(got, recs, bytes.Equal) {
+		t.Errorf("records %q, want %q", got, recs)
 	}
 	if w.Killed() {
 		t.Error("zero plan must never kill")
@@ -47,42 +57,36 @@ func TestCrashWriterNeverKills(t *testing.T) {
 
 func TestCrashWriterTornTail(t *testing.T) {
 	w := NewCrashWriter(Plan{KillAfterRecords: 2, TornTailBytes: 4})
-	if _, err := w.Write(journal(4)); err != nil {
-		t.Fatal(err)
+	write(t, w, journal(4))
+	want := append(bytes.Join(journal(2), nil), []byte("reco")...)
+	if got := w.Persisted(); !bytes.Equal(got, want) {
+		t.Errorf("persisted %q, want %q", got, want)
 	}
-	want := append(journal(2), []byte("reco")...)
+	if got := w.Records(); len(got) != 3 || string(got[2]) != "reco" {
+		t.Errorf("records %q, want two whole and a torn fragment", got)
+	}
+}
+
+// The torn tail must never complete the record: a torn record stays torn
+// even when the requested torn length spans past the record's end, and no
+// byte of a later record persists.
+func TestCrashWriterTornTailStopsAtNewline(t *testing.T) {
+	w := NewCrashWriter(Plan{KillAfterRecords: 1, TornTailBytes: 1000})
+	recs := journal(3)
+	write(t, w, recs)
+	want := append(slices.Clone(recs[0]), recs[1][:len(recs[1])-1]...)
 	if got := w.Persisted(); !bytes.Equal(got, want) {
 		t.Errorf("persisted %q, want %q", got, want)
 	}
 }
 
-// The torn tail must never include a newline: a torn line stays torn even
-// when the requested torn length spans past the record's end.
-func TestCrashWriterTornTailStopsAtNewline(t *testing.T) {
-	w := NewCrashWriter(Plan{KillAfterRecords: 1, TornTailBytes: 1000})
-	if _, err := w.Write(journal(3)); err != nil {
-		t.Fatal(err)
-	}
-	got := w.Persisted()
-	if bytes.Count(got, []byte("\n")) != 1 {
-		t.Errorf("torn tail leaked newline: %q", got)
-	}
-	if !bytes.HasPrefix(got, journal(1)) {
-		t.Errorf("persisted %q lost the intact prefix", got)
-	}
-}
-
 func TestCrashWriterKillAtByte(t *testing.T) {
-	data := journal(3)
+	data := bytes.Join(journal(3), nil)
 	for off := int64(1); off <= int64(len(data)); off++ {
 		w := NewCrashWriter(Plan{KillAtByte: off})
 		// Feed in small chunks so kill points land mid-Write.
 		for i := 0; i < len(data); i += 3 {
-			end := i + 3
-			if end > len(data) {
-				end = len(data)
-			}
-			if _, err := w.Write(data[i:end]); err != nil {
+			if _, err := w.Write(data[i:min(i+3, len(data))]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,34 +97,39 @@ func TestCrashWriterKillAtByte(t *testing.T) {
 }
 
 func TestMutations(t *testing.T) {
-	data := journal(3) // record-0\nrecord-1\nrecord-2\n
+	recs := journal(3) // record-0;record-1;record-2;
+	data := bytes.Join(recs, nil)
 	cases := []struct {
 		m    Mutation
 		want []byte
 	}{
 		{Mutation{TruncateAt, 5}, []byte("recor")},
-		{Mutation{DropLine, 1}, []byte("record-0\nrecord-2\n")},
-		{Mutation{DuplicateLine, 0}, []byte("record-0\nrecord-0\nrecord-1\nrecord-2\n")},
-		{Mutation{DropLine, 99}, data},     // out of range: no-op
+		{Mutation{TruncateAt, 12}, []byte("record-0;rec")},
+		{Mutation{DropRecord, 1}, []byte("record-0;record-2;")},
+		{Mutation{DuplicateRecord, 0}, []byte("record-0;record-0;record-1;record-2;")},
+		{Mutation{DropRecord, 99}, data},   // out of range: no-op
 		{Mutation{TruncateAt, 9999}, data}, // out of range: no-op
 		{Mutation{FlipBit, -3}, data},      // negative: no-op
 	}
 	for _, c := range cases {
-		if got := Apply(data, c.m); !bytes.Equal(got, c.want) {
+		if got := Mutate(recs, c.m); !bytes.Equal(got, c.want) {
 			t.Errorf("%v %d: got %q, want %q", c.m.Op, c.m.Arg, got, c.want)
 		}
 	}
-	// FlipBit flips exactly one bit and is its own inverse.
-	flipped := Apply(data, Mutation{FlipBit, 8 * 3})
-	if bytes.Equal(flipped, data) {
-		t.Error("FlipBit changed nothing")
+	// FlipBit flips exactly one bit, in whichever record holds the byte.
+	flipped := Mutate(recs, Mutation{FlipBit, 8 * 12})
+	want := slices.Clone(data)
+	want[12] ^= 1
+	if !bytes.Equal(flipped, want) {
+		t.Errorf("FlipBit: got %q, want %q", flipped, want)
 	}
-	if got := Apply(flipped, Mutation{FlipBit, 8 * 3}); !bytes.Equal(got, data) {
-		t.Error("FlipBit not involutive")
+	// Mutations compose left to right on records.
+	if got := Mutate(recs, Mutation{DropRecord, 0}, Mutation{DuplicateRecord, 1}); string(got) != "record-1;record-2;record-2;" {
+		t.Errorf("composed mutations: got %q", got)
 	}
 	// The input must never be modified in place.
-	if !bytes.Equal(data, journal(3)) {
-		t.Error("Apply mutated its input")
+	if !slices.EqualFunc(recs, journal(3), bytes.Equal) {
+		t.Error("Mutate modified its input")
 	}
 }
 

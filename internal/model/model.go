@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -105,7 +106,7 @@ func (s State) Items() []Item {
 	for k := range s {
 		its = append(its, k)
 	}
-	sort.Slice(its, func(i, j int) bool { return its[i] < its[j] })
+	slices.Sort(its)
 	return its
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"tiermerge/internal/model"
 	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
@@ -100,18 +101,41 @@ func TestBaseRecoveryDropsTornTail(t *testing.T) {
 // (RecoverBaseCluster) and from a durable tail segment (OpenBase).
 func TestBaseRecoveryDetectsTamper(t *testing.T) {
 	// Tb1 (x := x + 10 on x = 100) logs read x=100 and write x 100 -> 110
-	// with delta 10.
-	tampers := []struct{ name, from, to string }{
-		{"after-image", `"after":110`, `"after":111`},
-		{"read value", `"value":100`, `"value":101`},
-		{"before-image", `"before":100`, `"before":101`},
-		{"stripped delta", `,"delta":10`, ``},
+	// with delta 10. Each tamper edits one record and re-encodes the
+	// stream with valid frames, so only replay verification can catch it.
+	tampers := []struct {
+		name string
+		edit func(r *wal.Record) bool
+	}{
+		{"after-image", func(r *wal.Record) bool { return r.Kind == wal.KindWrite && bump(&r.After, 110) }},
+		{"read value", func(r *wal.Record) bool { return r.Kind == wal.KindRead && bump(&r.Value, 100) }},
+		{"before-image", func(r *wal.Record) bool { return r.Kind == wal.KindWrite && bump(&r.Before, 100) }},
+		{"stripped delta", func(r *wal.Record) bool {
+			if r.Delta == nil || *r.Delta != 10 {
+				return false
+			}
+			r.Delta = nil
+			return true
+		}},
 	}
-	tamper := func(t *testing.T, log []byte, from, to string) []byte {
+	tamper := func(t *testing.T, log []byte, edit func(*wal.Record) bool) []byte {
 		t.Helper()
-		out := bytes.Replace(log, []byte(from), []byte(to), 1)
-		if bytes.Equal(out, log) {
-			t.Fatalf("tamper target %s not found in %s", from, log)
+		res, err := wal.Scan(bytes.NewReader(log), wal.Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		done := false
+		for _, r := range res.Records {
+			if !done {
+				done = edit(&r)
+			}
+			if out, err = wal.AppendRecord(out, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !done {
+			t.Fatalf("tamper target not found in %d records", len(res.Records))
 		}
 		return out
 	}
@@ -125,7 +149,7 @@ func TestBaseRecoveryDetectsTamper(t *testing.T) {
 			if err := b.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 10)); err != nil {
 				t.Fatal(err)
 			}
-			tampered := tamper(t, journal.Bytes(), tc.from, tc.to)
+			tampered := tamper(t, journal.Bytes(), tc.edit)
 			if _, _, err := RecoverBaseCluster(bytes.NewReader(tampered), Config{}); !errors.Is(err, wal.ErrCorrupt) {
 				t.Errorf("tampered base journal recovered with %v, want wal.ErrCorrupt", err)
 			}
@@ -146,7 +170,7 @@ func TestBaseRecoveryDetectsTamper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := store.WriteSegments(dir, gen, ckpt, tamper(t, tail, tc.from, tc.to)); err != nil {
+			if err := store.WriteSegments(dir, gen, ckpt, tamper(t, tail, tc.edit)); err != nil {
 				t.Fatal(err)
 			}
 			if b, _, err := OpenBase(dir, nil, Config{}); !errors.Is(err, wal.ErrCorrupt) {
@@ -157,6 +181,15 @@ func TestBaseRecoveryDetectsTamper(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bump adds one to *v when it holds want.
+func bump(v *model.Value, want model.Value) bool {
+	if *v != want {
+		return false
+	}
+	*v++
+	return true
 }
 
 // TestBaseRecoveryLateAttach: attaching after commits still journals them.

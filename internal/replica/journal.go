@@ -94,19 +94,19 @@ type Recovery struct {
 	// Dropped counts trailing uncommitted transactions discarded at replay
 	// (their users were never acknowledged).
 	Dropped int
-	// TornTail reports that the journal ended in a partially written line
-	// (the crash interrupted the final append); the line was dropped.
+	// TornTail reports that the journal ended in a partially written
+	// record (the crash interrupted the final append); it was dropped.
 	TornTail bool
-	// TornLine and TornOffset locate the torn line when TornTail is set
-	// (1-based line number, byte offset of the line start).
-	TornLine   int
+	// TornRecord and TornOffset locate the torn record when TornTail is
+	// set (1-based record number, byte offset of its frame).
+	TornRecord int
 	TornOffset int64
 }
 
 func (r *Recovery) String() string {
 	s := fmt.Sprintf("recovery: %d records, %d committed, %d dropped", r.Records, r.Committed, r.Dropped)
 	if r.TornTail {
-		s += fmt.Sprintf(", torn tail at line %d (offset %d)", r.TornLine, r.TornOffset)
+		s += fmt.Sprintf(", torn tail at record %d (offset %d)", r.TornRecord, r.TornOffset)
 	}
 	return s
 }
@@ -132,8 +132,8 @@ func (r *Recovery) charge(b *BaseCluster, who string, seq int64) {
 // against the logged read values, write images and before-images; a torn
 // trailing transaction is dropped (its user never got an acknowledgement),
 // and the returned Recovery reports exactly what was replayed and what was
-// discarded. Damage anywhere before the end of the journal — a malformed
-// interior line, a dropped or duplicated line — fails with wal.ErrCorrupt
+// discarded. Damage anywhere else — a record failing its checksum, a
+// dropped or duplicated record — fails with wal.ErrCorrupt
 // instead of silently dropping acknowledged work.
 //
 // The recovered node holds the same checkout token it crashed with, so its
@@ -156,7 +156,7 @@ func RecoverMobileNode(id string, r io.Reader) (*MobileNode, *Recovery, error) {
 		Committed:  rep.Augmented.H.Len(),
 		Dropped:    rep.Dropped,
 		TornTail:   res.Torn,
-		TornLine:   res.TornLine,
+		TornRecord: res.TornRecord,
 		TornOffset: res.TornOffset,
 	}
 	m := &MobileNode{
@@ -268,7 +268,7 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err er
 // state, the current window and its origin, and the base history of the
 // current window (so pending mobile merges from that window still find
 // their base sub-histories). Like mobile recovery, the only damage tolerated
-// is a torn final line (the commit it belonged to was never acknowledged);
+// is a torn final record (the commit it belonged to was never acknowledged);
 // interior damage is wal.ErrCorrupt. The returned Recovery reports what
 // was replayed.
 func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error) {
@@ -299,7 +299,7 @@ func recoverCluster(cfg Config, disk *store.Disk, streams ...*wal.ScanResult) (b
 	}
 	b = newBaseCluster(model.StateOf(head.Origin), cfg, disk)
 	last := streams[len(streams)-1]
-	rec = &Recovery{TornTail: last.Torn, TornLine: last.TornLine, TornOffset: last.TornOffset}
+	rec = &Recovery{TornTail: last.Torn, TornRecord: last.TornRecord, TornOffset: last.TornOffset}
 	// Replay under the cluster mutex; the recovery event is emitted after
 	// the lock is released (events are never emitted under b.mu).
 	b.mu.Lock()
@@ -337,7 +337,7 @@ var ErrNoDurableStore = errors.New("replica: cluster has no durable store")
 // OpenBase opens (or creates) a durable base cluster rooted at dir. A
 // fresh directory starts the cluster at initial and writes its first
 // checkpoint segment; an existing one is recovered by replaying the newest
-// checkpoint and then the live tail (a torn final tail line is truncated
+// checkpoint and then the live tail (a torn final tail record is truncated
 // away — the commit it belonged to was never acknowledged). The returned
 // cluster journals through the segment log with sync-before-ack, and its
 // Checkpoint method rotates segments. Close the cluster's engine with
@@ -382,14 +382,17 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 		return nil, nil, fmt.Errorf("replica: open base: %w", err)
 	}
 	// The checkpoint segment was written atomically (temp + fsync +
-	// rename): any damage at all — including a torn final line — is
+	// rename): any damage at all — including a torn final record — is
 	// corruption, not a crash artifact.
 	cres, err := wal.Scan(bytes.NewReader(ckpt), wal.Strict)
-	if err != nil || cres.Torn {
-		return nil, nil, fmt.Errorf("replica: open base: checkpoint segment: %w", wal.ErrCorrupt)
+	if err == nil && cres.Torn {
+		err = fmt.Errorf("%s: %w", cres.TornReason, wal.ErrCorrupt)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("replica: open base: checkpoint segment: %w", err)
 	}
 	// The tail is the live continuation: its own record stream (seqs from
-	// 1, no checkout), where only a torn final line is tolerated.
+	// 1, no checkout), where only a torn final record is tolerated.
 	tres, err := wal.Scan(bytes.NewReader(tail), wal.Strict)
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: open base: tail segment: %w", err)
@@ -401,16 +404,13 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	// Repair the tail before appends resume. A trailing open transaction
 	// was never acknowledged: its records are dropped from the replay AND
 	// from the file — the client re-runs it, and its re-logged records
-	// must not glue onto the stale ones. A torn trailing fragment is cut
-	// the same way, and a final record that survived complete but lost
-	// only its terminating newline gets it back.
+	// must not glue onto the stale ones. A torn trailing frame is cut the
+	// same way.
 	jw := wal.NewWriter(d)
-	cut, err := jw.Resume(tres, kept)
-	if err == nil && cut < int64(len(tail)) {
-		err = d.TruncateTail(cut)
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("replica: open base: %w", err)
+	if cut := jw.Resume(tres, kept); cut < int64(len(tail)) {
+		if err := d.TruncateTail(cut); err != nil {
+			return nil, nil, fmt.Errorf("replica: open base: %w", err)
+		}
 	}
 	b.mu.Lock()
 	b.journal = jw

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tiermerge/internal/codec"
 	"tiermerge/internal/fault"
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
@@ -96,10 +97,11 @@ type wireReq struct {
 	// holds (0: none). A Strategy 2 base still in that window answers Same
 	// instead of shipping the origin again.
 	Window int `json:"window,omitempty"`
-	// Journal is a reconnect's period as wal records (JSON lines): the
+	// Journal is a reconnect's period as binary wal records: the
 	// checkout, its origin restricted to Hm's footprint, then Hm.
-	Journal []byte          `json:"journal,omitempty"`
-	Txn     json.RawMessage `json:"txn,omitempty"`
+	Journal []byte `json:"journal,omitempty"`
+	// Txn is a base submission's binary transaction code.
+	Txn []byte `json:"txn,omitempty"`
 }
 
 // wireResp is the serialized response envelope.
@@ -115,16 +117,18 @@ type wireResp struct {
 	// Same answers a checkout whose Window the base still serves under
 	// Strategy 2: the client restarts from the origin it holds, and the
 	// response carries none.
-	Same     bool                       `json:"same,omitempty"`
-	Pos      int                        `json:"pos,omitempty"`
-	Origin   map[model.Item]model.Value `json:"origin,omitempty"`
-	Merged   bool                       `json:"merged,omitempty"`
-	Fallback string                     `json:"fallback,omitempty"`
-	Saved    int                        `json:"saved,omitempty"`
-	Reproc   int                        `json:"reproc,omitempty"`
-	Failed   int                        `json:"failed,omitempty"`
-	BadIDs   []string                   `json:"bad,omitempty"`
-	Master   map[model.Item]model.Value `json:"master,omitempty"`
+	Same bool `json:"same,omitempty"`
+	Pos  int  `json:"pos,omitempty"`
+	// Origin (a checkout's) and Master are binary states
+	// (codec.MarshalState).
+	Origin   []byte   `json:"origin,omitempty"`
+	Merged   bool     `json:"merged,omitempty"`
+	Fallback string   `json:"fallback,omitempty"`
+	Saved    int      `json:"saved,omitempty"`
+	Reproc   int      `json:"reproc,omitempty"`
+	Failed   int      `json:"failed,omitempty"`
+	BadIDs   []string `json:"bad,omitempty"`
+	Master   []byte   `json:"master,omitempty"`
 }
 
 type rpc struct {
@@ -357,9 +361,9 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 			return mustResp(wireResp{Window: req.Window, Same: true}), req.Kind, true
 		}
 		ck := s.tier.CheckoutReplica(req.MobileID)
-		return mustResp(wireResp{Window: ck.WindowID, Pos: ck.Pos, Origin: ck.Origin}), req.Kind, true
+		return mustResp(wireResp{Window: ck.WindowID, Pos: ck.Pos, Origin: codec.MarshalState(ck.Origin)}), req.Kind, true
 	case reqMaster:
-		return mustResp(wireResp{Master: s.tier.Master()}), req.Kind, false
+		return mustResp(wireResp{Master: codec.MarshalState(s.tier.Master())}), req.Kind, false
 	case reqExecBase:
 		t, err := tx.UnmarshalTransaction(req.Txn)
 		if err != nil {
@@ -440,7 +444,7 @@ func (s *BaseServer) sameWindow(w int) bool {
 }
 
 // replayPayload decodes and verifies a reconnect's journal. A payload is
-// not a crash image: the client wrote it whole, so a torn final line or a
+// not a crash image: the client wrote it whole, so a torn final record or a
 // transaction without its commit means it was damaged in transit, and
 // merging the shorter history would silently drop the missing work.
 func replayPayload(journal []byte) (*wal.Replayed, error) {
@@ -449,7 +453,7 @@ func replayPayload(journal []byte) (*wal.Replayed, error) {
 		return nil, err
 	}
 	if res.Torn {
-		return nil, fmt.Errorf("replica: reconnect journal torn at line %d: %w", res.TornLine, wal.ErrCorrupt)
+		return nil, fmt.Errorf("replica: reconnect journal torn at record %d: %w", res.TornRecord, wal.ErrCorrupt)
 	}
 	rep, err := wal.Replay(res.Records)
 	if err != nil {

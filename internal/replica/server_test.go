@@ -14,6 +14,7 @@ import (
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
+	"tiermerge/internal/wal"
 	"tiermerge/internal/workload"
 )
 
@@ -320,8 +321,8 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 }
 
 // TestServeFrameRejectsDamagedJournal: a reconnect payload is not a crash
-// image. One that lost its final commit record, or whose final line was cut
-// short, must be refused — not merged as the shorter history its intact
+// image. One that lost its final commit record, or whose final record was
+// cut short, must be refused — not merged as the shorter history its intact
 // prefix spells — with an error the dedup cache does not keep, and with the
 // master untouched. Regression: both forms merged Tm1 and silently dropped
 // Tm2, and the cached response made the intact retry replay that loss.
@@ -342,10 +343,13 @@ func TestServeFrameRejectsDamagedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastLine := bytes.LastIndexByte(journal[:len(journal)-1], '\n') + 1
+	res, err := wal.Scan(bytes.NewReader(journal), wal.Strict)
+	if err != nil {
+		t.Fatal(err)
+	}
 	damaged := map[string][]byte{
-		"without final commit": journal[:lastLine],
-		"final line cut short": journal[:len(journal)-4],
+		"without final commit":   journal[:res.Ends[len(res.Ends)-2]],
+		"final record cut short": journal[:len(journal)-4],
 	}
 	frame := func(j []byte) []byte {
 		payload, err := json.Marshal(wireReq{Kind: reqMerge, MobileID: "m1", Seq: 1, Epoch: "e1", Journal: j})

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"tiermerge/internal/codec"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 )
@@ -205,7 +206,11 @@ func (c *Client) checkout(ctx context.Context, held int) error {
 		return nil
 	}
 	// The freshly decoded origin is the node's own: it is adopted, not copied.
-	c.node.resetFrom(Checkout{MobileID: c.node.ID, WindowID: resp.Window, Pos: resp.Pos, Origin: resp.Origin})
+	origin, err := codec.UnmarshalState(resp.Origin)
+	if err != nil {
+		return fmt.Errorf("replica: decode checkout origin: %w", err)
+	}
+	c.node.resetFrom(Checkout{MobileID: c.node.ID, WindowID: resp.Window, Pos: resp.Pos, Origin: origin})
 	return nil
 }
 
@@ -312,5 +317,9 @@ func (c *Client) MasterRemote(ctx context.Context) (model.State, error) {
 		}
 		retryPause(ctx, attempt)
 	}
-	return model.StateOf(resp.Master), nil
+	master, err := codec.UnmarshalState(resp.Master)
+	if err != nil {
+		return nil, fmt.Errorf("replica: decode master: %w", err)
+	}
+	return master, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"tiermerge/internal/codec"
 	"tiermerge/internal/expr"
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
@@ -232,7 +233,7 @@ func TestRecheckoutProtocol(t *testing.T) {
 		}, func(t *testing.T, e *env, out *ConnectOutcome) {
 			req, resp, _ := e.rt.last(t, 0)
 			want := e.b.Master()
-			if !out.Merged || req.Window != 1 || resp.Same || resp.Window != 2 || !model.State(resp.Origin).Equal(want) || len(resp.Origin) != len(want) {
+			if !out.Merged || req.Window != 1 || resp.Same || resp.Window != 2 || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
 				t.Fatalf("outcome %+v, checkout %+v answered %+v; want the whole new origin %s", out, req, resp, want)
 			}
 			if got := e.c.Local(); !got.Equal(want) {
@@ -245,7 +246,7 @@ func TestRecheckoutProtocol(t *testing.T) {
 			e.c.node.resetFrom(Checkout{MobileID: "m1", WindowID: e.c.node.ck.WindowID, Origin: forged})
 		}, func(t *testing.T, e *env, out *ConnectOutcome) {
 			req, resp, _ := e.rt.last(t, 0)
-			if out.Merged || out.Fallback != FallbackOriginInvalid || req.Window != 0 || resp.Same || len(resp.Origin) != len(origin()) {
+			if out.Merged || out.Fallback != FallbackOriginInvalid || req.Window != 0 || resp.Same || len(respOrigin(t, resp)) != len(origin()) {
 				t.Fatalf("outcome %+v, checkout %+v answered %+v; want a fallback and the whole origin", out, req, resp)
 			}
 			if got := e.c.Local(); !got.Equal(origin()) {
@@ -259,7 +260,7 @@ func TestRecheckoutProtocol(t *testing.T) {
 		}, func(t *testing.T, e *env, out *ConnectOutcome) {
 			req, resp, _ := e.rt.last(t, 0)
 			want := e.b.Master()
-			if !out.Merged || req.Window != 1 || resp.Same || !model.State(resp.Origin).Equal(want) || len(resp.Origin) != len(want) {
+			if !out.Merged || req.Window != 1 || resp.Same || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
 				t.Fatalf("outcome %+v, checkout %+v answered %+v; want the whole master %s", out, req, resp, want)
 			}
 		}},
@@ -271,7 +272,7 @@ func TestRecheckoutProtocol(t *testing.T) {
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				t.Fatal(err)
 			}
-			if req.Kind != reqCheckout || req.Window != 0 || resp.Same || !model.State(resp.Origin).Equal(origin()) || len(resp.Origin) != len(origin()) {
+			if req.Kind != reqCheckout || req.Window != 0 || resp.Same || !respOrigin(t, resp).Equal(origin()) || len(respOrigin(t, resp)) != len(origin()) {
 				t.Fatalf("first checkout %+v answered %s; want the whole origin", req, raw)
 			}
 		}},
@@ -553,4 +554,14 @@ func TestStrategy1TokenSeesInsertedItem(t *testing.T) {
 	if got := b.Master().Get("y"); got != 5 {
 		t.Errorf("y = %d, want 5: the serial order reads the inserted v", got)
 	}
+}
+
+// respOrigin decodes a checkout response's origin.
+func respOrigin(t *testing.T, resp wireResp) model.State {
+	t.Helper()
+	origin, err := codec.UnmarshalState(resp.Origin)
+	if err != nil {
+		t.Fatalf("checkout origin %x: %v", resp.Origin, err)
+	}
+	return origin
 }

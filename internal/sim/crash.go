@@ -47,8 +47,8 @@ type CrashSweep struct {
 	// PCommutative is the additive workload fraction (default 0.6).
 	PCommutative float64
 	// TornTailBytes is the torn-fragment length of the "torn" variant of
-	// each kill point (default 5; must stay shorter than any journal line
-	// so the fragment never parses as a complete record).
+	// each kill point (default 5; the crash writer never lets a fragment
+	// complete its record).
 	TornTailBytes int
 	// Protocol selects how recovered nodes reconcile (default Merging).
 	Protocol Protocol
@@ -228,21 +228,22 @@ func RunBaseCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 	baseTxns := sweepBaseTxns(cs)
 	advanceAt := cs.BaseTxns / 2
 
-	// Reference run: no crash.
+	// Reference run: no crash. The journal is kept record by record, the
+	// way each trial re-writes it.
 	refCluster := sweepCluster(cs)
-	var refJournal bytes.Buffer
-	if err := refCluster.AttachJournal(&refJournal); err != nil {
+	refJournal := fault.NewCrashWriter(fault.Plan{})
+	if err := refCluster.AttachJournal(refJournal); err != nil {
 		return nil, fmt.Errorf("sim: base crash sweep: %w", err)
 	}
 	if err := sweepBaseDay(refCluster, baseTxns, advanceAt); err != nil {
 		return nil, fmt.Errorf("sim: base crash sweep reference: %w", err)
 	}
-	full := append([]byte(nil), refJournal.Bytes()...)
+	recs := refJournal.Records()
 	refMaster := refCluster.Master()
 
 	cfg := replica.Config{Weights: cost.DefaultWeights(), Observer: cs.Observer}
-	res, err := sweepJournal(cs, full, func(res *CrashSweepResult, want ack, k, torn int) error {
-		return runBaseTrial(res, cfg, baseTxns, want, refMaster, full, k, torn)
+	res, err := sweepJournal(cs, bytes.Join(recs, nil), func(res *CrashSweepResult, want ack, k, torn int) error {
+		return runBaseTrial(res, cfg, baseTxns, want, refMaster, recs, k, torn)
 	}, func(data []byte) (*replica.Recovery, error) {
 		_, rep, err := replica.RecoverBaseCluster(bytes.NewReader(data), cfg)
 		return rep, err
@@ -257,10 +258,12 @@ func RunBaseCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 // kill point k leaves behind, then has the recovered tier commit the rest
 // of the day and checks it converges on the reference master.
 func runBaseTrial(res *CrashSweepResult, cfg replica.Config, baseTxns []*tx.Transaction,
-	want ack, refMaster model.State, full []byte, k, torn int) error {
+	want ack, refMaster model.State, recs [][]byte, k, torn int) error {
 	cw := fault.NewCrashWriter(fault.Plan{KillAfterRecords: k, TornTailBytes: torn})
-	if _, err := cw.Write(full); err != nil {
-		return err
+	for _, r := range recs {
+		if _, err := cw.Write(r); err != nil {
+			return err
+		}
 	}
 	b, rep, err := replica.RecoverBaseCluster(bytes.NewReader(cw.Persisted()), cfg)
 	if err != nil {
@@ -352,24 +355,16 @@ func (res *CrashSweepResult) sweepRecords(first, n, tornBytes int, trial func(k,
 
 // sweepBytes cuts a journal image at every byte offset and runs trial on
 // each cut, classified by the image's record ends (wal.ScanResult.Ends):
-// seen counts the records the cut keeps — a cut one byte short of a record's
-// end keeps that record too, since its line lost only the newline — and torn
-// reports a fragment of the next record trailing them, which recovery must
-// drop. A strict prefix of a JSON object never decodes as one, so no other
-// case exists.
+// seen counts the records the cut keeps whole, and torn reports a fragment
+// of the next record trailing them — a frame cut short, which recovery
+// must drop.
 func sweepBytes(ends []int64, trial func(cut int64, seen int, torn bool) error) error {
 	if len(ends) == 0 {
 		return nil
 	}
 	for cut := int64(1); cut <= ends[len(ends)-1]; cut++ {
 		seen := sort.Search(len(ends), func(i int) bool { return ends[i] > cut })
-		torn := false
-		switch {
-		case seen < len(ends) && cut == ends[seen]-1:
-			seen++
-		case seen == 0 || cut != ends[seen-1]:
-			torn = true
-		}
+		torn := seen == 0 || cut != ends[seen-1]
 		if err := trial(cut, seen, torn); err != nil {
 			return fmt.Errorf("truncate at byte %d: %w", cut, err)
 		}

@@ -64,24 +64,25 @@ func TestBaseCrashSweep(t *testing.T) {
 
 // TestCrashSweepRejectsInteriorDamage confirms the sweep's recovery path
 // refuses damage a crash cannot produce: dropped, duplicated or bit-rotted
-// interior lines must be wal.ErrCorrupt, never a silent truncation.
+// interior records must be wal.ErrCorrupt, never a silent truncation.
 func TestCrashSweepRejectsInteriorDamage(t *testing.T) {
 	cs := CrashSweep{Seed: 4}.withDefaults()
 	cluster := sweepCluster(cs)
 	m := replica.NewMobileNode("m1", cluster)
-	var journal bytes.Buffer
-	if err := m.AttachJournal(&journal); err != nil {
+	journal := fault.NewCrashWriter(fault.Plan{})
+	if err := m.AttachJournal(journal); err != nil {
 		t.Fatal(err)
 	}
 	if err := sweepPeriod(cluster, m, sweepBaseTxns(cs), sweepTentatives(cs)); err != nil {
 		t.Fatal(err)
 	}
-	full := journal.Bytes()
+	full := journal.Records()
 	for _, mut := range []fault.Mutation{
-		{Op: fault.DropLine, Arg: 2},
-		{Op: fault.DuplicateLine, Arg: 2},
+		{Op: fault.DropRecord, Arg: 2},
+		{Op: fault.DuplicateRecord, Arg: 2},
+		{Op: fault.FlipBit, Arg: 8 * int64(len(full[0])+3)},
 	} {
-		if _, _, err := replica.RecoverMobileNode("m1", fault.NewCrashReader(full, mut)); !errors.Is(err, wal.ErrCorrupt) {
+		if _, _, err := replica.RecoverMobileNode("m1", bytes.NewReader(fault.Mutate(full, mut))); !errors.Is(err, wal.ErrCorrupt) {
 			t.Errorf("%s: recovery returned %v, want wal.ErrCorrupt", mut.Op, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"bytes"
 	"testing"
 
 	"tiermerge/internal/expr"
@@ -17,7 +18,7 @@ func roundTrip(t *testing.T, orig *Transaction) *Transaction {
 	}
 	got, err := UnmarshalTransaction(data)
 	if err != nil {
-		t.Fatalf("unmarshal %s: %v (wire: %s)", orig.ID, err, data)
+		t.Fatalf("unmarshal %s: %v (wire: %x)", orig.ID, err, data)
 	}
 	return got
 }
@@ -130,28 +131,98 @@ func TestCodecRoundTripAllOperators(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		``,
-		`{`,
-		`{"kind":"weird","id":"T","body":[]}`,
-		`{"kind":"base","id":"T","body":[{}]}`,
-		`{"kind":"base","id":"T","body":[{"update":{"item":"x","expr":{}}}]}`,
-		`{"kind":"base","id":"T","body":[{"update":{"item":"x","expr":{"bin":{"op":"?","l":{"const":1},"r":{"const":2}}}}}]}`,
+	valid, err := MarshalTransaction(MustNew("T", Base,
+		If(expr.GT(expr.Var("a"), expr.Const(0)), Update("x", expr.Add(expr.Var("x"), expr.Const(1))))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// valid is: id "T", type "", kind, no params, one body statement (the
+	// if, tag 4 at offset 6), no inverse.
+	const kindAt, stmtAt = 3, 6
+	if valid[kindAt] != byte(Base) || valid[stmtAt] != tagIf {
+		t.Fatalf("unexpected layout %x", valid)
+	}
+	patch := func(at int, b byte) []byte {
+		out := append([]byte(nil), valid...)
+		out[at] = b
+		return out
+	}
+	for name, bad := range map[string][]byte{
+		"empty":                 {},
+		"truncated":             valid[:len(valid)-1],
+		"trailing bytes":        append(append([]byte(nil), valid...), 0),
+		"unknown kind":          patch(kindAt, 9),
+		"unknown statement tag": patch(stmtAt, 9),
+		"unknown predicate tag": patch(stmtAt+1, 9),
+		"count past end":        patch(stmtAt-1, 200),
 	} {
-		if _, err := UnmarshalTransaction([]byte(bad)); err == nil {
-			t.Errorf("accepted garbage %q", bad)
+		if _, err := UnmarshalTransaction(bad); err == nil {
+			t.Errorf("%s: accepted garbage %x", name, bad)
 		}
 	}
 }
 
 func TestCodecRejectsInvalidDecodedProfile(t *testing.T) {
-	// Valid JSON, invalid profile: same item updated twice on one path.
-	wire := `{"kind":"tentative","id":"T","body":[
-		{"update":{"item":"x","expr":{"const":1}}},
-		{"update":{"item":"x","expr":{"const":2}}}]}`
-	if _, err := UnmarshalTransaction([]byte(wire)); err == nil {
+	// Well-formed encoding, invalid profile: same item updated twice on one
+	// path. The encoder does not validate; the decoder must.
+	twice := &Transaction{ID: "T", Kind: Tentative, Body: []Stmt{
+		Update("x", expr.Const(1)),
+		Update("x", expr.Const(2)),
+	}}
+	wire, err := MarshalTransaction(twice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalTransaction(wire); err == nil {
 		t.Error("accepted a double-update profile")
 	}
+}
+
+// FuzzUnmarshalTransaction feeds arbitrary bytes to the transaction
+// decoder. Properties: it never panics; what it accepts is a valid profile
+// whose encoding is a fixed point (encode, decode, encode gives the same
+// bytes).
+func FuzzUnmarshalTransaction(f *testing.F) {
+	for _, seed := range []*Transaction{
+		MustNew("T1", Tentative,
+			Read("a"),
+			Update("x", expr.Add(expr.Var("x"), expr.Param("amt"))),
+			Assign("w", expr.Const(-7)),
+		).WithType("mixed").WithParams(map[string]model.Value{"amt": 42}),
+		MustNew("T2", Base, IfElse(
+			expr.Or(expr.Not(expr.LT(expr.Var("u"), expr.Const(3))), expr.EQ(expr.Var("v"), expr.Param("p"))),
+			[]Stmt{Update("x", expr.Bin(expr.OpMin, expr.Var("x"), expr.Const(9)))},
+			[]Stmt{Update("y", expr.Bin(expr.OpMod, expr.Var("y"), expr.Const(4)))},
+		)).WithInverse(Update("x", expr.Param("old"))),
+	} {
+		data, err := MarshalTransaction(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := UnmarshalTransaction(data)
+		if err != nil {
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("decoded an invalid profile: %v", err)
+		}
+		once, err := MarshalTransaction(got)
+		if err != nil {
+			t.Fatalf("re-encode %s: %v", got, err)
+		}
+		again, err := UnmarshalTransaction(once)
+		if err != nil {
+			t.Fatalf("decode of a re-encoding failed: %v", err)
+		}
+		twice, err := MarshalTransaction(again)
+		if err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("encoding is not a fixed point: %x then %x (%v)", once, twice, err)
+		}
+	})
 }
 
 func TestEncodedSize(t *testing.T) {

@@ -3,10 +3,10 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"tiermerge/internal/fault"
+	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/workload"
 )
@@ -19,13 +19,13 @@ import (
 // smoke runs each target briefly on every push.
 
 // fuzzJournal builds a deterministic valid journal of n generated
-// transactions and returns its bytes plus the committed transaction IDs in
-// order.
-func fuzzJournal(seed int64, n int) ([]byte, []string) {
+// transactions and returns its records' frames plus the committed
+// transaction IDs in order.
+func fuzzJournal(seed int64, n int) ([][]byte, []string) {
 	gen := workload.NewGenerator(workload.Config{Seed: seed, Items: 8})
 	origin := gen.OriginState()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	buf := fault.NewCrashWriter(fault.Plan{})
+	w := NewWriter(buf)
 	if err := w.Checkout(1, 0, origin); err != nil {
 		panic(err)
 	}
@@ -43,7 +43,20 @@ func fuzzJournal(seed int64, n int) ([]byte, []string) {
 		ids = append(ids, txn.ID)
 		cur = next
 	}
-	return buf.Bytes(), ids
+	return buf.Records(), ids
+}
+
+// fuzzRecords encodes records as a journal, numbering them from 1.
+func fuzzRecords(recs ...Record) []byte {
+	var out []byte
+	for i, r := range recs {
+		r.Seq = int64(i) + 1
+		var err error
+		if out, err = AppendRecord(out, r); err != nil {
+			panic(err)
+		}
+	}
+	return out
 }
 
 // FuzzReadAll feeds arbitrary bytes to the strict and salvage scanners.
@@ -51,18 +64,19 @@ func fuzzJournal(seed int64, n int) ([]byte, []string) {
 // accepted record stream has contiguous sequence numbers from 1; and when
 // strict succeeds the two modes agree on the decoded prefix.
 func FuzzReadAll(f *testing.F) {
-	valid, _ := fuzzJournal(1, 3)
+	recs, _ := fuzzJournal(1, 3)
+	valid := bytes.Join(recs, nil)
 	f.Add([]byte{})
 	f.Add(valid)
-	f.Add(valid[:len(valid)-9]) // torn final line
+	f.Add(valid[:len(valid)-9]) // torn final frame
 	f.Add([]byte("not a journal\n"))
-	f.Add(fault.Mutate(valid, fault.Mutation{Op: fault.DropLine, Arg: 2}))
+	f.Add(fault.Mutate(recs, fault.Mutation{Op: fault.DropRecord, Arg: 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		strictRecs, strictErr := ReadAll(bytes.NewReader(data))
 		salv, salvErr := Scan(bytes.NewReader(data), Salvage)
 		if salvErr != nil {
-			// Only reader-level failures (e.g. a line beyond the scanner
-			// buffer) can surface here; they must be errors, not panics.
+			// Only a stream salvage refuses outright (the JSON-lines
+			// format) surfaces here; it must be an error, not a panic.
 			return
 		}
 		for i, r := range salv.Records {
@@ -91,11 +105,12 @@ func FuzzReadAll(f *testing.F) {
 // accepts. Properties: no panic; a successful replay reconstructs
 // consistent history/state/effect slices; failures wrap ErrCorrupt.
 func FuzzReplay(f *testing.F) {
-	valid, _ := fuzzJournal(2, 3)
+	recs, _ := fuzzJournal(2, 3)
+	valid := bytes.Join(recs, nil)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
-	f.Add([]byte(`{"seq":1,"kind":"checkout","window":1,"origin":{"x":5}}` + "\n"))
-	f.Add([]byte(`{"seq":1,"kind":"commit","tx":"T1"}` + "\n"))
+	f.Add(fuzzRecords(Record{Kind: KindCheckout, WindowID: 1, Origin: map[model.Item]model.Value{"x": 5}}))
+	f.Add(fuzzRecords(Record{Kind: KindCommit, TxID: "T1"}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Scan(bytes.NewReader(data), Salvage)
 		if err != nil {
@@ -119,7 +134,7 @@ func FuzzReplay(f *testing.F) {
 }
 
 // FuzzMutatedRecovery corrupts a known-good journal with one deterministic
-// fault (truncation, bit flip, dropped or duplicated line, torn tail) and
+// fault (truncation, bit flip, dropped or duplicated record, torn tail) and
 // requires the recovery pipeline to either refuse the image with
 // ErrCorrupt or reconstruct a committed-ID prefix of the original history.
 // Bit flips may forge a semantically different but self-consistent record,
@@ -128,16 +143,17 @@ func FuzzReplay(f *testing.F) {
 func FuzzMutatedRecovery(f *testing.F) {
 	f.Add(int64(1), int64(0), int64(40), int64(0))
 	f.Add(int64(2), int64(1), int64(7), int64(0))   // flip a bit
-	f.Add(int64(3), int64(2), int64(3), int64(0))   // duplicate a line
-	f.Add(int64(4), int64(3), int64(2), int64(0))   // drop a line
-	f.Add(int64(5), int64(0), int64(200), int64(4)) // truncate + torn garbage
+	f.Add(int64(3), int64(2), int64(3), int64(0))   // duplicate a record
+	f.Add(int64(4), int64(3), int64(2), int64(0))   // drop a record
+	f.Add(int64(5), int64(0), int64(200), int64(4)) // truncate + torn frame
 	f.Fuzz(func(t *testing.T, seed, opRaw, arg, torn int64) {
-		full, ids := fuzzJournal(seed%16, 3)
+		recs, ids := fuzzJournal(seed%16, 3)
 		op := fault.Op(((opRaw % 4) + 4) % 4)
-		data := fault.Apply(full, fault.Mutation{Op: op, Arg: arg})
+		data := fault.Mutate(recs, fault.Mutation{Op: op, Arg: arg})
 		if torn > 0 {
-			frag := fmt.Sprintf("{\"seq\":%d", torn)
-			data = append(data, frag...)
+			// A torn append: a prefix of a frame, never the whole of it.
+			frame := recs[len(recs)-1]
+			data = append(data, frame[:min(torn, int64(len(frame))-1)]...)
 		}
 		res, err := Scan(bytes.NewReader(data), Strict)
 		if err != nil {

@@ -1,6 +1,6 @@
-// Package wal owns the journal: its record format, its line framing and
-// the grouping of records into transactions. Every journal in the system is
-// a wal stream — a mobile node's write-ahead log, the reconnect payload a
+// Package wal owns the journal: its record format, its framing and the
+// grouping of records into transactions. Every journal in the system is a
+// wal stream — a mobile node's write-ahead log, the reconnect payload a
 // mobile ships, and the base tier's journal with its window records and its
 // checkpoint and tail segments — and no other package decodes one. The
 // paper's protocol is log-driven end to end: the precedence graph "can be
@@ -8,21 +8,29 @@
 // (or read sets) are recorded in the log" (Section 7.1), the undo approach
 // restores logged before-images (Section 6.2), and non-canned systems
 // "record the codes of transactions when they are executed" (Section 5.1).
-// This package supplies exactly that log: an append-only JSON-lines journal
-// carrying the checkout origin, full transaction code, read values and
-// write images — enough to reconstruct a history (with effects) after a
-// crash and to verify the replayed execution against the logged one.
+// This package supplies exactly that log: an append-only stream of
+// checksummed binary records carrying the checkout origin, full
+// transaction code, read values and write images — enough to reconstruct a
+// history (with effects) after a crash and to verify the replayed
+// execution against the logged one.
+//
+// Each record is one frame, written with one Write: the body's length
+// (uint32), a check over the length (uint16), the body (internal/codec:
+// seq, kind tag, the kind's fields) and a CRC-32C of the body, all
+// big-endian. The length check tells a frame cut short by the end of the
+// stream (a crash tore the last append) from a damaged length.
 package wal
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"slices"
 
+	"tiermerge/internal/codec"
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
 	"tiermerge/internal/tx"
@@ -40,8 +48,8 @@ const (
 	// KindCheckout opens a journal: the replica origin snapshot and its
 	// position in the base history.
 	KindCheckout Kind = "checkout"
-	// KindBegin carries a transaction's full wire-format code and marks
-	// its start.
+	// KindBegin carries a transaction's full binary code and marks its
+	// start.
 	KindBegin Kind = "begin"
 	// KindRead records one externally read item and the value observed.
 	KindRead Kind = "read"
@@ -55,32 +63,138 @@ const (
 	KindWindow Kind = "window"
 )
 
-// Record is one JSON line of the journal.
+// kindTags numbers the kinds on disk: a record's tag is its kind's index.
+var kindTags = [...]Kind{1: KindCheckout, 2: KindBegin, 3: KindRead, 4: KindWrite, 5: KindCommit, 6: KindWindow}
+
+// Record is one record of the journal.
 type Record struct {
-	Seq  int64  `json:"seq"`
-	Kind Kind   `json:"kind"`
-	TxID string `json:"tx,omitempty"`
+	Seq  int64
+	Kind Kind
+	TxID string
 
 	// KindBegin
-	Txn json.RawMessage `json:"txn,omitempty"`
+	Txn []byte
 
 	// KindRead / KindWrite
-	Item   model.Item  `json:"item,omitempty"`
-	Value  model.Value `json:"value,omitempty"`
-	Before model.Value `json:"before,omitempty"`
-	After  model.Value `json:"after,omitempty"`
+	Item   model.Item
+	Value  model.Value
+	Before model.Value
+	After  model.Value
 	// Delta is set on a KindWrite record when the statement was a pure
 	// commutative increment of Item (After == Before + Delta and the
 	// transaction never read Item outside the increment itself). Replay
 	// re-derives the classification and cross-checks it, so the merge layer
 	// can trust recovered histories to fold deltas exactly as live ones.
 	// A pointer distinguishes "not a delta write" from a zero increment.
-	Delta *model.Value `json:"delta,omitempty"`
+	Delta *model.Value
 
-	// KindCheckout
-	WindowID int                        `json:"window,omitempty"`
-	Pos      int                        `json:"pos,omitempty"`
-	Origin   map[model.Item]model.Value `json:"origin,omitempty"`
+	// KindCheckout / KindWindow (a window record's Pos is 0)
+	WindowID int
+	Pos      int
+	Origin   map[model.Item]model.Value
+}
+
+// Frame geometry, and a body cap that keeps a stream's first byte below
+// the '{' a JSON-lines journal opens with.
+const (
+	headerSize  = 6
+	trailerSize = 4
+	maxBody     = 1 << 30
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// lengthCheck is a frame's check over its length bytes: CRC-32C is linear,
+// so its low half catches every single-byte error in them.
+func lengthCheck(length []byte) uint16 { return uint16(crc32.Checksum(length[:4], castagnoli)) }
+
+// AppendRecord appends r to b as one frame.
+func AppendRecord(b []byte, r Record) ([]byte, error) {
+	start := len(b)
+	enc := codec.NewEncoder(append(b, make([]byte, headerSize)...))
+	enc.Uvarint(uint64(r.Seq))
+	tag := slices.Index(kindTags[:], r.Kind)
+	if tag <= 0 {
+		enc.Fail("wal: unknown record kind %q", r.Kind)
+	}
+	enc.Byte(byte(tag))
+	switch r.Kind {
+	case KindCheckout, KindWindow:
+		enc.Varint(int64(r.WindowID))
+		enc.Varint(int64(r.Pos))
+		enc.State(r.Origin)
+	case KindBegin:
+		enc.Str(r.TxID)
+		enc.Blob(r.Txn)
+	case KindRead:
+		enc.Str(r.TxID)
+		enc.Str(string(r.Item))
+		enc.Value(r.Value)
+	case KindWrite:
+		enc.Str(r.TxID)
+		enc.Str(string(r.Item))
+		enc.Value(r.Before)
+		enc.Value(r.After)
+		if r.Delta == nil {
+			enc.Byte(0)
+		} else {
+			enc.Byte(1)
+			enc.Value(*r.Delta)
+		}
+	case KindCommit:
+		enc.Str(r.TxID)
+	}
+	b, err := enc.Result()
+	n := len(b) - start - headerSize
+	if err == nil && n > maxBody {
+		err = fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", n, maxBody)
+	}
+	if err != nil {
+		return b[:start], err
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	binary.BigEndian.PutUint16(b[start+4:], lengthCheck(b[start:]))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start+headerSize:], castagnoli)), nil
+}
+
+// decodeRecord decodes one frame body.
+func decodeRecord(body []byte) (Record, error) {
+	dec := codec.NewDecoder(body)
+	r := Record{Seq: int64(dec.Uvarint())}
+	if tag := int(dec.Byte()); tag > 0 && tag < len(kindTags) {
+		r.Kind = kindTags[tag]
+	} else {
+		dec.Fail("wal: unknown record tag %d", tag)
+	}
+	switch r.Kind {
+	case KindCheckout, KindWindow:
+		r.WindowID = int(dec.Varint())
+		r.Pos = int(dec.Varint())
+		r.Origin = dec.State()
+	case KindBegin:
+		r.TxID = dec.Str()
+		r.Txn = dec.Blob()
+	case KindRead:
+		r.TxID = dec.Str()
+		r.Item = model.Item(dec.Str())
+		r.Value = dec.Value()
+	case KindWrite:
+		r.TxID = dec.Str()
+		r.Item = model.Item(dec.Str())
+		r.Before = dec.Value()
+		r.After = dec.Value()
+		switch flag := dec.Byte(); flag {
+		case 0:
+		case 1:
+			d := dec.Value()
+			r.Delta = &d
+		default:
+			dec.Fail("wal: delta flag %d", flag)
+		}
+	case KindCommit:
+		r.TxID = dec.Str()
+	}
+	return r, dec.Finish()
 }
 
 // Syncer is the stable-media seam: a journal sink that can force buffered
@@ -91,16 +205,18 @@ type Syncer interface {
 	Sync() error
 }
 
-// Writer appends records to a journal stream.
+// Writer appends records to a journal stream, one Write per record.
 type Writer struct {
-	enc  *json.Encoder
 	sink io.Writer
 	seq  int64
+	// frame is reused across records: a sink copies what it is given
+	// (io.Writer's contract).
+	frame []byte
 }
 
 // NewWriter starts a journal on w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{enc: json.NewEncoder(w), sink: w}
+	return &Writer{sink: w}
 }
 
 // NewPeriod starts a journal on w holding one whole period: the checkout
@@ -141,26 +257,25 @@ func (lw *Writer) ResetSeq() { lw.seq = 0 }
 // Resume makes lw continue a scanned stream after its first n records, so
 // the next record is numbered n+1. It returns the byte offset at which the
 // stream holds exactly those n records: whatever lies past it (a torn
-// fragment, a transaction that never committed) must be cut away before
-// the next append. When nothing lies past it but record n-1 lost its
-// newline, Resume writes the newline back.
-func (lw *Writer) Resume(res *ScanResult, n int) (int64, error) {
+// frame, a transaction that never committed) must be cut away before the
+// next append.
+func (lw *Writer) Resume(res *ScanResult, n int) int64 {
 	lw.seq = int64(n)
 	if n == 0 {
-		return 0, nil
+		return 0
 	}
-	if n == len(res.Records) && res.Unterminated {
-		if _, err := lw.sink.Write([]byte("\n")); err != nil {
-			return 0, fmt.Errorf("wal: resume: %w", err)
-		}
-	}
-	return res.Ends[n-1], nil
+	return res.Ends[n-1]
 }
 
 func (lw *Writer) append(r Record) error {
 	lw.seq++
 	r.Seq = lw.seq
-	if err := lw.enc.Encode(r); err != nil {
+	frame, err := AppendRecord(lw.frame[:0], r)
+	lw.frame = frame
+	if err == nil {
+		_, err = lw.sink.Write(frame)
+	}
+	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	return nil
@@ -188,7 +303,7 @@ func (lw *Writer) LogTxn(t *tx.Transaction, eff *tx.Effect) error {
 	if err := lw.append(Record{Kind: KindBegin, TxID: t.ID, Txn: code}); err != nil {
 		return err
 	}
-	for _, it := range sortedItems(eff.ReadValues) {
+	for _, it := range model.State(eff.ReadValues).Items() {
 		if err := lw.append(Record{
 			Kind: KindRead, TxID: t.ID, Item: it, Value: eff.ReadValues[it],
 		}); err != nil {
@@ -196,7 +311,7 @@ func (lw *Writer) LogTxn(t *tx.Transaction, eff *tx.Effect) error {
 		}
 	}
 	pure := eff.DeltaPure()
-	for _, it := range sortedItems(eff.Writes) {
+	for _, it := range model.State(eff.Writes).Items() {
 		rec := Record{
 			Kind: KindWrite, TxID: t.ID, Item: it,
 			Before: eff.Before[it], After: eff.Writes[it],
@@ -212,29 +327,21 @@ func (lw *Writer) LogTxn(t *tx.Transaction, eff *tx.Effect) error {
 	return lw.append(Record{Kind: KindCommit, TxID: t.ID})
 }
 
-func sortedItems[V any](m map[model.Item]V) []model.Item {
-	out := make([]model.Item, 0, len(m))
-	for it := range m {
-		out = append(out, it)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // ScanMode selects how Scan treats journal damage.
 type ScanMode int
 
 // Scan modes.
 const (
-	// Strict accepts exactly one kind of damage: a torn final line (the
-	// crash interrupted the last append). Any earlier damage — a malformed
-	// interior line, a sequence-number break from a dropped or duplicated
-	// line — is ErrCorrupt: the journal no longer represents the history
-	// that was acknowledged, and replaying a silently truncated prefix
-	// would drop committed work.
+	// Strict accepts exactly one kind of damage: a final frame cut short by
+	// the end of the stream (the crash interrupted the last append). Any
+	// complete frame that fails its checks — a checksum, a decode, or a
+	// sequence-number break from a dropped or duplicated record — is
+	// ErrCorrupt wherever it sits: the journal no longer represents the
+	// history that was acknowledged, and replaying a silently truncated
+	// prefix would drop committed work.
 	Strict ScanMode = iota
 	// Salvage never fails on damage: it decodes the longest valid prefix,
-	// stops at the first damaged line, and reports where the journal tears
+	// stops at the first damaged frame, and reports where the journal tears
 	// and how much it discarded. Recovery must not run on a salvaged
 	// prefix (acknowledged work past the tear is lost); the mode exists
 	// for forensics — walinspect -salvage dumps what a damaged log still
@@ -246,106 +353,102 @@ const (
 type ScanResult struct {
 	// Records is the decoded prefix.
 	Records []Record
-	// Ends[i] is the byte offset just past Records[i]'s line: the stream
+	// Ends[i] is the byte offset just past Records[i]'s frame: the stream
 	// cut there holds exactly Records[:i+1].
 	Ends []int64
-	// Unterminated reports that the stream's final line is a decoded record
-	// that lost only its newline (the crash cut exactly that byte).
-	Unterminated bool
-	// Torn reports whether the stream ended in (Strict) or was cut at
-	// (Salvage) a damaged line.
+	// Torn reports whether the stream ended in a frame cut short (both
+	// modes) or Salvage stopped at a damaged frame.
 	Torn bool
-	// TornLine is the 1-based line number of the tear (0 when !Torn).
-	TornLine int
-	// TornOffset is the byte offset at which the torn line starts.
+	// TornRecord is the 1-based number of the torn frame (0 when !Torn).
+	TornRecord int
+	// TornOffset is the byte offset at which the torn frame starts.
 	TornOffset int64
-	// TornReason describes the decode or sequence error at the tear.
+	// TornReason describes the tear or the damage.
 	TornReason string
-	// DiscardedLines counts non-empty lines after the tear that Salvage
-	// skipped (always 0 in Strict mode, which fails instead).
-	DiscardedLines int
+	// Discarded counts the bytes from a damaged frame to the end of the
+	// stream that Salvage skipped (0 for a frame cut short, and in Strict
+	// mode, which fails instead).
+	Discarded int64
 }
 
-// scanLine splits a stream into lines, each with its newline (the final
-// one may lack it), so Scan knows every line's exact byte extent.
-func scanLine(data []byte, atEOF bool) (int, []byte, error) {
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		return i + 1, data[:i+1], nil
-	}
-	if atEOF && len(data) > 0 {
-		return len(data), data, nil
-	}
-	return 0, nil, nil
-}
-
-// Scan decodes a journal stream under the given mode. Beyond per-line JSON
-// validity it verifies the append-only contract: record sequence numbers
-// are contiguous from 1, so dropped and duplicated lines are detected even
-// when every surviving line parses cleanly.
+// Scan decodes a journal stream under the given mode. Beyond each frame's
+// checksums and decode it verifies the append-only contract: record
+// sequence numbers are contiguous from 1, so dropped and duplicated
+// records are detected even when every surviving frame is intact. A
+// stream in the JSON-lines format of earlier versions is refused by name.
 func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
-	res := &ScanResult{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	sc.Split(scanLine)
-	var (
-		line   int
-		offset int64
-	)
-	tearAt := func(at int64, reason string) {
-		res.Torn = true
-		res.TornLine = line
-		res.TornOffset = at
-		res.TornReason = reason
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		start := offset
-		offset += int64(len(raw))
-		terminated := raw[len(raw)-1] == '\n'
-		raw = bytes.TrimSuffix(bytes.TrimSuffix(raw, []byte("\n")), []byte("\r"))
-		if len(raw) == 0 {
-			continue
-		}
-		if res.Torn {
-			// Past the first damaged line. Strict tolerates damage only on
-			// the final line, so any further content is corruption, not a
-			// tear; Salvage counts what it is discarding.
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("wal: scan: %w", err)
+	}
+	data := buf.Bytes()
+	if len(data) > 0 && data[0] == '{' {
+		return nil, fmt.Errorf("wal: stream is a JSON-lines journal, a format this version no longer reads: %w", ErrCorrupt)
+	}
+	n := 0 // frames, counted by their lengths to size the result
+	for off := 0; off+headerSize <= len(data) && n < len(data)/(headerSize+trailerSize); n++ {
+		off += headerSize + int(binary.BigEndian.Uint32(data[off:])) + trailerSize
+	}
+	res := &ScanResult{Records: make([]Record, 0, n), Ends: make([]int64, 0, n)}
+	for off := 0; off < len(data); {
+		rec, n, cut, reason := nextRecord(data[off:], int64(len(res.Records))+1)
+		if reason != "" {
+			res.Torn, res.TornRecord, res.TornOffset, res.TornReason = true, len(res.Records)+1, int64(off), reason
+			if cut {
+				break
+			}
 			if mode == Strict {
-				return nil, fmt.Errorf("wal: line %d: %s (damage before end of journal): %w",
-					res.TornLine, res.TornReason, ErrCorrupt)
+				return nil, fmt.Errorf("wal: record %d at offset %d: %s: %w", res.TornRecord, off, reason, ErrCorrupt)
 			}
-			res.DiscardedLines++
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			tearAt(start, err.Error())
-			continue
-		}
-		if want := int64(len(res.Records)) + 1; rec.Seq != want {
-			// A crash can only tear the tail; a sequence break means a
-			// whole line vanished or repeated, which no crash produces.
-			reason := fmt.Sprintf("sequence break: record %d, want %d", rec.Seq, want)
-			if mode == Salvage {
-				tearAt(start, reason)
-				res.DiscardedLines++
-				continue
-			}
-			return nil, fmt.Errorf("wal: line %d: %s: %w", line, reason, ErrCorrupt)
+			res.Discarded = int64(len(data) - off)
+			break
 		}
 		res.Records = append(res.Records, rec)
-		res.Ends = append(res.Ends, offset)
-		res.Unterminated = !terminated
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wal: scan: %w", err)
+		off += n
+		res.Ends = append(res.Ends, int64(off))
 	}
 	return res, nil
 }
 
+// nextRecord decodes the frame data starts with, which must carry record
+// number seq, and returns it with the frame's size. On failure reason
+// says why and cut reports a frame cut short by the end of data.
+func nextRecord(data []byte, seq int64) (rec Record, n int, cut bool, reason string) {
+	if len(data) < headerSize {
+		return rec, 0, true, fmt.Sprintf("frame header cut short at %d bytes", len(data))
+	}
+	length := binary.BigEndian.Uint32(data)
+	if binary.BigEndian.Uint16(data[4:]) != lengthCheck(data) {
+		return rec, 0, false, "frame length fails its check"
+	}
+	if length > maxBody {
+		return rec, 0, false, fmt.Sprintf("frame length %d exceeds the %d-byte limit", length, maxBody)
+	}
+	n = headerSize + int(length) + trailerSize
+	if len(data) < n {
+		return rec, 0, true, fmt.Sprintf("frame of %d bytes cut short at %d", n, len(data))
+	}
+	body := data[headerSize : n-trailerSize]
+	if binary.BigEndian.Uint32(data[n-trailerSize:]) != crc32.Checksum(body, castagnoli) {
+		return rec, 0, false, "record fails its checksum"
+	}
+	rec, err := decodeRecord(body)
+	if err != nil {
+		return rec, 0, false, err.Error()
+	}
+	if rec.Seq != seq {
+		// A crash can only tear the tail; a sequence break means a whole
+		// record vanished or repeated, which no crash produces.
+		return rec, 0, false, fmt.Sprintf("sequence break: record %d, want %d", rec.Seq, seq)
+	}
+	return rec, n, false, ""
+}
+
 // ReadAll decodes every record of a journal stream in Strict mode: a torn
-// final line (crash damage) is dropped; any damage before the end of the
+// final frame (crash damage) is dropped; any damage before the end of the
 // stream is ErrCorrupt. Callers that need the tear report use Scan.
 func ReadAll(r io.Reader) ([]Record, error) {
 	res, err := Scan(r, Strict)

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,18 +143,16 @@ func TestReplayToleratesTornFinalLine(t *testing.T) {
 func TestReplayDetectsTamperedValues(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 41, 4)
-	s := buf.String()
-	// Corrupt a logged write image.
-	tampered := strings.Replace(s, `"kind":"write"`, `"kind":"write","nonce":1`, 1)
-	if tampered == s {
-		t.Skip("no write record to tamper with")
-	}
-	// Change an "after" value instead (guaranteed to exist for a write).
-	tampered = tamperAfter(s)
-	if tampered == s {
-		t.Skip("no after field found")
-	}
-	recs, err := ReadAll(strings.NewReader(tampered))
+	// Change a logged write image; the frame is re-encoded with a valid
+	// checksum, so only replay verification can catch it.
+	tampered := tamper(t, buf.Bytes(), func(r *Record) bool {
+		if r.Kind != KindWrite {
+			return false
+		}
+		r.After++
+		return true
+	})
+	recs, err := ReadAll(bytes.NewReader(tampered))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,32 +161,44 @@ func TestReplayDetectsTamperedValues(t *testing.T) {
 	}
 }
 
-// tamperAfter flips the first `"after":N` to a different value.
-func tamperAfter(s string) string { return tamperField(s, `"after":`) }
+// tamper decodes a journal, lets edit change its first record edit
+// accepts, and re-encodes every record with valid frames.
+func tamper(t *testing.T, data []byte, edit func(*Record) bool) []byte {
+	t.Helper()
+	recs, err := ReadAll(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := false
+	var out []byte
+	for _, r := range recs {
+		if !done {
+			done = edit(&r)
+		}
+		if out, err = AppendRecord(out, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !done {
+		t.Fatal("tamper target not found")
+	}
+	return out
+}
 
-// tamperField flips the numeric value after the first occurrence of the
-// given JSON key prefix to a different value.
-func tamperField(s, prefix string) string {
-	idx := strings.Index(s, prefix)
-	if idx < 0 {
-		return s
+// frames splits a journal into its records' frames.
+func frames(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	res, err := Scan(bytes.NewReader(data), Strict)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Walk the number and bump its last digit (avoiding 9 rollover by
-	// replacing with a different digit).
-	j := idx + len(prefix)
-	k := j
-	for k < len(s) && (s[k] == '-' || (s[k] >= '0' && s[k] <= '9')) {
-		k++
+	out := make([][]byte, len(res.Ends))
+	start := int64(0)
+	for i, end := range res.Ends {
+		out[i] = data[start:end]
+		start = end
 	}
-	if k == j {
-		return s
-	}
-	d := s[k-1]
-	nd := byte('1')
-	if d == '1' {
-		nd = '2'
-	}
-	return s[:k-1] + string(nd) + s[k:]
+	return out
 }
 
 func TestReplayRejectsMalformedJournals(t *testing.T) {
@@ -272,55 +283,54 @@ func TestReplayAtEveryCrashPoint(t *testing.T) {
 }
 
 // TestReadAllRejectsMidJournalCorruption is the regression test for the
-// torn-line guard bug: a malformed line in the *middle* of a journal,
+// torn-record guard: a record cut short in the *middle* of a journal,
 // followed by validly committed transactions, must fail with ErrCorrupt —
 // silently truncating there would drop acknowledged work.
 func TestReadAllRejectsMidJournalCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 61, 4)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("journal too short: %d lines", len(lines))
+	recs := frames(t, buf.Bytes())
+	if len(recs) < 4 {
+		t.Fatalf("journal too short: %d records", len(recs))
 	}
-	// Mangle an interior line (not the last one).
-	mid := len(lines) / 2
-	lines[mid] = lines[mid][:len(lines[mid])/2]
-	damaged := strings.Join(lines, "\n") + "\n"
-	if _, err := ReadAll(strings.NewReader(damaged)); !errors.Is(err, ErrCorrupt) {
+	// Mangle an interior record (not the last one).
+	mid := len(recs) / 2
+	recs[mid] = recs[mid][:len(recs[mid])/2]
+	if _, err := ReadAll(bytes.NewReader(bytes.Join(recs, nil))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("mid-journal corruption: got %v, want ErrCorrupt", err)
 	}
 }
 
 // TestReadAllDetectsDroppedAndDuplicatedLines: sequence numbers are
 // contiguous, so a lost or repeated buffer flush is corruption even though
-// every surviving line parses.
+// every surviving record is intact.
 func TestReadAllDetectsDroppedAndDuplicatedLines(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 62, 3)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	mid := len(lines) / 2
+	recs := frames(t, buf.Bytes())
+	mid := len(recs) / 2
 
-	dropped := strings.Join(append(append([]string{}, lines[:mid]...), lines[mid+1:]...), "\n") + "\n"
-	if _, err := ReadAll(strings.NewReader(dropped)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("dropped line: got %v, want ErrCorrupt", err)
+	dropped := bytes.Join(slices.Delete(slices.Clone(recs), mid, mid+1), nil)
+	if _, err := ReadAll(bytes.NewReader(dropped)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("dropped record: got %v, want ErrCorrupt", err)
 	}
 
-	dup := append(append([]string{}, lines[:mid+1]...), lines[mid:]...)
-	duplicated := strings.Join(dup, "\n") + "\n"
-	if _, err := ReadAll(strings.NewReader(duplicated)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("duplicated line: got %v, want ErrCorrupt", err)
+	duplicated := bytes.Join(slices.Insert(slices.Clone(recs), mid, recs[mid]), nil)
+	if _, err := ReadAll(bytes.NewReader(duplicated)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("duplicated record: got %v, want ErrCorrupt", err)
 	}
 }
 
-// TestReadAllToleratesTornFinalLineOnly: the one acceptable damage shape.
+// TestReadAllToleratesTornFinalLineOnly: the one acceptable damage shape,
+// a final frame cut short by the end of the stream.
 func TestReadAllToleratesTornFinalLineOnly(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 63, 3)
 	data := buf.Bytes()
-	torn := data[:len(data)-5] // cut mid final line
+	torn := data[:len(data)-5] // cut mid final frame
 	recs, err := ReadAll(bytes.NewReader(torn))
 	if err != nil {
-		t.Fatalf("torn final line must be tolerated: %v", err)
+		t.Fatalf("torn final frame must be tolerated: %v", err)
 	}
 	full, err := ReadAll(bytes.NewReader(data))
 	if err != nil {
@@ -331,28 +341,73 @@ func TestReadAllToleratesTornFinalLineOnly(t *testing.T) {
 	}
 }
 
+// TestScanRejectsDamageAnywhere flips each byte of a journal in turn. A
+// flip inside a complete frame — the final one included — fails a check
+// and is ErrCorrupt: only a frame cut short by the end of the stream is a
+// tear.
+func TestScanRejectsDamageAnywhere(t *testing.T) {
+	var buf bytes.Buffer
+	journalHistory(t, &buf, 66, 2)
+	data := buf.Bytes()
+	for i := range data {
+		flipped := slices.Clone(data)
+		flipped[i] ^= 0x5a
+		if _, err := Scan(bytes.NewReader(flipped), Strict); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped: scan returned %v, want ErrCorrupt", i, err)
+		}
+	}
+}
+
+// TestLengthCheckCatchesByteErrors proves the header check catches every
+// single-byte error in the length: the check is linear in the length
+// bytes, so testing each error pattern against one length covers them all.
+func TestLengthCheckCatchesByteErrors(t *testing.T) {
+	zero := lengthCheck([]byte{0, 0, 0, 0})
+	for pos := 0; pos < 4; pos++ {
+		for e := 1; e < 256; e++ {
+			length := []byte{0, 0, 0, 0}
+			length[pos] = byte(e)
+			if lengthCheck(length) == zero {
+				t.Errorf("error %#02x at length byte %d goes unnoticed", e, pos)
+			}
+		}
+	}
+}
+
+// TestScanRefusesJSONLines: a journal in the format of earlier versions
+// fails by name, in both modes, rather than as unexplained damage.
+func TestScanRefusesJSONLines(t *testing.T) {
+	old := `{"seq":1,"kind":"checkout","window":1,"origin":{"x":5}}` + "\n"
+	for _, mode := range []ScanMode{Strict, Salvage} {
+		_, err := Scan(strings.NewReader(old), mode)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "JSON-lines") {
+			t.Errorf("mode %d: JSON-lines journal scanned with %v", mode, err)
+		}
+	}
+}
+
 // TestScanSalvageReportsTear: salvage mode survives interior damage and
 // reports where the journal tears and what it discarded.
 func TestScanSalvageReportsTear(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 64, 4)
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	mid := len(lines) / 2
-	lines[mid] = "garbage{{{"
-	damaged := strings.Join(lines, "\n") + "\n"
+	recs := frames(t, buf.Bytes())
+	mid := len(recs) / 2
+	recs[mid] = []byte("garbage{{{")
+	damaged := bytes.Join(recs, nil)
 
-	res, err := Scan(strings.NewReader(damaged), Salvage)
+	res, err := Scan(bytes.NewReader(damaged), Salvage)
 	if err != nil {
 		t.Fatalf("salvage must not fail: %v", err)
 	}
-	if !res.Torn || res.TornLine != mid+1 {
-		t.Errorf("tear at line %d (torn=%v), want line %d", res.TornLine, res.Torn, mid+1)
+	if !res.Torn || res.TornRecord != mid+1 {
+		t.Errorf("tear at record %d (torn=%v), want record %d", res.TornRecord, res.Torn, mid+1)
 	}
 	if len(res.Records) != mid {
 		t.Errorf("salvaged %d records, want %d", len(res.Records), mid)
 	}
-	if res.DiscardedLines != len(lines)-mid-1 {
-		t.Errorf("discarded %d lines, want %d", res.DiscardedLines, len(lines)-mid-1)
+	if want := int64(len(damaged)) - res.TornOffset; res.Discarded != want || want <= 0 {
+		t.Errorf("discarded %d bytes, want %d", res.Discarded, want)
 	}
 	if res.TornReason == "" {
 		t.Error("tear reason empty")
@@ -369,11 +424,14 @@ func TestScanSalvageReportsTear(t *testing.T) {
 func TestReplayDetectsTamperedBeforeImage(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 65, 4)
-	tampered := tamperField(buf.String(), `"before":`)
-	if tampered == buf.String() {
-		t.Skip("no before field found")
-	}
-	recs, err := ReadAll(strings.NewReader(tampered))
+	tampered := tamper(t, buf.Bytes(), func(r *Record) bool {
+		if r.Kind != KindWrite {
+			return false
+		}
+		r.Before++
+		return true
+	})
+	recs, err := ReadAll(bytes.NewReader(tampered))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +507,7 @@ func TestJournalCarriesDeltas(t *testing.T) {
 // a stripped delta — is ErrCorrupt. A spurious delta would let the merge
 // layer elide edges around a non-commutative write.
 func TestReplayDetectsTamperedDelta(t *testing.T) {
-	build := func() string {
+	build := func() []byte {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		if err := w.Checkout(0, 0, model.StateOf(map[model.Item]model.Value{"x": 100})); err != nil {
@@ -463,19 +521,27 @@ func TestReplayDetectsTamperedDelta(t *testing.T) {
 		if err := w.LogTxn(txn, eff); err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		return buf.Bytes()
 	}
-	cases := map[string]func(string) string{
-		"wrong increment": func(s string) string { return tamperField(s, `"delta":`) },
-		"stripped delta":  func(s string) string { return strings.Replace(s, `,"delta":5`, ``, 1) },
+	cases := map[string]func(*Record) bool{
+		"wrong increment": func(r *Record) bool {
+			if r.Delta == nil {
+				return false
+			}
+			d := *r.Delta + 1
+			r.Delta = &d
+			return true
+		},
+		"stripped delta": func(r *Record) bool {
+			if r.Delta == nil {
+				return false
+			}
+			r.Delta = nil
+			return true
+		},
 	}
-	for name, tamper := range cases {
-		s := build()
-		tampered := tamper(s)
-		if tampered == s {
-			t.Fatalf("%s: tamper had no effect on %q", name, s)
-		}
-		recs, err := ReadAll(strings.NewReader(tampered))
+	for name, edit := range cases {
+		recs, err := ReadAll(bytes.NewReader(tamper(t, build(), edit)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -443,7 +443,8 @@ func TestOversizedFrameRejection(t *testing.T) {
 	}
 }
 
-// TestBadVersionRejection: a frame with the wrong version byte is answered
+// TestBadVersionRejection: a frame with the wrong version byte — here the
+// previous version's, whose envelopes carried JSON journals — is answered
 // with an in-band error and the connection severed.
 func TestBadVersionRejection(t *testing.T) {
 	cluster := replica.NewBaseCluster(testOrigin(), replica.Config{})
@@ -461,7 +462,7 @@ func TestBadVersionRejection(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write([]byte{0x7f, 0, 0, 0, 2, '{', '}'}); err != nil {
+	if _, err := conn.Write([]byte{0x01, 0, 0, 0, 2, '{', '}'}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := readFrame(conn, DefaultMaxFrame)

@@ -4,7 +4,8 @@
 // to a replica.BaseServer's ServeFrame entry point, and Transport is a
 // pooling client that replica.DialTransport plugs a mobile node into.
 //
-// Frames are length-prefixed JSON payloads:
+// Frames are length-prefixed envelopes — a small JSON header whose bulk
+// fields (journals, transaction code, states) are binary blobs:
 //
 //	+---------+-------------------------------+----------------+
 //	| version | payload length (uint32, BE)   | payload bytes  |
@@ -25,7 +26,9 @@ import (
 
 // Version is the framing protocol version byte. A frame whose first byte
 // differs is rejected with ErrBadVersion before its length is trusted.
-const Version byte = 0x01
+// Version 0x01 carried JSON-lines journals and JSON states; 0x02 carries
+// them as binary blobs.
+const Version byte = 0x02
 
 // headerSize is the frame header length: version byte + 4-byte payload
 // length.

@@ -73,6 +73,27 @@ if [ -n "$kind_leaks" ]; then
     exit 1
 fi
 
+echo "== one binary codec for what the base logs and ships =="
+# Journal records, transaction code and states have one encoding
+# (internal/codec); JSON is only the wire envelope's small header. The
+# packages that encode them must not fall back to encoding/json.
+json_leaks=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/wal ./internal/tx ./internal/expr ./internal/codec | grep 'encoding/json' || true)
+if [ -n "$json_leaks" ]; then
+    echo "FAILED: encoding/json imported by the binary codec's packages:" >&2
+    echo "$json_leaks" >&2
+    exit 1
+fi
+# Records past 16 MiB reopen, bit rot fails a checksum wherever it sits,
+# the decoder refuses deep nesting and the old JSON-lines format by name;
+# the fuzz seed corpora run with them.
+codec_pins='TestCheckpointLargerThan16MiBReopens|TestBitRotIsNeverAdopted|TestServeFrameRefusesDeepCode'
+require_tests "$codec_pins" ./internal/replica/
+go test -count=1 -run "$codec_pins" ./internal/replica/
+wal_pins='TestScanRejectsDamageAnywhere|TestLengthCheckCatchesByteErrors|TestScanRefusesJSONLines'
+require_tests "$wal_pins" ./internal/wal/
+require_tests TestInspectRefusesJSONLines ./cmd/walinspect/
+go test -count=1 -run "$wal_pins|TestInspectRefusesJSONLines|^Fuzz" ./internal/wal/ ./internal/tx/ ./cmd/walinspect/
+
 echo "== base state has one form =="
 # A cluster's state is its master, window origin and the window's entries;
 # the Strategy 1 token check replays the entries. No program code outside

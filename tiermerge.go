@@ -529,7 +529,8 @@ func NewWorkloadGenerator(cfg WorkloadConfig) *WorkloadGenerator {
 
 // Write-ahead log (the log-driven substrate of Sections 5.1/6.2/7.1).
 type (
-	// WALRecord is one journal record.
+	// WALRecord is one journal record: one checksummed binary frame of
+	// the stream.
 	WALRecord = wal.Record
 	// WALWriter appends journal records.
 	WALWriter = wal.Writer
@@ -544,16 +545,18 @@ type (
 )
 
 // ErrWALCorrupt is returned (wrapped) when a journal contradicts
-// re-execution or carries damage anywhere before its final line.
+// re-execution, carries a record that fails its checksum, or is in the
+// JSON-lines format of earlier versions.
 var ErrWALCorrupt = wal.ErrCorrupt
 
 // NewWALWriter starts a journal on w.
 func NewWALWriter(w io.Writer) *WALWriter { return wal.NewWriter(w) }
 
-// ReadWAL decodes every record of a journal stream in strict mode: a torn
-// final line (crash damage) is dropped, but damage anywhere earlier —
-// malformed interior lines, dropped or duplicated lines — fails with
-// ErrWALCorrupt rather than silently truncating acknowledged work.
+// ReadWAL decodes every record of a journal stream in strict mode: a
+// final record cut short by the end of the stream (crash damage) is
+// dropped, but any complete record that fails its checksum and any
+// dropped or duplicated record fails with ErrWALCorrupt rather than
+// silently truncating acknowledged work.
 func ReadWAL(r io.Reader) ([]WALRecord, error) { return wal.ReadAll(r) }
 
 // SalvageWAL decodes the longest valid prefix of a damaged journal and
@@ -574,9 +577,9 @@ func RecoverMobileNode(id string, r io.Reader) (*MobileNode, *WALRecovery, error
 	return replica.RecoverMobileNode(id, r)
 }
 
-// MarshalTransaction encodes a transaction in the wire format used by the
-// journal and by code shipping; UnmarshalTransaction decodes and
-// re-validates it.
+// MarshalTransaction encodes a transaction in the binary form the journal
+// records and code shipping carries; UnmarshalTransaction decodes it —
+// refusing malformed, over-deep or trailing input — and re-validates it.
 var (
 	MarshalTransaction   = tx.MarshalTransaction
 	UnmarshalTransaction = tx.UnmarshalTransaction
