@@ -92,7 +92,8 @@ go test -count=1 -run "$codec_pins" ./internal/replica/
 wal_pins='TestScanRejectsDamageAnywhere|TestLengthCheckCatchesByteErrors|TestScanRefusesJSONLines'
 require_tests "$wal_pins" ./internal/wal/
 require_tests TestInspectRefusesJSONLines ./cmd/walinspect/
-go test -count=1 -run "$wal_pins|TestInspectRefusesJSONLines|^Fuzz" ./internal/wal/ ./internal/tx/ ./cmd/walinspect/
+require_tests TestDecoderRefusesMalformed ./internal/codec/
+go test -count=1 -run "$wal_pins|TestInspectRefusesJSONLines|TestDecoderRefusesMalformed|^Fuzz" ./internal/wal/ ./internal/tx/ ./internal/codec/ ./cmd/walinspect/
 
 echo "== base state has one form =="
 # A cluster's state is its master, window origin and the window's entries;
