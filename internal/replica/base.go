@@ -58,8 +58,12 @@ type BaseCluster struct {
 	mu  sync.Mutex
 	cfg Config
 
-	master       model.State
-	windowID     int
+	master   model.State
+	windowID int
+	// windowOrigin is the master as of the window's start. It is never
+	// mutated: AdvanceWindow and recovery replace the map, so a reader that
+	// took it under b.mu may keep reading it after unlocking (Checkpoint,
+	// the server's checkout frame).
 	windowOrigin model.State
 	entries      []baseEntry
 	followers    []*follower
@@ -516,14 +520,25 @@ type Checkout struct {
 //
 //tiermerge:locks(none)
 func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
+	return b.checkout(mobileID, false)
+}
+
+// checkout is CheckoutReplica; shared hands out a Strategy 2 window origin
+// itself instead of a copy, for a caller that only reads it.
+//
+//tiermerge:locks(none)
+func (b *BaseCluster) checkout(mobileID string, shared bool) Checkout {
 	start := b.spanStart()
 	b.mu.Lock()
 	w := b.cfg.Weights
 	ck := Checkout{MobileID: mobileID, WindowID: b.windowID}
-	if b.cfg.Origin == Strategy1 {
+	switch {
+	case b.cfg.Origin == Strategy1:
 		ck.Pos = len(b.entries)
 		ck.Origin = b.master.Clone()
-	} else {
+	case shared:
+		ck.Origin = b.windowOrigin
+	default:
 		ck.Origin = b.windowOrigin.Clone()
 	}
 	b.counters.Msg(w, int64(len(ck.Origin))*w.UpdateEntryBytes)

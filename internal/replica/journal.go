@@ -447,7 +447,7 @@ func (b *BaseCluster) Checkpoint() error {
 	defer func() { <-b.ckptGate }()
 	b.mu.Lock()
 	win := b.windowID
-	origin := b.windowOrigin.Clone()
+	origin := b.windowOrigin
 	entries := make([]baseEntry, len(b.entries))
 	copy(entries, b.entries)
 	b.disk.BeginRotate()

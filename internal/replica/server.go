@@ -172,15 +172,22 @@ type BaseServer struct {
 	reg *obs.Registry
 
 	// applied caches, per mobile, the last reconnect seq handled and its
-	// response — the exactly-once guard for retried merges. Guarded by
-	// appliedMu; workers handle requests concurrently. The cache holds at
-	// most appliedCap mobiles (WithDedupCapacity), evicting the
-	// least-recently-used entry past that; dedupEntries gauges its size.
+	// response — the exactly-once guard for retried merges — and inflight
+	// holds the reconnects being merged, so a concurrent duplicate waits
+	// for the first delivery. Guarded by appliedMu; workers handle
+	// requests concurrently. The cache holds at most appliedCap mobiles
+	// (WithDedupCapacity), evicting the least-recently-used entry past
+	// that; dedupEntries gauges its size.
 	appliedMu    sync.Mutex
 	applied      map[string]appliedReq
+	inflight     map[flightKey]*flight
 	appliedCap   int
 	appliedTick  int64
 	dedupEntries *obs.Gauge
+
+	// frame is the latest Strategy 2 window's whole-origin checkout
+	// response (see windowFrame).
+	frame atomic.Pointer[checkoutFrame]
 
 	// drops, when armed (DropEveryNth), silently discards every nth
 	// mobile-facing response (fault injection for transport tests).
@@ -194,6 +201,24 @@ type appliedReq struct {
 	seq   int64
 	resp  []byte
 	tick  int64
+}
+
+// flightKey names one reconnect delivery: a mobile's session epoch and seq.
+type flightKey struct {
+	mobile, epoch string
+	seq           int64
+}
+
+// flight is a reconnect being merged; done closes once resp is set.
+type flight struct {
+	done chan struct{}
+	resp []byte
+}
+
+// checkoutFrame is one window's encoded whole-origin checkout response.
+type checkoutFrame struct {
+	window int
+	resp   []byte
 }
 
 // defaultDedupCapacity bounds the reconnect dedup cache when
@@ -288,6 +313,7 @@ func (s *BaseServer) start(n int) {
 	s.req = make(chan rpc)
 	s.stop = make(chan struct{})
 	s.applied = make(map[string]appliedReq)
+	s.inflight = make(map[flightKey]*flight)
 	s.workers.Add(n)
 	for i := 0; i < n; i++ {
 		go s.loop()
@@ -360,6 +386,9 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 		if req.Window != 0 && s.sameWindow(req.Window) {
 			return mustResp(wireResp{Window: req.Window, Same: true}), req.Kind, true
 		}
+		if resp, ok := s.windowFrame(req.MobileID); ok {
+			return resp, req.Kind, true
+		}
 		ck := s.tier.CheckoutReplica(req.MobileID)
 		return mustResp(wireResp{Window: ck.WindowID, Pos: ck.Pos, Origin: codec.MarshalState(ck.Origin)}), req.Kind, true
 	case reqMaster:
@@ -374,60 +403,128 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 		}
 		return mustResp(wireResp{}), req.Kind, false
 	case reqMerge, reqReprocess:
-		// Exactly-once: a retry of an applied reconnect replays the cached
-		// response instead of merging the same journal twice, and a frame
-		// OLDER than the last applied seq — an out-of-order duplicate of an
-		// earlier reconnect, delayed in transit — is rejected outright
-		// rather than re-merged. Both judgments are scoped to the frame's
-		// session epoch: a new client instance reusing the mobile ID opens
-		// a new epoch and falls through to a fresh merge.
-		if prev, ok := s.lookupApplied(req.MobileID); ok && prev.epoch == req.Epoch {
-			switch {
-			case req.Seq == prev.seq:
-				return prev.resp, req.Kind, true
-			case req.Seq < prev.seq:
-				return mustResp(wireResp{
-					Err: fmt.Sprintf("reconnect seq %d from %s already superseded by %d",
-						req.Seq, req.MobileID, prev.seq),
-					Stale: true,
-				}), req.Kind, true
-			}
-		}
-		rep, err := replayPayload(req.Journal)
-		if err != nil {
-			return mustResp(wireResp{Err: err.Error()}), req.Kind, true
-		}
-		var out *ConnectOutcome
-		if req.Kind == reqReprocess {
-			out = s.tier.Reprocess(rep.Augmented)
-		} else {
-			ck := Checkout{
-				MobileID: req.MobileID,
-				WindowID: rep.WindowID,
-				Pos:      rep.Pos,
-				Origin:   footprintOrigin(rep.Origin, rep.Augmented),
-			}
-			out, err = s.tier.Merge(ck, rep.Augmented)
-			if err != nil {
-				return mustResp(wireResp{Err: err.Error()}), req.Kind, true
-			}
-		}
-		resp := wireResp{
-			Merged:   out.Merged,
-			Fallback: string(out.Fallback),
-			Saved:    out.Saved,
-			Reproc:   out.Reprocessed,
-			Failed:   out.Failed,
-		}
-		if out.Report != nil {
-			resp.BadIDs = out.Report.BadIDs
-		}
-		encoded := mustResp(resp)
-		s.storeApplied(req.MobileID, req.Epoch, req.Seq, encoded)
-		return encoded, req.Kind, true
+		return s.reconnectOnce(req), req.Kind, true
 	default:
 		return mustResp(wireResp{Err: fmt.Sprintf("unknown request kind %q", req.Kind)}), req.Kind, false
 	}
+}
+
+// reconnectOnce applies a reconnect at most once per (mobile, epoch, seq).
+// A retry of an applied reconnect replays the cached response instead of
+// merging the same journal twice, a duplicate that arrives while the first
+// delivery is still merging waits for it and returns its response, and a
+// frame OLDER than the last applied seq — an out-of-order duplicate of an
+// earlier reconnect, delayed in transit — is rejected outright rather than
+// re-merged. Every judgment is scoped to the frame's session epoch: a new
+// client instance reusing the mobile ID opens a new epoch and falls through
+// to a fresh merge.
+func (s *BaseServer) reconnectOnce(req wireReq) []byte {
+	key := flightKey{req.MobileID, req.Epoch, req.Seq}
+	s.appliedMu.Lock()
+	if f, ok := s.inflight[key]; ok {
+		s.appliedMu.Unlock()
+		<-f.done
+		return f.resp
+	}
+	if prev, ok := s.applied[req.MobileID]; ok {
+		s.appliedTick++
+		prev.tick = s.appliedTick
+		s.applied[req.MobileID] = prev
+		switch {
+		case prev.epoch != req.Epoch: // a new session: merge
+		case req.Seq == prev.seq:
+			s.appliedMu.Unlock()
+			return prev.resp
+		case req.Seq < prev.seq:
+			s.appliedMu.Unlock()
+			return mustResp(wireResp{
+				Err: fmt.Sprintf("reconnect seq %d from %s already superseded by %d",
+					req.Seq, req.MobileID, prev.seq),
+				Stale: true,
+			})
+		}
+	}
+	f := &flight{done: make(chan struct{})}
+	s.inflight[key] = f
+	s.appliedMu.Unlock()
+	defer func() {
+		s.appliedMu.Lock()
+		delete(s.inflight, key)
+		s.appliedMu.Unlock()
+		close(f.done)
+	}()
+	f.resp = s.reconnect(req)
+	return f.resp
+}
+
+// reconnect merges or reprocesses one reconnect's journal and caches a
+// successful response in applied.
+func (s *BaseServer) reconnect(req wireReq) []byte {
+	rep, err := replayPayload(req.Journal)
+	if err != nil {
+		return mustResp(wireResp{Err: err.Error()})
+	}
+	var out *ConnectOutcome
+	if req.Kind == reqReprocess {
+		out = s.tier.Reprocess(rep.Augmented)
+	} else {
+		ck := Checkout{
+			MobileID: req.MobileID,
+			WindowID: rep.WindowID,
+			Pos:      rep.Pos,
+			Origin:   footprintOrigin(rep.Origin, rep.Augmented),
+		}
+		out, err = s.tier.Merge(ck, rep.Augmented)
+		if err != nil {
+			return mustResp(wireResp{Err: err.Error()})
+		}
+	}
+	resp := wireResp{
+		Merged:   out.Merged,
+		Fallback: string(out.Fallback),
+		Saved:    out.Saved,
+		Reproc:   out.Reprocessed,
+		Failed:   out.Failed,
+	}
+	if out.Report != nil {
+		resp.BadIDs = out.Report.BadIDs
+	}
+	encoded := mustResp(resp)
+	s.storeApplied(req.MobileID, req.Epoch, req.Seq, encoded)
+	return encoded
+}
+
+// windowFrame answers a whole-origin checkout under Strategy 2, where every
+// mobile that checks out in a window gets the same response: it is encoded
+// once per window, from the window origin (which is never mutated) and
+// outside the cluster mutexes. Each checkout is still billed to the tier as
+// CheckoutReplica bills it. ok is false under Strategy 1, whose origin is
+// the live master.
+func (s *BaseServer) windowFrame(mobileID string) (resp []byte, ok bool) {
+	var ck Checkout
+	switch {
+	case s.b != nil && s.b.cfg.Origin == Strategy2:
+		ck = s.b.checkout(mobileID, true)
+	case s.sharded != nil && s.sharded.cfg.Origin == Strategy2:
+		ck = s.sharded.checkout(mobileID, true)
+	default:
+		return nil, false
+	}
+	f := s.frame.Load()
+	if f != nil && f.window == ck.WindowID {
+		return f.resp, true
+	}
+	origin := ck.Origin
+	if ck.Shards != nil {
+		origin = unionOrigin(ck.Shards)
+	}
+	built := &checkoutFrame{window: ck.WindowID,
+		resp: mustResp(wireResp{Window: ck.WindowID, Origin: codec.MarshalState(origin)})}
+	// Concurrent misses may both build; the frame of the newer window wins.
+	for (f == nil || f.window < built.window) && !s.frame.CompareAndSwap(f, built) {
+		f = s.frame.Load()
+	}
+	return built.resp, true
 }
 
 // sameWindow reports whether a checkout now would hand out the origin of
@@ -463,20 +560,6 @@ func replayPayload(journal []byte) (*wal.Replayed, error) {
 		return nil, fmt.Errorf("replica: reconnect journal ends in an uncommitted transaction: %w", wal.ErrCorrupt)
 	}
 	return rep, nil
-}
-
-// lookupApplied returns the cached reconnect state for a mobile,
-// refreshing its LRU stamp on a hit.
-func (s *BaseServer) lookupApplied(mobileID string) (appliedReq, bool) {
-	s.appliedMu.Lock()
-	defer s.appliedMu.Unlock()
-	prev, ok := s.applied[mobileID]
-	if ok {
-		s.appliedTick++
-		prev.tick = s.appliedTick
-		s.applied[mobileID] = prev
-	}
-	return prev, ok
 }
 
 // storeApplied caches the response for (mobileID, epoch, seq), keeping

@@ -320,6 +320,43 @@ func TestRetriedMergeNotDoubleApplied(t *testing.T) {
 	}
 }
 
+// TestInflightDuplicateMergedOnce: four deliveries of one merge frame
+// (x := x + 1) reach ServeFrame at once. One merges; the others wait for it
+// and return its response, and the master shows exactly one application.
+// Regression: the dedup cache was consulted before the merge and filled
+// after it, so concurrent duplicates all merged.
+func TestInflightDuplicateMergedOnce(t *testing.T) {
+	const trials, deliveries = 200, 4
+	frame := mergeFrame(t, 1, origin(), workload.Deposit("Tm1", tx.Tentative, "x", 1))
+	for trial := 0; trial < trials; trial++ {
+		b := NewBaseCluster(origin(), Config{})
+		srv := Serve(b)
+		start := make(chan struct{})
+		resps := make([][]byte, deliveries)
+		var wg sync.WaitGroup
+		for d := 0; d < deliveries; d++ {
+			wg.Add(1)
+			go func(d int) {
+				defer wg.Done()
+				<-start
+				resps[d], _, _ = srv.ServeFrame(frame)
+			}(d)
+		}
+		close(start)
+		wg.Wait()
+		srv.Close()
+		if got := b.Master().Get("x"); got != 101 {
+			t.Fatalf("trial %d: x = %d after %d concurrent deliveries of one reconnect, want 101 (one application)",
+				trial, got, deliveries)
+		}
+		for d := 1; d < deliveries; d++ {
+			if !bytes.Equal(resps[d], resps[0]) {
+				t.Fatalf("trial %d: delivery %d answered %s, delivery 0 %s", trial, d, resps[d], resps[0])
+			}
+		}
+	}
+}
+
 // TestServeFrameRejectsDamagedJournal: a reconnect payload is not a crash
 // image. One that lost its final commit record, or whose final record was
 // cut short, must be refused — not merged as the shorter history its intact

@@ -413,8 +413,17 @@ func (s *ShardedBase) AdvanceWindow() int {
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
+	return s.checkout(mobileID, false)
+}
+
+// checkout is CheckoutReplica; shared hands out the shards' Strategy 2
+// window origins themselves and leaves the union unbuilt (Origin nil), for
+// a caller that only reads them (see unionOrigin).
+//
+//tiermerge:locks(none)
+func (s *ShardedBase) checkout(mobileID string, shared bool) Checkout {
 	if len(s.shards) == 1 {
-		return s.shards[0].CheckoutReplica(mobileID)
+		return s.shards[0].checkout(mobileID, shared)
 	}
 	for {
 		v := s.windowVer.Load()
@@ -425,24 +434,33 @@ func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 		cross := s.crossEntries.Load()
 		parts := make([]Checkout, len(s.shards))
 		for k, b := range s.shards {
-			parts[k] = b.CheckoutReplica(mobileID)
+			parts[k] = b.checkout(mobileID, shared)
 		}
 		if s.windowVer.Load() != v || (s.cfg.Origin == Strategy1 && s.crossEntries.Load() != cross) {
 			continue
 		}
-		origin := model.NewState()
-		for _, p := range parts {
-			for it, val := range p.Origin {
-				origin.Set(it, val)
-			}
+		ck := Checkout{MobileID: mobileID, WindowID: parts[0].WindowID, Shards: parts}
+		if !shared {
+			ck.Origin = unionOrigin(parts)
 		}
-		return Checkout{
-			MobileID: mobileID,
-			WindowID: parts[0].WindowID,
-			Origin:   origin,
-			Shards:   parts,
+		return ck
+	}
+}
+
+// unionOrigin is the origin of a sharded checkout: the union of its
+// per-shard origins, whose items are disjoint.
+func unionOrigin(parts []Checkout) model.State {
+	n := 0
+	for _, p := range parts {
+		n += len(p.Origin)
+	}
+	origin := make(model.State, n)
+	for _, p := range parts {
+		for it, val := range p.Origin {
+			origin[it] = val
 		}
 	}
+	return origin
 }
 
 // clustersOf maps sorted shard indices to their clusters.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,9 +13,11 @@ import (
 	"time"
 
 	"tiermerge/internal/codec"
+	"tiermerge/internal/cost"
 	"tiermerge/internal/expr"
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
+	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
 	"tiermerge/internal/workload"
@@ -564,4 +567,260 @@ func respOrigin(t *testing.T, resp wireResp) model.State {
 		t.Fatalf("checkout origin %x: %v", resp.Origin, err)
 	}
 	return origin
+}
+
+// windowTier is a base tier whose window the tests advance.
+type windowTier interface {
+	BaseTier
+	AdvanceWindow() int
+}
+
+// frameTiers builds the tier shapes the checkout-frame tests run on: a plain
+// cluster and two shards splitting x from the rest.
+func frameTiers() map[string]func(initial model.State, cfg Config) windowTier {
+	return map[string]func(model.State, Config) windowTier{
+		"cluster": func(initial model.State, cfg Config) windowTier { return NewBaseCluster(initial, cfg) },
+		"2shards": func(initial model.State, cfg Config) windowTier {
+			if cfg.ShardFn == nil {
+				cfg.ShardFn = func(it model.Item) int {
+					if it == "x" {
+						return 0
+					}
+					return 1
+				}
+			}
+			return NewShardedBase(initial, 2, cfg)
+		},
+	}
+}
+
+// wireCheckout sends a whole-origin checkout request for mobile to srv and
+// returns the raw response.
+func wireCheckout(t *testing.T, srv *BaseServer, mobile string) []byte {
+	t.Helper()
+	payload, err := json.Marshal(wireReq{Kind: reqCheckout, MobileID: mobile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _, lost := srv.ServeFrame(payload)
+	if lost {
+		t.Fatal("checkout response lost")
+	}
+	return raw
+}
+
+// builtFrame encodes the checkout response for an in-process checkout of
+// tier now, field for field as the server encodes one.
+func builtFrame(tier BaseTier) []byte {
+	ck := tier.CheckoutReplica("probe")
+	return mustResp(wireResp{Window: ck.WindowID, Pos: ck.Pos, Origin: codec.MarshalState(ck.Origin)})
+}
+
+// decodeResp decodes a raw response envelope.
+func decodeResp(t *testing.T, raw []byte) wireResp {
+	t.Helper()
+	var resp wireResp
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("response %q: %v", raw, err)
+	}
+	return resp
+}
+
+// TestCheckoutFrameSharedInWindow: under Strategy 2, the whole-origin
+// checkouts of two mobiles in one window answer byte-identical frames,
+// equal to one freshly built from an in-process checkout; after
+// AdvanceWindow the next checkout carries the new window and its origin.
+func TestCheckoutFrameSharedInWindow(t *testing.T) {
+	for name, mk := range frameTiers() {
+		t.Run(name, func(t *testing.T) {
+			tier := mk(origin(), Config{})
+			srv := Serve(tier)
+			defer srv.Close()
+			first, second := wireCheckout(t, srv, "m1"), wireCheckout(t, srv, "m2")
+			if want := builtFrame(tier); !bytes.Equal(first, second) || !bytes.Equal(second, want) {
+				t.Fatalf("checkouts in one window answered\n%s\n%s\nwant both %s", first, second, want)
+			}
+			if err := tier.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 7)); err != nil {
+				t.Fatal(err)
+			}
+			if raw := wireCheckout(t, srv, "m3"); !bytes.Equal(raw, second) {
+				t.Errorf("checkout after a base commit in the window answered %s, want the window's frame %s", raw, second)
+			}
+			tier.AdvanceWindow()
+			raw := wireCheckout(t, srv, "m1")
+			resp := decodeResp(t, raw)
+			if want := tier.Master(); resp.Window != 2 || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
+				t.Fatalf("checkout after AdvanceWindow answered %+v, want window 2 and origin %s", resp, want)
+			}
+			if want := builtFrame(tier); !bytes.Equal(raw, want) {
+				t.Errorf("checkout after AdvanceWindow answered %s, want %s", raw, want)
+			}
+		})
+	}
+}
+
+// TestCheckoutFrameAfterReopen: a durable tier reopened through OpenBase
+// (per shard) answers the next checkout with the window and origin it
+// recovered, not one served before the restart.
+func TestCheckoutFrameAfterReopen(t *testing.T) {
+	type durable interface {
+		windowTier
+		CloseStore() error
+	}
+	open := map[string]func(dir string) (durable, error){
+		"cluster": func(dir string) (durable, error) {
+			b, _, err := OpenBase(dir, origin(), Config{})
+			return b, err
+		},
+		"2shards": func(dir string) (durable, error) {
+			s, _, err := OpenShardedBase(dir, origin(), 2, Config{})
+			return s, err
+		},
+	}
+	for name, openTier := range open {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			tier, err := openTier(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := Serve(tier)
+			before := wireCheckout(t, srv, "m1")
+			if err := tier.ExecBase(workload.Deposit("Tb1", tx.Base, "x", 7)); err != nil {
+				t.Fatal(err)
+			}
+			tier.AdvanceWindow()
+			if err := tier.ExecBase(workload.Deposit("Tb2", tx.Base, "y", 3)); err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+			if err := tier.CloseStore(); err != nil {
+				t.Fatal(err)
+			}
+
+			if tier, err = openTier(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer tier.CloseStore()
+			srv = Serve(tier)
+			defer srv.Close()
+			raw := wireCheckout(t, srv, "m1")
+			resp := decodeResp(t, raw)
+			if resp.Window < 2 || respOrigin(t, resp).Get("x") != 107 || bytes.Equal(raw, before) {
+				t.Fatalf("checkout after reopen answered %+v, want a later window whose origin holds x = 107", resp)
+			}
+			if want := builtFrame(tier); !bytes.Equal(raw, want) {
+				t.Errorf("checkout after reopen answered %s, want %s", raw, want)
+			}
+		})
+	}
+}
+
+// TestCheckoutFrameStrategy1Live: under Strategy 1 a checkout's origin is
+// the live master, so a checkout after a base commit carries the new value
+// and position.
+func TestCheckoutFrameStrategy1Live(t *testing.T) {
+	for name, mk := range frameTiers() {
+		t.Run(name, func(t *testing.T) {
+			tier := mk(origin(), Config{Origin: Strategy1})
+			srv := Serve(tier)
+			defer srv.Close()
+			first := wireCheckout(t, srv, "m1")
+			if err := tier.ExecBase(workload.Deposit("Tb1", tx.Base, "y", 7)); err != nil {
+				t.Fatal(err)
+			}
+			raw := wireCheckout(t, srv, "m2")
+			resp := decodeResp(t, raw)
+			if bytes.Equal(raw, first) || respOrigin(t, resp).Get("y") != 207 {
+				t.Fatalf("checkout after a base commit answered %+v, want the master's y = 207", resp)
+			}
+			if want := builtFrame(tier); !bytes.Equal(raw, want) {
+				t.Errorf("checkout answered %s, want %s", raw, want)
+			}
+			if b, ok := tier.(*BaseCluster); ok && resp.Pos != b.HistoryLen() {
+				t.Errorf("checkout position = %d, want %d", resp.Pos, b.HistoryLen())
+			}
+		})
+	}
+}
+
+// TestCheckoutFrameAllocIndependentOfItems: once a Strategy 2 window's
+// checkout frame is built, a further checkout in the window allocates
+// what the request needs, not a copy or an encoding of the replica.
+// Regression: every checkout cloned the window origin and encoded it.
+func TestCheckoutFrameAllocIndependentOfItems(t *testing.T) {
+	for name, mk := range frameTiers() {
+		t.Run(name, func(t *testing.T) {
+			checkoutAlloc := func(items int) uint64 {
+				initial := model.NewState()
+				for i := 0; i < items; i++ {
+					initial.Set(workload.ItemName(i), 100)
+				}
+				// Split the items over the shards by their last digit.
+				tier := mk(initial, Config{ShardFn: func(it model.Item) int { return int(it[len(it)-1]) % 2 }})
+				srv := Serve(tier)
+				defer srv.Close()
+				wireCheckout(t, srv, "m0")
+				least := uint64(math.MaxUint64)
+				for i := 1; i <= 3; i++ {
+					var before, after runtime.MemStats
+					runtime.GC()
+					runtime.ReadMemStats(&before)
+					wireCheckout(t, srv, fmt.Sprintf("m%d", i))
+					runtime.ReadMemStats(&after)
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
+				}
+				return least
+			}
+			small, large := checkoutAlloc(64), checkoutAlloc(4096)
+			t.Logf("a second checkout allocated %d B on 64 items, %d B on 4096 items", small, large)
+			if large > 2*small {
+				t.Errorf("a second checkout on 4096 items allocated %d B, more than 2x the %d B on 64 items", large, small)
+			}
+		})
+	}
+}
+
+// TestCheckoutFrameBilling: a wire checkout served from the window's frame
+// is billed as an in-process checkout is: after N of each, the two tiers'
+// cost counters match and each checkout emitted one PhaseCheckout event
+// per shard.
+func TestCheckoutFrameBilling(t *testing.T) {
+	const n = 5
+	counts := func(tier BaseTier) cost.Counts {
+		if b, ok := tier.(*BaseCluster); ok {
+			return b.Counters().Snapshot()
+		}
+		return tier.(*ShardedBase).Counters()
+	}
+	for name, mk := range frameTiers() {
+		t.Run(name, func(t *testing.T) {
+			var events [2]atomic.Int64
+			twin := func(k int) windowTier {
+				return mk(origin(), Config{Observer: obs.ObserverFunc(func(ev obs.Event) {
+					if ev.Phase == obs.PhaseCheckout {
+						events[k].Add(1)
+					}
+				})})
+			}
+			inproc, wired := twin(0), twin(1)
+			srv := Serve(wired)
+			defer srv.Close()
+			for i := 0; i < n; i++ {
+				inproc.CheckoutReplica(fmt.Sprintf("m%d", i))
+				wireCheckout(t, srv, fmt.Sprintf("m%d", i))
+			}
+			perCheckout := int64(1)
+			if s, ok := wired.(*ShardedBase); ok {
+				perCheckout = int64(s.Shards())
+			}
+			if got, want := counts(wired), counts(inproc); got != want || got.Messages != n*perCheckout {
+				t.Errorf("counters after %d wire checkouts = %+v, want those of %d in-process ones %+v", n, got, n, want)
+			}
+			if got, want := events[1].Load(), n*perCheckout; got != want || events[0].Load() != want {
+				t.Errorf("%d wire checkouts emitted %d checkout events (in-process %d), want %d",
+					n, got, events[0].Load(), want)
+			}
+		})
+	}
 }

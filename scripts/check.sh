@@ -178,15 +178,18 @@ token_pins='TestStrategy1TokenCheck|TestMergeRefusesNegativeCheckoutPos|TestServ
 require_tests "$token_pins" ./internal/replica/
 go test -count=1 -run "$token_pins" ./internal/replica/
 
-echo "== wire origin (footprint payloads, same-window re-checkouts) =="
+echo "== wire origin (footprint payloads, same-window re-checkouts, checkout frames) =="
 # A reconnect's payload carries Hm's footprint of the origin and the base
 # checks what a token claims; a same-window re-checkout carries no origin,
-# so a reconnect's bytes and allocation do not grow with the replica.
-origin_pins='TestMergeRefusesForeignOrigin|TestWireReconnectCostIndependentOfItems|TestRecheckoutProtocol|TestWireStrategy1FootprintTokens|TestStrategy1TokenSeesInsertedItem'
+# so a reconnect's bytes and allocation do not grow with the replica. A
+# Strategy 2 whole-origin checkout is one frame per window, billed per
+# checkout; concurrent duplicates of one reconnect merge once.
+origin_pins='TestMergeRefusesForeignOrigin|TestWireReconnectCostIndependentOfItems|TestRecheckoutProtocol|TestWireStrategy1FootprintTokens|TestStrategy1TokenSeesInsertedItem|TestCheckoutFrameSharedInWindow|TestCheckoutFrameAfterReopen|TestCheckoutFrameStrategy1Live|TestCheckoutFrameAllocIndependentOfItems|TestCheckoutFrameBilling'
 require_tests "$origin_pins" ./internal/replica/
 go test -count=1 -run "$origin_pins" ./internal/replica/
-require_tests TestRecheckoutRacesWindowAdvance ./internal/replica/
-go test -race -count=10 -run TestRecheckoutRacesWindowAdvance ./internal/replica/
+origin_races='TestRecheckoutRacesWindowAdvance|TestInflightDuplicateMergedOnce'
+require_tests "$origin_races" ./internal/replica/
+go test -race -count=10 -run "$origin_races" ./internal/replica/
 
 echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) =="
 # Explicit gate for the transport seam: the conformance suite must produce
