@@ -7,7 +7,7 @@
 // record), the Mutation set models media damage (bit flips, duplicated and
 // dropped records, truncation at arbitrary byte offsets), and Schedule is
 // the shared counter-driven predicate behind transport injection
-// (BaseServer.DropEveryNth) and any other every-nth fault plan. A record
+// (replica.WithDropEveryNth) and any other every-nth fault plan. A record
 // is whatever one Write call carries, so the package never learns the
 // journal format.
 //
@@ -194,7 +194,7 @@ func Mutate(recs [][]byte, ms ...Mutation) []byte {
 
 // Schedule is a deterministic counter-driven fault plan shared by every
 // every-nth injector: the transport layer's response dropper
-// (BaseServer.DropEveryNth) stores one, and harnesses can use it for any
+// (replica.WithDropEveryNth) stores one, and harnesses can use it for any
 // "fault every nth event" policy. The zero Schedule never faults. Safe for
 // concurrent use.
 type Schedule struct {
@@ -204,9 +204,6 @@ type Schedule struct {
 
 // SetEveryNth makes every nth Hit report a fault; n <= 0 disables.
 func (s *Schedule) SetEveryNth(n int64) { s.everyNth.Store(n) }
-
-// EveryNth returns the current period (0 = disabled).
-func (s *Schedule) EveryNth() int64 { return s.everyNth.Load() }
 
 // Hit counts one event and reports whether it should fault.
 func (s *Schedule) Hit() bool {

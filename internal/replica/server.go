@@ -38,7 +38,7 @@ var ErrServerClosed = errors.New("replica: base server closed")
 
 // ErrResponseLost reports a response lost in transit — fault injection on
 // the channel transport, a severed connection on TCP. Reconnect requests
-// carry a sequence number and the server caches the last applied response
+// carry a sequence number and the server keeps the last applied outcome
 // per mobile, so clients retry calls that fail with ErrResponseLost
 // (errors.Is) and retries stay exactly-once.
 var ErrResponseLost = errors.New("replica: response lost in transit")
@@ -55,17 +55,10 @@ var ErrStaleSeq = errors.New("replica: stale reconnect seq")
 // limit — typically a master checkout larger than MaxFrame. The violation
 // is deterministic: redialing the same request fails the same way, so
 // clients fail fast instead of retrying (it is never wrapped in
-// ErrResponseLost). Only a first checkout, a Strategy 1 checkout or one
-// into a new window still ships the whole origin: a reconnect carries Hm's
-// footprint of it, and a same-window re-checkout none.
+// ErrResponseLost). Only a checkout ships the whole origin — a first dial,
+// a Strategy 1 checkout or one into a new window: a reconnect carries Hm's
+// footprint of it, and a same-window merge answer none.
 var ErrOversized = errors.New("replica: response exceeds transport frame limit")
-
-// DropEveryNth makes the server lose every nth mobile-facing response —
-// transport fault injection for tests; 0 disables. The plan is a
-// fault.Schedule, the same counter-driven predicate the crash harnesses
-// use. On the channel transport the response is silently dropped; the TCP
-// server severs the connection instead (the client redials and retries).
-func (s *BaseServer) DropEveryNth(n int64) { s.drops.SetEveryNth(n) }
 
 // reqKind tags server requests.
 type reqKind string
@@ -84,7 +77,7 @@ type wireReq struct {
 	MobileID string  `json:"mobile,omitempty"`
 	// Seq deduplicates reconnect attempts: a merge or reprocess is applied
 	// at most once per (mobile, seq); retries of an already-applied request
-	// get the cached response. Checkouts and base submissions are
+	// get its recorded outcome. Checkouts and base submissions are
 	// idempotent enough not to need it.
 	Seq int64 `json:"seq,omitempty"`
 	// Epoch scopes Seq to one client session: a fresh client process
@@ -93,10 +86,6 @@ type wireReq struct {
 	// necessarily a byte-identical frame from the SAME session — still
 	// carries the epoch it was stamped with and is caught.
 	Epoch string `json:"epoch,omitempty"`
-	// Window, on a checkout, is the window whose origin the client still
-	// holds (0: none). A Strategy 2 base still in that window answers Same
-	// instead of shipping the origin again.
-	Window int `json:"window,omitempty"`
 	// Journal is a reconnect's period as binary wal records: the
 	// checkout, its origin restricted to Hm's footprint, then Hm.
 	Journal []byte `json:"journal,omitempty"`
@@ -114,9 +103,9 @@ type wireResp struct {
 	// frame limit (ErrOversized) — non-retryable, clients fail fast.
 	TooLarge bool `json:"too_large,omitempty"`
 	Window   int  `json:"window,omitempty"`
-	// Same answers a checkout whose Window the base still serves under
-	// Strategy 2: the client restarts from the origin it holds, and the
-	// response carries none.
+	// Same answers a reconnect merged into a Strategy 2 Window the base
+	// still serves: the client restarts from the origin it holds, and no
+	// checkout follows.
 	Same bool `json:"same,omitempty"`
 	Pos  int  `json:"pos,omitempty"`
 	// Origin (a checkout's) and Master are binary states
@@ -171,36 +160,36 @@ type BaseServer struct {
 	// bill their tiermerge_wire_* series into.
 	reg *obs.Registry
 
-	// applied caches, per mobile, the last reconnect seq handled and its
-	// response — the exactly-once guard for retried merges — and inflight
-	// holds the reconnects being merged, so a concurrent duplicate waits
-	// for the first delivery. Guarded by appliedMu; workers handle
-	// requests concurrently. The cache holds at most appliedCap mobiles
-	// (WithDedupCapacity), evicting the least-recently-used entry past
-	// that; dedupEntries gauges its size.
-	appliedMu    sync.Mutex
-	applied      map[string]appliedReq
-	inflight     map[flightKey]*flight
-	appliedCap   int
-	appliedTick  int64
-	dedupEntries *obs.Gauge
+	// applied holds, per mobile, the last reconnect seq handled and its
+	// outcome — the exactly-once guard for retried merges, one entry per
+	// mobile and never evicted — and inflight holds the reconnects being
+	// merged, so a concurrent duplicate waits for the first delivery.
+	// Guarded by appliedMu; workers handle requests concurrently.
+	appliedMu sync.Mutex
+	applied   map[string]appliedReq
+	inflight  map[flightKey]*flight
 
 	// frame is the latest Strategy 2 window's whole-origin checkout
 	// response (see windowFrame).
 	frame atomic.Pointer[checkoutFrame]
 
-	// drops, when armed (DropEveryNth), silently discards every nth
+	// drops, when armed (WithDropEveryNth), silently discards every nth
 	// mobile-facing response (fault injection for transport tests).
 	drops fault.Schedule
 }
 
-// appliedReq caches one handled reconnect. tick is the entry's last-use
-// stamp for LRU eviction.
+// outcome is a handled reconnect's answer before it is encoded: the
+// response, and the window the reconnect merged in (0: it did not merge).
+type outcome struct {
+	resp   wireResp
+	window int
+}
+
+// appliedReq records one mobile's last handled reconnect.
 type appliedReq struct {
 	epoch string
 	seq   int64
-	resp  []byte
-	tick  int64
+	outcome
 }
 
 // flightKey names one reconnect delivery: a mobile's session epoch and seq.
@@ -209,10 +198,10 @@ type flightKey struct {
 	seq           int64
 }
 
-// flight is a reconnect being merged; done closes once resp is set.
+// flight is a reconnect being merged; done closes once its outcome is set.
 type flight struct {
 	done chan struct{}
-	resp []byte
+	outcome
 }
 
 // checkoutFrame is one window's encoded whole-origin checkout response.
@@ -221,19 +210,12 @@ type checkoutFrame struct {
 	resp   []byte
 }
 
-// defaultDedupCapacity bounds the reconnect dedup cache when
-// WithDedupCapacity is not given: enough for any realistic mobile fleet in
-// one deployment, small enough that a server fronting a churning population
-// (each mobile ID seen once) cannot grow without bound.
-const defaultDedupCapacity = 1024
-
 // ServeOption configures a Serve call.
 type ServeOption func(*serveOptions)
 
 type serveOptions struct {
 	workers  int
 	dropNth  int64
-	dedupCap int
 	observer obs.Observer
 }
 
@@ -246,20 +228,13 @@ func WithWorkers(n int) ServeOption {
 	return func(o *serveOptions) { o.workers = n }
 }
 
-// WithDropEveryNth arms transport fault injection from the start: every
-// nth mobile-facing response is lost (see DropEveryNth).
+// WithDropEveryNth arms transport fault injection: every nth
+// mobile-facing response is lost (0 disables) — for tests. The plan is a
+// fault.Schedule, the same counter-driven predicate the crash harnesses
+// use. On the channel transport the response is silently dropped; the TCP
+// server severs the connection instead (the client redials and retries).
 func WithDropEveryNth(n int64) ServeOption {
 	return func(o *serveOptions) { o.dropNth = n }
-}
-
-// WithDedupCapacity bounds the per-mobile reconnect dedup cache to n
-// entries, evicting the least-recently-used mobile beyond that (n < 1
-// keeps the default). An evicted mobile loses retry protection only for
-// its LAST reconnect — a retry of it merges again — so size the cache to
-// the active fleet, not the lifetime population. The current size is
-// exported as the tiermerge_wire_dedup_entries gauge (WithObserver).
-func WithDedupCapacity(n int) ServeOption {
-	return func(o *serveOptions) { o.dedupCap = n }
 }
 
 // WithObserver attaches an observer to the server's transport layer: when
@@ -291,17 +266,8 @@ func Serve(tier BaseTier, opts ...ServeOption) *BaseServer {
 			s.sharded = t
 		}
 	}
-	if o.dropNth > 0 {
-		s.drops.SetEveryNth(o.dropNth)
-	}
-	s.appliedCap = o.dedupCap
-	if s.appliedCap < 1 {
-		s.appliedCap = defaultDedupCapacity
-	}
+	s.drops.SetEveryNth(o.dropNth)
 	s.reg = obs.RegistryOf(o.observer)
-	if s.reg != nil {
-		s.dedupEntries = s.reg.Gauge("tiermerge_wire_dedup_entries")
-	}
 	s.start(o.workers)
 	return s
 }
@@ -383,9 +349,6 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 	}
 	switch req.Kind {
 	case reqCheckout:
-		if req.Window != 0 && s.sameWindow(req.Window) {
-			return mustResp(wireResp{Window: req.Window, Same: true}), req.Kind, true
-		}
 		if resp, ok := s.windowFrame(req.MobileID); ok {
 			return resp, req.Kind, true
 		}
@@ -410,31 +373,27 @@ func (s *BaseServer) handle(payload []byte) ([]byte, reqKind, bool) {
 }
 
 // reconnectOnce applies a reconnect at most once per (mobile, epoch, seq).
-// A retry of an applied reconnect replays the cached response instead of
-// merging the same journal twice, a duplicate that arrives while the first
-// delivery is still merging waits for it and returns its response, and a
-// frame OLDER than the last applied seq — an out-of-order duplicate of an
-// earlier reconnect, delayed in transit — is rejected outright rather than
-// re-merged. Every judgment is scoped to the frame's session epoch: a new
-// client instance reusing the mobile ID opens a new epoch and falls through
-// to a fresh merge.
+// A retry of an applied reconnect is answered from its recorded outcome
+// instead of merging the same journal twice, a duplicate that arrives
+// while the first delivery is still merging waits for it and shares its
+// outcome, and a frame OLDER than the last applied seq — an out-of-order
+// duplicate of an earlier reconnect, delayed in transit — is rejected
+// outright rather than re-merged. Every judgment is scoped to the frame's
+// session epoch: a new client instance reusing the mobile ID opens a new
+// epoch and falls through to a fresh merge.
 func (s *BaseServer) reconnectOnce(req wireReq) []byte {
 	key := flightKey{req.MobileID, req.Epoch, req.Seq}
 	s.appliedMu.Lock()
 	if f, ok := s.inflight[key]; ok {
 		s.appliedMu.Unlock()
 		<-f.done
-		return f.resp
+		return s.answer(f.outcome)
 	}
-	if prev, ok := s.applied[req.MobileID]; ok {
-		s.appliedTick++
-		prev.tick = s.appliedTick
-		s.applied[req.MobileID] = prev
+	if prev, ok := s.applied[req.MobileID]; ok && prev.epoch == req.Epoch {
 		switch {
-		case prev.epoch != req.Epoch: // a new session: merge
 		case req.Seq == prev.seq:
 			s.appliedMu.Unlock()
-			return prev.resp
+			return s.answer(prev.outcome)
 		case req.Seq < prev.seq:
 			s.appliedMu.Unlock()
 			return mustResp(wireResp{
@@ -453,16 +412,16 @@ func (s *BaseServer) reconnectOnce(req wireReq) []byte {
 		s.appliedMu.Unlock()
 		close(f.done)
 	}()
-	f.resp = s.reconnect(req)
-	return f.resp
+	f.outcome = s.reconnect(req)
+	return s.answer(f.outcome)
 }
 
-// reconnect merges or reprocesses one reconnect's journal and caches a
-// successful response in applied.
-func (s *BaseServer) reconnect(req wireReq) []byte {
+// reconnect merges or reprocesses one reconnect's journal and records a
+// successful outcome in applied.
+func (s *BaseServer) reconnect(req wireReq) outcome {
 	rep, err := replayPayload(req.Journal)
 	if err != nil {
-		return mustResp(wireResp{Err: err.Error()})
+		return outcome{resp: wireResp{Err: err.Error()}}
 	}
 	var out *ConnectOutcome
 	if req.Kind == reqReprocess {
@@ -476,22 +435,37 @@ func (s *BaseServer) reconnect(req wireReq) []byte {
 		}
 		out, err = s.tier.Merge(ck, rep.Augmented)
 		if err != nil {
-			return mustResp(wireResp{Err: err.Error()})
+			return outcome{resp: wireResp{Err: err.Error()}}
 		}
 	}
-	resp := wireResp{
+	o := outcome{resp: wireResp{
 		Merged:   out.Merged,
 		Fallback: string(out.Fallback),
 		Saved:    out.Saved,
 		Reproc:   out.Reprocessed,
 		Failed:   out.Failed,
-	}
+	}}
 	if out.Report != nil {
-		resp.BadIDs = out.Report.BadIDs
+		o.resp.BadIDs = out.Report.BadIDs
 	}
-	encoded := mustResp(resp)
-	s.storeApplied(req.MobileID, req.Epoch, req.Seq, encoded)
-	return encoded
+	if out.Merged {
+		o.window = rep.WindowID
+	}
+	s.storeApplied(req.MobileID, req.Epoch, req.Seq, o)
+	return o
+}
+
+// answer encodes a reconnect's outcome as it is sent, on the first delivery
+// and on every replay alike. A merge into the Strategy 2 window the base
+// still serves is answered Same: the client restarts from the origin it
+// holds and no checkout follows. A retry that arrives after the window
+// moved is answered without Same, and the client checks out.
+func (s *BaseServer) answer(o outcome) []byte {
+	resp := o.resp
+	if o.window != 0 && s.sameWindow(o.window) {
+		resp.Window, resp.Same = o.window, true
+	}
+	return mustResp(resp)
 }
 
 // windowFrame answers a whole-origin checkout under Strategy 2, where every
@@ -562,43 +536,17 @@ func replayPayload(journal []byte) (*wal.Replayed, error) {
 	return rep, nil
 }
 
-// storeApplied caches the response for (mobileID, epoch, seq), keeping
-// only the newest seq per mobile within an epoch (concurrent workers may
-// finish out of order), replacing the entry outright when a new epoch
-// takes over the ID, and evicting the least-recently-used mobile once the
-// cache exceeds its capacity.
-func (s *BaseServer) storeApplied(mobileID, epoch string, seq int64, resp []byte) {
+// storeApplied records the outcome of (mobileID, epoch, seq), keeping only
+// the newest seq per mobile within an epoch (concurrent workers may finish
+// out of order) and replacing the entry outright when a new epoch takes
+// over the ID.
+func (s *BaseServer) storeApplied(mobileID, epoch string, seq int64, o outcome) {
 	s.appliedMu.Lock()
 	defer s.appliedMu.Unlock()
 	if prev, ok := s.applied[mobileID]; ok && prev.epoch == epoch && prev.seq > seq {
 		return
 	}
-	s.appliedTick++
-	s.applied[mobileID] = appliedReq{epoch: epoch, seq: seq, resp: resp, tick: s.appliedTick}
-	limit := s.appliedCap
-	if limit < 1 {
-		limit = defaultDedupCapacity
-	}
-	for len(s.applied) > limit {
-		victim, oldest := "", int64(0)
-		for id, a := range s.applied {
-			if victim == "" || a.tick < oldest {
-				victim, oldest = id, a.tick
-			}
-		}
-		delete(s.applied, victim)
-	}
-	if s.dedupEntries != nil {
-		s.dedupEntries.Set(int64(len(s.applied)))
-	}
-}
-
-// DedupEntries reports the current size of the reconnect dedup cache (the
-// value behind the tiermerge_wire_dedup_entries gauge).
-func (s *BaseServer) DedupEntries() int {
-	s.appliedMu.Lock()
-	defer s.appliedMu.Unlock()
-	return len(s.applied)
+	s.applied[mobileID] = appliedReq{epoch: epoch, seq: seq, outcome: o}
 }
 
 // ErrorFrame encodes a transport-level failure as a response envelope, so

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"tiermerge/internal/model"
-	"tiermerge/internal/obs"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
 	"tiermerge/internal/workload"
@@ -249,9 +248,8 @@ func TestServerShipsBadIDs(t *testing.T) {
 // additive total proves no double-merge happened.
 func TestLossyTransportExactlyOnce(t *testing.T) {
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	srv := Serve(b)
+	srv := Serve(b, WithDropEveryNth(2))
 	defer srv.Close()
-	srv.DropEveryNth(2)
 
 	c, err := Dial("m1", srv)
 	if err != nil {
@@ -450,7 +448,7 @@ func TestStaleSeqRejected(t *testing.T) {
 	}
 
 	// Reconnect seq 2: a fresh period depositing 7.
-	if err := c.checkout(ctx, 0); err != nil {
+	if err := c.checkout(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Run(workload.Deposit("T2", tx.Tentative, "acct", 7)); err != nil {
@@ -497,55 +495,48 @@ func TestStaleSeqRejected(t *testing.T) {
 	}
 }
 
-// TestDedupCacheBounded: the per-mobile response cache must not grow with
-// the lifetime mobile population. With capacity 4, eight distinct mobiles
-// leave at most 4 entries, the survivors are the most recently used, and
-// the tiermerge_wire_dedup_entries gauge tracks the size.
-func TestDedupCacheBounded(t *testing.T) {
+// TestRetryAfterManyMobilesMergedOnce: 1100 mobiles each merge seq 1,
+// then the first mobile's identical frame is delivered again. The retry is
+// answered from the applied table and the master does not move.
+// Regression: the table was an LRU of 1024 mobiles, the first mobile's
+// entry had been evicted, and the retry merged its deposit a second time.
+func TestRetryAfterManyMobilesMergedOnce(t *testing.T) {
+	const mobiles = 1100
 	b := NewBaseCluster(model.StateOf(map[model.Item]model.Value{"acct": 0}), Config{})
-	metrics := obs.NewMetrics()
-	srv := Serve(b, WithDedupCapacity(4), WithObserver(metrics))
+	srv := Serve(b)
 	defer srv.Close()
-	ctx := context.Background()
-
-	connect := func(id string, seq int64) {
-		t.Helper()
-		c, err := Dial(id, srv)
+	c, err := Dial("probe", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(workload.Deposit("T1", tx.Tentative, "acct", 1)); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := c.marshalJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(mobile string) []byte {
+		payload, err := json.Marshal(wireReq{Kind: reqMerge, MobileID: mobile, Seq: 1, Epoch: "e1", Journal: journal})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Run(workload.Deposit("T-"+id, tx.Tentative, "acct", 1)); err != nil {
-			t.Fatal(err)
-		}
-		journal, err := c.marshalJournal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := call(ctx, srv.Transport(),
-			wireReq{Kind: reqMerge, MobileID: id, Seq: seq, Journal: journal}); err != nil {
-			t.Fatal(err)
+		return payload
+	}
+	for i := 0; i < mobiles; i++ {
+		if resp := serveOne(t, srv, frame(fmt.Sprintf("m%d", i))); resp.Err != "" {
+			t.Fatalf("mobile %d: %s", i, resp.Err)
 		}
 	}
-	for i := 0; i < 8; i++ {
-		connect(fmt.Sprintf("m%d", i), 1)
+	if got := b.Master().Get("acct"); got != mobiles {
+		t.Fatalf("acct = %d after %d deposits", got, mobiles)
 	}
-	if got := srv.DedupEntries(); got != 4 {
-		t.Errorf("dedup entries = %d, want 4 (cache unbounded?)", got)
+	resp := serveOne(t, srv, frame("m0"))
+	if resp.Err != "" || resp.Saved != 1 {
+		t.Errorf("retry of m0 answered %+v, want its recorded outcome (1 saved)", resp)
 	}
-	if got := metrics.Registry().Gauge("tiermerge_wire_dedup_entries").Value(); got != 4 {
-		t.Errorf("tiermerge_wire_dedup_entries = %d, want 4", got)
-	}
-	// m7 (most recent) must have survived: its retry replays the cache
-	// without re-merging. m0 (evicted) re-merges and double-applies — the
-	// documented cost of eviction, proven here so the trade-off stays
-	// visible.
-	before := b.Master().Get("acct")
-	if _, err := call(ctx, srv.Transport(),
-		wireReq{Kind: reqMerge, MobileID: "m7", Seq: 1, Journal: nil}); err != nil {
-		t.Fatalf("retry of cached m7: %v", err)
-	}
-	if got := b.Master().Get("acct"); got != before {
-		t.Errorf("cached retry changed master: %d -> %d", before, got)
+	if got := b.Master().Get("acct"); got != mobiles {
+		t.Errorf("acct = %d after m0's retry, want %d (the retry merged again)", got, mobiles)
 	}
 }
 

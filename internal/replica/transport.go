@@ -105,12 +105,12 @@ func call(ctx context.Context, tr Transport, req wireReq) (*wireResp, error) {
 // Client is a mobile node that talks to the base tier only through a
 // Transport: checkout, merge and reprocess all travel as serialized
 // payloads. Reconnects carry a sequence number and retry on lost
-// responses; the server's dedup cache makes them exactly-once.
+// responses; the server's applied table makes them exactly-once.
 type Client struct {
 	node *MobileNode
 	tr   Transport
 	seq  int64
-	// epoch identifies this client instance to the server's dedup cache:
+	// epoch identifies this client instance to the server's applied table:
 	// seqs are scoped to it, so a restarted client reusing a mobile ID
 	// starts over at seq 1 without tripping the stale-seq guard, while a
 	// delayed duplicate frame from THIS instance (same epoch, lower seq)
@@ -137,7 +137,7 @@ func DialContext(ctx context.Context, id string, srv *BaseServer) (*Client, erro
 // separately when done.
 func DialTransport(ctx context.Context, id string, tr Transport) (*Client, error) {
 	c := &Client{tr: tr, node: &MobileNode{ID: id}, epoch: newEpoch()}
-	if err := c.checkout(ctx, 0); err != nil {
+	if err := c.checkout(ctx); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -165,7 +165,7 @@ func (c *Client) retries() int {
 
 // retryPause backs off briefly (exponential, jittered) before a
 // lost-response retry. The jitter matters more than the delay: a fleet of
-// lockstep clients facing a periodic fault schedule (DropEveryNth) can
+// lockstep clients facing a periodic fault schedule (WithDropEveryNth) can
 // resonate with it — every retry landing on another dropped slot — and
 // random desynchronization breaks the lockstep.
 func retryPause(ctx context.Context, attempt int) {
@@ -180,17 +180,14 @@ func retryPause(ctx context.Context, attempt int) {
 }
 
 // checkout refreshes the client's replica over the wire, retrying lost
-// responses (checkouts are read-only, hence idempotent). held names the
-// window whose origin the client still holds (0: none); a base that would
-// hand out that origin again answers Same, and the new period starts from
-// the held origin.
-func (c *Client) checkout(ctx context.Context, held int) error {
+// responses (checkouts are read-only, hence idempotent).
+func (c *Client) checkout(ctx context.Context) error {
 	var (
 		resp *wireResp
 		err  error
 	)
 	for attempt := 0; ; attempt++ {
-		resp, err = call(ctx, c.tr, wireReq{Kind: reqCheckout, MobileID: c.node.ID, Window: held})
+		resp, err = call(ctx, c.tr, wireReq{Kind: reqCheckout, MobileID: c.node.ID})
 		if err == nil {
 			break
 		}
@@ -198,12 +195,6 @@ func (c *Client) checkout(ctx context.Context, held int) error {
 			return err
 		}
 		retryPause(ctx, attempt)
-	}
-	if resp.Same {
-		// The token is unchanged: undo the period's writes in place rather
-		// than copy the whole held origin.
-		c.node.run.Rewind()
-		return nil
 	}
 	// The freshly decoded origin is the node's own: it is adopted, not copied.
 	origin, err := codec.UnmarshalState(resp.Origin)
@@ -235,9 +226,10 @@ func (c *Client) marshalJournal() ([]byte, error) {
 }
 
 // connect performs a reconcile round trip of the given kind, retrying on
-// lost responses (the sequence number makes retries exactly-once), then
-// re-checks out — offering the held window after a merge, whose token the
-// base has just accepted.
+// lost responses (the sequence number makes retries exactly-once). An
+// answer that says Same — a merge into the window the base still serves —
+// restarts the period from the origin the client holds; any other answer
+// is followed by a checkout.
 func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, error) {
 	journal, err := c.marshalJournal()
 	if err != nil {
@@ -266,11 +258,13 @@ func (c *Client) connect(ctx context.Context, kind reqKind) (*ConnectOutcome, er
 		Reprocessed: resp.Reproc,
 		Failed:      resp.Failed,
 	}
-	held := 0
-	if out.Merged {
-		held = c.node.ck.WindowID
+	if resp.Same {
+		// The token is unchanged: undo the period's writes in place rather
+		// than copy the whole held origin.
+		c.node.run.Rewind()
+		return out, nil
 	}
-	if err := c.checkout(ctx, held); err != nil {
+	if err := c.checkout(ctx); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -25,8 +25,8 @@ import (
 
 // Tests for the origin a reconnect moves over the wire: the merge payload
 // carries Hm's footprint of the origin and the base checks it against the
-// state at the token; a re-checkout into the window the client holds carries
-// no origin.
+// state at the token; the answer to a merge into the window the client
+// holds says Same and carries no origin, and no checkout follows it.
 
 // mergeFrame encodes a merge request whose journal starts from origin at
 // window and runs txns on it.
@@ -101,9 +101,9 @@ func TestMergeRefusesForeignOrigin(t *testing.T) {
 }
 
 // TestWireReconnectCostIndependentOfItems: one reconnect of a wire client —
-// its merge and the re-checkout after it — moves and allocates what Hm
-// touches, not the replica. Regression: the merge payload and the
-// re-checkout response each carried the whole origin.
+// its merge and the answer that restarts its period — moves and allocates
+// what Hm touches, not the replica. Regression: the merge payload and the
+// checkout after the merge each carried the whole origin.
 func TestWireReconnectCostIndependentOfItems(t *testing.T) {
 	reconnectCost := func(items int) (moved int64, allocated uint64) {
 		initial := model.NewState()
@@ -151,10 +151,11 @@ func TestWireReconnectCostIndependentOfItems(t *testing.T) {
 }
 
 // recordingTransport records every request and raw response crossing it,
-// and calls after (when set) once each response is back.
+// and calls after (when set) once each response is back; an error after
+// returns is the call's instead, so the recorded response is lost.
 type recordingTransport struct {
 	Transport
-	after func(req wireReq)
+	after func(req wireReq) error
 
 	mu    sync.Mutex
 	reqs  []wireReq
@@ -172,7 +173,9 @@ func (r *recordingTransport) Call(ctx context.Context, payload []byte) ([]byte, 
 	r.resps = append(r.resps, raw)
 	r.mu.Unlock()
 	if r.after != nil {
-		r.after(req)
+		if aerr := r.after(req); aerr != nil {
+			return nil, aerr
+		}
 	}
 	return raw, err
 }
@@ -195,10 +198,12 @@ func (r *recordingTransport) last(t *testing.T, i int) (wireReq, wireResp, map[s
 	return r.reqs[n], resp, fields
 }
 
-// TestRecheckoutProtocol: the checkout after a merged Strategy 2 reconnect
-// into the window the client holds carries no origin, and every other
-// checkout — a moved window, a fallback, Strategy 1, the first dial —
-// carries the whole origin; the merge frame carries Hm's footprint of it.
+// TestRecheckoutProtocol: the answer to a merged Strategy 2 reconnect into
+// the window the client holds says Same, carries no origin, and no checkout
+// follows it; every other reconnect — a moved window (also on a replay), a
+// fallback, Strategy 1 — is followed by a checkout carrying the whole
+// origin, as is the first dial; the merge frame carries Hm's footprint of
+// the origin.
 func TestRecheckoutProtocol(t *testing.T) {
 	type env struct {
 		b  *BaseCluster
@@ -214,30 +219,45 @@ func TestRecheckoutProtocol(t *testing.T) {
 	}{
 		{"same-window", Strategy2, nil, func(t *testing.T, e *env, out *ConnectOutcome) {
 			req, resp, fields := e.rt.last(t, 0)
-			if !out.Merged || req.Kind != reqCheckout || req.Window != 1 || !resp.Same || resp.Window != 1 {
-				t.Fatalf("outcome %+v, checkout %+v answered %+v; want a merged reconnect and a same-window answer", out, req, resp)
+			if !out.Merged || req.Kind != reqMerge || !resp.Same || resp.Window != 1 {
+				t.Fatalf("outcome %+v, %s answered %+v; want a merge answered same-window", out, req.Kind, resp)
 			}
 			if _, ok := fields["origin"]; ok {
 				t.Errorf("same-window answer carries an origin: %v", fields)
 			}
 			if got := e.c.Local(); !got.Equal(origin()) {
-				t.Errorf("local = %s after the re-checkout, want the window origin %s", got, origin())
+				t.Errorf("local = %s after the merge, want the window origin %s", got, origin())
 			}
 		}},
 		{"window-advanced", Strategy2, func(t *testing.T, e *env) {
 			if err := e.b.ExecBase(workload.Deposit("Tb1", tx.Base, "z", 7)); err != nil {
 				t.Fatal(err)
 			}
-			e.rt.after = func(req wireReq) {
-				if req.Kind == reqMerge {
-					e.b.AdvanceWindow()
+			// The merge's answer is lost, and the window moves before the
+			// client's retry arrives.
+			lost := false
+			e.rt.after = func(req wireReq) error {
+				if req.Kind != reqMerge || lost {
+					return nil
 				}
+				lost = true
+				e.b.AdvanceWindow()
+				return ErrResponseLost
 			}
 		}, func(t *testing.T, e *env, out *ConnectOutcome) {
+			first, firstResp, _ := e.rt.last(t, 2)
+			retry, retryResp, fields := e.rt.last(t, 1)
 			req, resp, _ := e.rt.last(t, 0)
+			if first.Kind != reqMerge || !firstResp.Same || retry.Kind != reqMerge || retry.Seq != first.Seq {
+				t.Fatalf("%s seq %d answered %+v, then %s seq %d; want a same-window merge answer lost and its retry",
+					first.Kind, first.Seq, firstResp, retry.Kind, retry.Seq)
+			}
+			if !out.Merged || retryResp.Same || fields["origin"] != nil {
+				t.Fatalf("outcome %+v, replay answered %+v; want the merge replayed without same", out, retryResp)
+			}
 			want := e.b.Master()
-			if !out.Merged || req.Window != 1 || resp.Same || resp.Window != 2 || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
-				t.Fatalf("outcome %+v, checkout %+v answered %+v; want the whole new origin %s", out, req, resp, want)
+			if req.Kind != reqCheckout || resp.Same || resp.Window != 2 || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
+				t.Fatalf("%s answered %+v; want the whole new origin %s", req.Kind, resp, want)
 			}
 			if got := e.c.Local(); !got.Equal(want) {
 				t.Errorf("local = %s, want the new window origin %s", got, want)
@@ -248,9 +268,10 @@ func TestRecheckoutProtocol(t *testing.T) {
 			forged.Set("x", 999)
 			e.c.node.resetFrom(Checkout{MobileID: "m1", WindowID: e.c.node.ck.WindowID, Origin: forged})
 		}, func(t *testing.T, e *env, out *ConnectOutcome) {
+			_, mergeResp, _ := e.rt.last(t, 1)
 			req, resp, _ := e.rt.last(t, 0)
-			if out.Merged || out.Fallback != FallbackOriginInvalid || req.Window != 0 || resp.Same || len(respOrigin(t, resp)) != len(origin()) {
-				t.Fatalf("outcome %+v, checkout %+v answered %+v; want a fallback and the whole origin", out, req, resp)
+			if out.Merged || out.Fallback != FallbackOriginInvalid || mergeResp.Same || req.Kind != reqCheckout || resp.Same || len(respOrigin(t, resp)) != len(origin()) {
+				t.Fatalf("outcome %+v, %s answered %+v; want a fallback and the whole origin", out, req.Kind, resp)
 			}
 			if got := e.c.Local(); !got.Equal(origin()) {
 				t.Errorf("local = %s, want the window origin %s", got, origin())
@@ -261,10 +282,11 @@ func TestRecheckoutProtocol(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, func(t *testing.T, e *env, out *ConnectOutcome) {
+			_, mergeResp, _ := e.rt.last(t, 1)
 			req, resp, _ := e.rt.last(t, 0)
 			want := e.b.Master()
-			if !out.Merged || req.Window != 1 || resp.Same || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
-				t.Fatalf("outcome %+v, checkout %+v answered %+v; want the whole master %s", out, req, resp, want)
+			if !out.Merged || mergeResp.Same || req.Kind != reqCheckout || resp.Same || !respOrigin(t, resp).Equal(want) || len(respOrigin(t, resp)) != len(want) {
+				t.Fatalf("outcome %+v, %s answered %+v; want the whole master %s", out, req.Kind, resp, want)
 			}
 		}},
 		{"first-dial", Strategy2, nil, func(t *testing.T, e *env, _ *ConnectOutcome) {
@@ -275,14 +297,14 @@ func TestRecheckoutProtocol(t *testing.T) {
 			if err := json.Unmarshal(raw, &resp); err != nil {
 				t.Fatal(err)
 			}
-			if req.Kind != reqCheckout || req.Window != 0 || resp.Same || !respOrigin(t, resp).Equal(origin()) || len(respOrigin(t, resp)) != len(origin()) {
+			if req.Kind != reqCheckout || resp.Same || !respOrigin(t, resp).Equal(origin()) || len(respOrigin(t, resp)) != len(origin()) {
 				t.Fatalf("first checkout %+v answered %s; want the whole origin", req, raw)
 			}
 		}},
 		{"footprint-payload", Strategy2, nil, func(t *testing.T, e *env, _ *ConnectOutcome) {
-			req, _, _ := e.rt.last(t, 1)
+			req, _, _ := e.rt.last(t, 0)
 			res, err := wal.Scan(bytes.NewReader(req.Journal), wal.Strict)
-			if err != nil || len(res.Records) == 0 || res.Records[0].Kind != wal.KindCheckout {
+			if err != nil || req.Kind != reqMerge || len(res.Records) == 0 || res.Records[0].Kind != wal.KindCheckout {
 				t.Fatalf("merge journal: %v, %+v", err, res)
 			}
 			got := model.StateOf(res.Records[0].Origin).Items()

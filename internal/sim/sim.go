@@ -109,8 +109,8 @@ type Scenario struct {
 	// and the transport's redial behavior (implies MessagePassing).
 	WireTCP bool
 	// DropEveryNth makes the message transport lose every nth response
-	// (MessagePassing mode only); clients retry and the server's dedup
-	// cache keeps reconnects exactly-once.
+	// (MessagePassing mode only; see replica.WithDropEveryNth); clients
+	// retry and the server's applied table keeps reconnects exactly-once.
 	DropEveryNth int64
 	// ServerWorkers sizes the BaseServer request-worker pool
 	// (MessagePassing mode only; default 1; see replica.WithWorkers).
@@ -424,11 +424,9 @@ func baseTxn(sc Scenario, round, k int) *tx.Transaction {
 // same fleet runs over real loopback TCP — a wire.Server fronts the base
 // server and each client dials its own pooled transport.
 func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) error {
-	srv := replica.Serve(cluster, replica.WithWorkers(sc.ServerWorkers))
+	srv := replica.Serve(cluster, replica.WithWorkers(sc.ServerWorkers),
+		replica.WithDropEveryNth(sc.DropEveryNth))
 	defer srv.Close()
-	if sc.DropEveryNth > 0 {
-		srv.DropEveryNth(sc.DropEveryNth)
-	}
 	// dialClient yields each mobile's transport; over TCP every client
 	// owns a pooled connection to the loopback listener.
 	dialClient := func(ctx context.Context, id string) (*replica.Client, func(), error) {

@@ -59,7 +59,7 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // the server has idled out is detected on the request write and redialed
 // once; a connection lost after the request was written surfaces as
 // replica.ErrResponseLost, which sequence-numbered reconnects retry safely
-// (the server's dedup cache makes them exactly-once).
+// (the server's applied table makes them exactly-once).
 type Transport struct {
 	addr string
 	cfg  ClientConfig

@@ -56,7 +56,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server accepts TCP connections and feeds their frames to a
 // replica.BaseServer's transport-agnostic ServeFrame entry point. Fault
-// injection armed on the base server (DropEveryNth) is realized by severing
+// injection armed on the base server (WithDropEveryNth) is realized by severing
 // the connection instead of writing the response — the client observes a
 // lost response and retries, exactly as on the in-process transport.
 type Server struct {

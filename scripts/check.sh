@@ -178,18 +178,31 @@ token_pins='TestStrategy1TokenCheck|TestMergeRefusesNegativeCheckoutPos|TestServ
 require_tests "$token_pins" ./internal/replica/
 go test -count=1 -run "$token_pins" ./internal/replica/
 
-echo "== wire origin (footprint payloads, same-window re-checkouts, checkout frames) =="
+echo "== wire origin (footprint payloads, same-window merge answers, checkout frames) =="
 # A reconnect's payload carries Hm's footprint of the origin and the base
-# checks what a token claims; a same-window re-checkout carries no origin,
-# so a reconnect's bytes and allocation do not grow with the replica. A
-# Strategy 2 whole-origin checkout is one frame per window, billed per
-# checkout; concurrent duplicates of one reconnect merge once.
-origin_pins='TestMergeRefusesForeignOrigin|TestWireReconnectCostIndependentOfItems|TestRecheckoutProtocol|TestWireStrategy1FootprintTokens|TestStrategy1TokenSeesInsertedItem|TestCheckoutFrameSharedInWindow|TestCheckoutFrameAfterReopen|TestCheckoutFrameStrategy1Live|TestCheckoutFrameAllocIndependentOfItems|TestCheckoutFrameBilling'
+# checks what a token claims; a same-window merge answer carries no origin
+# and no checkout follows it, so a reconnect's bytes and allocation do not
+# grow with the replica, and a replay after the window moved is answered
+# without same. A Strategy 2 whole-origin checkout is one frame per window,
+# billed per checkout; concurrent duplicates of one reconnect merge once,
+# and a retry stays exactly-once however many mobiles merged before it.
+origin_pins='TestMergeRefusesForeignOrigin|TestWireReconnectCostIndependentOfItems|TestRecheckoutProtocol|TestWireStrategy1FootprintTokens|TestStrategy1TokenSeesInsertedItem|TestCheckoutFrameSharedInWindow|TestCheckoutFrameAfterReopen|TestCheckoutFrameStrategy1Live|TestCheckoutFrameAllocIndependentOfItems|TestCheckoutFrameBilling|TestRetryAfterManyMobilesMergedOnce'
 require_tests "$origin_pins" ./internal/replica/
 go test -count=1 -run "$origin_pins" ./internal/replica/
-origin_races='TestRecheckoutRacesWindowAdvance|TestInflightDuplicateMergedOnce'
+# The third alternative runs only its replay case (the /window-advanced
+# level of the pattern; the other two have no subtests), and the -v log
+# must show that case passing, so renaming it fails here too.
+origin_races='TestRecheckoutRacesWindowAdvance|TestInflightDuplicateMergedOnce|TestRecheckoutProtocol'
 require_tests "$origin_races" ./internal/replica/
-go test -race -count=10 -run "$origin_races" ./internal/replica/
+races_log=$(go test -race -count=10 -v -run "$origin_races/window-advanced" ./internal/replica/) || {
+    echo "$races_log" | tail -n 50
+    exit 1
+}
+if ! grep -q -- '--- PASS: TestRecheckoutProtocol/window-advanced' <<< "$races_log"; then
+    echo "FAILED: the replay case TestRecheckoutProtocol/window-advanced did not run" >&2
+    exit 1
+fi
+tail -n 1 <<< "$races_log"
 
 echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) =="
 # Explicit gate for the transport seam: the conformance suite must produce

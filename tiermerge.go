@@ -692,7 +692,7 @@ func OpenShardedBase(dir string, initial State, shards int, cfg ClusterConfig) (
 type (
 	// BaseServer serves a base tier behind the wire protocol's
 	// request/response envelopes, with a worker pool and a per-mobile
-	// dedup cache that makes sequence-numbered retries exactly-once.
+	// applied table that makes sequence-numbered retries exactly-once.
 	BaseServer = replica.BaseServer
 	// BaseTier is the server-side seam: the reconciliation surface a
 	// BaseServer fronts (BaseCluster and ShardedBase both satisfy it).
