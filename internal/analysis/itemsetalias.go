@@ -8,8 +8,9 @@ import (
 // ItemSetAlias enforces the aliasing discipline of the model containers:
 // a model.ItemSet or model.State received from outside the function —
 // through a parameter, a package-level variable, or a call annotated
-// //tiermerge:shared — aliases a shared structure (an Effect's read/write
-// set, a history's states) and must be Cloned before mutation. Rewriting
+// //tiermerge:shared, directly or through a local bound to one — aliases
+// a shared structure (a transaction's compiled footprint, an effect's
+// read-set view, a history's states) and must be Cloned before mutation. Rewriting
 // correctness depends on it: fixes pin read values, and effects are
 // compared by later acceptance checks, so mutating a set someone handed
 // you rewrites history behind its owner's back.
@@ -45,6 +46,7 @@ type aliasChecker struct {
 	pass   *Pass
 	params map[types.Object]bool // incoming parameters (not the receiver)
 	fresh  map[types.Object]bool // locals proven freshly allocated
+	alias  map[types.Object]bool // locals last bound to a shared value
 }
 
 func newAliasChecker(pass *Pass, fd *ast.FuncDecl) *aliasChecker {
@@ -52,6 +54,7 @@ func newAliasChecker(pass *Pass, fd *ast.FuncDecl) *aliasChecker {
 		pass:   pass,
 		params: make(map[types.Object]bool),
 		fresh:  make(map[types.Object]bool),
+		alias:  make(map[types.Object]bool),
 	}
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
@@ -69,9 +72,11 @@ func (ia *aliasChecker) run(body *ast.BlockStmt) {
 	info := ia.pass.Pkg.Info
 
 	// Forward pass: record locals bound to freshly allocated values so
-	// `s := eff.ReadSet.Clone(); s.Add(x)` stays clean. Shared-ness below
-	// only triggers on definitely-shared roots, so unknown locals are
-	// silently trusted.
+	// `s := eff.ReadSet.Clone(); s.Add(x)` stays clean, and locals whose
+	// last binding in source order is a shared value so
+	// `fp := t.Footprint(); fp.Add(x)` does not. Shared-ness below only
+	// triggers on definitely-shared roots, so unknown locals are silently
+	// trusted.
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -95,8 +100,10 @@ func (ia *aliasChecker) run(body *ast.BlockStmt) {
 			}
 			if ia.isFreshExpr(rhs) {
 				ia.fresh[obj] = true
+				delete(ia.alias, obj)
 			} else if ia.isShared(rhs) {
 				delete(ia.fresh, obj)
+				ia.alias[obj] = true
 			}
 		}
 		return true
@@ -164,7 +171,7 @@ func (ia *aliasChecker) isShared(e ast.Expr) bool {
 		if obj == nil {
 			return false
 		}
-		if ia.params[obj] {
+		if ia.params[obj] || ia.alias[obj] {
 			return true
 		}
 		if v, ok := obj.(*types.Var); ok && !v.IsField() && v.Parent() == v.Pkg().Scope() {

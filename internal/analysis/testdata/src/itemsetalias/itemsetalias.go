@@ -38,6 +38,21 @@ func taintDirect(e *effect, it model.Item) {
 	e.readSet().Add(it) // want "Add mutates a model container that aliases shared structure"
 }
 
+func taintLocal(e *effect, items []model.Item) model.ItemSet {
+	acc := e.readSet()
+	for _, it := range items {
+		acc.Add(it) // want "Add mutates a model container that aliases shared structure"
+	}
+	return acc
+}
+
+func rebound(e *effect, it model.Item) model.ItemSet {
+	s := e.readSet()
+	s = s.Clone()
+	s.Add(it)
+	return s
+}
+
 func snapshotReads(e *effect, extra model.Item) model.ItemSet {
 	s := e.Reads.Clone()
 	s.Add(extra)

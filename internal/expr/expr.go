@@ -236,5 +236,31 @@ func ParamsOf(e Expr) map[string]struct{} {
 	return s
 }
 
-// References reports whether the expression mentions item x.
-func References(e Expr, x model.Item) bool { return ItemsOf(e).Has(x) }
+// References reports whether the expression mentions item x. It walks the
+// built-in nodes without collecting a set: Analyze asks it at every level
+// of an update expression.
+func References(e Expr, x model.Item) bool {
+	switch e := e.(type) {
+	case varExpr:
+		return e.it == x
+	case constExpr, paramExpr:
+		return false
+	case binExpr:
+		return References(e.l, x) || References(e.r, x)
+	}
+	return ItemsOf(e).Has(x)
+}
+
+// ItemFree reports whether the expression mentions no item at all, so its
+// value is decided by constants and parameters alone.
+func ItemFree(e Expr) bool {
+	switch e := e.(type) {
+	case varExpr:
+		return false
+	case constExpr, paramExpr:
+		return true
+	case binExpr:
+		return ItemFree(e.l) && ItemFree(e.r)
+	}
+	return len(ItemsOf(e)) == 0
+}

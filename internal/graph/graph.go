@@ -38,30 +38,39 @@ import (
 )
 
 // Access is the conflict-relevant footprint of one transaction: its identity
-// and its actual read and write sets. Accesses normally come from executed
-// effects (AccessesOf) but can be declared directly, e.g. to reproduce the
-// paper's Example 1 verbatim.
+// and, per item it actually read or wrote, how it touched the item.
+// Accesses normally come from executed effects (AccessOf) but can be
+// declared directly (Declare), e.g. to reproduce the paper's Example 1
+// verbatim.
 type Access struct {
-	ID       string
-	Kind     tx.Kind
-	ReadSet  model.ItemSet
-	WriteSet model.ItemSet
-	// Delta is the subset of WriteSet the transaction touched only as pure
-	// commutative increments (tx.Effect.DeltaPure): delta-written, and read
-	// only through the update's own implicit pre-read. A conflict pair in
-	// which both sides access the item through Delta commutes and
-	// contributes no precedence edge (the edge is elided; Graph.Elided
-	// counts them). A nil Delta (hand-declared accesses, the value-write
+	ID   string
+	Kind tx.Kind
+	// Items are the touched items in item order, as an executed effect
+	// records them (tx.Effect.Items; AccessOf shares the effect's slice).
+	Items []tx.ItemEffect
+	// Deltas says whether the records' delta classification counts. An
+	// item the access touched only as a pure commutative increment
+	// (tx.ItemEffect.DeltaPure) then commutes with any other delta-pure
+	// access of it: the conflict pair contributes no precedence edge (the
+	// edge is elided; Graph.Elided counts them). False (the value-write
 	// baseline) disables elision for the access.
-	Delta model.ItemSet
+	Deltas bool
 }
 
 // AccessOf is the footprint of one executed transaction; deltas selects
-// whether its Delta set is classified (eff.DeltaPure) or left nil.
+// whether its delta classification counts.
 func AccessOf(t *tx.Transaction, eff *tx.Effect, deltas bool) Access {
-	a := Access{ID: t.ID, Kind: t.Kind, ReadSet: eff.ReadSet, WriteSet: eff.WriteSet}
-	if deltas {
-		a.Delta = eff.DeltaPure()
+	return Access{ID: t.ID, Kind: t.Kind, Items: eff.Items, Deltas: deltas}
+}
+
+// Declare builds the access of a transaction known only by its read and
+// write sets. delta lists the written items it touched only as pure
+// increments; a nil delta disables elision for the access.
+func Declare(id string, kind tx.Kind, reads, writes, delta model.ItemSet) Access {
+	a := Access{ID: id, Kind: kind, Deltas: delta != nil}
+	for _, it := range reads.Union(writes).Items() {
+		d := delta.Has(it)
+		a.Items = append(a.Items, tx.ItemEffect{Item: it, Read: reads.Has(it), General: !d, Written: writes.Has(it), Increment: d})
 	}
 	return a
 }
@@ -97,7 +106,7 @@ type Graph struct {
 	BaseLen   int
 	// Elided counts the conflict pairs that needed no precedence edge
 	// because both sides touched the shared item only as pure commutative
-	// deltas (Access.Delta). It is the graph-size saving delta-merge
+	// deltas (Access.Deltas). It is the graph-size saving delta-merge
 	// semantics buys over the value-write reading of the same histories.
 	Elided int
 
@@ -115,47 +124,6 @@ type Graph struct {
 // executed (augmented) histories.
 func BuildFromHistories(am, ab *history.Augmented) *Graph {
 	return Build(AccessesOf(am), AccessesOf(ab))
-}
-
-// computeCosts assigns each tentative vertex the Davidson back-out cost
-// 1 + |transitive reads-from closure within Hm|: backing out v forces every
-// transaction that (transitively) read from it to be handled too.
-func (g *Graph) computeCosts(mobile []Access) {
-	// readersOf[i] = tentative indices that directly read an item last
-	// written by i.
-	readersOf := make([][]int, len(mobile))
-	lastWriter := make(map[model.Item]int)
-	for j, a := range mobile {
-		seen := make(map[int]bool)
-		for it := range a.ReadSet {
-			if w, ok := lastWriter[it]; ok && !seen[w] {
-				seen[w] = true
-				readersOf[w] = append(readersOf[w], j)
-			}
-		}
-		for it := range a.WriteSet {
-			lastWriter[it] = j
-		}
-	}
-	for i := range mobile {
-		closure := make(map[int]bool)
-		stack := []int{i}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, r := range readersOf[v] {
-				if !closure[r] {
-					closure[r] = true
-					stack = append(stack, r)
-				}
-			}
-		}
-		delete(closure, i)
-		g.cost[i] = 1 + len(closure)
-	}
-	for i := g.MobileLen; i < len(g.cost); i++ {
-		g.cost[i] = 1
-	}
 }
 
 // Len returns the total number of vertices.
@@ -246,25 +214,26 @@ func (g *Graph) cyclicVertices(removed map[int]bool) []int {
 func (g *Graph) SCCs(removed map[int]bool) [][]int {
 	n := g.Len()
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
+	marks := make([]int, 2*n)
+	index, low := marks[:n], marks[n:]
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = unvisited
+	}
+	type frame struct {
+		v, childIdx int
 	}
 	var (
 		stack   []int
 		sccs    [][]int
 		counter int
+		work    []frame // one depth-first stack for every root
 	)
-	type frame struct {
-		v, childIdx int
-	}
 	for root := 0; root < n; root++ {
 		if removed[root] || index[root] != unvisited {
 			continue
 		}
-		work := []frame{{v: root}}
+		work = append(work[:0], frame{v: root})
 		for len(work) > 0 {
 			f := &work[len(work)-1]
 			v := f.v

@@ -60,7 +60,7 @@ func TestExample1Footprints(t *testing.T) {
 	check := func(a *history.Augmented) {
 		for i := 0; i < a.H.Len(); i++ {
 			id := a.H.Txn(i).ID
-			r, w := a.Effects[i].ReadSet, a.Effects[i].WriteSet
+			r, w := readWrite(a.Effects[i].Items)
 			if len(r) != len(wantR[id]) {
 				t.Errorf("%s read set = %v, want %v", id, r, wantR[id])
 			}
@@ -158,10 +158,8 @@ func TestExample1Costs(t *testing.T) {
 }
 
 func TestAcyclicWhenNoOverlap(t *testing.T) {
-	m := []Access{{ID: "Tm1", Kind: tx.Tentative,
-		ReadSet: model.NewItemSet("a"), WriteSet: model.NewItemSet("a")}}
-	b := []Access{{ID: "Tb1", Kind: tx.Base,
-		ReadSet: model.NewItemSet("z"), WriteSet: model.NewItemSet("z")}}
+	m := []Access{Declare("Tm1", tx.Tentative, model.NewItemSet("a"), model.NewItemSet("a"), nil)}
+	b := []Access{Declare("Tb1", tx.Base, model.NewItemSet("z"), model.NewItemSet("z"), nil)}
 	g := Build(m, b)
 	if !g.Acyclic(nil) {
 		t.Error("disjoint footprints produced a cycle")
@@ -175,10 +173,8 @@ func TestTwoCycleFromWriteWriteConflict(t *testing.T) {
 	// Under no blind writes, a tentative and a base transaction updating
 	// the same item always form a 2-cycle; only the tentative side may be
 	// backed out.
-	m := []Access{{ID: "Tm1", Kind: tx.Tentative,
-		ReadSet: model.NewItemSet("x"), WriteSet: model.NewItemSet("x")}}
-	b := []Access{{ID: "Tb1", Kind: tx.Base,
-		ReadSet: model.NewItemSet("x"), WriteSet: model.NewItemSet("x")}}
+	m := []Access{Declare("Tm1", tx.Tentative, model.NewItemSet("x"), model.NewItemSet("x"), nil)}
+	b := []Access{Declare("Tb1", tx.Base, model.NewItemSet("x"), model.NewItemSet("x"), nil)}
 	g := Build(m, b)
 	pairs := g.TwoCycles()
 	if len(pairs) != 1 {
@@ -422,6 +418,20 @@ func TestDotExport(t *testing.T) {
 	}
 }
 
+// readWrite returns the read and write sets that records describe.
+func readWrite(items []tx.ItemEffect) (r, w model.ItemSet) {
+	r, w = model.ItemSet{}, model.ItemSet{}
+	for _, x := range items {
+		if x.Read {
+			r.Add(x.Item)
+		}
+		if x.Written {
+			w.Add(x.Item)
+		}
+	}
+	return r, w
+}
+
 // buildNaive is the original O(n^2 * items) pairwise construction, kept as
 // the differential-testing oracle for the item-indexed Build.
 func buildNaive(mobile, base []Access) [][2]string {
@@ -429,9 +439,9 @@ func buildNaive(mobile, base []Access) [][2]string {
 	var out []edge
 	seen := make(map[edge]bool)
 	conflicts := func(a, b Access) bool {
-		return !a.WriteSet.Disjoint(b.ReadSet) ||
-			!a.ReadSet.Disjoint(b.WriteSet) ||
-			!a.WriteSet.Disjoint(b.WriteSet)
+		ar, aw := readWrite(a.Items)
+		br, bw := readWrite(b.Items)
+		return !aw.Disjoint(br) || !ar.Disjoint(bw) || !aw.Disjoint(bw)
 	}
 	add := func(u, v string) {
 		e := edge{u, v}
@@ -456,10 +466,12 @@ func buildNaive(mobile, base []Access) [][2]string {
 	}
 	for _, m := range mobile {
 		for _, b := range base {
-			if !m.ReadSet.Disjoint(b.WriteSet) {
+			mr, mw := readWrite(m.Items)
+			br, bw := readWrite(b.Items)
+			if !mr.Disjoint(bw) {
 				add(m.ID, b.ID)
 			}
-			if !b.ReadSet.Disjoint(m.WriteSet) {
+			if !br.Disjoint(mw) {
 				add(b.ID, m.ID)
 			}
 		}

@@ -77,7 +77,7 @@ func (ix *BaseIndex) Deltas() bool { return ix.deltas }
 // Len returns the number of indexed entries.
 func (ix *BaseIndex) Len() int { return len(ix.acc) }
 
-// Append indexes the next entry of Hb. a.Delta must follow the index's delta
+// Append indexes the next entry of Hb. a.Deltas must follow the index's delta
 // mode (AccessOf with Deltas()).
 func (ix *BaseIndex) Append(a Access) {
 	pos := int32(len(ix.acc))

@@ -15,26 +15,26 @@ import (
 func randAccesses(r *rand.Rand, prefix string, n, items int, deltas bool) []Access {
 	out := make([]Access, n)
 	for i := range out {
-		a := Access{ID: fmt.Sprintf("%s%d", prefix, i), ReadSet: model.ItemSet{}, WriteSet: model.ItemSet{}, Delta: model.ItemSet{}}
+		reads, writes, delta := model.ItemSet{}, model.ItemSet{}, model.ItemSet{}
 		for k := 0; k < 1+r.Intn(3); k++ {
 			it := model.Item(fmt.Sprintf("x%d", r.Intn(items)))
-			if a.ReadSet.Has(it) || a.WriteSet.Has(it) {
+			if reads.Has(it) || writes.Has(it) {
 				continue
 			}
 			switch kind := r.Intn(4); kind {
 			case 0:
-				a.ReadSet.Add(it)
+				reads.Add(it)
 			case 1:
-				a.WriteSet.Add(it) // blind write
+				writes.Add(it) // blind write
 			default:
-				a.ReadSet.Add(it)
-				a.WriteSet.Add(it)
+				reads.Add(it)
+				writes.Add(it)
 				if kind == 3 && deltas {
-					a.Delta.Add(it)
+					delta.Add(it)
 				}
 			}
 		}
-		out[i] = a
+		out[i] = Declare(fmt.Sprintf("%s%d", prefix, i), 0, reads, writes, delta)
 	}
 	return out
 }
@@ -50,7 +50,9 @@ func indexOf(base []Access) *BaseIndex {
 func footprint(mobile []Access) model.ItemSet {
 	fp := model.ItemSet{}
 	for _, a := range mobile {
-		fp = fp.Union(a.ReadSet).Union(a.WriteSet)
+		for _, r := range a.Items {
+			fp.Add(r.Item)
+		}
 	}
 	return fp
 }
@@ -148,7 +150,7 @@ func TestBuildIndexedKeepsEveryCycle(t *testing.T) {
 // an entry (b2) the footprint never mentions; an unrelated b4 is left out.
 func TestBuildIndexedFindsCycleOutsideFootprint(t *testing.T) {
 	acc := func(id string, reads, writes []model.Item) Access {
-		return Access{ID: id, ReadSet: model.NewItemSet(reads...), WriteSet: model.NewItemSet(writes...)}
+		return Declare(id, 0, model.NewItemSet(reads...), model.NewItemSet(writes...), nil)
 	}
 	type is = []model.Item
 	mobile := []Access{acc("m", is{"x", "w"}, is{"w"})}

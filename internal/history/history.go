@@ -175,11 +175,14 @@ func (a *Augmented) Append(t *tx.Transaction) (*tx.Effect, error) {
 // and Effects taken before must not be used afterwards.
 func (a *Augmented) Rewind() {
 	for _, eff := range a.Effects {
-		for it := range eff.Writes {
-			if v, ok := a.Origin[it]; ok {
-				a.final[it] = v
+		for _, r := range eff.Items {
+			if !r.Written {
+				continue
+			}
+			if v, ok := a.Origin[r.Item]; ok {
+				a.final[r.Item] = v
 			} else {
-				delete(a.final, it)
+				delete(a.final, r.Item)
 			}
 		}
 	}
@@ -194,8 +197,8 @@ func (a *Augmented) Final() model.State { return a.final }
 // writer before i, else its origin value. It copies no state.
 func (a *Augmented) ValueBefore(i int, it model.Item) model.Value {
 	for j := i - 1; j >= 0; j-- {
-		if v, ok := a.Effects[j].Writes[it]; ok {
-			return v
+		if r, ok := a.Effects[j].Lookup(it); ok && r.Written {
+			return r.Value
 		}
 	}
 	return a.Origin.Get(it)
@@ -207,7 +210,7 @@ func (a *Augmented) ValueBefore(i int, it model.Item) model.Value {
 func (a *Augmented) StateAt(i int) model.State {
 	s := a.Origin.Clone()
 	for _, eff := range a.Effects[:i] {
-		s.Apply(eff.Writes)
+		eff.Apply(s)
 	}
 	return s
 }

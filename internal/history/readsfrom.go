@@ -19,13 +19,13 @@ func ReadsFrom(a *Augmented) []ReadsFromEdge {
 	var edges []ReadsFromEdge
 	lastWriter := make(map[model.Item]int)
 	for i, eff := range a.Effects {
-		for it := range eff.ReadValues {
-			if w, ok := lastWriter[it]; ok {
-				edges = append(edges, ReadsFromEdge{Writer: w, Reader: i, Item: it})
+		for _, r := range eff.Items {
+			if w, ok := lastWriter[r.Item]; ok && r.Observed {
+				edges = append(edges, ReadsFromEdge{Writer: w, Reader: i, Item: r.Item})
 			}
-		}
-		for it := range eff.WriteSet {
-			lastWriter[it] = i
+			if r.Written {
+				lastWriter[r.Item] = i
+			}
 		}
 	}
 	return edges

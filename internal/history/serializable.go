@@ -2,6 +2,7 @@ package history
 
 import (
 	"tiermerge/internal/model"
+	"tiermerge/internal/tx"
 )
 
 // The paper assumes the tentative history "is serializable and there is an
@@ -29,21 +30,13 @@ func ConflictEdges(a *Augmented) []ConflictEdge {
 	n := a.H.Len()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			ei, ej := a.Effects[i], a.Effects[j]
-			seen := make(model.ItemSet)
-			for it := range ei.WriteSet {
-				if ej.ReadSet.Has(it) || ej.WriteSet.Has(it) {
-					seen.Add(it)
+			// Both touched the item: they conflict when either wrote it.
+			tx.AnyShared(a.Effects[i], a.Effects[j], func(x, y tx.ItemEffect) bool {
+				if x.Written || y.Written {
+					edges = append(edges, ConflictEdge{From: i, To: j, Item: x.Item})
 				}
-			}
-			for it := range ei.ReadSet {
-				if ej.WriteSet.Has(it) {
-					seen.Add(it)
-				}
-			}
-			for it := range seen {
-				edges = append(edges, ConflictEdge{From: i, To: j, Item: it})
-			}
+				return false
+			})
 		}
 	}
 	return edges

@@ -55,7 +55,9 @@ func TestMergeIndexedMatchesMerge(t *testing.T) {
 		suffix := &history.Augmented{H: &history.History{Entries: hb.H.Entries[from:]}, Effects: hb.Effects[from:]}
 		footprint := model.ItemSet{}
 		for _, eff := range hm.Effects {
-			footprint = footprint.Union(eff.ReadSet).Union(eff.WriteSet)
+			for _, r := range eff.Items {
+				footprint.Add(r.Item)
+			}
 		}
 		for _, noDeltas := range []bool{false, true} {
 			ix := graph.NewBaseIndex(!noDeltas, 0)

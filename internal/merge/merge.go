@@ -116,7 +116,7 @@ type Options struct {
 	// Intended for tests and debugging; defaults off.
 	Verify bool
 	// DisableDeltas turns off delta-merge semantics: updates classified as
-	// pure commutative increments (tx.Effect.Deltas) are treated as plain
+	// pure commutative increments (tx.ItemEffect.DeltaPure) are treated as plain
 	// value writes, every conflict pair gets its precedence edge, and all
 	// forwarded updates ship as repaired values. The default (false) elides
 	// delta-delta edges and forwards net increments (Report.ForwardDeltas);
@@ -504,18 +504,16 @@ func forwardUpdates(hm *history.Augmented, rep *Report, opts Options) {
 		if !saved[hm.H.Txn(i).ID] {
 			continue
 		}
-		eff := hm.Effects[i]
-		var pure model.ItemSet
-		if !opts.DisableDeltas {
-			pure = eff.DeltaPure()
-		}
-		for it := range eff.WriteSet {
-			out[it] = rep.RepairedState.Get(it)
-			if pure.Has(it) {
-				deltas[it] += eff.Deltas[it]
-				writers[it]++
+		for _, r := range hm.Effects[i].Items {
+			if !r.Written {
+				continue
+			}
+			out[r.Item] = rep.RepairedState.Get(r.Item)
+			if !opts.DisableDeltas && r.DeltaPure() {
+				deltas[r.Item] += r.Delta
+				writers[r.Item]++
 			} else {
-				valueOnly.Add(it)
+				valueOnly.Add(r.Item)
 			}
 		}
 	}
@@ -545,8 +543,10 @@ func repairedStateByLog(hm *history.Augmented, bad, affected map[int]bool) model
 	touched := make(model.ItemSet)
 	for i := 0; i < hm.H.Len(); i++ {
 		if removed(i) {
-			for it := range hm.Effects[i].WriteSet {
-				touched.Add(it)
+			for _, r := range hm.Effects[i].Items {
+				if r.Written {
+					touched.Add(r.Item)
+				}
 			}
 		}
 	}
@@ -556,8 +556,8 @@ func repairedStateByLog(hm *history.Augmented, bad, affected map[int]bool) model
 			if removed(i) {
 				continue
 			}
-			if w, ok := hm.Effects[i].Writes[it]; ok {
-				v = w
+			if r, ok := hm.Effects[i].Lookup(it); ok && r.Written {
+				v = r.Value
 			}
 		}
 		cur.Set(it, v)

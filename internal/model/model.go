@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -36,9 +37,7 @@ func NewState() State { return make(State) }
 // stays independent.
 func StateOf(m map[Item]Value) State {
 	s := make(State, len(m))
-	for k, v := range m {
-		s[k] = v
-	}
+	maps.Copy(s, m)
 	return s
 }
 
@@ -51,9 +50,7 @@ func (s State) Set(it Item, v Value) { s[it] = v }
 // Clone returns a deep copy of the state.
 func (s State) Clone() State {
 	c := make(State, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
+	maps.Copy(c, s)
 	return c
 }
 
@@ -94,9 +91,7 @@ func (s State) Diff(o State) map[Item]Value {
 // Apply writes every entry of updates into the state and returns s for
 // chaining.
 func (s State) Apply(updates map[Item]Value) State {
-	for k, v := range updates {
-		s[k] = v
-	}
+	maps.Copy(s, updates)
 	return s
 }
 
@@ -148,12 +143,8 @@ func (s ItemSet) Has(it Item) bool {
 // Union returns a new set containing the members of both sets.
 func (s ItemSet) Union(o ItemSet) ItemSet {
 	u := make(ItemSet, len(s)+len(o))
-	for k := range s {
-		u[k] = struct{}{}
-	}
-	for k := range o {
-		u[k] = struct{}{}
-	}
+	maps.Copy(u, s)
+	maps.Copy(u, o)
 	return u
 }
 
@@ -200,9 +191,7 @@ func (s ItemSet) Disjoint(o ItemSet) bool {
 // Clone returns a copy of the set.
 func (s ItemSet) Clone() ItemSet {
 	c := make(ItemSet, len(s))
-	for k := range s {
-		c[k] = struct{}{}
-	}
+	maps.Copy(c, s)
 	return c
 }
 

@@ -89,8 +89,10 @@ func ByUndo(r *rewrite.Result, final model.State) (model.State, []URA, error) {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(undoOrder)))
 	for _, p := range undoOrder {
-		for it, v := range a.Effects[p].Before {
-			cur.Set(it, v)
+		for _, w := range a.Effects[p].Items {
+			if w.Written {
+				cur.Set(w.Item, w.Before)
+			}
 		}
 	}
 
@@ -104,8 +106,10 @@ func ByUndo(r *rewrite.Result, final model.State) (model.State, []URA, error) {
 	}
 	writersBAG := make(map[model.Item][]int)
 	for p := range inBAG {
-		for it := range a.Effects[p].WriteSet {
-			writersBAG[it] = append(writersBAG[it], p)
+		for _, w := range a.Effects[p].Items {
+			if w.Written {
+				writersBAG[w.Item] = append(writersBAG[w.Item], p)
+			}
 		}
 	}
 	for it := range writersBAG {

@@ -26,17 +26,30 @@ type Acceptance func(t *tx.Transaction, tentative, base *tx.Effect) error
 // the tentative run wrote — the strictest criterion; any interleaved
 // conflicting work rejects.
 func AcceptSameWrites(t *tx.Transaction, tentative, base *tx.Effect) error {
-	if len(tentative.Writes) != len(base.Writes) {
-		return fmt.Errorf("wrote %d items tentatively, %d at base",
-			len(tentative.Writes), len(base.Writes))
-	}
-	for it, tv := range tentative.Writes {
-		bv, ok := base.Writes[it]
-		if !ok {
-			return fmt.Errorf("tentative wrote %s, base did not", it)
-		}
+	return sameWriteSets(tentative, base, func(it model.Item, tv, bv model.Value) error {
 		if bv != tv {
 			return fmt.Errorf("%s: tentative %d, base %d", it, tv, bv)
+		}
+		return nil
+	})
+}
+
+// sameWriteSets checks that the tentative and the base run wrote the same
+// items, calling f with each item's two written values.
+func sameWriteSets(tentative, base *tx.Effect, f func(it model.Item, tv, bv model.Value) error) error {
+	for _, r := range tentative.Items {
+		if !r.Written {
+			continue
+		}
+		if b, _ := base.Lookup(r.Item); !b.Written {
+			return fmt.Errorf("tentative wrote %s, base did not", r.Item)
+		} else if err := f(r.Item, r.Value, b.Value); err != nil {
+			return err
+		}
+	}
+	for _, b := range base.Items {
+		if r, _ := tentative.Lookup(b.Item); b.Written && !r.Written {
+			return fmt.Errorf("base wrote %s, tentative did not", b.Item)
 		}
 	}
 	return nil
@@ -48,25 +61,11 @@ func AcceptSameWrites(t *tx.Transaction, tentative, base *tx.Effect) error {
 // fine, a flipped branch is not.
 func AcceptWithinDrift(tol model.Value) Acceptance {
 	return func(t *tx.Transaction, tentative, base *tx.Effect) error {
-		for it, tv := range tentative.Writes {
-			bv, ok := base.Writes[it]
-			if !ok {
-				return fmt.Errorf("tentative wrote %s, base did not", it)
+		return sameWriteSets(tentative, base, func(it model.Item, tv, bv model.Value) error {
+			if d := max(bv-tv, tv-bv); d > tol {
+				return fmt.Errorf("%s drifted by %d (> %d): tentative %d, base %d", it, d, tol, tv, bv)
 			}
-			d := bv - tv
-			if d < 0 {
-				d = -d
-			}
-			if d > tol {
-				return fmt.Errorf("%s drifted by %d (> %d): tentative %d, base %d",
-					it, d, tol, tv, bv)
-			}
-		}
-		for it := range base.Writes {
-			if _, ok := tentative.Writes[it]; !ok {
-				return fmt.Errorf("base wrote %s, tentative did not", it)
-			}
-		}
-		return nil
+			return nil
+		})
 	}
 }

@@ -296,14 +296,14 @@ func (b *BaseCluster) execBaseLocked(t *tx.Transaction) error {
 //tiermerge:locks(cluster)
 func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 	nStmts := int64(t.StmtCount())
-	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
+	nLocks := int64(len(eff.Items)) // one lock per item read or written
 	b.counters.Update(func(c *cost.Counts) {
 		c.BaseQueries += nStmts
 		c.BaseLocks += nLocks
 		c.BaseForcedWrites++
 	})
 	// Lazy propagation of the new values to the other base replicas.
-	b.propagate(t.ID, eff.Writes)
+	b.propagate(t.ID, eff)
 }
 
 // stateAt materializes the base state at history position pos of the
@@ -318,7 +318,7 @@ func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 func (b *BaseCluster) stateAt(pos int) model.State {
 	st := b.windowOrigin.Clone()
 	for _, e := range b.entries[:pos] {
-		st.Apply(e.eff.Writes)
+		e.eff.Apply(st)
 	}
 	return st
 }
@@ -409,10 +409,10 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect) {
-	b.master.Apply(eff.Writes)
+	eff.Apply(b.master)
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
 	b.entries = append(b.entries, baseEntry{t: base, eff: eff})
-	b.propagate(base.ID, eff.Writes)
+	b.propagate(base.ID, eff)
 	if err := b.logCommit(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
@@ -479,7 +479,7 @@ func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g 
 		c.BaseLocks += int64(nUpd)
 		c.BaseForcedWrites++
 	})
-	b.propagate(ft.ID, eff.Writes)
+	b.propagate(ft.ID, eff)
 	// The journal is value-ordered, not position-ordered: replaying an
 	// interior insert last still lands on the same master state, by the same
 	// insert-conflict guarantee.

@@ -476,7 +476,7 @@ func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map
 		Kind: tx.Base,
 		Body: forwardBody(values, deltas),
 	}
-	geff, err := gt.ExecInPlace(cs.gatherLocked(gt.StaticReadSet().Union(gt.StaticWriteSet())), nil)
+	geff, err := gt.ExecInPlace(cs.gatherLocked(gt.Footprint()), nil)
 	if err != nil {
 		panic(fmt.Sprintf("replica: forwarded updates failed: %v", err))
 	}
@@ -568,7 +568,7 @@ func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
 //
 //tiermerge:locks(shard)
 func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) bool {
-	static := t.StaticReadSet().Union(t.StaticWriteSet())
+	static := t.Footprint()
 	local := cs.execMember(static)
 	charged := local
 	if local == nil {
@@ -641,7 +641,7 @@ func (cs *clusterSet) execBase(t *tx.Transaction) error {
 //
 //tiermerge:locks(shard)
 func (cs *clusterSet) execBaseLocked(t *tx.Transaction) error {
-	static := t.StaticReadSet().Union(t.StaticWriteSet())
+	static := t.Footprint()
 	if b := cs.execMember(static); b != nil {
 		return b.execBaseLocked(t)
 	}
@@ -649,7 +649,7 @@ func (cs *clusterSet) execBaseLocked(t *tx.Transaction) error {
 	if err != nil {
 		return fmt.Errorf("replica: exec base %s: %w", t.ID, err)
 	}
-	nLocks := int64(len(eff.ReadSet.Union(eff.WriteSet)))
+	nLocks := int64(len(eff.Items)) // one lock per item read or written
 	cs.shards[cs.router.shardsOf(static)[0]].counters.Update(func(c *cost.Counts) {
 		c.BaseQueries += int64(t.StmtCount())
 		c.BaseLocks += nLocks

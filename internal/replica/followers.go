@@ -5,6 +5,7 @@ import (
 
 	"tiermerge/internal/model"
 	"tiermerge/internal/obs"
+	"tiermerge/internal/tx"
 )
 
 // Follower state: the base tier is lazy-master ("lazy replication
@@ -49,15 +50,23 @@ func (b *BaseCluster) initFollowers() {
 // propagation messages. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) propagate(txID string, writes map[model.Item]model.Value) {
-	if len(b.followers) == 0 || len(writes) == 0 {
+func (b *BaseCluster) propagate(txID string, eff *tx.Effect) {
+	if len(b.followers) == 0 {
+		return
+	}
+	var cp map[model.Item]model.Value
+	for _, r := range eff.Items {
+		if r.Written {
+			if cp == nil {
+				cp = make(map[model.Item]model.Value, len(eff.Items))
+			}
+			cp[r.Item] = r.Value
+		}
+	}
+	if cp == nil {
 		return
 	}
 	w := b.cfg.Weights
-	cp := make(map[model.Item]model.Value, len(writes))
-	for k, v := range writes {
-		cp[k] = v
-	}
 	for _, f := range b.followers {
 		f.queue = append(f.queue, replUpdate{txID: txID, writes: cp})
 		b.counters.Msg(w, int64(len(cp))*w.UpdateEntryBytes)

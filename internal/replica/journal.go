@@ -258,7 +258,7 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err er
 			return 0, 0, fmt.Errorf("replica: recover base: %w", err)
 		}
 		b.entries = append(b.entries, baseEntry{t: g.Txn, eff: eff})
-		b.propagate(g.Txn.ID, eff.Writes)
+		b.propagate(g.Txn.ID, eff)
 		committed++
 	}
 	return committed, complete, nil

@@ -78,11 +78,8 @@ func (eb *eventBuffer) flush(o obs.Observer) {
 func footprintOf(hm *history.Augmented) model.ItemSet {
 	fp := make(model.ItemSet)
 	for _, eff := range hm.Effects {
-		for it := range eff.ReadSet {
-			fp.Add(it)
-		}
-		for it := range eff.WriteSet {
-			fp.Add(it)
+		for _, r := range eff.Items {
+			fp.Add(r.Item)
 		}
 	}
 	return fp
@@ -156,7 +153,14 @@ func prepareMerge(cfg Config, view *graph.BaseView, hm *history.Augmented, o obs
 	var setEntries, localEdges int64
 	mobAcc := graph.AccessesOf(hm)
 	for _, a := range mobAcc {
-		setEntries += int64(len(a.ReadSet) + len(a.WriteSet))
+		for _, r := range a.Items {
+			if r.Read {
+				setEntries++
+			}
+			if r.Written {
+				setEntries++
+			}
+		}
 	}
 	gm := graph.Build(mobAcc, nil)
 	for v := 0; v < gm.Len(); v++ {

@@ -497,7 +497,7 @@ func unlockClusters(bs []*BaseCluster) {
 //
 //tiermerge:locks(none)
 func (s *ShardedBase) ExecBase(t *tx.Transaction) error {
-	return s.over(t.StaticReadSet().Union(t.StaticWriteSet())).execBase(t)
+	return s.over(t.Footprint()).execBase(t)
 }
 
 // syncShards forces the journals of the given clusters to stable media —
@@ -541,7 +541,11 @@ func (s *partition) gatherLocked(set model.ItemSet) model.State {
 //tiermerge:locks(shard)
 func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 	g := s.newCross(base, eff)
-	for _, k := range s.router.shardsOf(eff.ReadSet.Union(eff.WriteSet)) {
+	touched := make(model.ItemSet, len(eff.Items))
+	for _, r := range eff.Items {
+		touched.Add(r.Item)
+	}
+	for _, k := range s.router.shardsOf(touched) {
 		b := s.shards[k]
 		slice := s.sliceTxn(base, eff, k, nil)
 		seff, err := slice.ExecInPlace(b.master, nil)
@@ -552,7 +556,7 @@ func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 		}
 		b.entries = append(b.entries, baseEntry{t: slice, eff: seff, global: g})
 		b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
-		b.propagate(slice.ID, seff.Writes)
+		b.propagate(slice.ID, seff)
 		if lerr := b.logCommit(slice, seff); lerr != nil {
 			panic(fmt.Sprintf("replica: base journal failed: %v", lerr))
 		}
@@ -568,17 +572,17 @@ func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 // equals the full effect restricted to the shard.
 func (s *partition) sliceTxn(base *tx.Transaction, eff *tx.Effect, k int, deltas map[model.Item]model.Value) *tx.Transaction {
 	var body []tx.Stmt
-	for _, it := range eff.ReadSet.Minus(eff.WriteSet).Items() {
-		if s.router.Shard(it) == k {
-			body = append(body, tx.Read(it))
+	for _, r := range eff.Items {
+		if !r.Written && s.router.Shard(r.Item) == k {
+			body = append(body, tx.Read(r.Item))
 		}
 	}
-	for _, it := range eff.WriteSet.Items() {
-		if s.router.Shard(it) == k {
+	for _, r := range eff.Items {
+		if it := r.Item; r.Written && s.router.Shard(it) == k {
 			if d, ok := deltas[it]; ok {
 				body = append(body, tx.Update(it, expr.Add(expr.Var(it), expr.Const(d))))
 			} else {
-				body = append(body, tx.Update(it, expr.Const(eff.Writes[it])))
+				body = append(body, tx.Update(it, expr.Const(r.Value)))
 			}
 		}
 	}
@@ -603,11 +607,8 @@ func (s *ShardedBase) set(hm *history.Augmented, viewing bool) *clusterSet {
 	}
 	static := make(model.ItemSet)
 	for i := 0; i < hm.H.Len(); i++ {
-		t := hm.H.Txn(i)
-		for _, items := range [2]model.ItemSet{t.StaticReadSet(), t.StaticWriteSet()} {
-			for it := range items {
-				static.Add(it)
-			}
+		for it := range hm.H.Txn(i).Footprint() {
+			static.Add(it)
 		}
 	}
 	return s.over(static)

@@ -38,7 +38,7 @@ import (
 
 // CanFollowBW is the blind-write-safe can-follow test.
 func CanFollowBW(blk, t *tx.Effect) bool {
-	return blk.WriteSet.Disjoint(t.ReadSet) && blk.WriteSet.Disjoint(t.WriteSet)
+	return !tx.AnyShared(blk, t, func(b, _ tx.ItemEffect) bool { return b.Written })
 }
 
 // Algorithm1BW is can-follow rewriting generalized to histories containing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tiermerge/internal/model"
+	"tiermerge/internal/tx"
 )
 
 // Block explains why a good transaction stayed in the tail: which blocked
@@ -47,15 +48,21 @@ func (b Block) String() string {
 // given capabilities.
 func explainBlock(t, blk *entry, precedeTried, blindAware bool) Block {
 	b := Block{Blocker: blk.e.T.ID, PrecedeTried: precedeTried}
-	reads := blk.eff.WriteSet.Intersect(t.eff.ReadSet)
-	if len(reads) > 0 {
-		b.ReadItems = reads
-	}
-	if blindAware {
-		if ww := blk.eff.WriteSet.Intersect(t.eff.WriteSet).Minus(t.eff.ReadSet); len(ww) > 0 {
-			b.WriteItems = ww
+	add := func(set *model.ItemSet, it model.Item) {
+		if *set == nil {
+			*set = make(model.ItemSet)
 		}
+		set.Add(it)
 	}
+	tx.AnyShared(blk.eff, t.eff, func(w, x tx.ItemEffect) bool {
+		switch {
+		case w.Written && x.Read:
+			add(&b.ReadItems, x.Item)
+		case w.Written && x.Written && blindAware:
+			add(&b.WriteItems, x.Item)
+		}
+		return false
+	})
 	return b
 }
 

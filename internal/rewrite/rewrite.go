@@ -107,7 +107,7 @@ type explainFn func(t, blk *entry) Block
 // T can follow a sequence iff it can follow every member — lets the
 // algorithms test the block member-by-member.)
 func CanFollow(blk, t *tx.Effect) bool {
-	return blk.WriteSet.Disjoint(t.ReadSet)
+	return !tx.AnyShared(blk, t, func(b, x tx.ItemEffect) bool { return b.Written && x.Read })
 }
 
 // mergeFixIncrement applies the Lemma 1 fix update for pushing t left past
@@ -116,10 +116,13 @@ func CanFollow(blk, t *tx.Effect) bool {
 // FixFor/Merge round-trip (two map allocations per pair check on the O(n²)
 // hot path) is skipped outright.
 func mergeFixIncrement(t, blk *entry) {
-	if blk.eff.ReadSet.Disjoint(t.eff.WriteSet) {
+	if !tx.AnyShared(blk.eff, t.eff, func(b, x tx.ItemEffect) bool { return b.Read && x.Written }) {
 		return
 	}
-	inc := blk.eff.FixFor(blk.eff.ReadSet.Intersect(t.eff.WriteSet))
+	inc := blk.eff.FixFor(func(b tx.ItemEffect) bool {
+		x, ok := t.eff.Lookup(b.Item)
+		return ok && b.Read && x.Written
+	})
 	blk.e.Fix = blk.e.Fix.Merge(inc)
 }
 
@@ -199,8 +202,7 @@ func ApplyLemma2Fixes(r *Result) *history.History {
 			continue
 		}
 		eff := r.Original.Effects[r.OrigPos[i]]
-		want := eff.ReadSet.Minus(eff.WriteSet)
-		out.Entries[i].Fix = eff.FixFor(want)
+		out.Entries[i].Fix = eff.FixFor(func(x tx.ItemEffect) bool { return x.Read && !x.Written })
 	}
 	return out
 }
@@ -225,10 +227,7 @@ func BadIDs(a *history.Augmented, bad map[int]bool) []string {
 func statesOverlap(ts ...*tx.Transaction) model.ItemSet {
 	s := make(model.ItemSet)
 	for _, t := range ts {
-		for it := range t.StaticReadSet() {
-			s.Add(it)
-		}
-		for it := range t.StaticWriteSet() {
+		for it := range t.Footprint() {
 			s.Add(it)
 		}
 	}

@@ -23,7 +23,7 @@ type AssignStmt struct {
 func Assign(it model.Item, e expr.Expr) *AssignStmt { return &AssignStmt{Item: it, Expr: e} }
 
 //tiermerge:sink
-func (s *AssignStmt) addStaticSets(rs, ws model.ItemSet) {
+func (s *AssignStmt) compile(rs, ws model.ItemSet) {
 	s.Expr.AddItems(rs) // operands are read; the target is not
 	ws.Add(s.Item)
 }

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"tiermerge/internal/expr"
@@ -52,9 +53,8 @@ func TestCodecRoundTripSimple(t *testing.T) {
 	if !s1.Equal(s2) {
 		t.Errorf("decoded transaction diverges: %s vs %s", s1, s2)
 	}
-	if len(e1.ReadSet) != len(e2.ReadSet) || len(e1.WriteSet) != len(e2.WriteSet) {
-		t.Errorf("effects diverge: %v/%v vs %v/%v",
-			e1.ReadSet, e1.WriteSet, e2.ReadSet, e2.WriteSet)
+	if !slices.Equal(e1.Items, e2.Items) {
+		t.Errorf("effects diverge: %+v vs %+v", e1.Items, e2.Items)
 	}
 }
 

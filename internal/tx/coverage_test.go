@@ -88,11 +88,11 @@ func TestEffectClone(t *testing.T) {
 	c := eff.Clone()
 	c.ReadSet.Add("zzz")
 	c.Writes["x"] = 999
-	c.ReadValues["a"] = 999
-	c.Before["x"] = 999
-	c.WriteSet.Add("zzz")
+	c.Items[0].ReadValue = 999
+	c.Items[1].Before = 999
+	c.Items[1].Written = false
 	if eff.ReadSet.Has("zzz") || eff.Writes["x"] == 999 ||
-		eff.ReadValues["a"] == 999 || eff.Before["x"] == 999 || eff.WriteSet.Has("zzz") {
+		record(eff, "a").ReadValue == 999 || record(eff, "x").Before == 999 || !record(eff, "x").Written {
 		t.Error("Clone shares storage with the original")
 	}
 }

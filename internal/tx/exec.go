@@ -1,136 +1,129 @@
 package tx
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 
 	"tiermerge/internal/expr"
 	"tiermerge/internal/model"
 )
 
+// ItemEffect is what one execution did to one item.
+type ItemEffect struct {
+	Item model.Item
+	// Read: in the read set (read on the taken path, the implicit pre-read
+	// of an update target included). Observed: read from the state or the
+	// fix before any local write, ReadValue being the value seen — what a
+	// fix must pin (Definition 1: "vi is what Ti read for xi in the
+	// original history"). General: read for a value the outcome can depend
+	// on, i.e. not only as its own pure-delta update's pre-read.
+	Read, Observed, General bool
+	// Written: in the write set, with final value Value and Before the
+	// value before the transaction ran (Section 6.2's physical undo).
+	// Increment: written by a pure-delta statement (x := x + δ, δ naming
+	// no item), which added Delta.
+	Written, Increment bool
+
+	ReadValue, Value, Before, Delta model.Value
+}
+
+// DeltaPure reports whether the execution touched the item only as a
+// commutative increment: delta-written, and never read except through the
+// update's own implicit pre-read. Such an access commutes with any other
+// delta-pure access of the item, in either history, which is what lets the
+// merge protocol elide precedence edges and forward net increments instead
+// of repaired values.
+func (r ItemEffect) DeltaPure() bool { return r.Increment && !r.General }
+
 // Effect is the logged outcome of one transaction execution: the actual
 // read/write sets, the values read (for fix construction) and the
 // before/after images of written items (for physical undo and for
-// Algorithm 3's beforestate/afterstate bindings).
+// Algorithm 3's beforestate/afterstate bindings), one record per item.
 type Effect struct {
-	// ReadSet is the set of items actually read on the taken path,
-	// including the implicit pre-read of each update target.
+	// Items are the records, sorted by item.
+	Items []ItemEffect
+	// ReadSet and Writes are views over Items built when the execution
+	// ends: the items read, and the final value of each item written. The
+	// program reads Items; the views serve the benchmark probe
+	// (bench/probe.go), which reads effects as sets and maps.
 	ReadSet model.ItemSet
-	// WriteSet is the set of items actually updated on the taken path.
-	WriteSet model.ItemSet
-	// ReadValues records, for each externally read item, the value the
-	// transaction observed the first time it read the item (before any
-	// local write). These are exactly the values a fix must pin
-	// (Definition 1: "vi is what Ti read for xi in the original history").
-	ReadValues map[model.Item]model.Value
-	// Writes records the final value written to each updated item.
-	Writes map[model.Item]model.Value
-	// Before records the database value of each updated item immediately
-	// before this transaction ran (the physical before-image used by the
-	// undo approach of Section 6.2).
-	Before map[model.Item]model.Value
-	// Deltas records, for each item updated by a pure-delta statement
-	// (x := x + δ where δ references no item at all, so the increment is a
-	// state-independent constant/parameter expression), the numeric
-	// increment the execution applied. Keys are a subset of WriteSet.
-	// A pure-delta write commutes with every other pure-delta write of the
-	// same item, which is what lets the merge protocol elide precedence
-	// edges and forward net increments instead of repaired values.
-	Deltas map[model.Item]model.Value
-	// generalRead tracks items read for a value the transaction's outcome
-	// can depend on: every read except the implicit self pre-read of an
-	// item's own pure-delta update. An item in generalRead is never
-	// delta-pure, even if it was also delta-written.
-	generalRead model.ItemSet
+	Writes  map[model.Item]model.Value
 }
 
-// newEffect returns an empty effect log.
-func newEffect() *Effect {
-	return &Effect{
-		ReadSet:     make(model.ItemSet),
-		WriteSet:    make(model.ItemSet),
-		ReadValues:  make(map[model.Item]model.Value),
-		Writes:      make(map[model.Item]model.Value),
-		Before:      make(map[model.Item]model.Value),
-		Deltas:      make(map[model.Item]model.Value),
-		generalRead: make(model.ItemSet),
+// Lookup returns the record of it, if the execution read or wrote it.
+func (e *Effect) Lookup(it model.Item) (ItemEffect, bool) {
+	if i, ok := e.find(it); ok {
+		return e.Items[i], true
 	}
+	return ItemEffect{}, false
 }
 
-// DeltaPure returns the items this execution touched only as commutative
-// increments: delta-written, and never read except through the implicit
-// self pre-read of the delta update itself. Such an access commutes with
-// any other delta-pure access of the same item, in either history.
-func (e *Effect) DeltaPure() model.ItemSet {
-	out := make(model.ItemSet, len(e.Deltas))
-	for it := range e.Deltas {
-		if !e.generalRead.Has(it) {
-			out.Add(it)
+func (e *Effect) find(it model.Item) (int, bool) {
+	return slices.BinarySearchFunc(e.Items, it, func(r ItemEffect, it model.Item) int { return cmp.Compare(r.Item, it) })
+}
+
+// slot returns the record of it, inserting an empty one in item order if
+// there is none yet.
+func (e *Effect) slot(it model.Item) *ItemEffect {
+	i, ok := e.find(it)
+	if !ok {
+		e.Items = slices.Insert(e.Items, i, ItemEffect{Item: it})
+	}
+	return &e.Items[i]
+}
+
+// AnyShared reports whether f holds for the two records of some item both
+// a and b touched; items are visited in a's order.
+func AnyShared(a, b *Effect, f func(x, y ItemEffect) bool) bool {
+	for _, x := range a.Items {
+		if y, ok := b.Lookup(x.Item); ok && f(x, y) {
+			return true
 		}
 	}
-	return out
-}
-
-// SetDeltaPure overrides the recorded delta classification: it marks it as
-// delta-written with increment d and clears any general read of it. The
-// replication substrate uses it for synthesized forward transactions whose
-// additive bodies are delta-pure by construction; tests use it to fabricate
-// effects. It must never be applied to an effect whose outcome actually
-// depended on the value read for it.
-func (e *Effect) SetDeltaPure(it model.Item, d model.Value) {
-	e.Deltas[it] = d
-	delete(e.generalRead, it)
+	return false
 }
 
 // Clone deep-copies the effect.
 func (e *Effect) Clone() *Effect {
-	c := newEffect()
-	for k := range e.ReadSet {
-		c.ReadSet.Add(k)
-	}
-	for k := range e.WriteSet {
-		c.WriteSet.Add(k)
-	}
-	for k, v := range e.ReadValues {
-		c.ReadValues[k] = v
-	}
-	for k, v := range e.Writes {
-		c.Writes[k] = v
-	}
-	for k, v := range e.Before {
-		c.Before[k] = v
-	}
-	for k, v := range e.Deltas {
-		c.Deltas[k] = v
-	}
-	for k := range e.generalRead {
-		c.generalRead.Add(k)
-	}
-	return c
+	return &Effect{Items: slices.Clone(e.Items), ReadSet: e.ReadSet.Clone(), Writes: maps.Clone(e.Writes)}
 }
 
-// FixFor builds the Lemma 1 fix increment for this execution: the values
-// this transaction read for each item of want, restricted to items it
-// actually read externally.
-func (e *Effect) FixFor(want model.ItemSet) Fix {
+// Apply writes the execution's final values into s.
+//
+//tiermerge:sink
+func (e *Effect) Apply(s model.State) {
+	for _, r := range e.Items {
+		if r.Written {
+			s.Set(r.Item, r.Value)
+		}
+	}
+}
+
+// FixFor builds a Lemma 1 fix increment for this execution: the values
+// this transaction read externally for each item whose record want
+// selects.
+func (e *Effect) FixFor(want func(ItemEffect) bool) Fix {
 	var f Fix
-	for it := range want {
-		if v, ok := e.ReadValues[it]; ok {
+	for _, r := range e.Items {
+		if r.Observed && want(r) {
 			if f == nil {
 				f = make(Fix)
 			}
-			f[it] = v
+			f[r.Item] = r.ReadValue
 		}
 	}
 	return f
 }
 
 // execEnv implements expr.Env for one transaction execution, routing item
-// reads through local writes first, then the fix, then the database state.
+// reads through local writes first (the effect's written records), then
+// the fix, then the database state.
 type execEnv struct {
 	state  model.State
 	fix    Fix
 	params map[string]model.Value
-	local  map[model.Item]model.Value // items written so far by this txn
 	eff    *Effect
 	// deltaTarget is the item whose pure-delta update statement is
 	// currently executing; reads of it are the statement's implicit
@@ -138,28 +131,33 @@ type execEnv struct {
 	deltaTarget model.Item
 }
 
-var _ expr.Env = (*execEnv)(nil)
-
 func (e *execEnv) ItemValue(it model.Item) (model.Value, error) {
-	e.eff.ReadSet.Add(it)
-	if it != e.deltaTarget || it == "" {
-		e.eff.generalRead.Add(it)
+	r := e.eff.slot(it)
+	r.Read = true
+	r.General = r.General || it != e.deltaTarget || it == ""
+	if r.Written {
+		return r.Value, nil
 	}
-	if v, ok := e.local[it]; ok {
-		return v, nil
-	}
-	var v model.Value
-	if fv, ok := e.fix[it]; ok {
+	if !r.Observed {
 		// Definition 1: values read for fixed variables come from the fix,
 		// not from the before state.
-		v = fv
-	} else {
-		v = e.state.Get(it)
+		v, fixed := e.fix[it]
+		if !fixed {
+			v = e.state.Get(it)
+		}
+		r.Observed, r.ReadValue = true, v
 	}
-	if _, seen := e.eff.ReadValues[it]; !seen {
-		e.eff.ReadValues[it] = v
+	return r.ReadValue, nil
+}
+
+// write records the update it := v with its before-image.
+func (e *execEnv) write(it model.Item, v model.Value) (*ItemEffect, error) {
+	r := e.eff.slot(it)
+	if r.Written {
+		return nil, fmt.Errorf("item %s updated twice on one path", it)
 	}
-	return v, nil
+	r.Written, r.Value, r.Before = true, v, e.state.Get(it)
+	return r, nil
 }
 
 func (e *execEnv) ParamValue(name string) (model.Value, error) {
@@ -189,38 +187,26 @@ func (t *Transaction) Exec(s model.State, fix Fix) (model.State, *Effect, error)
 //
 //tiermerge:sink
 func (t *Transaction) ExecInPlace(s model.State, fix Fix) (*Effect, error) {
-	env := &execEnv{
-		state:  s,
-		fix:    fix,
-		params: t.Params,
-		local:  make(map[model.Item]model.Value),
-		eff:    newEffect(),
-	}
-	if err := runStmts(t.Body, env); err != nil {
+	t.ensureCompiled()
+	// The footprint bounds the items any path touches: one allocation.
+	eff := &Effect{Items: make([]ItemEffect, 0, len(t.footprint))}
+	if err := runStmts(t.Body, &execEnv{state: s, fix: fix, params: t.Params, eff: eff}); err != nil {
 		return nil, fmt.Errorf("exec %s: %w", t.ID, err)
 	}
-	for it, v := range env.local {
-		s.Set(it, v)
-	}
-	return env.eff, nil
-}
-
-// pureDelta reports whether st is a pure-delta update: additive in its
-// target (x := x + δ) with δ referencing no item at all, so the increment
-// is decided by constants and parameters alone and the write commutes with
-// every other pure-delta write of x regardless of interleaving. Assignment
-// shapes, multiplicative shapes, and additive shapes whose δ reads other
-// items (whose increment could change under reordering) are all excluded.
-func pureDelta(st *UpdateStmt) bool {
-	if expr.Analyze(st.Expr, st.Item).Shape != expr.ShapeAdditive {
-		return false
-	}
-	for it := range expr.ItemsOf(st.Expr) {
-		if it != st.Item {
-			return false
+	eff.ReadSet = make(model.ItemSet, len(eff.Items))
+	for _, r := range eff.Items {
+		if r.Read {
+			eff.ReadSet.Add(r.Item)
+		}
+		if r.Written {
+			if eff.Writes == nil {
+				eff.Writes = make(map[model.Item]model.Value, len(eff.Items))
+			}
+			eff.Writes[r.Item] = r.Value
+			s.Set(r.Item, r.Value)
 		}
 	}
-	return true
+	return eff, nil
 }
 
 // DefinedOn reports whether the transaction executes without error on s
@@ -239,44 +225,32 @@ func runStmts(body []Stmt, env *execEnv) error {
 				return err
 			}
 		case *UpdateStmt:
-			if _, done := env.local[st.Item]; done {
-				return fmt.Errorf("item %s updated twice on one path", st.Item)
-			}
-			pure := pureDelta(st)
-			if pure {
+			if st.pure {
 				env.deltaTarget = st.Item
 			}
 			// No blind writes: read the target's old value first even when
 			// the update expression does not mention it.
-			old, err := env.ItemValue(st.Item)
-			if err != nil {
-				env.deltaTarget = ""
-				return err
-			}
+			old, _ := env.ItemValue(st.Item)
 			v, err := st.Expr.Eval(env)
 			env.deltaTarget = ""
 			if err != nil {
 				return err
 			}
-			env.eff.WriteSet.Add(st.Item)
-			env.eff.Writes[st.Item] = v
-			env.eff.Before[st.Item] = env.state.Get(st.Item)
-			env.local[st.Item] = v
-			if pure {
-				env.eff.Deltas[st.Item] = v - old
+			r, err := env.write(st.Item, v)
+			if err != nil {
+				return err
+			}
+			if st.pure {
+				r.Increment, r.Delta = true, v-old
 			}
 		case *AssignStmt:
-			if _, done := env.local[st.Item]; done {
-				return fmt.Errorf("item %s updated twice on one path", st.Item)
-			}
 			v, err := st.Expr.Eval(env)
 			if err != nil {
 				return err
 			}
-			env.eff.WriteSet.Add(st.Item)
-			env.eff.Writes[st.Item] = v
-			env.eff.Before[st.Item] = env.state.Get(st.Item)
-			env.local[st.Item] = v
+			if _, err := env.write(st.Item, v); err != nil {
+				return err
+			}
 		case *IfStmt:
 			cond, err := st.Cond.Eval(env)
 			if err != nil {

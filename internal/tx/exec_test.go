@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,12 +24,15 @@ func TestExecSimpleUpdate(t *testing.T) {
 	if s0.Get("x") != 10 {
 		t.Error("Exec mutated the input state")
 	}
-	if !eff.ReadSet.Has("x") || !eff.WriteSet.Has("x") {
-		t.Errorf("effect sets: R=%v W=%v, want both to contain x", eff.ReadSet, eff.WriteSet)
+	x := record(eff, "x")
+	if !x.Read || !x.Written {
+		t.Errorf("effect record of x: %+v, want read and written", x)
 	}
-	if eff.ReadValues["x"] != 10 || eff.Writes["x"] != 15 || eff.Before["x"] != 10 {
-		t.Errorf("effect values: read=%d write=%d before=%d",
-			eff.ReadValues["x"], eff.Writes["x"], eff.Before["x"])
+	if x.ReadValue != 10 || x.Value != 15 || x.Before != 10 {
+		t.Errorf("effect values: read=%d write=%d before=%d", x.ReadValue, x.Value, x.Before)
+	}
+	if !eff.ReadSet.Has("x") || eff.Writes["x"] != 15 {
+		t.Errorf("effect views: R=%v writes=%v", eff.ReadSet, eff.Writes)
 	}
 }
 
@@ -40,11 +44,11 @@ func TestExecImplicitTargetRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eff.ReadSet.Has("x") {
+	if !record(eff, "x").Read {
 		t.Error("update target not implicitly read")
 	}
-	if eff.ReadValues["x"] != 1 {
-		t.Errorf("implicit read value = %d, want 1", eff.ReadValues["x"])
+	if got := record(eff, "x").ReadValue; got != 1 {
+		t.Errorf("implicit read value = %d, want 1", got)
 	}
 }
 
@@ -54,11 +58,11 @@ func TestExecBlindWriteSkipsRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.ReadSet.Has("x") {
-		t.Error("blind write recorded a read of its target")
+	if x := record(eff, "x"); x.Read || !x.Written || x.Value != 7 {
+		t.Errorf("blind write effect: %+v", x)
 	}
-	if !eff.WriteSet.Has("x") || eff.Writes["x"] != 7 {
-		t.Errorf("blind write effect: W=%v writes=%v", eff.WriteSet, eff.Writes)
+	if eff.ReadSet.Has("x") {
+		t.Error("blind write recorded a read of its target in the view")
 	}
 	if !tr.HasBlindWrites() {
 		t.Error("HasBlindWrites = false")
@@ -89,8 +93,8 @@ func TestExecFixOverridesState(t *testing.T) {
 	if out.Get("y") != 12 {
 		t.Errorf("with fix: y = %d, want 12", out.Get("y"))
 	}
-	if eff.ReadValues["x"] != 1 {
-		t.Errorf("fixed read recorded %d, want the fix value 1", eff.ReadValues["x"])
+	if got := record(eff, "x").ReadValue; got != 1 {
+		t.Errorf("fixed read recorded %d, want the fix value 1", got)
 	}
 	// The fix does not change the state's own x.
 	if out.Get("x") != 0 {
@@ -112,9 +116,9 @@ func TestExecLocalReadAfterWrite(t *testing.T) {
 	if out.Get("y") != 11 {
 		t.Errorf("y = %d, want 11 (the locally written x)", out.Get("y"))
 	}
-	// ReadValues records only the external read of x.
-	if eff.ReadValues["x"] != 10 {
-		t.Errorf("external read of x = %d, want 10", eff.ReadValues["x"])
+	// The read value is only the external read of x.
+	if got := record(eff, "x").ReadValue; got != 10 {
+		t.Errorf("external read of x = %d, want 10", got)
 	}
 }
 
@@ -132,7 +136,7 @@ func TestExecConditionalBranches(t *testing.T) {
 	if out.Get("y") != 1 || out.Get("z") != 0 {
 		t.Errorf("then-branch: y=%d z=%d", out.Get("y"), out.Get("z"))
 	}
-	if eff.WriteSet.Has("z") {
+	if record(eff, "z").Written {
 		t.Error("untaken branch leaked into the write set")
 	}
 	out, eff, err = tr.Exec(model.StateOf(map[model.Item]model.Value{"x": -5}), nil)
@@ -142,7 +146,7 @@ func TestExecConditionalBranches(t *testing.T) {
 	if out.Get("z") != 2 || out.Get("y") != 0 {
 		t.Errorf("else-branch: y=%d z=%d", out.Get("y"), out.Get("z"))
 	}
-	if eff.WriteSet.Has("y") {
+	if record(eff, "y").Written {
 		t.Error("untaken branch leaked into the write set")
 	}
 }
@@ -280,11 +284,14 @@ func TestEffectFixFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := eff.FixFor(model.NewItemSet("a", "zzz"))
+	in := func(its ...model.Item) func(ItemEffect) bool {
+		return func(r ItemEffect) bool { return model.NewItemSet(its...).Has(r.Item) }
+	}
+	f := eff.FixFor(in("a", "zzz"))
 	if len(f) != 1 || f["a"] != 3 {
 		t.Errorf("FixFor = %v, want {a=3}", f)
 	}
-	if f := eff.FixFor(model.NewItemSet("zzz")); f != nil {
+	if f := eff.FixFor(in("zzz")); f != nil {
 		t.Errorf("FixFor(no hits) = %v, want nil", f)
 	}
 }
@@ -318,7 +325,7 @@ func TestExecDeterminism(t *testing.T) {
 		if !s1.Equal(s2) {
 			return false
 		}
-		return len(e1.WriteSet) == len(e2.WriteSet) && len(e1.ReadSet) == len(e2.ReadSet)
+		return slices.Equal(e1.Items, e2.Items)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -348,4 +355,11 @@ func TestFixMatchingStateIsNoop(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// record returns the effect's record of it (the zero record if the
+// execution did not touch it).
+func record(eff *Effect, it model.Item) ItemEffect {
+	r, _ := eff.Lookup(it)
+	return r
 }

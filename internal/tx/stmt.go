@@ -18,9 +18,9 @@ import (
 // each statement is either an operation (read or single-item update) or a
 // conditional "if c then SS1 else SS2".
 type Stmt interface {
-	// addStaticSets accumulates the conservative (all-branches) read and
-	// write sets of the statement.
-	addStaticSets(rs, ws model.ItemSet)
+	// compile accumulates the conservative (all-branches) read and write
+	// sets of the statement and records its pure-delta flags.
+	compile(rs, ws model.ItemSet)
 	fmt.Stringer
 }
 
@@ -33,7 +33,7 @@ type ReadStmt struct {
 func Read(it model.Item) *ReadStmt { return &ReadStmt{Item: it} }
 
 //tiermerge:sink
-func (s *ReadStmt) addStaticSets(rs, _ model.ItemSet) { rs.Add(s.Item) }
+func (s *ReadStmt) compile(rs, _ model.ItemSet) { rs.Add(s.Item) }
 
 func (s *ReadStmt) String() string { return fmt.Sprintf("read %s", s.Item) }
 
@@ -44,16 +44,34 @@ func (s *ReadStmt) String() string { return fmt.Sprintf("read %s", s.Item) }
 type UpdateStmt struct {
 	Item model.Item
 	Expr expr.Expr
+	// pure is the compiled pure-delta flag (pureDelta).
+	pure bool
 }
 
 // Update builds an update statement it := e.
 func Update(it model.Item, e expr.Expr) *UpdateStmt { return &UpdateStmt{Item: it, Expr: e} }
 
 //tiermerge:sink
-func (s *UpdateStmt) addStaticSets(rs, ws model.ItemSet) {
+func (s *UpdateStmt) compile(rs, ws model.ItemSet) {
 	rs.Add(s.Item) // implicit pre-read of the target
 	s.Expr.AddItems(rs)
 	ws.Add(s.Item)
+	// A statement can be shared (a re-executed copy keeps its original's
+	// body): writing only a change keeps recompiling it race-free.
+	if p := pureDelta(s); p != s.pure {
+		s.pure = p
+	}
+}
+
+// pureDelta reports whether st is a pure-delta update: additive in its
+// target (x := x + δ) with δ referencing no item at all, so the increment
+// is decided by constants and parameters alone and the write commutes with
+// every other pure-delta write of x regardless of interleaving. Assignment
+// shapes, multiplicative shapes, and additive shapes whose δ reads other
+// items (whose increment could change under reordering) are all excluded.
+func pureDelta(st *UpdateStmt) bool {
+	a := expr.Analyze(st.Expr, st.Item)
+	return a.Shape == expr.ShapeAdditive && expr.ItemFree(a.Delta)
 }
 
 func (s *UpdateStmt) String() string { return fmt.Sprintf("%s := %s", s.Item, s.Expr) }
@@ -74,13 +92,13 @@ func IfElse(cond expr.Pred, then, els []Stmt) *IfStmt {
 	return &IfStmt{Cond: cond, Then: then, Else: els}
 }
 
-func (s *IfStmt) addStaticSets(rs, ws model.ItemSet) {
+func (s *IfStmt) compile(rs, ws model.ItemSet) {
 	s.Cond.AddItems(rs)
 	for _, st := range s.Then {
-		st.addStaticSets(rs, ws)
+		st.compile(rs, ws)
 	}
 	for _, st := range s.Else {
-		st.addStaticSets(rs, ws)
+		st.compile(rs, ws)
 	}
 }
 

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -51,8 +52,8 @@ type Transaction struct {
 	// systems). When empty, Invert synthesizes one where possible.
 	InverseBody []Stmt
 
-	// cached static sets (conservative over all branches)
-	staticRS, staticWS model.ItemSet
+	// compiled: the static read and write sets (all branches), their union
+	staticRS, staticWS, footprint model.ItemSet
 }
 
 // New builds a transaction and validates it against the paper's program
@@ -98,9 +99,15 @@ func (t *Transaction) WithInverse(body ...Stmt) *Transaction {
 }
 
 // Validate checks the Section 6 program assumptions. It returns an error if
-// any item can be updated more than once along a single execution path.
+// any item can be updated more than once along a single execution path,
+// and compiles a valid transaction.
 func (t *Transaction) Validate() error {
-	return validateOnceWritten(t.Body, make(model.ItemSet))
+	written := make(model.ItemSet)
+	if err := validateOnceWritten(t.Body, written); err != nil {
+		return err
+	}
+	t.compile(written) // every item written on some path: the static write set
+	return nil
 }
 
 // validateOnceWritten walks the body tracking which items are already
@@ -134,9 +141,8 @@ func validateOnceWritten(body []Stmt, written model.ItemSet) error {
 			if err := validateOnceWritten(st.Else, elseW); err != nil {
 				return err
 			}
-			for it := range thenW.Union(elseW) {
-				written.Add(it)
-			}
+			maps.Copy(written, thenW)
+			maps.Copy(written, elseW)
 		default:
 			return fmt.Errorf("tx: unknown statement type %T", s)
 		}
@@ -149,32 +155,55 @@ func validateOnceWritten(body []Stmt, written model.ItemSet) error {
 // update target. This is the read-set information a canned system extracts
 // offline from transaction profiles ([AJL98], Section 7.1).
 func (t *Transaction) StaticReadSet() model.ItemSet {
-	t.ensureStaticSets()
+	t.ensureCompiled()
 	return t.staticRS.Clone()
 }
 
 // StaticWriteSet returns the conservative write set of the profile: every
 // item updated on any execution path.
 func (t *Transaction) StaticWriteSet() model.ItemSet {
-	t.ensureStaticSets()
+	t.ensureCompiled()
 	return t.staticWS.Clone()
 }
 
-func (t *Transaction) ensureStaticSets() {
-	if t.staticRS != nil {
-		return
-	}
-	rs, ws := make(model.ItemSet), make(model.ItemSet)
+// Footprint returns every item the profile can read or write on any path,
+// the compiled set itself: callers share it and must never mutate it.
+//
+//tiermerge:shared
+func (t *Transaction) Footprint() model.ItemSet {
+	t.ensureCompiled()
+	return t.footprint
+}
+
+// compile records the static sets and each update's pure-delta flag into
+// ws, the static write set so far. Validate runs it; a literal transaction
+// is compiled on first use. Without blind writes the write set is within
+// the read set, which is then the footprint as well.
+func (t *Transaction) compile(ws model.ItemSet) {
+	rs := make(model.ItemSet)
 	for _, s := range t.Body {
-		s.addStaticSets(rs, ws)
+		s.compile(rs, ws)
 	}
-	t.staticRS, t.staticWS = rs, ws
+	fp := rs
+	for it := range ws {
+		if !rs.Has(it) {
+			fp = rs.Union(ws)
+			break
+		}
+	}
+	t.staticRS, t.staticWS, t.footprint = rs, ws, fp
+}
+
+func (t *Transaction) ensureCompiled() {
+	if t.footprint == nil {
+		t.compile(make(model.ItemSet))
+	}
 }
 
 // IsReadOnly reports whether the profile writes nothing on any path.
 // Read-only transactions can follow any transaction (can-follow property 3).
 func (t *Transaction) IsReadOnly() bool {
-	t.ensureStaticSets()
+	t.ensureCompiled()
 	return len(t.staticWS) == 0
 }
 
@@ -204,16 +233,7 @@ func EmptyFix() Fix { return nil }
 func (f Fix) IsEmpty() bool { return len(f) == 0 }
 
 // Clone copies the fix. Cloning nil yields nil.
-func (f Fix) Clone() Fix {
-	if f == nil {
-		return nil
-	}
-	c := make(Fix, len(f))
-	for k, v := range f {
-		c[k] = v
-	}
-	return c
-}
+func (f Fix) Clone() Fix { return maps.Clone(f) }
 
 // Items returns the set of items the fix pins.
 func (f Fix) Items() model.ItemSet {
@@ -232,12 +252,8 @@ func (f Fix) Merge(o Fix) Fix {
 		return f.Clone()
 	}
 	m := make(Fix, len(f)+len(o))
-	for k, v := range o {
-		m[k] = v
-	}
-	for k, v := range f {
-		m[k] = v
-	}
+	maps.Copy(m, o)
+	maps.Copy(m, f)
 	return m
 }
 

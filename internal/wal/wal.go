@@ -303,21 +303,23 @@ func (lw *Writer) LogTxn(t *tx.Transaction, eff *tx.Effect) error {
 	if err := lw.append(Record{Kind: KindBegin, TxID: t.ID, Txn: code}); err != nil {
 		return err
 	}
-	for _, it := range model.State(eff.ReadValues).Items() {
-		if err := lw.append(Record{
-			Kind: KindRead, TxID: t.ID, Item: it, Value: eff.ReadValues[it],
-		}); err != nil {
+	// Records are in item order, which is the journal's order: every read
+	// value, then every write image.
+	for _, r := range eff.Items {
+		if !r.Observed {
+			continue
+		}
+		if err := lw.append(Record{Kind: KindRead, TxID: t.ID, Item: r.Item, Value: r.ReadValue}); err != nil {
 			return err
 		}
 	}
-	pure := eff.DeltaPure()
-	for _, it := range model.State(eff.Writes).Items() {
-		rec := Record{
-			Kind: KindWrite, TxID: t.ID, Item: it,
-			Before: eff.Before[it], After: eff.Writes[it],
+	for _, r := range eff.Items {
+		if !r.Written {
+			continue
 		}
-		if pure.Has(it) {
-			d := eff.Deltas[it]
+		rec := Record{Kind: KindWrite, TxID: t.ID, Item: r.Item, Before: r.Before, After: r.Value}
+		if r.DeltaPure() {
+			d := r.Delta
 			rec.Delta = &d
 		}
 		if err := lw.append(rec); err != nil {
@@ -532,24 +534,32 @@ func Groups(recs []Record) (groups []Group, complete int, err error) {
 // code disagree — the log is corrupt.
 func (g *Group) Verify(eff *tx.Effect) error {
 	id := g.Txn.ID
-	pure := eff.DeltaPure()
-	var writes, deltas int
+	var writes, deltas, wantWrites, wantDeltas int
+	for _, r := range eff.Items {
+		if r.Written {
+			wantWrites++
+		}
+		if r.Written && r.DeltaPure() {
+			wantDeltas++
+		}
+	}
 	for _, r := range g.logs {
+		got, _ := eff.Lookup(r.Item)
 		if r.Kind == KindRead {
-			if got, ok := eff.ReadValues[r.Item]; !ok || got != r.Value {
-				return fmt.Errorf("%w: %s read %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Value, got)
+			if !got.Observed || got.ReadValue != r.Value {
+				return fmt.Errorf("%w: %s read %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Value, got.ReadValue)
 			}
 			continue
 		}
 		writes++
-		if got, ok := eff.Writes[r.Item]; !ok || got != r.After {
-			return fmt.Errorf("%w: %s wrote %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.After, got)
+		if !got.Written || got.Value != r.After {
+			return fmt.Errorf("%w: %s wrote %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.After, got.Value)
 		}
 		// Before-images feed the undo approach (prune.ByUndo restores
 		// them), so a corrupt before-image is as dangerous as a corrupt
 		// after-image.
-		if got := eff.Before[r.Item]; got != r.Before {
-			return fmt.Errorf("%w: %s before-image %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Before, got)
+		if got.Before != r.Before {
+			return fmt.Errorf("%w: %s before-image %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Before, got.Before)
 		}
 		// Delta annotations drive edge elision and associative folding
 		// after recovery, so they must agree with the replayed
@@ -560,18 +570,18 @@ func (g *Group) Verify(eff *tx.Effect) error {
 			continue
 		}
 		deltas++
-		if !pure.Has(r.Item) {
+		if !got.DeltaPure() {
 			return fmt.Errorf("%w: %s delta on %s: replay classified a value write", ErrCorrupt, id, r.Item)
 		}
-		if got := eff.Deltas[r.Item]; got != *r.Delta {
-			return fmt.Errorf("%w: %s delta %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, *r.Delta, got)
+		if got.Delta != *r.Delta {
+			return fmt.Errorf("%w: %s delta %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, *r.Delta, got.Delta)
 		}
 	}
-	if writes != len(eff.Writes) {
-		return fmt.Errorf("%w: %s wrote %d items, journal has %d", ErrCorrupt, id, len(eff.Writes), writes)
+	if writes != wantWrites {
+		return fmt.Errorf("%w: %s wrote %d items, journal has %d", ErrCorrupt, id, wantWrites, writes)
 	}
-	if deltas != len(pure) {
-		return fmt.Errorf("%w: %s logged %d delta writes, replay classified %d", ErrCorrupt, id, deltas, len(pure))
+	if deltas != wantDeltas {
+		return fmt.Errorf("%w: %s logged %d delta writes, replay classified %d", ErrCorrupt, id, deltas, wantDeltas)
 	}
 	return nil
 }

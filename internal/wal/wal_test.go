@@ -493,11 +493,10 @@ func TestJournalCarriesDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pure := rep.Augmented.Effects[0].DeltaPure()
-	if !pure.Has("x") || rep.Augmented.Effects[0].Deltas["x"] != 5 {
-		t.Errorf("replayed effect lost the delta classification: %v", pure)
+	if x, _ := rep.Augmented.Effects[0].Lookup("x"); !x.DeltaPure() || x.Delta != 5 {
+		t.Errorf("replayed effect lost the delta classification: %+v", x)
 	}
-	if len(rep.Augmented.Effects[1].DeltaPure()) != 0 {
+	if p, _ := rep.Augmented.Effects[1].Lookup("p"); p.DeltaPure() {
 		t.Error("replayed assignment classified as a pure delta")
 	}
 }

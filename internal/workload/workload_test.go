@@ -41,8 +41,8 @@ func TestGeneratedTransactionsExecute(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated %s failed: %v", txn, err)
 		}
-		if len(eff.WriteSet) > 0 && txn.IsReadOnly() {
-			t.Fatalf("%s claims read-only but wrote %v", txn, eff.WriteSet)
+		if len(eff.Writes) > 0 && txn.IsReadOnly() {
+			t.Fatalf("%s claims read-only but wrote %v", txn, eff.Writes)
 		}
 		s = next
 	}

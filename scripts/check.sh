@@ -106,6 +106,18 @@ if [ -n "$chain_leaks" ]; then
     exit 1
 fi
 
+echo "== compiled transactions, one-form effects, pair-free graph build =="
+# The graph build must match the map-based construction it replaced, edge
+# for edge and count for count; execution and the build keep their
+# measured allocations (the build's must not grow when vertex pairs repeat
+# across more items); the journal LogTxn writes stays byte-identical to
+# the committed golden files.
+form_pins='TestBuildMatchesReference|TestBuildAllocsIndependentOfRepeats'
+require_tests "$form_pins" ./internal/graph/
+require_tests TestExecAllocs ./internal/tx/
+require_tests 'TestLogTxnGoldenCanned|TestLogTxnGoldenGenerated' ./internal/wal/
+go test -count=1 -run "$form_pins|TestExecAllocs|TestLogTxnGolden" ./internal/graph/ ./internal/tx/ ./internal/wal/
+
 echo "== tiermergelint (merge-protocol invariants) =="
 go run ./cmd/tiermergelint ./...
 # The two module-level lint tests skip under -short: the whole suite must
