@@ -61,8 +61,8 @@ func runServe(args []string) error {
 		}
 		for k, rec := range recs {
 			if rec.Records > 0 {
-				fmt.Printf("shard %d recovered: %d records replayed, %d committed, %d dropped\n",
-					k, rec.Records, rec.Committed, rec.Dropped)
+				fmt.Printf("shard %d recovered: %d records replayed, %d committed%s\n",
+					k, rec.Records, rec.Committed, tornNote(rec))
 			}
 		}
 		tier, durable = sb, sb
@@ -72,8 +72,8 @@ func runServe(args []string) error {
 			return err
 		}
 		if rec.Records > 0 {
-			fmt.Printf("recovered %s: %d records replayed, %d committed, %d dropped\n",
-				*data, rec.Records, rec.Committed, rec.Dropped)
+			fmt.Printf("recovered %s: %d records replayed, %d committed%s\n",
+				*data, rec.Records, rec.Committed, tornNote(rec))
 		}
 		tier, durable = b, b
 	case *shards > 1:
@@ -185,4 +185,13 @@ func runServe(args []string) error {
 // the client subcommand targets the same names.
 func itemName(i int) tiermerge.Item {
 	return tiermerge.Item(fmt.Sprintf("item%d", i))
+}
+
+// tornNote reports a torn final journal record a recovery dropped: the
+// only crash damage a journal can carry.
+func tornNote(rec *tiermerge.WALRecovery) string {
+	if !rec.TornTail {
+		return ""
+	}
+	return fmt.Sprintf(", torn tail at record %d dropped", rec.TornRecord)
 }

@@ -9,7 +9,7 @@
 //
 // By default the journal is read strictly: only a torn final record (crash
 // damage) is tolerated; a record failing its checksum anywhere, or a
-// journal in the JSON-lines format of earlier versions, is an error.
+// journal in the JSON-lines or v1 format of earlier versions, is an error.
 // -salvage decodes the longest valid prefix of a journal strict mode
 // rejects and reports where it tears and what was discarded — for
 // diagnosis only; recovery never trusts a salvaged prefix.
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"tiermerge"
 )
@@ -72,21 +73,7 @@ func inspect(w io.Writer, r io.Reader, records, code, salvage bool) error {
 	fmt.Fprintf(w, "%d records\n", len(recs))
 	if records {
 		for _, rec := range recs {
-			switch rec.Kind {
-			case "checkout":
-				fmt.Fprintf(w, "%5d  checkout window=%d pos=%d origin(%d items)\n",
-					rec.Seq, rec.WindowID, rec.Pos, len(rec.Origin))
-			case "begin":
-				fmt.Fprintf(w, "%5d  begin    %s (%d bytes of code)\n", rec.Seq, rec.TxID, len(rec.Txn))
-			case "read":
-				fmt.Fprintf(w, "%5d  read     %s %s=%d\n", rec.Seq, rec.TxID, rec.Item, rec.Value)
-			case "write":
-				fmt.Fprintf(w, "%5d  write    %s %s: %d -> %d\n", rec.Seq, rec.TxID, rec.Item, rec.Before, rec.After)
-			case "commit":
-				fmt.Fprintf(w, "%5d  commit   %s\n", rec.Seq, rec.TxID)
-			default:
-				fmt.Fprintf(w, "%5d  %s\n", rec.Seq, rec.Kind)
-			}
+			dumpRecord(w, rec)
 		}
 	}
 
@@ -96,9 +83,6 @@ func inspect(w io.Writer, r io.Reader, records, code, salvage bool) error {
 	}
 	fmt.Fprintf(w, "verified: %d committed transactions (window %d, base position %d)\n",
 		rep.Augmented.H.Len(), rep.WindowID, rep.Pos)
-	if rep.Dropped > 0 {
-		fmt.Fprintf(w, "dropped:  %d uncommitted trailing transaction(s)\n", rep.Dropped)
-	}
 	fmt.Fprintln(w, "history: ", rep.Augmented.H)
 	fmt.Fprintln(w, "origin:  ", rep.Origin)
 	fmt.Fprintln(w, "state:   ", rep.Augmented.Final())
@@ -110,4 +94,48 @@ func inspect(w io.Writer, r io.Reader, records, code, salvage bool) error {
 		}
 	}
 	return nil
+}
+
+// dumpRecord prints one record: a checkout or window record on one line, a
+// commit record as the IDs it commits, then one line per transaction with
+// its code size and every item entry — the value read, the write images
+// and the delta of a pure increment.
+func dumpRecord(w io.Writer, rec tiermerge.WALRecord) {
+	switch rec.Kind {
+	case "checkout", "window":
+		fmt.Fprintf(w, "%5d  %-8s window=%d pos=%d origin(%d items)\n",
+			rec.Seq, rec.Kind, rec.WindowID, rec.Pos, len(rec.Origin))
+		return
+	case "commit":
+	default:
+		fmt.Fprintf(w, "%5d  %s\n", rec.Seq, rec.Kind)
+		return
+	}
+	if len(rec.Txns) == 0 {
+		fmt.Fprintf(w, "%5d  commit   (no transactions)\n", rec.Seq)
+		return
+	}
+	ids := make([]string, len(rec.Txns))
+	for i, t := range rec.Txns {
+		ids[i] = "?"
+		if txn, err := tiermerge.UnmarshalTransaction(t.Code); err == nil {
+			ids[i] = txn.ID
+		}
+	}
+	fmt.Fprintf(w, "%5d  commit   %s\n", rec.Seq, strings.Join(ids, " "))
+	for i, t := range rec.Txns {
+		fmt.Fprintf(w, "         %s (%d bytes of code)", ids[i], len(t.Code))
+		for _, e := range t.Items {
+			if e.Observed {
+				fmt.Fprintf(w, "  read %s=%d", e.Item, e.Value)
+			}
+			if e.Written {
+				fmt.Fprintf(w, "  write %s: %d -> %d", e.Item, e.Before, e.After)
+			}
+			if e.Delta != nil {
+				fmt.Fprintf(w, " (delta %+d)", *e.Delta)
+			}
+		}
+		fmt.Fprintln(w)
+	}
 }

@@ -46,8 +46,8 @@ func TestInspectGeneratedJournal(t *testing.T) {
 	for _, want := range []string{
 		"verified: 1 committed transactions",
 		"checkout window=1",
-		"begin    T1",
 		"commit   T1",
+		"read x=5  write x: 5 -> 8 (delta +3)",
 		"x=8",
 		"T1 { x := (x + $amt) }",
 	} {

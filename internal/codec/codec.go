@@ -85,6 +85,9 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Raw appends bytes another Encoder wrote, as they are.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
 	e.Uvarint(uint64(len(s)))
@@ -117,6 +120,9 @@ func (d *Decoder) Finish() error {
 	}
 	return d.err
 }
+
+// More reports whether bytes remain and no error has been met.
+func (d *Decoder) More() bool { return d.err == nil && len(d.b) > 0 }
 
 // Byte reads one byte.
 func (d *Decoder) Byte() byte {

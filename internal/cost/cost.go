@@ -155,7 +155,6 @@ type Counts struct {
 	// alike; see DESIGN.md §10).
 	Recoveries         int64
 	WalRecordsReplayed int64
-	WalTailDropped     int64
 
 	// Storage-engine events (checkpoint + log-truncation cycles; see
 	// DESIGN.md §14).
@@ -196,7 +195,6 @@ func (c *Counts) Add(o Counts) {
 	c.EdgesElided += o.EdgesElided
 	c.Recoveries += o.Recoveries
 	c.WalRecordsReplayed += o.WalRecordsReplayed
-	c.WalTailDropped += o.WalTailDropped
 	c.StoreCheckpoints += o.StoreCheckpoints
 	c.StoreBytesTruncated += o.StoreBytesTruncated
 }

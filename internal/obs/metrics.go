@@ -30,12 +30,11 @@ const (
 	MetricReexecuted   = "tiermerge_txns_reexecuted_total"
 	MetricFailed       = "tiermerge_txns_failed_total"
 	MetricLagApplied   = "tiermerge_replica_updates_applied_total"
-	MetricRecoveries   = "tiermerge_recoveries_total"            // counter
-	MetricReplayed     = "tiermerge_wal_records_replayed_total"  // counter
-	MetricDroppedTail  = "tiermerge_wal_dropped_tail_txns_total" // counter
-	MetricTornTails    = "tiermerge_wal_torn_tails_total"        // counter
-	MetricBaseViewed   = "tiermerge_merge_base_viewed_total"     // counter
-	MetricBaseKept     = "tiermerge_merge_base_kept_total"       // counter
+	MetricRecoveries   = "tiermerge_recoveries_total"           // counter
+	MetricReplayed     = "tiermerge_wal_records_replayed_total" // counter
+	MetricTornTails    = "tiermerge_wal_torn_tails_total"       // counter
+	MetricBaseViewed   = "tiermerge_merge_base_viewed_total"    // counter
+	MetricBaseKept     = "tiermerge_merge_base_kept_total"      // counter
 )
 
 // Observe folds one event into the registry.
@@ -72,7 +71,6 @@ func (m *Metrics) Observe(ev Event) {
 	case PhaseRecover:
 		m.reg.Counter(MetricRecoveries).Inc()
 		m.reg.Counter(MetricReplayed).Add(int64(ev.Replayed))
-		m.reg.Counter(MetricDroppedTail).Add(int64(ev.DroppedTail))
 		if ev.Cause == CauseTornTail {
 			m.reg.Counter(MetricTornTails).Inc()
 		}

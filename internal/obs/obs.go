@@ -69,10 +69,10 @@ const (
 	// PhaseRecover is a crash recovery: a mobile node rebuilt from its
 	// write-ahead journal (emitted when the recovered node binds to its
 	// cluster) or a base cluster replaying its durable log. Replayed
-	// carries the journal records replayed, DroppedTail the trailing
-	// uncommitted transactions discarded, Cause is CauseTornTail when the
-	// journal ended in a partially written line, and Detail names the scan
-	// mode ("strict" or "salvage").
+	// carries the journal records replayed, Cause is CauseTornTail when the
+	// journal ended in a partially written record (dropped with every
+	// transaction it held), and Detail names the scan mode ("strict" or
+	// "salvage").
 	PhaseRecover Phase = "recover"
 	// PhaseCheckpoint is a durable base cluster writing a fresh checkpoint
 	// segment and truncating its journal (DESIGN.md §14); Saved carries
@@ -129,9 +129,9 @@ type Event struct {
 	Saved, BackedOut, Affected, Reexecuted, Failed int
 	// Lag is the number of queued follower updates applied (propagate).
 	Lag int
-	// Replayed and DroppedTail tally a crash recovery (recover): journal
-	// records replayed and trailing uncommitted transactions discarded.
-	Replayed, DroppedTail int
+	// Replayed tallies a crash recovery (recover): journal records
+	// replayed.
+	Replayed int
 	// BaseViewed and BaseKept size the base side of an indexed graph build
 	// (graph-build on the replica path): window entries in the merge's view,
 	// and those among them the graph was built over.

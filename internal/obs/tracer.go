@@ -134,7 +134,7 @@ func (mt MergeTrace) Format(w io.Writer) {
 			fmt.Fprintf(&b, " base=%d/%d", ev.BaseKept, ev.BaseViewed)
 		}
 		if ev.Phase == PhaseRecover {
-			fmt.Fprintf(&b, " replayed=%d droppedtail=%d", ev.Replayed, ev.DroppedTail)
+			fmt.Fprintf(&b, " replayed=%d", ev.Replayed)
 		}
 		if ev.Err != "" {
 			fmt.Fprintf(&b, " err=%q", ev.Err)

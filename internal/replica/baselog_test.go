@@ -100,35 +100,40 @@ func TestBaseRecoveryDropsTornTail(t *testing.T) {
 // value, before-image and delta annotation — both from a whole journal
 // (RecoverBaseCluster) and from a durable tail segment (OpenBase).
 func TestBaseRecoveryDetectsTamper(t *testing.T) {
-	// Tb1 (x := x + 10 on x = 100) logs read x=100 and write x 100 -> 110
-	// with delta 10. Each tamper edits one record and re-encodes the
-	// stream with valid frames, so only replay verification can catch it.
+	// Tb1 (x := x + 10 on x = 100) commits one record whose entry for x
+	// logs read x=100 and write x 100 -> 110 with delta 10. Each tamper
+	// edits that entry and re-encodes the stream with valid frames, so
+	// only replay verification can catch it.
 	tampers := []struct {
 		name string
-		edit func(r *wal.Record) bool
+		edit func(e *wal.Entry) bool
 	}{
-		{"after-image", func(r *wal.Record) bool { return r.Kind == wal.KindWrite && bump(&r.After, 110) }},
-		{"read value", func(r *wal.Record) bool { return r.Kind == wal.KindRead && bump(&r.Value, 100) }},
-		{"before-image", func(r *wal.Record) bool { return r.Kind == wal.KindWrite && bump(&r.Before, 100) }},
-		{"stripped delta", func(r *wal.Record) bool {
-			if r.Delta == nil || *r.Delta != 10 {
+		{"after-image", func(e *wal.Entry) bool { return e.Written && bump(&e.After, 110) }},
+		{"read value", func(e *wal.Entry) bool { return e.Observed && bump(&e.Value, 100) }},
+		{"before-image", func(e *wal.Entry) bool { return e.Written && bump(&e.Before, 100) }},
+		{"stripped delta", func(e *wal.Entry) bool {
+			if e.Delta == nil || *e.Delta != 10 {
 				return false
 			}
-			r.Delta = nil
+			e.Delta = nil
 			return true
 		}},
 	}
-	tamper := func(t *testing.T, log []byte, edit func(*wal.Record) bool) []byte {
+	tamper := func(t *testing.T, log []byte, edit func(*wal.Entry) bool) []byte {
 		t.Helper()
-		res, err := wal.Scan(bytes.NewReader(log), wal.Strict)
+		res, err := wal.ScanBytes(log, wal.Strict)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []byte
 		done := false
 		for _, r := range res.Records {
-			if !done {
-				done = edit(&r)
+			for _, txn := range r.Txns {
+				for i := range txn.Items {
+					if !done {
+						done = edit(&txn.Items[i])
+					}
+				}
 			}
 			if out, err = wal.AppendRecord(out, r); err != nil {
 				t.Fatal(err)

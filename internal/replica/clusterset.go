@@ -33,12 +33,14 @@ import (
 //  4. install the forwarded updates and re-execute the backed-out
 //     transactions across the members — or fall back to reprocessing on a
 //     token the base no longer honours or a Strategy 1 insert conflict;
-//  5. unlock, deliver the buffered events, and force the members' journals
+//  5. write each member's installs as one commit record of its journal,
+//     unlock, deliver the buffered events, and force the members' journals
 //     before acknowledging.
 //
 // Nothing commits between capture and install, so a prepared merge needs no
 // revalidation and never retries. A base transaction takes the same shape
-// (execBase): lock, execute, unlock, force the members' journals. One global
+// (execBase): lock, execute, write the commit records, unlock, force the
+// members' journals. One global
 // lock order — cluster mutexes ascending, with nothing under a mutex ever
 // waiting on anything — keeps merges, base transactions and each other
 // deadlock-free.
@@ -186,6 +188,9 @@ func (cs *clusterSet) round(mobileID string, seq int64, tokens []Checkout, hm *h
 	cs = cs.lock()
 	wait := sinceSpan(waitStart)
 	out, err := cs.roundLocked(mobileID, seq, tokens, hm, buf)
+	if cerr := cs.commitLocked(); err == nil {
+		err = cerr
+	}
 	unlockClusters(cs.members)
 	cs.emit(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseLockWait, Dur: wait})
 	buf.flush(cs.observer())
@@ -222,6 +227,22 @@ func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout,
 	out := cs.installLocked(mobileID, hm, p, parts)
 	buf.Observe(cs.tag(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseAdmit, Dur: sinceSpan(start)}))
 	return out, nil
+}
+
+// commitLocked writes each member's staged commits as one commit record of
+// its journal (BaseCluster.commitJournal), so whatever the critical section
+// installed reaches each log whole, or torn and not at all. It returns the
+// first journal write failure. Caller holds every member's mutex.
+//
+//tiermerge:locks(shard)
+func (cs *clusterSet) commitLocked() error {
+	var err error
+	for _, b := range cs.members {
+		if cerr := b.commitJournal(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // snapshot captures every member's part in its own short critical section
@@ -496,7 +517,11 @@ func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map
 func (cs *clusterSet) fallback(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
 	lockClusters(cs.members)
 	out := cs.fallbackLocked(hm, reason)
+	err := cs.commitLocked()
 	unlockClusters(cs.members)
+	if err != nil {
+		panic(fmt.Sprintf("replica: base journal failed: %v", err))
+	}
 	return out
 }
 
@@ -626,6 +651,9 @@ func (cs *clusterSet) execBase(t *tx.Transaction) error {
 	}
 	cs = cs.lock()
 	err := cs.execBaseLocked(t)
+	if cerr := cs.commitLocked(); err == nil {
+		err = cerr
+	}
 	unlockClusters(cs.members)
 	if err != nil {
 		return err

@@ -155,8 +155,7 @@ func TestServeFrameRefusesDeepCode(t *testing.T) {
 	var journal []byte
 	for i, r := range []wal.Record{
 		{Kind: wal.KindCheckout, WindowID: 1, Origin: map[model.Item]model.Value{"x": 1}},
-		{Kind: wal.KindBegin, TxID: "Tm1", Txn: code},
-		{Kind: wal.KindCommit, TxID: "Tm1"},
+		{Kind: wal.KindCommit, Txns: []wal.Txn{{Code: code}}},
 	} {
 		r.Seq = int64(i) + 1
 		if journal, err = wal.AppendRecord(journal, r); err != nil {

@@ -14,6 +14,7 @@ import (
 	"tiermerge/internal/fault"
 	"tiermerge/internal/history"
 	"tiermerge/internal/model"
+	"tiermerge/internal/store"
 	"tiermerge/internal/tx"
 	"tiermerge/internal/wal"
 	"tiermerge/internal/workload"
@@ -643,7 +644,7 @@ func TestConcurrentCommitsAndCheckpoints(t *testing.T) {
 	}
 	defer b2.CloseStore()
 	if !b2.Master().Equal(want) {
-		t.Errorf("recovered master %s != %s (dropped %d)", b2.Master(), want, rec.Dropped)
+		t.Errorf("recovered master %s != %s (%s)", b2.Master(), want, rec)
 	}
 }
 
@@ -676,4 +677,73 @@ func TestCheckpointFailureStopsAcks(t *testing.T) {
 		t.Fatal("a wedged log must keep failing checkpoints, not resurrect itself")
 	}
 	b.CloseStore() // wedge error expected; this releases the tail fd
+}
+
+// TestMergeInstallAtomicInLog: a reconnect's install — here a forwarded
+// update and a re-executed back-out — is one commit record of the durable
+// journal. Recovering the journal cut at any byte of what the merge
+// appended lands on the master before the reconnect or after it, never on
+// a partial install.
+func TestMergeInstallAtomicInLog(t *testing.T) {
+	dir := t.TempDir()
+	b, _, err := OpenBase(dir, origin(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMobileNode("m1", b)
+	for _, txn := range []*tx.Transaction{
+		workload.Deposit("Tm1", tx.Tentative, "x", 5),        // saved: forwarded
+		workload.AccrueInterest("Tm2", tx.Tentative, "y", 4), // backed out: re-executed
+	} {
+		if err := m.Run(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.ExecBase(workload.AccrueInterest("Tb1", tx.Base, "y", 10)); err != nil {
+		t.Fatal(err)
+	}
+	gen, ckpt, before, err := store.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBefore, lenBefore := b.Master(), b.HistoryLen()
+	out, err := m.ConnectMerge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Reprocessed == 0 || out.Saved == 0 || b.HistoryLen()-lenBefore < 2 {
+		t.Fatalf("merge installed %d entries (saved %d, re-executed %d), want a forwarded update and a re-execution",
+			b.HistoryLen()-lenBefore, out.Saved, out.Reprocessed)
+	}
+	wantAfter := b.Master()
+	if err := b.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, after, err := store.Segments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) || len(after) == len(before) {
+		t.Fatalf("merge appended nothing to the tail (%d -> %d bytes)", len(before), len(after))
+	}
+	for cut := len(before); cut <= len(after); cut++ {
+		d := t.TempDir()
+		if err := store.WriteSegments(d, gen, ckpt, after[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		rb, _, err := OpenBase(d, nil, Config{})
+		if err != nil {
+			t.Fatalf("cut at byte %d of the tail: %v", cut, err)
+		}
+		got := rb.Master()
+		rb.CloseStore()
+		want := wantBefore
+		if cut == len(after) {
+			want = wantAfter
+		}
+		if !got.Equal(want) {
+			t.Fatalf("cut at byte %d of %d..%d: recovered %s, want %s (before %s, after %s)",
+				cut, len(before), len(after), got, want, wantBefore, wantAfter)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -82,20 +81,19 @@ func (m *MobileNode) logTentative(t *tx.Transaction, eff *tx.Effect) error {
 }
 
 // Recovery reports what a crash recovery found in the journal: how much
-// was replayed, what crash damage the log carried and what was discarded
-// because of it. Zero Dropped and a false TornTail mean the journal was
-// pristine.
+// was replayed and what crash damage the log carried. A transaction is in
+// the log exactly when the commit record holding it is whole, so the only
+// crash damage is a torn final record; a false TornTail means the journal
+// was pristine.
 type Recovery struct {
 	// Records is the number of journal records decoded and replayed.
 	Records int
 	// Committed is the number of committed transactions reconstructed into
 	// the recovered history.
 	Committed int
-	// Dropped counts trailing uncommitted transactions discarded at replay
-	// (their users were never acknowledged).
-	Dropped int
 	// TornTail reports that the journal ended in a partially written
-	// record (the crash interrupted the final append); it was dropped.
+	// record (the crash interrupted the final append); it was dropped with
+	// every transaction it held, none of which was acknowledged.
 	TornTail bool
 	// TornRecord and TornOffset locate the torn record when TornTail is
 	// set (1-based record number, byte offset of its frame).
@@ -104,7 +102,7 @@ type Recovery struct {
 }
 
 func (r *Recovery) String() string {
-	s := fmt.Sprintf("recovery: %d records, %d committed, %d dropped", r.Records, r.Committed, r.Dropped)
+	s := fmt.Sprintf("recovery: %d records, %d committed", r.Records, r.Committed)
 	if r.TornTail {
 		s += fmt.Sprintf(", torn tail at record %d (offset %d)", r.TornRecord, r.TornOffset)
 	}
@@ -118,9 +116,8 @@ func (r *Recovery) charge(b *BaseCluster, who string, seq int64) {
 	b.counters.Update(func(c *cost.Counts) {
 		c.Recoveries++
 		c.WalRecordsReplayed += int64(r.Records)
-		c.WalTailDropped += int64(r.Dropped)
 	})
-	ev := obs.Event{Mobile: who, Seq: seq, Phase: obs.PhaseRecover, Detail: "strict", Replayed: r.Records, DroppedTail: r.Dropped}
+	ev := obs.Event{Mobile: who, Seq: seq, Phase: obs.PhaseRecover, Detail: "strict", Replayed: r.Records}
 	if r.TornTail {
 		ev.Cause = obs.CauseTornTail
 	}
@@ -130,9 +127,9 @@ func (r *Recovery) charge(b *BaseCluster, who string, seq int64) {
 // RecoverMobileNode rebuilds a mobile node from its journal after a crash:
 // the committed prefix of the tentative history is replayed and verified
 // against the logged read values, write images and before-images; a torn
-// trailing transaction is dropped (its user never got an acknowledgement),
-// and the returned Recovery reports exactly what was replayed and what was
-// discarded. Damage anywhere else — a record failing its checksum, a
+// final record is dropped (its user never got an acknowledgement), and the
+// returned Recovery reports exactly what was replayed and whether a record
+// tore. Damage anywhere else — a record failing its checksum, a
 // dropped or duplicated record — fails with wal.ErrCorrupt
 // instead of silently dropping acknowledged work.
 //
@@ -154,7 +151,6 @@ func RecoverMobileNode(id string, r io.Reader) (*MobileNode, *Recovery, error) {
 	rec := &Recovery{
 		Records:    len(res.Records),
 		Committed:  rep.Augmented.H.Len(),
-		Dropped:    rep.Dropped,
 		TornTail:   res.Torn,
 		TornRecord: res.TornRecord,
 		TornOffset: res.TornOffset,
@@ -200,18 +196,32 @@ func journalWindow(w io.Writer, windowID int, origin model.State, entries []base
 		func(i int) (*tx.Transaction, *tx.Effect) { return entries[i].t, entries[i].eff })
 }
 
-// logCommit journals one committed base entry. Caller holds b.mu. Journal
-// failures are returned to the committing path — a base that cannot force
-// its log must not acknowledge the commit. The record lands in the
-// journal's buffer here; the committing path forces it with syncJournal
-// after releasing the mutex (file I/O never runs under b.mu).
+// logCommit stages one committed base entry in the commit record the
+// critical section ends with (commitJournal), so everything one section
+// installs reaches the log as one record: whole, or torn and not at all.
+// Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) logCommit(t *tx.Transaction, eff *tx.Effect) error {
 	if b.journal == nil {
 		return nil
 	}
-	return b.journal.LogTxn(t, eff)
+	return b.journal.Stage(t, eff)
+}
+
+// commitJournal writes the entries logCommit staged as one commit record.
+// Journal failures are returned to the committing path — a base that
+// cannot log a commit must not acknowledge it. The record lands in the
+// journal's buffer here; the committing path forces it with syncJournal
+// after releasing the mutex (file I/O never runs under b.mu). Caller holds
+// b.mu.
+//
+//tiermerge:locks(cluster)
+func (b *BaseCluster) commitJournal() error {
+	if b.journal == nil {
+		return nil
+	}
+	return b.journal.Commit()
 }
 
 // logWindow journals a window advance. Caller holds b.mu.
@@ -228,15 +238,13 @@ func (b *BaseCluster) logWindow() error {
 // and window advances, after any checkout record — to the cluster: each
 // transaction re-executes on the master and must reproduce what the journal
 // logged (wal.Group.Verify). It returns the number of committed
-// transactions and how many leading records they and the window advances
-// span; any records past that are a trailing transaction that never
-// committed. Caller holds b.mu.
+// transactions. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err error) {
-	groups, complete, err := wal.Groups(recs)
+func (b *BaseCluster) replay(recs []wal.Record) (committed int, err error) {
+	groups, err := wal.Groups(recs)
 	if err != nil {
-		return 0, 0, fmt.Errorf("replica: recover base: %w", err)
+		return 0, fmt.Errorf("replica: recover base: %w", err)
 	}
 	for i := range groups {
 		g := &groups[i]
@@ -244,7 +252,7 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err er
 			b.windowID = g.WindowID
 			b.windowOrigin = model.StateOf(g.Origin)
 			if !b.windowOrigin.Equal(b.master) {
-				return 0, 0, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
+				return 0, fmt.Errorf("replica: recover base: %w: window origin diverges from replayed master",
 					wal.ErrCorrupt)
 			}
 			b.entries = nil
@@ -252,16 +260,16 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed, complete int, err er
 		}
 		eff, err := g.Txn.ExecInPlace(b.master, nil)
 		if err != nil {
-			return 0, 0, fmt.Errorf("replica: recover base: replay %s: %w", g.Txn.ID, err)
+			return 0, fmt.Errorf("replica: recover base: replay %s: %w", g.Txn.ID, err)
 		}
 		if err := g.Verify(eff); err != nil {
-			return 0, 0, fmt.Errorf("replica: recover base: %w", err)
+			return 0, fmt.Errorf("replica: recover base: %w", err)
 		}
 		b.entries = append(b.entries, baseEntry{t: g.Txn, eff: eff})
 		b.propagate(g.Txn.ID, eff)
 		committed++
 	}
-	return committed, complete, nil
+	return committed, nil
 }
 
 // RecoverBaseCluster rebuilds a base cluster from its journal: the master
@@ -279,27 +287,24 @@ func RecoverBaseCluster(r io.Reader, cfg Config) (*BaseCluster, *Recovery, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
 	}
-	b, rec, _, err := recoverCluster(cfg, nil, res)
-	return b, rec, err
+	return recoverCluster(cfg, nil, res)
 }
 
 // recoverCluster rebuilds a cluster journaling through disk (nil: in
 // memory) from scanned journal streams: the first leads with the checkout
 // record — the master snapshot and window the journal starts from — and
-// each later one continues it without a header. Only the last stream may
-// end inside an open transaction: that commit tore during the crash and
-// was never acknowledged, so it is dropped — and reported
-// (Recovery.Dropped). kept is the number of the last stream's records the
-// recovered cluster holds. The recovery is charged to the recovered
-// cluster's counters and observer.
-func recoverCluster(cfg Config, disk *store.Disk, streams ...*wal.ScanResult) (b *BaseCluster, rec *Recovery, kept int, err error) {
+// each later one continues it without a header. A torn final record of the
+// last stream was dropped by the scan and is reported (Recovery.TornTail).
+// The recovery is charged to the recovered cluster's counters and
+// observer.
+func recoverCluster(cfg Config, disk *store.Disk, streams ...*wal.ScanResult) (*BaseCluster, *Recovery, error) {
 	head, body, err := wal.SplitCheckout(streams[0].Records)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("replica: recover base: %w", err)
+		return nil, nil, fmt.Errorf("replica: recover base: %w", err)
 	}
-	b = newBaseCluster(model.StateOf(head.Origin), cfg, disk)
+	b := newBaseCluster(model.StateOf(head.Origin), cfg, disk)
 	last := streams[len(streams)-1]
-	rec = &Recovery{TornTail: last.Torn, TornRecord: last.TornRecord, TornOffset: last.TornOffset}
+	rec := &Recovery{TornTail: last.Torn, TornRecord: last.TornRecord, TornOffset: last.TornOffset}
 	// Replay under the cluster mutex; the recovery event is emitted after
 	// the lock is released (events are never emitted under b.mu).
 	b.mu.Lock()
@@ -309,25 +314,17 @@ func recoverCluster(cfg Config, disk *store.Disk, streams ...*wal.ScanResult) (b
 		if i == 0 {
 			recs = body
 		}
-		committed, complete, err := b.replay(recs)
-		open := complete < len(recs)
-		if err == nil && open && s != last {
-			err = fmt.Errorf("replica: recover base: %w: stream %d ends mid-transaction", wal.ErrCorrupt, i)
-		}
+		committed, err := b.replay(recs)
 		if err != nil {
 			b.mu.Unlock()
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
 		rec.Records += len(s.Records)
 		rec.Committed += committed
-		if open {
-			rec.Dropped = 1
-		}
-		kept = len(s.Records) - (len(recs) - complete)
 	}
 	b.mu.Unlock()
 	rec.charge(b, "base", 0)
-	return b, rec, kept, nil
+	return b, rec, nil
 }
 
 // ErrNoDurableStore is returned by Checkpoint on a cluster whose storage
@@ -384,7 +381,7 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	// The checkpoint segment was written atomically (temp + fsync +
 	// rename): any damage at all — including a torn final record — is
 	// corruption, not a crash artifact.
-	cres, err := wal.Scan(bytes.NewReader(ckpt), wal.Strict)
+	cres, err := wal.ScanBytes(ckpt, wal.Strict)
 	if err == nil && cres.Torn {
 		err = fmt.Errorf("%s: %w", cres.TornReason, wal.ErrCorrupt)
 	}
@@ -393,21 +390,18 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 	}
 	// The tail is the live continuation: its own record stream (seqs from
 	// 1, no checkout), where only a torn final record is tolerated.
-	tres, err := wal.Scan(bytes.NewReader(tail), wal.Strict)
+	tres, err := wal.ScanBytes(tail, wal.Strict)
 	if err != nil {
 		return nil, nil, fmt.Errorf("replica: open base: tail segment: %w", err)
 	}
-	b, rec, kept, err := recoverCluster(cfg, d, cres, tres)
+	b, rec, err := recoverCluster(cfg, d, cres, tres)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Repair the tail before appends resume. A trailing open transaction
-	// was never acknowledged: its records are dropped from the replay AND
-	// from the file — the client re-runs it, and its re-logged records
-	// must not glue onto the stale ones. A torn trailing frame is cut the
-	// same way.
+	// Repair the tail before appends resume: a torn final record was never
+	// acknowledged, and the records appended next must not glue onto it.
 	jw := wal.NewWriter(d)
-	if cut := jw.Resume(tres, kept); cut < int64(len(tail)) {
+	if cut := jw.Resume(tres); cut < int64(len(tail)) {
 		if err := d.TruncateTail(cut); err != nil {
 			return nil, nil, fmt.Errorf("replica: open base: %w", err)
 		}

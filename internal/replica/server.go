@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -514,26 +513,24 @@ func (s *BaseServer) sameWindow(w int) bool {
 	return false
 }
 
-// replayPayload decodes and verifies a reconnect's journal. A payload is
-// not a crash image: the client wrote it whole, so a torn final record or a
-// transaction without its commit means it was damaged in transit, and
+// replayPayload decodes and verifies a reconnect's journal, scanning the
+// frame's bytes in place. A payload is not a crash image: the client wrote
+// it whole — its checkout and one commit record holding all of Hm — so a
+// torn or missing commit record means it was damaged in transit, and
 // merging the shorter history would silently drop the missing work.
 func replayPayload(journal []byte) (*wal.Replayed, error) {
-	res, err := wal.Scan(bytes.NewReader(journal), wal.Strict)
+	res, err := wal.ScanBytes(journal, wal.Strict)
 	if err != nil {
 		return nil, err
 	}
 	if res.Torn {
 		return nil, fmt.Errorf("replica: reconnect journal torn at record %d: %w", res.TornRecord, wal.ErrCorrupt)
 	}
-	rep, err := wal.Replay(res.Records)
-	if err != nil {
-		return nil, err
+	if len(res.Records) != 2 {
+		return nil, fmt.Errorf("replica: reconnect journal holds %d records, want its checkout and one commit record: %w",
+			len(res.Records), wal.ErrCorrupt)
 	}
-	if rep.Dropped > 0 {
-		return nil, fmt.Errorf("replica: reconnect journal ends in an uncommitted transaction: %w", wal.ErrCorrupt)
-	}
-	return rep, nil
+	return wal.Replay(res.Records)
 }
 
 // storeApplied records the outcome of (mobileID, epoch, seq), keeping only

@@ -31,7 +31,7 @@ import (
 // invariants are asserted at every kill point:
 //
 //   - no lost acknowledged commit: the recovery reports exactly the
-//     transactions whose commit records persisted, and
+//     transactions whose commit records persisted whole, and
 //   - serial-order equivalence: after the recovered node finishes the
 //     period and reconnects, the master state equals the no-crash run's.
 type CrashSweep struct {
@@ -95,18 +95,18 @@ type CrashSweepResult struct {
 	ByteKillPoints int
 	// Recoveries counts successful journal recoveries across all trials.
 	Recoveries int
-	// TornTails counts recoveries that dropped a torn trailing fragment.
+	// TornTails counts recoveries that dropped a torn trailing fragment —
+	// the only crash damage a journal can carry, since a transaction is in
+	// it exactly when its commit record is whole. Each transaction a torn
+	// record held is re-run after recovery, never silently lost.
 	TornTails int
-	// DroppedTxns sums trailing uncommitted transactions discarded (each
-	// one re-entered and re-run after recovery, never silently lost).
-	DroppedTxns int
 	// RecordsReplayed sums journal records replayed across recoveries.
 	RecordsReplayed int64
 }
 
 func (r *CrashSweepResult) String() string {
-	return fmt.Sprintf("crash sweep: %d records, %d kill points (+%d byte-granular), %d recoveries, %d torn tails, %d dropped txns, %d records replayed",
-		r.Records, r.KillPoints, r.ByteKillPoints, r.Recoveries, r.TornTails, r.DroppedTxns, r.RecordsReplayed)
+	return fmt.Sprintf("crash sweep: %d records, %d kill points (+%d byte-granular), %d recoveries, %d torn tails, %d records replayed",
+		r.Records, r.KillPoints, r.ByteKillPoints, r.Recoveries, r.TornTails, r.RecordsReplayed)
 }
 
 // RunCrashSweep sweeps every kill point of a mobile node's disconnection
@@ -134,7 +134,7 @@ func RunCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 	}
 	refMaster := refCluster.Master()
 
-	res, err := sweepJournal(cs, full, func(res *CrashSweepResult, want ack, k, torn int) error {
+	res, err := sweepJournal(cs, full, func(res *CrashSweepResult, want, k, torn int) error {
 		return runMobileTrial(cs, res, tents, baseTxns, want, refMaster, k, torn)
 	}, func(data []byte) (*replica.Recovery, error) {
 		_, rep, err := replica.RecoverMobileNode("m1", bytes.NewReader(data))
@@ -151,7 +151,7 @@ func RunCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 // recovers, finishes the period under a fresh journal, crashes a second
 // time, re-recovers, reconnects and checks every invariant.
 func runMobileTrial(cs CrashSweep, res *CrashSweepResult, tents, baseTxns []*tx.Transaction,
-	want ack, refMaster model.State, k, torn int) error {
+	want int, refMaster model.State, k, torn int) error {
 	cluster := sweepCluster(cs)
 	m := replica.NewMobileNode("m1", cluster)
 	cw := fault.NewCrashWriter(fault.Plan{KillAfterRecords: k, TornTailBytes: torn})
@@ -176,8 +176,9 @@ func runMobileTrial(cs CrashSweep, res *CrashSweepResult, tents, baseTxns []*tx.
 		return err
 	}
 
-	// Re-establish durability and finish the period: the dropped in-flight
-	// transaction (never acknowledged) and everything after it re-run.
+	// Re-establish durability and finish the period: the transaction whose
+	// commit record tore (never acknowledged) and everything after it
+	// re-run.
 	var rejournal bytes.Buffer
 	if err := rec.AttachJournal(&rejournal); err != nil {
 		return fmt.Errorf("rejournal: %w", err)
@@ -242,7 +243,7 @@ func RunBaseCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 	refMaster := refCluster.Master()
 
 	cfg := replica.Config{Weights: cost.DefaultWeights(), Observer: cs.Observer}
-	res, err := sweepJournal(cs, bytes.Join(recs, nil), func(res *CrashSweepResult, want ack, k, torn int) error {
+	res, err := sweepJournal(cs, bytes.Join(recs, nil), func(res *CrashSweepResult, want, k, torn int) error {
 		return runBaseTrial(res, cfg, baseTxns, want, refMaster, recs, k, torn)
 	}, func(data []byte) (*replica.Recovery, error) {
 		_, rep, err := replica.RecoverBaseCluster(bytes.NewReader(data), cfg)
@@ -258,7 +259,7 @@ func RunBaseCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 // kill point k leaves behind, then has the recovered tier commit the rest
 // of the day and checks it converges on the reference master.
 func runBaseTrial(res *CrashSweepResult, cfg replica.Config, baseTxns []*tx.Transaction,
-	want ack, refMaster model.State, recs [][]byte, k, torn int) error {
+	want int, refMaster model.State, recs [][]byte, k, torn int) error {
 	cw := fault.NewCrashWriter(fault.Plan{KillAfterRecords: k, TornTailBytes: torn})
 	for _, r := range recs {
 		if _, err := cw.Write(r); err != nil {
@@ -297,9 +298,9 @@ func runBaseTrial(res *CrashSweepResult, cfg replica.Config, baseTxns []*tx.Tran
 // unless the sweep skips it — recover at every byte offset (sweepBytes),
 // asserting each image recovers the committed prefix of the records it
 // keeps. Images that keep no complete checkout record must be refused.
-func sweepJournal(cs CrashSweep, full []byte, trial func(res *CrashSweepResult, want ack, k, torn int) error,
+func sweepJournal(cs CrashSweep, full []byte, trial func(res *CrashSweepResult, want, k, torn int) error,
 	recover func([]byte) (*replica.Recovery, error)) (*CrashSweepResult, error) {
-	scanned, err := wal.Scan(bytes.NewReader(full), wal.Strict)
+	scanned, err := wal.ScanBytes(full, wal.Strict)
 	if err != nil {
 		return nil, fmt.Errorf("reference journal: %w", err)
 	}
@@ -372,56 +373,40 @@ func sweepBytes(ends []int64, trial func(cut int64, seen int, torn bool) error) 
 	return nil
 }
 
-// ack is what a journal prefix acknowledged: the transactions it commits,
-// and whether it ends inside one that never committed.
-type ack struct {
-	committed int
-	open      bool
-}
-
 // acksOf decodes every record prefix of a checkout-led reference journal:
-// acks[k] is what its first k records acknowledged.
-func acksOf(recs []wal.Record) ([]ack, error) {
-	acks := make([]ack, len(recs)+1)
-	for k := 1; k <= len(recs); k++ {
-		_, body, err := wal.SplitCheckout(recs[:k])
+// acks[k] is the number of transactions its first k records committed.
+func acksOf(recs []wal.Record) ([]int, error) {
+	if _, _, err := wal.SplitCheckout(recs); err != nil {
+		return nil, err
+	}
+	acks := make([]int, len(recs)+1)
+	for k := 2; k <= len(recs); k++ {
+		groups, err := wal.Groups(recs[k-1 : k])
 		if err != nil {
 			return nil, err
 		}
-		groups, complete, err := wal.Groups(body)
-		if err != nil {
-			return nil, err
-		}
+		acks[k] = acks[k-1]
 		for _, g := range groups {
 			if g.Txn != nil {
-				acks[k].committed++
+				acks[k]++
 			}
 		}
-		acks[k].open = complete < len(body)
 	}
 	return acks, nil
 }
 
 // tally checks a kill-point recovery against what the persisted journal
-// prefix acknowledged — every committed transaction restored, the open one
-// dropped, a tear reported exactly when a fragment trailed the prefix — and
-// adds it to the sweep's tallies.
-func (res *CrashSweepResult) tally(rep *replica.Recovery, want ack, torn bool) error {
-	if rep.Committed != want.committed {
-		return fmt.Errorf("recovered %d committed txns, journal prefix acknowledged %d", rep.Committed, want.committed)
-	}
-	wantDropped := 0
-	if want.open {
-		wantDropped = 1
-	}
-	if rep.Dropped != wantDropped {
-		return fmt.Errorf("recovery dropped %d txns, want %d", rep.Dropped, wantDropped)
+// prefix acknowledged — every committed transaction restored, a tear
+// reported (and its record's transactions dropped) exactly when a fragment
+// trailed the prefix — and adds it to the sweep's tallies.
+func (res *CrashSweepResult) tally(rep *replica.Recovery, want int, torn bool) error {
+	if rep.Committed != want {
+		return fmt.Errorf("recovered %d committed txns, journal prefix acknowledged %d", rep.Committed, want)
 	}
 	if rep.TornTail != torn {
 		return fmt.Errorf("recovery torn=%v, want %v", rep.TornTail, torn)
 	}
 	res.Recoveries++
-	res.DroppedTxns += rep.Dropped
 	res.RecordsReplayed += int64(rep.Records)
 	if rep.TornTail {
 		res.TornTails++

@@ -23,13 +23,10 @@ func TestCrashSweepMerging(t *testing.T) {
 	if res.KillPoints == 0 || res.ByteKillPoints == 0 {
 		t.Fatalf("sweep exercised nothing: %s", res)
 	}
-	// The sweep must have hit the interesting cases: torn tails and
-	// mid-transaction kills, not just clean boundaries.
+	// The sweep must have hit the interesting case: torn final records,
+	// not just clean boundaries.
 	if res.TornTails == 0 {
 		t.Errorf("no torn tails exercised: %s", res)
-	}
-	if res.DroppedTxns == 0 {
-		t.Errorf("no mid-transaction kill points exercised: %s", res)
 	}
 	if res.Recoveries == 0 || res.RecordsReplayed == 0 {
 		t.Errorf("no recoveries performed: %s", res)
@@ -43,7 +40,7 @@ func TestCrashSweepReprocessing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.KillPoints == 0 || res.DroppedTxns == 0 {
+	if res.KillPoints == 0 || res.TornTails == 0 {
 		t.Fatalf("sweep exercised nothing: %s", res)
 	}
 }
@@ -57,7 +54,7 @@ func TestBaseCrashSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log(res)
-	if res.KillPoints == 0 || res.ByteKillPoints == 0 || res.TornTails == 0 || res.DroppedTxns == 0 {
+	if res.KillPoints == 0 || res.ByteKillPoints == 0 || res.TornTails == 0 {
 		t.Fatalf("sweep exercised nothing: %s", res)
 	}
 }
@@ -190,7 +187,7 @@ func TestCrashSweepDeltaJournal(t *testing.T) {
 	if res.KillPoints == 0 || res.Recoveries == 0 || res.RecordsReplayed == 0 {
 		t.Fatalf("sweep exercised nothing: %s", res)
 	}
-	if res.TornTails == 0 || res.DroppedTxns == 0 {
-		t.Errorf("delta sweep missed torn tails or mid-txn kills: %s", res)
+	if res.TornTails == 0 {
+		t.Errorf("delta sweep missed torn tails: %s", res)
 	}
 }

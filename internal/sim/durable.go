@@ -52,9 +52,9 @@ type DurableSweepResult struct {
 }
 
 func (r *DurableSweepResult) String() string {
-	return fmt.Sprintf("durable crash sweep: %d records (%d in tail), %d kill points (+%d byte-granular, +%d rotation), %d recoveries, %d torn tails, %d dropped txns, %d records replayed",
+	return fmt.Sprintf("durable crash sweep: %d records (%d in tail), %d kill points (+%d byte-granular, +%d rotation), %d recoveries, %d torn tails, %d records replayed",
 		r.Records, r.TailRecords, r.KillPoints, r.ByteKillPoints, r.RotationKillPoints,
-		r.Recoveries, r.TornTails, r.DroppedTxns, r.RecordsReplayed)
+		r.Recoveries, r.TornTails, r.RecordsReplayed)
 }
 
 // RunDurableCrashSweep sweeps every kill point of a durable base day —
@@ -130,13 +130,13 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 	}
 
 	full := append([]byte(nil), refJournal.Bytes()...)
-	scanned, err := wal.Scan(bytes.NewReader(full), wal.Strict)
+	scanned, err := wal.ScanBytes(full, wal.Strict)
 	if err != nil {
 		return nil, fmt.Errorf("sim: durable crash sweep: reference journal: %w", err)
 	}
 	bounds := scanned.Ends
 	prefixRecords := sort.Search(len(bounds), func(i int) bool { return bounds[i] > preBytes })
-	tscan, err := wal.Scan(bytes.NewReader(tail), wal.Strict)
+	tscan, err := wal.ScanBytes(tail, wal.Strict)
 	if err != nil || tscan.Torn {
 		return nil, fmt.Errorf("sim: durable crash sweep: reference tail: %w", wal.ErrCorrupt)
 	}
@@ -252,7 +252,7 @@ func RunDurableCrashSweep(ds DurableCrashSweep) (*DurableSweepResult, error) {
 
 // runDurableTrial materializes one crash image, recovers it with OpenBase
 // and pins it against a full-log replay of the first m reference records:
-// same acknowledged commits, same dropped tail, same master. Both
+// same acknowledged commits, same torn-tail report, same master. Both
 // recoveries then resume the rest of the day (the durable one appending
 // through its truncated tail), crash again, and re-recover — and the two
 // re-recovered images must re-journal to identical bytes. originCommits is
@@ -278,9 +278,6 @@ func runDurableTrial(res *DurableSweepResult, cfg replica.Config, origin model.S
 	if got, want := originCommits+rep.Committed, orep.Committed; got != want {
 		return fmt.Errorf("recovered %d committed txns (+%d in checkpoint origin), full-log replay acknowledged %d",
 			rep.Committed, originCommits, want)
-	}
-	if rep.Dropped != orep.Dropped {
-		return fmt.Errorf("recovery dropped %d txns, full-log replay dropped %d", rep.Dropped, orep.Dropped)
 	}
 	if rep.TornTail != wantTorn {
 		return fmt.Errorf("recovery torn=%v, want %v", rep.TornTail, wantTorn)
@@ -337,7 +334,6 @@ func runDurableTrial(res *DurableSweepResult, cfg replica.Config, origin model.S
 
 	res.Recoveries += 2
 	res.RecordsReplayed += int64(rep.Records) + int64(rep2.Records)
-	res.DroppedTxns += rep.Dropped
 	if rep.TornTail {
 		res.TornTails++
 	}

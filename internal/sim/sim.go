@@ -300,8 +300,8 @@ func runSerial(sc Scenario, cluster *replica.BaseCluster, res *Result) error {
 				if err != nil {
 					return fmt.Errorf("sim: recover %s: %w", m.ID, err)
 				}
-				if rep.Dropped > 0 {
-					return fmt.Errorf("sim: recover %s: journal dropped %d committed transactions", m.ID, rep.Dropped)
+				if rep.TornTail {
+					return fmt.Errorf("sim: recover %s: journal torn at record %d", m.ID, rep.TornRecord)
 				}
 				// Re-establish durability for the rest of the period.
 				journal.Reset()

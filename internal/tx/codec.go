@@ -29,8 +29,11 @@ const (
 
 // MarshalTransaction encodes a full transaction (profile, parameters and
 // any explicit compensator) in its binary form.
-func MarshalTransaction(t *Transaction) ([]byte, error) {
-	enc := codec.NewEncoder(nil)
+func MarshalTransaction(t *Transaction) ([]byte, error) { return AppendTransaction(nil, t) }
+
+// AppendTransaction appends t's binary form (MarshalTransaction) to b.
+func AppendTransaction(b []byte, t *Transaction) ([]byte, error) {
+	enc := codec.NewEncoder(b)
 	if t.Kind != Tentative && t.Kind != Base {
 		enc.Fail("tx: cannot encode kind %v", t.Kind)
 	}

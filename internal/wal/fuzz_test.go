@@ -110,7 +110,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
 	f.Add(fuzzRecords(Record{Kind: KindCheckout, WindowID: 1, Origin: map[model.Item]model.Value{"x": 5}}))
-	f.Add(fuzzRecords(Record{Kind: KindCommit, TxID: "T1"}))
+	f.Add(fuzzRecords(Record{Kind: KindCommit, Txns: []Txn{{Code: []byte("T1")}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Scan(bytes.NewReader(data), Salvage)
 		if err != nil {

@@ -18,7 +18,10 @@
 // (uint32), a check over the length (uint16), the body (internal/codec:
 // seq, kind tag, the kind's fields) and a CRC-32C of the body, all
 // big-endian. The length check tells a frame cut short by the end of the
-// stream (a crash tore the last append) from a damaged length.
+// stream (a crash tore the last append) from a damaged length. A commit
+// record holds one or more whole transactions, and its frame's CRC is
+// their commit: a transaction is in the log exactly when the frame that
+// holds it is complete, so a crash can only lose a torn final frame.
 package wal
 
 import (
@@ -48,15 +51,8 @@ const (
 	// KindCheckout opens a journal: the replica origin snapshot and its
 	// position in the base history.
 	KindCheckout Kind = "checkout"
-	// KindBegin carries a transaction's full binary code and marks its
-	// start.
-	KindBegin Kind = "begin"
-	// KindRead records one externally read item and the value observed.
-	KindRead Kind = "read"
-	// KindWrite records one updated item with its before- and after-image.
-	KindWrite Kind = "write"
-	// KindCommit seals a transaction; transactions without a commit are
-	// discarded at replay (crash semantics).
+	// KindCommit commits one or more transactions, each with its full
+	// binary code and what its execution read and wrote.
 	KindCommit Kind = "commit"
 	// KindWindow marks a base-tier time-window advance (base journals
 	// only): the new window id and its origin snapshot.
@@ -64,35 +60,57 @@ const (
 )
 
 // kindTags numbers the kinds on disk: a record's tag is its kind's index.
-var kindTags = [...]Kind{1: KindCheckout, 2: KindBegin, 3: KindRead, 4: KindWrite, 5: KindCommit, 6: KindWindow}
+// Tags 1 to 6 numbered the one-record-per-operation kinds of the v1 format
+// (checkout, begin, read, write, commit, window).
+var kindTags = [...]Kind{7: KindCheckout, 8: KindCommit, 9: KindWindow}
+
+var errV1 = errors.New("wal: record in the v1 one-record-per-operation format")
 
 // Record is one record of the journal.
 type Record struct {
 	Seq  int64
 	Kind Kind
-	TxID string
 
-	// KindBegin
-	Txn []byte
-
-	// KindRead / KindWrite
-	Item   model.Item
-	Value  model.Value
-	Before model.Value
-	After  model.Value
-	// Delta is set on a KindWrite record when the statement was a pure
-	// commutative increment of Item (After == Before + Delta and the
-	// transaction never read Item outside the increment itself). Replay
-	// re-derives the classification and cross-checks it, so the merge layer
-	// can trust recovered histories to fold deltas exactly as live ones.
-	// A pointer distinguishes "not a delta write" from a zero increment.
-	Delta *model.Value
+	// KindCommit: the transactions the record commits, in log order.
+	Txns []Txn
 
 	// KindCheckout / KindWindow (a window record's Pos is 0)
 	WindowID int
 	Pos      int
 	Origin   map[model.Item]model.Value
+
+	// staged is a commit record's transactions as Writer.Stage encoded them.
+	staged []byte
 }
+
+// Txn is one transaction of a commit record: its binary code
+// (tx.MarshalTransaction), which carries its ID, and one entry per item its
+// execution touched, in item order.
+type Txn struct {
+	Code  []byte
+	Items []Entry
+}
+
+// Entry is what one execution did to one item, laid out as tx.ItemEffect:
+// the value it observed, and for a write the before- and after-image.
+type Entry struct {
+	Item          model.Item
+	Observed      bool
+	Value         model.Value // the observed read value
+	Written       bool
+	Before, After model.Value
+	// Delta is set on a pure commutative increment of Item (tx.ItemEffect's
+	// DeltaPure), which replay re-derives and cross-checks. A pointer
+	// distinguishes "not a delta write" from a zero increment.
+	Delta *model.Value
+}
+
+// Entry flags on disk.
+const (
+	flagObserved byte = 1 << iota
+	flagWritten
+	flagDelta
+)
 
 // Frame geometry, and a body cap that keeps a stream's first byte below
 // the '{' a JSON-lines journal opens with.
@@ -118,31 +136,21 @@ func AppendRecord(b []byte, r Record) ([]byte, error) {
 		enc.Fail("wal: unknown record kind %q", r.Kind)
 	}
 	enc.Byte(byte(tag))
-	switch r.Kind {
-	case KindCheckout, KindWindow:
+	switch {
+	case r.Kind != KindCommit:
 		enc.Varint(int64(r.WindowID))
 		enc.Varint(int64(r.Pos))
 		enc.State(r.Origin)
-	case KindBegin:
-		enc.Str(r.TxID)
-		enc.Blob(r.Txn)
-	case KindRead:
-		enc.Str(r.TxID)
-		enc.Str(string(r.Item))
-		enc.Value(r.Value)
-	case KindWrite:
-		enc.Str(r.TxID)
-		enc.Str(string(r.Item))
-		enc.Value(r.Before)
-		enc.Value(r.After)
-		if r.Delta == nil {
-			enc.Byte(0)
-		} else {
-			enc.Byte(1)
-			enc.Value(*r.Delta)
+	case r.staged != nil:
+		enc.Raw(r.staged)
+	default:
+		for _, t := range r.Txns {
+			enc.Blob(t.Code)
+			enc.Uvarint(uint64(len(t.Items)))
+			for _, e := range t.Items {
+				encodeEntry(enc, e)
+			}
 		}
-	case KindCommit:
-		enc.Str(r.TxID)
 	}
 	b, err := enc.Result()
 	n := len(b) - start - headerSize
@@ -157,13 +165,59 @@ func AppendRecord(b []byte, r Record) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b[start+headerSize:], castagnoli)), nil
 }
 
+// encodeEntry appends one entry: the item, its flags, then the values the
+// flags announce.
+func encodeEntry(enc *codec.Encoder, e Entry) {
+	enc.Str(string(e.Item))
+	flags := byte(0)
+	for i, set := range [...]bool{e.Observed, e.Written, e.Delta != nil} { // the flag order
+		if set {
+			flags |= 1 << i
+		}
+	}
+	enc.Byte(flags)
+	if e.Observed {
+		enc.Value(e.Value)
+	}
+	if e.Written {
+		enc.Value(e.Before)
+		enc.Value(e.After)
+	}
+	if e.Delta != nil {
+		enc.Value(*e.Delta)
+	}
+}
+
+// decodeEntry reads one entry encodeEntry wrote.
+func decodeEntry(dec *codec.Decoder) Entry {
+	e := Entry{Item: model.Item(dec.Str())}
+	flags := dec.Byte()
+	if flags&^(flagObserved|flagWritten|flagDelta) != 0 || flags&flagDelta != 0 && flags&flagWritten == 0 {
+		dec.Fail("wal: entry flags %#x", flags)
+	}
+	if e.Observed = flags&flagObserved != 0; e.Observed {
+		e.Value = dec.Value()
+	}
+	if e.Written = flags&flagWritten != 0; e.Written {
+		e.Before, e.After = dec.Value(), dec.Value()
+	}
+	if flags&flagDelta != 0 {
+		d := dec.Value()
+		e.Delta = &d
+	}
+	return e
+}
+
 // decodeRecord decodes one frame body.
 func decodeRecord(body []byte) (Record, error) {
 	dec := codec.NewDecoder(body)
 	r := Record{Seq: int64(dec.Uvarint())}
-	if tag := int(dec.Byte()); tag > 0 && tag < len(kindTags) {
+	switch tag := int(dec.Byte()); {
+	case tag > 6 && tag < len(kindTags):
 		r.Kind = kindTags[tag]
-	} else {
+	case tag > 0 && tag <= 6 && dec.Err() == nil:
+		return r, errV1
+	default:
 		dec.Fail("wal: unknown record tag %d", tag)
 	}
 	switch r.Kind {
@@ -171,36 +225,21 @@ func decodeRecord(body []byte) (Record, error) {
 		r.WindowID = int(dec.Varint())
 		r.Pos = int(dec.Varint())
 		r.Origin = dec.State()
-	case KindBegin:
-		r.TxID = dec.Str()
-		r.Txn = dec.Blob()
-	case KindRead:
-		r.TxID = dec.Str()
-		r.Item = model.Item(dec.Str())
-		r.Value = dec.Value()
-	case KindWrite:
-		r.TxID = dec.Str()
-		r.Item = model.Item(dec.Str())
-		r.Before = dec.Value()
-		r.After = dec.Value()
-		switch flag := dec.Byte(); flag {
-		case 0:
-		case 1:
-			d := dec.Value()
-			r.Delta = &d
-		default:
-			dec.Fail("wal: delta flag %d", flag)
-		}
 	case KindCommit:
-		r.TxID = dec.Str()
+		for dec.More() {
+			t := Txn{Code: dec.Blob(), Items: make([]Entry, dec.Count())}
+			for i := range t.Items {
+				t.Items[i] = decodeEntry(dec)
+			}
+			r.Txns = append(r.Txns, t)
+		}
 	}
 	return r, dec.Finish()
 }
 
 // Syncer is the stable-media seam: a journal sink that can force buffered
-// bytes to durable storage. *os.File satisfies it, as does the segmented
-// tail of internal/store. Sinks without it (bytes.Buffer in tests, network
-// pipes) are treated as instantaneously durable.
+// bytes to durable storage (*os.File, internal/store's segmented tail).
+// Sinks without it (bytes.Buffer, pipes) count as durable at once.
 type Syncer interface {
 	Sync() error
 }
@@ -209,9 +248,9 @@ type Syncer interface {
 type Writer struct {
 	sink io.Writer
 	seq  int64
-	// frame is reused across records: a sink copies what it is given
-	// (io.Writer's contract).
-	frame []byte
+	// staged holds the transactions Stage encoded for the next commit
+	// record, code and frame scratch; all reused, as sinks copy (io.Writer).
+	staged, code, frame []byte
 }
 
 // NewWriter starts a journal on w.
@@ -220,19 +259,20 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // NewPeriod starts a journal on w holding one whole period: the checkout
-// record, then each of n transactions in order as txn(i) returns it with
-// its effect. The returned writer continues the period.
+// record, then one commit record — empty when n is 0 — holding each of n
+// transactions in order as txn(i) returns it with its effect. The returned
+// writer continues the period.
 func NewPeriod(w io.Writer, windowID, pos int, origin model.State, n int, txn func(i int) (*tx.Transaction, *tx.Effect)) (*Writer, error) {
 	lw := NewWriter(w)
 	if err := lw.Checkout(windowID, pos, origin); err != nil {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if err := lw.LogTxn(txn(i)); err != nil {
+		if err := lw.Stage(txn(i)); err != nil {
 			return nil, err
 		}
 	}
-	return lw, nil
+	return lw, lw.commit()
 }
 
 // Sync forces every appended record to stable media when the sink supports
@@ -254,22 +294,20 @@ func (lw *Writer) Sync() error {
 // whose records Scan verifies as contiguous from 1.
 func (lw *Writer) ResetSeq() { lw.seq = 0 }
 
-// Resume makes lw continue a scanned stream after its first n records, so
-// the next record is numbered n+1. It returns the byte offset at which the
-// stream holds exactly those n records: whatever lies past it (a torn
-// frame, a transaction that never committed) must be cut away before the
-// next append.
-func (lw *Writer) Resume(res *ScanResult, n int) int64 {
-	lw.seq = int64(n)
-	if n == 0 {
+// Resume makes lw continue a scanned stream after its decoded records and
+// returns the offset just past them: a torn frame beyond it must be cut
+// away before the next append.
+func (lw *Writer) Resume(res *ScanResult) int64 {
+	lw.seq = int64(len(res.Records))
+	if lw.seq == 0 {
 		return 0
 	}
-	return res.Ends[n-1]
+	return res.Ends[lw.seq-1]
 }
 
-func (lw *Writer) append(r Record) error {
-	lw.seq++
-	r.Seq = lw.seq
+// write appends r to the sink as one frame, numbering it next.
+func (lw *Writer) write(r Record) error {
+	r.Seq = lw.seq + 1
 	frame, err := AppendRecord(lw.frame[:0], r)
 	lw.frame = frame
 	if err == nil {
@@ -278,55 +316,68 @@ func (lw *Writer) append(r Record) error {
 	if err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
+	lw.seq++
 	return nil
 }
 
 // Checkout logs the replica origin the tentative history starts from. The
 // record is encoded before Checkout returns, so origin is read, never kept.
 func (lw *Writer) Checkout(windowID, pos int, origin model.State) error {
-	return lw.append(Record{Kind: KindCheckout, WindowID: windowID, Pos: pos, Origin: origin})
+	return lw.write(Record{Kind: KindCheckout, WindowID: windowID, Pos: pos, Origin: origin})
 }
 
 // Window logs a base-tier window advance with the new window's origin, read
 // as Checkout reads it.
 func (lw *Writer) Window(windowID int, origin model.State) error {
-	return lw.append(Record{Kind: KindWindow, WindowID: windowID, Origin: origin})
+	return lw.write(Record{Kind: KindWindow, WindowID: windowID, Origin: origin})
 }
 
-// LogTxn journals one executed tentative transaction: begin (with code),
-// every external read value, every write image, commit.
+// LogTxn journals one executed transaction as a commit record of its own:
+// its code, and every item's read value and write images.
 func (lw *Writer) LogTxn(t *tx.Transaction, eff *tx.Effect) error {
-	code, err := tx.MarshalTransaction(t)
+	if err := lw.Stage(t, eff); err != nil {
+		return err
+	}
+	return lw.Commit()
+}
+
+// Stage adds one executed transaction to the commit record Commit writes
+// next. The transaction is encoded before Stage returns, so neither t nor
+// eff is kept.
+func (lw *Writer) Stage(t *tx.Transaction, eff *tx.Effect) error {
+	code, err := tx.AppendTransaction(lw.code[:0], t)
+	lw.code = code
 	if err != nil {
 		return fmt.Errorf("wal: encode %s: %w", t.ID, err)
 	}
-	if err := lw.append(Record{Kind: KindBegin, TxID: t.ID, Txn: code}); err != nil {
-		return err
-	}
-	// Records are in item order, which is the journal's order: every read
-	// value, then every write image.
+	enc := codec.NewEncoder(lw.staged)
+	enc.Blob(code)
+	enc.Uvarint(uint64(len(eff.Items)))
 	for _, r := range eff.Items {
-		if !r.Observed {
-			continue
-		}
-		if err := lw.append(Record{Kind: KindRead, TxID: t.ID, Item: r.Item, Value: r.ReadValue}); err != nil {
-			return err
-		}
-	}
-	for _, r := range eff.Items {
-		if !r.Written {
-			continue
-		}
-		rec := Record{Kind: KindWrite, TxID: t.ID, Item: r.Item, Before: r.Before, After: r.Value}
+		e := Entry{Item: r.Item, Observed: r.Observed, Value: r.ReadValue, Written: r.Written, Before: r.Before, After: r.Value}
 		if r.DeltaPure() {
-			d := r.Delta
-			rec.Delta = &d
+			e.Delta = &r.Delta
 		}
-		if err := lw.append(rec); err != nil {
-			return err
-		}
+		encodeEntry(enc, e)
 	}
-	return lw.append(Record{Kind: KindCommit, TxID: t.ID})
+	lw.staged, _ = enc.Result()
+	return nil
+}
+
+// Commit writes the staged transactions as one commit record — one frame,
+// one Write. With nothing staged it writes nothing.
+func (lw *Writer) Commit() error {
+	if len(lw.staged) == 0 {
+		return nil
+	}
+	return lw.commit()
+}
+
+// commit writes the staged transactions, however few, as a commit record.
+func (lw *Writer) commit() error {
+	err := lw.write(Record{Kind: KindCommit, staged: lw.staged})
+	lw.staged = lw.staged[:0]
+	return err
 }
 
 // ScanMode selects how Scan treats journal damage.
@@ -338,16 +389,13 @@ const (
 	// the end of the stream (the crash interrupted the last append). Any
 	// complete frame that fails its checks — a checksum, a decode, or a
 	// sequence-number break from a dropped or duplicated record — is
-	// ErrCorrupt wherever it sits: the journal no longer represents the
-	// history that was acknowledged, and replaying a silently truncated
-	// prefix would drop committed work.
+	// ErrCorrupt wherever it sits: replaying a silently truncated prefix
+	// would drop acknowledged work.
 	Strict ScanMode = iota
 	// Salvage never fails on damage: it decodes the longest valid prefix,
 	// stops at the first damaged frame, and reports where the journal tears
-	// and how much it discarded. Recovery must not run on a salvaged
-	// prefix (acknowledged work past the tear is lost); the mode exists
-	// for forensics — walinspect -salvage dumps what a damaged log still
-	// proves.
+	// and how much it discarded. Recovery must not run on a salvaged prefix;
+	// the mode is for forensics (walinspect -salvage).
 	Salvage
 )
 
@@ -367,17 +415,12 @@ type ScanResult struct {
 	TornOffset int64
 	// TornReason describes the tear or the damage.
 	TornReason string
-	// Discarded counts the bytes from a damaged frame to the end of the
-	// stream that Salvage skipped (0 for a frame cut short, and in Strict
-	// mode, which fails instead).
+	// Discarded counts the bytes from a damaged frame on that Salvage
+	// skipped (0 for a frame cut short, and in Strict mode).
 	Discarded int64
 }
 
-// Scan decodes a journal stream under the given mode. Beyond each frame's
-// checksums and decode it verifies the append-only contract: record
-// sequence numbers are contiguous from 1, so dropped and duplicated
-// records are detected even when every surviving frame is intact. A
-// stream in the JSON-lines format of earlier versions is refused by name.
+// Scan reads a journal stream to its end and decodes it (ScanBytes).
 func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
 	var buf bytes.Buffer
 	if l, ok := r.(interface{ Len() int }); ok {
@@ -386,7 +429,15 @@ func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
 	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("wal: scan: %w", err)
 	}
-	data := buf.Bytes()
+	return ScanBytes(buf.Bytes(), mode)
+}
+
+// ScanBytes decodes the journal stream data under the given mode; the
+// records' code aliases data. Beyond each frame's checks it verifies that
+// sequence numbers run contiguous from 1, so dropped and duplicated records
+// are detected even when every surviving frame is intact. The JSON-lines
+// and v1 formats of earlier versions are refused by name.
+func ScanBytes(data []byte, mode ScanMode) (*ScanResult, error) {
 	if len(data) > 0 && data[0] == '{' {
 		return nil, fmt.Errorf("wal: stream is a JSON-lines journal, a format this version no longer reads: %w", ErrCorrupt)
 	}
@@ -396,14 +447,17 @@ func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
 	}
 	res := &ScanResult{Records: make([]Record, 0, n), Ends: make([]int64, 0, n)}
 	for off := 0; off < len(data); {
-		rec, n, cut, reason := nextRecord(data[off:], int64(len(res.Records))+1)
-		if reason != "" {
-			res.Torn, res.TornRecord, res.TornOffset, res.TornReason = true, len(res.Records)+1, int64(off), reason
+		rec, n, cut, err := nextRecord(data[off:], int64(len(res.Records))+1)
+		if err != nil {
+			if off == 0 && errors.Is(err, errV1) {
+				return nil, fmt.Errorf("wal: stream is a v1 journal (one record per operation), a format this version no longer reads: %w", ErrCorrupt)
+			}
+			res.Torn, res.TornRecord, res.TornOffset, res.TornReason = true, len(res.Records)+1, int64(off), err.Error()
 			if cut {
 				break
 			}
 			if mode == Strict {
-				return nil, fmt.Errorf("wal: record %d at offset %d: %s: %w", res.TornRecord, off, reason, ErrCorrupt)
+				return nil, fmt.Errorf("wal: record %d at offset %d: %s: %w", res.TornRecord, off, err, ErrCorrupt)
 			}
 			res.Discarded = int64(len(data) - off)
 			break
@@ -416,37 +470,36 @@ func Scan(r io.Reader, mode ScanMode) (*ScanResult, error) {
 }
 
 // nextRecord decodes the frame data starts with, which must carry record
-// number seq, and returns it with the frame's size. On failure reason
-// says why and cut reports a frame cut short by the end of data.
-func nextRecord(data []byte, seq int64) (rec Record, n int, cut bool, reason string) {
+// number seq, and returns it with the frame's size. On failure err says
+// why and cut reports a frame cut short by the end of data.
+func nextRecord(data []byte, seq int64) (rec Record, n int, cut bool, err error) {
 	if len(data) < headerSize {
-		return rec, 0, true, fmt.Sprintf("frame header cut short at %d bytes", len(data))
+		return rec, 0, true, fmt.Errorf("frame header cut short at %d bytes", len(data))
 	}
 	length := binary.BigEndian.Uint32(data)
 	if binary.BigEndian.Uint16(data[4:]) != lengthCheck(data) {
-		return rec, 0, false, "frame length fails its check"
+		return rec, 0, false, errors.New("frame length fails its check")
 	}
 	if length > maxBody {
-		return rec, 0, false, fmt.Sprintf("frame length %d exceeds the %d-byte limit", length, maxBody)
+		return rec, 0, false, fmt.Errorf("frame length %d exceeds the %d-byte limit", length, maxBody)
 	}
 	n = headerSize + int(length) + trailerSize
 	if len(data) < n {
-		return rec, 0, true, fmt.Sprintf("frame of %d bytes cut short at %d", n, len(data))
+		return rec, 0, true, fmt.Errorf("frame of %d bytes cut short at %d", n, len(data))
 	}
 	body := data[headerSize : n-trailerSize]
 	if binary.BigEndian.Uint32(data[n-trailerSize:]) != crc32.Checksum(body, castagnoli) {
-		return rec, 0, false, "record fails its checksum"
+		return rec, 0, false, errors.New("record fails its checksum")
 	}
-	rec, err := decodeRecord(body)
-	if err != nil {
-		return rec, 0, false, err.Error()
+	if rec, err = decodeRecord(body); err != nil {
+		return rec, 0, false, err
 	}
 	if rec.Seq != seq {
 		// A crash can only tear the tail; a sequence break means a whole
 		// record vanished or repeated, which no crash produces.
-		return rec, 0, false, fmt.Sprintf("sequence break: record %d, want %d", rec.Seq, seq)
+		return rec, 0, false, fmt.Errorf("sequence break: record %d, want %d", rec.Seq, seq)
 	}
-	return rec, n, false, ""
+	return rec, n, false, nil
 }
 
 // ReadAll decodes every record of a journal stream in Strict mode: a torn
@@ -471,117 +524,72 @@ func SplitCheckout(recs []Record) (Record, []Record, error) {
 }
 
 // Group is one decoded unit of a journal stream: a committed transaction
-// with the read and write records its commit sealed, or (base streams
-// only) a window advance.
+// with the entries logged for it, or (base streams only) a window advance.
 type Group struct {
-	// Txn is the committed transaction's code; nil for a window advance.
-	Txn *tx.Transaction
-	// WindowID and Origin are a window advance's new window and its origin
-	// snapshot.
+	// Txn is the committed transaction; nil for a window advance, whose
+	// new window and origin snapshot WindowID and Origin hold.
+	Txn      *tx.Transaction
 	WindowID int
 	Origin   model.State
-	// logs are the transaction's read and write records, in log order.
-	logs []Record
+	// logs are the transaction's entries, in item order.
+	logs []Entry
 }
 
 // Groups decodes the records of a journal stream that follow its checkout
 // record (or of a headless continuation, such as a base tail segment) into
-// committed transactions and window advances, in log order. complete counts
-// the records those groups span: recs[complete:] is a trailing transaction
-// that never committed — a crash victim the caller drops. Any other
-// structural damage is ErrCorrupt.
-func Groups(recs []Record) (groups []Group, complete int, err error) {
-	var open *tx.Transaction // the begun, not yet committed transaction
-	begin := 0               // index of open's begin record
-	for i, rec := range recs {
+// committed transactions and window advances, in log order.
+func Groups(recs []Record) ([]Group, error) {
+	var groups []Group
+	for _, rec := range recs {
 		switch rec.Kind {
-		case KindBegin:
-			if open != nil {
-				// begin without commit: the previous transaction tore
-				return nil, 0, fmt.Errorf("%w: begin %s while %s uncommitted", ErrCorrupt, rec.TxID, open.ID)
-			}
-			t, err := tx.UnmarshalTransaction(rec.Txn)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			open, begin = t, i
-		case KindRead, KindWrite, KindCommit:
-			if open == nil || open.ID != rec.TxID {
-				return nil, 0, fmt.Errorf("%w: stray %s record for %s", ErrCorrupt, rec.Kind, rec.TxID)
-			}
-			if rec.Kind == KindCommit {
-				groups = append(groups, Group{Txn: open, logs: recs[begin+1 : i]})
-				open, complete = nil, i+1
+		case KindCommit:
+			for _, t := range rec.Txns {
+				txn, err := tx.UnmarshalTransaction(t.Code)
+				if err != nil {
+					return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+				}
+				groups = append(groups, Group{Txn: txn, logs: t.Items})
 			}
 		case KindWindow:
-			if open != nil {
-				return nil, 0, fmt.Errorf("%w: window advance while %s uncommitted", ErrCorrupt, open.ID)
-			}
 			groups = append(groups, Group{WindowID: rec.WindowID, Origin: rec.Origin})
-			complete = i + 1
 		case KindCheckout:
-			return nil, 0, fmt.Errorf("%w: duplicate checkout record", ErrCorrupt)
+			return nil, fmt.Errorf("%w: duplicate checkout record", ErrCorrupt)
 		default:
-			return nil, 0, fmt.Errorf("%w: unknown record kind %q", ErrCorrupt, rec.Kind)
+			return nil, fmt.Errorf("%w: unknown record kind %q", ErrCorrupt, rec.Kind)
 		}
 	}
-	return groups, complete, nil
+	return groups, nil
 }
 
 // Verify checks a replayed execution of the group's transaction against
-// what the journal logged: every read value, every write's after-image and
-// before-image, and the delta annotations. A mismatch means the log and the
-// code disagree — the log is corrupt.
+// what the journal logged: the items it touched, every read value, every
+// write's after-image and before-image, and the delta annotations. A
+// mismatch means the log and the code disagree — the log is corrupt.
 func (g *Group) Verify(eff *tx.Effect) error {
 	id := g.Txn.ID
-	var writes, deltas, wantWrites, wantDeltas int
-	for _, r := range eff.Items {
-		if r.Written {
-			wantWrites++
-		}
-		if r.Written && r.DeltaPure() {
-			wantDeltas++
-		}
+	if len(g.logs) != len(eff.Items) {
+		return fmt.Errorf("%w: %s touched %d items, journal has %d", ErrCorrupt, id, len(eff.Items), len(g.logs))
 	}
-	for _, r := range g.logs {
-		got, _ := eff.Lookup(r.Item)
-		if r.Kind == KindRead {
-			if !got.Observed || got.ReadValue != r.Value {
-				return fmt.Errorf("%w: %s read %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Value, got.ReadValue)
-			}
-			continue
-		}
-		writes++
-		if !got.Written || got.Value != r.After {
+	for i, r := range g.logs {
+		got := eff.Items[i]
+		switch {
+		case r.Item != got.Item:
+			return fmt.Errorf("%w: %s touched %s, journal has %s", ErrCorrupt, id, got.Item, r.Item)
+		case r.Observed != got.Observed || r.Value != got.ReadValue && r.Observed:
+			return fmt.Errorf("%w: %s read %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Value, got.ReadValue)
+		case r.Written != got.Written || r.After != got.Value && r.Written:
 			return fmt.Errorf("%w: %s wrote %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.After, got.Value)
-		}
-		// Before-images feed the undo approach (prune.ByUndo restores
-		// them), so a corrupt before-image is as dangerous as a corrupt
-		// after-image.
-		if got.Before != r.Before {
+		case r.Before != got.Before && r.Written:
+			// prune.ByUndo restores before-images: as dangerous as a bad after-image.
 			return fmt.Errorf("%w: %s before-image %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, r.Before, got.Before)
-		}
-		// Delta annotations drive edge elision and associative folding
-		// after recovery, so they must agree with the replayed
-		// classification in both directions: a spurious delta could merge a
-		// non-commutative write without an edge, a dropped one merely loses
-		// the optimization but still signals a log/code disagreement.
-		if r.Delta == nil {
-			continue
-		}
-		deltas++
-		if !got.DeltaPure() {
-			return fmt.Errorf("%w: %s delta on %s: replay classified a value write", ErrCorrupt, id, r.Item)
-		}
-		if got.Delta != *r.Delta {
+		case (r.Delta != nil) != got.DeltaPure():
+			// Deltas drive edge elision and folding after recovery: a
+			// spurious one could merge a non-commutative write without an
+			// edge, and a dropped one still signals a log/code disagreement.
+			return fmt.Errorf("%w: %s delta on %s: logged %v, replay classified %v", ErrCorrupt, id, r.Item, r.Delta != nil, got.DeltaPure())
+		case r.Delta != nil && *r.Delta != got.Delta:
 			return fmt.Errorf("%w: %s delta %s: logged %d, replayed %d", ErrCorrupt, id, r.Item, *r.Delta, got.Delta)
 		}
-	}
-	if writes != wantWrites {
-		return fmt.Errorf("%w: %s wrote %d items, journal has %d", ErrCorrupt, id, wantWrites, writes)
-	}
-	if deltas != wantDeltas {
-		return fmt.Errorf("%w: %s logged %d delta writes, replay classified %d", ErrCorrupt, id, deltas, wantDeltas)
 	}
 	return nil
 }
@@ -592,9 +600,6 @@ type Replayed struct {
 	Pos       int
 	Origin    model.State
 	Augmented *history.Augmented
-	// Dropped counts trailing uncommitted transactions discarded at
-	// replay (crash semantics).
-	Dropped int
 }
 
 // Replay rebuilds the tentative history from journal records: it decodes
@@ -609,13 +614,9 @@ func Replay(records []Record) (*Replayed, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups, complete, err := Groups(body)
+	groups, err := Groups(body)
 	if err != nil {
 		return nil, err
-	}
-	rep := &Replayed{WindowID: head.WindowID, Pos: head.Pos, Origin: head.Origin}
-	if complete < len(body) {
-		rep.Dropped++ // trailing uncommitted transaction: crash victim
 	}
 	h := &history.History{}
 	for _, g := range groups {
@@ -624,7 +625,7 @@ func Replay(records []Record) (*Replayed, error) {
 		}
 		h.Append(g.Txn)
 	}
-	aug, err := history.Run(h, rep.Origin)
+	aug, err := history.Run(h, head.Origin)
 	if err != nil {
 		return nil, fmt.Errorf("%w: replay execution: %v", ErrCorrupt, err)
 	}
@@ -633,6 +634,5 @@ func Replay(records []Record) (*Replayed, error) {
 			return nil, err
 		}
 	}
-	rep.Augmented = aug
-	return rep, nil
+	return &Replayed{WindowID: head.WindowID, Pos: head.Pos, Origin: head.Origin, Augmented: aug}, nil
 }

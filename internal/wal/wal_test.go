@@ -67,18 +67,19 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !rep.Augmented.Final().Equal(want.Final()) {
 		t.Errorf("replayed final %s, want %s", rep.Augmented.Final(), want.Final())
 	}
-	if rep.Dropped != 0 {
-		t.Errorf("dropped = %d, want 0", rep.Dropped)
-	}
 	// Effects must match, entry by entry.
 	for i := range want.Effects {
 		w, g := want.Effects[i], rep.Augmented.Effects[i]
-		if len(w.Writes) != len(g.Writes) {
-			t.Errorf("txn %d: write counts differ", i)
+		if !slices.Equal(w.Items, g.Items) {
+			t.Errorf("txn %d: effects differ: %+v != %+v", i, g.Items, w.Items)
 		}
 	}
 }
 
+// TestReplayDropsUncommittedTail: a transaction is committed exactly when
+// its commit record is whole. A crash inside the last record's append drops
+// that record — every transaction it held, none of them partly — and the
+// scan reports the tear.
 func TestReplayDropsUncommittedTail(t *testing.T) {
 	var buf bytes.Buffer
 	gen := workload.NewGenerator(workload.Config{Seed: 21, Items: 8})
@@ -87,35 +88,39 @@ func TestReplayDropsUncommittedTail(t *testing.T) {
 	if err := w.Checkout(1, 0, origin); err != nil {
 		t.Fatal(err)
 	}
-	t1 := workload.Deposit("T1", tx.Tentative, "d1", 5)
-	_, eff, err := t1.Exec(origin, nil)
-	if err != nil {
-		t.Fatal(err)
+	cur := origin.Clone()
+	for _, batch := range [][]*tx.Transaction{
+		{workload.Deposit("T1", tx.Tentative, "d1", 5)},
+		{workload.Deposit("T2", tx.Tentative, "d2", 9), workload.Transfer("T3", tx.Tentative, "d1", "d2", 2)},
+	} {
+		for _, txn := range batch {
+			next, eff, err := txn.Exec(cur, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Stage(txn, eff); err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := w.LogTxn(t1, eff); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-transaction: begin without commit.
-	t2 := workload.Deposit("T2", tx.Tentative, "d2", 9)
-	code, err := tx.MarshalTransaction(t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.append(Record{Kind: KindBegin, TxID: "T2", Txn: code}); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Replay(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Augmented.H.Len() != 1 || rep.Dropped != 1 {
-		t.Errorf("replayed %d committed, dropped %d; want 1/1",
-			rep.Augmented.H.Len(), rep.Dropped)
+	full := buf.Len()
+	for cut := 1; cut < trailerSize+headerSize; cut++ {
+		res, err := Scan(bytes.NewReader(buf.Bytes()[:full-cut]), Strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Replay(res.Records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Augmented.H.Len() != 1 || !res.Torn || res.TornRecord != 3 {
+			t.Errorf("cut %d: replayed %d committed, torn %v at record %d; want 1, a tear at record 3",
+				cut, rep.Augmented.H.Len(), res.Torn, res.TornRecord)
+		}
 	}
 }
 
@@ -145,11 +150,11 @@ func TestReplayDetectsTamperedValues(t *testing.T) {
 	journalHistory(t, &buf, 41, 4)
 	// Change a logged write image; the frame is re-encoded with a valid
 	// checksum, so only replay verification can catch it.
-	tampered := tamper(t, buf.Bytes(), func(r *Record) bool {
-		if r.Kind != KindWrite {
+	tampered := tamper(t, buf.Bytes(), func(e *Entry) bool {
+		if !e.Written {
 			return false
 		}
-		r.After++
+		e.After++
 		return true
 	})
 	recs, err := ReadAll(bytes.NewReader(tampered))
@@ -161,9 +166,9 @@ func TestReplayDetectsTamperedValues(t *testing.T) {
 	}
 }
 
-// tamper decodes a journal, lets edit change its first record edit
-// accepts, and re-encodes every record with valid frames.
-func tamper(t *testing.T, data []byte, edit func(*Record) bool) []byte {
+// tamper decodes a journal, lets edit change the first entry it accepts,
+// and re-encodes every record with valid frames.
+func tamper(t *testing.T, data []byte, edit func(*Entry) bool) []byte {
 	t.Helper()
 	recs, err := ReadAll(bytes.NewReader(data))
 	if err != nil {
@@ -172,8 +177,12 @@ func tamper(t *testing.T, data []byte, edit func(*Record) bool) []byte {
 	done := false
 	var out []byte
 	for _, r := range recs {
-		if !done {
-			done = edit(&r)
+		for _, txn := range r.Txns {
+			for i := range txn.Items {
+				if !done {
+					done = edit(&txn.Items[i])
+				}
+			}
 		}
 		if out, err = AppendRecord(out, r); err != nil {
 			t.Fatal(err)
@@ -226,15 +235,18 @@ func TestReplayRejectsMalformedJournals(t *testing.T) {
 		}
 	})
 	t.Run("stray commit", func(t *testing.T) {
+		// A commit record whose code is no transaction.
 		recs := valid()
-		recs = append(recs, Record{Kind: KindCommit, TxID: "ghost"})
+		recs = append(recs, Record{Kind: KindCommit, Txns: []Txn{{Code: []byte("ghost")}}})
 		if _, err := Replay(recs); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("got %v", err)
 		}
 	})
 	t.Run("stray read", func(t *testing.T) {
+		// A logged read of an item the transaction never touched.
 		recs := valid()
-		recs = append(recs, Record{Kind: KindRead, TxID: "ghost", Item: "d1"})
+		last := &recs[len(recs)-1].Txns[0]
+		last.Items = append(last.Items, Entry{Item: "zz", Observed: true})
 		if _, err := Replay(recs); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("got %v", err)
 		}
@@ -424,11 +436,11 @@ func TestScanSalvageReportsTear(t *testing.T) {
 func TestReplayDetectsTamperedBeforeImage(t *testing.T) {
 	var buf bytes.Buffer
 	journalHistory(t, &buf, 65, 4)
-	tampered := tamper(t, buf.Bytes(), func(r *Record) bool {
-		if r.Kind != KindWrite {
+	tampered := tamper(t, buf.Bytes(), func(e *Entry) bool {
+		if !e.Written {
 			return false
 		}
-		r.Before++
+		e.Before++
 		return true
 	})
 	recs, err := ReadAll(bytes.NewReader(tampered))
@@ -470,19 +482,23 @@ func TestJournalCarriesDeltas(t *testing.T) {
 	}
 	var gotDelta, gotValue bool
 	for _, rec := range recs {
-		if rec.Kind != KindWrite {
-			continue
-		}
-		switch rec.Item {
-		case "x":
-			gotDelta = true
-			if rec.Delta == nil || *rec.Delta != 5 {
-				t.Errorf("deposit write record delta = %v, want 5", rec.Delta)
-			}
-		case "p":
-			gotValue = true
-			if rec.Delta != nil {
-				t.Errorf("assignment write record carries delta %d", *rec.Delta)
+		for _, txn := range rec.Txns {
+			for _, e := range txn.Items {
+				if !e.Written {
+					continue
+				}
+				switch e.Item {
+				case "x":
+					gotDelta = true
+					if e.Delta == nil || *e.Delta != 5 {
+						t.Errorf("deposit write entry delta = %v, want 5", e.Delta)
+					}
+				case "p":
+					gotValue = true
+					if e.Delta != nil {
+						t.Errorf("assignment write entry carries delta %d", *e.Delta)
+					}
+				}
 			}
 		}
 	}
@@ -522,20 +538,20 @@ func TestReplayDetectsTamperedDelta(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	cases := map[string]func(*Record) bool{
-		"wrong increment": func(r *Record) bool {
-			if r.Delta == nil {
+	cases := map[string]func(*Entry) bool{
+		"wrong increment": func(e *Entry) bool {
+			if e.Delta == nil {
 				return false
 			}
-			d := *r.Delta + 1
-			r.Delta = &d
+			d := *e.Delta + 1
+			e.Delta = &d
 			return true
 		},
-		"stripped delta": func(r *Record) bool {
-			if r.Delta == nil {
+		"stripped delta": func(e *Entry) bool {
+			if e.Delta == nil {
 				return false
 			}
-			r.Delta = nil
+			e.Delta = nil
 			return true
 		},
 	}

@@ -67,12 +67,21 @@ type Transport struct {
 	// mu guards idle and closed only — never held across socket I/O
 	// (dials, writes and reads all run outside it).
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*conn
 	closed bool
 
 	dials, redials atomic.Int64
 
 	dialsMetric, redialsMetric *obs.Counter
+}
+
+// conn is one pooled connection with what it keeps across the calls it
+// carries: the reader responses are read through and the buffer requests
+// are framed in.
+type conn struct {
+	net.Conn
+	br  *bufio.Reader
+	out []byte
 }
 
 // Dial returns a client transport for the server at addr. No connection is
@@ -170,7 +179,7 @@ func (t *Transport) Close() error {
 
 // get pops an idle pooled connection, or dials a fresh one outside the
 // lock. reused reports a pooled (possibly stale) connection.
-func (t *Transport) get(ctx context.Context) (c net.Conn, reused bool, err error) {
+func (t *Transport) get(ctx context.Context) (c *conn, reused bool, err error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -200,20 +209,16 @@ func (t *Transport) get(ctx context.Context) (c net.Conn, reused bool, err error
 
 // stale probes a pooled connection for a pending EOF/RST without blocking:
 // the server never sends unsolicited data, so anything readable (or a
-// closed stream) means the connection is dead; a deadline timeout means it
-// is healthy and quiet.
-func stale(c net.Conn) bool {
-	c.SetReadDeadline(time.Unix(1, 0))
-	var probe [1]byte
-	_, err := c.Read(probe[:])
-	c.SetReadDeadline(time.Time{})
-	var ne net.Error
-	return !(errors.As(err, &ne) && ne.Timeout())
+// closed stream) means the connection is dead. A request written whole to
+// a dead connection can succeed, so the probe is what keeps the redial
+// transparent.
+func stale(c *conn) bool {
+	return c.br.Buffered() > 0 || peerGone(c.Conn)
 }
 
 // put returns a healthy connection to the idle pool (or closes it if the
 // pool is full or the transport closed meanwhile).
-func (t *Transport) put(c net.Conn) {
+func (t *Transport) put(c *conn) {
 	t.mu.Lock()
 	if !t.closed && len(t.idle) < t.cfg.MaxIdle {
 		t.idle = append(t.idle, c)
@@ -225,7 +230,7 @@ func (t *Transport) put(c net.Conn) {
 }
 
 //tiermerge:blocking
-func (t *Transport) dialConn(ctx context.Context) (net.Conn, error) {
+func (t *Transport) dialConn(ctx context.Context) (*conn, error) {
 	d := net.Dialer{Timeout: t.cfg.DialTimeout}
 	c, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
@@ -235,7 +240,7 @@ func (t *Transport) dialConn(ctx context.Context) (net.Conn, error) {
 	if t.dialsMetric != nil {
 		t.dialsMetric.Inc()
 	}
-	return c, nil
+	return &conn{Conn: c, br: bufio.NewReader(c)}, nil
 }
 
 // roundTrip performs one framed exchange under the call deadline,
@@ -243,7 +248,7 @@ func (t *Transport) dialConn(ctx context.Context) (net.Conn, error) {
 // read failures (response lost after the request was sent).
 //
 //tiermerge:blocking
-func (t *Transport) roundTrip(ctx context.Context, c net.Conn, payload []byte) (resp []byte, writeErr, readErr error) {
+func (t *Transport) roundTrip(ctx context.Context, c *conn, payload []byte) (resp []byte, writeErr, readErr error) {
 	deadline := time.Now().Add(t.cfg.CallTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -255,10 +260,10 @@ func (t *Transport) roundTrip(ctx context.Context, c net.Conn, payload []byte) (
 		c.SetDeadline(time.Unix(1, 0))
 	})
 	defer stop()
-	if err := writeFrame(c, payload); err != nil {
+	if err := writeFrame(c, &c.out, payload); err != nil {
 		return nil, err, nil
 	}
-	raw, err := readFrame(bufio.NewReader(c), t.cfg.MaxFrame)
+	raw, err := readFrame(c.br, t.cfg.MaxFrame)
 	if err != nil {
 		return nil, nil, err
 	}

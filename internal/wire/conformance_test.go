@@ -333,7 +333,7 @@ func TestConformanceExactlyOnceDuplicatedFrames(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	var first, second []byte
 	for i := 0; i < 2; i++ {
-		if err := writeFrame(conn, mergeFrame); err != nil {
+		if err := writeFrame(conn, new([]byte), mergeFrame); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := readFrame(conn, DefaultMaxFrame)

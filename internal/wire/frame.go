@@ -46,15 +46,15 @@ var ErrBadVersion = errors.New("wire: unknown protocol version")
 // maximum.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 
-// writeFrame writes one framed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [headerSize]byte
-	hdr[0] = Version
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// writeFrame writes one framed payload with a single Write — header and
+// payload in one segment. The frame is built in *buf, which a connection
+// reuses across frames.
+func writeFrame(w io.Writer, buf *[]byte, payload []byte) error {
+	b := append((*buf)[:0], Version, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(b[1:], uint32(len(payload)))
+	b = append(b, payload...)
+	*buf = b
+	_, err := w.Write(b)
 	return err
 }
 

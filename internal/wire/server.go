@@ -245,6 +245,7 @@ func (s *Server) serveConn(c net.Conn, reg *serverMetrics) {
 		<-s.sem
 	}()
 	br := bufio.NewReader(c)
+	var out []byte // the frame buffer, reused across responses
 	for {
 		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		payload, err := readFrame(br, s.cfg.MaxFrame)
@@ -255,7 +256,7 @@ func (s *Server) serveConn(c net.Conn, reg *serverMetrics) {
 				reg.rejected()
 				resp := replica.ErrorFrame(err.Error())
 				c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-				if werr := writeFrame(c, resp); werr == nil {
+				if werr := writeFrame(c, &out, resp); werr == nil {
 					s.bytesOut.Add(int64(len(resp) + headerSize))
 				}
 			}
@@ -287,7 +288,7 @@ func (s *Server) serveConn(c net.Conn, reg *serverMetrics) {
 				"response is %d bytes, frame limit %d", len(resp), s.cfg.MaxFrame))
 		}
 		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := writeFrame(c, resp); err != nil {
+		if err := writeFrame(c, &out, resp); err != nil {
 			return
 		}
 		s.bytesOut.Add(int64(len(resp) + headerSize))

