@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -47,9 +48,9 @@ func main() {
 	case len(args) > 0 && args[0] == "client":
 		err = runClient(args[1:])
 	case len(args) > 0 && args[0] == "trace":
-		err = run(args[1:], true)
+		err = run(args[1:], true, os.Stdout)
 	default:
-		err = run(args, false)
+		err = run(args, false, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tiermerge:", err)
@@ -57,32 +58,34 @@ func main() {
 	}
 }
 
-func run(args []string, traceMode bool) error {
+// run runs one scenario and writes its report to out.
+func run(args []string, traceMode bool, out io.Writer) error {
+	fs := flag.NewFlagSet("tiermerge", flag.ExitOnError)
 	var (
-		seed       = flag.Int64("seed", 1, "workload seed")
-		mobiles    = flag.Int("mobiles", 4, "number of mobile nodes")
-		rounds     = flag.Int("rounds", 3, "disconnect/connect cycles per mobile")
-		txns       = flag.Int("txns", 5, "tentative transactions per round")
-		baseTxns   = flag.Int("basetxns", 3, "base transactions per round")
-		items      = flag.Int("items", 64, "database universe size")
-		pcommut    = flag.Float64("pcommut", 0.6, "fraction of commutative (additive) transactions")
-		protocol   = flag.String("protocol", "merge", "reconciliation protocol: merge | reprocess")
-		rewriter   = flag.String("rewriter", "canprecede", "rewriting algorithm: closure | canfollow | canfollowbw | canprecede | cbt")
-		strategy   = flag.String("strategy", "two-cycle", "back-out strategy: two-cycle | greedy-cost | greedy-degree | exhaustive | all-cyclic")
-		origin     = flag.Int("origin", 2, "tentative-history origin strategy: 1 | 2")
-		window     = flag.Int("window", 0, "advance the time window every N rounds (0 = never)")
-		baseNodes  = flag.Int("basenodes", 1, "base-tier replica count")
-		concurrent = flag.Bool("concurrent", false, "run mobiles as goroutines")
-		messages   = flag.Bool("messages", false, "run mobiles as message-channel clients of a base server goroutine")
-		dropNth    = flag.Int64("drop", 0, "with -messages: lose every nth mobile-facing response (retries + dedup keep merges exactly-once)")
-		pcrash     = flag.Float64("pcrash", 0, "per-round mobile crash probability (recovered from journals)")
-		pskip      = flag.Float64("pskip", 0, "per-round probability a mobile stays offline (longer histories)")
-		acceptance = flag.String("acceptance", "", "re-execution acceptance: '' (all) | same-writes | drift:<n>")
-		hotItems   = flag.Int("hotitems", 0, "size of the hot item set (0 = uniform access)")
-		phot       = flag.Float64("phot", 0, "probability an access hits the hot set")
-		metricsOut = flag.String("metrics", "", "write a Prometheus-text metrics snapshot to this file after the run")
+		seed       = fs.Int64("seed", 1, "workload seed")
+		mobiles    = fs.Int("mobiles", 4, "number of mobile nodes")
+		rounds     = fs.Int("rounds", 3, "disconnect/connect cycles per mobile")
+		txns       = fs.Int("txns", 5, "tentative transactions per round")
+		baseTxns   = fs.Int("basetxns", 3, "base transactions per round")
+		items      = fs.Int("items", 64, "database universe size")
+		pcommut    = fs.Float64("pcommut", 0.6, "fraction of commutative (additive) transactions")
+		protocol   = fs.String("protocol", "merge", "reconciliation protocol: merge | reprocess")
+		rewriter   = fs.String("rewriter", "canprecede", "rewriting algorithm: closure | canfollow | canfollowbw | canprecede | cbt")
+		strategy   = fs.String("strategy", "two-cycle", "back-out strategy: two-cycle | greedy-cost | greedy-degree | exhaustive | all-cyclic")
+		origin     = fs.Int("origin", 2, "tentative-history origin strategy: 1 | 2")
+		window     = fs.Int("window", 0, "advance the time window every N rounds (0 = never)")
+		baseNodes  = fs.Int("basenodes", 1, "base-tier replica count; prices only the lazy propagation of each commit to the other replicas")
+		concurrent = fs.Bool("concurrent", false, "run mobiles as goroutines")
+		messages   = fs.Bool("messages", false, "run mobiles as message-channel clients of a base server goroutine")
+		dropNth    = fs.Int64("drop", 0, "with -messages: lose every nth mobile-facing response (retries + dedup keep merges exactly-once)")
+		pcrash     = fs.Float64("pcrash", 0, "per-round mobile crash probability (recovered from journals)")
+		pskip      = fs.Float64("pskip", 0, "per-round probability a mobile stays offline (longer histories)")
+		acceptance = fs.String("acceptance", "", "re-execution acceptance: '' (all) | same-writes | drift:<n>")
+		hotItems   = fs.Int("hotitems", 0, "size of the hot item set (0 = uniform access)")
+		phot       = fs.Float64("phot", 0, "probability an access hits the hot set")
+		metricsOut = fs.String("metrics", "", "write a Prometheus-text metrics snapshot to this file after the run")
 	)
-	if err := flag.CommandLine.Parse(args); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
@@ -194,9 +197,9 @@ func run(args []string, traceMode bool) error {
 
 	if tracer != nil {
 		for _, mt := range tracer.Merges() {
-			mt.Format(os.Stdout)
+			mt.Format(out)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	if metrics != nil {
 		f, err := os.Create(*metricsOut)
@@ -210,28 +213,28 @@ func run(args []string, traceMode bool) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("metrics snapshot   %s\n", *metricsOut)
+		fmt.Fprintf(out, "metrics snapshot   %s\n", *metricsOut)
 	}
 
 	c := res.Counts
-	fmt.Printf("protocol          %s (rewriter %s, strategy %s, origin strategy-%d)\n",
+	fmt.Fprintf(out, "protocol          %s (rewriter %s, strategy %s, origin strategy-%d)\n",
 		*protocol, *rewriter, *strategy, *origin)
-	fmt.Printf("fleet             %d mobiles x %d rounds x %d txns (%d tentative total)\n",
+	fmt.Fprintf(out, "fleet             %d mobiles x %d rounds x %d txns (%d tentative total)\n",
 		sc.Mobiles, sc.Rounds, sc.TxnsPerRound, res.TentativeRun)
-	fmt.Printf("saved             %d (%.1f%%)\n", c.TxnsSaved,
+	fmt.Fprintf(out, "saved             %d (%.1f%%)\n", c.TxnsSaved,
 		pct(c.TxnsSaved, res.TentativeRun))
-	fmt.Printf("backed out        %d\n", c.TxnsBackedOut)
-	fmt.Printf("reprocessed       %d (failed: %d)\n", c.TxnsReprocessed, res.FailedReexecutions)
-	fmt.Printf("merges            %d (fallbacks: %d)\n", c.MergesPerformed, c.MergeFallbacks)
+	fmt.Fprintf(out, "backed out        %d\n", c.TxnsBackedOut)
+	fmt.Fprintf(out, "reprocessed       %d (failed: %d)\n", c.TxnsReprocessed, res.FailedReexecutions)
+	fmt.Fprintf(out, "merges            %d (fallbacks: %d)\n", c.MergesPerformed, c.MergeFallbacks)
 	if res.Crashes > 0 {
-		fmt.Printf("crashes           %d (recovered from journals)\n", res.Crashes)
+		fmt.Fprintf(out, "crashes           %d (recovered from journals)\n", res.Crashes)
 	}
-	fmt.Printf("communication     %d messages, %d bytes\n", c.Messages, c.Bytes)
-	fmt.Printf("base tier         %d queries, %d forced writes, %d locks\n",
+	fmt.Fprintf(out, "communication     %d messages, %d bytes\n", c.Messages, c.Bytes)
+	fmt.Fprintf(out, "base tier         %d queries, %d forced writes, %d locks\n",
 		c.BaseQueries, c.BaseForcedWrites, c.BaseLocks)
-	fmt.Printf("weighted cost     %s\n", res.Cost)
+	fmt.Fprintf(out, "weighted cost     %s\n", res.Cost)
 	if res.WireRequests > 0 {
-		fmt.Printf("wire transport    %d requests, %d real bytes\n", res.WireRequests, res.WireBytes)
+		fmt.Fprintf(out, "wire transport    %d requests, %d real bytes\n", res.WireRequests, res.WireBytes)
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func E10Ablations() *Table {
 	for i := 0; i < pairs; i++ {
 		t1, t2 := gen.Txn(tx.Tentative), gen.Txn(tx.Tentative)
 		fix := tx.Fix{}
-		for it := range t1.StaticReadSet().Minus(t1.StaticWriteSet()) {
+		for _, it := range t1.StaticReadSet().Minus(t1.StaticWriteSet()).Items() {
 			if gen.Rand().Intn(2) == 0 {
 				fix[it] = 1
 			}

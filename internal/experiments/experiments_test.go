@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,17 @@ func TestAllExperimentsPass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAblationsDeterministic: E10 draws its random fixes in item order, so
+// two builds give identical rows (the detector-cache hit rate included).
+func TestAblationsDeterministic(t *testing.T) {
+	first := E10Ablations()
+	for i := 0; i < 2; i++ {
+		if again := E10Ablations(); !reflect.DeepEqual(again.Rows, first.Rows) {
+			t.Fatalf("E10 rows differ between builds:\n%v\n%v", first.Rows, again.Rows)
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package graph
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"sort"
 
 	"tiermerge/internal/model"
+	"tiermerge/internal/tx"
 )
 
 // The base index: Hb parsed once, as it is written, so that a reconnect
@@ -100,6 +102,26 @@ func (ix *BaseIndex) Append(a Access) {
 	slices.Sort(preds)
 	ix.acc = append(ix.acc, a)
 	ix.preds = append(ix.preds, slices.Compact(preds))
+}
+
+// BeforeWrite returns the value it held before the first indexed entry at or
+// after position from that writes it — that entry's before-image — and
+// false when no such entry writes it. The postings are searched, no entry
+// is replayed.
+func (ix *BaseIndex) BeforeWrite(it model.Item, from int) (model.Value, bool) {
+	p := ix.post[it]
+	if p == nil {
+		return 0, false
+	}
+	refs := p.refs
+	for i := sort.Search(len(refs), func(i int) bool { return int(refs[i].pos) >= from }); i < len(refs); i++ {
+		if refs[i].writes {
+			items := ix.acc[refs[i].pos].Items
+			k, _ := slices.BinarySearchFunc(items, it, func(r tx.ItemEffect, it model.Item) int { return cmp.Compare(r.Item, it) })
+			return items[k].Before, true
+		}
+	}
+	return 0, false
 }
 
 // BaseView is the lock-free view of a base index one merge prepares against:

@@ -29,7 +29,6 @@ const (
 	MetricBackedOut    = "tiermerge_txns_backed_out_total"
 	MetricReexecuted   = "tiermerge_txns_reexecuted_total"
 	MetricFailed       = "tiermerge_txns_failed_total"
-	MetricLagApplied   = "tiermerge_replica_updates_applied_total"
 	MetricRecoveries   = "tiermerge_recoveries_total"           // counter
 	MetricReplayed     = "tiermerge_wal_records_replayed_total" // counter
 	MetricTornTails    = "tiermerge_wal_torn_tails_total"       // counter
@@ -66,8 +65,6 @@ func (m *Metrics) Observe(ev Event) {
 		m.reg.Counter(MetricBackedOut).Add(int64(ev.BackedOut))
 		m.reg.Counter(MetricReexecuted).Add(int64(ev.Reexecuted))
 		m.reg.Counter(MetricFailed).Add(int64(ev.Failed))
-	case PhasePropagate:
-		m.reg.Counter(MetricLagApplied).Add(int64(ev.Lag))
 	case PhaseRecover:
 		m.reg.Counter(MetricRecoveries).Inc()
 		m.reg.Counter(MetricReplayed).Add(int64(ev.Replayed))

@@ -63,9 +63,6 @@ const (
 	// PhaseReprocess is a reconnect reconciling through the original
 	// reprocessing protocol by choice (not as a merge fallback).
 	PhaseReprocess Phase = "reprocess"
-	// PhasePropagate is a lazy-replication drain applying queued updates to
-	// follower replicas; Lag carries the number of updates applied.
-	PhasePropagate Phase = "propagate"
 	// PhaseRecover is a crash recovery: a mobile node rebuilt from its
 	// write-ahead journal (emitted when the recovered node binds to its
 	// cluster) or a base cluster replaying its durable log. Replayed
@@ -127,8 +124,6 @@ type Event struct {
 	// Saved, BackedOut, Affected, Reexecuted, Failed tally transactions
 	// for the phases that decide them (rewrite, merge, fallback).
 	Saved, BackedOut, Affected, Reexecuted, Failed int
-	// Lag is the number of queued follower updates applied (propagate).
-	Lag int
 	// Replayed tallies a crash recovery (recover): journal records
 	// replayed.
 	Replayed int

@@ -66,7 +66,6 @@ type BaseCluster struct {
 	// the server's checkout frame).
 	windowOrigin model.State
 	entries      []baseEntry
-	followers    []*follower
 
 	// structVer is bumped whenever the committed prefix of the current
 	// window changes shape other than by appending — interior inserts
@@ -170,7 +169,6 @@ func newBaseCluster(initial model.State, cfg Config, disk *store.Disk) *BaseClus
 		b.ckptGate = make(chan struct{}, 1)
 	}
 	b.solo = &partition{router: newShardRouter(1, nil), shards: []*BaseCluster{b}}
-	b.initFollowers()
 	return b
 }
 
@@ -302,25 +300,31 @@ func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 		c.BaseLocks += nLocks
 		c.BaseForcedWrites++
 	})
-	// Lazy propagation of the new values to the other base replicas.
-	b.propagate(t.ID, eff)
+	b.chargePropagation(eff)
 }
 
-// stateAt materializes the base state at history position pos of the
-// current window (0 = window origin, 0 <= pos <= len(b.entries)): the
-// origin with the writes of entries[:pos] applied in order. An interior
-// insert keeps this exact — the insert-conflict check admits it only when
-// no later entry touches its items. It serves the Strategy 1 checkout-token
-// check only — the merge itself consults the base history through
-// read/write sets, never states. Caller holds b.mu.
+// chargePropagation charges the lazy master's propagation of one commit
+// to the other BaseNodes-1 base replicas (Section 7.1): one message per
+// replica carrying the commit's write images. Caller holds b.mu.
 //
 //tiermerge:locks(cluster)
-func (b *BaseCluster) stateAt(pos int) model.State {
-	st := b.windowOrigin.Clone()
-	for _, e := range b.entries[:pos] {
-		e.eff.Apply(st)
+func (b *BaseCluster) chargePropagation(eff *tx.Effect) {
+	if b.cfg.BaseNodes <= 1 {
+		return
 	}
-	return st
+	var writes int64
+	for _, r := range eff.Items {
+		if r.Written {
+			writes++
+		}
+	}
+	if writes == 0 {
+		return
+	}
+	w := b.cfg.Weights
+	for range b.cfg.BaseNodes - 1 {
+		b.counters.Msg(w, writes*w.UpdateEntryBytes)
+	}
 }
 
 // windowPrefix returns the index of the current window's base history,
@@ -412,7 +416,7 @@ func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect) {
 	eff.Apply(b.master)
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
 	b.entries = append(b.entries, baseEntry{t: base, eff: eff})
-	b.propagate(base.ID, eff)
+	b.chargePropagation(eff)
 	if err := b.logCommit(base, eff); err != nil {
 		panic(fmt.Sprintf("replica: base journal failed: %v", err))
 	}
@@ -479,7 +483,7 @@ func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g 
 		c.BaseLocks += int64(nUpd)
 		c.BaseForcedWrites++
 	})
-	b.propagate(ft.ID, eff)
+	b.chargePropagation(eff)
 	// The journal is value-ordered, not position-ordered: replaying an
 	// interior insert last still lands on the same master state, by the same
 	// insert-conflict guarantee.

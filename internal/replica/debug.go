@@ -20,7 +20,7 @@ func writeJSON(w io.Writer, v any) error {
 
 // Introspection endpoints: an expvar-style JSON snapshot and a
 // Prometheus-text dump of everything the cluster knows about itself — the
-// Section 7.1 cost counters, the weighted cost report, replication state,
+// Section 7.1 cost counters, the weighted cost report, the window's state,
 // and (when Config.Observer carries an obs.Metrics) the event-derived
 // phase metrics. BaseServer mounts both under /debug/tiermerge.
 
@@ -29,7 +29,6 @@ type DebugSnapshot struct {
 	WindowID   int              `json:"window_id"`
 	HistoryLen int              `json:"history_len"`
 	MergeSeq   int64            `json:"merge_seq"`
-	ReplicaLag []int            `json:"replica_lag,omitempty"`
 	Cost       map[string]int64 `json:"cost_counters"`
 	Weighted   cost.Report      `json:"weighted_cost"`
 	Metrics    *obs.Snapshot    `json:"metrics,omitempty"`
@@ -44,7 +43,6 @@ func (b *BaseCluster) DebugSnapshot() DebugSnapshot {
 		WindowID:   b.WindowID(),
 		HistoryLen: b.HistoryLen(),
 		MergeSeq:   b.mergeSeq.Load(),
-		ReplicaLag: b.ReplicaLag(),
 		Cost:       make(map[string]int64),
 		Weighted:   counts.Weighted(b.cfg.Weights),
 	}
@@ -57,7 +55,7 @@ func (b *BaseCluster) DebugSnapshot() DebugSnapshot {
 }
 
 // WritePrometheus renders the cluster's cost counters, weighted totals and
-// replication state in the Prometheus text exposition format, followed by
+// window state in the Prometheus text exposition format, followed by
 // the observer's registry when Config.Observer exposes one. The cost
 // counters appear as tiermerge_cost_<counter>_total series — one per
 // cost.Counts field, via Counts.Each, so exporter and counters cannot
@@ -84,12 +82,6 @@ func (b *BaseCluster) WritePrometheus(w io.Writer) error {
 	p("# TYPE tiermerge_window_id gauge\ntiermerge_window_id %d\n", b.WindowID())
 	p("# TYPE tiermerge_base_history_len gauge\ntiermerge_base_history_len %d\n", b.HistoryLen())
 	p("# TYPE tiermerge_merge_seq gauge\ntiermerge_merge_seq %d\n", b.mergeSeq.Load())
-	if lags := b.ReplicaLag(); len(lags) > 0 {
-		p("# TYPE tiermerge_replica_lag gauge\n")
-		for i, lag := range lags {
-			p("%s %d\n", obs.Label("tiermerge_replica_lag", "follower", fmt.Sprintf("%d", i)), lag)
-		}
-	}
 	if err != nil {
 		return err
 	}

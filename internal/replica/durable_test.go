@@ -283,79 +283,109 @@ func TestStoreBoundedAcrossWindows(t *testing.T) {
 
 // TestReconnectAllocIndependentOfItems: a reconnect consults the base
 // history through read/write sets, so what it allocates must not scale with
-// the number of items the cluster holds. Regression: the prefix cache
-// materialized a full base state per history position from the version
-// chains, O(items) per base commit under the cluster mutex.
+// the number of items the cluster holds, under either origin strategy.
+// Regressions: the prefix cache materialized a full base state per history
+// position from the version chains, O(items) per base commit under the
+// cluster mutex; and the Strategy 1 token check cloned the window origin
+// and replayed the window up to the token's position on every merge.
 func TestReconnectAllocIndependentOfItems(t *testing.T) {
-	reconnectBytes := func(items int) uint64 {
-		initial := model.NewState()
-		for i := 0; i < items; i++ {
-			initial.Set(workload.ItemName(i), 100)
-		}
-		b, _, err := OpenBase(t.TempDir(), initial, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.CloseStore()
-		for i := 0; i < 64; i++ {
-			it := workload.ItemName(1 + i%63)
-			if err := b.ExecBase(workload.Deposit(fmt.Sprintf("Tb%d", i), tx.Base, it, 1)); err != nil {
-				t.Fatal(err)
+	for _, strategy := range []OriginStrategy{Strategy2, Strategy1} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			reconnectBytes := func(items int) uint64 {
+				initial := model.NewState()
+				for i := 0; i < items; i++ {
+					initial.Set(workload.ItemName(i), 100)
+				}
+				b, _, err := OpenBase(t.TempDir(), initial, Config{Origin: strategy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer b.CloseStore()
+				for i := 0; i < 64; i++ {
+					it := workload.ItemName(1 + i%63)
+					if err := b.ExecBase(workload.Deposit(fmt.Sprintf("Tb%d", i), tx.Base, it, 1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The same tentative history on both clusters: one deposit on
+				// an item no base commit touches, run on a replica of that
+				// item alone so Hm's own states do not grow with the cluster
+				// either. A Strategy 1 token sits at the tail and carries
+				// that footprint origin, as one that crossed the wire does.
+				it0 := workload.ItemName(0)
+				fp := model.State{it0: initial.Get(it0)}
+				hm, err := history.Run(history.New(workload.Deposit("Tm1", tx.Tentative, it0, 1)), fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ck := Checkout{MobileID: "m1", WindowID: b.WindowID()}
+				if strategy == Strategy1 {
+					ck.Pos, ck.Origin = b.HistoryLen(), fp
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				out, err := b.Merge(ck, hm)
+				runtime.ReadMemStats(&after)
+				if err != nil || !out.Merged || out.Saved != 1 {
+					t.Fatalf("merge on %d items = %+v, %v; want 1 saved", items, out, err)
+				}
+				return after.TotalAlloc - before.TotalAlloc
 			}
-		}
-		// The same tentative history on both clusters: one deposit on an
-		// item no base commit touches, run on a replica of that item alone
-		// so Hm's own states do not grow with the cluster either.
-		it0 := workload.ItemName(0)
-		hm, err := history.Run(history.New(workload.Deposit("Tm1", tx.Tentative, it0, 1)),
-			model.State{it0: initial.Get(it0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck := Checkout{MobileID: "m1", WindowID: b.WindowID()}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		out, err := b.Merge(ck, hm)
-		runtime.ReadMemStats(&after)
-		if err != nil || !out.Merged || out.Saved != 1 {
-			t.Fatalf("merge on %d items = %+v, %v; want 1 saved", items, out, err)
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	small, large := reconnectBytes(64), reconnectBytes(4096)
-	t.Logf("reconnect allocated %d B on 64 items, %d B on 4096 items", small, large)
-	if large > 2*small {
-		t.Errorf("reconnect on 4096 items allocated %d B, more than 2x the %d B on 64 items", large, small)
+			small, large := reconnectBytes(64), reconnectBytes(4096)
+			t.Logf("reconnect allocated %d B on 64 items, %d B on 4096 items", small, large)
+			if large > 2*small {
+				t.Errorf("reconnect on 4096 items allocated %d B, more than 2x the %d B on 64 items", large, small)
+			}
+		})
 	}
 }
 
 // --- Strategy 1 interior inserts land on the state a serial run of the
 // installed history produces, at every position.
 
-// checkStateAtOracle compares the cluster's per-position states and its
-// master against a serial run of its installed entries from the window
-// origin.
+// checkStateAtOracle compares the value the Strategy 1 token check reads
+// (valueAtLocked, off the window's index) of every item the window touches,
+// at every position, and the master, against a serial run of the cluster's
+// installed entries from the window origin.
 func checkStateAtOracle(t *testing.T, name string, b *BaseCluster) {
 	t.Helper()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	h := history.New()
+	oracle := serialRunLocked(t, b)
+	touched := make(model.ItemSet)
 	for _, e := range b.entries {
-		h.Append(e.t)
+		for _, r := range e.eff.Items {
+			touched.Add(r.Item)
+		}
 	}
-	oracle, err := history.Run(h, b.windowOrigin)
-	if err != nil {
-		t.Fatalf("%s: oracle run: %v", name, err)
-	}
+	ix := b.windowPrefix()
 	for p := 0; p <= len(b.entries); p++ {
-		if got, want := b.stateAt(p), oracle.StateAt(p); !got.Equal(want) {
-			t.Errorf("%s: stateAt(%d) = %s, serial run gives %s", name, p, got, want)
+		want := oracle.StateAt(p)
+		for _, it := range touched.Items() {
+			if got := b.valueAtLocked(ix, it, p); got != want.Get(it) {
+				t.Errorf("%s: %s at position %d reads %d, serial run gives %d", name, it, p, got, want.Get(it))
+			}
 		}
 	}
 	if !b.master.Equal(oracle.Final()) {
 		t.Errorf("%s: master %s != serial run of the installed history %s", name, b.master, oracle.Final())
 	}
+}
+
+// serialRunLocked runs b's installed entries, in position order, serially
+// from the window origin. Caller holds b.mu.
+func serialRunLocked(t *testing.T, b *BaseCluster) *history.Augmented {
+	t.Helper()
+	h := history.New()
+	for _, e := range b.entries {
+		h.Append(e.t)
+	}
+	run, err := history.Run(h, b.windowOrigin)
+	if err != nil {
+		t.Fatalf("serial run of the installed history: %v", err)
+	}
+	return run
 }
 
 // interiorInsertWorkload checks a Strategy 1 mobile out, commits disjoint

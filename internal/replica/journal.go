@@ -266,7 +266,7 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed int, err error) {
 			return 0, fmt.Errorf("replica: recover base: %w", err)
 		}
 		b.entries = append(b.entries, baseEntry{t: g.Txn, eff: eff})
-		b.propagate(g.Txn.ID, eff)
+		b.chargePropagation(eff)
 		committed++
 	}
 	return committed, nil

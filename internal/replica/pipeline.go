@@ -104,39 +104,55 @@ func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
 //
 // A token is valid when every item its origin carries has that value in the
 // base state at the token: the window origin under Strategy 2, the state at
-// its position under Strategy 1. An in-process token carries the whole
-// origin; one that crossed the wire carries Hm's footprint of it
-// (footprintOrigin — a value the payload omits was replayed as zero, and is
-// claimed as zero). The check costs O(|origin|), plus the state at the
-// position under Strategy 1.
+// its position under Strategy 1 (valueAtLocked). An in-process token
+// carries the whole origin; one that crossed the wire carries Hm's
+// footprint of it (footprintOrigin — a value the payload omits was replayed
+// as zero, and is claimed as zero). The check costs O(|origin|) under
+// Strategy 2 and O(|origin| · log n) under Strategy 1, and copies no state.
 //
 //tiermerge:locks(cluster)
 func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (prefixSnapshot, FallbackReason) {
 	if ck.WindowID != b.windowID {
 		return prefixSnapshot{}, FallbackWindowExpired
 	}
-	pos, at := 0, b.windowOrigin
+	pos, at := 0, b.windowOrigin.Get
 	if b.cfg.Origin == Strategy1 {
 		pos = ck.Pos
 		if pos < 0 || pos > len(b.entries) {
 			return prefixSnapshot{}, FallbackOriginInvalid
 		}
-		at = b.stateAt(pos)
+		ix := b.windowPrefix()
+		at = func(it model.Item) model.Value { return b.valueAtLocked(ix, it, pos) }
 		// An interior insert can add an item to the state at pos after the
 		// checkout; a footprint item the token does not carry was read as
 		// zero.
 		for it := range footprint {
-			if _, ok := ck.Origin[it]; !ok && at.Get(it) != 0 {
+			if _, ok := ck.Origin[it]; !ok && at(it) != 0 {
 				return prefixSnapshot{}, FallbackOriginInvalid
 			}
 		}
 	}
 	for it, v := range ck.Origin {
-		if at.Get(it) != v {
+		if at(it) != v {
 			return prefixSnapshot{}, FallbackOriginInvalid
 		}
 	}
 	return prefixSnapshot{pos: pos, view: b.windowPrefix().View(pos, footprint)}, FallbackNone
+}
+
+// valueAtLocked reads it in the base state at position pos of the current
+// window (0 = window origin), off ix, the window's index: the before-image
+// of the first entry at or after pos that writes it, else the live master
+// value. Interior inserts keep this exact: the insert-conflict check admits
+// an insert only when no later entry touches its items, so an item's
+// writers run in position order. Caller holds b.mu.
+//
+//tiermerge:locks(cluster)
+func (b *BaseCluster) valueAtLocked(ix *graph.BaseIndex, it model.Item, pos int) model.Value {
+	if v, ok := ix.BeforeWrite(it, pos); ok {
+		return v
+	}
+	return b.master.Get(it)
 }
 
 // prepareMerge runs every heavy step of the merging protocol against the

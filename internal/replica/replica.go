@@ -69,9 +69,10 @@ func (s OriginStrategy) String() string {
 // constructor chooses (NewBaseCluster and NewShardedBase keep the cluster
 // in memory, OpenBase and OpenShardedBase journal through store.Disk).
 type Config struct {
-	// BaseNodes is the number of base-tier replicas (>= 1); lazy
-	// propagation to the other BaseNodes-1 replicas is charged to the
-	// communication budget. Default 1.
+	// BaseNodes is the number of base-tier replicas (>= 1). It only
+	// prices propagation: each commit charges one message of its write
+	// images to each of the other BaseNodes-1 replicas, which are not
+	// materialized. Default 1.
 	BaseNodes int
 	// Weights is the cost model (default cost.DefaultWeights()).
 	Weights cost.Weights

@@ -556,7 +556,7 @@ func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 		}
 		b.entries = append(b.entries, baseEntry{t: slice, eff: seff, global: g})
 		b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
-		b.propagate(slice.ID, seff)
+		b.chargePropagation(seff)
 		if lerr := b.logCommit(slice, seff); lerr != nil {
 			panic(fmt.Sprintf("replica: base journal failed: %v", lerr))
 		}

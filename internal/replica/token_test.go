@@ -85,7 +85,7 @@ func TestStrategy1TokenCheck(t *testing.T) {
 				continue
 			}
 			b.mu.Lock()
-			equal := tc.ck.Origin.Equal(b.stateAt(tc.ck.Pos))
+			equal := tc.ck.Origin.Equal(serialRunLocked(t, b).StateAt(tc.ck.Pos))
 			b.mu.Unlock()
 			if equal != (got == FallbackNone) {
 				t.Errorf("%s: %s token = %q, but origin equals the state at its position: %v", label, tc.name, got, equal)

@@ -105,14 +105,22 @@ go test -count=1 -run TestMergeInstallAtomicInLog ./internal/replica/
 
 echo "== base state has one form =="
 # A cluster's state is its master, window origin and the window's entries;
-# the Strategy 1 token check replays the entries. No program code outside
-# internal/store may bring back a second, per-position form of it.
-chain_leaks=$(grep -rnE 'store\.NewMemory|store\.Engine|SnapshotAt|InsertAt' --include=*.go internal cmd ./*.go | grep -v '_test\.go:' | grep -v '^internal/store/' || true)
+# the Strategy 1 token check reads an item at a position off the window's
+# index, and the other base replicas exist only as the propagation charge.
+# No program code outside internal/store may bring back a second,
+# per-position form of it, a replay of the window, or follower copies.
+chain_leaks=$(grep -rnE 'store\.NewMemory|store\.Engine|SnapshotAt|InsertAt|stateAt\(|SyncReplicas|FollowerState' --include=*.go internal cmd ./*.go | grep -v '_test\.go:' | grep -v '^internal/store/' || true)
 if [ -n "$chain_leaks" ]; then
     echo "FAILED: per-position base state named outside internal/store:" >&2
     echo "$chain_leaks" >&2
     exit 1
 fi
+
+echo "== serial report (golden) =="
+# The serial tiermerge report is deterministic; its goldens pin a refactor
+# that must not move a counter (Strategy 1, window advances, propagation).
+require_tests TestSerialReportGolden ./cmd/tiermerge/
+go test -count=1 -run TestSerialReportGolden ./cmd/tiermerge/
 
 echo "== compiled transactions, one-form effects, pair-free graph build =="
 # The graph build must match the map-based construction it replaced, edge
@@ -190,9 +198,9 @@ go test -count=1 -run "$journal_pins" ./internal/replica/
 echo "== race (concurrent reconnects + observers + crash-recovery soak) =="
 go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
 
-echo "== Strategy 1 checkout tokens (position bounds, replayed state) =="
-# A token admits a merge exactly when its origin equals the replayed state
-# at its position; a position outside the window is refused, in process
+echo "== Strategy 1 checkout tokens (position bounds, state at the position) =="
+# A token admits a merge exactly when its origin equals the state a serial
+# run gives at its position; a position outside the window is refused, in process
 # and over the wire, instead of panicking under the cluster mutex.
 token_pins='TestStrategy1TokenCheck|TestMergeRefusesNegativeCheckoutPos|TestServeFrameRefusesNegativeCheckoutPos'
 require_tests "$token_pins" ./internal/replica/

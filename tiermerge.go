@@ -446,7 +446,6 @@ const (
 	PhaseAdmit     = obs.PhaseAdmit
 	PhaseFallback  = obs.PhaseFallback
 	PhaseReprocess = obs.PhaseReprocess
-	PhasePropagate = obs.PhasePropagate
 	PhaseMerge     = obs.PhaseMerge
 )
 
