@@ -112,8 +112,6 @@ func Var(it model.Item) Expr { return varExpr{it: it} }
 func (v varExpr) Eval(env Env) (model.Value, error) { return env.ItemValue(v.it) }
 
 // AddItems records the item in the caller-owned set.
-//
-//tiermerge:sink
 func (v varExpr) AddItems(s model.ItemSet)      { s.Add(v.it) }
 func (v varExpr) AddParams(map[string]struct{}) {}
 func (v varExpr) Subst(x model.Item, repl Expr) Expr {

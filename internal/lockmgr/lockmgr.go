@@ -176,8 +176,6 @@ func (m *Manager) ReleaseAll(owner string) {
 // wake grants as many queued waiters as compatibility allows, in FIFO
 // order. It runs under m.mu; the ready channels are buffered (capacity 1,
 // one send per queued waiter ever), so the sends never park.
-//
-//tiermerge:nonblocking
 func (m *Manager) wake(ls *lockState, item model.Item) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]

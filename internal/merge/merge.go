@@ -214,10 +214,8 @@ type Report struct {
 // ApplyForwards installs the merge's forwarded write-back into st in place:
 // ForwardUpdates as repaired values, ForwardDeltas as increments on top of
 // whatever st holds. The two key sets are disjoint by construction. The
-// caller hands over st precisely to have it mutated (the master copy, a
-// follower state), hence the sink annotation.
-//
-//tiermerge:sink
+// caller hands over st precisely to have it mutated (a copy of the base
+// tier's final state, which VerifyMerge compares with the merged history's).
 func (rep *Report) ApplyForwards(st model.State) {
 	st.Apply(rep.ForwardUpdates)
 	for it, d := range rep.ForwardDeltas {

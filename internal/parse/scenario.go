@@ -75,8 +75,6 @@ func ScenarioFile(src string) (*Scenario, error) {
 }
 
 // originBlock parses '{ item = value; ... }' into dst.
-//
-//tiermerge:sink
 func (p *parser) originBlock(dst model.State) error {
 	if _, err := p.expect(tokLBrace); err != nil {
 		return err

@@ -104,9 +104,9 @@ type BaseCluster struct {
 
 // emit delivers one event to the configured observer. It must never be
 // called while b.mu is held: observers run arbitrary user code, and the
-// lock-discipline contract (and tiermergelint) forbid blocking work under
-// the cluster mutex. Locked sections gather the numbers; callers emit after
-// unlocking.
+// lock-discipline contract forbids blocking work under the cluster mutex
+// (TestEventsOutsideLock checks every emitting path). Locked sections
+// gather the numbers; callers emit after unlocking.
 func (b *BaseCluster) emit(ev obs.Event) {
 	if o := b.cfg.Observer; o != nil {
 		o.Observe(ev)
@@ -185,8 +185,6 @@ func (b *BaseCluster) Counters() *cost.Counters { return &b.counters }
 func (b *BaseCluster) Weights() cost.Weights { return b.cfg.Weights }
 
 // Master returns a copy of the current master state.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) Master() model.State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -194,8 +192,6 @@ func (b *BaseCluster) Master() model.State {
 }
 
 // WindowID returns the current time-window identifier.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) WindowID() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -204,8 +200,6 @@ func (b *BaseCluster) WindowID() int {
 
 // HistoryLen returns the number of base transactions committed in the
 // current window.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) HistoryLen() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -217,8 +211,6 @@ func (b *BaseCluster) HistoryLen() int {
 // (Section 2.2's periodic resynchronization). Mobile nodes still carrying
 // tentative work from an earlier window will fall back to reprocessing when
 // they connect.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) AdvanceWindow() int {
 	b.mu.Lock()
 	b.windowID++
@@ -245,9 +237,6 @@ func (b *BaseCluster) AdvanceWindow() int {
 // acknowledges a commit or a window advance calls it after releasing b.mu
 // (the flush blocks on file I/O, which must never run under the cluster
 // mutex). An in-memory sink makes it a no-op.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (b *BaseCluster) syncJournal() error {
 	b.mu.Lock()
 	j := b.journal
@@ -264,8 +253,6 @@ func (b *BaseCluster) syncJournal() error {
 // ExecBase runs one base transaction against master data and appends it to
 // the base history. It charges query, lock and forced-log costs plus lazy
 // propagation to the other base replicas. See clusterSet.execBase.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) ExecBase(t *tx.Transaction) error {
 	return b.set().execBase(t)
 }
@@ -273,8 +260,6 @@ func (b *BaseCluster) ExecBase(t *tx.Transaction) error {
 // execBaseLocked executes t in place on the master, appends it to the
 // history, charges its costs and writes (but does not force) its journal
 // record. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) execBaseLocked(t *tx.Transaction) error {
 	eff, err := t.ExecInPlace(b.master, nil)
 	if err != nil {
@@ -290,8 +275,6 @@ func (b *BaseCluster) execBaseLocked(t *tx.Transaction) error {
 
 // chargeBaseExec records the execution costs of one base transaction.
 // Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 	nStmts := int64(t.StmtCount())
 	nLocks := int64(len(eff.Items)) // one lock per item read or written
@@ -306,8 +289,6 @@ func (b *BaseCluster) chargeBaseExec(t *tx.Transaction, eff *tx.Effect) {
 // chargePropagation charges the lazy master's propagation of one commit
 // to the other BaseNodes-1 base replicas (Section 7.1): one message per
 // replica carrying the commit's write images. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) chargePropagation(eff *tx.Effect) {
 	if b.cfg.BaseNodes <= 1 {
 		return
@@ -333,8 +314,6 @@ func (b *BaseCluster) chargePropagation(eff *tx.Effect) {
 // insert bumps structVer; the rebuild gives fresh backing arrays, so views
 // of the old arrangement stay intact). Caller holds b.mu, and must capture
 // its view (BaseIndex.View) before releasing it.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) windowPrefix() *graph.BaseIndex {
 	n := len(b.entries)
 	c := &b.prefix
@@ -355,8 +334,6 @@ func (b *BaseCluster) windowPrefix() *graph.BaseIndex {
 // parallel to the accesses of a view captured from pos (nil elements for
 // shard-local entries) — only the suffix a combined index has not consumed
 // yet. The copy stays valid after the lock is released. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) crossRefsLocked(pos int) []*crossTxn {
 	out := make([]*crossTxn, len(b.entries)-pos)
 	for i := pos; i < len(b.entries); i++ {
@@ -410,8 +387,6 @@ func forwardBody(values, deltas map[model.Item]model.Value) []tx.Stmt {
 // commitReprocessed commits one re-executed tentative transaction (see
 // clusterSet.reprocessOneLocked): its writes land on the master and it joins
 // the base history with one forced log write. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect) {
 	eff.Apply(b.master)
 	b.counters.Update(func(c *cost.Counts) { c.BaseForcedWrites++ })
@@ -431,8 +406,6 @@ func (b *BaseCluster) commitReprocessed(base *tx.Transaction, eff *tx.Effect) {
 // mutex; the prepare reads only the base entries that can lie on a cycle
 // through Hm, so its cost follows Hm, not the window. See clusterset.go for
 // the steps.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
 	return b.set().merge(ck.MobileID, []Checkout{ck}, hm)
 }
@@ -440,8 +413,6 @@ func (b *BaseCluster) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome
 // installForwarded installs the forwarded write-back at the given history
 // position (always the tail under Strategy 2; possibly earlier under
 // Strategy 1, after the conflict check). Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) installForwarded(mobileID string, values, deltas map[model.Item]model.Value, at int) {
 	if len(values)+len(deltas) == 0 {
 		return
@@ -458,8 +429,6 @@ func (b *BaseCluster) installForwarded(mobileID string, values, deltas map[model
 // after the insert position touches the forwarded items and their values
 // there equal the live ones — additive (delta) statements included. Caller
 // holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g *crossTxn) {
 	eff, err := ft.ExecInPlace(b.master, nil)
 	if err != nil {
@@ -495,8 +464,6 @@ func (b *BaseCluster) installForwardTxn(ft *tx.Transaction, nUpd int, at int, g 
 // Reprocess runs the original two-tier protocol for a connected mobile
 // node: every tentative transaction is shipped to the base tier and
 // re-executed.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) Reprocess(hm *history.Augmented) *ConnectOutcome {
 	return b.set().reprocess(hm)
 }
@@ -521,16 +488,12 @@ type Checkout struct {
 // CheckoutReplica hands a mobile node its origin snapshot: the window
 // origin under Strategy 2, the live master state under Strategy 1. The
 // download is charged to the communication budget.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) CheckoutReplica(mobileID string) Checkout {
 	return b.checkout(mobileID, false)
 }
 
 // checkout is CheckoutReplica; shared hands out a Strategy 2 window origin
 // itself instead of a copy, for a caller that only reads it.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) checkout(mobileID string, shared bool) Checkout {
 	start := b.spanStart()
 	b.mu.Lock()
@@ -555,8 +518,6 @@ func (b *BaseCluster) checkout(mobileID string, shared bool) Checkout {
 // precedence graph, back-out set, saved set, forwarded updates — without
 // committing anything or charging costs. Mobile users call it to see what a
 // reconnect would cost them before going online ("what will I lose?").
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) Preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
 	return b.set().preview([]Checkout{ck}, hm)
 }

@@ -91,8 +91,6 @@ func (s *partition) every(cfg Config) *clusterSet {
 // while a member's mutex is held. The full set never widens, so neither
 // does this more than once. An entry installed after the check needs one of
 // the held mutexes to touch the members, so it follows the reconnect.
-//
-//tiermerge:blocking
 func (cs *clusterSet) lock() *clusterSet {
 	lockClusters(cs.members)
 	if len(cs.members) == len(cs.shards) || (cs.crossEntries.Load() == 0 && cs.windowVer.Load()&1 == 0) {
@@ -141,8 +139,6 @@ func (cs *clusterSet) emit(ev obs.Event) {
 
 // merge runs the merging protocol for one reconnect; tokens[k] is the
 // checkout token of shard k.
-//
-//tiermerge:locks(none)
 func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
 	seq := cs.members[0].mergeSeq.Add(1)
 	start := cs.members[0].spanStart()
@@ -176,9 +172,6 @@ func (cs *clusterSet) merge(mobileID string, tokens []Checkout, hm *history.Augm
 // set it ran over, which lock may have widened. A user observer must never
 // run under a mutex, so the section's events are buffered and delivered
 // after unlock, behind the lock-wait span timing the acquisition.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (cs *clusterSet) round(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented) (*clusterSet, *ConnectOutcome, error) {
 	var buf *eventBuffer
 	if cs.cfg.Observer != nil {
@@ -202,9 +195,6 @@ func (cs *clusterSet) round(mobileID string, seq int64, tokens []Checkout, hm *h
 // member no longer honours its checkout token. buf (nil without an
 // observer) collects the section's events. Caller holds every member's
 // mutex.
-//
-//tiermerge:locks(shard)
-//tiermerge:buffered-events
 func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout, hm *history.Augmented, buf *eventBuffer) (*ConnectOutcome, error) {
 	home := cs.members[0]
 	home.counters.Update(func(c *cost.Counts) { c.AdmitBatches++ })
@@ -233,8 +223,6 @@ func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout,
 // its journal (BaseCluster.commitJournal), so whatever the critical section
 // installed reaches each log whole, or torn and not at all. It returns the
 // first journal write failure. Caller holds every member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) commitLocked() error {
 	var err error
 	for _, b := range cs.members {
@@ -249,8 +237,6 @@ func (cs *clusterSet) commitLocked() error {
 // (no global lock) for Preview, which merges outside the mutexes. A part
 // captured later may include commits an earlier one missed; a preview is
 // advisory, and a fresh combined index orders whatever the parts hold.
-//
-//tiermerge:locks(none)
 func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]shardPart, FallbackReason) {
 	parts := make([]shardPart, len(cs.members))
 	for i, b := range cs.members {
@@ -272,8 +258,6 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 // The only member's view is the merge's view; one of several is indexed in
 // combined order, and its posting lists go unread. Caller holds that
 // member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (shardPart, FallbackReason) {
 	b := cs.members[i]
 	snap, fb := b.snapshotLocked(ck, footprint)
@@ -289,8 +273,6 @@ func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (s
 // partial set (which exists only while the window holds no cross-shard
 // entry). Only the unconsumed suffix of each member's cross-shard
 // identities is copied. Caller holds every member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) viewLocked(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
 	if len(parts) == 1 {
 		return parts[0].snap.view
@@ -430,8 +412,6 @@ func (c *combinedIndex) extend(parts []shardPart, footprint model.ItemSet) *grap
 // re-execute the backed-out transactions, comparing each against its
 // tentative effect for acceptance (step 6). Caller holds every member's
 // mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) installLocked(mobileID string, hm *history.Augmented, p *preparedMerge, parts []shardPart) *ConnectOutcome {
 	home := cs.members[0]
 	home.counters.Add(p.deltaPrepare)
@@ -462,8 +442,6 @@ func (cs *clusterSet) installLocked(mobileID string, hm *history.Augmented, p *p
 // "XU" namespace keeps its ID, and its slices' IDs, disjoint from every
 // cluster's own "U<mobile>.<seq>" forward transactions) installed as
 // per-shard slices sharing its identity. Caller holds every member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map[model.Item]model.Value, parts []shardPart) {
 	if len(values)+len(deltas) == 0 {
 		return
@@ -512,8 +490,6 @@ func (cs *clusterSet) installForwardedLocked(mobileID string, values, deltas map
 // fallback re-executes every transaction of hm as one atomic unit under the
 // members' mutexes — the reprocessing protocol, and what a reconnect
 // degrades to when its checkout token no longer admits a merge.
-//
-//tiermerge:locks(none)
 func (cs *clusterSet) fallback(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
 	lockClusters(cs.members)
 	out := cs.fallbackLocked(hm, reason)
@@ -527,8 +503,6 @@ func (cs *clusterSet) fallback(hm *history.Augmented, reason FallbackReason) *Co
 
 // fallbackLocked is fallback's critical section. Caller holds every
 // member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) fallbackLocked(hm *history.Augmented, reason FallbackReason) *ConnectOutcome {
 	out := &ConnectOutcome{Fallback: reason}
 	if reason != FallbackNone {
@@ -590,8 +564,6 @@ func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
 // reported, not committed. tentEff is the transaction's effect on the mobile
 // replica (nil when unknown), which the acceptance criterion compares
 // against. Caller holds every member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) bool {
 	static := t.Footprint()
 	local := cs.execMember(static)
@@ -642,9 +614,6 @@ func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) 
 // and the ack waits for every journal that can hold a commit the
 // transaction read — its own shards', or every shard's while the window
 // holds a cross-shard entry (DESIGN.md §14).
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (cs *clusterSet) execBase(t *tx.Transaction) error {
 	if t.Kind != tx.Base {
 		return fmt.Errorf("%w: %s", ErrNotBase, t.ID)
@@ -666,8 +635,6 @@ func (cs *clusterSet) execBase(t *tx.Transaction) error {
 // gathered from their masters, installed as restricted slices; the
 // footprint's lowest shard takes the query and lock charges. Caller holds
 // every member's mutex.
-//
-//tiermerge:locks(shard)
 func (cs *clusterSet) execBaseLocked(t *tx.Transaction) error {
 	static := t.Footprint()
 	if b := cs.execMember(static); b != nil {
@@ -689,8 +656,6 @@ func (cs *clusterSet) execBaseLocked(t *tx.Transaction) error {
 // preview computes the merge report a connect would produce right now —
 // precedence graph, back-out set, saved set, forwarded updates — without
 // committing anything or charging costs.
-//
-//tiermerge:locks(none)
 func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.Report, error) {
 	// Validate and snapshot under the mutexes, then merge outside them — the
 	// same indexed path a reconnect's prepare takes: the views stay valid
@@ -719,8 +684,6 @@ func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.
 
 // reprocess runs the original two-tier protocol for one reconnect: every
 // tentative transaction is shipped to the base tier and re-executed.
-//
-//tiermerge:locks(none)
 func (cs *clusterSet) reprocess(hm *history.Augmented) *ConnectOutcome {
 	start := cs.members[0].spanStart()
 	out := cs.fallback(hm, FallbackNone)

@@ -35,8 +35,6 @@ type DebugSnapshot struct {
 }
 
 // DebugSnapshot captures the cluster's introspection state.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) DebugSnapshot() DebugSnapshot {
 	counts := b.counters.Snapshot()
 	s := DebugSnapshot{
@@ -60,8 +58,6 @@ func (b *BaseCluster) DebugSnapshot() DebugSnapshot {
 // counters appear as tiermerge_cost_<counter>_total series — one per
 // cost.Counts field, via Counts.Each, so exporter and counters cannot
 // drift apart.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -92,8 +88,6 @@ func (b *BaseCluster) WritePrometheus(w io.Writer) error {
 }
 
 // WriteDebugJSON writes the expvar-style snapshot as indented JSON.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) WriteDebugJSON(w io.Writer) error {
 	return writeJSON(w, b.DebugSnapshot())
 }
@@ -101,8 +95,6 @@ func (b *BaseCluster) WriteDebugJSON(w io.Writer) error {
 // DebugSnapshot captures a sharded tier's aggregate introspection state:
 // counters summed across shards, history length totalled, the barrier's
 // window id.
-//
-//tiermerge:locks(none)
 func (sh *ShardedBase) DebugSnapshot() DebugSnapshot {
 	counts := sh.Counters()
 	s := DebugSnapshot{

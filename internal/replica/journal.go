@@ -200,8 +200,6 @@ func journalWindow(w io.Writer, windowID int, origin model.State, entries []base
 // critical section ends with (commitJournal), so everything one section
 // installs reaches the log as one record: whole, or torn and not at all.
 // Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) logCommit(t *tx.Transaction, eff *tx.Effect) error {
 	if b.journal == nil {
 		return nil
@@ -215,8 +213,6 @@ func (b *BaseCluster) logCommit(t *tx.Transaction, eff *tx.Effect) error {
 // journal's buffer here; the committing path forces it with syncJournal
 // after releasing the mutex (file I/O never runs under b.mu). Caller holds
 // b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) commitJournal() error {
 	if b.journal == nil {
 		return nil
@@ -225,8 +221,6 @@ func (b *BaseCluster) commitJournal() error {
 }
 
 // logWindow journals a window advance. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) logWindow() error {
 	if b.journal == nil {
 		return nil
@@ -239,8 +233,6 @@ func (b *BaseCluster) logWindow() error {
 // transaction re-executes on the master and must reproduce what the journal
 // logged (wal.Group.Verify). It returns the number of committed
 // transactions. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) replay(recs []wal.Record) (committed int, err error) {
 	groups, err := wal.Groups(recs)
 	if err != nil {
@@ -266,7 +258,6 @@ func (b *BaseCluster) replay(recs []wal.Record) (committed int, err error) {
 			return 0, fmt.Errorf("replica: recover base: %w", err)
 		}
 		b.entries = append(b.entries, baseEntry{t: g.Txn, eff: eff})
-		b.chargePropagation(eff)
 		committed++
 	}
 	return committed, nil
@@ -430,9 +421,6 @@ func recoverFromSegments(d *store.Disk, cfg Config) (*BaseCluster, *Recovery, er
 // on-disk old generation holds every commit acknowledged before the
 // failure, and restarting the cluster recovers it. Operators should treat
 // a Checkpoint error as fatal and restart.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (b *BaseCluster) Checkpoint() error {
 	if b.disk == nil {
 		return ErrNoDurableStore
@@ -470,9 +458,6 @@ func (b *BaseCluster) Checkpoint() error {
 
 // CloseStore flushes and closes the cluster's durable segment log, if it
 // has one. The cluster must be quiescent — no in-flight commits or merges.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (b *BaseCluster) CloseStore() error {
 	if b.disk == nil {
 		return nil
@@ -482,8 +467,6 @@ func (b *BaseCluster) CloseStore() error {
 
 // LogSize reports the on-disk footprint of the segment log (checkpoint +
 // tail), or 0 without a durable store.
-//
-//tiermerge:locks(none)
 func (b *BaseCluster) LogSize() int64 {
 	if b.disk == nil {
 		return 0

@@ -109,8 +109,6 @@ func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
 // footprint of it (footprintOrigin — a value the payload omits was replayed
 // as zero, and is claimed as zero). The check costs O(|origin|) under
 // Strategy 2 and O(|origin| · log n) under Strategy 1, and copies no state.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (prefixSnapshot, FallbackReason) {
 	if ck.WindowID != b.windowID {
 		return prefixSnapshot{}, FallbackWindowExpired
@@ -146,8 +144,6 @@ func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (pref
 // value. Interior inserts keep this exact: the insert-conflict check admits
 // an insert only when no later entry touches its items, so an item's
 // writers run in position order. Caller holds b.mu.
-//
-//tiermerge:locks(cluster)
 func (b *BaseCluster) valueAtLocked(ix *graph.BaseIndex, it model.Item, pos int) model.Value {
 	if v, ok := ix.BeforeWrite(it, pos); ok {
 		return v

@@ -126,8 +126,6 @@ type partition struct {
 
 // newCross counts one more cross-shard transaction in the window and
 // returns its global identity. Caller holds every involved shard's mutex.
-//
-//tiermerge:locks(shard)
 func (s *partition) newCross(t *tx.Transaction, eff *tx.Effect) *crossTxn {
 	s.crossEntries.Add(1)
 	return &crossTxn{acc: graph.AccessOf(t, eff, !s.shards[0].cfg.MergeOptions.DisableDeltas)}
@@ -256,9 +254,6 @@ func (s *ShardedBase) closeRecoveredWindow() {
 }
 
 // Checkpoint rotates every shard's segment log (see BaseCluster.Checkpoint).
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (s *ShardedBase) Checkpoint() error {
 	for k, b := range s.shards {
 		if err := b.Checkpoint(); err != nil {
@@ -269,9 +264,6 @@ func (s *ShardedBase) Checkpoint() error {
 }
 
 // CloseStore closes every shard's storage engine.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func (s *ShardedBase) CloseStore() error {
 	var first error
 	for _, b := range s.shards {
@@ -324,8 +316,6 @@ func (s *ShardedBase) Counters() cost.Counts {
 }
 
 // Master returns a copy of the combined master state across every shard.
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) Master() model.State {
 	out := model.NewState()
 	for _, b := range s.shards {
@@ -354,8 +344,6 @@ func (s *ShardedBase) spanStart() time.Time {
 
 // WindowID returns the current global window identifier, retrying around
 // in-progress advances.
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) WindowID() int {
 	if len(s.shards) == 1 {
 		return s.shards[0].WindowID()
@@ -377,8 +365,6 @@ func (s *ShardedBase) WindowID() int {
 // barrier: concurrent checkouts either complete before the sweep or after
 // it, never straddling shards in different windows. Concurrent advancers
 // serialize on the barrier's version CAS.
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) AdvanceWindow() int {
 	if len(s.shards) == 1 {
 		return s.shards[0].AdvanceWindow()
@@ -410,8 +396,6 @@ func (s *ShardedBase) AdvanceWindow() int {
 // when crossEntries moved: a cross-shard install counts itself and appends
 // under every involved mutex, so a sweep that saw it on some shards only
 // read the counter on both sides of it. The origin is then a real cut.
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 	return s.checkout(mobileID, false)
 }
@@ -419,8 +403,6 @@ func (s *ShardedBase) CheckoutReplica(mobileID string) Checkout {
 // checkout is CheckoutReplica; shared hands out the shards' Strategy 2
 // window origins themselves and leaves the union unbuilt (Origin nil), for
 // a caller that only reads them (see unionOrigin).
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) checkout(mobileID string, shared bool) Checkout {
 	if len(s.shards) == 1 {
 		return s.shards[0].checkout(mobileID, shared)
@@ -477,8 +459,6 @@ func (s *partition) clustersOf(involved []int) []*BaseCluster {
 // so two reconnects (or a reconnect and a cross-shard base transaction)
 // can never deadlock on shard mutexes. Callers must pass the
 // clusters in that order (clustersOf over a sorted shard list).
-//
-//tiermerge:blocking
 func lockClusters(bs []*BaseCluster) {
 	for _, b := range bs {
 		b.mu.Lock()
@@ -494,8 +474,6 @@ func unlockClusters(bs []*BaseCluster) {
 
 // ExecBase runs one base transaction against the sharded tier, over the set
 // of the shards its footprint touches (see clusterSet.execBase).
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) ExecBase(t *tx.Transaction) error {
 	return s.over(t.Footprint()).execBase(t)
 }
@@ -503,9 +481,6 @@ func (s *ShardedBase) ExecBase(t *tx.Transaction) error {
 // syncShards forces the journals of the given clusters to stable media —
 // the set counterpart of syncJournal, called after the members' mutexes
 // are released on every path that acknowledges a commit.
-//
-//tiermerge:locks(none)
-//tiermerge:blocking
 func syncShards(bs []*BaseCluster) error {
 	for _, b := range bs {
 		if err := b.syncJournal(); err != nil {
@@ -518,8 +493,6 @@ func syncShards(bs []*BaseCluster) error {
 // gatherLocked assembles a scratch state holding the current master value
 // of every item in set, read from each item's owning shard. Caller holds
 // every involved shard's mutex.
-//
-//tiermerge:locks(shard)
 func (s *partition) gatherLocked(set model.ItemSet) model.State {
 	scratch := model.NewState()
 	for it := range set {
@@ -537,8 +510,6 @@ func (s *partition) gatherLocked(set model.ItemSet) model.State {
 // effect. Each shard forces its own commit record: a cross-shard install
 // pays one forced write per involved shard, the genuine durability cost
 // of spanning partitions. Caller holds every involved shard's mutex.
-//
-//tiermerge:locks(shard)
 func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 	g := s.newCross(base, eff)
 	touched := make(model.ItemSet, len(eff.Items))
@@ -639,8 +610,6 @@ func (s *ShardedBase) shardTokens(ck Checkout) ([]Checkout, error) {
 // Merge runs the merging protocol against the sharded tier, over the set of
 // shards the history's footprint touches (every shard while the window holds
 // a cross-shard entry).
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) Merge(ck Checkout, hm *history.Augmented) (*ConnectOutcome, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].Merge(ck, hm)
@@ -679,8 +648,6 @@ func (s *ShardedBase) wireTokens(ck Checkout) Checkout {
 
 // Preview reports what a merge would do right now without committing
 // anything, like BaseCluster.Preview.
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) Preview(ck Checkout, hm *history.Augmented) (*merge.Report, error) {
 	if len(s.shards) == 1 {
 		return s.shards[0].Preview(ck, hm)
@@ -694,8 +661,6 @@ func (s *ShardedBase) Preview(ck Checkout, hm *history.Augmented) (*merge.Report
 
 // Reprocess runs the original two-tier protocol against the sharded tier,
 // re-executing each tentative transaction on its shard (or across shards).
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) Reprocess(hm *history.Augmented) *ConnectOutcome {
 	if len(s.shards) == 1 {
 		return s.shards[0].Reprocess(hm)
@@ -705,8 +670,6 @@ func (s *ShardedBase) Reprocess(hm *history.Augmented) *ConnectOutcome {
 
 // WritePrometheus renders the aggregated cost counters plus per-shard
 // series labeled by shard index.
-//
-//tiermerge:locks(none)
 func (s *ShardedBase) WritePrometheus(w io.Writer) error {
 	var err error
 	p := func(format string, args ...any) {

@@ -99,7 +99,6 @@ func usageOf(t *tx.Transaction) usage {
 	return u
 }
 
-//tiermerge:sink
 func classifyStmts(body []tx.Stmt, u *usage, nonAdditive model.ItemSet) {
 	for _, s := range body {
 		switch st := s.(type) {

@@ -17,8 +17,8 @@ import (
 // workloads — transfers conserve the total balance, so any lost update,
 // double-applied forward, or broken undo shows up as money appearing or
 // vanishing. The invariant is checked on the master after every single
-// reconnect, across window advances and a multi-node base tier, and the
-// follower replicas must converge at the end.
+// reconnect, across window advances and a multi-node base tier (whose other
+// nodes only price propagation).
 func TestSoakTransferConservation(t *testing.T) {
 	const (
 		accounts = 64
@@ -172,7 +172,7 @@ func TestSoakAllRewriters(t *testing.T) {
 // mobiles crashing and recovering from journals, hot-set contention and a
 // drift-tolerant acceptance criterion, over a transfer-only workload whose
 // total is conserved by construction — checked on the master after the
-// run, with follower convergence.
+// run.
 func TestTortureEverythingAtOnce(t *testing.T) {
 	const accounts = 32
 	origin := model.NewState()

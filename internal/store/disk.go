@@ -33,8 +33,8 @@
 // under the cluster mutex (group commit: many committers buffer under the
 // lock, the first Sync outside it flushes and fsyncs for all). Sync,
 // BeginRotate/CompleteRotate and Close do the file I/O and must never run
-// while the cluster mutex is held — tiermergelint's blocking analysis now
-// counts package os file I/O as blocking and enforces exactly that.
+// while the cluster mutex is held (TestCheckpointWrittenOutsideLock and
+// TestBaseCommitsShareOneFsync in internal/replica check it).
 package store
 
 import (
@@ -58,8 +58,6 @@ type Disk struct {
 	// bmu guards the pending buffers and the rotation-gate state —
 	// memory-only, safe under the cluster mutex and safe to take nested
 	// under fmu (it never waits on anything).
-	//
-	//tiermerge:leafmutex
 	bmu sync.Mutex
 	// old holds bytes buffered before a BeginRotate that CompleteRotate
 	// still has to flush to the outgoing tail; buf holds bytes destined for
@@ -83,8 +81,6 @@ type Disk struct {
 	// acknowledged commit is durable in exactly one generation. Blocking
 	// file I/O under it is its charter — never take it under the cluster
 	// mutex.
-	//
-	//tiermerge:iomutex
 	fmu      sync.Mutex
 	gen      int
 	tail     tailFile
@@ -239,8 +235,6 @@ func (d *Disk) TruncateTail(n int64) error {
 // media at the next Sync. On a wedged log (a rotation failed) it reports
 // the sticky failure so commit paths stop before buffering records that
 // can never be forced.
-//
-//tiermerge:nonblocking
 func (d *Disk) Write(p []byte) (int, error) {
 	d.bmu.Lock()
 	if err := d.failed; err != nil {
@@ -269,8 +263,6 @@ func (d *Disk) Failed() error {
 // gate: bytes buffered after the boundary belong to the next tail stream
 // and must never reach the outgoing one. Must not be called under the
 // cluster mutex.
-//
-//tiermerge:blocking
 func (d *Disk) Sync() error {
 	for {
 		if err := d.awaitRotation(); err != nil {
@@ -289,8 +281,6 @@ func (d *Disk) Sync() error {
 // the wedge state. It holds no mutex while waiting — CompleteRotate needs
 // fmu to resolve the gate, and the gate channel itself is read under bmu
 // and waited on bare.
-//
-//tiermerge:blocking
 func (d *Disk) awaitRotation() error {
 	for {
 		d.bmu.Lock()
@@ -363,8 +353,6 @@ func (d *Disk) syncLocked() (retry bool, err error) {
 // snapshots the state the checkpoint will record, then call CompleteRotate
 // outside the lock. Every BeginRotate must be paired with a CompleteRotate
 // (parked Syncs wait for it).
-//
-//tiermerge:nonblocking
 func (d *Disk) BeginRotate() {
 	d.bmu.Lock()
 	d.old = append(d.old, d.buf...)
@@ -401,8 +389,6 @@ func (d *Disk) resolveRotation(err error) {
 // boundary, so appending to the old tail again would corrupt it — Write
 // and Sync report the failure, no commit acknowledges, and a restart
 // recovers the old generation. Must not be called under the cluster mutex.
-//
-//tiermerge:blocking
 func (d *Disk) CompleteRotate(writeCkpt func(w io.Writer) error) (RotateStats, error) {
 	d.fmu.Lock()
 	st, err := d.completeRotateLocked(writeCkpt)
@@ -536,8 +522,6 @@ func (d *Disk) LogSize() int64 {
 // Close flushes and closes the live tail. It waits out a pending rotation
 // like Sync does; on a wedged log it still releases the file descriptor
 // and returns the wedge error.
-//
-//tiermerge:blocking
 func (d *Disk) Close() error {
 	err := d.Sync()
 	d.fmu.Lock()

@@ -378,3 +378,60 @@ func TestPartialTailWriteRequeuesOnlySuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// parkedSyncTail parks its next Sync until released: an fsync that takes
+// as long as the disk likes.
+type parkedSyncTail struct {
+	tailFile
+	parked, release chan struct{}
+}
+
+func (p *parkedSyncTail) Sync() error {
+	close(p.parked)
+	<-p.release
+	return p.tailFile.Sync()
+}
+
+// TestWriteDuringTailSync: bmu is a leaf mutex over memory only. A Sync
+// writes and forces the tail under fmu alone, so while its fsync is parked a
+// committer (which buffers under the cluster mutex) can still Write, and
+// its bytes reach the tail at the next Sync.
+func TestWriteDuringTailSync(t *testing.T) {
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CompleteRotate(func(w io.Writer) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	tail := &parkedSyncTail{tailFile: d.tail, parked: make(chan struct{}), release: make(chan struct{})}
+	d.tail = tail
+	fmt.Fprintf(d, "record-1\n")
+	synced := make(chan error, 1)
+	go func() { synced <- d.Sync() }()
+	<-tail.parked
+	if d.bmu.TryLock() {
+		d.bmu.Unlock()
+		fmt.Fprintf(d, "record-2\n")
+	} else {
+		t.Error("bmu is held across the tail fsync: Write would wait for the disk")
+	}
+	close(tail.release)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	d.tail = tail.tailFile
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := d.ReadSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "record-1\nrecord-2\n" {
+		t.Errorf("tail = %q, want both records in order", got)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

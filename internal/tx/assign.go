@@ -22,7 +22,6 @@ type AssignStmt struct {
 // Assign builds a blind-write statement it := e.
 func Assign(it model.Item, e expr.Expr) *AssignStmt { return &AssignStmt{Item: it, Expr: e} }
 
-//tiermerge:sink
 func (s *AssignStmt) compile(rs, ws model.ItemSet) {
 	s.Expr.AddItems(rs) // operands are read; the target is not
 	ws.Add(s.Item)

@@ -91,8 +91,6 @@ func (e *Effect) Clone() *Effect {
 }
 
 // Apply writes the execution's final values into s.
-//
-//tiermerge:sink
 func (e *Effect) Apply(s model.State) {
 	for _, r := range e.Items {
 		if r.Written {
@@ -184,8 +182,6 @@ func (t *Transaction) Exec(s model.State, fix Fix) (model.State, *Effect, error)
 // effect log. It is atomic: writes are buffered until the whole body has run,
 // so on error s is unchanged. An augmented history runs all its entries on
 // one working state this way (history.Run).
-//
-//tiermerge:sink
 func (t *Transaction) ExecInPlace(s model.State, fix Fix) (*Effect, error) {
 	t.ensureCompiled()
 	// The footprint bounds the items any path touches: one allocation.
@@ -216,7 +212,6 @@ func (t *Transaction) DefinedOn(s model.State, fix Fix) bool {
 	return err == nil
 }
 
-//tiermerge:sink
 func runStmts(body []Stmt, env *execEnv) error {
 	for _, s := range body {
 		switch st := s.(type) {

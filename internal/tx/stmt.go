@@ -32,7 +32,6 @@ type ReadStmt struct {
 // Read builds a read statement.
 func Read(it model.Item) *ReadStmt { return &ReadStmt{Item: it} }
 
-//tiermerge:sink
 func (s *ReadStmt) compile(rs, _ model.ItemSet) { rs.Add(s.Item) }
 
 func (s *ReadStmt) String() string { return fmt.Sprintf("read %s", s.Item) }
@@ -51,7 +50,6 @@ type UpdateStmt struct {
 // Update builds an update statement it := e.
 func Update(it model.Item, e expr.Expr) *UpdateStmt { return &UpdateStmt{Item: it, Expr: e} }
 
-//tiermerge:sink
 func (s *UpdateStmt) compile(rs, ws model.ItemSet) {
 	rs.Add(s.Item) // implicit pre-read of the target
 	s.Expr.AddItems(rs)

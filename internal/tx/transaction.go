@@ -115,8 +115,6 @@ func (t *Transaction) Validate() error {
 // conditional the union of both branches' writes is considered written
 // (conservative: an item written in the then-branch and again after the
 // conditional is rejected even though the else path would be fine).
-//
-//tiermerge:sink
 func validateOnceWritten(body []Stmt, written model.ItemSet) error {
 	for _, s := range body {
 		switch st := s.(type) {
@@ -168,8 +166,6 @@ func (t *Transaction) StaticWriteSet() model.ItemSet {
 
 // Footprint returns every item the profile can read or write on any path,
 // the compiled set itself: callers share it and must never mutate it.
-//
-//tiermerge:shared
 func (t *Transaction) Footprint() model.ItemSet {
 	t.ensureCompiled()
 	return t.footprint

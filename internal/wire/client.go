@@ -104,8 +104,6 @@ func (t *Transport) Stats() (dials, redials int64) {
 // Call sends one framed request and awaits its response, honoring ctx's
 // deadline and cancellation. Responses lost after the request may have
 // reached the server are reported as replica.ErrResponseLost.
-//
-//tiermerge:blocking
 func (t *Transport) Call(ctx context.Context, payload []byte) ([]byte, error) {
 	if len(payload) > t.cfg.MaxFrame {
 		return nil, fmt.Errorf("%w: request is %d bytes (max %d)",
@@ -229,7 +227,6 @@ func (t *Transport) put(c *conn) {
 	c.Close()
 }
 
-//tiermerge:blocking
 func (t *Transport) dialConn(ctx context.Context) (*conn, error) {
 	d := net.Dialer{Timeout: t.cfg.DialTimeout}
 	c, err := d.DialContext(ctx, "tcp", t.addr)
@@ -246,8 +243,6 @@ func (t *Transport) dialConn(ctx context.Context) (*conn, error) {
 // roundTrip performs one framed exchange under the call deadline,
 // separating write failures (request never committed to the wire) from
 // read failures (response lost after the request was sent).
-//
-//tiermerge:blocking
 func (t *Transport) roundTrip(ctx context.Context, c *conn, payload []byte) (resp []byte, writeErr, readErr error) {
 	deadline := time.Now().Add(t.cfg.CallTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {

@@ -151,8 +151,6 @@ func (s *Server) PayloadBytes() (in, out int64) {
 // connections idle in a read are unblocked and dropped, handlers mid-merge
 // finish and write their response, then Close returns. It does not close
 // the underlying BaseServer (its owner does).
-//
-//tiermerge:blocking
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -203,7 +201,6 @@ func (s *Server) untrack(c net.Conn) {
 	delete(s.conns, c)
 }
 
-//tiermerge:blocking
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	reg := newServerMetrics(s.base.WireRegistry())
@@ -234,8 +231,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // serveConn handles one connection: read a frame, serve it, write the
 // response, repeat until error, shutdown, or injected response loss.
-//
-//tiermerge:blocking
 func (s *Server) serveConn(c net.Conn, reg *serverMetrics) {
 	defer s.wg.Done()
 	defer func() {

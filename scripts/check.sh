@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full repository verification: build, vet, tiermergelint (the merge
-# protocol's invariant gate), format check, unit/property tests,
+# Full repository verification: build, vet, format check, the lock
+# discipline tests, unit/property tests,
 # experiment regeneration with pass/fail gates, examples and a quick
 # benchmark smoke. CI runs exactly this (see .github/workflows/ci.yml).
 set -euo pipefail
@@ -134,14 +134,18 @@ require_tests TestExecAllocs ./internal/tx/
 require_tests 'TestLogTxnGoldenCanned|TestLogTxnGoldenGenerated' ./internal/wal/
 go test -count=1 -run "$form_pins|TestExecAllocs|TestLogTxnGolden" ./internal/graph/ ./internal/tx/ ./internal/wal/
 
-echo "== tiermergelint (merge-protocol invariants) =="
-go run ./cmd/tiermergelint ./...
-# The two module-level lint tests skip under -short: the whole suite must
-# stay clean on the real replica package, and inference must still flag a
-# caller of the lock-taking routine once its annotations are stripped.
-lint_pins='TestReplicaTwoPhaseAdmitClean|TestInferenceCoversRemovedAnnotation'
-require_tests "$lint_pins" ./internal/analysis/
-go test -count=1 -run "$lint_pins" ./internal/analysis/
+echo "== lock discipline (events, checkpoint file work, lock order, shared footprints) =="
+# No observer event is delivered while a cluster mutex is held, the
+# checkpoint file is written and forced outside the mutex, every cluster set
+# lists its members in ascending shard order (the one lock order), a merge
+# never writes into a transaction's compiled footprint, and the store's
+# buffer mutex is free while the tail is forced. The table of seeded bugs
+# these catch is docs/LINT.md.
+lock_pins='TestEventsOutsideLock|TestCheckpointWrittenOutsideLock|TestClusterSetsAscending|TestMergeLeavesFootprintsAlone'
+require_tests "$lock_pins" ./internal/replica/
+go test -race -count=10 -run "$lock_pins" ./internal/replica/
+require_tests TestWriteDuringTailSync ./internal/store/
+go test -race -count=10 -run TestWriteDuringTailSync ./internal/store/
 
 echo "== staticcheck (required, pinned $STATICCHECK_VERSION) =="
 if command -v staticcheck > /dev/null 2>&1; then
