@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"tiermerge/internal/tx"
@@ -26,6 +28,33 @@ type Strategy interface {
 	ComputeB(g *Graph) ([]int, error)
 }
 
+// backOuter is implemented by this package's strategies: the back-out set
+// of g computed over s, whose cycle pass already covers the whole graph
+// (no vertex removed) and found a cycle. The returned set is the caller's.
+type backOuter interface {
+	backOut(g *Graph, s *Scratch) ([]int, error)
+}
+
+// BackOut tests g for a cycle and, when it has one, computes the back-out
+// set B with strategy — for this package's strategies over one cycle pass
+// that serves both the test and the strategy's first round, with the
+// pass's arrays in s (nil: fresh ones). B is allocated fresh and equals
+// strategy.ComputeB(g); cyclic reports whether g had a cycle.
+func BackOut(g *Graph, strategy Strategy, s *Scratch) (b []int, cyclic bool, err error) {
+	if s == nil {
+		s = new(Scratch)
+	}
+	if !s.cyc.pass(g, nil) {
+		return nil, false, nil
+	}
+	if bo, ok := strategy.(backOuter); ok {
+		b, err = bo.backOut(g, s)
+	} else {
+		b, err = strategy.ComputeB(g)
+	}
+	return b, true, err
+}
+
 // GreedyCost backs out, while cycles remain, the cyclic tentative vertex
 // with the smallest Davidson back-out cost (1 + reads-from closure size);
 // ties go to the earliest history position. It reproduces the paper's
@@ -36,20 +65,23 @@ type GreedyCost struct{}
 func (GreedyCost) Name() string { return "greedy-cost" }
 
 // ComputeB implements Strategy.
-func (GreedyCost) ComputeB(g *Graph) ([]int, error) {
-	removed := make(map[int]bool)
-	var b []int
-	for {
-		cyclic := g.cyclicVertices(removed)
-		if len(cyclic) == 0 {
-			break
-		}
+func (s GreedyCost) ComputeB(g *Graph) ([]int, error) {
+	b, _, err := BackOut(g, s, nil)
+	return b, err
+}
+
+func (GreedyCost) backOut(g *Graph, s *Scratch) ([]int, error) {
+	return cheapestRounds(g, &s.cyc, s.mask(g.Len()), nil)
+}
+
+// cheapestRounds backs out, while c's last pass over g minus removed finds
+// a cycle, the cyclic tentative vertex with the smallest back-out cost
+// (ties to the earliest), adding it to removed and b; it returns b sorted.
+func cheapestRounds(g *Graph, c *cycles, removed []bool, b []int) ([]int, error) {
+	for c.cyclic {
 		best := -1
-		for _, v := range cyclic {
-			if g.Kind(v) != tx.Tentative {
-				continue
-			}
-			if best == -1 || g.Cost(v) < g.Cost(best) {
+		for v := range g.Len() {
+			if c.onCycle(v) && g.kind[v] == tx.Tentative && (best == -1 || g.cost[v] < g.cost[best]) {
 				best = v
 			}
 		}
@@ -58,6 +90,7 @@ func (GreedyCost) ComputeB(g *Graph) ([]int, error) {
 		}
 		removed[best] = true
 		b = append(b, best)
+		c.pass(g, removed)
 	}
 	sort.Ints(b)
 	return b, nil
@@ -73,50 +106,51 @@ type GreedyDegree struct{}
 func (GreedyDegree) Name() string { return "greedy-degree" }
 
 // ComputeB implements Strategy.
-func (GreedyDegree) ComputeB(g *Graph) ([]int, error) {
-	removed := make(map[int]bool)
+func (s GreedyDegree) ComputeB(g *Graph) ([]int, error) {
+	b, _, err := BackOut(g, s, nil)
+	return b, err
+}
+
+// backOut removes one vertex per nontrivial component and round: the
+// first tentative vertex, in vertex order, with the highest score.
+func (GreedyDegree) backOut(g *Graph, s *Scratch) ([]int, error) {
+	c := &s.cyc
+	removed := s.mask(g.Len())
 	var b []int
-	for {
-		sccs := g.SCCs(removed)
-		progressed := false
-		for _, scc := range sccs {
-			if len(scc) < 2 {
+	for c.cyclic {
+		best := filled(s.best, len(c.size), -1)
+		score := filled(s.bestScore, len(c.size), -1)
+		s.best, s.bestScore = best, score
+		for v := range g.Len() {
+			if !c.onCycle(v) || g.kind[v] != tx.Tentative {
 				continue
 			}
-			inSCC := make(map[int]bool, len(scc))
-			for _, v := range scc {
-				inSCC[v] = true
-			}
-			best, bestScore := -1, -1
-			for _, v := range scc {
-				if g.Kind(v) != tx.Tentative {
-					continue
-				}
-				in, out := 0, 0
-				for _, p := range g.Pred(v) {
-					if inSCC[p] && !removed[p] {
-						in++
-					}
-				}
-				for _, s := range g.Succ(v) {
-					if inSCC[s] && !removed[s] {
-						out++
-					}
-				}
-				if score := in * out; score > bestScore {
-					best, bestScore = v, score
+			id, in, out := c.comp[v], 0, 0
+			for _, p := range g.pred[v] {
+				if c.comp[p] == id {
+					in++
 				}
 			}
-			if best == -1 {
+			for _, w := range g.succ[v] {
+				if c.comp[w] == id {
+					out++
+				}
+			}
+			if in*out > score[id] {
+				best[id], score[id] = int32(v), in*out
+			}
+		}
+		for id, size := range c.size {
+			if size < 2 {
+				continue
+			}
+			if best[id] == -1 {
 				return nil, ErrUnbreakable
 			}
-			removed[best] = true
-			b = append(b, best)
-			progressed = true
+			removed[best[id]] = true
+			b = append(b, int(best[id]))
 		}
-		if !progressed {
-			break
-		}
+		c.pass(g, removed)
 	}
 	sort.Ints(b)
 	return b, nil
@@ -140,76 +174,75 @@ func (TwoCycle) Name() string { return "two-cycle" }
 
 // ComputeB implements Strategy.
 func (s TwoCycle) ComputeB(g *Graph) ([]int, error) {
-	maxExact := s.MaxExact
+	b, _, err := BackOut(g, s, nil)
+	return b, err
+}
+
+func (tc TwoCycle) backOut(g *Graph, s *Scratch) ([]int, error) {
+	maxExact := tc.MaxExact
 	if maxExact == 0 {
 		maxExact = 18
 	}
-	removed := make(map[int]bool)
+	c := &s.cyc
+	removed := s.mask(g.Len())
 	var b []int
-	// Mandatory: tentative partners of tentative/base two-cycles.
-	var ttEdges [][2]int
-	for _, pair := range g.TwoCycles() {
-		u, v := pair[0], pair[1]
-		uT := g.Kind(u) == tx.Tentative
-		vT := g.Kind(v) == tx.Tentative
-		switch {
-		case uT && !vT:
-			if !removed[u] {
-				removed[u] = true
-				b = append(b, u)
+	// Mandatory: tentative partners of tentative/base two-cycles. Both
+	// endpoints of a two-cycle lie on a cycle, so only those are visited;
+	// the pairs come in TwoCycles order.
+	tt := s.tt[:0]
+	for u := range g.Len() {
+		if !c.onCycle(u) {
+			continue
+		}
+		for _, v := range g.succ[u] {
+			if v <= u {
+				continue
 			}
-		case vT && !uT:
-			if !removed[v] {
-				removed[v] = true
-				b = append(b, v)
+			if _, back := slices.BinarySearch(g.succ[v], u); !back {
+				continue
 			}
-		case uT && vT:
-			ttEdges = append(ttEdges, pair)
-		default:
-			return nil, ErrUnbreakable
+			uT := g.kind[u] == tx.Tentative
+			vT := g.kind[v] == tx.Tentative
+			switch {
+			case uT && !vT:
+				if !removed[u] {
+					removed[u] = true
+					b = append(b, u)
+				}
+			case vT && !uT:
+				if !removed[v] {
+					removed[v] = true
+					b = append(b, v)
+				}
+			case uT && vT:
+				tt = append(tt, [2]int{u, v})
+			default:
+				return nil, ErrUnbreakable
+			}
 		}
 	}
 	// Optimal cover of the tentative/tentative two-cycles, ignoring edges
 	// already covered by the mandatory removals.
-	var openEdges [][2]int
+	open := tt[:0]
 	weights := make(map[int]int)
-	for _, e := range ttEdges {
+	for _, e := range tt {
 		if removed[e[0]] || removed[e[1]] {
 			continue
 		}
-		openEdges = append(openEdges, e)
+		open = append(open, e)
 		weights[e[0]] = g.Cost(e[0])
 		weights[e[1]] = g.Cost(e[1])
 	}
-	for _, v := range minVertexCover(openEdges, weights, maxExact) {
+	s.tt = tt
+	for _, v := range minVertexCover(open, weights, maxExact) {
 		if !removed[v] {
 			removed[v] = true
 			b = append(b, v)
 		}
 	}
 	// Remaining cycles: cheapest-cost greedy.
-	for {
-		cyclic := g.cyclicVertices(removed)
-		if len(cyclic) == 0 {
-			break
-		}
-		best := -1
-		for _, v := range cyclic {
-			if g.Kind(v) != tx.Tentative {
-				continue
-			}
-			if best == -1 || g.Cost(v) < g.Cost(best) {
-				best = v
-			}
-		}
-		if best == -1 {
-			return nil, ErrUnbreakable
-		}
-		removed[best] = true
-		b = append(b, best)
-	}
-	sort.Ints(b)
-	return b, nil
+	c.pass(g, removed)
+	return cheapestRounds(g, c, removed, b)
 }
 
 // Exhaustive finds a minimum back-out set exactly, by trying candidate sets
@@ -226,57 +259,58 @@ func (Exhaustive) Name() string { return "exhaustive" }
 
 // ComputeB implements Strategy.
 func (e Exhaustive) ComputeB(g *Graph) ([]int, error) {
+	b, _, err := BackOut(g, e, nil)
+	return b, err
+}
+
+func (e Exhaustive) backOut(g *Graph, s *Scratch) ([]int, error) {
 	maxC := e.MaxCandidates
 	if maxC == 0 {
 		maxC = 20
 	}
 	var candidates []int
-	for _, v := range g.cyclicVertices(nil) {
-		if g.Kind(v) == tx.Tentative {
+	for _, v := range s.cyc.cyclicVertices(nil) {
+		if g.kind[v] == tx.Tentative {
 			candidates = append(candidates, v)
 		}
 	}
 	if len(candidates) == 0 {
-		if g.Acyclic(nil) {
-			return nil, nil
-		}
 		return nil, ErrUnbreakable
 	}
 	if len(candidates) > maxC {
 		return nil, fmt.Errorf("graph: exhaustive back-out over %d candidates exceeds limit %d",
 			len(candidates), maxC)
 	}
-	type cand struct {
-		set  []int
-		cost int
-	}
-	var best *cand
+	removed := s.mask(g.Len())
+	best, bestCost, bestLen := -1, 0, 0
 	n := len(candidates)
-	for mask := 0; mask < 1<<n; mask++ {
-		var set []int
-		cost := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				set = append(set, candidates[i])
-				cost += g.Cost(candidates[i])
+	for set := 0; set < 1<<n; set++ {
+		cost, size := 0, bits.OnesCount(uint(set))
+		for i, v := range candidates {
+			if set&(1<<i) != 0 {
+				cost += g.cost[v]
 			}
 		}
-		if best != nil && (cost > best.cost || (cost == best.cost && len(set) >= len(best.set))) {
+		if best != -1 && (cost > bestCost || (cost == bestCost && size >= bestLen)) {
 			continue
 		}
-		removed := make(map[int]bool, len(set))
-		for _, v := range set {
-			removed[v] = true
+		for i, v := range candidates {
+			removed[v] = set&(1<<i) != 0
 		}
-		if g.Acyclic(removed) {
-			best = &cand{set: set, cost: cost}
+		if !s.cyc.pass(g, removed) {
+			best, bestCost, bestLen = set, cost, size
 		}
 	}
-	if best == nil {
+	if best == -1 {
 		return nil, ErrUnbreakable
 	}
-	sort.Ints(best.set)
-	return best.set, nil
+	var b []int
+	for i, v := range candidates {
+		if best&(1<<i) != 0 {
+			b = append(b, v)
+		}
+	}
+	return b, nil
 }
 
 // AllCyclic backs out every tentative vertex lying on any cycle — the
@@ -288,20 +322,22 @@ type AllCyclic struct{}
 func (AllCyclic) Name() string { return "all-cyclic" }
 
 // ComputeB implements Strategy.
-func (AllCyclic) ComputeB(g *Graph) ([]int, error) {
+func (s AllCyclic) ComputeB(g *Graph) ([]int, error) {
+	b, _, err := BackOut(g, s, nil)
+	return b, err
+}
+
+func (AllCyclic) backOut(g *Graph, s *Scratch) ([]int, error) {
+	removed := s.mask(g.Len())
 	var b []int
-	for _, v := range g.cyclicVertices(nil) {
-		if g.Kind(v) == tx.Tentative {
+	for _, v := range s.cyc.cyclicVertices(nil) {
+		if g.kind[v] == tx.Tentative {
 			b = append(b, v)
+			removed[v] = true
 		}
 	}
-	removed := make(map[int]bool, len(b))
-	for _, v := range b {
-		removed[v] = true
-	}
-	if !g.Acyclic(removed) {
+	if s.cyc.pass(g, removed) {
 		return nil, ErrUnbreakable
 	}
-	sort.Ints(b)
 	return b, nil
 }

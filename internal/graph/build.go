@@ -15,8 +15,7 @@ import (
 // transactions actually meet — the way a log-parsing implementation would
 // work (Section 7.1 builds the graph "by parsing the log ... only once").
 func Build(mobile, base []Access) *Graph {
-	g, _ := build(mobile, base)
-	return g
+	return build(mobile, len(base), func(i int) *Access { return &base[i] }, nil)
 }
 
 // itemRef is one access of one item: which vertex, and how it touched the
@@ -29,6 +28,10 @@ type itemRef struct {
 	reads, writes, delta bool
 }
 
+// touch is one (vertex, item) access of a build: its item's number k, and
+// its position in the per-item layout.
+type touch struct{ k, pos int32 }
+
 // eachItem calls f once per item a touches, in item order, with how it
 // touched it; a blind write (written, never read) reports reads == false.
 func eachItem(a Access, f func(it model.Item, reads, writes, delta bool)) {
@@ -37,44 +40,53 @@ func eachItem(a Access, f func(it model.Item, reads, writes, delta bool)) {
 	}
 }
 
-// build is Build, also reporting how many of the elided pairs have both
-// endpoints in Hm (the rule-1 share of Graph.Elided, which BuildIndexed
-// keeps while recounting the cross pairs over the whole view).
+// build is Build over the tentative accesses and nb base accesses read
+// through baseAt (all of Hb, or BuildIndexed's relevant entries), with its
+// transient arrays in s (nil: fresh ones). It also records how many of the
+// elided pairs have both endpoints in Hm (Graph.mobileElided: the rule-1
+// share of Graph.Elided, which BuildIndexed keeps while recounting the
+// cross pairs over the whole view).
 //
 // The accesses are laid out per item in one flat array (each item's refs
 // contiguous and in vertex order, Hm's before Hb's), and the edges are
-// emitted source by source into one flat successor array. A target already
+// emitted source by source into one flat successor buffer. A target already
 // emitted for the current source carries the source's stamp, the way
 // BuildIndexed marks partners in bitsets, so no set of vertex pairs is kept.
-func build(mobile, base []Access) (g *Graph, mobileElided int) {
-	nm, n := len(mobile), len(mobile)+len(base)
-	g = &Graph{
+// The graph's own arrays — identities, kinds, adjacency, costs and one
+// array holding every successor and predecessor list — are allocated at
+// exact size once the edges are known; everything else lives in s.
+func build(mobile []Access, nb int, baseAt func(int) *Access, s *Scratch) *Graph {
+	if s == nil {
+		s = new(Scratch)
+	}
+	nm := len(mobile)
+	n := nm + nb
+	access := func(v int) *Access {
+		if v < nm {
+			return &mobile[v]
+		}
+		return baseAt(v - nm)
+	}
+	adj := make([][]int, 2*n)
+	g := &Graph{
 		MobileLen: nm,
-		BaseLen:   len(base),
+		BaseLen:   nb,
 		ids:       make([]string, n),
 		kind:      make([]tx.Kind, n),
-		succ:      make([][]int, n),
-		pred:      make([][]int, n),
+		succ:      adj[:n:n],
+		pred:      adj[n:],
 		cost:      make([]int, n),
 	}
-	access := func(v int) Access {
-		if v < nm {
-			return mobile[v]
-		}
-		return base[v-nm]
-	}
-	// A touch is one (vertex, item) access: its item's number k, and its
-	// position in refs.
-	type touch struct{ k, pos int32 }
 	nt := 0
 	for v := range n {
 		nt += len(access(v).Items)
 	}
-	touches := make([]touch, 0, nt)
-	// Sized for the worst case, every touch a distinct item, so that
-	// neither grows while items are numbered.
-	number := make(map[model.Item]int32, nt)
-	count := make([]int32, 0, nt) // accesses per item
+	touches := emptied(s.touches, nt)
+	// Both have room for the worst case, every touch a distinct item, so
+	// neither grows while items are numbered once the owner has seen a
+	// merge this size.
+	number := cleared(s.number, &s.numberPeak, nt)
+	count := emptied(s.count, nt) // accesses per item
 	for v := range n {
 		a := access(v)
 		g.ids[v], g.kind[v] = a.ID, tx.Tentative
@@ -92,16 +104,17 @@ func build(mobile, base []Access) (g *Graph, mobileElided int) {
 			touches = append(touches, touch{k: k})
 		}
 	}
+	s.number, s.numberPeak = number, max(s.numberPeak, len(number))
 	// Item k's refs are refs[start[k]:start[k+1]], Hm's before split[k].
 	ni := len(count)
-	bounds := make([]int32, 2*ni+1)
+	bounds := sized(s.bounds, 2*ni+1)
 	start, split := bounds[:ni+1], bounds[ni+1:]
 	for k, c := range count {
 		start[k+1] = start[k] + c
 		count[k] = start[k] // now the fill cursor
 	}
 	copy(split, start)
-	refs := make([]itemRef, nt)
+	refs := sized(s.refs, nt)
 	t := 0
 	for v := range n {
 		a := access(v)
@@ -124,16 +137,18 @@ func build(mobile, base []Access) (g *Graph, mobileElided int) {
 	// deltas commutes: its edge is elided, and counted in Graph.Elided
 	// unless some other item gives the same ordered pair a real edge
 	// (nothing was saved for it then).
-	stamp := make([]int32, 2*n) // stamp[v]: real edge from the source, stamp[n+v]: elided
-	off := make([]int, n+1)
-	flat := make([]int, 0, nt)
-	var elided []int32
+	stamp := sized(s.stamp, 2*n) // stamp[v]: real edge from the source, stamp[n+v]: elided
+	off := sized(s.off, n+1)
+	// The successor buffer grows to the largest edge count its owner has
+	// seen.
+	flat := emptied(s.flat, nt)
+	elided := emptied(s.elided, n)
 	t = 0
 	for u := range n {
 		mark := int32(u + 1)
-		pair := func(r, s itemRef) {
-			v := s.vertex
-			if r.delta && s.delta {
+		pair := func(r, q itemRef) {
+			v := q.vertex
+			if r.delta && q.delta {
 				if stamp[n+int(v)] != mark {
 					stamp[n+int(v)] = mark
 					elided = append(elided, v)
@@ -151,54 +166,63 @@ func build(mobile, base []Access) (g *Graph, mobileElided int) {
 			if u >= nm {
 				tierEnd, cross = start[k+1], refs[start[k]:split[k]]
 			}
-			for _, s := range refs[pos+1 : tierEnd] {
-				if r.writes || s.writes {
-					pair(r, s)
+			for _, q := range refs[pos+1 : tierEnd] {
+				if r.writes || q.writes {
+					pair(r, q)
 				}
 			}
 			if r.reads {
-				for _, s := range cross {
-					if s.writes {
-						pair(r, s)
+				for _, q := range cross {
+					if q.writes {
+						pair(r, q)
 					}
 				}
 			}
 		}
 		slices.Sort(flat[off[u]:])
-		off[u+1] = len(flat)
+		off[u+1] = int32(len(flat))
 		for _, v := range elided {
 			if stamp[v] != mark {
 				g.Elided++
 				if u < nm && int(v) < nm {
-					mobileElided++
+					g.mobileElided++
 				}
 			}
 		}
 		elided = elided[:0]
 	}
-	// Predecessor lists come out sorted: sources are visited in order.
-	predOff := make([]int, n+1)
+	s.touches, s.count, s.bounds, s.refs, s.stamp, s.off, s.flat, s.elided = touches, count, bounds, refs, stamp, off, flat, elided
+
+	// The graph's one edge array: successor lists, then predecessor lists,
+	// which come out sorted because sources are visited in order.
+	m := len(flat)
+	edges := make([]int, 2*m)
+	succFlat, predFlat := edges[:m:m], edges[m:]
+	copy(succFlat, flat)
+	for v := range n {
+		g.succ[v] = succFlat[off[v]:off[v+1]:off[v+1]]
+	}
+	predOff := off // reused as the predecessor offsets
+	clear(predOff)
 	for _, v := range flat {
 		predOff[v+1]++
 	}
 	for v := range n {
 		predOff[v+1] += predOff[v]
-		g.succ[v] = flat[off[v]:off[v+1]:off[v+1]]
 	}
-	predFlat := make([]int, len(flat))
 	fill := stamp[:n] // reused as the predecessor fill count
 	clear(fill)
 	for u := range n {
 		for _, v := range g.succ[u] {
-			predFlat[predOff[v]+int(fill[v])] = u
+			predFlat[predOff[v]+fill[v]] = u
 			fill[v]++
 		}
 	}
 	for v := range n {
 		g.pred[v] = predFlat[predOff[v]:predOff[v+1]:predOff[v+1]]
 	}
-	g.computeCosts(refs, start, split)
-	return g, mobileElided
+	g.computeCosts(refs, start, split, s)
+	return g
 }
 
 // computeCosts assigns each tentative vertex the Davidson back-out cost
@@ -206,11 +230,12 @@ func build(mobile, base []Access) (g *Graph, mobileElided int) {
 // transaction that (transitively) read from it to be handled too. A
 // tentative access reads from the last of Hm's writers of the item before
 // it; the items' Hm refs are refs[start[k]:split[k]], in history order.
-func (g *Graph) computeCosts(refs []itemRef, start, split []int32) {
+// The reads-from lists live in s.
+func (g *Graph) computeCosts(refs []itemRef, start, split []int32, s *Scratch) {
 	nm := g.MobileLen
 	// readers[at[w]:at[w+1]] are the tentative vertices that directly read
 	// an item last written by w (repeats are harmless).
-	at := make([]int32, nm+1)
+	at := sized(s.at, nm+1)
 	eachRead := func(f func(w, j int32)) {
 		for k := range split {
 			last := int32(-1)
@@ -228,14 +253,14 @@ func (g *Graph) computeCosts(refs []itemRef, start, split []int32) {
 	for w := range nm {
 		at[w+1] += at[w]
 	}
-	readers := make([]int32, at[nm])
-	seen := make([]int32, nm)
+	readers := sized(s.readers, int(at[nm]))
+	seen := sized(s.seen, nm)
 	eachRead(func(w, j int32) {
 		readers[at[w]+seen[w]] = j
 		seen[w]++
 	})
 	clear(seen)
-	var stack []int32
+	stack := emptied(s.stack, nm)
 	for i := range nm {
 		mark, size := int32(i+1), 0
 		stack = append(stack[:0], int32(i))
@@ -255,4 +280,5 @@ func (g *Graph) computeCosts(refs []itemRef, start, split []int32) {
 	for i := nm; i < len(g.cost); i++ {
 		g.cost[i] = 1
 	}
+	s.at, s.readers, s.seen, s.stack = at, readers, seen, stack
 }

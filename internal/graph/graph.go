@@ -109,6 +109,8 @@ type Graph struct {
 	// deltas (Access.Deltas). It is the graph-size saving delta-merge
 	// semantics buys over the value-write reading of the same histories.
 	Elided int
+	// mobileElided is the share of Elided with both endpoints in Hm.
+	mobileElided int
 
 	ids  []string
 	kind []tx.Kind
@@ -145,6 +147,19 @@ func (g *Graph) Succ(v int) []int { return g.succ[v] }
 // Pred returns the predecessors of v. The slice aliases the graph's
 // internal adjacency storage.
 func (g *Graph) Pred(v int) []int { return g.pred[v] }
+
+// LocalEdges returns the edge count of G(Hm) read the value-write way —
+// without delta elision: the conflicting pairs of tentative transactions,
+// the Hm→Hm edges plus the Hm–Hm pairs whose edge was elided. It is what the
+// mobile node would ship as its local graph, read off this graph instead of
+// a second build.
+func (g *Graph) LocalEdges() int {
+	n := g.mobileElided
+	for u := range g.MobileLen {
+		n += sort.SearchInts(g.succ[u], g.MobileLen) // successors are sorted, Hm first
+	}
+	return n
+}
 
 // VertexByID returns the vertex index of the transaction with the given ID,
 // or -1.
@@ -192,102 +207,153 @@ func (g *Graph) HasEdge(u, v string) bool {
 // Acyclic reports whether the graph, minus the removed vertices, has no
 // cycle. A nil removed set tests the whole graph.
 func (g *Graph) Acyclic(removed map[int]bool) bool {
-	return len(g.cyclicVertices(removed)) == 0
+	var c cycles
+	return !c.pass(g, g.maskOf(removed))
 }
 
-// cyclicVertices returns every vertex that lies on some cycle (i.e. belongs
-// to a strongly connected component of size > 1), honoring the removed mask.
-func (g *Graph) cyclicVertices(removed map[int]bool) []int {
-	sccs := g.SCCs(removed)
-	var out []int
-	for _, scc := range sccs {
-		if len(scc) > 1 {
-			out = append(out, scc...)
+// maskOf is removed as a vertex mask; nil when nothing is removed.
+func (g *Graph) maskOf(removed map[int]bool) []bool {
+	if len(removed) == 0 {
+		return nil
+	}
+	mask := make([]bool, g.Len())
+	for v, r := range removed {
+		if r && v >= 0 && v < len(mask) {
+			mask[v] = true
 		}
 	}
-	sort.Ints(out)
-	return out
+	return mask
 }
 
 // SCCs computes the strongly connected components of the graph minus the
-// removed vertices, using Tarjan's algorithm (iterative).
+// removed vertices, using Tarjan's algorithm (iterative): in the order they
+// complete, each sorted ascending.
 func (g *Graph) SCCs(removed map[int]bool) [][]int {
+	var c cycles
+	c.pass(g, g.maskOf(removed))
+	sccs := make([][]int, len(c.size))
+	at := make([]int, len(c.size)+1)
+	for id, size := range c.size {
+		at[id+1] = at[id] + int(size)
+	}
+	members := make([]int, at[len(c.size)])
+	for v, id := range c.comp {
+		if id >= 0 {
+			members[at[id]] = v
+			at[id]++
+		}
+	}
+	for id, size := range c.size {
+		end := at[id]
+		sccs[id] = members[end-int(size) : end : end]
+	}
+	return sccs
+}
+
+// cycles is one cycle pass over a graph: Tarjan's algorithm, iterative,
+// labelling every vertex with its strongly connected component — numbered
+// in the order the components complete — and every component with its
+// size, honouring a removed-vertex mask. The back-out strategies run it
+// round after round over the arrays of one Scratch.
+type cycles struct {
+	comp  []int32 // per vertex: its component; -1 if removed
+	size  []int32 // per component: its vertex count
+	index []int32 // per vertex: visit order; -1 if unvisited
+	low   []int32
+	stack []int32
+	work  []frame
+	// cyclic says whether some component has more than one vertex.
+	cyclic bool
+}
+
+// frame is one depth-first step: a vertex and its next successor.
+type frame struct{ v, child int32 }
+
+// onCycle reports whether v lies on a cycle of the last pass: its
+// component has more than one vertex.
+func (c *cycles) onCycle(v int) bool { return c.comp[v] >= 0 && c.size[c.comp[v]] > 1 }
+
+// pass labels the components of g minus the vertices marked in removed
+// (nil: none) and reports whether a cycle remains.
+func (c *cycles) pass(g *Graph, removed []bool) bool {
 	n := g.Len()
-	const unvisited = -1
-	marks := make([]int, 2*n)
-	index, low := marks[:n], marks[n:]
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	type frame struct {
-		v, childIdx int
-	}
-	var (
-		stack   []int
-		sccs    [][]int
-		counter int
-		work    []frame // one depth-first stack for every root
-	)
-	for root := 0; root < n; root++ {
-		if removed[root] || index[root] != unvisited {
+	c.comp = filled(c.comp, n, -1)
+	c.index = filled(c.index, n, -1)
+	c.low = sized(c.low, n)
+	c.size = emptied(c.size, n)
+	c.stack = emptied(c.stack, n)
+	c.work = emptied(c.work, n)
+	c.cyclic = false
+	out := func(v int) bool { return removed != nil && removed[v] }
+	counter := int32(0)
+	for root := range n {
+		if out(root) || c.index[root] >= 0 {
 			continue
 		}
-		work = append(work[:0], frame{v: root})
-		for len(work) > 0 {
-			f := &work[len(work)-1]
+		c.work = append(c.work, frame{v: int32(root)})
+		for len(c.work) > 0 {
+			f := &c.work[len(c.work)-1]
 			v := f.v
-			if f.childIdx == 0 {
-				index[v] = counter
-				low[v] = counter
+			if f.child == 0 {
+				c.index[v], c.low[v] = counter, counter
 				counter++
-				stack = append(stack, v)
-				onStack[v] = true
+				c.stack = append(c.stack, v)
 			}
+			succ := g.succ[v]
 			advanced := false
-			for f.childIdx < len(g.succ[v]) {
-				w := g.succ[v][f.childIdx]
-				f.childIdx++
-				if removed[w] {
+			for int(f.child) < len(succ) {
+				w := succ[f.child]
+				f.child++
+				if out(w) {
 					continue
 				}
-				if index[w] == unvisited {
-					work = append(work, frame{v: w})
+				if c.index[w] < 0 {
+					c.work = append(c.work, frame{v: int32(w)})
 					advanced = true
 					break
 				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
+				// Visited and not yet in a component: on the stack.
+				if c.comp[w] < 0 && c.index[w] < c.low[v] {
+					c.low[v] = c.index[w]
 				}
 			}
 			if advanced {
 				continue
 			}
 			// v is finished
-			if low[v] == index[v] {
-				var scc []int
+			if c.low[v] == c.index[v] {
+				id, size := int32(len(c.size)), int32(0)
 				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					scc = append(scc, w)
+					w := c.stack[len(c.stack)-1]
+					c.stack = c.stack[:len(c.stack)-1]
+					c.comp[w] = id
+					size++
 					if w == v {
 						break
 					}
 				}
-				sort.Ints(scc)
-				sccs = append(sccs, scc)
+				c.size = append(c.size, size)
+				c.cyclic = c.cyclic || size > 1
 			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				parent := work[len(work)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
+			c.work = c.work[:len(c.work)-1]
+			if len(c.work) > 0 {
+				parent := c.work[len(c.work)-1].v
+				c.low[parent] = min(c.low[parent], c.low[v])
 			}
 		}
 	}
-	return sccs
+	return c.cyclic
+}
+
+// cyclicVertices appends to buf every vertex on a cycle of the last pass,
+// ascending.
+func (c *cycles) cyclicVertices(buf []int) []int {
+	for v := range c.comp {
+		if c.onCycle(v) {
+			buf = append(buf, v)
+		}
+	}
+	return buf
 }
 
 // FindCycle returns the IDs along one cycle of the graph minus removed, or
@@ -330,25 +396,6 @@ func (g *Graph) FindCycle(removed map[int]bool) []string {
 		}
 	}
 	return nil
-}
-
-// TwoCycles returns every 2-cycle as vertex pairs (u < v).
-func (g *Graph) TwoCycles() [][2]int {
-	var out [][2]int
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
-			if v <= u {
-				continue
-			}
-			for _, w := range g.succ[v] {
-				if w == u {
-					out = append(out, [2]int{u, v})
-					break
-				}
-			}
-		}
-	}
-	return out
 }
 
 // String summarizes the graph.

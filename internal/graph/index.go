@@ -140,13 +140,21 @@ type BaseView struct {
 // View captures the entries [from, Len()) for a merge whose tentative
 // history touches footprint. A nil footprint captures no posting lists: the
 // view then serves Accesses only (one shard's part of a cross-shard merge,
-// whose accesses its owner appends to a combined index). Call it under the
-// lock that guards Append.
-func (ix *BaseIndex) View(from int, footprint model.ItemSet) *BaseView {
+// whose accesses its owner appends to a combined index). The posting map is
+// s's (nil: a fresh one), so the view is valid until s's next View. Call
+// it under the lock that guards Append.
+func (ix *BaseIndex) View(from int, footprint model.ItemSet, s *Scratch) *BaseView {
 	n := len(ix.acc)
 	v := &BaseView{from: from, deltas: ix.deltas, acc: ix.acc[:n:n], preds: ix.preds[:n:n]}
-	if len(footprint) > 0 {
+	if len(footprint) == 0 {
+		return v
+	}
+	if s == nil {
 		v.post = make(map[model.Item][]postRef, len(footprint))
+	} else {
+		s.post = cleared(s.post, &s.postPeak, len(footprint))
+		v.post = s.post
+		defer func() { s.postPeak = max(s.postPeak, len(v.post)) }()
 	}
 	for it := range footprint {
 		p := ix.post[it]
@@ -198,11 +206,16 @@ func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
 // the full graph, with all its edges, is in the result; base entries left
 // out are acyclic singletons no strategy reads. Vertex order is Hm, then R
 // in Hb order. Graph.Elided counts the elided delta–delta pairs with a
-// tentative endpoint, over the whole view.
-func BuildIndexed(mobile []Access, v *BaseView) (*Graph, ViewStats) {
+// tentative endpoint, over the whole view. The transient arrays live in s
+// (nil: fresh ones); the graph holds none of them.
+func BuildIndexed(mobile []Access, v *BaseView, s *Scratch) (*Graph, ViewStats) {
+	if s == nil {
+		s = new(Scratch)
+	}
 	st := ViewStats{Viewed: v.Len()}
 	words := (len(v.acc) + 63) / 64
-	scratch := make(bitset, 6*words)
+	s.bits = sized(s.bits, 6*words)
+	scratch := s.bits
 	// in: base entries with an edge into Hm; out: with an edge from Hm.
 	in, out := scratch[:words], scratch[words:2*words]
 	// Per tentative vertex: real and delta-elided partners, each direction.
@@ -257,7 +270,7 @@ func BuildIndexed(mobile []Access, v *BaseView) (*Graph, ViewStats) {
 		}
 	}
 	// One ascending pass inside that closure: reachable from Hm as well.
-	var kept []int
+	kept := s.kept[:0] // grows to the most its owner kept
 	keep := out
 	for w := 0; w < words; w++ {
 		for x := reach[w]; x != 0; x &= x - 1 {
@@ -272,16 +285,15 @@ func BuildIndexed(mobile []Access, v *BaseView) (*Graph, ViewStats) {
 				}
 			}
 			if keep.has(p) {
-				kept = append(kept, p)
+				kept = append(kept, int32(p))
 			}
 		}
 	}
+	s.kept = kept
 	st.Kept = len(kept)
-	base := make([]Access, len(kept))
-	for i, p := range kept {
-		base[i] = v.acc[p]
-	}
-	g, mobileElided := build(mobile, base)
-	g.Elided = mobileElided + elided
+	g := build(mobile, len(kept), func(i int) *Access { return &v.acc[kept[i]] }, s)
+	// Of build's elided pairs only the tentative–tentative share counts;
+	// the cross pairs are counted over the whole view.
+	g.Elided = g.mobileElided + elided
 	return g, st
 }

@@ -31,10 +31,12 @@ func outcome(rep *Report, err error) string {
 // entries, viewed whole and from an interior position, MergeIndexed decides
 // exactly what the literal Merge decides — for every back-out strategy, with
 // deltas on and off, under the default, closure and can-follow rewriters.
+// Every indexed merge runs through one Scratch, as a cluster's do.
 func TestMergeIndexedMatchesMerge(t *testing.T) {
 	strategies := []graph.Strategy{graph.TwoCycle{}, graph.GreedyCost{}, graph.GreedyDegree{}, graph.AllCyclic{}, graph.Exhaustive{}}
 	rewriters := []Rewriter{0, RewriteClosure, RewriteCanFollow}
 	compared, conflicting := 0, 0
+	var scratch graph.Scratch
 	for seed := int64(1); seed <= 48; seed++ {
 		gen := workload.NewGenerator(workload.Config{Seed: seed, Items: 8 + int(seed%5)*12, PCommutative: 0.5})
 		origin := gen.OriginState()
@@ -64,15 +66,15 @@ func TestMergeIndexedMatchesMerge(t *testing.T) {
 			for i, eff := range hb.Effects {
 				ix.Append(graph.AccessOf(hb.H.Txn(i), eff, !noDeltas))
 			}
-			view := ix.View(from, footprint)
-			if _, _, err := MergeIndexed(hm, view, Options{DisableDeltas: !noDeltas}); !errors.Is(err, ErrBadOptions) {
+			view := ix.View(from, footprint, nil)
+			if _, _, err := MergeIndexed(hm, view, nil, Options{DisableDeltas: !noDeltas}); !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("seed %d: a view indexed in the other delta mode was accepted: %v", seed, err)
 			}
 			for _, s := range strategies {
 				for _, rw := range rewriters {
 					opts := Options{Strategy: s, Rewriter: rw, DisableDeltas: noDeltas}
 					want, errWant := Merge(hm, suffix, opts)
-					got, st, errGot := MergeIndexed(hm, view, opts)
+					got, st, errGot := MergeIndexed(hm, view, &scratch, opts)
 					if g, w := outcome(got, errGot), outcome(want, errWant); g != w {
 						t.Fatalf("seed %d %s rewriter=%v noDeltas=%v:\nindexed %s\nliteral %s", seed, s.Name(), rw, noDeltas, g, w)
 					}

@@ -242,7 +242,7 @@ func Merge(hm, hb *history.Augmented, opts Options) (*Report, error) {
 		o.Observe(obs.Event{Phase: obs.PhaseGraph, Dur: time.Since(start)})
 	}
 
-	if err := runFromGraph(rep, hm, opts); err != nil {
+	if err := runFromGraph(rep, hm, opts, nil); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -253,8 +253,10 @@ func Merge(hm, hb *history.Augmented, opts Options) (*Report, error) {
 // Hm (graph.BuildIndexed), steps 2–5 are Merge's own. The outcome — B, the
 // rewrite, the forwards — equals Merge's over the same entries by
 // construction; only Report.Graph is smaller. The view must come from an
-// index in opts' delta mode.
-func MergeIndexed(hm *history.Augmented, view *graph.BaseView, opts Options) (*Report, graph.ViewStats, error) {
+// index in opts' delta mode. s (nil: fresh arrays) holds the graph phase's
+// transient arrays — build and back-out — for a caller that merges through
+// one scratch at a time; the report points into none of them.
+func MergeIndexed(hm *history.Augmented, view *graph.BaseView, s *graph.Scratch, opts Options) (*Report, graph.ViewStats, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, graph.ViewStats{}, err
 	}
@@ -267,13 +269,13 @@ func MergeIndexed(hm *history.Augmented, view *graph.BaseView, opts Options) (*R
 
 	start := spanStart(o)
 	var st graph.ViewStats
-	rep.Graph, st = graph.BuildIndexed(accessesFor(hm, opts), view)
+	rep.Graph, st = graph.BuildIndexed(accessesFor(hm, opts), view, s)
 	if o != nil {
 		o.Observe(obs.Event{Phase: obs.PhaseGraph, Dur: time.Since(start),
 			BaseViewed: st.Viewed, BaseKept: st.Kept})
 	}
 
-	if err := runFromGraph(rep, hm, opts); err != nil {
+	if err := runFromGraph(rep, hm, opts, s); err != nil {
 		return nil, st, err
 	}
 	return rep, st, nil
@@ -309,30 +311,25 @@ func effectiveOptions(hm *history.Augmented, opts Options) Options {
 
 // runFromGraph runs protocol steps 2–5 (back-out, rewrite, prune, forward
 // updates) plus optional verification against the graph already stored in
-// rep.
-func runFromGraph(rep *Report, hm *history.Augmented, opts Options) error {
+// rep; the back-out's cycle pass uses s (nil: fresh arrays).
+func runFromGraph(rep *Report, hm *history.Augmented, opts Options, s *graph.Scratch) error {
 	o := opts.Observer
-	g := rep.Graph
 
-	// Step 2: back-out set.
+	// Step 2: back-out set, over the one cycle pass that also tests the
+	// graph for a cycle.
 	start := spanStart(o)
-	var badPos map[int]bool
-	if g.Acyclic(nil) {
-		badPos = map[int]bool{}
-	} else {
-		rep.Conflict = true
-		b, err := opts.Strategy.ComputeB(g)
-		if err != nil {
-			if o != nil {
-				o.Observe(obs.Event{Phase: obs.PhaseBackout, Dur: time.Since(start),
-					Detail: fmt.Sprintf("%T", opts.Strategy), Err: err.Error()})
-			}
-			return fmt.Errorf("merge: back-out: %w", err)
+	b, cyclic, err := graph.BackOut(rep.Graph, opts.Strategy, s)
+	if err != nil {
+		if o != nil {
+			o.Observe(obs.Event{Phase: obs.PhaseBackout, Dur: time.Since(start),
+				Detail: fmt.Sprintf("%T", opts.Strategy), Err: err.Error()})
 		}
-		badPos = make(map[int]bool, len(b))
-		for _, v := range b {
-			badPos[v] = true // tentative vertex index == Hm position
-		}
+		return fmt.Errorf("merge: back-out: %w", err)
+	}
+	rep.Conflict = cyclic
+	badPos := make(map[int]bool, len(b))
+	for _, v := range b {
+		badPos[v] = true // tentative vertex index == Hm position
 	}
 	if o != nil {
 		o.Observe(obs.Event{Phase: obs.PhaseBackout, Dur: time.Since(start),

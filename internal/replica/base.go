@@ -74,6 +74,13 @@ type BaseCluster struct {
 	// prefix caches the indexed base history of the current window so
 	// merges stop parsing it from scratch (see windowPrefix).
 	prefix prefixCache
+	// scratch holds the graph phase's transient arrays — the merge view's
+	// posting map, the build's layout and edge buffer, the cycle pass — for
+	// the merges this cluster is home to (clusterSet.members[0]), which run
+	// their whole prepare under b.mu. Each merge resets what it reads, and
+	// nothing a report, an outcome, the log or Hm holds points into it.
+	// PreviewMerge, which merges outside the mutex, never uses it.
+	scratch graph.Scratch
 
 	counters cost.Counters
 	seq      int

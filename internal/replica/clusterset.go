@@ -203,13 +203,13 @@ func (cs *clusterSet) roundLocked(mobileID string, seq int64, tokens []Checkout,
 	parts := make([]shardPart, len(cs.members))
 	for i := range cs.members {
 		var fb FallbackReason
-		if parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint); fb != FallbackNone {
+		if parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint, &home.scratch); fb != FallbackNone {
 			return cs.fallbackLocked(hm, fb), nil
 		}
 	}
-	view := cs.viewLocked(parts, footprint)
+	view := cs.viewLocked(parts, footprint, &home.scratch)
 	buf.Observe(cs.tag(obs.Event{Mobile: mobileID, Seq: seq, Phase: obs.PhaseSnapshot, Dur: sinceSpan(start)}))
-	p, err := prepareMerge(cs.cfg, view, hm, buf.bind(mobileID, seq))
+	p, err := prepareMerge(cs.cfg, view, hm, &home.scratch, buf.bind(mobileID, seq))
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +242,7 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 	for i, b := range cs.members {
 		var fb FallbackReason
 		b.mu.Lock()
-		parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint)
+		parts[i], fb = cs.partLocked(i, tokens[cs.involved[i]], footprint, nil)
 		if fb == FallbackNone && len(parts) > 1 {
 			parts[i].refs = b.crossRefsLocked(parts[i].snap.pos)
 		}
@@ -255,15 +255,20 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 }
 
 // partLocked validates members[i]'s checkout token and captures its part.
-// The only member's view is the merge's view; one of several is indexed in
-// combined order, and its posting lists go unread. Caller holds that
-// member's mutex.
-func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (shardPart, FallbackReason) {
+// The only member's view is the merge's view, with the posting lists of
+// footprint held in s (nil: fresh); one of several is indexed in combined
+// order and captures none. Caller holds that member's mutex.
+func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet, s *graph.Scratch) (shardPart, FallbackReason) {
 	b := cs.members[i]
-	snap, fb := b.snapshotLocked(ck, footprint)
+	pos, fb := b.checkTokenLocked(ck, footprint)
 	if fb != FallbackNone {
 		return shardPart{}, fb
 	}
+	post := footprint
+	if len(cs.members) > 1 {
+		post = nil
+	}
+	snap := prefixSnapshot{pos: pos, view: b.windowPrefix().View(pos, post, s)}
 	return shardPart{idx: cs.involved[i], b: b, snap: snap}, FallbackNone
 }
 
@@ -272,8 +277,9 @@ func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet) (s
 // kept one when the set holds every shard's mutex, a fresh one for a
 // partial set (which exists only while the window holds no cross-shard
 // entry). Only the unconsumed suffix of each member's cross-shard
-// identities is copied. Caller holds every member's mutex.
-func (cs *clusterSet) viewLocked(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
+// identities is copied. The posting lists of footprint are held in s.
+// Caller holds every member's mutex.
+func (cs *clusterSet) viewLocked(parts []shardPart, footprint model.ItemSet, s *graph.Scratch) *graph.BaseView {
 	if len(parts) == 1 {
 		return parts[0].snap.view
 	}
@@ -291,7 +297,7 @@ func (cs *clusterSet) viewLocked(parts []shardPart, footprint model.ItemSet) *gr
 	for i, p := range parts {
 		parts[i].refs = p.b.crossRefsLocked(p.snap.pos + c.done[i])
 	}
-	return c.extend(parts, footprint)
+	return c.extend(parts, footprint, s)
 }
 
 // combinedIndex is several shards' windows interleaved into one serial base
@@ -330,8 +336,8 @@ func (c *combinedIndex) reset(keys []partKey, parts []shardPart) {
 // extend interleaves each part's entries past its consumed count (parallel
 // to parts[i].refs) into the index, a cross-shard entry once every part
 // holding one of its slices has reached it, and views the whole index with
-// the footprint's posting lists.
-func (c *combinedIndex) extend(parts []shardPart, footprint model.ItemSet) *graph.BaseView {
+// the footprint's posting lists, held in s (nil: fresh).
+func (c *combinedIndex) extend(parts []shardPart, footprint model.ItemSet, s *graph.Scratch) *graph.BaseView {
 	type ref struct{ part, pos int }
 	where := make(map[*crossTxn][]ref)
 	local := make([][]graph.Access, len(parts))
@@ -404,7 +410,7 @@ func (c *combinedIndex) extend(parts []shardPart, footprint model.ItemSet) *grap
 	for pi := range parts {
 		c.done[pi] += ptr[pi]
 	}
-	return ix.View(0, footprint)
+	return ix.View(0, footprint, s)
 }
 
 // installLocked commits a prepared merge: charge the deltas to home,
@@ -659,7 +665,7 @@ func (cs *clusterSet) execBaseLocked(t *tx.Transaction) error {
 func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.Report, error) {
 	// Validate and snapshot under the mutexes, then merge outside them — the
 	// same indexed path a reconnect's prepare takes: the views stay valid
-	// after release (see snapshotLocked), and the merge is the heavy step —
+	// after release (see checkTokenLocked), and the merge is the heavy step —
 	// running it locked would stall admissions and invoke any configured
 	// MergeOptions.Observer under a mutex.
 	footprint := footprintOf(hm)
@@ -676,9 +682,10 @@ func (cs *clusterSet) preview(tokens []Checkout, hm *history.Augmented) (*merge.
 		// Parts from separate critical sections: never the kept index.
 		c := &combinedIndex{}
 		c.reset(nil, parts)
-		view = c.extend(parts, footprint)
+		view = c.extend(parts, footprint, nil)
 	}
-	rep, _, err := merge.MergeIndexed(hm, view, cs.cfg.MergeOptions)
+	// Outside the mutexes, so no cluster's scratch: fresh arrays.
+	rep, _, err := merge.MergeIndexed(hm, view, nil, cs.cfg.MergeOptions)
 	return rep, err
 }
 

@@ -15,7 +15,7 @@ import (
 	"tiermerge/internal/workload"
 )
 
-// Tests for the indexed base history behind snapshotLocked: a captured view
+// Tests for the indexed base history behind checkTokenLocked: a captured view
 // against the literal merge over the same entries — while the history keeps
 // growing, from an interior Strategy 1 position, after an interior insert —
 // and the cost of a reconnect against the length of the prefix. The first
@@ -44,18 +44,18 @@ func literalReport(t *testing.T, b *BaseCluster, pos int, hm *history.Augmented)
 func captureView(t *testing.T, b *BaseCluster, ck Checkout, hm *history.Augmented) prefixSnapshot {
 	t.Helper()
 	b.mu.Lock()
-	snap, fb := b.snapshotLocked(ck, footprintOf(hm))
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	pos, fb := b.checkTokenLocked(ck, footprintOf(hm))
 	if fb != FallbackNone {
 		t.Fatalf("snapshot fell back: %v", fb)
 	}
-	return snap
+	return prefixSnapshot{pos: pos, view: b.windowPrefix().View(pos, footprintOf(hm), nil)}
 }
 
 // indexedReport merges hm against a captured view.
 func indexedReport(t *testing.T, b *BaseCluster, snap prefixSnapshot, hm *history.Augmented) (*merge.Report, graph.ViewStats) {
 	t.Helper()
-	rep, st, err := merge.MergeIndexed(hm, snap.view, b.cfg.MergeOptions)
+	rep, st, err := merge.MergeIndexed(hm, snap.view, nil, b.cfg.MergeOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

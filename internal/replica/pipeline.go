@@ -96,11 +96,11 @@ func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
 	return s
 }
 
-// snapshotLocked validates the checkout token and captures the prefix
-// snapshot: the lock-free view of the indexed base history from the checkout
-// position on, with the posting lists of footprint (nil: none). No map and
-// no slice header of the index is read after b.mu is released. Caller holds
-// b.mu.
+// checkTokenLocked validates the checkout token and returns its position
+// in the current window (0 under Strategy 2). No map and no slice header
+// of the index is read after b.mu is released: the caller captures the
+// prefix snapshot, a lock-free view of the indexed base history from that
+// position on, under the same hold. Caller holds b.mu.
 //
 // A token is valid when every item its origin carries has that value in the
 // base state at the token: the window origin under Strategy 2, the state at
@@ -109,15 +109,15 @@ func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
 // footprint of it (footprintOrigin — a value the payload omits was replayed
 // as zero, and is claimed as zero). The check costs O(|origin|) under
 // Strategy 2 and O(|origin| · log n) under Strategy 1, and copies no state.
-func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (prefixSnapshot, FallbackReason) {
+func (b *BaseCluster) checkTokenLocked(ck Checkout, footprint model.ItemSet) (int, FallbackReason) {
 	if ck.WindowID != b.windowID {
-		return prefixSnapshot{}, FallbackWindowExpired
+		return 0, FallbackWindowExpired
 	}
 	pos, at := 0, b.windowOrigin.Get
 	if b.cfg.Origin == Strategy1 {
 		pos = ck.Pos
 		if pos < 0 || pos > len(b.entries) {
-			return prefixSnapshot{}, FallbackOriginInvalid
+			return 0, FallbackOriginInvalid
 		}
 		ix := b.windowPrefix()
 		at = func(it model.Item) model.Value { return b.valueAtLocked(ix, it, pos) }
@@ -126,16 +126,16 @@ func (b *BaseCluster) snapshotLocked(ck Checkout, footprint model.ItemSet) (pref
 		// zero.
 		for it := range footprint {
 			if _, ok := ck.Origin[it]; !ok && at(it) != 0 {
-				return prefixSnapshot{}, FallbackOriginInvalid
+				return 0, FallbackOriginInvalid
 			}
 		}
 	}
 	for it, v := range ck.Origin {
 		if at(it) != v {
-			return prefixSnapshot{}, FallbackOriginInvalid
+			return 0, FallbackOriginInvalid
 		}
 	}
-	return prefixSnapshot{pos: pos, view: b.windowPrefix().View(pos, footprint)}, FallbackNone
+	return pos, FallbackNone
 }
 
 // valueAtLocked reads it in the base state at position pos of the current
@@ -152,20 +152,38 @@ func (b *BaseCluster) valueAtLocked(ix *graph.BaseIndex, it model.Item, pos int)
 }
 
 // prepareMerge runs every heavy step of the merging protocol against the
-// view, accumulating the Section 7.1 charges into private deltas. o (may be
-// nil) receives the prepare sub-phase span events — graph build, back-out,
-// rewrite, prune — already bound to the owning merge.
-func prepareMerge(cfg Config, view *graph.BaseView, hm *history.Augmented, o obs.Observer) (*preparedMerge, error) {
-	w := cfg.Weights
+// view, accumulating the Section 7.1 charges into private deltas. s holds
+// the graph phase's transient arrays (the home cluster's scratch). o (may
+// be nil) receives the prepare sub-phase span events — graph build,
+// back-out, rewrite, prune — already bound to the owning merge.
+func prepareMerge(cfg Config, view *graph.BaseView, hm *history.Augmented, s *graph.Scratch, o obs.Observer) (*preparedMerge, error) {
 	p := &preparedMerge{}
 	opts := cfg.MergeOptions
 	opts.Observer = o
 
-	// Communication, mobile -> base: read/write sets of Hm plus G(Hm).
-	var setEntries, localEdges int64
-	mobAcc := graph.AccessesOf(hm)
-	for _, a := range mobAcc {
-		for _, r := range a.Items {
+	p.effByTxn = make(map[*tx.Transaction]*tx.Effect, hm.H.Len())
+	for i := 0; i < hm.H.Len(); i++ {
+		p.effByTxn[hm.H.Txn(i)] = hm.Effects[i]
+	}
+
+	rep, st, err := merge.MergeIndexed(hm, view, s, opts)
+	if err != nil {
+		return nil, fmt.Errorf("replica: merge: %w", err)
+	}
+	p.rep = rep
+	p.chargeSent(cfg.Weights, hm)
+	p.chargePrepared(cfg, hm, view, st)
+	p.chargeCommit(cfg.Weights)
+	return p, nil
+}
+
+// chargeSent records the mobile -> base message of the merge: the read and
+// write sets of Hm plus G(Hm), the value-write local graph, whose edges the
+// merge's own graph counts (Graph.LocalEdges) — no second build.
+func (p *preparedMerge) chargeSent(w cost.Weights, hm *history.Augmented) {
+	var setEntries int64
+	for _, eff := range hm.Effects {
+		for _, r := range eff.Items {
 			if r.Read {
 				setEntries++
 			}
@@ -174,28 +192,11 @@ func prepareMerge(cfg Config, view *graph.BaseView, hm *history.Augmented, o obs
 			}
 		}
 	}
-	gm := graph.Build(mobAcc, nil)
-	for v := 0; v < gm.Len(); v++ {
-		localEdges += int64(len(gm.Succ(v)))
-	}
+	localEdges := int64(p.rep.Graph.LocalEdges())
 	p.deltaPrepare.Msg(w, setEntries*w.SetEntryBytes+localEdges*w.GraphEdgeBytes)
 	p.deltaPrepare.SetEntriesSent += setEntries
 	p.deltaPrepare.GraphEdgesSent += localEdges
-	p.deltaPrepare.MobileGraphOps += int64(gm.Len()) + localEdges
-
-	p.effByTxn = make(map[*tx.Transaction]*tx.Effect, hm.H.Len())
-	for i := 0; i < hm.H.Len(); i++ {
-		p.effByTxn[hm.H.Txn(i)] = hm.Effects[i]
-	}
-
-	rep, st, err := merge.MergeIndexed(hm, view, opts)
-	if err != nil {
-		return nil, fmt.Errorf("replica: merge: %w", err)
-	}
-	p.rep = rep
-	p.chargePrepared(cfg, hm, view, st)
-	p.chargeCommit(w)
-	return p, nil
+	p.deltaPrepare.MobileGraphOps += int64(hm.H.Len()) + localEdges
 }
 
 // chargePrepared records the base- and mobile-side compute of one prepare —

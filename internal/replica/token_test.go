@@ -12,7 +12,7 @@ import (
 	"tiermerge/internal/workload"
 )
 
-// Tests for the Strategy 1 checkout-token check (snapshotLocked): a token
+// Tests for the Strategy 1 checkout-token check (checkTokenLocked): a token
 // admits a merge exactly when its origin equals the base state at its
 // position of the current window.
 
@@ -20,7 +20,7 @@ import (
 func tokenReason(b *BaseCluster, ck Checkout) FallbackReason {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	_, reason := b.snapshotLocked(ck, nil)
+	_, reason := b.checkTokenLocked(ck, nil)
 	return reason
 }
 

@@ -15,6 +15,15 @@ STATICCHECK_VERSION="${STATICCHECK_VERSION:-2024.1}"
 GOVULNCHECK_VERSION="${GOVULNCHECK_VERSION:-v1.1.3}"
 TIERMERGE_SKIP_EXTERNAL_GATES="${TIERMERGE_SKIP_EXTERNAL_GATES:-0}"
 
+# Every test step passes an explicit -timeout far below go test's 10-minute
+# default, so that a deadlock fails its step within minutes instead of
+# holding a CI run for ten per hanging package. A timeout bounds each
+# package's test binary; each is at least ten times its whole step's
+# uncached wall time (compilation included) on a 2-vCPU host, and never
+# under 60s: go test ./... and the -race sweep 180s (16 s measured), the
+# lock discipline step 120s (9 s), the indexed-path race gate and the
+# benchmark smoke 90s (8 s), every other step 60s (6 s at most).
+
 # run_logged NAME CMD...: run a command with output captured to a log,
 # replaying the log when the command fails so panics in benchreport or
 # the examples are never swallowed by a silent redirect.
@@ -88,20 +97,20 @@ fi
 # the fuzz seed corpora run with them.
 codec_pins='TestCheckpointLargerThan16MiBReopens|TestBitRotIsNeverAdopted|TestServeFrameRefusesDeepCode'
 require_tests "$codec_pins" ./internal/replica/
-go test -count=1 -run "$codec_pins" ./internal/replica/
+go test -timeout 60s -count=1 -run "$codec_pins" ./internal/replica/
 wal_pins='TestScanRejectsDamageAnywhere|TestLengthCheckCatchesByteErrors|TestScanRefusesJSONLines'
 require_tests "$wal_pins" ./internal/wal/
 require_tests TestInspectRefusesJSONLines ./cmd/walinspect/
 require_tests TestDecoderRefusesMalformed ./internal/codec/
-go test -count=1 -run "$wal_pins|TestInspectRefusesJSONLines|TestDecoderRefusesMalformed|^Fuzz" ./internal/wal/ ./internal/tx/ ./internal/codec/ ./cmd/walinspect/
+go test -timeout 60s -count=1 -run "$wal_pins|TestInspectRefusesJSONLines|TestDecoderRefusesMalformed|^Fuzz" ./internal/wal/ ./internal/tx/ ./internal/codec/ ./cmd/walinspect/
 # One commit record per commit unit: a merge round's installs recover
 # whole or not at all, the golden journals decode to the executions they
 # log, and the v1 one-record-per-operation format is refused by name.
 commit_pins='TestGoldenJournalsDecode|TestScanRefusesV1Journal'
 require_tests "$commit_pins" ./internal/wal/
 require_tests TestMergeInstallAtomicInLog ./internal/replica/
-go test -count=1 -run "$commit_pins" ./internal/wal/
-go test -count=1 -run TestMergeInstallAtomicInLog ./internal/replica/
+go test -timeout 60s -count=1 -run "$commit_pins" ./internal/wal/
+go test -timeout 60s -count=1 -run TestMergeInstallAtomicInLog ./internal/replica/
 
 echo "== base state has one form =="
 # A cluster's state is its master, window origin and the window's entries;
@@ -120,19 +129,24 @@ echo "== serial report (golden) =="
 # The serial tiermerge report is deterministic; its goldens pin a refactor
 # that must not move a counter (Strategy 1, window advances, propagation).
 require_tests TestSerialReportGolden ./cmd/tiermerge/
-go test -count=1 -run TestSerialReportGolden ./cmd/tiermerge/
+go test -timeout 60s -count=1 -run TestSerialReportGolden ./cmd/tiermerge/
 
-echo "== compiled transactions, one-form effects, pair-free graph build =="
+echo "== compiled transactions, one-form effects, pair-free graph build, graph phase in a scratch =="
 # The graph build must match the map-based construction it replaced, edge
-# for edge and count for count; execution and the build keep their
-# measured allocations (the build's must not grow when vertex pairs repeat
-# across more items); the journal LogTxn writes stays byte-identical to
-# the committed golden files.
-form_pins='TestBuildMatchesReference|TestBuildAllocsIndependentOfRepeats'
+# for edge and count for count, and the mask-based cycle pass must give
+# every strategy the back-out set of the map-based one; execution and the
+# build keep their measured allocations (the build's must not grow when
+# vertex pairs repeat across more items); the graph phase through a warm
+# scratch allocates what the report's graph keeps plus a small constant,
+# and a served conflict-heavy merge stays under its byte pin; the journal
+# LogTxn writes stays byte-identical to the committed golden files.
+form_pins='TestBuildMatchesReference|TestBuildAllocsIndependentOfRepeats|TestBackOutMatchesReference'
 require_tests "$form_pins" ./internal/graph/
 require_tests TestExecAllocs ./internal/tx/
+require_tests TestMergeIndexedAllocs ./internal/merge/
+require_tests TestServeFrameMergeAllocs ./internal/replica/
 require_tests 'TestLogTxnGoldenCanned|TestLogTxnGoldenGenerated' ./internal/wal/
-go test -count=1 -run "$form_pins|TestExecAllocs|TestLogTxnGolden" ./internal/graph/ ./internal/tx/ ./internal/wal/
+go test -timeout 60s -count=1 -run "$form_pins|TestExecAllocs|TestMergeIndexedAllocs|TestServeFrameMergeAllocs|TestLogTxnGolden" ./internal/graph/ ./internal/tx/ ./internal/merge/ ./internal/replica/ ./internal/wal/
 
 echo "== lock discipline (events, checkpoint file work, lock order, shared footprints) =="
 # No observer event is delivered while a cluster mutex is held, the
@@ -143,9 +157,9 @@ echo "== lock discipline (events, checkpoint file work, lock order, shared footp
 # these catch is docs/LINT.md.
 lock_pins='TestEventsOutsideLock|TestCheckpointWrittenOutsideLock|TestClusterSetsAscending|TestMergeLeavesFootprintsAlone'
 require_tests "$lock_pins" ./internal/replica/
-go test -race -count=10 -run "$lock_pins" ./internal/replica/
+go test -timeout 120s -race -count=10 -run "$lock_pins" ./internal/replica/
 require_tests TestWriteDuringTailSync ./internal/store/
-go test -race -count=10 -run TestWriteDuringTailSync ./internal/store/
+go test -timeout 60s -race -count=10 -run TestWriteDuringTailSync ./internal/store/
 
 echo "== staticcheck (required, pinned $STATICCHECK_VERSION) =="
 if command -v staticcheck > /dev/null 2>&1; then
@@ -180,7 +194,7 @@ else
 fi
 
 echo "== tests =="
-go test ./...
+go test -timeout 180s ./...
 
 echo "== reconnect cost (allocation pins) =="
 # What one reconnect allocates must not grow with the base prefix (one
@@ -189,7 +203,7 @@ echo "== reconnect cost (allocation pins) =="
 # first, so renaming or deleting a pin fails here instead of passing it.
 cost_pins='ReconnectCostIndependentOfPrefix|CrossShardReconnectCostIndependentOfPrefix|ReconnectAllocIndependentOfItems|TentativeAllocIndependentOfItems'
 require_tests "$cost_pins" ./internal/replica/
-go test -count=1 -run "$cost_pins" ./internal/replica/
+go test -timeout 60s -count=1 -run "$cost_pins" ./internal/replica/
 
 echo "== journal integrity (damaged payloads, tampered base journals) =="
 # A torn or uncommitted reconnect payload is refused, not merged short, and
@@ -197,10 +211,10 @@ echo "== journal integrity (damaged payloads, tampered base journals) =="
 # journal and from a tail segment.
 journal_pins='TestServeFrameRejectsDamagedJournal|TestBaseRecoveryDetectsTamper'
 require_tests "$journal_pins" ./internal/replica/
-go test -count=1 -run "$journal_pins" ./internal/replica/
+go test -timeout 60s -count=1 -run "$journal_pins" ./internal/replica/
 
 echo "== race (concurrent reconnects + observers + crash-recovery soak) =="
-go test -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
+go test -timeout 180s -race ./internal/replica/... ./internal/rewrite/... ./internal/obs/... ./internal/sim/...
 
 echo "== Strategy 1 checkout tokens (position bounds, state at the position) =="
 # A token admits a merge exactly when its origin equals the state a serial
@@ -208,7 +222,7 @@ echo "== Strategy 1 checkout tokens (position bounds, state at the position) =="
 # and over the wire, instead of panicking under the cluster mutex.
 token_pins='TestStrategy1TokenCheck|TestMergeRefusesNegativeCheckoutPos|TestServeFrameRefusesNegativeCheckoutPos'
 require_tests "$token_pins" ./internal/replica/
-go test -count=1 -run "$token_pins" ./internal/replica/
+go test -timeout 60s -count=1 -run "$token_pins" ./internal/replica/
 
 echo "== wire origin (footprint payloads, same-window merge answers, checkout frames) =="
 # A reconnect's payload carries Hm's footprint of the origin and the base
@@ -220,13 +234,13 @@ echo "== wire origin (footprint payloads, same-window merge answers, checkout fr
 # and a retry stays exactly-once however many mobiles merged before it.
 origin_pins='TestMergeRefusesForeignOrigin|TestWireReconnectCostIndependentOfItems|TestRecheckoutProtocol|TestWireStrategy1FootprintTokens|TestStrategy1TokenSeesInsertedItem|TestCheckoutFrameSharedInWindow|TestCheckoutFrameAfterReopen|TestCheckoutFrameStrategy1Live|TestCheckoutFrameAllocIndependentOfItems|TestCheckoutFrameBilling|TestRetryAfterManyMobilesMergedOnce'
 require_tests "$origin_pins" ./internal/replica/
-go test -count=1 -run "$origin_pins" ./internal/replica/
+go test -timeout 60s -count=1 -run "$origin_pins" ./internal/replica/
 # The third alternative runs only its replay case (the /window-advanced
 # level of the pattern; the other two have no subtests), and the -v log
 # must show that case passing, so renaming it fails here too.
 origin_races='TestRecheckoutRacesWindowAdvance|TestInflightDuplicateMergedOnce|TestRecheckoutProtocol'
 require_tests "$origin_races" ./internal/replica/
-races_log=$(go test -race -count=10 -v -run "$origin_races/window-advanced" ./internal/replica/) || {
+races_log=$(go test -timeout 60s -race -count=10 -v -run "$origin_races/window-advanced" ./internal/replica/) || {
     echo "$races_log" | tail -n 50
     exit 1
 }
@@ -242,23 +256,26 @@ echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) ==
 # loopback TCP — round trips, drop-retry parity, exactly-once under
 # duplicated frames, mid-flight server close, and oversized-frame
 # rejection — all under the race detector.
-go test -race -count=1 ./internal/wire/
+go test -timeout 60s -race -count=1 ./internal/wire/
 # TestWireMetrics read the byte counters while the server handler could
 # still be billing the response it had just written (~1 failure in 6 under
 # -race); repeat it so the flake stays fixed.
 require_tests TestWireMetrics ./internal/wire/
-go test -race -count=20 -run TestWireMetrics ./internal/wire/
+go test -timeout 60s -race -count=20 -run TestWireMetrics ./internal/wire/
 
 echo "== race (relevant-base parity) =="
 # Explicit gate for the indexed merge path: building G(Hm,Hb) over only the
 # base entries that can lie on a cycle through Hm must decide exactly what
-# the literal build over the whole history decides (the differential), and a
+# the literal build over the whole history decides (the differential), a
 # captured view must stay valid while the history keeps appending (Preview
-# merges outside the mutex) — under the race detector.
+# merges outside the mutex), a merge through the home cluster's scratch
+# must leave every earlier merge's report and outcome as they were, and the
+# local-graph charge read off the merge's own graph must equal a second
+# build's edge count — under the race detector.
 require_tests 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredecessors' ./internal/merge/ ./internal/graph/
-go test -race -count=1 -run 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredecessors' ./internal/merge/ ./internal/graph/
-require_tests 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition' ./internal/replica/
-go test -race -count=1 -run 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition' ./internal/replica/
+go test -timeout 90s -race -count=1 -run 'MergeIndexedMatchesMerge|BuildIndexed|ReducedPredecessors' ./internal/merge/ ./internal/graph/
+require_tests 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition|ScratchReuseLeavesEarlierMergesAlone|LocalEdgeChargeExact' ./internal/replica/
+go test -timeout 60s -race -count=1 -run 'ViewStaysValidUnderAppend|Strategy1ViewFromPosition|ScratchReuseLeavesEarlierMergesAlone|LocalEdgeChargeExact' ./internal/replica/
 
 echo "== race (correctness oracle + sharded base tier) =="
 # Explicit gate for the paper's properties in every in-process
@@ -271,9 +288,9 @@ echo "== race (correctness oracle + sharded base tier) =="
 # interior insert against a serial-run oracle (plain and sliced across
 # shards, memory and disk engines) — all under the race detector.
 require_tests TestOracle ./internal/replica/
-go test -race -short -count=1 -run TestOracle ./internal/replica/
+go test -timeout 60s -race -short -count=1 -run TestOracle ./internal/replica/
 require_tests 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
-go test -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
+go test -timeout 60s -race -count=1 -run 'TestShard|TestCrossShard|TestWindowBarrier|InteriorInsert' ./internal/replica/
 
 echo "== race (base commits: no item locks, shared fsyncs, honest acks) =="
 # Explicit gate for ExecBase's early lock release: a commit on an item whose
@@ -284,8 +301,8 @@ echo "== race (base commits: no item locks, shared fsyncs, honest acks) =="
 # barrier sweeps still sees the closing window's cross-shard cycle — all
 # under the race detector.
 require_tests 'TestBaseCommitsShareOneFsync|TestBaseCommitAcksAfterCrossShardReadDurable|TestShardedMergeSeesCrossShardCycle' ./internal/replica/
-go test -race -count=1 -run 'TestBaseCommitsShareOneFsync|TestBaseCommitAcksAfterCrossShardReadDurable' ./internal/replica/
-midbarrier=$(go test -race -count=1 -v -run 'TestShardedMergeSeesCrossShardCycle/^mid-barrier$' ./internal/replica/ 2>&1) || true
+go test -timeout 60s -race -count=1 -run 'TestBaseCommitsShareOneFsync|TestBaseCommitAcksAfterCrossShardReadDurable' ./internal/replica/
+midbarrier=$(go test -timeout 60s -race -count=1 -v -run 'TestShardedMergeSeesCrossShardCycle/^mid-barrier$' ./internal/replica/ 2>&1) || true
 if ! grep -q -- '--- PASS: TestShardedMergeSeesCrossShardCycle/mid-barrier' <<< "$midbarrier"; then
     echo "FAILED: subtest TestShardedMergeSeesCrossShardCycle/mid-barrier did not run and pass" >&2
     echo "$midbarrier" >&2
@@ -296,7 +313,7 @@ echo "== bench module (the benchmark harness compiles against internal/...) =="
 # bench/ is its own module importing tiermerge/internal/...; vet and test it
 # here so an internal API change that breaks the harness fails locally and
 # in CI rather than in the benchmark pipeline.
-(cd bench && go vet ./... && go test ./...)
+(cd bench && go vet ./... && go test -timeout 60s ./...)
 
 echo "== experiments (E0..E19) =="
 run_logged benchreport go run ./cmd/benchreport
@@ -320,6 +337,6 @@ echo "== multi-process wire smoke (tiermerge serve + client over loopback TCP) =
 run_logged wire-smoke bash scripts/e2e_wire.sh
 
 echo "== benchmark smoke =="
-run_logged bench-smoke go test -run XXX -bench . -benchtime 1x ./...
+run_logged bench-smoke go test -timeout 90s -run XXX -bench . -benchtime 1x ./...
 
 echo "ALL CHECKS PASSED"
