@@ -45,8 +45,9 @@ type Env interface {
 type Expr interface {
 	// Eval computes the expression's value in env.
 	Eval(Env) (model.Value, error)
-	// AddItems accumulates every data item the expression references.
-	AddItems(model.ItemSet)
+	// AddItems appends every data item the expression references to dst,
+	// once per reference, and returns the extended slice.
+	AddItems(dst []model.Item) []model.Item
 	// AddParams accumulates every parameter name the expression references.
 	AddParams(map[string]struct{})
 	// Subst returns the expression with every occurrence of item x replaced
@@ -97,11 +98,11 @@ type constExpr struct{ v model.Value }
 // Const builds a constant expression.
 func Const(v model.Value) Expr { return constExpr{v: v} }
 
-func (c constExpr) Eval(Env) (model.Value, error) { return c.v, nil }
-func (c constExpr) AddItems(model.ItemSet)        {}
-func (c constExpr) AddParams(map[string]struct{}) {}
-func (c constExpr) Subst(model.Item, Expr) Expr   { return c }
-func (c constExpr) String() string                { return strconv.FormatInt(int64(c.v), 10) }
+func (c constExpr) Eval(Env) (model.Value, error)          { return c.v, nil }
+func (c constExpr) AddItems(dst []model.Item) []model.Item { return dst }
+func (c constExpr) AddParams(map[string]struct{})          {}
+func (c constExpr) Subst(model.Item, Expr) Expr            { return c }
+func (c constExpr) String() string                         { return strconv.FormatInt(int64(c.v), 10) }
 
 // varExpr reads a data item.
 type varExpr struct{ it model.Item }
@@ -111,9 +112,9 @@ func Var(it model.Item) Expr { return varExpr{it: it} }
 
 func (v varExpr) Eval(env Env) (model.Value, error) { return env.ItemValue(v.it) }
 
-// AddItems records the item in the caller-owned set.
-func (v varExpr) AddItems(s model.ItemSet)      { s.Add(v.it) }
-func (v varExpr) AddParams(map[string]struct{}) {}
+// AddItems appends the item to the caller-owned slice.
+func (v varExpr) AddItems(dst []model.Item) []model.Item { return append(dst, v.it) }
+func (v varExpr) AddParams(map[string]struct{})          {}
 func (v varExpr) Subst(x model.Item, repl Expr) Expr {
 	if v.it == x {
 		return repl
@@ -128,11 +129,11 @@ type paramExpr struct{ name string }
 // Param builds a parameter-reference expression.
 func Param(name string) Expr { return paramExpr{name: name} }
 
-func (p paramExpr) Eval(env Env) (model.Value, error) { return env.ParamValue(p.name) }
-func (p paramExpr) AddItems(model.ItemSet)            {}
-func (p paramExpr) AddParams(s map[string]struct{})   { s[p.name] = struct{}{} }
-func (p paramExpr) Subst(model.Item, Expr) Expr       { return p }
-func (p paramExpr) String() string                    { return "$" + p.name }
+func (p paramExpr) Eval(env Env) (model.Value, error)      { return env.ParamValue(p.name) }
+func (p paramExpr) AddItems(dst []model.Item) []model.Item { return dst }
+func (p paramExpr) AddParams(s map[string]struct{})        { s[p.name] = struct{}{} }
+func (p paramExpr) Subst(model.Item, Expr) Expr            { return p }
+func (p paramExpr) String() string                         { return "$" + p.name }
 
 // binExpr applies a binary operator.
 type binExpr struct {
@@ -199,9 +200,8 @@ func (b binExpr) Eval(env Env) (model.Value, error) {
 	}
 }
 
-func (b binExpr) AddItems(s model.ItemSet) {
-	b.l.AddItems(s)
-	b.r.AddItems(s)
+func (b binExpr) AddItems(dst []model.Item) []model.Item {
+	return b.r.AddItems(b.l.AddItems(dst))
 }
 
 func (b binExpr) AddParams(s map[string]struct{}) {
@@ -222,9 +222,7 @@ func (b binExpr) String() string {
 
 // ItemsOf returns the set of data items an expression references.
 func ItemsOf(e Expr) model.ItemSet {
-	s := make(model.ItemSet)
-	e.AddItems(s)
-	return s
+	return model.NewItemSet(e.AddItems(nil)...)
 }
 
 // ParamsOf returns the set of parameter names an expression references.

@@ -42,8 +42,9 @@ func (o CmpOp) String() string {
 type Pred interface {
 	// Eval decides the predicate in env.
 	Eval(Env) (bool, error)
-	// AddItems accumulates every data item the predicate references.
-	AddItems(model.ItemSet)
+	// AddItems appends every data item the predicate references to dst,
+	// once per reference, and returns the extended slice.
+	AddItems(dst []model.Item) []model.Item
 	// AddParams accumulates every parameter name the predicate references.
 	AddParams(map[string]struct{})
 	fmt.Stringer
@@ -103,9 +104,8 @@ func (c cmpPred) Eval(env Env) (bool, error) {
 	}
 }
 
-func (c cmpPred) AddItems(s model.ItemSet) {
-	c.l.AddItems(s)
-	c.r.AddItems(s)
+func (c cmpPred) AddItems(dst []model.Item) []model.Item {
+	return c.r.AddItems(c.l.AddItems(dst))
 }
 
 func (c cmpPred) AddParams(s map[string]struct{}) {
@@ -132,9 +132,8 @@ func (a andPred) Eval(env Env) (bool, error) {
 	return a.r.Eval(env)
 }
 
-func (a andPred) AddItems(s model.ItemSet) {
-	a.l.AddItems(s)
-	a.r.AddItems(s)
+func (a andPred) AddItems(dst []model.Item) []model.Item {
+	return a.r.AddItems(a.l.AddItems(dst))
 }
 
 func (a andPred) AddParams(s map[string]struct{}) {
@@ -161,9 +160,8 @@ func (o orPred) Eval(env Env) (bool, error) {
 	return o.r.Eval(env)
 }
 
-func (o orPred) AddItems(s model.ItemSet) {
-	o.l.AddItems(s)
-	o.r.AddItems(s)
+func (o orPred) AddItems(dst []model.Item) []model.Item {
+	return o.r.AddItems(o.l.AddItems(dst))
 }
 
 func (o orPred) AddParams(s map[string]struct{}) {
@@ -187,13 +185,11 @@ func (n notPred) Eval(env Env) (bool, error) {
 	return !v, nil
 }
 
-func (n notPred) AddItems(s model.ItemSet)        { n.p.AddItems(s) }
-func (n notPred) AddParams(s map[string]struct{}) { n.p.AddParams(s) }
-func (n notPred) String() string                  { return fmt.Sprintf("!(%s)", n.p) }
+func (n notPred) AddItems(dst []model.Item) []model.Item { return n.p.AddItems(dst) }
+func (n notPred) AddParams(s map[string]struct{})        { n.p.AddParams(s) }
+func (n notPred) String() string                         { return fmt.Sprintf("!(%s)", n.p) }
 
 // PredItemsOf returns the set of data items a predicate references.
 func PredItemsOf(p Pred) model.ItemSet {
-	s := make(model.ItemSet)
-	p.AddItems(s)
-	return s
+	return model.NewItemSet(p.AddItems(nil)...)
 }

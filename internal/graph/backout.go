@@ -6,8 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-
-	"tiermerge/internal/tx"
 )
 
 // ErrUnbreakable is returned when cycles remain that contain no tentative
@@ -80,8 +78,8 @@ func (GreedyCost) backOut(g *Graph, s *Scratch) ([]int, error) {
 func cheapestRounds(g *Graph, c *cycles, removed []bool, b []int) ([]int, error) {
 	for c.cyclic {
 		best := -1
-		for v := range g.Len() {
-			if c.onCycle(v) && g.kind[v] == tx.Tentative && (best == -1 || g.cost[v] < g.cost[best]) {
+		for v := range g.MobileLen { // the tentative vertices
+			if c.onCycle(v) && (best == -1 || g.cost[v] < g.cost[best]) {
 				best = v
 			}
 		}
@@ -121,17 +119,17 @@ func (GreedyDegree) backOut(g *Graph, s *Scratch) ([]int, error) {
 		best := filled(s.best, len(c.size), -1)
 		score := filled(s.bestScore, len(c.size), -1)
 		s.best, s.bestScore = best, score
-		for v := range g.Len() {
-			if !c.onCycle(v) || g.kind[v] != tx.Tentative {
+		for v := range g.MobileLen { // the tentative vertices
+			if !c.onCycle(v) {
 				continue
 			}
 			id, in, out := c.comp[v], 0, 0
-			for _, p := range g.pred[v] {
+			for _, p := range g.Pred(v) {
 				if c.comp[p] == id {
 					in++
 				}
 			}
-			for _, w := range g.succ[v] {
+			for _, w := range g.Succ(v) {
 				if c.comp[w] == id {
 					out++
 				}
@@ -194,15 +192,16 @@ func (tc TwoCycle) backOut(g *Graph, s *Scratch) ([]int, error) {
 		if !c.onCycle(u) {
 			continue
 		}
-		for _, v := range g.succ[u] {
+		for _, w := range g.Succ(u) {
+			v := int(w)
 			if v <= u {
 				continue
 			}
-			if _, back := slices.BinarySearch(g.succ[v], u); !back {
+			if _, back := slices.BinarySearch(g.Succ(v), int32(u)); !back {
 				continue
 			}
-			uT := g.kind[u] == tx.Tentative
-			vT := g.kind[v] == tx.Tentative
+			uT := u < g.MobileLen
+			vT := v < g.MobileLen
 			switch {
 			case uT && !vT:
 				if !removed[u] {
@@ -270,7 +269,7 @@ func (e Exhaustive) backOut(g *Graph, s *Scratch) ([]int, error) {
 	}
 	var candidates []int
 	for _, v := range s.cyc.cyclicVertices(nil) {
-		if g.kind[v] == tx.Tentative {
+		if v < g.MobileLen {
 			candidates = append(candidates, v)
 		}
 	}
@@ -288,7 +287,7 @@ func (e Exhaustive) backOut(g *Graph, s *Scratch) ([]int, error) {
 		cost, size := 0, bits.OnesCount(uint(set))
 		for i, v := range candidates {
 			if set&(1<<i) != 0 {
-				cost += g.cost[v]
+				cost += g.Cost(v)
 			}
 		}
 		if best != -1 && (cost > bestCost || (cost == bestCost && size >= bestLen)) {
@@ -331,7 +330,7 @@ func (AllCyclic) backOut(g *Graph, s *Scratch) ([]int, error) {
 	removed := s.mask(g.Len())
 	var b []int
 	for _, v := range s.cyc.cyclicVertices(nil) {
-		if g.kind[v] == tx.Tentative {
+		if v < g.MobileLen {
 			b = append(b, v)
 			removed[v] = true
 		}

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"tiermerge/internal/model"
-	"tiermerge/internal/tx"
 )
 
 // Build constructs the precedence graph from the two access sequences — the
@@ -52,7 +51,7 @@ func eachItem(a Access, f func(it model.Item, reads, writes, delta bool)) {
 // emitted source by source into one flat successor buffer. A target already
 // emitted for the current source carries the source's stamp, the way
 // BuildIndexed marks partners in bitsets, so no set of vertex pairs is kept.
-// The graph's own arrays — identities, kinds, adjacency, costs and one
+// The graph's own arrays — identities, costs, the adjacency offsets and one
 // array holding every successor and predecessor list — are allocated at
 // exact size once the edges are known; everything else lives in s.
 func build(mobile []Access, nb int, baseAt func(int) *Access, s *Scratch) *Graph {
@@ -67,15 +66,11 @@ func build(mobile []Access, nb int, baseAt func(int) *Access, s *Scratch) *Graph
 		}
 		return baseAt(v - nm)
 	}
-	adj := make([][]int, 2*n)
 	g := &Graph{
 		MobileLen: nm,
 		BaseLen:   nb,
 		ids:       make([]string, n),
-		kind:      make([]tx.Kind, n),
-		succ:      adj[:n:n],
-		pred:      adj[n:],
-		cost:      make([]int, n),
+		cost:      make([]int32, n),
 	}
 	nt := 0
 	for v := range n {
@@ -89,10 +84,7 @@ func build(mobile []Access, nb int, baseAt func(int) *Access, s *Scratch) *Graph
 	count := emptied(s.count, nt) // accesses per item
 	for v := range n {
 		a := access(v)
-		g.ids[v], g.kind[v] = a.ID, tx.Tentative
-		if v >= nm {
-			g.kind[v] = tx.Base
-		}
+		g.ids[v] = a.ID
 		for _, r := range a.Items {
 			k, ok := number[r.Item]
 			if !ok {
@@ -155,7 +147,7 @@ func build(mobile []Access, nb int, baseAt func(int) *Access, s *Scratch) *Graph
 				}
 			} else if stamp[v] != mark {
 				stamp[v] = mark
-				flat = append(flat, int(v))
+				flat = append(flat, v)
 			}
 		}
 		for range access(u).Items {
@@ -194,32 +186,27 @@ func build(mobile []Access, nb int, baseAt func(int) *Access, s *Scratch) *Graph
 	s.touches, s.count, s.bounds, s.refs, s.stamp, s.off, s.flat, s.elided = touches, count, bounds, refs, stamp, off, flat, elided
 
 	// The graph's one edge array: successor lists, then predecessor lists,
-	// which come out sorted because sources are visited in order.
+	// which come out sorted because sources are visited in order; the
+	// successor offsets are off, the predecessor ones count from m.
 	m := len(flat)
-	edges := make([]int, 2*m)
-	succFlat, predFlat := edges[:m:m], edges[m:]
-	copy(succFlat, flat)
-	for v := range n {
-		g.succ[v] = succFlat[off[v]:off[v+1]:off[v+1]]
-	}
-	predOff := off // reused as the predecessor offsets
-	clear(predOff)
+	g.adj, g.at = make([]int32, 2*m), make([]int32, 2*(n+1))
+	copy(g.adj, flat)
+	copy(g.at, off)
+	predAt := g.at[n+1:]
+	predAt[0] = int32(m)
 	for _, v := range flat {
-		predOff[v+1]++
+		predAt[v+1]++
 	}
 	for v := range n {
-		predOff[v+1] += predOff[v]
+		predAt[v+1] += predAt[v]
 	}
 	fill := stamp[:n] // reused as the predecessor fill count
 	clear(fill)
 	for u := range n {
-		for _, v := range g.succ[u] {
-			predFlat[predOff[v]+fill[v]] = u
+		for _, v := range flat[off[u]:off[u+1]] {
+			g.adj[predAt[v]+fill[v]] = int32(u)
 			fill[v]++
 		}
-	}
-	for v := range n {
-		g.pred[v] = predFlat[predOff[v]:predOff[v+1]:predOff[v+1]]
 	}
 	g.computeCosts(refs, start, split, s)
 	return g
@@ -275,7 +262,7 @@ func (g *Graph) computeCosts(refs []itemRef, start, split []int32, s *Scratch) {
 				}
 			}
 		}
-		g.cost[i] = 1 + size
+		g.cost[i] = int32(1 + size)
 	}
 	for i := nm; i < len(g.cost); i++ {
 		g.cost[i] = 1

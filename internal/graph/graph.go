@@ -29,6 +29,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -100,7 +101,9 @@ func DeltaAccessesOf(a *history.Augmented) []Access { return accessesOf(a, true)
 
 // Graph is the precedence graph. Vertices 0..MobileLen-1 are the tentative
 // transactions of Hm in order; vertices MobileLen..MobileLen+BaseLen-1 are
-// the base transactions of Hb in order.
+// the base transactions of Hb in order. The adjacency is in compressed
+// sparse row form: one array of every successor list followed by every
+// predecessor list, and one array of offsets into it.
 type Graph struct {
 	MobileLen int
 	BaseLen   int
@@ -112,14 +115,16 @@ type Graph struct {
 	// mobileElided is the share of Elided with both endpoints in Hm.
 	mobileElided int
 
-	ids  []string
-	kind []tx.Kind
-	succ [][]int
-	pred [][]int
+	ids []string
+	// adj holds the successor lists of vertices 0..n-1, then their
+	// predecessor lists, each list sorted. at, of length 2(n+1), indexes
+	// it: v's successors are adj[at[v]:at[v+1]], its predecessors
+	// adj[at[n+1+v]:at[n+2+v]].
+	adj, at []int32
 	// cost is the back-out cost weight of each tentative vertex:
 	// 1 + |reads-from closure within Hm|. Strategies minimizing total
 	// back-out cost use it; it is 1 for base vertices (never backed out).
-	cost []int
+	cost []int32
 }
 
 // BuildFromHistories executes nothing; it builds the graph from two already
@@ -135,18 +140,30 @@ func (g *Graph) Len() int { return len(g.ids) }
 func (g *Graph) ID(v int) string { return g.ids[v] }
 
 // Kind returns whether vertex v is tentative or base.
-func (g *Graph) Kind(v int) tx.Kind { return g.kind[v] }
+func (g *Graph) Kind(v int) tx.Kind {
+	if v < g.MobileLen {
+		return tx.Tentative
+	}
+	return tx.Base
+}
 
 // Cost returns the back-out cost weight of vertex v.
-func (g *Graph) Cost(v int) int { return g.cost[v] }
+func (g *Graph) Cost(v int) int { return int(g.cost[v]) }
 
-// Succ returns the successors of v (v must precede them). The slice
-// aliases the graph's internal adjacency storage.
-func (g *Graph) Succ(v int) []int { return g.succ[v] }
+// Succ returns the successors of v (v must precede them), ascending. The
+// slice is a capped view of the graph's adjacency array: read it, never
+// write it.
+func (g *Graph) Succ(v int) []int32 { return g.list(v) }
 
-// Pred returns the predecessors of v. The slice aliases the graph's
-// internal adjacency storage.
-func (g *Graph) Pred(v int) []int { return g.pred[v] }
+// Pred returns the predecessors of v, ascending, under Succ's rule.
+func (g *Graph) Pred(v int) []int32 { return g.list(g.Len() + 1 + v) }
+
+// list is the i-th adjacency list of adj: a successor list for i ≤ n - 1,
+// then a predecessor list.
+func (g *Graph) list(i int) []int32 {
+	lo, hi := g.at[i], g.at[i+1]
+	return g.adj[lo:hi:hi]
+}
 
 // LocalEdges returns the edge count of G(Hm) read the value-write way —
 // without delta elision: the conflicting pairs of tentative transactions,
@@ -156,7 +173,8 @@ func (g *Graph) Pred(v int) []int { return g.pred[v] }
 func (g *Graph) LocalEdges() int {
 	n := g.mobileElided
 	for u := range g.MobileLen {
-		n += sort.SearchInts(g.succ[u], g.MobileLen) // successors are sorted, Hm first
+		i, _ := slices.BinarySearch(g.Succ(u), int32(g.MobileLen)) // successors are sorted, Hm first
+		n += i
 	}
 	return n
 }
@@ -176,8 +194,8 @@ func (g *Graph) VertexByID(id string) int {
 // for reports and tests (e.g. checking Figure 1).
 func (g *Graph) Edges() [][2]string {
 	var out [][2]string
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
+	for u := range g.Len() {
+		for _, v := range g.Succ(u) {
 			out = append(out, [2]string{g.ids[u], g.ids[v]})
 		}
 	}
@@ -196,12 +214,8 @@ func (g *Graph) HasEdge(u, v string) bool {
 	if ui < 0 || vi < 0 {
 		return false
 	}
-	for _, s := range g.succ[ui] {
-		if s == vi {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(g.Succ(ui), int32(vi))
+	return ok
 }
 
 // Acyclic reports whether the graph, minus the removed vertices, has no
@@ -299,16 +313,16 @@ func (c *cycles) pass(g *Graph, removed []bool) bool {
 				counter++
 				c.stack = append(c.stack, v)
 			}
-			succ := g.succ[v]
+			succ := g.Succ(int(v))
 			advanced := false
 			for int(f.child) < len(succ) {
 				w := succ[f.child]
 				f.child++
-				if out(w) {
+				if out(int(w)) {
 					continue
 				}
 				if c.index[w] < 0 {
-					c.work = append(c.work, frame{v: int32(w)})
+					c.work = append(c.work, frame{v: w})
 					advanced = true
 					break
 				}
@@ -374,9 +388,9 @@ func (g *Graph) FindCycle(removed map[int]bool) []string {
 		cur := start
 		for {
 			next := -1
-			for _, w := range g.succ[cur] {
-				if inSCC[w] && !removed[w] {
-					next = w
+			for _, w := range g.Succ(cur) {
+				if inSCC[int(w)] && !removed[int(w)] {
+					next = int(w)
 					break
 				}
 			}
@@ -401,13 +415,7 @@ func (g *Graph) FindCycle(removed map[int]bool) []string {
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("precedence graph: %d tentative + %d base vertices, %d edges",
-		g.MobileLen, g.BaseLen, func() int {
-			n := 0
-			for _, s := range g.succ {
-				n += len(s)
-			}
-			return n
-		}())
+		g.MobileLen, g.BaseLen, len(g.adj)/2)
 }
 
 // Dot renders the graph in Graphviz DOT form: tentative vertices as
@@ -429,10 +437,10 @@ func (g *Graph) Dot(removed map[int]bool) string {
 	for u := 0; u < g.Len(); u++ {
 		for _, v := range g.Succ(u) {
 			attr := ""
-			if removed[u] || removed[v] {
+			if removed[u] || removed[int(v)] {
 				attr = " [color=gray, style=dashed]"
 			}
-			fmt.Fprintf(&b, "  %q -> %q%s;\n", g.ID(u), g.ID(v), attr)
+			fmt.Fprintf(&b, "  %q -> %q%s;\n", g.ID(u), g.ID(int(v)), attr)
 		}
 	}
 	b.WriteString("}\n")

@@ -306,8 +306,8 @@ func TestTheorem1Direction(t *testing.T) {
 			continue
 		}
 		for _, w := range g.Succ(v) {
-			if !removed[w] {
-				indeg[w]++
+			if !removed[int(w)] {
+				indeg[int(w)]++
 			}
 		}
 	}
@@ -322,7 +322,8 @@ func TestTheorem1Direction(t *testing.T) {
 		v := queue[0]
 		queue = queue[1:]
 		placed++
-		for _, w := range g.Succ(v) {
+		for _, x := range g.Succ(v) {
+			w := int(x)
 			if removed[w] {
 				continue
 			}

@@ -143,7 +143,7 @@ type BaseView struct {
 // whose accesses its owner appends to a combined index). The posting map is
 // s's (nil: a fresh one), so the view is valid until s's next View. Call
 // it under the lock that guards Append.
-func (ix *BaseIndex) View(from int, footprint model.ItemSet, s *Scratch) *BaseView {
+func (ix *BaseIndex) View(from int, footprint []model.Item, s *Scratch) *BaseView {
 	n := len(ix.acc)
 	v := &BaseView{from: from, deltas: ix.deltas, acc: ix.acc[:n:n], preds: ix.preds[:n:n]}
 	if len(footprint) == 0 {
@@ -156,7 +156,7 @@ func (ix *BaseIndex) View(from int, footprint model.ItemSet, s *Scratch) *BaseVi
 		v.post = s.post
 		defer func() { s.postPeak = max(s.postPeak, len(v.post)) }()
 	}
-	for it := range footprint {
+	for _, it := range footprint {
 		p := ix.post[it]
 		if p == nil {
 			continue

@@ -47,24 +47,24 @@ func indexOf(base []Access) *BaseIndex {
 	return ix
 }
 
-func footprint(mobile []Access) model.ItemSet {
+func footprint(mobile []Access) []model.Item {
 	fp := model.ItemSet{}
 	for _, a := range mobile {
 		for _, r := range a.Items {
 			fp.Add(r.Item)
 		}
 	}
-	return fp
+	return fp.Items()
 }
 
 // closure returns reach[i][j]: base entry j reachable from base entry i over
 // the given predecessor lists (all of which point backward).
-func closure(preds [][]int) [][]bool {
+func closure(preds [][]int32) [][]bool {
 	reach := make([][]bool, len(preds))
 	for j := range preds {
 		for i := range reach[:j] {
 			for _, q := range preds[j] {
-				if q == i || reach[i][q] {
+				if int(q) == i || reach[i][q] {
 					reach[i][j] = true
 					break
 				}
@@ -83,12 +83,12 @@ func TestReducedPredecessorsPreserveReachability(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		base := randAccesses(r, "b", 2+r.Intn(30), 1+r.Intn(4), true)
 		ix, g := indexOf(base), Build(nil, base)
-		full := make([][]int, len(base))
-		reduced := make([][]int, len(base))
+		full := make([][]int32, len(base))
+		reduced := make([][]int32, len(base))
 		for j := range base {
 			full[j] = g.Pred(j)
 			for _, q := range ix.preds[j] {
-				reduced[j] = append(reduced[j], int(q))
+				reduced[j] = append(reduced[j], q)
 				if !g.HasEdge(base[q].ID, base[j].ID) {
 					t.Fatalf("trial %d: reduced edge %d->%d is no rule-2 edge", trial, q, j)
 				}

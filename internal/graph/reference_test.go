@@ -16,26 +16,47 @@ import (
 	"tiermerge/internal/workload"
 )
 
+// fromLists is the graph over ids whose first nm vertices are tentative,
+// with the given sorted successor lists and back-out costs, laid out the
+// way build lays out its arrays; the predecessor lists are derived.
+func fromLists(nm int, ids []string, succ [][]int, cost []int) *Graph {
+	n := len(ids)
+	g := &Graph{MobileLen: nm, BaseLen: n - nm, ids: ids, at: make([]int32, 2*(n+1)), cost: make([]int32, n)}
+	pred := make([][]int, n)
+	for u, vs := range succ {
+		g.cost[u] = int32(cost[u])
+		for _, v := range vs {
+			pred[v] = append(pred[v], u)
+		}
+	}
+	g.adj = []int32{}
+	for i, lists := range [][][]int{succ, pred} {
+		g.at[i*(n+1)] = int32(len(g.adj))
+		for v, l := range lists {
+			for _, w := range l {
+				g.adj = append(g.adj, int32(w))
+			}
+			g.at[i*(n+1)+v+1] = int32(len(g.adj))
+		}
+	}
+	return g
+}
+
 // referenceBuild is the map-based construction build replaced: conflict
 // pairs grouped per item in a map, deduplicated through maps keyed by the
 // ordered vertex pair, adjacency sorted at the end, and back-out costs from
-// per-vertex reads-from maps. It is kept as the reference build must match
-// exactly.
+// per-vertex reads-from maps, over per-vertex adjacency lists. It is kept
+// as the reference build must match exactly.
 func referenceBuild(mobile, base []Access) (g *Graph, mobileElided int) {
 	nm, n := len(mobile), len(mobile)+len(base)
-	g = &Graph{
-		MobileLen: nm,
-		BaseLen:   len(base),
-		ids:       make([]string, n),
-		kind:      make([]tx.Kind, n),
-		succ:      make([][]int, n),
-		pred:      make([][]int, n),
-		cost:      make([]int, n),
-	}
+	ids := make([]string, n)
+	succ := make([][]int, n)
+	cost := make([]int, n)
+	elidedPairs := 0
 	type itemIndex struct{ mobile, base []itemRef }
 	perItem := make(map[model.Item]*itemIndex)
 	collect := func(a Access, v int) {
-		g.ids[v] = a.ID
+		ids[v] = a.ID
 		eachItem(a, func(it model.Item, reads, writes, delta bool) {
 			e := perItem[it]
 			if e == nil {
@@ -51,11 +72,9 @@ func referenceBuild(mobile, base []Access) (g *Graph, mobileElided int) {
 		})
 	}
 	for i, a := range mobile {
-		g.kind[i] = tx.Tentative
 		collect(a, i)
 	}
 	for i, a := range base {
-		g.kind[nm+i] = tx.Base
 		collect(a, nm+i)
 	}
 	edges := make(map[[2]int]struct{})
@@ -70,8 +89,7 @@ func referenceBuild(mobile, base []Access) (g *Graph, mobileElided int) {
 			return
 		}
 		edges[key] = struct{}{}
-		g.succ[u] = append(g.succ[u], int(v))
-		g.pred[v] = append(g.pred[v], int(u))
+		succ[u] = append(succ[u], int(v))
 	}
 	sameTier := func(refs []itemRef) {
 		for x := 0; x < len(refs); x++ {
@@ -100,14 +118,13 @@ func referenceBuild(mobile, base []Access) (g *Graph, mobileElided int) {
 		if _, real := edges[key]; real {
 			continue
 		}
-		g.Elided++
+		elidedPairs++
 		if key[0] < nm && key[1] < nm {
 			mobileElided++
 		}
 	}
-	for i := range g.succ {
-		sort.Ints(g.succ[i])
-		sort.Ints(g.pred[i])
+	for i := range succ {
+		sort.Ints(succ[i])
 	}
 	readersOf := make([][]int, nm)
 	lastWriter := make(map[model.Item]int)
@@ -139,11 +156,13 @@ func referenceBuild(mobile, base []Access) (g *Graph, mobileElided int) {
 			}
 		}
 		delete(closure, i)
-		g.cost[i] = 1 + len(closure)
+		cost[i] = 1 + len(closure)
 	}
 	for i := nm; i < n; i++ {
-		g.cost[i] = 1
+		cost[i] = 1
 	}
+	g = fromLists(nm, ids, succ, cost)
+	g.Elided = elidedPairs
 	return g, mobileElided
 }
 
@@ -155,18 +174,21 @@ func sameGraph(got, want *Graph, gotME, wantME int) string {
 		return fmt.Sprintf("Elided %d, reference %d", got.Elided, want.Elided)
 	case gotME != wantME:
 		return fmt.Sprintf("mobile-elided %d, reference %d", gotME, wantME)
-	case !slices.Equal(got.ids, want.ids) || !slices.Equal(got.kind, want.kind):
+	case got.MobileLen != want.MobileLen || !slices.Equal(got.ids, want.ids):
 		return "vertex identities differ"
 	case !slices.Equal(got.cost, want.cost):
 		return fmt.Sprintf("costs %v, reference %v", got.cost, want.cost)
 	}
-	for v := range want.succ {
-		if !slices.Equal(got.succ[v], want.succ[v]) {
-			return fmt.Sprintf("succ(%d) = %v, reference %v", v, got.succ[v], want.succ[v])
+	for v := range want.Len() {
+		if !slices.Equal(got.Succ(v), want.Succ(v)) {
+			return fmt.Sprintf("succ(%d) = %v, reference %v", v, got.Succ(v), want.Succ(v))
 		}
-		if !slices.Equal(got.pred[v], want.pred[v]) {
-			return fmt.Sprintf("pred(%d) = %v, reference %v", v, got.pred[v], want.pred[v])
+		if !slices.Equal(got.Pred(v), want.Pred(v)) {
+			return fmt.Sprintf("pred(%d) = %v, reference %v", v, got.Pred(v), want.Pred(v))
 		}
+	}
+	if !slices.Equal(got.at, want.at) || !slices.Equal(got.adj, want.adj) {
+		return fmt.Sprintf("adjacency arrays %v %v, reference %v %v", got.at, got.adj, want.at, want.adj)
 	}
 	return ""
 }
@@ -267,8 +289,8 @@ func referenceSCCs(g *Graph, removed map[int]bool) [][]int {
 				onStack[v] = true
 			}
 			advanced := false
-			for f.childIdx < len(g.succ[v]) {
-				w := g.succ[v][f.childIdx]
+			for f.childIdx < len(g.Succ(v)) {
+				w := int(g.Succ(v)[f.childIdx])
 				f.childIdx++
 				if removed[w] {
 					continue
@@ -330,13 +352,14 @@ func referenceCyclic(g *Graph, removed map[int]bool) []int {
 // the order TwoCycle meets them.
 func referenceTwoCycles(g *Graph) [][2]int {
 	var out [][2]int
-	for u := range g.succ {
-		for _, v := range g.succ[u] {
+	for u := range g.Len() {
+		for _, x := range g.Succ(u) {
+			v := int(x)
 			if v <= u {
 				continue
 			}
-			for _, w := range g.succ[v] {
-				if w == u {
+			for _, w := range g.Succ(v) {
+				if int(w) == u {
 					out = append(out, [2]int{u, v})
 					break
 				}
@@ -396,12 +419,12 @@ func referenceGreedyDegree(g *Graph) ([]int, error) {
 				}
 				in, out := 0, 0
 				for _, p := range g.Pred(v) {
-					if inSCC[p] && !removed[p] {
+					if inSCC[int(p)] && !removed[int(p)] {
 						in++
 					}
 				}
 				for _, s := range g.Succ(v) {
-					if inSCC[s] && !removed[s] {
+					if inSCC[int(s)] && !removed[int(s)] {
 						out++
 					}
 				}
@@ -577,23 +600,21 @@ func referenceAllCyclic(g *Graph) ([]int, error) {
 // costs: unlike a built graph it may hold cycles through base vertices
 // only, which no strategy can break.
 func randGraph(r *rand.Rand, n, nm int, p float64) *Graph {
-	g := &Graph{MobileLen: nm, BaseLen: n - nm, ids: make([]string, n), kind: make([]tx.Kind, n),
-		succ: make([][]int, n), pred: make([][]int, n), cost: make([]int, n)}
+	ids, succ, cost := make([]string, n), make([][]int, n), make([]int, n)
 	for v := range n {
-		g.ids[v], g.kind[v], g.cost[v] = fmt.Sprintf("v%d", v), tx.Tentative, 1+r.Intn(4)
+		ids[v], cost[v] = fmt.Sprintf("v%d", v), 1+r.Intn(4)
 		if v >= nm {
-			g.kind[v], g.cost[v] = tx.Base, 1
+			cost[v] = 1
 		}
 	}
 	for u := range n {
 		for v := range n {
 			if u != v && r.Float64() < p {
-				g.succ[u] = append(g.succ[u], v)
-				g.pred[v] = append(g.pred[v], u)
+				succ[u] = append(succ[u], v)
 			}
 		}
 	}
-	return g
+	return fromLists(nm, ids, succ, cost)
 }
 
 // randRemoved marks each vertex removed with probability p.

@@ -30,7 +30,7 @@ type Scratch struct {
 	refs       []itemRef
 	stamp      []int32
 	off        []int32
-	flat       []int
+	flat       []int32
 	elided     []int32
 
 	at, readers, seen, stack []int32 // computeCosts

@@ -13,15 +13,17 @@ import (
 )
 
 // keptBytes is what a built graph holds: the Graph itself, per vertex an
-// identity, a kind, a cost and two adjacency headers, and per edge a
-// successor and a predecessor entry.
+// identity, a cost and two adjacency offsets (a successor and a
+// predecessor one, and two closing offsets), and per edge a successor and
+// a predecessor entry.
 func keptBytes(g *graph.Graph) uint64 {
 	n, m := g.Len(), 0
 	for v := range n {
 		m += len(g.Succ(v))
 	}
-	perVertex := unsafe.Sizeof("") + unsafe.Sizeof(tx.Kind(0)) + unsafe.Sizeof(0) + 2*unsafe.Sizeof([]int(nil))
-	return uint64(unsafe.Sizeof(graph.Graph{}) + uintptr(n)*perVertex + uintptr(2*m)*unsafe.Sizeof(0))
+	const i32 = unsafe.Sizeof(int32(0))
+	perVertex := unsafe.Sizeof("") + 3*i32
+	return uint64(unsafe.Sizeof(graph.Graph{}) + uintptr(n)*perVertex + 2*i32 + uintptr(2*m)*i32)
 }
 
 // bytesPerRun is the mean heap allocation of f over runs calls.
@@ -40,7 +42,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 // owner's warm Scratch allocates what the report's graph keeps plus a small
 // constant (the back-out set and the vertex cover's small maps), on a
 // conflict-heavy-shaped merge: 16 tentative transactions drawing 4 hot items
-// of 128 against 32 base entries, with dense two-cycles.
+// of 128 against 32 base entries, with dense two-cycles. The graph keeps
+// 1 012 B there and the phase allocates 1 160 B; with a kind array, word
+// costs and a slice header per adjacency list the same graph kept 2 456 B,
+// beyond the slack.
 func TestMergeIndexedAllocs(t *testing.T) {
 	cfg := workload.Config{Seed: 3, Items: 128, HotItems: 4, PHot: 0.25, PCommutative: 0.2}
 	gen := workload.NewGenerator(cfg)
@@ -64,7 +69,7 @@ func TestMergeIndexedAllocs(t *testing.T) {
 		}
 	}
 	var s graph.Scratch
-	view := ix.View(0, footprint, nil)
+	view := ix.View(0, footprint.Items(), nil)
 	acc := accessesFor(hm, Options{})
 	phase := func(s *graph.Scratch) *graph.Graph {
 		g, _ := graph.BuildIndexed(acc, view, s)
@@ -77,7 +82,7 @@ func TestMergeIndexedAllocs(t *testing.T) {
 	twoCycles := 0
 	for u := range g.Len() {
 		for _, v := range g.Succ(u) {
-			if _, back := slices.BinarySearch(g.Succ(v), u); back && u < v {
+			if _, back := slices.BinarySearch(g.Succ(int(v)), int32(u)); back && u < int(v) {
 				twoCycles++
 			}
 		}
@@ -91,7 +96,7 @@ func TestMergeIndexedAllocs(t *testing.T) {
 	fresh := bytesPerRun(50, func() { phase(nil) })
 	t.Logf("%d vertices, %d two-cycles, |B| = %d: the graph keeps %d B; the phase allocates %d B through a warm scratch, %d B with fresh arrays",
 		g.Len(), twoCycles, len(b), kept, warm, fresh)
-	const slack = 2048
+	const slack = 1024
 	if warm > kept+slack {
 		t.Errorf("the graph phase allocates %d B through a warm scratch; the graph keeps %d B (+%d allowed)", warm, kept, slack)
 	}

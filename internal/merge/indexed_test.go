@@ -66,7 +66,7 @@ func TestMergeIndexedMatchesMerge(t *testing.T) {
 			for i, eff := range hb.Effects {
 				ix.Append(graph.AccessOf(hb.H.Txn(i), eff, !noDeltas))
 			}
-			view := ix.View(from, footprint, nil)
+			view := ix.View(from, footprint.Items(), nil)
 			if _, _, err := MergeIndexed(hm, view, nil, Options{DisableDeltas: !noDeltas}); !errors.Is(err, ErrBadOptions) {
 				t.Fatalf("seed %d: a view indexed in the other delta mode was accepted: %v", seed, err)
 			}

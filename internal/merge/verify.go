@@ -35,7 +35,7 @@ func MergedHistory(rep *Report, hm, hb *history.Augmented) (*history.History, er
 			continue
 		}
 		for _, w := range g.Succ(v) {
-			if kept(w) {
+			if kept(int(w)) {
 				indeg[w]++
 			}
 		}
@@ -79,7 +79,7 @@ func MergedHistory(rep *Report, hm, hb *history.Augmented) (*history.History, er
 		remaining--
 		out.Append(txnAt(pick))
 		for _, w := range g.Succ(pick) {
-			if kept(w) && !placed[w] {
+			if kept(int(w)) && !placed[w] {
 				indeg[w]--
 			}
 		}

@@ -41,9 +41,11 @@ func ByCompensation(r *rewrite.Result, final model.State) (model.State, []*tx.Tr
 	comps := make([]*tx.Transaction, 0, r.Rewritten.Len()-r.PrefixLen)
 	for i := r.Rewritten.Len() - 1; i >= r.PrefixLen; i-- {
 		ent := r.Rewritten.Entries[i]
-		if !ent.Fix.Items().Disjoint(ent.T.StaticWriteSet()) {
-			return nil, nil, fmt.Errorf(
-				"prune: fix of %s pins written items; Lemma 4 precondition violated", ent.T.ID)
+		for it := range ent.Fix {
+			if ent.T.MayWrite(it) {
+				return nil, nil, fmt.Errorf(
+					"prune: fix of %s pins written items; Lemma 4 precondition violated", ent.T.ID)
+			}
 		}
 		inv, err := tx.Invert(ent.T)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -31,15 +32,16 @@ func hotConfig(seed int64) workload.Config {
 // frameBytes — the decode, replay, merge, install and answer of the frame.
 // Frames of distinct mobiles carry one period, so every delivery merges
 // against the same window plus the installs before it. The pin sits between
-// the 117 KiB (121 KiB under -race) such a merge allocates with its graph
-// phase in the cluster's scratch and the 133 KiB it took with a second
-// build of G(Hm) per merge, a slice per strongly connected component and
-// fresh arrays throughout.
+// the 97 KiB (101 KiB under -race) such a merge allocates with compiled
+// sets as sorted slices that a re-executed copy shares and the graph kept
+// in CSR form, and the 117 KiB (122 KiB) it took with map-based compiled
+// sets, each backed-out transaction compiled again for its re-execution,
+// footprints as maps and adjacency lists of their own per vertex.
 func TestServeFrameMergeAllocs(t *testing.T) {
 	// One P: the JSON codec's per-P buffer pools then hand the server the
 	// same warm buffers in every round.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const frameBytes = 128 << 10
+	const frameBytes = 108 << 10
 	gen := workload.NewGenerator(hotConfig(7))
 	origin := gen.OriginState()
 	hm, err := gen.RunHistory(tx.Tentative, 16, origin)
@@ -112,7 +114,7 @@ type mergeRecord struct {
 	repaired                []string
 	repairedState           model.State
 	forwards, deltas        map[model.Item]model.Value
-	succ, pred              [][]int
+	succ, pred              [][]int32
 	cost                    []int
 	elided, mobile, vertex  int
 	reexecute, affectedIDs  []string
@@ -136,8 +138,8 @@ func recordOf(out *ConnectOutcome) mergeRecord {
 		r.reexecute = append(r.reexecute, t.ID)
 	}
 	for v := range rep.Graph.Len() {
-		r.succ = append(r.succ, append([]int(nil), rep.Graph.Succ(v)...))
-		r.pred = append(r.pred, append([]int(nil), rep.Graph.Pred(v)...))
+		r.succ = append(r.succ, slices.Clone(rep.Graph.Succ(v)))
+		r.pred = append(r.pred, slices.Clone(rep.Graph.Pred(v)))
 		r.cost = append(r.cost, rep.Graph.Cost(v))
 	}
 	return r

@@ -237,7 +237,7 @@ func (cs *clusterSet) commitLocked() error {
 // (no global lock) for Preview, which merges outside the mutexes. A part
 // captured later may include commits an earlier one missed; a preview is
 // advisory, and a fresh combined index orders whatever the parts hold.
-func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]shardPart, FallbackReason) {
+func (cs *clusterSet) snapshot(tokens []Checkout, footprint []model.Item) ([]shardPart, FallbackReason) {
 	parts := make([]shardPart, len(cs.members))
 	for i, b := range cs.members {
 		var fb FallbackReason
@@ -258,7 +258,7 @@ func (cs *clusterSet) snapshot(tokens []Checkout, footprint model.ItemSet) ([]sh
 // The only member's view is the merge's view, with the posting lists of
 // footprint held in s (nil: fresh); one of several is indexed in combined
 // order and captures none. Caller holds that member's mutex.
-func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet, s *graph.Scratch) (shardPart, FallbackReason) {
+func (cs *clusterSet) partLocked(i int, ck Checkout, footprint []model.Item, s *graph.Scratch) (shardPart, FallbackReason) {
 	b := cs.members[i]
 	pos, fb := b.checkTokenLocked(ck, footprint)
 	if fb != FallbackNone {
@@ -279,7 +279,7 @@ func (cs *clusterSet) partLocked(i int, ck Checkout, footprint model.ItemSet, s 
 // entry). Only the unconsumed suffix of each member's cross-shard
 // identities is copied. The posting lists of footprint are held in s.
 // Caller holds every member's mutex.
-func (cs *clusterSet) viewLocked(parts []shardPart, footprint model.ItemSet, s *graph.Scratch) *graph.BaseView {
+func (cs *clusterSet) viewLocked(parts []shardPart, footprint []model.Item, s *graph.Scratch) *graph.BaseView {
 	if len(parts) == 1 {
 		return parts[0].snap.view
 	}
@@ -337,7 +337,7 @@ func (c *combinedIndex) reset(keys []partKey, parts []shardPart) {
 // to parts[i].refs) into the index, a cross-shard entry once every part
 // holding one of its slices has reached it, and views the whole index with
 // the footprint's posting lists, held in s (nil: fresh).
-func (c *combinedIndex) extend(parts []shardPart, footprint model.ItemSet, s *graph.Scratch) *graph.BaseView {
+func (c *combinedIndex) extend(parts []shardPart, footprint []model.Item, s *graph.Scratch) *graph.BaseView {
 	type ref struct{ part, pos int }
 	where := make(map[*crossTxn][]ref)
 	local := make([][]graph.Access, len(parts))
@@ -541,9 +541,9 @@ func (cs *clusterSet) memberAt(k int) *BaseCluster {
 // install as slices. The set holds the shard of every item Hm's
 // transactions name on any branch (ShardedBase.set), or the base
 // transaction names (ShardedBase.over), so every item has its member.
-func (cs *clusterSet) execMember(static model.ItemSet) *BaseCluster {
+func (cs *clusterSet) execMember(static []model.Item) *BaseCluster {
 	var sole *BaseCluster
-	for it := range static {
+	for _, it := range static {
 		switch b := cs.memberAt(cs.router.Shard(it)); {
 		case sole == nil:
 			sole = b
@@ -581,14 +581,7 @@ func (cs *clusterSet) reprocessOneLocked(t *tx.Transaction, tentEff *tx.Effect) 
 	// Code + arguments travel mobile -> base; the result travels back.
 	charged.counters.Msg(w, int64(t.StmtCount())*w.CodeBytesPerStmt+int64(t.ParamCount())*w.ArgBytes)
 	charged.counters.Msg(w, w.ResultBytes)
-	base := &tx.Transaction{
-		ID:          t.ID + "@base",
-		Type:        t.Type,
-		Kind:        tx.Base,
-		Params:      t.Params,
-		Body:        t.Body,
-		InverseBody: t.InverseBody,
-	}
+	base := t.As(t.ID+"@base", tx.Base)
 	eff, err := base.ExecInPlace(cs.gatherLocked(static), nil)
 	charged.counters.Update(func(c *cost.Counts) {
 		c.BaseTransforms++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tiermerge/internal/model"
@@ -161,13 +162,16 @@ func TestClusterSetsAscending(t *testing.T) {
 		for n := rng.Intn(6); n >= 0; n-- {
 			fp.Add(model.Item(fmt.Sprintf("i%d", rng.Intn(40))))
 		}
-		check(fmt.Sprintf("over %v", fp), s.over(fp))
+		check(fmt.Sprintf("over %v", fp), s.over(fp.Items()))
 	}
 }
 
 // TestMergeLeavesFootprintsAlone: a merge reads the compiled footprints of
-// Hm's transactions (they are shared with every execution of the
-// transaction) and Hm's effects, and must never write into either.
+// Hm's transactions (sorted slices shared with every execution and every
+// copy of the transaction) and Hm's effects, and must never write into
+// either. The first transaction is a guarded transfer that does not fire:
+// its run touches fewer items than its footprint names, so a merge that
+// collected the run's items into that footprint's array would change it.
 func TestMergeLeavesFootprintsAlone(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -181,15 +185,16 @@ func TestMergeLeavesFootprintsAlone(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.mobile()
 			txns := []*tx.Transaction{
+				workload.GuardedTransfer("T0", tx.Tentative, "a2", "b2", 500),
 				workload.Deposit("T1", tx.Tentative, "a0", 5),
 				workload.Deposit("T2", tx.Tentative, "a1", 5),
 			}
-			var before []model.ItemSet
+			var before [][]model.Item
 			for _, t1 := range txns {
 				if err := m.Run(t1); err != nil {
 					t.Fatal(err)
 				}
-				before = append(before, t1.Footprint().Clone())
+				before = append(before, slices.Clone(t1.Footprint()))
 			}
 			hm := m.Augmented()
 			var effs []*tx.Effect
@@ -200,7 +205,7 @@ func TestMergeLeavesFootprintsAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, t1 := range txns {
-				if got := t1.Footprint(); !reflect.DeepEqual(got, before[i]) {
+				if got := t1.Footprint(); !slices.Equal(got, before[i]) {
 					t.Errorf("%s's footprint became %v after the merge, want %v", t1.ID, got, before[i])
 				}
 				if got := hm.Effects[i]; !reflect.DeepEqual(got, effs[i]) {

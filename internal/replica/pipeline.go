@@ -2,6 +2,7 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 
 	"tiermerge/internal/cost"
 	"tiermerge/internal/graph"
@@ -72,17 +73,22 @@ func (eb *eventBuffer) flush(o obs.Observer) {
 	}
 }
 
-// footprintOf is the union of Hm's actual read and write sets: what a
-// reconnect's view holds postings for. (Shards are chosen by the static
-// footprint, ShardedBase.set.)
-func footprintOf(hm *history.Augmented) model.ItemSet {
-	fp := make(model.ItemSet)
+// footprintOf is the union of Hm's actual read and write sets, sorted and
+// distinct: what a reconnect's view holds postings for. (Shards are chosen
+// by the static footprint, ShardedBase.set.)
+func footprintOf(hm *history.Augmented) []model.Item {
+	n := 0
+	for _, eff := range hm.Effects {
+		n += len(eff.Items)
+	}
+	fp := make([]model.Item, 0, n)
 	for _, eff := range hm.Effects {
 		for _, r := range eff.Items {
-			fp.Add(r.Item)
+			fp = append(fp, r.Item)
 		}
 	}
-	return fp
+	slices.Sort(fp)
+	return slices.Compact(fp)
 }
 
 // footprintOrigin restricts origin to Hm's footprint, an item origin lacks
@@ -90,7 +96,7 @@ func footprintOf(hm *history.Augmented) model.ItemSet {
 func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
 	fp := footprintOf(hm)
 	s := make(model.State, len(fp))
-	for it := range fp {
+	for _, it := range fp {
 		s.Set(it, origin.Get(it))
 	}
 	return s
@@ -109,7 +115,7 @@ func footprintOrigin(origin model.State, hm *history.Augmented) model.State {
 // footprint of it (footprintOrigin — a value the payload omits was replayed
 // as zero, and is claimed as zero). The check costs O(|origin|) under
 // Strategy 2 and O(|origin| · log n) under Strategy 1, and copies no state.
-func (b *BaseCluster) checkTokenLocked(ck Checkout, footprint model.ItemSet) (int, FallbackReason) {
+func (b *BaseCluster) checkTokenLocked(ck Checkout, footprint []model.Item) (int, FallbackReason) {
 	if ck.WindowID != b.windowID {
 		return 0, FallbackWindowExpired
 	}
@@ -124,7 +130,7 @@ func (b *BaseCluster) checkTokenLocked(ck Checkout, footprint model.ItemSet) (in
 		// An interior insert can add an item to the state at pos after the
 		// checkout; a footprint item the token does not carry was read as
 		// zero.
-		for it := range footprint {
+		for _, it := range footprint {
 			if _, ok := ck.Origin[it]; !ok && at(it) != 0 {
 				return 0, FallbackOriginInvalid
 			}

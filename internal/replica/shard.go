@@ -75,10 +75,10 @@ func (r ShardRouter) Shard(it model.Item) int {
 	return int(h % uint32(r.n))
 }
 
-// shardsOf returns the sorted distinct shards owning the items of set.
-func (r ShardRouter) shardsOf(set model.ItemSet) []int {
+// shardsOf returns the sorted distinct shards owning items.
+func (r ShardRouter) shardsOf(items []model.Item) []int {
 	hit := make([]bool, r.n)
-	for it := range set {
+	for _, it := range items {
 		hit[r.Shard(it)] = true
 	}
 	var out []int
@@ -491,11 +491,11 @@ func syncShards(bs []*BaseCluster) error {
 }
 
 // gatherLocked assembles a scratch state holding the current master value
-// of every item in set, read from each item's owning shard. Caller holds
+// of every one of items, read from each item's owning shard. Caller holds
 // every involved shard's mutex.
-func (s *partition) gatherLocked(set model.ItemSet) model.State {
-	scratch := model.NewState()
-	for it := range set {
+func (s *partition) gatherLocked(items []model.Item) model.State {
+	scratch := make(model.State, len(items))
+	for _, it := range items {
 		scratch.Set(it, s.shards[s.router.Shard(it)].master.Get(it))
 	}
 	return scratch
@@ -512,9 +512,9 @@ func (s *partition) gatherLocked(set model.ItemSet) model.State {
 // of spanning partitions. Caller holds every involved shard's mutex.
 func (s *partition) installSlicesLocked(base *tx.Transaction, eff *tx.Effect) {
 	g := s.newCross(base, eff)
-	touched := make(model.ItemSet, len(eff.Items))
-	for _, r := range eff.Items {
-		touched.Add(r.Item)
+	touched := make([]model.Item, len(eff.Items))
+	for i, r := range eff.Items {
+		touched[i] = r.Item
 	}
 	for _, k := range s.router.shardsOf(touched) {
 		b := s.shards[k]
@@ -576,18 +576,20 @@ func (s *ShardedBase) set(hm *history.Augmented, viewing bool) *clusterSet {
 	if viewing && s.crossEntries.Load() > 0 {
 		return s.every(s.cfg)
 	}
-	static := make(model.ItemSet)
+	n := 0
 	for i := 0; i < hm.H.Len(); i++ {
-		for it := range hm.H.Txn(i).Footprint() {
-			static.Add(it)
-		}
+		n += len(hm.H.Txn(i).Footprint())
+	}
+	static := make([]model.Item, 0, n)
+	for i := 0; i < hm.H.Len(); i++ {
+		static = append(static, hm.H.Txn(i).Footprint()...)
 	}
 	return s.over(static)
 }
 
 // over forms the cluster set over the shards owning the items of a static
-// footprint (shard 0 for an empty one).
-func (s *ShardedBase) over(static model.ItemSet) *clusterSet {
+// footprint, repeats allowed (shard 0 for an empty one).
+func (s *ShardedBase) over(static []model.Item) *clusterSet {
 	involved := s.router.shardsOf(static)
 	if len(involved) == 0 {
 		involved = []int{0}

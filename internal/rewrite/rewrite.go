@@ -227,7 +227,7 @@ func BadIDs(a *history.Augmented, bad map[int]bool) []string {
 func statesOverlap(ts ...*tx.Transaction) model.ItemSet {
 	s := make(model.ItemSet)
 	for _, t := range ts {
-		for it := range t.Footprint() {
+		for _, it := range t.Footprint() {
 			s.Add(it)
 		}
 	}

@@ -22,9 +22,8 @@ type AssignStmt struct {
 // Assign builds a blind-write statement it := e.
 func Assign(it model.Item, e expr.Expr) *AssignStmt { return &AssignStmt{Item: it, Expr: e} }
 
-func (s *AssignStmt) compile(rs, ws model.ItemSet) {
-	s.Expr.AddItems(rs) // operands are read; the target is not
-	ws.Add(s.Item)
+func (s *AssignStmt) compile(rs, ws []model.Item) ([]model.Item, []model.Item) {
+	return s.Expr.AddItems(rs), append(ws, s.Item) // operands are read; the target is not
 }
 
 func (s *AssignStmt) String() string { return fmt.Sprintf("%s :=! %s", s.Item, s.Expr) }

@@ -180,6 +180,7 @@ func TestCodecRejectsInvalidDecodedProfile(t *testing.T) {
 
 // FuzzUnmarshalTransaction feeds arbitrary bytes to the transaction
 // decoder. Properties: it never panics; what it accepts is a valid profile
+// whose compiled sets are the map-based reference's (compileDiff) and
 // whose encoding is a fixed point (encode, decode, encode gives the same
 // bytes).
 func FuzzUnmarshalTransaction(f *testing.F) {
@@ -209,6 +210,9 @@ func FuzzUnmarshalTransaction(f *testing.F) {
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("decoded an invalid profile: %v", err)
+		}
+		if diff := compileDiff(got); diff != "" {
+			t.Fatalf("decoded %s: compiled sets differ from the reference: %s", got, diff)
 		}
 		once, err := MarshalTransaction(got)
 		if err != nil {

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"fmt"
+	"slices"
 
 	"tiermerge/internal/expr"
 	"tiermerge/internal/model"
@@ -51,8 +52,8 @@ func Invert(t *Transaction) (*Transaction, error) {
 		}
 		return inv, nil
 	}
-	ws := t.StaticWriteSet()
-	body, err := invertStmts(t.ID, t.Body, ws)
+	t.ensureCompiled()
+	body, err := invertStmts(t.ID, t.Body, t.staticWS)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +81,8 @@ func Invertible(t *Transaction) bool {
 // they evaluate identically on the after state); update statements are
 // replaced by their algebraic inverses; read statements are dropped (they
 // have no effect to undo).
-func invertStmts(txID string, body []Stmt, ws model.ItemSet) ([]Stmt, error) {
+// ws is the profile's compiled write set, sorted.
+func invertStmts(txID string, body []Stmt, ws []model.Item) ([]Stmt, error) {
 	var out []Stmt
 	for i := len(body) - 1; i >= 0; i-- {
 		switch st := body[i].(type) {
@@ -98,13 +100,18 @@ func invertStmts(txID string, body []Stmt, ws model.ItemSet) ([]Stmt, error) {
 				Reason: fmt.Sprintf("blind write %q has no syntactic inverse", st),
 			}
 		case *IfStmt:
-			condItems := expr.PredItemsOf(st.Cond)
-			if !condItems.Disjoint(ws) {
+			var written []model.Item
+			for _, it := range st.Cond.AddItems(nil) {
+				if _, ok := slices.BinarySearch(ws, it); ok {
+					written = append(written, it)
+				}
+			}
+			if len(written) > 0 {
 				return nil, &NotInvertibleError{
 					TxID: txID,
 					Reason: fmt.Sprintf(
 						"branch condition %q reads written items %s",
-						st.Cond, condItems.Intersect(ws)),
+						st.Cond, model.NewItemSet(written...)),
 				}
 			}
 			thenInv, err := invertStmts(txID, st.Then, ws)

@@ -18,9 +18,10 @@ import (
 // each statement is either an operation (read or single-item update) or a
 // conditional "if c then SS1 else SS2".
 type Stmt interface {
-	// compile accumulates the conservative (all-branches) read and write
-	// sets of the statement and records its pure-delta flags.
-	compile(rs, ws model.ItemSet)
+	// compile appends the conservative (all-branches) read and write sets
+	// of the statement to rs and ws, a repeat for each reference, and
+	// records its pure-delta flags.
+	compile(rs, ws []model.Item) ([]model.Item, []model.Item)
 	fmt.Stringer
 }
 
@@ -32,7 +33,9 @@ type ReadStmt struct {
 // Read builds a read statement.
 func Read(it model.Item) *ReadStmt { return &ReadStmt{Item: it} }
 
-func (s *ReadStmt) compile(rs, _ model.ItemSet) { rs.Add(s.Item) }
+func (s *ReadStmt) compile(rs, ws []model.Item) ([]model.Item, []model.Item) {
+	return append(rs, s.Item), ws
+}
 
 func (s *ReadStmt) String() string { return fmt.Sprintf("read %s", s.Item) }
 
@@ -50,15 +53,14 @@ type UpdateStmt struct {
 // Update builds an update statement it := e.
 func Update(it model.Item, e expr.Expr) *UpdateStmt { return &UpdateStmt{Item: it, Expr: e} }
 
-func (s *UpdateStmt) compile(rs, ws model.ItemSet) {
-	rs.Add(s.Item) // implicit pre-read of the target
-	s.Expr.AddItems(rs)
-	ws.Add(s.Item)
+func (s *UpdateStmt) compile(rs, ws []model.Item) ([]model.Item, []model.Item) {
+	rs = s.Expr.AddItems(append(rs, s.Item)) // the target's implicit pre-read first
 	// A statement can be shared (a re-executed copy keeps its original's
 	// body): writing only a change keeps recompiling it race-free.
 	if p := pureDelta(s); p != s.pure {
 		s.pure = p
 	}
+	return rs, append(ws, s.Item)
 }
 
 // pureDelta reports whether st is a pure-delta update: additive in its
@@ -90,14 +92,15 @@ func IfElse(cond expr.Pred, then, els []Stmt) *IfStmt {
 	return &IfStmt{Cond: cond, Then: then, Else: els}
 }
 
-func (s *IfStmt) compile(rs, ws model.ItemSet) {
-	s.Cond.AddItems(rs)
+func (s *IfStmt) compile(rs, ws []model.Item) ([]model.Item, []model.Item) {
+	rs = s.Cond.AddItems(rs)
 	for _, st := range s.Then {
-		st.compile(rs, ws)
+		rs, ws = st.compile(rs, ws)
 	}
 	for _, st := range s.Else {
-		st.compile(rs, ws)
+		rs, ws = st.compile(rs, ws)
 	}
+	return rs, ws
 }
 
 func (s *IfStmt) String() string {

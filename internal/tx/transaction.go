@@ -3,6 +3,7 @@ package tx
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,8 +53,12 @@ type Transaction struct {
 	// systems). When empty, Invert synthesizes one where possible.
 	InverseBody []Stmt
 
-	// compiled: the static read and write sets (all branches), their union
-	staticRS, staticWS, footprint model.ItemSet
+	// compiled: the static read and write sets (all branches) and their
+	// union, each sorted and distinct and never written after compile.
+	// Without blind writes the write set lies within the read set, and the
+	// footprint is the read set itself.
+	staticRS, staticWS, footprint []model.Item
+	compiled                      bool
 }
 
 // New builds a transaction and validates it against the paper's program
@@ -102,98 +107,137 @@ func (t *Transaction) WithInverse(body ...Stmt) *Transaction {
 // any item can be updated more than once along a single execution path,
 // and compiles a valid transaction.
 func (t *Transaction) Validate() error {
-	written := make(model.ItemSet)
-	if err := validateOnceWritten(t.Body, written); err != nil {
+	var path, held [8]model.Item
+	if _, _, err := onceWritten(t.Body, path[:0], held[:0]); err != nil {
 		return err
 	}
-	t.compile(written) // every item written on some path: the static write set
+	t.compile()
 	return nil
 }
 
-// validateOnceWritten walks the body tracking which items are already
-// written along the current path. Branches fork the tracking set; after a
+// onceWritten walks a body tracking which items are already written along
+// the current path, and returns path and held extended. path holds them,
+// one slot per write statement met; held parks a conditional's then-branch
+// writes while its else branch is walked from the same prefix. After a
 // conditional the union of both branches' writes is considered written
 // (conservative: an item written in the then-branch and again after the
 // conditional is rejected even though the else path would be fine).
-func validateOnceWritten(body []Stmt, written model.ItemSet) error {
+func onceWritten(body []Stmt, path, held []model.Item) ([]model.Item, []model.Item, error) {
+	var err error
 	for _, s := range body {
 		switch st := s.(type) {
 		case *ReadStmt:
 			// reads are always fine
 		case *UpdateStmt:
-			if written.Has(st.Item) {
-				return fmt.Errorf("tx: item %s updated more than once", st.Item)
-			}
-			written.Add(st.Item)
+			path, err = writeOnce(path, st.Item)
 		case *AssignStmt:
-			if written.Has(st.Item) {
-				return fmt.Errorf("tx: item %s updated more than once", st.Item)
-			}
-			written.Add(st.Item)
+			path, err = writeOnce(path, st.Item)
 		case *IfStmt:
-			thenW := written.Clone()
-			if err := validateOnceWritten(st.Then, thenW); err != nil {
-				return err
+			prefix, parked := len(path), len(held)
+			if path, held, err = onceWritten(st.Then, path, held); err != nil {
+				break
 			}
-			elseW := written.Clone()
-			if err := validateOnceWritten(st.Else, elseW); err != nil {
-				return err
+			held = append(held, path[prefix:]...)
+			if path, held, err = onceWritten(st.Else, path[:prefix], held); err != nil {
+				break
 			}
-			maps.Copy(written, thenW)
-			maps.Copy(written, elseW)
+			path, held = append(path, held[parked:]...), held[:parked]
 		default:
-			return fmt.Errorf("tx: unknown statement type %T", s)
+			err = fmt.Errorf("tx: unknown statement type %T", s)
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	return nil
+	return path, held, nil
+}
+
+// writeOnce appends it to the path's writes, refusing a second write.
+func writeOnce(path []model.Item, it model.Item) ([]model.Item, error) {
+	if slices.Contains(path, it) {
+		return nil, fmt.Errorf("tx: item %s updated more than once", it)
+	}
+	return append(path, it), nil
 }
 
 // StaticReadSet returns the conservative read set of the profile: every item
 // read on any execution path, including the implicit pre-read of every
 // update target. This is the read-set information a canned system extracts
-// offline from transaction profiles ([AJL98], Section 7.1).
+// offline from transaction profiles ([AJL98], Section 7.1). The set is the
+// caller's; the program reads the compiled sets without building one.
 func (t *Transaction) StaticReadSet() model.ItemSet {
 	t.ensureCompiled()
-	return t.staticRS.Clone()
+	return model.NewItemSet(t.staticRS...)
 }
 
 // StaticWriteSet returns the conservative write set of the profile: every
-// item updated on any execution path.
+// item updated on any execution path, as a set the caller owns.
 func (t *Transaction) StaticWriteSet() model.ItemSet {
 	t.ensureCompiled()
-	return t.staticWS.Clone()
+	return model.NewItemSet(t.staticWS...)
+}
+
+// MayWrite reports whether it is in the static write set: whether some
+// execution path updates it.
+func (t *Transaction) MayWrite(it model.Item) bool {
+	t.ensureCompiled()
+	_, ok := slices.BinarySearch(t.staticWS, it)
+	return ok
 }
 
 // Footprint returns every item the profile can read or write on any path,
-// the compiled set itself: callers share it and must never mutate it.
-func (t *Transaction) Footprint() model.ItemSet {
+// sorted and distinct: the compiled slice itself, which every caller (and
+// every copy made by As) shares and none may ever mutate.
+func (t *Transaction) Footprint() []model.Item {
 	t.ensureCompiled()
 	return t.footprint
 }
 
-// compile records the static sets and each update's pure-delta flag into
-// ws, the static write set so far. Validate runs it; a literal transaction
-// is compiled on first use. Without blind writes the write set is within
-// the read set, which is then the footprint as well.
-func (t *Transaction) compile(ws model.ItemSet) {
-	rs := make(model.ItemSet)
+// compile records the static sets and each update's pure-delta flag.
+// Validate runs it; a literal transaction is compiled on first use. Both
+// sets are collected into one array sized for a statement naming two items
+// and writing one, then sorted and deduplicated in place.
+func (t *Transaction) compile() {
+	n := countStmts(t.Body)
+	buf := make([]model.Item, 0, 3*n)
+	rs, ws := buf[:0:2*n], buf[2*n:2*n:3*n]
 	for _, s := range t.Body {
-		s.compile(rs, ws)
+		rs, ws = s.compile(rs, ws)
 	}
+	rs, ws = sortedDistinct(rs), sortedDistinct(ws)
 	fp := rs
-	for it := range ws {
-		if !rs.Has(it) {
-			fp = rs.Union(ws)
+	for _, it := range ws {
+		if _, ok := slices.BinarySearch(rs, it); !ok {
+			fp = sortedDistinct(slices.Concat(rs, ws))
 			break
 		}
 	}
-	t.staticRS, t.staticWS, t.footprint = rs, ws, fp
+	t.staticRS, t.staticWS, t.footprint, t.compiled = rs, ws, fp, true
+}
+
+// sortedDistinct sorts items in place and drops repeats, capping the result
+// so that no append through it reaches the array beyond.
+func sortedDistinct(items []model.Item) []model.Item {
+	slices.Sort(items)
+	items = slices.Compact(items)
+	return items[:len(items):len(items)]
 }
 
 func (t *Transaction) ensureCompiled() {
-	if t.footprint == nil {
-		t.compile(make(model.ItemSet))
+	if !t.compiled {
+		t.compile()
 	}
+}
+
+// As returns t under another identity and kind — a tentative transaction
+// re-executed as a base one, say. The copy shares t's parameters, bodies
+// and compiled sets: a Transaction is immutable once built, so nothing is
+// compiled again.
+func (t *Transaction) As(id string, kind Kind) *Transaction {
+	t.ensureCompiled()
+	c := *t
+	c.ID, c.Kind = id, kind
+	return &c
 }
 
 // IsReadOnly reports whether the profile writes nothing on any path.

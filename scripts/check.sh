@@ -134,30 +134,37 @@ go test -timeout 60s -count=1 -run TestSerialReportGolden ./cmd/tiermerge/
 echo "== compiled transactions, one-form effects, pair-free graph build, graph phase in a scratch =="
 # The graph build must match the map-based construction it replaced, edge
 # for edge and count for count, and the mask-based cycle pass must give
-# every strategy the back-out set of the map-based one; execution and the
-# build keep their measured allocations (the build's must not grow when
-# vertex pairs repeat across more items); the graph phase through a warm
-# scratch allocates what the report's graph keeps plus a small constant,
-# and a served conflict-heavy merge stays under its byte pin; the journal
-# LogTxn writes stays byte-identical to the committed golden files.
+# every strategy the back-out set of the map-based one; a transaction's
+# sorted compiled sets and its path check must match the map-based ones,
+# set for set and error for error; execution, decoding and the build keep
+# their measured allocations (the build's must not grow when vertex pairs
+# repeat across more items), and a re-executed copy shares its original's
+# compiled sets; the graph phase through a warm scratch allocates what the
+# report's CSR graph keeps plus a small constant, and a served
+# conflict-heavy merge stays under its byte pin; the journal LogTxn writes
+# stays byte-identical to the committed golden files.
 form_pins='TestBuildMatchesReference|TestBuildAllocsIndependentOfRepeats|TestBackOutMatchesReference'
+tx_pins='TestCompileMatchesReference|TestExecAllocs|TestDecodeAllocs|TestCopySharesCompiledSets'
 require_tests "$form_pins" ./internal/graph/
-require_tests TestExecAllocs ./internal/tx/
+require_tests "$tx_pins" ./internal/tx/
 require_tests TestMergeIndexedAllocs ./internal/merge/
 require_tests TestServeFrameMergeAllocs ./internal/replica/
 require_tests 'TestLogTxnGoldenCanned|TestLogTxnGoldenGenerated' ./internal/wal/
-go test -timeout 60s -count=1 -run "$form_pins|TestExecAllocs|TestMergeIndexedAllocs|TestServeFrameMergeAllocs|TestLogTxnGolden" ./internal/graph/ ./internal/tx/ ./internal/merge/ ./internal/replica/ ./internal/wal/
+go test -timeout 60s -count=1 -run "$form_pins|$tx_pins|TestMergeIndexedAllocs|TestServeFrameMergeAllocs|TestLogTxnGolden" ./internal/graph/ ./internal/tx/ ./internal/merge/ ./internal/replica/ ./internal/wal/
 
 echo "== lock discipline (events, checkpoint file work, lock order, shared footprints) =="
 # No observer event is delivered while a cluster mutex is held, the
 # checkpoint file is written and forced outside the mutex, every cluster set
 # lists its members in ascending shard order (the one lock order), a merge
-# never writes into a transaction's compiled footprint, and the store's
-# buffer mutex is free while the tail is forced. The table of seeded bugs
-# these catch is docs/LINT.md.
+# never writes into a transaction's compiled footprint, copies sharing a
+# transaction's compiled sets execute concurrently without writing into
+# them, and the store's buffer mutex is free while the tail is forced. The
+# table of seeded bugs these catch is docs/LINT.md.
 lock_pins='TestEventsOutsideLock|TestCheckpointWrittenOutsideLock|TestClusterSetsAscending|TestMergeLeavesFootprintsAlone'
 require_tests "$lock_pins" ./internal/replica/
 go test -timeout 120s -race -count=10 -run "$lock_pins" ./internal/replica/
+require_tests TestCopySharesCompiledSets ./internal/tx/
+go test -timeout 60s -race -count=10 -run TestCopySharesCompiledSets ./internal/tx/
 require_tests TestWriteDuringTailSync ./internal/store/
 go test -timeout 60s -race -count=10 -run TestWriteDuringTailSync ./internal/store/
 
