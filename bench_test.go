@@ -503,21 +503,21 @@ func BenchmarkE16ShardedFleet(b *testing.B) {
 }
 
 // BenchmarkE17WireTransport times the same fleet scenario over the
-// in-process channel transport and over real loopback TCP, reporting the
+// in-process transport and over real loopback TCP, reporting the
 // measured byte accounting alongside the time: payload bytes per run,
 // on-wire frame bytes per run (TCP only) and the framing overhead they
 // imply — the E17 headline, the cost of deploying the mobile fleet as
 // separate processes.
 func BenchmarkE17WireTransport(b *testing.B) {
 	base := sim.Scenario{
-		Seed: 321, Mobiles: 6, Rounds: 3, TxnsPerRound: 5, Items: 64, ServerWorkers: 4,
+		Seed: 321, Mobiles: 6, Rounds: 3, TxnsPerRound: 5, Items: 64,
 	}
 	for _, mode := range []string{"chan", "tcp"} {
 		sc := base
 		if mode == "tcp" {
-			sc.WireTCP = true
+			sc.Mode = sim.TCP
 		} else {
-			sc.MessagePassing = true
+			sc.Mode = sim.Messages
 		}
 		b.Run("transport="+mode, func(b *testing.B) {
 			b.ReportAllocs()

@@ -76,8 +76,8 @@ func run(args []string, traceMode bool, out io.Writer) error {
 		window     = fs.Int("window", 0, "advance the time window every N rounds (0 = never)")
 		baseNodes  = fs.Int("basenodes", 1, "base-tier replica count; prices only the lazy propagation of each commit to the other replicas")
 		concurrent = fs.Bool("concurrent", false, "run mobiles as goroutines")
-		messages   = fs.Bool("messages", false, "run mobiles as message-channel clients of a base server goroutine")
-		dropNth    = fs.Int64("drop", 0, "with -messages: lose every nth mobile-facing response (retries + dedup keep merges exactly-once)")
+		messages   = fs.Bool("messages", false, "run mobiles as goroutine clients of a base server, every reconnect a serialized round trip")
+		dropNth    = fs.Int64("drop", 0, "with -messages only: lose every nth mobile-facing response (retries + dedup keep merges exactly-once)")
 		pcrash     = fs.Float64("pcrash", 0, "per-round mobile crash probability (recovered from journals)")
 		pskip      = fs.Float64("pskip", 0, "per-round probability a mobile stays offline (longer histories)")
 		acceptance = fs.String("acceptance", "", "re-execution acceptance: '' (all) | same-writes | drift:<n>")
@@ -99,13 +99,19 @@ func run(args []string, traceMode bool, out io.Writer) error {
 		PCommutative:      *pcommut,
 		BaseNodes:         *baseNodes,
 		WindowEveryRounds: *window,
-		Concurrent:        *concurrent,
-		MessagePassing:    *messages,
 		DropEveryNth:      *dropNth,
 		PCrash:            *pcrash,
 		PSkipConnect:      *pskip,
 		HotItems:          *hotItems,
 		PHot:              *phot,
+	}
+	switch {
+	case *concurrent && *messages:
+		return fmt.Errorf("%w: -concurrent and -messages are exclusive", tiermerge.ErrBadClusterConfig)
+	case *concurrent:
+		sc.Mode = tiermerge.ConcurrentMode
+	case *messages:
+		sc.Mode = tiermerge.MessagesMode
 	}
 	switch {
 	case *acceptance == "":

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tiermerge"
 )
 
 // TestSerialReportGolden: the serial report (no -concurrent, no -messages)
@@ -19,6 +23,7 @@ func TestSerialReportGolden(t *testing.T) {
 	}{
 		{"basenodes3-window2.golden", "-basenodes 3 -window 2 -rounds 4"},
 		{"origin1-basenodes2.golden", "-origin 1 -basenodes 2 -rounds 4"},
+		{"crash-skip-hot-window.golden", "-pcrash 0.5 -pskip 0.4 -hotitems 4 -phot 0.9 -window 2 -rounds 4"},
 	} {
 		t.Run(strings.TrimSuffix(tc.golden, ".golden"), func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
@@ -33,5 +38,20 @@ func TestSerialReportGolden(t *testing.T) {
 				t.Errorf("tiermerge %s:\n%s\nwant (testdata/%s):\n%s", tc.args, out.Bytes(), tc.golden, want)
 			}
 		})
+	}
+}
+
+// TestRefusedFlagCombinations: flags no mode can honour together are an
+// error, not a run that silently drops one of them.
+func TestRefusedFlagCombinations(t *testing.T) {
+	for _, args := range []string{
+		"-concurrent -messages",
+		"-drop 3",
+		"-concurrent -drop 3",
+	} {
+		err := run(strings.Fields(args), false, io.Discard)
+		if !errors.Is(err, tiermerge.ErrBadClusterConfig) {
+			t.Errorf("tiermerge %s: err = %v, want ErrBadClusterConfig", args, err)
+		}
 	}
 }

@@ -24,7 +24,6 @@ func runServe(args []string) error {
 		addr     = fs.String("addr", "127.0.0.1:7600", "TCP listen address for the wire protocol (port 0 picks a free port)")
 		httpAddr = fs.String("http", "", "debug HTTP sidecar address serving /debug/tiermerge, /debug/tiermerge/prometheus and /debug/pprof/ (empty = off)")
 		shards   = fs.Int("shards", 1, "base-tier shard count (1 = plain cluster)")
-		workers  = fs.Int("workers", 4, "server worker goroutines")
 		dropNth  = fs.Int64("drop", 0, "lose every nth mobile-facing response (fault injection; clients retry)")
 		items    = fs.Int("items", 16, "database universe size (items item0..itemN-1)")
 		initial  = fs.Int64("initial", 100, "initial value of every item")
@@ -85,7 +84,6 @@ func runServe(args []string) error {
 		defer durable.CloseStore()
 	}
 	srv := tiermerge.Serve(tier,
-		tiermerge.WithWorkers(*workers),
 		tiermerge.WithDropEveryNth(*dropNth),
 		tiermerge.WithObserver(metrics),
 	)

@@ -60,7 +60,7 @@ func run() error {
 	fmt.Println("\n=== concurrent fleet (goroutine per mobile) ===")
 	r, err := tiermerge.RunScenario(tiermerge.Scenario{
 		Seed: 99, Mobiles: 24, Rounds: 4, TxnsPerRound: 6,
-		Items: 512, Concurrent: true,
+		Items: 512, Mode: tiermerge.ConcurrentMode,
 	})
 	if err != nil {
 		return err

@@ -58,7 +58,7 @@ func E16ShardedFleet() *Table {
 			results[key{shards, ratio}] = res
 
 			conc := sc
-			conc.Concurrent = true
+			conc.Mode = sim.Concurrent
 			start := time.Now()
 			if _, err := sim.Run(conc); err != nil {
 				panic(err)

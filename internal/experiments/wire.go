@@ -30,7 +30,7 @@ func E12WireFidelity() *Table {
 			panic(err)
 		}
 		wired := base
-		wired.MessagePassing = true
+		wired.Mode = sim.Messages
 		real, err := sim.Run(wired)
 		if err != nil {
 			panic(err)
@@ -55,7 +55,7 @@ func E12WireFidelity() *Table {
 }
 
 // E17WireTransport closes the loop the TCP transport opened: the same
-// fleet runs over the in-process channel transport and over real loopback
+// fleet runs over the in-process transport and over real loopback
 // TCP, comparing three byte accountings of the identical workload — the
 // Section 7.1 modeled costs (per-message overhead plus per-entry weights,
 // the Msg/SetEntriesSent bookkeeping), the serialized envelope payloads
@@ -84,7 +84,7 @@ func E17WireTransport() *Table {
 			panic(err)
 		}
 		tcp := base
-		tcp.WireTCP = true
+		tcp.Mode = sim.TCP
 		real, err := sim.Run(tcp)
 		if err != nil {
 			panic(err)

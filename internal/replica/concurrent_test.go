@@ -51,12 +51,12 @@ func connectAll(t *testing.T, ms []*MobileNode) []*ConnectOutcome {
 }
 
 // TestServerWorkerPoolConcurrentClients drives simultaneous reconnects
-// through the message-passing server with a worker pool: the wire path must
-// deliver the same no-lost-update guarantee.
+// through the message-passing server, each served on its client's
+// goroutine: the wire path must deliver the same no-lost-update guarantee.
 func TestServerWorkerPoolConcurrentClients(t *testing.T) {
 	const n = 6
 	b := NewBaseCluster(fleetOrigin(), Config{})
-	srv := Serve(b, WithWorkers(4))
+	srv := Serve(b)
 	defer srv.Close()
 	clients := make([]*Client, n)
 	for i := range clients {

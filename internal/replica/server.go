@@ -28,15 +28,15 @@ import (
 //
 // The request/response envelope handling lives behind the Transport seam
 // (transport.go): ServeFrame processes one serialized request regardless of
-// how it arrived, the in-process channel transport carries frames between
-// goroutines, and internal/wire carries the same frames over real TCP so
+// how it arrived, the in-process transport calls it on the client's
+// goroutine, and internal/wire carries the same frames over real TCP so
 // mobile nodes deploy as separate processes.
 
 // ErrServerClosed is returned for requests after Close.
 var ErrServerClosed = errors.New("replica: base server closed")
 
 // ErrResponseLost reports a response lost in transit — fault injection on
-// the channel transport, a severed connection on TCP. Reconnect requests
+// the in-process transport, a severed connection on TCP. Reconnect requests
 // carry a sequence number and the server keeps the last applied outcome
 // per mobile, so clients retry calls that fail with ErrResponseLost
 // (errors.Is) and retries stay exactly-once.
@@ -119,11 +119,6 @@ type wireResp struct {
 	Master   []byte   `json:"master,omitempty"`
 }
 
-type rpc struct {
-	payload []byte
-	reply   chan []byte
-}
-
 // BaseTier is the reconcile surface a BaseServer serves; BaseCluster and
 // ShardedBase both implement it, so one server fronts either tier shape.
 type BaseTier interface {
@@ -134,23 +129,20 @@ type BaseTier interface {
 	Master() model.State
 }
 
-// BaseServer serves a base tier as request/response frames. A pool of
-// worker goroutines drains the in-process channel transport, so concurrent
-// reconnects decode, replay and route their journals in parallel instead of
-// queueing end-to-end behind one goroutine (the always-connected base
-// site's request processors); merges on one cluster then serialize on its
-// mutex, merges on disjoint shards run side by side. A TCP front end
-// (internal/wire) feeds the same ServeFrame entry point from
-// per-connection goroutines.
+// BaseServer serves a base tier as request/response frames. It owns no
+// goroutine: every transport calls ServeFrame on the caller's goroutine —
+// the in-process transport on the client's, the TCP front end
+// (internal/wire) on each connection's — so concurrent reconnects decode,
+// replay and route their journals in parallel; merges on one cluster then
+// serialize on its mutex, merges on disjoint shards run side by side.
 type BaseServer struct {
 	// tier is the served reconcile surface; b and sharded retain the
 	// concrete tier (exactly one is non-nil) for debug endpoints.
 	tier    BaseTier
 	b       *BaseCluster
 	sharded *ShardedBase
-	req     chan rpc
-	stop    chan struct{}
-	workers sync.WaitGroup
+	// closed turns the in-process transport's calls away (Close).
+	closed atomic.Bool
 
 	bytesIn, bytesOut atomic.Int64
 	requests          atomic.Int64
@@ -163,7 +155,7 @@ type BaseServer struct {
 	// outcome — the exactly-once guard for retried merges, one entry per
 	// mobile and never evicted — and inflight holds the reconnects being
 	// merged, so a concurrent duplicate waits for the first delivery.
-	// Guarded by appliedMu; workers handle requests concurrently.
+	// Guarded by appliedMu; frames are served concurrently.
 	appliedMu sync.Mutex
 	applied   map[string]appliedReq
 	inflight  map[flightKey]*flight
@@ -213,25 +205,22 @@ type checkoutFrame struct {
 type ServeOption func(*serveOptions)
 
 type serveOptions struct {
-	workers  int
 	dropNth  int64
 	observer obs.Observer
 }
 
-// WithWorkers sizes the request-worker pool draining the in-process
-// transport (n < 1 is treated as 1; default 1). With several workers,
-// simultaneous reconnects overlap everything outside the cluster mutexes —
-// envelope decoding, journal replay, the journal fsync before the ack — and
-// merges on disjoint shards overlap entirely.
-func WithWorkers(n int) ServeOption {
-	return func(o *serveOptions) { o.workers = n }
-}
+// WithWorkers does nothing: a server has no worker pool, and every frame
+// is served on its caller's goroutine.
+//
+// Deprecated: drop the option.
+func WithWorkers(int) ServeOption { return func(*serveOptions) {} }
 
 // WithDropEveryNth arms transport fault injection: every nth
 // mobile-facing response is lost (0 disables) — for tests. The plan is a
 // fault.Schedule, the same counter-driven predicate the crash harnesses
-// use. On the channel transport the response is silently dropped; the TCP
-// server severs the connection instead (the client redials and retries).
+// use. The in-process transport reports the loss as ErrResponseLost; the
+// TCP server severs the connection instead (the client redials and
+// retries).
 func WithDropEveryNth(n int64) ServeOption {
 	return func(o *serveOptions) { o.dropNth = n }
 }
@@ -244,10 +233,10 @@ func WithObserver(o obs.Observer) ServeOption {
 	return func(so *serveOptions) { so.observer = o }
 }
 
-// Serve starts a server over a base tier — a *BaseCluster or a
-// *ShardedBase — configured by functional options (workers, observer,
-// fault schedule). A one-shard ShardedBase is served as its underlying
-// plain cluster. Callers must Close the server when done.
+// Serve returns a server over a base tier — a *BaseCluster or a
+// *ShardedBase — configured by functional options (observer, fault
+// schedule). It starts no goroutine. A one-shard ShardedBase is served as
+// its underlying plain cluster. Close turns later in-process calls away.
 func Serve(tier BaseTier, opts ...ServeOption) *BaseServer {
 	var o serveOptions
 	for _, f := range opts {
@@ -267,29 +256,15 @@ func Serve(tier BaseTier, opts ...ServeOption) *BaseServer {
 	}
 	s.drops.SetEveryNth(o.dropNth)
 	s.reg = obs.RegistryOf(o.observer)
-	s.start(o.workers)
+	s.applied = make(map[string]appliedReq)
+	s.inflight = make(map[flightKey]*flight)
 	return s
 }
 
-func (s *BaseServer) start(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.req = make(chan rpc)
-	s.stop = make(chan struct{})
-	s.applied = make(map[string]appliedReq)
-	s.inflight = make(map[flightKey]*flight)
-	s.workers.Add(n)
-	for i := 0; i < n; i++ {
-		go s.loop()
-	}
-}
-
-// Close stops the worker goroutines and waits for them to exit.
-func (s *BaseServer) Close() {
-	close(s.stop)
-	s.workers.Wait()
-}
+// Close makes the in-process transport refuse further calls with
+// ErrServerClosed. Calls already in ServeFrame finish; a TCP front end
+// stops with its own Close.
+func (s *BaseServer) Close() { s.closed.Store(true) }
 
 // Stats returns the requests served and real payload bytes moved each way,
 // summed over every transport feeding this server.
@@ -301,33 +276,14 @@ func (s *BaseServer) Stats() (requests, bytesIn, bytesOut int64) {
 // (WithObserver), or nil.
 func (s *BaseServer) WireRegistry() *obs.Registry { return s.reg }
 
-func (s *BaseServer) loop() {
-	defer s.workers.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case r := <-s.req:
-			resp, _, lost := s.ServeFrame(r.payload)
-			if lost {
-				// Fault injection: the response is lost on the wireless
-				// link; the client times out and retries.
-				r.reply <- nil
-				continue
-			}
-			r.reply <- resp
-		}
-	}
-}
-
 // ServeFrame processes one serialized request envelope and returns the
 // serialized response. It is the transport-agnostic entry point: the
-// in-process channel workers and the TCP connection handlers both feed it,
+// in-process transport and the TCP connection handlers both call it,
 // and it bills the server's request/byte counters once per frame. kind
 // names the request endpoint for per-endpoint transport metrics. lost
 // reports that fault injection consumed the response — the transport must
-// realize the loss (the channel transport replies nil; the TCP server
-// severs the connection). Safe for concurrent use.
+// realize the loss (the in-process transport returns ErrResponseLost; the
+// TCP server severs the connection). Safe for concurrent use.
 func (s *BaseServer) ServeFrame(payload []byte) (resp []byte, kind string, lost bool) {
 	s.requests.Add(1)
 	s.bytesIn.Add(int64(len(payload)))
@@ -534,9 +490,9 @@ func replayPayload(journal []byte) (*wal.Replayed, error) {
 }
 
 // storeApplied records the outcome of (mobileID, epoch, seq), keeping only
-// the newest seq per mobile within an epoch (concurrent workers may finish
-// out of order) and replacing the entry outright when a new epoch takes
-// over the ID.
+// the newest seq per mobile within an epoch (concurrent deliveries may
+// finish out of order) and replacing the entry outright when a new epoch
+// takes over the ID.
 func (s *BaseServer) storeApplied(mobileID, epoch string, seq int64, o outcome) {
 	s.appliedMu.Lock()
 	defer s.appliedMu.Unlock()

@@ -19,58 +19,52 @@ import (
 // Transport carries one serialized request envelope to a base server and
 // returns the serialized response — the seam between the protocol's
 // request/response envelopes and whatever medium moves them. Two
-// realizations ship with the module: the in-process channel transport
+// realizations ship with the module: the in-process transport
 // (BaseServer.Transport) and the length-prefixed TCP transport
-// (internal/wire), so the same Client reconciles against a goroutine or a
-// separate process without knowing which.
+// (internal/wire), so the same Client reconciles against a server in its
+// own process or in a separate one without knowing which.
 //
 // Call blocks until the response arrives, ctx is done, or the link fails.
-// A response lost after the request may have been applied is reported as
-// an error matching ErrResponseLost (errors.Is); callers whose requests
-// are idempotent or sequence-numbered retry on it. Implementations must be
-// safe for concurrent Call.
+// The in-process transport checks ctx once, before it serves the frame on
+// the caller's goroutine: a deadline that passes while the frame is being
+// served does not cut the call short. Over TCP it does, but neither
+// transport stops the server's work on the frame. A response lost after
+// the request may have been applied is reported as an error matching
+// ErrResponseLost (errors.Is); callers whose requests are idempotent or
+// sequence-numbered retry on it. Implementations must be safe for
+// concurrent Call.
 type Transport interface {
 	Call(ctx context.Context, payload []byte) ([]byte, error)
 	// Close releases the transport's resources. Calls in flight fail.
 	Close() error
 }
 
-// chanTransport is the in-process transport: frames travel over the
-// server's rendezvous channel to its worker pool. Closing it is a no-op —
-// the server owns the channel's lifecycle.
-type chanTransport struct{ s *BaseServer }
+// localTransport is the in-process transport: it serves each frame on the
+// caller's goroutine, as a TCP connection handler does. Closing it is a
+// no-op — Close the server instead.
+type localTransport struct{ s *BaseServer }
 
-// Transport returns the server's in-process transport. Every returned
-// value shares the server's worker pool; Close on it is a no-op (Close the
-// server instead).
-func (s *BaseServer) Transport() Transport { return chanTransport{s} }
+// Transport returns the server's in-process transport. Close on it is a
+// no-op (Close the server instead).
+func (s *BaseServer) Transport() Transport { return localTransport{s} }
 
-// Call sends one frame to the worker pool and awaits the reply, honoring
-// ctx for both the enqueue and the wait.
-func (t chanTransport) Call(ctx context.Context, payload []byte) ([]byte, error) {
-	r := rpc{payload: payload, reply: make(chan []byte, 1)}
-	select {
-	case t.s.req <- r:
-		// The request channel is unbuffered: a successful send means a
-		// worker owns the frame and will reply exactly once (the reply
-		// channel is buffered, so an abandoned wait leaks nothing).
-	case <-t.s.stop:
+// Call serves one frame. A response consumed by fault injection is
+// reported as ErrResponseLost.
+func (t localTransport) Call(ctx context.Context, payload []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if t.s.closed.Load() {
 		return nil, ErrServerClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
-	select {
-	case raw := <-r.reply:
-		if raw == nil {
-			return nil, ErrResponseLost
-		}
-		return raw, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	resp, _, lost := t.s.ServeFrame(payload)
+	if lost {
+		return nil, ErrResponseLost
 	}
+	return resp, nil
 }
 
-func (chanTransport) Close() error { return nil }
+func (localTransport) Close() error { return nil }
 
 // call performs one encode/decode round trip over a transport.
 func call(ctx context.Context, tr Transport, req wireReq) (*wireResp, error) {
@@ -132,7 +126,7 @@ func DialContext(ctx context.Context, id string, srv *BaseServer) (*Client, erro
 }
 
 // DialTransport checks out a replica over any Transport — the in-process
-// channel transport or a TCP connection pool (internal/wire) — and returns
+// transport or a TCP connection pool (internal/wire) — and returns
 // the connected client. The client does not own the transport; close it
 // separately when done.
 func DialTransport(ctx context.Context, id string, tr Transport) (*Client, error) {

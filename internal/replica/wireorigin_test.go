@@ -359,7 +359,7 @@ func TestRecheckoutRacesWindowAdvance(t *testing.T) {
 		initial.Set(workload.ItemName(i), 0)
 	}
 	b := NewBaseCluster(initial, Config{})
-	srv := Serve(b, WithWorkers(2))
+	srv := Serve(b)
 	defer srv.Close()
 
 	stop := make(chan struct{})

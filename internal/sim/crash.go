@@ -129,7 +129,7 @@ func RunCrashSweep(cs CrashSweep) (*CrashSweepResult, error) {
 		return nil, fmt.Errorf("sim: crash sweep reference: %w", err)
 	}
 	full := append([]byte(nil), refJournal.Bytes()...)
-	if _, err := sweepConnect(cs, refNode, refCluster); err != nil {
+	if _, err := connectNode(cs.Protocol, refNode, refCluster); err != nil {
 		return nil, fmt.Errorf("sim: crash sweep reference connect: %w", err)
 	}
 	refMaster := refCluster.Master()
@@ -203,7 +203,7 @@ func runMobileTrial(cs CrashSweep, res *CrashSweepResult, tents, baseTxns []*tx.
 
 	// Reconnect: the re-recovered node reconciles exactly as the lost one
 	// would have.
-	if _, err := sweepConnect(cs, rec2, cluster); err != nil {
+	if _, err := connectNode(cs.Protocol, rec2, cluster); err != nil {
 		return fmt.Errorf("reconnect: %w", err)
 	}
 	if got := cluster.Master(); !got.Equal(refMaster) {
@@ -485,17 +485,4 @@ func sweepBaseDay(cluster *replica.BaseCluster, baseTxns []*tx.Transaction, adva
 		}
 	}
 	return nil
-}
-
-// sweepConnect reconciles via the sweep's protocol. Bind hands
-// journal-recovered nodes their cluster; already-bound nodes take it too
-// (it must then match), so one call shape serves both.
-func sweepConnect(cs CrashSweep, m *replica.MobileNode, cluster *replica.BaseCluster) (*replica.ConnectOutcome, error) {
-	if err := m.Bind(cluster); err != nil {
-		return nil, err
-	}
-	if cs.Protocol == Reprocessing {
-		return m.ConnectReprocess(), nil
-	}
-	return m.ConnectMerge()
 }

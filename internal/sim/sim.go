@@ -9,6 +9,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -37,20 +38,46 @@ const (
 )
 
 func (p Protocol) String() string {
-	switch p {
-	case Merging:
-		return "merging"
-	case Reprocessing:
-		return "reprocessing"
-	default:
+	if p < Merging || p > Reprocessing {
 		return "unknown"
 	}
+	return [...]string{Merging: "merging", Reprocessing: "reprocessing"}[p]
 }
+
+// Mode chooses how each mobile reaches the base and whether mobiles run
+// as goroutines; every mode runs the same fleet, schedule and base feed.
+type Mode int
+
+// Modes.
+const (
+	// Serial interleaves the fleet on one goroutine, bit-reproducibly.
+	Serial Mode = iota
+	// Concurrent runs each mobile as a goroutine calling the tier.
+	Concurrent
+	// Messages runs each mobile as a goroutine and a replica.Client of a
+	// BaseServer over its in-process transport, every call a payload.
+	Messages
+	// TCP is Messages over loopback TCP: a wire.Server fronts the
+	// BaseServer and each client dials its own pooled transport.
+	TCP
+)
+
+func (m Mode) String() string {
+	if m < Serial || m > TCP {
+		return fmt.Sprintf("mode(%d)", int(m))
+	}
+	return [...]string{"serial", "concurrent", "messages", "tcp"}[m]
+}
+
+// wired reports whether sessions are Clients of a BaseServer.
+func (m Mode) wired() bool { return m == Messages || m == TCP }
 
 // Scenario configures one simulation run.
 type Scenario struct {
 	// Seed drives every generator in the scenario.
 	Seed int64
+	// Mode selects how mobiles reach the base (default Serial).
+	Mode Mode
 	// Mobiles is the fleet size (default 4).
 	Mobiles int
 	// Rounds is the number of disconnect/connect cycles per mobile
@@ -79,88 +106,56 @@ type Scenario struct {
 	// WindowEveryRounds advances the time window every k rounds; 0 never
 	// advances it (one window for the whole run).
 	WindowEveryRounds int
-	// Concurrent runs each mobile as a goroutine. Aggregate tallies stay
-	// meaningful but are no longer bit-reproducible across runs; the
-	// deterministic serial mode is the default.
-	Concurrent bool
 	// Acceptance validates re-executed tentative transactions (nil accepts
 	// all successful re-executions).
 	Acceptance replica.Acceptance
-	// PCrash is the per-round probability (serial mode) that a mobile node
-	// crashes before connecting; the node is recovered from its journal
-	// and then connects, exercising the WAL path end to end.
+	// PCrash is the per-round probability that a mobile node crashes
+	// before connecting and is recovered from its journal (Serial and
+	// Concurrent modes on a plain cluster only).
 	PCrash float64
-	// HotItems and PHot forward the workload generator's access skew.
+	// HotItems and PHot forward the workload generator's access skew
+	// (plain cluster only).
 	HotItems int
 	PHot     float64
-	// PSkipConnect is the per-round probability (serial mode) that a mobile
-	// stays offline instead of reconnecting, so its tentative history
-	// accumulates across rounds — longer disconnections mean bigger merges
-	// and more window-expiry fallbacks.
+	// PSkipConnect is the per-round probability that a mobile stays
+	// offline, so its history grows into a bigger merge next round.
 	PSkipConnect float64
-	// MessagePassing runs mobiles as message-channel clients against a
-	// BaseServer goroutine instead of calling the cluster directly: every
-	// checkout, merge and reprocess travels as a serialized payload
-	// (implies Concurrent-style scheduling but deterministic per client).
-	MessagePassing bool
-	// WireTCP upgrades MessagePassing to real loopback TCP: the BaseServer
-	// is fronted by a wire.Server on 127.0.0.1 and every client dials its
-	// own pooled TCP transport, so the measured traffic includes framing
-	// and the transport's redial behavior (implies MessagePassing).
-	WireTCP bool
 	// DropEveryNth makes the message transport lose every nth response
-	// (MessagePassing mode only; see replica.WithDropEveryNth); clients
+	// (Messages and TCP modes only; see replica.WithDropEveryNth); clients
 	// retry and the server's applied table keeps reconnects exactly-once.
 	DropEveryNth int64
-	// ServerWorkers sizes the BaseServer request-worker pool
-	// (MessagePassing mode only; default 1; see replica.WithWorkers).
-	ServerWorkers int
-	// Observer forwards replica.Config.Observer: it receives a span event
-	// for every reconnect phase the scenario drives (nil = no
-	// observability overhead beyond a nil check).
+	// Observer forwards replica.Config.Observer: a span event for every
+	// reconnect phase the scenario drives (nil observes nothing).
 	Observer obs.Observer
 	// Shards > 0 partitions the base tier across that many clusters
-	// (replica.ShardedBase) and switches to the sharded fleet driver: each
-	// mobile deposits into its own account item, so merges from different
-	// mobiles land on independent shards. Shards == 1 runs the same fleet
-	// on a single-shard tier (the apples-to-apples baseline); 0 keeps the
-	// plain cluster and the item-generator workload.
+	// (replica.ShardedBase) fed the account workload (shardedTier); 1 is
+	// its single-shard baseline, 0 the plain cluster and item generator.
 	Shards int
 	// PCrossShard is the probability a tentative transaction is a transfer
 	// to another mobile's account on a different shard, exercising the
-	// cross-shard merge (sharded driver only).
+	// cross-shard merge (Shards > 0 only).
 	PCrossShard float64
 }
 
 func (s Scenario) withDefaults() Scenario {
-	if s.Mobiles == 0 {
-		s.Mobiles = 4
-	}
-	if s.Rounds == 0 {
-		s.Rounds = 3
-	}
-	if s.TxnsPerRound == 0 {
-		s.TxnsPerRound = 5
-	}
-	if s.BaseTxnsPerRound == 0 {
-		s.BaseTxnsPerRound = 3
-	}
-	if s.Items == 0 {
-		s.Items = 64
-	}
-	if s.PCommutative == 0 {
-		s.PCommutative = 0.6
-	}
-	if s.Protocol == 0 {
-		s.Protocol = Merging
-	}
-	if s.BaseNodes == 0 {
-		s.BaseNodes = 1
-	}
-	if s.Weights == (cost.Weights{}) {
-		s.Weights = cost.DefaultWeights()
-	}
+	orDefault(&s.Mobiles, 4)
+	orDefault(&s.Rounds, 3)
+	orDefault(&s.TxnsPerRound, 5)
+	orDefault(&s.BaseTxnsPerRound, 3)
+	orDefault(&s.Items, 64)
+	orDefault(&s.PCommutative, 0.6)
+	orDefault(&s.Protocol, Merging)
+	orDefault(&s.BaseNodes, 1)
+	orDefault(&s.Weights, cost.DefaultWeights())
 	return s
+}
+
+// orDefault sets *v to d when *v is the zero value.
+func orDefault[T comparable](v *T, d T) {
+	var zero T
+	if *v == zero {
+		*v = d
+	}
 }
 
 // Result summarizes one simulation run.
@@ -179,43 +174,45 @@ type Result struct {
 	TentativeRun int64
 	// Crashes counts mobile crashes injected (and recovered from journals).
 	Crashes int64
-	// WireRequests and WireBytes report the transport's real traffic
-	// (MessagePassing/WireTCP modes only). WireBytes counts payload bytes.
-	// In MessagePassing mode they cover every server request (base-tier
-	// traffic included); in WireTCP mode they cover the requests that
-	// crossed the loopback socket — the mobile fleet's — and
-	// WireFrameBytes additionally reports the socket bytes (payloads plus
-	// frame headers) with WireRedials the clients' transparent redials.
+	// WireRequests and WireBytes (payload bytes) report the transport's
+	// real traffic in the wired modes: every server request in Messages
+	// mode, base traffic included; in TCP mode the mobile fleet's requests
+	// that crossed the socket, with WireFrameBytes the socket bytes
+	// (payloads plus frame headers) and WireRedials the clients' redials.
 	WireRequests, WireBytes int64
 	WireFrameBytes          int64
 	WireRedials             int64
 }
 
+// check refuses a knob the scenario set that its mode or tier cannot
+// honour, rather than running without it.
+func (s Scenario) check() error {
+	mode := s.Mode.String() + " mode"
+	for _, r := range []struct {
+		bad bool
+		why string
+	}{
+		{s.Mobiles < 0 || s.Rounds < 0, "a negative Mobiles or Rounds"},
+		{s.Mode < Serial || s.Mode > TCP, "Mode " + s.Mode.String()},
+		{s.PCrash > 0 && s.Mode.wired(), "PCrash in " + mode},
+		{s.PCrash > 0 && s.Shards > 0, "PCrash on a sharded tier"},
+		{(s.HotItems > 0 || s.PHot > 0) && s.Shards > 0, "HotItems on a sharded tier"},
+		{s.DropEveryNth != 0 && !s.Mode.wired(), "DropEveryNth in " + mode},
+		{s.PCrossShard > 0 && s.Shards == 0, "PCrossShard on a plain cluster"},
+	} {
+		if r.bad {
+			return fmt.Errorf("sim: %w: %s is not supported", replica.ErrBadConfig, r.why)
+		}
+	}
+	return nil
+}
+
 // Run executes the scenario and returns its result.
 func Run(sc Scenario) (*Result, error) {
 	sc = sc.withDefaults()
-	if sc.Shards > 0 {
-		cfg := replica.Config{
-			BaseNodes:    sc.BaseNodes,
-			Weights:      sc.Weights,
-			Origin:       sc.Origin,
-			MergeOptions: sc.MergeOptions,
-			Acceptance:   sc.Acceptance,
-			Observer:     sc.Observer,
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		if sc.MessagePassing || sc.WireTCP {
-			return nil, fmt.Errorf("sim: %w: MessagePassing is not supported with Shards set", replica.ErrBadConfig)
-		}
-		return runSharded(sc, cfg)
+	if err := sc.check(); err != nil {
+		return nil, err
 	}
-	baseGen := workload.NewGenerator(workload.Config{
-		Seed: sc.Seed * 31, Items: sc.Items, PCommutative: sc.PCommutative,
-		HotItems: sc.HotItems, PHot: sc.PHot,
-	})
-	origin := baseGen.OriginState()
 	cfg := replica.Config{
 		BaseNodes:    sc.BaseNodes,
 		Weights:      sc.Weights,
@@ -230,318 +227,306 @@ func Run(sc Scenario) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	cluster := replica.NewBaseCluster(origin, cfg)
-
-	res := &Result{Scenario: sc}
-	switch {
-	case sc.MessagePassing || sc.WireTCP:
-		if err := runMessagePassing(sc, cluster, res); err != nil {
-			return nil, err
-		}
-	case sc.Concurrent:
-		if err := runConcurrent(sc, cluster, res); err != nil {
-			return nil, err
-		}
-	default:
-		if err := runSerial(sc, cluster, res); err != nil {
-			return nil, err
-		}
+	f := &fleet{sc: sc, sched: schedule(sc)}
+	if sc.Shards > 0 {
+		f.tier = shardedTier(sc, cfg)
+	} else {
+		f.tier = plainTier(sc, cfg)
 	}
-	res.Counts = cluster.Counters().Snapshot()
+	res := &Result{Scenario: sc}
+	err := f.open()
+	if err == nil {
+		err = f.run()
+	}
+	if f.srv != nil {
+		f.shut(res)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Counts = f.tier.counts()
 	res.Cost = res.Counts.Weighted(sc.Weights)
-	res.FinalMaster = cluster.Master()
+	res.FinalMaster = f.tier.Master()
+	res.TentativeRun, res.FailedReexecutions, res.Crashes = f.ran.Load(), f.failed.Load(), f.crashes.Load()
 	return res, nil
 }
 
-// runSerial interleaves the fleet deterministically: per round, the base
-// commits its traffic, then each mobile runs its tentative batch and
-// connects.
-func runSerial(sc Scenario, cluster *replica.BaseCluster, res *Result) error {
-	mobiles := make([]*replica.MobileNode, sc.Mobiles)
-	gens := make([]*workload.Generator, sc.Mobiles)
-	for i := range mobiles {
-		mobiles[i] = replica.NewMobileNode(fmt.Sprintf("m%d", i+1), cluster)
-		gens[i] = workload.NewGenerator(workload.Config{
-			Seed: sc.Seed + int64(i) + 1, Items: sc.Items, PCommutative: sc.PCommutative,
-			HotItems: sc.HotItems, PHot: sc.PHot,
-		})
+// tier is the base a fleet reconciles with — a plain cluster or a
+// ShardedBase — and the transactions it is fed.
+type tier struct {
+	replica.BaseTier
+	cluster *replica.BaseCluster // binds journal-recovered nodes; nil if sharded
+	advance func() int
+	counts  func() cost.Counts
+	node    func(id string) *replica.MobileNode
+	baseTxn func(round, k int) *tx.Transaction
+	feed    func(i int) func(round, k int) *tx.Transaction // mobile i's source
+}
+
+// plainTier is one cluster fed by the item generator.
+func plainTier(sc Scenario, cfg replica.Config) *tier {
+	genCfg := func(seed int64) workload.Config {
+		return workload.Config{Seed: seed, Items: sc.Items, PCommutative: sc.PCommutative,
+			HotItems: sc.HotItems, PHot: sc.PHot}
 	}
+	b := replica.NewBaseCluster(workload.NewGenerator(genCfg(sc.Seed*31)).OriginState(), cfg)
+	return &tier{
+		BaseTier: b,
+		cluster:  b,
+		advance:  b.AdvanceWindow,
+		counts:   func() cost.Counts { return b.Counters().Snapshot() },
+		node:     func(id string) *replica.MobileNode { return replica.NewMobileNode(id, b) },
+		baseTxn: func(round, k int) *tx.Transaction {
+			// Derived from the round and slot alone, and without the
+			// mobiles' skew.
+			gen := workload.NewGenerator(workload.Config{
+				Seed:  sc.Seed*1000003 + int64(round)*101 + int64(k),
+				Items: sc.Items, PCommutative: sc.PCommutative,
+			})
+			t := gen.Txn(tx.Base)
+			t.ID = fmt.Sprintf("Tb%d.%d", round, k)
+			return t
+		},
+		feed: func(i int) func(round, k int) *tx.Transaction {
+			gen := workload.NewGenerator(genCfg(sc.Seed + int64(i) + 1))
+			return func(int, int) *tx.Transaction { return gen.Txn(tx.Tentative) }
+		},
+	}
+}
+
+// draw is one mobile's fate in one round.
+type draw struct{ crash, skip bool }
+
+// schedule draws every crash and skipped connect up front, in the serial
+// (round, mobile) order, so every mode reads the same draws. The final
+// round always connects, so nothing is left pending.
+func schedule(sc Scenario) []draw {
 	crashRng := rand.New(rand.NewSource(sc.Seed*7 + 13))
 	skipRng := rand.New(rand.NewSource(sc.Seed*11 + 5))
-	for round := 0; round < sc.Rounds; round++ {
-		if sc.WindowEveryRounds > 0 && round > 0 && round%sc.WindowEveryRounds == 0 {
-			cluster.AdvanceWindow()
+	sched := make([]draw, sc.Rounds*sc.Mobiles)
+	for j := range sched {
+		sched[j].crash = sc.PCrash > 0 && crashRng.Float64() < sc.PCrash
+		sched[j].skip = sc.PSkipConnect > 0 && skipRng.Float64() < sc.PSkipConnect &&
+			j/sc.Mobiles < sc.Rounds-1
+	}
+	return sched
+}
+
+// session is one mobile's link to the base: a MobileNode calling the tier
+// (Serial, Concurrent) or a Client over a transport (Messages, TCP).
+type session struct {
+	node   *replica.MobileNode
+	client *replica.Client
+	next   func(round, k int) *tx.Transaction
+}
+
+// fleet is one run: the tier, the sessions and schedule every mode shares,
+// the wired modes' servers and transports, and the tallies.
+type fleet struct {
+	sc       Scenario
+	tier     *tier
+	sched    []draw
+	sessions []*session
+	exec     func(*tx.Transaction) error // base submissions; via srv if wired
+	srv      *replica.BaseServer
+	ws       *wire.Server
+	trs      []*wire.Transport
+
+	ran, failed, crashes atomic.Int64
+}
+
+// open opens every mobile's session, serving the tier first in the wired
+// modes.
+func (f *fleet) open() error {
+	var addr string
+	f.exec = f.tier.ExecBase
+	if f.sc.Mode.wired() {
+		f.srv = replica.Serve(f.tier.BaseTier, replica.WithDropEveryNth(f.sc.DropEveryNth))
+		f.exec = f.srv.ExecBaseRemote
+	}
+	if f.sc.Mode == TCP {
+		ws := wire.NewServer(f.srv, wire.ServerConfig{})
+		a, err := ws.Listen("127.0.0.1:0")
+		if err != nil {
+			return fmt.Errorf("sim: wire listen: %w", err)
 		}
-		for k := 0; k < sc.BaseTxnsPerRound; k++ {
-			if err := cluster.ExecBase(baseTxn(sc, round, k)); err != nil {
-				return err
-			}
+		f.ws, addr = ws, a.String()
+	}
+	for i := range f.sc.Mobiles {
+		s, id := &session{next: f.tier.feed(i)}, fmt.Sprintf("m%d", i+1)
+		f.sessions = append(f.sessions, s)
+		var err error
+		switch f.sc.Mode {
+		case Messages:
+			s.client, err = replica.Dial(id, f.srv)
+		case TCP:
+			tr := wire.Dial(addr, wire.ClientConfig{})
+			f.trs = append(f.trs, tr)
+			s.client, err = replica.DialTransport(context.Background(), id, tr)
+		default:
+			s.node = f.tier.node(id)
 		}
-		for i, m := range mobiles {
-			var journal bytes.Buffer
-			crashing := sc.PCrash > 0 && crashRng.Float64() < sc.PCrash
-			if crashing {
-				if err := m.AttachJournal(&journal); err != nil {
-					return err
-				}
-			}
-			for k := 0; k < sc.TxnsPerRound; k++ {
-				if err := m.Run(gens[i].Txn(tx.Tentative)); err != nil {
-					return err
-				}
-				res.TentativeRun++
-			}
-			if crashing {
-				// The device dies before connecting; a fresh node is
-				// recovered from its journal and reconciles instead. No
-				// tentative work was acknowledged-and-lost: the journal
-				// covered the whole period.
-				rec, rep, err := replica.RecoverMobileNode(m.ID, bytes.NewReader(journal.Bytes()))
-				if err != nil {
-					return fmt.Errorf("sim: recover %s: %w", m.ID, err)
-				}
-				if rep.TornTail {
-					return fmt.Errorf("sim: recover %s: journal torn at record %d", m.ID, rep.TornRecord)
-				}
-				// Re-establish durability for the rest of the period.
-				journal.Reset()
-				if err := rec.AttachJournal(&journal); err != nil {
-					return fmt.Errorf("sim: rejournal %s: %w", m.ID, err)
-				}
-				res.Crashes++
-				m = rec
-				mobiles[i] = rec
-			}
-			if sc.PSkipConnect > 0 && skipRng.Float64() < sc.PSkipConnect && round < sc.Rounds-1 {
-				// Still out of coverage: keep accumulating; the final
-				// round always reconnects so nothing is left pending.
-				continue
-			}
-			out, err := connect(sc, m, cluster)
-			if err != nil {
-				return err
-			}
-			res.FailedReexecutions += int64(out.Failed)
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// runConcurrent runs each mobile as a goroutine; the base traffic runs on
-// its own goroutine. Rounds are loosely synchronized through the cluster's
-// internal mutex only — the point is exercising the substrate under real
-// concurrency.
-func runConcurrent(sc Scenario, cluster *replica.BaseCluster, res *Result) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		failed   int64
-		ran      int64
-	)
-	record := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
+// shut closes a wired mode's transports and servers and reports their
+// traffic into res.
+func (f *fleet) shut(res *Result) {
+	for _, tr := range f.trs {
+		_, n := tr.Stats()
+		res.WireRedials += n
+		tr.Close()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for round := 0; round < sc.Rounds; round++ {
-			for k := 0; k < sc.BaseTxnsPerRound; k++ {
-				if err := cluster.ExecBase(baseTxn(sc, round, k)); err != nil {
-					record(err)
-					return
-				}
-			}
-		}
-	}()
-	for i := 0; i < sc.Mobiles; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := replica.NewMobileNode(fmt.Sprintf("m%d", i+1), cluster)
-			gen := workload.NewGenerator(workload.Config{
-				Seed: sc.Seed + int64(i) + 1, Items: sc.Items, PCommutative: sc.PCommutative,
-			})
-			for round := 0; round < sc.Rounds; round++ {
-				for k := 0; k < sc.TxnsPerRound; k++ {
-					if err := m.Run(gen.Txn(tx.Tentative)); err != nil {
-						record(err)
-						return
-					}
-					mu.Lock()
-					ran++
-					mu.Unlock()
-				}
-				out, err := connect(sc, m, cluster)
-				if err != nil {
-					record(err)
-					return
-				}
-				mu.Lock()
-				failed += int64(out.Failed)
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	res.FailedReexecutions = failed
-	res.TentativeRun = ran
-	return firstErr
-}
-
-func connect(sc Scenario, m *replica.MobileNode, cluster *replica.BaseCluster) (*replica.ConnectOutcome, error) {
-	// A journal-recovered node has no cluster yet; Bind hands it its
-	// cluster (and charges the recovery) before reconnecting.
-	if err := m.Bind(cluster); err != nil {
-		return nil, err
-	}
-	if sc.Protocol == Reprocessing {
-		return m.ConnectReprocess(), nil
-	}
-	return m.ConnectMerge()
-}
-
-// baseTxn deterministically derives the base-tier traffic from the round
-// and slot so serial and concurrent modes issue identical base workloads.
-func baseTxn(sc Scenario, round, k int) *tx.Transaction {
-	gen := workload.NewGenerator(workload.Config{
-		Seed:         sc.Seed*1000003 + int64(round)*101 + int64(k),
-		Items:        sc.Items,
-		PCommutative: sc.PCommutative,
-	})
-	t := gen.Txn(tx.Base)
-	t.ID = fmt.Sprintf("Tb%d.%d", round, k)
-	return t
-}
-
-// runMessagePassing drives the fleet through the BaseServer message
-// channel: a pool of ServerWorkers request workers, one goroutine per
-// mobile client, every reconnect a serialized round trip. With WireTCP the
-// same fleet runs over real loopback TCP — a wire.Server fronts the base
-// server and each client dials its own pooled transport.
-func runMessagePassing(sc Scenario, cluster *replica.BaseCluster, res *Result) error {
-	srv := replica.Serve(cluster, replica.WithWorkers(sc.ServerWorkers),
-		replica.WithDropEveryNth(sc.DropEveryNth))
-	defer srv.Close()
-	// dialClient yields each mobile's transport; over TCP every client
-	// owns a pooled connection to the loopback listener.
-	dialClient := func(ctx context.Context, id string) (*replica.Client, func(), error) {
-		c, err := replica.DialContext(ctx, id, srv)
-		return c, func() {}, err
-	}
-	var (
-		ws      *wire.Server
-		redials atomic.Int64
-	)
-	if sc.WireTCP {
-		ws = wire.NewServer(srv, wire.ServerConfig{})
-		addr, err := ws.Listen("127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("sim: wire listen: %w", err)
-		}
-		defer ws.Close()
-		dialClient = func(ctx context.Context, id string) (*replica.Client, func(), error) {
-			tr := wire.Dial(addr.String(), wire.ClientConfig{})
-			c, err := replica.DialTransport(ctx, id, tr)
-			if err != nil {
-				tr.Close()
-				return nil, nil, err
-			}
-			return c, func() {
-				_, n := tr.Stats()
-				redials.Add(n)
-				tr.Close()
-			}, nil
-		}
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		failed   int64
-		ran      int64
-	)
-	record := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for round := 0; round < sc.Rounds; round++ {
-			for k := 0; k < sc.BaseTxnsPerRound; k++ {
-				if err := srv.ExecBaseRemote(baseTxn(sc, round, k)); err != nil {
-					record(err)
-					return
-				}
-			}
-		}
-	}()
-	for i := 0; i < sc.Mobiles; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, release, err := dialClient(context.Background(), fmt.Sprintf("m%d", i+1))
-			if err != nil {
-				record(err)
-				return
-			}
-			defer release()
-			gen := workload.NewGenerator(workload.Config{
-				Seed: sc.Seed + int64(i) + 1, Items: sc.Items, PCommutative: sc.PCommutative,
-				HotItems: sc.HotItems, PHot: sc.PHot,
-			})
-			for round := 0; round < sc.Rounds; round++ {
-				for k := 0; k < sc.TxnsPerRound; k++ {
-					if err := c.Run(gen.Txn(tx.Tentative)); err != nil {
-						record(err)
-						return
-					}
-					mu.Lock()
-					ran++
-					mu.Unlock()
-				}
-				var out *replica.ConnectOutcome
-				if sc.Protocol == Reprocessing {
-					out, err = c.ConnectReprocess()
-				} else {
-					out, err = c.ConnectMerge()
-				}
-				if err != nil {
-					record(err)
-					return
-				}
-				mu.Lock()
-				failed += int64(out.Failed)
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	res.FailedReexecutions = failed
-	res.TentativeRun = ran
-	res.WireRedials = redials.Load()
-	reqs, in, out := srv.Stats()
-	res.WireRequests = reqs
-	res.WireBytes = in + out
-	if ws != nil {
-		ws.Close()
+	reqs, in, out := f.srv.Stats()
+	res.WireRequests, res.WireBytes = reqs, in+out
+	if f.ws != nil {
+		f.ws.Close()
 		// Over TCP the wire counters cover the traffic that actually
 		// crossed the socket — the mobile fleet's — while base-tier
 		// transactions stay in-process with the server, so payload and
 		// frame totals describe the same requests.
-		frames, fin, fout, _ := ws.Stats()
-		pin, pout := ws.PayloadBytes()
-		res.WireRequests = frames
-		res.WireBytes = pin + pout
-		res.WireFrameBytes = fin + fout
+		frames, fin, fout, _ := f.ws.Stats()
+		pin, pout := f.ws.PayloadBytes()
+		res.WireRequests, res.WireBytes, res.WireFrameBytes = frames, pin+pout, fin+fout
 	}
-	return firstErr
+	f.srv.Close()
+}
+
+// run drives the fleet: Serial interleaves the base feed and every mobile
+// on this goroutine; the other modes run each mobile as a goroutine that
+// starts round r once the base has committed round r's traffic.
+func (f *fleet) run() error {
+	if f.sc.Mode == Serial {
+		for round := range f.sc.Rounds {
+			if err := f.baseRound(round); err != nil {
+				return err
+			}
+			for i := range f.sessions {
+				if err := f.period(i, round); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	ready := make([]chan struct{}, f.sc.Rounds)
+	for r := range ready {
+		ready[r] = make(chan struct{})
+	}
+	errs := make([]error, len(f.sessions)+1)
+	var wg sync.WaitGroup
+	wg.Add(len(errs))
+	go func() {
+		defer wg.Done()
+		for round, c := range ready {
+			if errs[0] == nil {
+				errs[0] = f.baseRound(round)
+			}
+			close(c) // even after a failure, so no mobile waits forever
+		}
+	}()
+	for i := range f.sessions {
+		go func() {
+			defer wg.Done()
+			for round := 0; round < len(ready) && errs[i+1] == nil; round++ {
+				<-ready[round]
+				errs[i+1] = f.period(i, round)
+			}
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// baseRound commits a round's base traffic, advancing the window first at
+// every WindowEveryRounds boundary.
+func (f *fleet) baseRound(round int) error {
+	if w := f.sc.WindowEveryRounds; w > 0 && round > 0 && round%w == 0 {
+		f.tier.advance()
+	}
+	for k := range f.sc.BaseTxnsPerRound {
+		if err := f.exec(f.tier.baseTxn(round, k)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// period is mobile i's disconnection period in one round: its tentative
+// batch, the scheduled crash, and the connect unless it stays offline.
+func (f *fleet) period(i, round int) error {
+	s, d := f.sessions[i], f.sched[round*f.sc.Mobiles+i]
+	var journal bytes.Buffer
+	if d.crash {
+		if err := s.node.AttachJournal(&journal); err != nil {
+			return err
+		}
+	}
+	run := s.node.Run
+	if s.client != nil {
+		run = s.client.Run
+	}
+	for k := range f.sc.TxnsPerRound {
+		if err := run(s.next(round, k)); err != nil {
+			return err
+		}
+		f.ran.Add(1)
+	}
+	if d.crash {
+		// The node dies before connecting; a fresh one is recovered from
+		// the journal, which covered the whole period, and journals the
+		// rest of it.
+		rec, rep, err := replica.RecoverMobileNode(s.node.ID, bytes.NewReader(journal.Bytes()))
+		switch {
+		case err != nil:
+			return fmt.Errorf("sim: recover %s: %w", s.node.ID, err)
+		case rep.TornTail:
+			return fmt.Errorf("sim: recover %s: journal torn at record %d", s.node.ID, rep.TornRecord)
+		}
+		journal.Reset()
+		if err := rec.AttachJournal(&journal); err != nil {
+			return fmt.Errorf("sim: rejournal %s: %w", s.node.ID, err)
+		}
+		f.crashes.Add(1)
+		s.node = rec
+	}
+	if d.skip {
+		return nil // still out of coverage: keep accumulating
+	}
+	out, err := f.connect(s)
+	if err != nil {
+		return err
+	}
+	f.failed.Add(int64(out.Failed))
+	return nil
+}
+
+// connect reconciles s with the base under the scenario's protocol.
+func (f *fleet) connect(s *session) (*replica.ConnectOutcome, error) {
+	switch {
+	case s.client == nil:
+		return connectNode(f.sc.Protocol, s.node, f.tier.cluster)
+	case f.sc.Protocol == Reprocessing:
+		return s.client.ConnectReprocess()
+	}
+	return s.client.ConnectMerge()
+}
+
+// connectNode reconciles a MobileNode under p. A journal-recovered node
+// has no cluster yet: Bind hands it b, charging the recovery, first. b is
+// nil on a sharded tier, whose nodes are never recovered.
+func connectNode(p Protocol, m *replica.MobileNode, b *replica.BaseCluster) (*replica.ConnectOutcome, error) {
+	if b != nil {
+		if err := m.Bind(b); err != nil {
+			return nil, err
+		}
+	}
+	if p == Reprocessing {
+		return m.ConnectReprocess(), nil
+	}
+	return m.ConnectMerge()
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"tiermerge/internal/replica"
@@ -116,7 +118,7 @@ func TestWindowAdvancementBoundsHistory(t *testing.T) {
 func TestConcurrentRunCompletes(t *testing.T) {
 	sc := Scenario{
 		Seed: 9, Mobiles: 8, Rounds: 3, TxnsPerRound: 5, Items: 64,
-		Concurrent: true,
+		Mode: Concurrent,
 	}
 	r, err := Run(sc)
 	if err != nil {
@@ -137,7 +139,7 @@ func TestConcurrentRunCompletes(t *testing.T) {
 func TestConcurrentReprocessing(t *testing.T) {
 	sc := Scenario{
 		Seed: 11, Mobiles: 6, Rounds: 2, TxnsPerRound: 4,
-		Protocol: Reprocessing, Concurrent: true,
+		Protocol: Reprocessing, Mode: Concurrent,
 	}
 	r, err := Run(sc)
 	if err != nil {
@@ -220,12 +222,12 @@ func TestHotSkewRaisesConflicts(t *testing.T) {
 	}
 }
 
-// TestMessagePassingMode drives the fleet through the server channel and
+// TestMessagePassingMode drives the fleet through the in-process transport and
 // checks accounting plus real wire traffic.
 func TestMessagePassingMode(t *testing.T) {
 	r, err := Run(Scenario{
 		Seed: 29, Mobiles: 6, Rounds: 3, TxnsPerRound: 4, Items: 64,
-		MessagePassing: true,
+		Mode: Messages,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +279,7 @@ func TestSkipConnectAccumulatesHistory(t *testing.T) {
 func TestMessagePassingWithLoss(t *testing.T) {
 	r, err := Run(Scenario{
 		Seed: 37, Mobiles: 4, Rounds: 3, TxnsPerRound: 4, Items: 64,
-		MessagePassing: true, DropEveryNth: 5,
+		Mode: Messages, DropEveryNth: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,5 +287,119 @@ func TestMessagePassingWithLoss(t *testing.T) {
 	if r.Counts.TxnsSaved+r.Counts.TxnsBackedOut != r.TentativeRun {
 		t.Errorf("loss broke exactly-once accounting: saved %d + backedout %d != %d",
 			r.Counts.TxnsSaved, r.Counts.TxnsBackedOut, r.TentativeRun)
+	}
+}
+
+// TestEveryModeHonoursEveryKnob: every fleet knob either shows its effect
+// in every mode, on either tier, or is refused by Run with ErrBadConfig —
+// never silently dropped. Each knob's run is compared with the same mode
+// and tier without it; the margins hold under any goroutine schedule.
+func TestEveryModeHonoursEveryKnob(t *testing.T) {
+	type cell struct {
+		mode   Mode
+		shards int
+	}
+	savedShare := func(r *Result) float64 { return float64(r.Counts.TxnsSaved) / float64(r.TentativeRun) }
+	connects := func(r *Result) int64 { return r.Counts.MergesPerformed + r.Counts.MergeFallbacks }
+	knobs := []struct {
+		name string
+		set  func(*Scenario)
+		// refused reports the cells that must refuse the knob.
+		refused func(cell) bool
+		shows   func(t *testing.T, got, ref *Result)
+	}{
+		{
+			name:    "hot",
+			set:     func(sc *Scenario) { sc.HotItems, sc.PHot = 2, 1 },
+			refused: func(c cell) bool { return c.shards > 0 },
+			shows: func(t *testing.T, got, ref *Result) {
+				if savedShare(got) > 0.6*savedShare(ref) {
+					t.Errorf("hot skew saved %.2f of the run, uniform %.2f: want at most 60%% of it", savedShare(got), savedShare(ref))
+				}
+			},
+		},
+		{
+			name: "window",
+			set: func(sc *Scenario) {
+				sc.WindowEveryRounds, sc.Origin = 1, replica.Strategy1
+			},
+			refused: func(cell) bool { return false },
+			shows: func(t *testing.T, got, _ *Result) {
+				if got.Counts.MergeFallbacks == 0 {
+					t.Error("a window advance every round under Strategy 1 produced no fallbacks")
+				}
+			},
+		},
+		{
+			name:    "crash",
+			set:     func(sc *Scenario) { sc.PCrash = 1 },
+			refused: func(c cell) bool { return c.mode.wired() || c.shards > 0 },
+			shows: func(t *testing.T, got, _ *Result) {
+				want := int64(got.Scenario.Mobiles * got.Scenario.Rounds)
+				if got.Crashes != want || got.Counts.Recoveries != want {
+					t.Errorf("crashes %d, recoveries %d at PCrash 1, want %d", got.Crashes, got.Counts.Recoveries, want)
+				}
+			},
+		},
+		{
+			name:    "skip",
+			set:     func(sc *Scenario) { sc.PSkipConnect = 0.5 },
+			refused: func(cell) bool { return false },
+			shows: func(t *testing.T, got, ref *Result) {
+				if connects(got) >= connects(ref) {
+					t.Errorf("skipping connects left %d merges, %d without: want fewer", connects(got), connects(ref))
+				}
+			},
+		},
+		{
+			// One mobile: the drop schedule counts mobile-facing
+			// responses, so a lone client's retry never meets a second
+			// drop and the run cannot exhaust its retries.
+			name:    "drop",
+			set:     func(sc *Scenario) { sc.DropEveryNth, sc.Mobiles = 2, 1 },
+			refused: func(c cell) bool { return !c.mode.wired() },
+			shows: func(t *testing.T, got, _ *Result) {
+				if c := got.Counts; c.TxnsSaved+c.TxnsBackedOut != got.TentativeRun {
+					t.Errorf("lossy transport: saved %d + backed out %d != run %d", c.TxnsSaved, c.TxnsBackedOut, got.TentativeRun)
+				}
+			},
+		},
+		{
+			name:    "cross",
+			set:     func(sc *Scenario) { sc.PCrossShard = 0.5 },
+			refused: func(c cell) bool { return c.shards == 0 },
+			shows: func(t *testing.T, got, _ *Result) {
+				if got.Counts.CrossShardMerges == 0 {
+					t.Error("PCrossShard 0.5 produced no cross-shard merges")
+				}
+			},
+		},
+	}
+	for _, shards := range []int{0, 2} {
+		for _, mode := range []Mode{Serial, Concurrent, Messages, TCP} {
+			c := cell{mode, shards}
+			base := Scenario{Seed: 43, Mode: mode, Shards: shards, Mobiles: 4, Rounds: 3, TxnsPerRound: 5, Items: 256}
+			ref, err := Run(base)
+			if err != nil {
+				t.Fatalf("%v shards=%d: %v", mode, shards, err)
+			}
+			for _, k := range knobs {
+				t.Run(fmt.Sprintf("shards%d/%v/%s", shards, mode, k.name), func(t *testing.T) {
+					sc := base
+					k.set(&sc)
+					got, err := Run(sc)
+					if k.refused(c) {
+						if !errors.Is(err, replica.ErrBadConfig) {
+							t.Fatalf("err = %v, want ErrBadConfig", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					k.shows(t, got, ref)
+				})
+			}
+		}
 	}
 }

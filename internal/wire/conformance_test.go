@@ -173,7 +173,7 @@ func TestConformanceRoundTrips(t *testing.T) {
 func TestConformanceDropRetryParity(t *testing.T) {
 	const mobiles, rounds = 3, 4
 	masters := make(map[string]string)
-	for _, e := range newEnvs(t, replica.WithDropEveryNth(3), replica.WithWorkers(2)) {
+	for _, e := range newEnvs(t, replica.WithDropEveryNth(3)) {
 		t.Run(e.name, func(t *testing.T) {
 			defer e.close()
 			ctx := context.Background()

@@ -127,9 +127,19 @@ fi
 
 echo "== serial report (golden) =="
 # The serial tiermerge report is deterministic; its goldens pin a refactor
-# that must not move a counter (Strategy 1, window advances, propagation).
-require_tests TestSerialReportGolden ./cmd/tiermerge/
-go test -timeout 60s -count=1 -run TestSerialReportGolden ./cmd/tiermerge/
+# that must not move a counter (Strategy 1, window advances, propagation,
+# the up-front crash and skip draws). Flags no mode can honour together
+# are refused, not dropped.
+cli_pins='TestSerialReportGolden|TestRefusedFlagCombinations'
+require_tests "$cli_pins" ./cmd/tiermerge/
+go test -timeout 60s -count=1 -run "$cli_pins" ./cmd/tiermerge/
+
+echo "== every fleet mode honours every knob =="
+# Each Scenario knob shows its effect in every mode, on either tier, or Run
+# refuses it with ErrBadConfig. The concurrent modes run crash recovery and
+# window advances, so the table runs under -race.
+require_tests TestEveryModeHonoursEveryKnob ./internal/sim/
+go test -timeout 120s -race -count=3 -run TestEveryModeHonoursEveryKnob ./internal/sim/
 
 echo "== compiled transactions, one-form effects, pair-free graph build, graph phase in a scratch =="
 # The graph build must match the map-based construction it replaced, edge
@@ -259,7 +269,7 @@ tail -n 1 <<< "$races_log"
 
 echo "== race (wire transport: chan-vs-TCP conformance, exactly-once, drains) =="
 # Explicit gate for the transport seam: the conformance suite must produce
-# identical outcomes over the in-process channel transport and real
+# identical outcomes over the in-process transport and real
 # loopback TCP — round trips, drop-retry parity, exactly-once under
 # duplicated frames, mid-flight server close, and oversized-frame
 # rejection — all under the race detector.

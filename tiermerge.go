@@ -42,12 +42,12 @@
 // ConnectReprocess, PreviewMerge and Checkout take no argument; a node
 // recovered from a journal is handed its cluster with Bind.
 //
-// The mobile/base split also runs over a real wire: Serve starts a server
+// The mobile/base split also runs over a real wire: Serve returns a server
 // over any base tier, and MobileClient reconciles through a Transport —
-// the in-process channel transport (BaseServer.Transport) or the
+// the in-process transport (BaseServer.Transport) or the
 // length-prefixed TCP transport (internal/wire, driven by the tiermerge
 // serve and client subcommands) — so the same client code runs against a
-// goroutine or a separate process. See docs/WIRE.md.
+// server in the same process or a separate one. See docs/WIRE.md.
 package tiermerge
 
 import (
@@ -474,12 +474,30 @@ func DefaultCostWeights() CostWeights { return cost.DefaultWeights() }
 
 // Simulation.
 type (
-	// Scenario configures a whole-system simulation.
+	// Scenario configures a whole-system simulation. Its Mode chooses
+	// how mobiles reach the base; every mode honours every knob it
+	// accepts, and RunScenario refuses a knob the mode or tier cannot
+	// honour with ErrBadClusterConfig.
 	Scenario = sim.Scenario
 	// ScenarioResult summarizes a run.
 	ScenarioResult = sim.Result
 	// Protocol selects merging vs reprocessing for a scenario.
 	Protocol = sim.Protocol
+	// ScenarioMode selects how a scenario's mobiles reach the base tier.
+	ScenarioMode = sim.Mode
+)
+
+// Scenario modes.
+const (
+	// SerialMode runs the fleet on one goroutine, bit-reproducibly.
+	SerialMode = sim.Serial
+	// ConcurrentMode runs each mobile as a goroutine calling the tier.
+	ConcurrentMode = sim.Concurrent
+	// MessagesMode runs each mobile as a goroutine and a MobileClient of a
+	// BaseServer over its in-process transport.
+	MessagesMode = sim.Messages
+	// TCPMode is MessagesMode over real loopback TCP.
+	TCPMode = sim.TCP
 )
 
 // Scenario protocols.
@@ -687,11 +705,12 @@ func OpenShardedBase(dir string, initial State, shards int, cfg ClusterConfig) (
 // base tier, and clients whose checkout/merge/reprocess travel as
 // serialized payloads (journals, code) — real wire sizes included. The
 // transport seam separates the protocol from its medium: the in-process
-// channel transport ships here, the TCP realization in internal/wire.
+// transport ships here, the TCP realization in internal/wire.
 type (
 	// BaseServer serves a base tier behind the wire protocol's
-	// request/response envelopes, with a worker pool and a per-mobile
-	// applied table that makes sequence-numbered retries exactly-once.
+	// request/response envelopes, on its callers' goroutines, with a
+	// per-mobile applied table that makes sequence-numbered retries
+	// exactly-once.
 	BaseServer = replica.BaseServer
 	// BaseTier is the server-side seam: the reconciliation surface a
 	// BaseServer fronts (BaseCluster and ShardedBase both satisfy it).
@@ -700,22 +719,22 @@ type (
 	MobileClient = replica.Client
 	// Transport carries one serialized request envelope to a base server
 	// and returns the serialized response — implemented by the in-process
-	// channel transport (BaseServer.Transport) and the TCP client pool in
+	// transport (BaseServer.Transport) and the TCP client pool in
 	// internal/wire.
 	Transport = replica.Transport
 	// ServeOption configures Serve.
 	ServeOption = replica.ServeOption
 )
 
-// Serve starts a server over any base tier; Close it when done.
+// Serve returns a server over any base tier. It starts no goroutine: each
+// transport serves frames on its callers' goroutines. Close turns later
+// in-process calls away.
 func Serve(tier BaseTier, opts ...ServeOption) *BaseServer {
 	return replica.Serve(tier, opts...)
 }
 
 // Serve options.
 var (
-	// WithWorkers sets the server's worker-goroutine count (default 1).
-	WithWorkers = replica.WithWorkers
 	// WithDropEveryNth arms fault injection: every nth mobile-facing
 	// response is lost (retries + dedup keep reconciles exactly-once).
 	WithDropEveryNth = replica.WithDropEveryNth
